@@ -81,7 +81,6 @@ from .benchmarks import (
     MethodSpec,
     MonteCarloConfig,
     MonteCarloResult,
-    MultisineSpec,
     SyntheticSystemSpec,
     generate_dataset,
     run_monte_carlo,

@@ -46,7 +46,6 @@ from .viability import StabilityTarget, feasible_parameterization
 
 __all__ = [
     "SyntheticSystemSpec",
-    "MultisineSpec",
     "MultisineRealization",
     "Dataset",
     "HHTrajectory",
@@ -110,23 +109,6 @@ class SyntheticSystemSpec:
 
 
 @dataclass(frozen=True)
-class MultisineSpec:
-    component_count: int = 50
-    amplitude_range: tuple = (0.1, 0.5)
-    frequency_range: tuple = (0.0, 1.0)
-    phase_range: tuple = (0.0, 2.0 * math.pi)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.component_count < 1:
-            raise InputError("multisine needs at least one component")
-        for name in ("amplitude_range", "frequency_range", "phase_range"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise InputError(f"{name} must be ordered, got ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
 class MultisineRealization:
     """Concrete multisine V(t) = sum_i A_i sin(2 pi nu_i t + phi_i)."""
 
@@ -142,17 +124,13 @@ class MultisineRealization:
         return out
 
 
-def draw_multisine(rng: np.random.Generator, spec: MultisineSpec = MultisineSpec()) -> MultisineRealization:
-    n = spec.component_count
+def draw_multisine(rng: np.random.Generator) -> MultisineRealization:
+    n = 50
     return MultisineRealization(
-        amplitudes=rng.uniform(*spec.amplitude_range, size=n),
-        frequencies=rng.uniform(*spec.frequency_range, size=n),
-        phases=rng.uniform(*spec.phase_range, size=n),
+        amplitudes=rng.uniform(0.1, 0.5, size=n),
+        frequencies=rng.uniform(0.0, 1.0, size=n),
+        phases=rng.uniform(0.0, 2.0 * math.pi, size=n),
     )
-
-
-def multisine_realization(spec: MultisineSpec) -> MultisineRealization:
-    return draw_multisine(np.random.default_rng(spec.seed), spec)
 
 
 @dataclass(frozen=True)

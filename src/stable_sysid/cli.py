@@ -10,6 +10,20 @@ Each invocation takes one JSON configuration file plus a few overrides:
                                  [--runs N] [--full-scale]
     stable-sysid check-viability --config check.json
 
+``fit`` runs the library's fit pipeline, :func:`benchmarks.fit_method`.
+``predict`` writes one-step-ahead predictions (``t,y,y_pred``) and prints
+``q_pre``; it never runs the model in closed loop.  ``simulate`` also
+free-runs the model (``t,y,y_pred,y_sim``) and prints ``q_pre`` and
+``q_sim``; a diverging simulation exits 5.
+
+``fit`` and ``benchmark`` take an optional ``selection`` block.  Its keys
+(``method``, ``kfold_k``, ``iota``, ``cap_aware_cost``, ``seed``,
+``restarts``, ``max_evals``) are fields of :class:`SelectionConfig` and
+:class:`OptimizerConfig` and override a base config: for ``fit`` the
+library defaults, for ``benchmark`` each method's own preset from
+:func:`benchmarks.standard_methods` (with the full-scale search budget
+under ``--full-scale``).  Keys left out keep the base value.
+
 Unknown configuration keys are rejected.  Exit codes: 0 success, 2 input
 error, 3 infeasible stability target, 4 numeric failure, 5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
@@ -20,6 +34,7 @@ is set, precisely to keep re-runs byte-identical).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -36,8 +51,8 @@ from .errors import (
     StableSysidError,
 )
 from .kernels import KernelInstance, structure_from_config
-from .predictor import load_model, one_step_predict, run_model, save_model, simulate
-from .selection import OptimizerConfig, SelectionConfig
+from .predictor import load_model, one_step_predict, run_model, save_model
+from .selection import SelectionConfig
 from .viability import StabilityTarget, membership, numeric_falsifier
 
 __all__ = ["main"]
@@ -102,21 +117,49 @@ def _parse_kernel_block(cfg: dict, need_eta: bool):
     return structure, eta, input_dim
 
 
-def _parse_selection_block(cfg: dict, target: StabilityTarget, seed_override) -> SelectionConfig:
-    allowed = {"method", "kfold_k", "iota", "restarts", "max_evals", "seed"}
-    _reject_unknown(cfg, allowed, "selection block")
-    optimizer = OptimizerConfig(
-        restarts=int(cfg.get("restarts", 8)),
-        max_evals=int(cfg.get("max_evals", 2000)),
-    )
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
-    return SelectionConfig(
-        method=cfg.get("method", "eb"),
-        kfold_k=int(cfg.get("kfold_k", 5)),
-        iota=float(cfg.get("iota", 1e-10)),
-        target=target,
-        optimizer=optimizer,
-        seed=seed,
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# selection-block keys and their parsers, by the config class that owns the field
+_SELECTION_KEYS = {"method": str, "kfold_k": int, "iota": float, "cap_aware_cost": _flag, "seed": int}
+_OPTIMIZER_KEYS = {"restarts": int, "max_evals": int}
+
+
+def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=None) -> SelectionConfig:
+    """``base`` with the selection block's keys (and the seed override) applied."""
+    if not isinstance(block, dict):
+        raise InputError("selection block must be a JSON object")
+    _reject_unknown(block, _SELECTION_KEYS.keys() | _OPTIMIZER_KEYS.keys(), "selection block")
+    try:
+        fields = {key: parse(block[key]) for key, parse in _SELECTION_KEYS.items() if key in block}
+        optimizer = {key: parse(block[key]) for key, parse in _OPTIMIZER_KEYS.items() if key in block}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid value in selection block: {exc}") from exc
+    if seed_override is not None:
+        fields["seed"] = int(seed_override)
+    return replace(base, optimizer=replace(base.optimizer, **optimizer), **fields)
+
+
+_SYSTEM_KEYS = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "out"}
+
+
+def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
+    """The system spec of a ``generate`` or ``benchmark`` config."""
+    variant = _require(cfg, "system", where)
+    n_valid = cfg.get("n_valid")
+    if n_valid is None and full_scale:
+        n_valid = benchmarks.FULL_SCALE_N_VALID.get(variant)
+    defaults = benchmarks.SyntheticSystemSpec
+    return benchmarks.SyntheticSystemSpec(
+        variant=variant,
+        seed=int(cfg.get("seed", defaults.seed) if args.seed is None else args.seed),
+        n_train=cfg.get("n_train"),
+        n_valid=n_valid,
+        noise_std=cfg.get("noise_std"),
+        hh_dt=float(cfg.get("hh_dt", defaults.hh_dt)),
     )
 
 
@@ -126,17 +169,8 @@ def _parse_selection_block(cfg: dict, target: StabilityTarget, seed_override) ->
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    allowed = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "out"}
-    _reject_unknown(cfg, allowed, "generate config")
-    seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
-    spec = benchmarks.SyntheticSystemSpec(
-        variant=_require(cfg, "system", "generate config"),
-        seed=seed,
-        n_train=cfg.get("n_train"),
-        n_valid=cfg.get("n_valid"),
-        noise_std=cfg.get("noise_std"),
-        hh_dt=float(cfg.get("hh_dt", benchmarks.DEFAULT_HH_DT)),
-    )
+    _reject_unknown(cfg, _SYSTEM_KEYS, "generate config")
+    spec = _system_spec(cfg, args, "generate config")
     out = _out_dir(cfg, args)
     train, valid = benchmarks.generate_dataset(spec)
     train_path = out / f"{spec.variant}_train.csv"
@@ -164,25 +198,18 @@ def cmd_fit(args) -> int:
     allowed = {"data", "kernel", "target", "selection", "m", "chi", "out", "model_name"}
     _reject_unknown(cfg, allowed, "fit config")
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", "fit config"))
-    m = int(cfg.get("m", 2))
-    chi = float(cfg.get("chi", 0.99))
+    m = int(cfg.get("m", benchmarks.MonteCarloConfig.model_order))
     target = StabilityTarget.from_config(_require(cfg, "target", "fit config"))
     structure, _, _ = _parse_kernel_block(_require(cfg, "kernel", "fit config"), need_eta=False)
-    selection = _parse_selection_block(cfg.get("selection", {}), target, args.seed)
-    out = _out_dir(cfg, args)
-
-    from .solver import FitProblem, build_regression_data, solve_constrained
-    from .selection import select_hyperparameters
-    from .predictor import PredictorModel
-
-    data = build_regression_data(dataset.u, dataset.y, m)
-    sel = select_hyperparameters(selection, data, structure)
-    kernel = KernelInstance(structure=structure, eta=sel.eta, input_dim=2 * m + 1)
-    problem = FitProblem(
-        data=data, kernel=kernel, beta=sel.beta, chi=chi, constrained=target.constrained
+    method = benchmarks.MethodSpec(
+        name="fit",
+        structure=structure,
+        target=target,
+        selection=_parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed),
+        chi=float(cfg.get("chi", benchmarks.MethodSpec.chi)),
     )
-    report = solve_constrained(problem)
-    model = PredictorModel.from_fit(data, kernel, report, target)
+    out = _out_dir(cfg, args)
+    model, report, sel = benchmarks.fit_method(dataset, method, m)
 
     model_path = out / cfg.get("model_name", "model.json")
     save_model(model, model_path)
@@ -212,25 +239,26 @@ def _run_outputs(args, want: str) -> int:
     model = load_model(_require(cfg, "model", f"{want} config"))
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", f"{want} config"))
     out = _out_dir(cfg, args)
-    result = run_model(model, dataset.u, dataset.y)
+    if want == "predict":
+        predicted = one_step_predict(model, dataset.u, dataset.y)
+        m = model.model_order
+        columns = {"y_pred": predicted}
+        scores = {"q_pre": float(np.mean(np.abs(dataset.y[m:] - predicted[m:])))}
+    else:
+        result = run_model(model, dataset.u, dataset.y)
+        columns = {"y_pred": result.predicted, "y_sim": result.simulated}
+        scores = {"q_pre": result.q_pre, "q_sim": result.q_sim}
     path = out / cfg.get("output_name", f"{want}.csv")
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t", "y", "y_pred", "y_sim"])
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y", *columns])
         for t in range(len(dataset)):
             writer.writerow(
-                [
-                    t + 1,
-                    repr(float(dataset.y[t])),
-                    repr(float(result.predicted[t])),
-                    repr(float(result.simulated[t])),
-                ]
+                [t + 1, repr(float(dataset.y[t]))] + [repr(float(col[t])) for col in columns.values()]
             )
     print(f"wrote {path}")
-    print(f"q_pre = {result.q_pre!r}")
-    print(f"q_sim = {result.q_sim!r}")
+    for name, value in scores.items():
+        print(f"{name} = {value!r}")
     return EXIT_OK
 
 
@@ -244,45 +272,31 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
-    allowed = {
-        "system", "methods", "runs", "seed", "n_train", "n_valid", "noise_std",
-        "hh_dt", "selection", "m", "record_timing", "out",
-    }
+    allowed = _SYSTEM_KEYS | {"methods", "runs", "selection", "m", "record_timing"}
     _reject_unknown(cfg, allowed, "benchmark config")
-    variant = _require(cfg, "system", "benchmark config")
-    seed = int(cfg.get("seed", 0)) if args.seed is None else int(args.seed)
-    runs = int(cfg.get("runs", 20)) if args.runs is None else int(args.runs)
     full = bool(args.full_scale)
-    n_valid = cfg.get("n_valid")
-    if n_valid is None and full:
-        n_valid = benchmarks.FULL_SCALE_N_VALID[variant]
-    if full and args.runs is None and "runs" not in cfg:
-        runs = 501
-    spec = benchmarks.SyntheticSystemSpec(
-        variant=variant,
-        seed=seed,
-        n_train=cfg.get("n_train"),
-        n_valid=n_valid,
-        noise_std=cfg.get("noise_std"),
-        hh_dt=float(cfg.get("hh_dt", benchmarks.DEFAULT_HH_DT)),
-    )
-    selection = benchmarks.benchmark_selection_config(full_scale=full)
-    if "selection" in cfg:
-        selection = _parse_selection_block(cfg["selection"], StabilityTarget.unconstrained(), None)
-    available = {m.name: m for m in benchmarks.standard_methods(variant, selection)}
+    spec = _system_spec(cfg, args, "benchmark config", full_scale=full)
+    runs = int(cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs)
+    full_optimizer = benchmarks.benchmark_selection_config(full_scale=True).optimizer
+
+    def configured(method):
+        selection = replace(method.selection, optimizer=full_optimizer) if full else method.selection
+        return replace(method, selection=_parse_selection_block(cfg.get("selection", {}), selection))
+
+    available = {m.name: configured(m) for m in benchmarks.standard_methods(spec.variant)}
     wanted = cfg.get("methods", sorted(available))
     methods = []
     for name in wanted:
         if name not in available:
             raise InputError(
-                f"unknown method {name!r} for system {variant}; available: {sorted(available)}"
+                f"unknown method {name!r} for system {spec.variant}; available: {sorted(available)}"
             )
         methods.append(available[name])
     config = benchmarks.MonteCarloConfig(
         runs=runs,
         systems=(spec,),
         methods=tuple(methods),
-        model_order=int(cfg.get("m", 2)),
+        model_order=int(cfg.get("m", benchmarks.MonteCarloConfig.model_order)),
     )
     out = _out_dir(cfg, args)
     result = benchmarks.run_monte_carlo(config)
@@ -292,10 +306,8 @@ def cmd_benchmark(args) -> int:
     )
     summary = benchmarks.summarize(result.rows)
     summary_path = out / "summary.csv"
-    import csv as _csv
-
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["system", "method", "metric", "count", "min", "q1", "median", "q3", "max"])
         for entry in summary:
             writer.writerow(

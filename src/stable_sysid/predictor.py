@@ -26,7 +26,7 @@ from .kernels import (
     structure_from_config,
     structure_to_config,
 )
-from .solver import FitReport, RegressionData
+from .solver import FitReport, RegressionData, build_regression_data
 from .viability import StabilityTarget
 
 __all__ = [
@@ -124,22 +124,11 @@ def one_step_predict(model: PredictorModel, u, y) -> np.ndarray:
     The first ``m`` entries copy ``y``; entry ``t > m`` (1-based) is
     ``f(y_{t-m:t-1}, u_{t-m:t-1}, u_t)``.
     """
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
     m = model.model_order
-    if u.ndim != 1 or y.ndim != 1 or u.shape[0] != y.shape[0]:
-        raise InputError("u and y must be equal-length 1-D sequences")
-    n = u.shape[0]
-    if n <= m:
-        raise InputError(f"need n > m samples, got n = {n} <= m = {m}")
-    Z = np.empty((n - m, 2 * m + 1))
-    for j in range(m, n):
-        Z[j - m, :m] = y[j - m:j]
-        Z[j - m, m:2 * m] = u[j - m:j]
-        Z[j - m, 2 * m] = u[j]
-    out = np.empty(n)
-    out[:m] = y[:m]
-    out[m:] = _f_batch(model, Z)
+    data = build_regression_data(u, y, m)
+    out = np.empty(data.size + m)
+    out[:m] = np.asarray(y, dtype=float)[:m]
+    out[m:] = _f_batch(model, data.regressors)
     return out
 
 

@@ -12,16 +12,17 @@ implemented:
                ``H = K (K + beta I)^{-1}``;
 * ``kfold``  - mean squared one-step error over contiguous-block folds.
 
-By default the chosen cost is evaluated exactly at ``(beta, eta)``.  With
-``cap_aware_cost=True`` and a constrained target, the cost is instead
-charged at the effective regularizer ``max(alpha_bar, beta)`` that the
-norm budget ``m |f|^2 <= chi`` induces, so hyperparameters whose
-constrained fit is badly over-regularized score poorly.  Wherever the
-budget does not bind this coincides with the plain cost, and since the
-effective value is itself an admissible ``beta``, the unconstrained
-minimum can only be lower.  The cap-aware variant matters for co-scale
-invariant costs (GCV, k-fold), whose plain optimum is a ray of equivalent
-amplitude scalings that the budget then resolves arbitrarily.
+For a constrained target the cost is by default charged at the effective
+regularizer ``max(alpha_bar, beta)`` that the norm budget
+``m |f|^2 <= chi`` induces, so it scores the estimator the constrained fit
+actually produces and hyperparameters whose constrained fit is badly
+over-regularized score poorly.  Wherever the budget does not bind this
+coincides with the plain cost, and since the effective value is itself an
+admissible ``beta``, the unconstrained minimum can only be lower.  Cap-aware
+charging matters most for co-scale invariant costs (GCV, k-fold), whose
+plain optimum is a ray of equivalent amplitude scalings that the budget
+then resolves arbitrarily.  ``cap_aware_cost=False`` evaluates the plain
+cost exactly at ``(beta, eta)``; unconstrained targets always do.
 
 The search is derivative-free multi-start Nelder-Mead run in transformed
 coordinates: ``log`` scale for ``beta`` (shifted so the image is
@@ -54,10 +55,12 @@ from .kernels import (
     Polynomial,
     ProductWithStationary,
     SumKernel,
+    _sq_dist_matrix,
     gram_matrix,
 )
 from .solver import (
     RegressionData,
+    _eig_psd,
     alpha_bar_from_spectrum,
     solve_norm_constrained,
     solve_ridge,
@@ -109,14 +112,14 @@ class SelectionConfig:
 
     ``chi`` is the norm budget of the downstream constrained fit; it only
     enters the search when the target is constrained and ``cap_aware_cost``
-    is set (see module notes).
+    is set, which is the default (see module notes).
     """
 
     method: str = "eb"  # eb | gcv | kfold
     kfold_k: int = 5
     iota: float = 1e-10
     chi: float = 0.99
-    cap_aware_cost: bool = False
+    cap_aware_cost: bool = True
     target: StabilityTarget = field(default_factory=StabilityTarget.unconstrained)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
@@ -147,15 +150,7 @@ class SelectionResult:
 
 def _spectrum(structure, eta, data: RegressionData):
     kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=data.regressors.shape[1])
-    K = gram_matrix(kernel, data.regressors)
-    lam, Q = np.linalg.eigh(K)
-    scale = max(float(np.max(np.abs(lam))), 1e-300)
-    if lam[0] < -1e-10 * scale:
-        raise NumericError(
-            f"Gram matrix is not positive semidefinite within tolerance "
-            f"(min eigenvalue {lam[0]:.3e}, spectral norm {scale:.3e})"
-        )
-    lam = np.maximum(lam, 0.0)
+    lam, Q = _eig_psd(gram_matrix(kernel, data.regressors))
     return lam, Q.T @ data.targets
 
 
@@ -234,8 +229,7 @@ def _data_stats(data: RegressionData) -> dict:
     rng = np.random.default_rng(0)
     idx = rng.choice(n, size=min(n, 200), replace=False)
     S = Z[idx]
-    diffs = S[:, None, :] - S[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diffs, diffs)
+    sq = _sq_dist_matrix(S, S)
     med_sq = float(np.median(sq[np.triu_indices(S.shape[0], k=1)])) if S.shape[0] > 1 else 1.0
     return {
         "var_y": max(float(np.var(data.targets)), 1e-12),
@@ -308,14 +302,12 @@ def select_hyperparameters(
     config: SelectionConfig,
     data: RegressionData,
     structure: KernelStructure,
-    extra_starts: tuple = (),
 ) -> SelectionResult:
     """Minimize the configured cost over the target's feasibility set.
 
-    ``extra_starts`` optionally appends warm-start coordinate vectors (in
-    the transformed search space) to the seeded restarts.  The result's
-    ``eta`` always passes the target's membership test; an infeasible or
-    unsupported (structure, target) pair raises before any evaluation.
+    The result's ``eta`` always passes the target's membership test; an
+    infeasible or unsupported (structure, target) pair raises before any
+    evaluation.
     """
     param = feasible_parameterization(structure, config.target)
     dim = 1 + param.dim
@@ -366,11 +358,6 @@ def select_hyperparameters(
         starts.append(np.zeros(dim))
     for _ in range(config.optimizer.restarts - 2):
         starts.append(smart + rng.uniform(-3.0, 3.0, size=dim))
-    for warm in extra_starts:
-        warm = np.asarray(warm, dtype=float)
-        if warm.shape != (dim,):
-            raise InputError(f"extra start must have shape ({dim},), got {warm.shape}")
-        starts.append(warm)
 
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
     best_x, best_val = None, math.inf

@@ -163,18 +163,21 @@ def _validate_matrix(K, y):
         raise InputError(f"y must have length {K.shape[0]}, got shape {y.shape}")
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(y))):
         raise InputError("K and y must be finite")
-    return K, y
+    # caller-supplied matrices may carry roundoff asymmetry; Gram matrices
+    # are exactly symmetric and skip this step on the search path
+    return 0.5 * (K + K.T), y
 
 
 def _eig_psd(K: np.ndarray):
     """Eigendecomposition of a symmetric PSD matrix with roundoff clamping.
 
-    Eigenvalues in ``[-1e-10 |K|, 0)`` are set to zero; anything below that
-    raises :class:`NumericError` with the offending value.
+    This is the package's only spectral factorization.  ``K`` must be
+    exactly symmetric.  Eigenvalues in ``[-1e-10 |K|, 0)`` are set to zero;
+    anything below that raises :class:`NumericError` with the offending
+    value.
     """
-    Ks = 0.5 * (K + K.T)
     try:
-        lam, Q = np.linalg.eigh(Ks)
+        lam, Q = np.linalg.eigh(K)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     scale = max(float(np.max(np.abs(lam))), 1e-300)
@@ -185,6 +188,13 @@ def _eig_psd(K: np.ndarray):
         )
     lam = np.maximum(lam, 0.0)
     return lam, Q
+
+
+def _rotated_spectrum(K, y):
+    """Validate ``(K, y)``, factor K, and rotate y into its eigenbasis."""
+    K, y = _validate_matrix(K, y)
+    lam, Q = _eig_psd(K)
+    return lam, Q, Q.T @ y
 
 
 def _gamma_from_eigs(lam, yt2, m, chi, alpha):
@@ -209,7 +219,7 @@ def solve_ridge(K, y, beta: float) -> np.ndarray:
     K, y = _validate_matrix(K, y)
     if not (beta > 0 and math.isfinite(beta)):
         raise InputError(f"beta must be finite and > 0, got {beta!r}")
-    A = 0.5 * (K + K.T) + beta * np.eye(K.shape[0])
+    A = K + beta * np.eye(K.shape[0])
     try:
         factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
         c = scipy.linalg.cho_solve(factor, y, check_finite=False)
@@ -227,12 +237,10 @@ def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
     contribute their limit value 0.  Non-increasing in alpha with limit
     ``-chi``.
     """
-    K, y = _validate_matrix(K, y)
     if alpha < 0:
         raise InputError(f"alpha must be >= 0, got {alpha!r}")
-    lam, Q = _eig_psd(K)
-    yt2 = (Q.T @ y) ** 2
-    return _gamma_from_eigs(lam, yt2, m, chi, float(alpha))
+    lam, _, yt = _rotated_spectrum(K, y)
+    return _gamma_from_eigs(lam, yt ** 2, m, chi, float(alpha))
 
 
 def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float) -> float:
@@ -281,9 +289,8 @@ def find_alpha_bar(K, y, m: int, chi: float) -> float:
 
     The returned root has ``|gamma| <= 1e-10``.
     """
-    K, y = _validate_matrix(K, y)
-    lam, Q = _eig_psd(K)
-    return alpha_bar_from_spectrum(lam, (Q.T @ y) ** 2, m, chi)
+    lam, _, yt = _rotated_spectrum(K, y)
+    return alpha_bar_from_spectrum(lam, yt ** 2, m, chi)
 
 
 def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
@@ -292,13 +299,11 @@ def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
     ``c = (K + max(alpha_bar, beta) I)^{-1} y`` solved through the shared
     eigendecomposition.
     """
-    K, y = _validate_matrix(K, y)
     if not (beta > 0 and math.isfinite(beta)):
         raise InputError(f"beta must be finite and > 0, got {beta!r}")
     if not chi > 0:
         raise InputError(f"chi must be > 0, got {chi!r}")
-    lam, Q = _eig_psd(K)
-    yt = Q.T @ y
+    lam, Q, yt = _rotated_spectrum(K, y)
     alpha_bar = alpha_bar_from_spectrum(lam, yt ** 2, m, chi)
     effective = max(alpha_bar, beta)
     c = Q @ (yt / (lam + effective))

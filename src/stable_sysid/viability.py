@@ -134,19 +134,8 @@ class StabilityTarget:
         return self.kind != "unconstrained"
 
     def label(self) -> str:
-        if self.kind == "unconstrained":
-            return "none"
-        if self.kind == "viable":
-            if self.rho == 0:
-                return "iss"
-            if self.rho == INF:
-                return "bibs"
-            return f"viable(rho={self.rho})"
-        if self.rho == 0:
-            return "diss"
-        if self.rho == INF:
-            return "dbibs"
-        return f"dviable(rho={self.rho})"
+        cfg = self.to_config()
+        return f"{cfg['kind']}(rho={cfg['rho']})" if "rho" in cfg else cfg["kind"]
 
     def to_config(self) -> dict:
         if self.kind == "unconstrained":

@@ -1,10 +1,12 @@
 """CLI: config handling, exit codes, CSV schemas, determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from stable_sysid import benchmarks, cli
 from stable_sysid.cli import (
     EXIT_DIVERGED,
     EXIT_INFEASIBLE,
@@ -12,6 +14,9 @@ from stable_sysid.cli import (
     EXIT_OK,
     main,
 )
+from stable_sysid.kernels import Gaussian
+from stable_sysid.selection import OptimizerConfig, SelectionConfig
+from stable_sysid.viability import StabilityTarget
 
 
 def write_config(path, payload):
@@ -121,6 +126,34 @@ class TestFit:
         assert model.stability_tag.label() == "diss"
         assert model.model_order == 2
 
+    def test_matches_library_fit_pipeline(self, workdir):
+        from stable_sysid import load_model
+
+        train, _ = generate_b(workdir)
+        cfg = write_config(
+            workdir / "fit.json",
+            {
+                "data": str(train),
+                "kernel": {"structure": "gaussian"},
+                "target": {"kind": "diss"},
+                "selection": {"method": "gcv", "restarts": 2, "max_evals": 120, "seed": 5},
+                "chi": 0.8,
+                "out": str(workdir),
+            },
+        )
+        assert run(["fit", "--config", cfg]) == EXIT_OK
+        method = benchmarks.MethodSpec(
+            "fit",
+            Gaussian(),
+            StabilityTarget.diss(),
+            SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=2, max_evals=120), seed=5),
+            chi=0.8,
+        )
+        model, report, sel = benchmarks.fit_method(benchmarks.read_dataset_csv(train), method, 2)
+        written = json.loads((workdir / "fit_report.json").read_text())
+        assert (written["beta"], tuple(written["eta"]), written["mu"]) == (sel.beta, sel.eta, report.mu)
+        assert np.array_equal(load_model(workdir / "model.json").coefficients, model.coefficients)
+
 
 class TestPredictSimulate:
     def _zero_model(self, workdir):
@@ -161,7 +194,7 @@ class TestPredictSimulate:
         )
         assert run(["predict", "--config", cfg]) == EXIT_OK
 
-    def test_divergent_model_exit_code(self, workdir, capsys):
+    def _divergent_config(self, workdir):
         payload = {
             "model_order": 1,
             "kernel": {"structure": "linear_affine", "eta": [1.0, 0.0], "input_dim": 3},
@@ -174,11 +207,24 @@ class TestPredictSimulate:
         data = workdir / "data.csv"
         rows = ["t,u,y"] + [f"{t},0.0,1.0" for t in range(1, 61)]
         data.write_text("\n".join(rows) + "\n")
-        cfg = write_config(
+        return write_config(
             workdir / "sim.json", {"model": str(model), "data": str(data), "out": str(workdir)}
         )
+
+    def test_divergent_model_exit_code(self, workdir, capsys):
+        cfg = self._divergent_config(workdir)
         assert run(["simulate", "--config", cfg]) == EXIT_DIVERGED
         assert "sample 21" in capsys.readouterr().err
+
+    def test_predict_never_simulates(self, workdir, capsys):
+        cfg = self._divergent_config(workdir)
+        assert run(["predict", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "q_pre" in out and "q_sim" not in out
+        lines = (workdir / "predict.csv").read_text().splitlines()
+        assert lines[0] == "t,y,y_pred"
+        assert lines[1:3] == ["1,1.0,1.0", "2,1.0,4.0"]
+        assert run(["simulate", "--config", cfg]) == EXIT_DIVERGED
 
     def test_model_data_mismatch(self, workdir):
         train, _ = generate_b(workdir, n=20)
@@ -254,6 +300,50 @@ class TestBenchmark:
         )
         assert run(["benchmark", "--config", cfg]) == EXIT_INPUT
 
+    def _selections(self, workdir, monkeypatch, payload, *flags):
+        """Run ``benchmark`` with the harness stubbed out; return the
+        selection config each requested method would search with."""
+        seen = []
+
+        def harness(config):
+            seen.append(config)
+            return benchmarks.MonteCarloResult(rows=(), failures=())
+
+        monkeypatch.setattr(benchmarks, "run_monte_carlo", harness)
+        cfg = write_config(workdir / "bench.json", {"runs": 1, "out": str(workdir), **payload})
+        assert run(["benchmark", "--config", cfg, *flags]) == EXIT_OK
+        (config,) = seen
+        return {m.name: m.selection_config() for m in config.methods}
+
+    def test_h_presets_run_plain_eb(self, workdir, monkeypatch):
+        for flags in ((), ("--full-scale",)):
+            selections = self._selections(workdir, monkeypatch, {"system": "H"}, *flags)
+            assert sorted(selections) == ["Ha", "Hb", "Hc"]
+            for sel in selections.values():
+                assert (sel.method, sel.cap_aware_cost) == ("eb", False)
+
+    def test_full_scale_widens_the_preset_search(self, workdir, monkeypatch):
+        selections = self._selections(workdir, monkeypatch, {"system": "A"}, "--full-scale")
+        for sel in selections.values():
+            assert (sel.method, sel.cap_aware_cost) == ("gcv", True)
+            assert sel.optimizer == benchmarks.benchmark_selection_config(full_scale=True).optimizer
+
+    def test_override_keeps_ab_preset(self, workdir, monkeypatch):
+        for system in ("A", "B"):
+            selections = self._selections(
+                workdir, monkeypatch, {"system": system, "selection": {"restarts": 5}}
+            )
+            preset = benchmarks.benchmark_selection_config()
+            for sel in selections.values():
+                assert (sel.method, sel.cap_aware_cost) == ("gcv", True)
+                assert sel.optimizer == OptimizerConfig(restarts=5, max_evals=preset.optimizer.max_evals)
+
+    def test_override_can_switch_off_cap_aware_charging(self, workdir, monkeypatch):
+        selections = self._selections(
+            workdir, monkeypatch, {"system": "B", "selection": {"cap_aware_cost": False}}
+        )
+        assert not selections["Bb"].cap_aware_cost
+
 
 class TestCheckViability:
     def test_member_verdict(self, workdir, capsys):
@@ -305,6 +395,30 @@ class TestCheckViability:
         )
         assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
         assert "rho in {0, inf}" in capsys.readouterr().err
+
+
+class TestSelectionBlock:
+    def test_keys_are_config_fields(self):
+        assert set(cli._SELECTION_KEYS) <= {f.name for f in fields(SelectionConfig)}
+        assert set(cli._OPTIMIZER_KEYS) <= {f.name for f in fields(OptimizerConfig)}
+
+    def test_keys_override_only_themselves(self):
+        base = SelectionConfig(method="gcv", kfold_k=4, optimizer=OptimizerConfig(restarts=3, max_evals=90))
+        block = {"method": "kfold", "restarts": 2}
+        parsed = cli._parse_selection_block(block, base, seed_override=7)
+        assert parsed == SelectionConfig(
+            method="kfold", kfold_k=4, seed=7, optimizer=OptimizerConfig(restarts=2, max_evals=90)
+        )
+
+    def test_bad_value_is_input_error(self, workdir):
+        train, _ = generate_b(workdir, n=20)
+        for block in ({"cap_aware_cost": "yes"}, {"restarts": "many"}):
+            cfg = write_config(
+                workdir / "fit.json",
+                {"data": str(train), "kernel": {"structure": "gaussian"},
+                 "target": {"kind": "none"}, "selection": block, "out": str(workdir)},
+            )
+            assert run(["fit", "--config", cfg]) == EXIT_INPUT
 
 
 class TestConfigErrors:

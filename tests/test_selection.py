@@ -172,11 +172,6 @@ class TestSelectHyperparameters:
             b = fn(0.3, (0.5, 0.4, 0.1), permuted, Gaussian())
             assert a == pytest.approx(b, abs=1e-9)
 
-    def test_extra_start_shape_validated(self):
-        config = SelectionConfig(target=StabilityTarget.unconstrained(), optimizer=tiny_optimizer())
-        with pytest.raises(Exception):
-            select_hyperparameters(config, smooth_data(), Gaussian(), extra_starts=(np.zeros(2),))
-
     def test_polynomial_searches_beta_only(self):
         from stable_sysid import Polynomial
 

@@ -211,6 +211,19 @@ class TestStabilityTarget:
         for target in targets:
             assert StabilityTarget.from_config(target.to_config()) == target
 
+    def test_labels(self):
+        labels = {
+            StabilityTarget.unconstrained(): "none",
+            StabilityTarget.iss(): "iss",
+            StabilityTarget.bibs(): "bibs",
+            StabilityTarget.diss(): "diss",
+            StabilityTarget.dbibs(): "dbibs",
+            StabilityTarget.viable(1.5): "viable(rho=1.5)",
+            StabilityTarget.delta_viable(0.25): "dviable(rho=0.25)",
+        }
+        for target, label in labels.items():
+            assert target.label() == label
+
     def test_config_rejects_unknown(self):
         with pytest.raises(InputError):
             StabilityTarget.from_config({"kind": "stable"})
