@@ -77,6 +77,9 @@ FULL_SCALE_N_VALID = {"A": 200, "B": 200, "H": 5001}
 HH_SAMPLE_PERIOD = 0.1
 HH_SAMPLE_OFFSET = 49.9
 DEFAULT_HH_DT = 1e-3
+# samples per block when summing a multisine: the working arrays stay in
+# cache instead of streaming a full-length temporary through memory per sine
+MULTISINE_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +121,25 @@ class MultisineRealization:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for a, nu, phi in zip(self.amplitudes, self.frequencies, self.phases):
-            out += a * np.sin(2.0 * math.pi * nu * t + phi)
-        return out
+        flat = t.ravel()
+        out = np.zeros(flat.shape)
+        work = np.empty(min(flat.size, MULTISINE_BLOCK))
+        sines = [
+            (a, 2.0 * math.pi * nu, phi)
+            for a, nu, phi in zip(self.amplitudes, self.frequencies, self.phases)
+        ]
+        for start in range(0, flat.size, MULTISINE_BLOCK):
+            t_blk = flat[start:start + MULTISINE_BLOCK]
+            out_blk = out[start:start + MULTISINE_BLOCK]
+            w = work[:t_blk.size]
+            # per sample and in the same sine order: out += a sin(omega t + phi)
+            for a, omega, phi in sines:
+                np.multiply(omega, t_blk, out=w)
+                w += phi
+                np.sin(w, out=w)
+                w *= a
+                out_blk += w
+        return out.reshape(t.shape)
 
 
 def draw_multisine(rng: np.random.Generator) -> MultisineRealization:

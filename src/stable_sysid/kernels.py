@@ -34,6 +34,13 @@ down-weighted by the forgetting rate ``xi``.
 replacement feature map must be norm non-expanding (``|G(a)| <= |a|``),
 which the identity satisfies with equality.
 
+Gram and cross matrices are assembled from :class:`PairTerms`, the
+``eta``-independent pair geometry of two point sets (inner products, squared
+distances, distances, ``narx_fading`` window sums), each computed on first
+use and then kept.  A caller that evaluates many ``eta`` on one point set
+keeps one ``PairTerms`` and pays for the geometry once; only the
+``eta``-dependent ``exp``/``sqrt`` work is redone per evaluation.
+
 All evaluation routines are pure functions of immutable inputs and safe to
 share across workers.
 """
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,12 +66,14 @@ __all__ = [
     "SumKernel",
     "ProductWithStationary",
     "KernelInstance",
+    "PairTerms",
     "eval_kernel",
     "eval_pairs",
     "eval_matrix",
     "squared_kernel_metric",
     "metric_pairs",
     "gram_matrix",
+    "gram_from_terms",
     "lambert_w0",
     "structure_to_config",
     "structure_from_config",
@@ -148,6 +158,66 @@ def _sq_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _window_sums(sq_by_coord: list, m: int, p: int) -> list:
+    """Sum of per-coordinate squared differences over each lag window."""
+    out = []
+    for t in range(m - p + 1):
+        acc = sq_by_coord[t].copy()
+        for c in range(t + 1, t + p):
+            acc += sq_by_coord[c]
+        for c in range(m + t, m + t + p):
+            acc += sq_by_coord[c]
+        out.append(acc)
+    return out
+
+
+class PairTerms:
+    """The ``eta``-independent pair geometry of the rows of ``A`` and ``B``.
+
+    Every term is computed on first use and kept, so one instance serves
+    any number of hyperparameter vectors.  The arrays are shared: kernel
+    assembly reads them and never writes to them.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        self.A = np.asarray(A, dtype=float)
+        self.B = np.asarray(B, dtype=float)
+        self._windows = {}
+
+    @cached_property
+    def inner(self) -> np.ndarray:
+        """``A[i] . B[j]``."""
+        return self.A @ self.B.T
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        """``|A[i] - B[j]|^2``."""
+        return _sq_dist_matrix(self.A, self.B)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """``|A[i] - B[j]|``."""
+        return np.sqrt(self.sq)
+
+    def window_sq(self, m: int, p: int) -> list:
+        """``narx_fading`` window sums ``|w_t(A[i] - B[j])|^2``, t = 0..m-p."""
+        key = (m, p)
+        if key not in self._windows:
+            A, B = self.A, self.B
+            coords = [(A[:, c, None] - B[None, :, c]) ** 2 for c in range(A.shape[1])]
+            self._windows[key] = _window_sums(coords, m, p)
+        return self._windows[key]
+
+
+def _gauss(tau, gamma, sigma, sq: np.ndarray) -> np.ndarray:
+    """``tau exp(-gamma sq) + sigma``, assembled in one fresh array."""
+    K = np.multiply(-gamma, sq, dtype=float)
+    np.exp(K, out=K)
+    K *= tau
+    K += sigma
+    return K
+
+
 # ---------------------------------------------------------------------------
 # structures
 # ---------------------------------------------------------------------------
@@ -163,7 +233,8 @@ def _check_nonneg(eta: tuple, names: tuple) -> None:
 class KernelStructure:
     """Base class for kernel structures.  Subclasses implement the arity of
     the hyperparameter vector, its domain validation, and the vectorized
-    evaluation paths (rowwise pairs, full cross matrix, diagonal)."""
+    evaluation paths (rowwise pairs, the cross matrix from pair terms,
+    diagonal)."""
 
     name: str = ""
     is_stationary: bool = False
@@ -179,9 +250,17 @@ class KernelStructure:
         """k_eta(A[i], B[i]) for each row i."""
         raise NotImplementedError
 
+    def from_terms(self, eta: tuple, terms: PairTerms) -> np.ndarray:
+        """Matrix with entries k_eta(terms.A[i], terms.B[j]).
+
+        The result is a fresh array that the caller may modify; the
+        cached terms themselves are never returned or written.
+        """
+        raise NotImplementedError
+
     def cross_matrix(self, eta: tuple, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Matrix with entries k_eta(A[i], B[j])."""
-        raise NotImplementedError
+        return self.from_terms(eta, PairTerms(A, B))
 
     def diag_values(self, eta: tuple, A: np.ndarray) -> np.ndarray:
         """k_eta(A[i], A[i]) for each row i."""
@@ -212,9 +291,9 @@ class LinearAffine(KernelStructure):
         tau, sigma = eta
         return tau * np.einsum("ij,ij->i", A, B) + sigma
 
-    def cross_matrix(self, eta, A, B):
+    def from_terms(self, eta, terms):
         tau, sigma = eta
-        return tau * (A @ B.T) + sigma
+        return tau * terms.inner + sigma
 
     def diag_values(self, eta, A):
         tau, sigma = eta
@@ -247,8 +326,8 @@ class Polynomial(KernelStructure):
     def pair_values(self, eta, A, B):
         return np.einsum("ij,ij->i", A, B) ** self.degree
 
-    def cross_matrix(self, eta, A, B):
-        return (A @ B.T) ** self.degree
+    def from_terms(self, eta, terms):
+        return terms.inner ** self.degree
 
     def diag_values(self, eta, A):
         return np.einsum("ij,ij->i", A, A) ** self.degree
@@ -269,12 +348,10 @@ class Gaussian(KernelStructure):
         _check_nonneg(eta, ("tau", "gamma", "sigma"))
 
     def pair_values(self, eta, A, B):
-        tau, gamma, sigma = eta
-        return tau * np.exp(-gamma * _sq_dist_pairs(A, B)) + sigma
+        return _gauss(*eta, _sq_dist_pairs(A, B))
 
-    def cross_matrix(self, eta, A, B):
-        tau, gamma, sigma = eta
-        return tau * np.exp(-gamma * _sq_dist_matrix(A, B)) + sigma
+    def from_terms(self, eta, terms):
+        return _gauss(*eta, terms.sq)
 
     def diag_values(self, eta, A):
         tau, gamma, sigma = eta
@@ -300,15 +377,15 @@ class Matern32(KernelStructure):
         _check_nonneg(eta, ("tau", "gamma", "sigma"))
 
     @staticmethod
-    def _profile(tau, gamma, sigma, sq):
-        r = math.sqrt(3.0) * gamma * np.sqrt(sq)
+    def _profile(tau, gamma, sigma, dist):
+        r = math.sqrt(3.0) * gamma * dist
         return tau * (1.0 + r) * np.exp(-r) + sigma
 
     def pair_values(self, eta, A, B):
-        return self._profile(*eta, _sq_dist_pairs(A, B))
+        return self._profile(*eta, np.sqrt(_sq_dist_pairs(A, B)))
 
-    def cross_matrix(self, eta, A, B):
-        return self._profile(*eta, _sq_dist_matrix(A, B))
+    def from_terms(self, eta, terms):
+        return self._profile(*eta, terms.dist)
 
     def diag_values(self, eta, A):
         tau, _, sigma = eta
@@ -355,23 +432,11 @@ class NarxFading(KernelStructure):
                 f"{2 * self.model_order + 1}, got {input_dim}"
             )
 
-    def _window_sq(self, Z_sq_coords: list) -> list:
-        """Sum of per-coordinate squared differences over each lag window."""
-        m, p = self.model_order, self.window
-        out = []
-        for t in range(m - p + 1):
-            acc = Z_sq_coords[t].copy()
-            for c in range(t + 1, t + p):
-                acc += Z_sq_coords[c]
-            for c in range(m + t, m + t + p):
-                acc += Z_sq_coords[c]
-            out.append(acc)
-        return out
-
-    def _accumulate(self, eta, sq_by_coord):
+    @staticmethod
+    def _accumulate(eta, windows):
         tau, gamma, xi = eta
         total = None
-        for t, sq in enumerate(self._window_sq(sq_by_coord)):
+        for t, sq in enumerate(windows):
             term = np.exp(-xi * t - gamma * sq)
             total = term if total is None else total + term
         return tau * total
@@ -379,11 +444,10 @@ class NarxFading(KernelStructure):
     def pair_values(self, eta, A, B):
         Z = A - B
         coords = [Z[:, c] ** 2 for c in range(Z.shape[1])]
-        return self._accumulate(eta, coords)
+        return self._accumulate(eta, _window_sums(coords, self.model_order, self.window))
 
-    def cross_matrix(self, eta, A, B):
-        coords = [(A[:, c, None] - B[None, :, c]) ** 2 for c in range(A.shape[1])]
-        return self._accumulate(eta, coords)
+    def from_terms(self, eta, terms):
+        return self._accumulate(eta, terms.window_sq(self.model_order, self.window))
 
     def diag_values(self, eta, A):
         return np.full(A.shape[0], self.stationary_peak(eta))
@@ -423,13 +487,12 @@ class FeatureGaussian(KernelStructure):
         _check_nonneg(eta, ("tau", "gamma", "sigma"))
 
     def pair_values(self, eta, A, B):
-        tau, gamma, sigma = eta
-        lin = np.einsum("ij,ij->i", A, B)
-        return lin * (tau * np.exp(-gamma * _sq_dist_pairs(A, B)) + sigma)
+        return np.einsum("ij,ij->i", A, B) * _gauss(*eta, _sq_dist_pairs(A, B))
 
-    def cross_matrix(self, eta, A, B):
-        tau, gamma, sigma = eta
-        return (A @ B.T) * (tau * np.exp(-gamma * _sq_dist_matrix(A, B)) + sigma)
+    def from_terms(self, eta, terms):
+        K = _gauss(*eta, terms.sq)
+        K *= terms.inner
+        return K
 
     def diag_values(self, eta, A):
         tau, _, sigma = eta
@@ -493,8 +556,8 @@ class SumKernel(KernelStructure):
     def pair_values(self, eta, A, B):
         return self._combine(eta, "pair_values", A, B)
 
-    def cross_matrix(self, eta, A, B):
-        return self._combine(eta, "cross_matrix", A, B)
+    def from_terms(self, eta, terms):
+        return self._combine(eta, "from_terms", terms)
 
     def diag_values(self, eta, A):
         return self._combine(eta, "diag_values", A)
@@ -548,9 +611,9 @@ class ProductWithStationary(KernelStructure):
         eta_l, eta_r = self.split_eta(eta)
         return self.left.pair_values(eta_l, A, B) * self.right.pair_values(eta_r, A, B)
 
-    def cross_matrix(self, eta, A, B):
+    def from_terms(self, eta, terms):
         eta_l, eta_r = self.split_eta(eta)
-        return self.left.cross_matrix(eta_l, A, B) * self.right.cross_matrix(eta_r, A, B)
+        return self.left.from_terms(eta_l, terms) * self.right.from_terms(eta_r, terms)
 
     def diag_values(self, eta, A):
         eta_l, eta_r = self.split_eta(eta)
@@ -664,8 +727,19 @@ def gram_matrix(kernel: KernelInstance, points) -> np.ndarray:
     P = _as_rows(points, kernel.input_dim, "points")
     if P.shape[0] < 1:
         raise InputError("gram_matrix needs at least one point")
-    K = kernel.structure.cross_matrix(kernel.eta, P, P)
-    return 0.5 * (K + K.T)
+    return gram_from_terms(kernel, PairTerms(P, P))
+
+
+def gram_from_terms(kernel: KernelInstance, terms: PairTerms) -> np.ndarray:
+    """Symmetric Gram matrix from the pair terms of a point set with itself.
+
+    The same arithmetic as :func:`gram_matrix`; a caller that keeps
+    ``terms`` across hyperparameters pays for the pair geometry once.
+    """
+    K = kernel.structure.from_terms(kernel.eta, terms)
+    K += K.T
+    K *= 0.5
+    return K
 
 
 # ---------------------------------------------------------------------------

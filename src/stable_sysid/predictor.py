@@ -146,6 +146,12 @@ def simulate(model: PredictorModel, u, y_seed) -> np.ndarray:
         raise InputError(f"u must be 1-D with more than m = {m} samples")
     if seed.shape != (m,):
         raise InputError(f"y_seed must hold exactly m = {m} values, got shape {seed.shape}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(seed))):
+        raise InputError("u and y_seed must be finite")
+    # inputs are checked once here and the model's centers at construction,
+    # so each step evaluates the structure directly
+    structure, eta = model.kernel.structure, model.kernel.eta
+    centers, coefficients = model.centers, model.coefficients
     n = u.shape[0]
     out = np.empty(n)
     out[:m] = seed
@@ -154,7 +160,7 @@ def simulate(model: PredictorModel, u, y_seed) -> np.ndarray:
         z[:m] = out[j - m:j]
         z[m:2 * m] = u[j - m:j]
         z[2 * m] = u[j]
-        value = float(_f_batch(model, z[None, :])[0])
+        value = float((structure.cross_matrix(eta, z[None, :], centers) @ coefficients)[0])
         if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"simulation diverged at sample {j + 1}: value {value!r}", index=j + 1

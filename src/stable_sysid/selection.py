@@ -55,8 +55,7 @@ from .kernels import (
     Polynomial,
     ProductWithStationary,
     SumKernel,
-    _sq_dist_matrix,
-    gram_matrix,
+    gram_from_terms,
 )
 from .solver import (
     RegressionData,
@@ -150,7 +149,7 @@ class SelectionResult:
 
 def _spectrum(structure, eta, data: RegressionData):
     kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=data.regressors.shape[1])
-    lam, Q = _eig_psd(gram_matrix(kernel, data.regressors))
+    lam, Q = _eig_psd(gram_from_terms(kernel, data.terms))
     return lam, Q.T @ data.targets
 
 
@@ -199,7 +198,7 @@ def _kfold(beta, eta, data, structure, k, chi) -> float:
     if not 2 <= k <= n:
         raise InputError(f"kfold needs 2 <= k <= {n}, got {k}")
     kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=data.regressors.shape[1])
-    K = gram_matrix(kernel, data.regressors)
+    K = gram_from_terms(kernel, data.terms)
     bounds = np.linspace(0, n, k + 1, dtype=int)
     total, count = 0.0, 0
     for i in range(k):
@@ -228,9 +227,10 @@ def _data_stats(data: RegressionData) -> dict:
     n = Z.shape[0]
     rng = np.random.default_rng(0)
     idx = rng.choice(n, size=min(n, 200), replace=False)
-    S = Z[idx]
-    sq = _sq_dist_matrix(S, S)
-    med_sq = float(np.median(sq[np.triu_indices(S.shape[0], k=1)])) if S.shape[0] > 1 else 1.0
+    # each entry depends on its two rows only, so the subset's distances
+    # are read off the data's cached pair terms
+    sq = data.terms.sq[np.ix_(idx, idx)]
+    med_sq = float(np.median(sq[np.triu_indices(idx.size, k=1)])) if idx.size > 1 else 1.0
     return {
         "var_y": max(float(np.var(data.targets)), 1e-12),
         "med_sq": max(med_sq, 1e-12),

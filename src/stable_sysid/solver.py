@@ -15,18 +15,25 @@ global optimum of the convex program.
 All alpha-dependent quantities are evaluated through one symmetric
 eigendecomposition of K per problem; eigenvalues within ``-1e-10 |K|`` of
 zero are clamped to zero, anything lower raises :class:`NumericError`.
+
+Gram matrices over a :class:`RegressionData` are assembled from its
+``terms``, the regressors' ``eta``-independent pair terms
+(:class:`~stable_sysid.kernels.PairTerms`), built on first use and kept for
+the life of the data, so the hyperparameter search and the final solve
+share one copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericError
-from .kernels import KernelInstance, gram_matrix
+from .kernels import KernelInstance, PairTerms, gram_from_terms
 
 __all__ = [
     "RegressionData",
@@ -50,7 +57,12 @@ PSD_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class RegressionData:
-    """Regressor matrix (one row per time step), targets, and model order."""
+    """Regressor matrix (one row per time step), targets, and model order.
+
+    ``terms`` holds the regressors' pair terms.  It is built on first use
+    only: data that is never put through a Gram matrix (one-step prediction
+    windows, say) never pays for an N x N array.
+    """
 
     regressors: np.ndarray
     targets: np.ndarray
@@ -76,6 +88,10 @@ class RegressionData:
     @property
     def size(self) -> int:
         return self.regressors.shape[0]
+
+    @cached_property
+    def terms(self) -> PairTerms:
+        return PairTerms(self.regressors, self.regressors)
 
 
 @dataclass(frozen=True)
@@ -197,13 +213,18 @@ def _rotated_spectrum(K, y):
     return lam, Q, Q.T @ y
 
 
-def _gamma_from_eigs(lam, yt2, m, chi, alpha):
+def _gamma_from_eigs(lam, yt2, lam_yt2, m, chi, alpha):
+    # lam_yt2 = lam * yt2, hoisted by the caller: the quotient
+    # lam * yt2 / (lam + alpha) ** 2 already evaluates it first
     if alpha == 0.0:
         mask = lam > 0.0
         with np.errstate(divide="ignore", over="ignore"):
             val = m * float(np.sum(yt2[mask] / lam[mask]))
         return val - chi
-    return m * float(np.sum(lam * yt2 / (lam + alpha) ** 2)) - chi
+    d = lam + alpha
+    np.square(d, out=d)
+    np.divide(lam_yt2, d, out=d)
+    return m * float(np.sum(d)) - chi
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +261,8 @@ def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
     if alpha < 0:
         raise InputError(f"alpha must be >= 0, got {alpha!r}")
     lam, _, yt = _rotated_spectrum(K, y)
-    return _gamma_from_eigs(lam, yt ** 2, m, chi, float(alpha))
+    yt2 = yt ** 2
+    return _gamma_from_eigs(lam, yt2, lam * yt2, m, chi, float(alpha))
 
 
 def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float) -> float:
@@ -249,7 +271,8 @@ def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float
     Brackets geometrically, bisects the monotone eigenform, then polishes
     with Newton steps.
     """
-    g = lambda a: _gamma_from_eigs(lam, yt2, m, chi, a)
+    lam_yt2 = lam * yt2
+    g = lambda a: _gamma_from_eigs(lam, yt2, lam_yt2, m, chi, a)
     if g(0.0) <= 0.0:
         return 0.0
     hi = 1.0
@@ -271,7 +294,7 @@ def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float
     alpha = 0.5 * (lo + hi)
     for _ in range(4):
         val = g(alpha)
-        slope = -2.0 * m * float(np.sum(lam * yt2 / (lam + alpha) ** 3))
+        slope = -2.0 * m * float(np.sum(lam_yt2 / (lam + alpha) ** 3))
         if slope == 0.0:
             break
         step = val / slope
@@ -317,7 +340,7 @@ def solve_constrained(problem: FitProblem) -> FitReport:
     for constrained problems, ``mu <= chi`` up to root-finding tolerance
     with ``constraint_active`` set when the norm budget binds.
     """
-    K = gram_matrix(problem.kernel, problem.data.regressors)
+    K = gram_from_terms(problem.kernel, problem.data.terms)
     y = problem.data.targets
     m = problem.data.model_order
     try:

@@ -24,6 +24,7 @@ from stable_sysid import (
     summarize,
 )
 from stable_sysid.benchmarks import (
+    MULTISINE_BLOCK,
     draw_multisine,
     hh_alpha,
     hh_beta,
@@ -154,6 +155,36 @@ class TestGenerateDataset:
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             SyntheticSystemSpec("C", seed=0)
+
+
+def reference_multisine(ms, t):
+    """The multisine summed one full-length temporary per sine."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for a, nu, phi in zip(ms.amplitudes, ms.frequencies, ms.phases):
+        out += a * np.sin(2.0 * math.pi * nu * t + phi)
+    return out
+
+
+class TestMultisine:
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (1,), (MULTISINE_BLOCK - 1,), (MULTISINE_BLOCK,), (MULTISINE_BLOCK + 1,), (3, 7), (0,)],
+    )
+    def test_blockwise_sum_bit_equal_to_reference(self, shape):
+        ms = draw_multisine(np.random.default_rng(9))
+        size = int(np.prod(shape))
+        t = 49.9 + 0.0005 * np.arange(size, dtype=float).reshape(shape)
+        got = ms(t)
+        want = reference_multisine(ms, t)
+        assert got.shape == want.shape == np.shape(t)
+        assert np.array_equal(got, want)
+
+    def test_scalar_time_gives_zero_d_array(self):
+        ms = draw_multisine(np.random.default_rng(9))
+        got = ms(12.5)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert np.array_equal(got, reference_multisine(ms, 12.5))
 
 
 class TestMonteCarlo:

@@ -22,7 +22,12 @@ from stable_sysid import (
     lambert_w0,
     squared_kernel_metric,
 )
-from stable_sysid.kernels import structure_from_config, structure_to_config
+from stable_sysid.kernels import (
+    PairTerms,
+    gram_from_terms,
+    structure_from_config,
+    structure_to_config,
+)
 
 # frozen with mpmath at 30 digits: (1 + sqrt(3)) * exp(-sqrt(3))
 MATERN_AT_UNIT_DISTANCE = 0.4833577245965076
@@ -115,6 +120,104 @@ class TestEval:
             lhs = abs(eval_kernel(k, a, b))
             rhs = math.sqrt(eval_kernel(k, a, a) * eval_kernel(k, b, b))
             assert lhs <= rhs + 1e-12
+
+
+def reference_cross(structure, eta, A, B):
+    """Each structure's cross matrix as written before pair terms were
+    cached: every product and sum in the same order, from raw points."""
+    def sq_dist():
+        diff = A[:, None, :] - B[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    if isinstance(structure, LinearAffine):
+        tau, sigma = eta
+        return tau * (A @ B.T) + sigma
+    if isinstance(structure, Polynomial):
+        return (A @ B.T) ** structure.degree
+    if isinstance(structure, Gaussian):
+        tau, gamma, sigma = eta
+        return tau * np.exp(-gamma * sq_dist()) + sigma
+    if isinstance(structure, Matern32):
+        tau, gamma, sigma = eta
+        r = math.sqrt(3.0) * gamma * np.sqrt(sq_dist())
+        return tau * (1.0 + r) * np.exp(-r) + sigma
+    if isinstance(structure, NarxFading):
+        tau, gamma, xi = eta
+        m, p = structure.model_order, structure.window
+        coords = [(A[:, c, None] - B[None, :, c]) ** 2 for c in range(A.shape[1])]
+        total = None
+        for t in range(m - p + 1):
+            acc = coords[t].copy()
+            for c in range(t + 1, t + p):
+                acc += coords[c]
+            for c in range(m + t, m + t + p):
+                acc += coords[c]
+            term = np.exp(-xi * t - gamma * acc)
+            total = term if total is None else total + term
+        return tau * total
+    if isinstance(structure, FeatureGaussian):
+        tau, gamma, sigma = eta
+        return (A @ B.T) * (tau * np.exp(-gamma * sq_dist()) + sigma)
+    if isinstance(structure, SumKernel):
+        weights, parts = structure.split_eta(eta)
+        total = None
+        for w, child, part in zip(weights, structure.children, parts):
+            term = w * reference_cross(child, part, A, B)
+            total = term if total is None else total + term
+        return total
+    if isinstance(structure, ProductWithStationary):
+        eta_l, eta_r = structure.split_eta(eta)
+        return reference_cross(structure.left, eta_l, A, B) * reference_cross(structure.right, eta_r, A, B)
+    raise AssertionError(f"no reference for {structure!r}")
+
+
+def pair_term_cases():
+    """Every structure, nested sum/product, and narx_fading at p = 1 and 2."""
+    nested = SumKernel(children=(
+        ProductWithStationary(left=FeatureGaussian(), right=Matern32()),
+        SumKernel(children=(Polynomial(degree=2), NarxFading(model_order=2, window=2))),
+    ))
+    nested_eta = (0.6, 0.4, 0.5, 0.7, 0.2, 0.9, 1.1, 0.1, 0.3, 1.0, 0.8, 0.5, 0.2)
+    return all_structures() + [
+        (NarxFading(model_order=2, window=2), (0.6, 0.5, 0.3)),
+        (nested, nested_eta),
+    ]
+
+
+class TestPairTerms:
+    @pytest.mark.parametrize("structure,eta", pair_term_cases())
+    def test_cross_matrix_bit_equal_to_reference_rectangular(self, structure, eta):
+        rng = np.random.default_rng(3)
+        A = rng.normal(scale=1.5, size=(7, 5))
+        B = rng.normal(scale=1.5, size=(4, 5))
+        structure.validate_eta(eta)
+        assert np.array_equal(structure.cross_matrix(eta, A, B), reference_cross(structure, eta, A, B))
+
+    @pytest.mark.parametrize("structure,eta", pair_term_cases())
+    def test_gram_bit_equal_to_reference(self, structure, eta):
+        P = np.random.default_rng(4).normal(scale=1.5, size=(9, 5))
+        K = reference_cross(structure, eta, P, P)
+        expected = 0.5 * (K + K.T)
+        kernel = KernelInstance(structure, eta, 5)
+        assert np.array_equal(gram_matrix(kernel, P), expected)
+        assert np.array_equal(gram_from_terms(kernel, PairTerms(P, P)), expected)
+
+    @pytest.mark.parametrize("structure,eta", pair_term_cases())
+    def test_shared_terms_serve_many_eta_unchanged(self, structure, eta):
+        P = np.random.default_rng(5).normal(size=(6, 5))
+        terms = PairTerms(P, P)
+        first = KernelInstance(structure, eta, 5)
+        scaled = KernelInstance(structure, tuple(1.5 * v for v in eta), 5)
+        for kernel in (first, scaled, first):
+            assert np.array_equal(gram_from_terms(kernel, terms), gram_matrix(kernel, P))
+        # assembly never writes into the cached terms
+        fresh = PairTerms(P, P)
+        for name in ("inner", "sq", "dist"):
+            if name in terms.__dict__:
+                assert np.array_equal(terms.__dict__[name], getattr(fresh, name))
+        for (m, p), windows in terms._windows.items():
+            for got, want in zip(windows, fresh.window_sq(m, p)):
+                assert np.array_equal(got, want)
 
 
 class TestSquaredKernelMetric:

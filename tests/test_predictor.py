@@ -120,6 +120,25 @@ class TestOneStepPredict:
         expected = 2 * (1.5 * 1 + 0.5 * 2 + (-0.25) * 3)
         assert pred[1] == pytest.approx(expected, abs=1e-14)
 
+    def test_windows_never_build_pair_terms(self, monkeypatch):
+        # an N x N pair-term cache over the prediction windows would cost
+        # N^2 doubles for nothing: prediction needs windows x centers only
+        from stable_sysid import predictor
+
+        built = []
+
+        def capture(u, y, m):
+            data = build_regression_data(u, y, m)
+            built.append(data)
+            return data
+
+        monkeypatch.setattr(predictor, "build_regression_data", capture)
+        model, _, _ = fitted_model()
+        rng = np.random.default_rng(1)
+        one_step_predict(model, rng.normal(size=30), rng.normal(size=30))
+        assert len(built) == 1
+        assert "terms" not in built[0].__dict__
+
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             one_step_predict(make_model(), np.zeros(5), np.zeros(4))
@@ -173,6 +192,27 @@ class TestSimulate:
     def test_seed_length_checked(self):
         with pytest.raises(InputError):
             simulate(make_model(), np.zeros(10), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_an_input_error(self, bad):
+        u = np.zeros(10)
+        u[6] = bad
+        with pytest.raises(InputError):
+            simulate(make_model(), u, np.zeros(2))
+        with pytest.raises(InputError):
+            simulate(make_model(), np.zeros(10), np.array([0.0, bad]))
+
+    def test_bit_equal_to_validated_step_loop(self):
+        # the loop runs each step through evaluate_f, which validates every
+        # window; simulate checks its inputs once and must give the same bits
+        model, data, _ = fitted_model(seed=5)
+        u = np.random.default_rng(6).normal(size=40)
+        seed = data.targets[:2]
+        manual = list(seed)
+        for j in range(2, 40):
+            z = np.array([manual[j - 2], manual[j - 1], u[j - 2], u[j - 1], u[j]])
+            manual.append(evaluate_f(model, z))
+        assert np.array_equal(simulate(model, u, seed), np.array(manual))
 
 
 class TestMetrics:

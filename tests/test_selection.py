@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stable_sysid import (
+    FitProblem,
     Gaussian,
     InfeasibleTargetError,
     LinearAffine,
@@ -18,6 +19,7 @@ from stable_sysid import (
     kfold_cost,
     membership,
     select_hyperparameters,
+    solve_constrained,
 )
 from stable_sysid.kernels import KernelInstance, gram_matrix
 from stable_sysid.viability import feasible_parameterization
@@ -108,6 +110,47 @@ class TestSelectHyperparameters:
         assert result.beta >= config.iota
         assert result.feasible
         assert membership(Gaussian(), result.eta, config.target)
+
+    @pytest.mark.parametrize("method", ["eb", "gcv", "kfold"])
+    def test_pair_distances_computed_once_per_dataset(self, method, monkeypatch):
+        # every cost evaluation assembles its Gram matrix from the data's
+        # cached pair terms; recomputing the distances per evaluation was
+        # the search's second-largest cost
+        from stable_sysid import kernels
+
+        calls = []
+        real = kernels._sq_dist_matrix
+
+        def counting(A, B):
+            calls.append(A.shape[0])
+            return real(A, B)
+
+        monkeypatch.setattr(kernels, "_sq_dist_matrix", counting)
+        config = SelectionConfig(
+            method=method, target=StabilityTarget.dbibs(), optimizer=tiny_optimizer(), seed=2
+        )
+        data = smooth_data(45)
+        result = select_hyperparameters(config, data, Gaussian())
+        assert result.evaluations > 10
+        assert calls == [data.size]
+        # the final solve reads the same cache
+        kernel = KernelInstance(Gaussian(), result.eta, 5)
+        solve_constrained(FitProblem(data=data, kernel=kernel, beta=result.beta))
+        assert calls == [data.size]
+
+    def test_data_stats_subset_distances_match_direct(self):
+        # above 200 rows the start point uses a 200-row subset, read off the
+        # full pair terms; each entry must equal the subset's own distances
+        from stable_sysid.kernels import _sq_dist_matrix
+        from stable_sysid.selection import _data_stats
+
+        data = smooth_data(240, seed=2)
+        idx = np.random.default_rng(0).choice(data.size, size=200, replace=False)
+        S = data.regressors[idx]
+        direct = _sq_dist_matrix(S, S)
+        assert np.array_equal(data.terms.sq[np.ix_(idx, idx)], direct)
+        med = float(np.median(direct[np.triu_indices(200, k=1)]))
+        assert _data_stats(data)["med_sq"] == med
 
     def test_deterministic_given_seed(self):
         config = SelectionConfig(

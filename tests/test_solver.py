@@ -18,6 +18,7 @@ from stable_sysid import (
     solve_norm_constrained,
     solve_ridge,
 )
+from stable_sysid.solver import alpha_bar_from_spectrum
 
 from oracles import projected_gradient_min, quadratic_objective, random_psd
 
@@ -128,6 +129,60 @@ class TestFindAlphaBar:
                 assert abs(gamma_fn(K, y, 2, 0.99, alpha)) <= 1e-10
             else:
                 assert gamma_fn(K, y, 2, 0.99, 0.0) <= 0.0
+
+
+def reference_alpha_bar(lam, yt2, m, chi):
+    """The root with the gap written out in full at every evaluation."""
+    def g(a):
+        if a == 0.0:
+            mask = lam > 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                return m * float(np.sum(yt2[mask] / lam[mask])) - chi
+        return m * float(np.sum(lam * yt2 / (lam + a) ** 2)) - chi
+
+    if g(0.0) <= 0.0:
+        return 0.0
+    hi = 1.0
+    while g(hi) >= 0.0:
+        hi *= 4.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = 0.5 * (lo + hi)
+    for _ in range(4):
+        val = g(alpha)
+        slope = -2.0 * m * float(np.sum(lam * yt2 / (lam + alpha) ** 3))
+        if slope == 0.0:
+            break
+        step = val / slope
+        nxt = alpha - step
+        if not (lo <= nxt <= hi):
+            break
+        alpha = nxt
+        if abs(step) <= 1e-17 * (1.0 + alpha):
+            break
+    return alpha
+
+
+class TestAlphaBarFromSpectrum:
+    def test_bit_equal_to_unhoisted_reference(self):
+        rng = np.random.default_rng(8)
+        roots = 0
+        for _ in range(40):
+            lam = np.sort(10.0 ** rng.uniform(-8, 2, size=25))
+            lam[:3] = 0.0
+            yt2 = (3.0 * rng.normal(size=25)) ** 2
+            for chi in (0.5, 0.99):
+                got = alpha_bar_from_spectrum(lam, yt2, 2, chi)
+                assert got == reference_alpha_bar(lam, yt2, 2, chi)
+                roots += got > 0.0
+        assert roots > 0
 
 
 class TestSolveConstrained:
