@@ -50,7 +50,7 @@ from .errors import (
     NumericError,
     StableSysidError,
 )
-from .kernels import KernelInstance, structure_from_config
+from .kernels import KernelInstance, _config_int, _reject_unknown, structure_from_config
 from .predictor import load_model, one_step_predict, run_model, save_model
 from .selection import SelectionConfig
 from .viability import StabilityTarget, membership, numeric_falsifier
@@ -81,12 +81,6 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise InputError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
-
-
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise InputError(f"missing required key {key!r} in {where}")
@@ -110,11 +104,13 @@ def _parse_kernel_block(cfg: dict, need_eta: bool):
     eta = block.pop("eta", None)
     input_dim = block.pop("input_dim", None)
     structure = structure_from_config(block)
-    if need_eta and eta is None:
+    if not need_eta:
+        return structure, None, None
+    if not isinstance(eta, list):
         raise InputError("kernel block needs an 'eta' list for this command")
-    if need_eta and input_dim is None:
+    if input_dim is None:
         raise InputError("kernel block needs 'input_dim' for this command")
-    return structure, eta, input_dim
+    return structure, tuple(eta), _config_int(input_dim, "kernel input_dim")
 
 
 def _flag(value) -> bool:
@@ -126,18 +122,24 @@ def _flag(value) -> bool:
 # selection-block keys and their parsers, by the config class that owns the field
 _SELECTION_KEYS = {"method": str, "kfold_k": int, "iota": float, "cap_aware_cost": _flag, "seed": int}
 _OPTIMIZER_KEYS = {"restarts": int, "max_evals": int}
+_FALSIFY_KEYS = {"samples": int, "radius": float, "seed": int}
+
+
+def _parse_block(block: dict, parsers: dict, where: str) -> dict:
+    """The block's values, each passed through the parser of its key."""
+    if not isinstance(block, dict):
+        raise InputError(f"{where} must be a JSON object")
+    _reject_unknown(block, parsers.keys(), where)
+    try:
+        return {key: parse(block[key]) for key, parse in parsers.items() if key in block}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid value in {where}: {exc}") from exc
 
 
 def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=None) -> SelectionConfig:
     """``base`` with the selection block's keys (and the seed override) applied."""
-    if not isinstance(block, dict):
-        raise InputError("selection block must be a JSON object")
-    _reject_unknown(block, _SELECTION_KEYS.keys() | _OPTIMIZER_KEYS.keys(), "selection block")
-    try:
-        fields = {key: parse(block[key]) for key, parse in _SELECTION_KEYS.items() if key in block}
-        optimizer = {key: parse(block[key]) for key, parse in _OPTIMIZER_KEYS.items() if key in block}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid value in selection block: {exc}") from exc
+    fields = _parse_block(block, {**_SELECTION_KEYS, **_OPTIMIZER_KEYS}, "selection block")
+    optimizer = {key: fields.pop(key) for key in _OPTIMIZER_KEYS if key in fields}
     if seed_override is not None:
         fields["seed"] = int(seed_override)
     return replace(base, optimizer=replace(base.optimizer, **optimizer), **fields)
@@ -335,18 +337,19 @@ def cmd_check_viability(args) -> int:
     target = StabilityTarget.from_config(_require(cfg, "target", "check-viability config"))
     if target.kind == "unconstrained":
         raise InputError("check-viability needs a constrained stability target")
-    kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=int(input_dim))
-    verdict = membership(structure, kernel.eta, target)
-    print(f"target {target.label()}: {'member' if verdict else 'not member'}")
     falsify = cfg.get("falsify")
     if falsify is not None:
-        _reject_unknown(falsify, {"samples", "radius", "seed"}, "falsify block")
+        falsify = _parse_block(falsify, _FALSIFY_KEYS, "falsify block")
+    kernel = KernelInstance(structure=structure, eta=eta, input_dim=input_dim)
+    verdict = membership(structure, kernel.eta, target)
+    print(f"target {target.label()}: {'member' if verdict else 'not member'}")
+    if falsify is not None:
         witness = numeric_falsifier(
             kernel,
             target,
-            sample_count=int(falsify.get("samples", 100_000)),
-            radius=float(falsify.get("radius", 50.0)),
-            seed=int(falsify.get("seed", 0)),
+            sample_count=falsify.get("samples", 100_000),
+            radius=falsify.get("radius", 50.0),
+            seed=falsify.get("seed", 0),
         )
         if witness is None:
             print("falsifier: no witness found")

@@ -41,6 +41,14 @@ use and then kept.  A caller that evaluates many ``eta`` on one point set
 keeps one ``PairTerms`` and pays for the geometry once; only the
 ``eta``-dependent ``exp``/``sqrt`` work is redone per evaluation.
 
+Each structure class is also the one place that knows its stability rules:
+the closed-form membership of ``eta`` in its growth and incremental
+viability sets, the condition parameters ``(nu, s)`` its proofs exhibit, the
+feasible parameterizations of those sets, a data-driven search start, and
+its config fields (see :class:`KernelStructure` for the rule methods).
+:mod:`stable_sysid.viability` and :mod:`stable_sysid.selection` validate
+inputs and dispatch to these methods; a new structure is one new class.
+
 All evaluation routines are pure functions of immutable inputs and safe to
 share across workers.
 """
@@ -48,12 +56,13 @@ share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InfeasibleTargetError, InputError, UnsupportedTargetError
 
 __all__ = [
     "KernelStructure",
@@ -67,6 +76,8 @@ __all__ = [
     "ProductWithStationary",
     "KernelInstance",
     "PairTerms",
+    "FeasibleParameterization",
+    "gaussian_delta_boundary",
     "eval_kernel",
     "eval_pairs",
     "eval_matrix",
@@ -80,6 +91,7 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
+INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -219,32 +231,153 @@ def _gauss(tau, gamma, sigma, sq: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# feasible parameterizations: building blocks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FeasibleParameterization:
+    """A map from unconstrained search coordinates onto a viability set.
+
+    ``to_eta`` sends any vector in R^dim into the set (its image covers the
+    set's interior up to floating-point range limits); the hyperparameter
+    search runs over these coordinates so every iterate is feasible.
+    """
+
+    dim: int
+    to_eta: Callable[[np.ndarray], tuple]
+    description: str
+
+
+def _pos(u: float) -> float:
+    return math.exp(min(float(u), 690.0))
+
+
+def _unit(u: float) -> float:
+    u = float(u)
+    if u >= 0:
+        return 1.0 / (1.0 + math.exp(-min(u, 690.0)))
+    z = math.exp(max(u, -690.0))
+    return z / (1.0 + z)
+
+
+def _softmax(raw: np.ndarray) -> np.ndarray:
+    raw = np.minimum(np.asarray(raw, dtype=float), 690.0)
+    e = np.exp(raw - raw.max())
+    return e / e.sum()
+
+
+def _split_mass(total: float, frac: float) -> tuple:
+    return total * frac, total * (1.0 - frac)
+
+
+def _stacked(params: list, u: np.ndarray) -> tuple:
+    """Concatenated images of consecutive slices of ``u``, one per map."""
+    parts, offset = [], 0
+    for param in params:
+        parts.extend(param.to_eta(u[offset:offset + param.dim]))
+        offset += param.dim
+    return tuple(parts)
+
+
+def _stacked_parameterization(params: list, description: str) -> FeasibleParameterization:
+    def to_eta(u):
+        return _stacked(params, np.asarray(u, dtype=float))
+
+    return FeasibleParameterization(sum(p.dim for p in params), to_eta, description)
+
+
+def _unit_mass_parameterization() -> FeasibleParameterization:
+    """``(tau, gamma, sigma)`` with ``tau + sigma`` in (0, 1), gamma free."""
+    def to_eta(u):
+        tau, sigma = _split_mass(_unit(u[0]), _unit(u[2]))
+        return (tau, _pos(u[1]), sigma)
+
+    return FeasibleParameterization(3, to_eta, "tau + sigma in (0, 1), gamma free")
+
+
+def gaussian_delta_boundary(tau: float, gamma: float) -> float:
+    """Smallest rho for which a Gaussian (tau, gamma, .) is incrementally viable.
+
+    Returns 0 when ``2 tau gamma <= 1``; otherwise the unique positive root
+    of ``2 tau (1 - exp(-gamma z)) = z``, expressed through the principal
+    Lambert W branch as ``2 tau + W(-2 gamma tau e^{-2 gamma tau}) / gamma``.
+    """
+    if tau < 0 or gamma < 0:
+        raise InputError("tau and gamma must be >= 0")
+    u = 2.0 * tau * gamma
+    if u <= 1.0:
+        return 0.0
+    w = lambert_w0(-u * math.exp(-u))
+    return 2.0 * tau + w / gamma
+
+
+_NO_STATIONARY_ISS = (
+    "stationary-kernel rule: k(a, a) is the constant zero-lag value, so the "
+    "zero-threshold growth condition k(a, a) <= |a|^2 fails near the origin "
+    "for every nontrivial hyperparameter choice"
+)
+_NARX_GROWTH_RHO = "narx_fading growth viability is implemented for rho in {0, inf} only"
+
+
+def _unbounded_metric(structure, eta, rho) -> bool:
+    """The incremental rule of structures whose kernel metric is unbounded."""
+    raise UnsupportedTargetError(
+        f"no incremental viability rule is available for {structure.name!r}; "
+        "its squared kernel metric grows without bound along fixed separations"
+    )
+
+
+# ---------------------------------------------------------------------------
 # structures
 # ---------------------------------------------------------------------------
 
-def _check_nonneg(eta: tuple, names: tuple) -> None:
-    for value, name in zip(eta, names):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise InputError(f"hyperparameter {name} must be finite, got {value!r}")
-        if value < 0:
-            raise InputError(f"hyperparameter {name} must be >= 0, got {value!r}")
-
-
 class KernelStructure:
-    """Base class for kernel structures.  Subclasses implement the arity of
-    the hyperparameter vector, its domain validation, and the vectorized
-    evaluation paths (rowwise pairs, the cross matrix from pair terms,
-    diagonal)."""
+    """Base class for kernel structures.
+
+    A structure declares ``name`` and ``eta_names``, from which ``arity``,
+    ``validate_eta`` (every entry finite and ``>= 0``) and the ``exp(u)``
+    unconstrained map derive, and implements its evaluation paths (rowwise
+    pairs, the cross matrix from pair terms, diagonal).  It is also the one
+    place that knows its stability rules.  A structure implements the rules
+    it supports; the base defaults raise :class:`UnsupportedTargetError`
+    naming the structure, except where a default is given:
+
+    * ``theta_member(eta, rho)``, ``delta_member(eta, rho)``: closed-form
+      membership of a validated float ``eta`` in the growth / incremental
+      viability set at a checked ``rho`` ("no growth / incremental
+      viability rule").
+    * ``theta_claim(eta)``, ``delta_claim(eta)``: the ``(nu, s)`` the proofs
+      exhibit for an accepted ``eta``, which the falsifier checks ("no
+      claimed growth / incremental condition parameters").
+    * ``unconstrained_parameterization()`` (default: ``exp(u)`` per entry),
+      ``theta_parameterization(rho)`` ("no growth parameterization"),
+      ``delta_parameterization(rho)`` ("no incremental viability rule is
+      available") and, for the stationary right factor of a product,
+      ``peak_le_one_parameterization()`` ("no unit-peak parameterization").
+    * ``suggest_eta(stats)`` (default ``()``) and, as a right factor,
+      ``factor_suggest_eta(stats)`` (default ``suggest_eta``): the search
+      start from the data statistics of :mod:`stable_sysid.selection`.
+
+    The public functions of :mod:`stable_sysid.viability` validate their
+    inputs and dispatch to these rules.
+    """
 
     name: str = ""
     is_stationary: bool = False
+    eta_names: tuple = ()
 
     @property
     def arity(self) -> int:
-        raise NotImplementedError
+        return len(self.eta_names)
 
     def validate_eta(self, eta: tuple) -> None:
-        raise NotImplementedError
+        if len(eta) != self.arity:
+            raise InputError(f"{self.name} expects eta = ({', '.join(self.eta_names)}), got {eta!r}")
+        for value, name in zip(eta, self.eta_names):
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise InputError(f"hyperparameter {name} must be finite, got {value!r}")
+            if value < 0:
+                raise InputError(f"hyperparameter {name} must be >= 0, got {value!r}")
 
     def pair_values(self, eta: tuple, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """k_eta(A[i], B[i]) for each row i."""
@@ -263,8 +396,8 @@ class KernelStructure:
         return self.from_terms(eta, PairTerms(A, B))
 
     def diag_values(self, eta: tuple, A: np.ndarray) -> np.ndarray:
-        """k_eta(A[i], A[i]) for each row i."""
-        raise NotImplementedError
+        """k_eta(A[i], A[i]) for each row i; a stationary kernel's zero-lag value."""
+        return np.full(A.shape[0], self.stationary_peak(eta))
 
     def stationary_peak(self, eta: tuple) -> float:
         """Value of the stationary profile at zero lag (stationary kernels)."""
@@ -273,19 +406,51 @@ class KernelStructure:
     def check_dim(self, input_dim: int) -> None:
         """Hook for structures that constrain the ambient dimension."""
 
+    # stability rules ---------------------------------------------------------
+    def theta_member(self, eta: tuple, rho: float) -> bool:
+        raise UnsupportedTargetError(f"no growth viability rule for structure {self.name!r}")
+
+    def delta_member(self, eta: tuple, rho: float) -> bool:
+        raise UnsupportedTargetError(f"no incremental viability rule for structure {self.name!r}")
+
+    def theta_claim(self, eta: tuple) -> tuple:
+        raise UnsupportedTargetError(f"no claimed growth condition parameters for {self.name!r}")
+
+    def delta_claim(self, eta: tuple) -> tuple:
+        raise UnsupportedTargetError(f"no claimed incremental condition parameters for {self.name!r}")
+
+    def unconstrained_parameterization(self) -> FeasibleParameterization:
+        n = self.arity
+        return FeasibleParameterization(
+            n, lambda u: tuple(_pos(u[i]) for i in range(n)), f"{', '.join(self.eta_names)} = exp(u)"
+        )
+
+    def theta_parameterization(self, rho: float) -> FeasibleParameterization:
+        raise UnsupportedTargetError(f"no growth parameterization for structure {self.name!r}")
+
+    def delta_parameterization(self, rho: float) -> FeasibleParameterization:
+        raise UnsupportedTargetError(f"no incremental viability rule is available for {self.name!r}")
+
+    def peak_le_one_parameterization(self) -> FeasibleParameterization:
+        """Stationary hyperparameters with zero-lag value at most 1."""
+        raise UnsupportedTargetError(
+            f"no unit-peak parameterization for stationary factor {self.name!r}"
+        )
+
+    def suggest_eta(self, stats: dict) -> tuple:
+        """Rule-of-thumb start: amplitude tracks the target variance
+        ``var_y``, inverse squared lengthscale the median pairwise squared
+        distance ``med_sq``, inner-product kernels scale by ``mean_zz``."""
+        return ()
+
+    def factor_suggest_eta(self, stats: dict) -> tuple:
+        return self.suggest_eta(stats)
+
 
 @dataclass(frozen=True)
 class LinearAffine(KernelStructure):
-    name: str = field(default="linear_affine", init=False)
-
-    @property
-    def arity(self) -> int:
-        return 2
-
-    def validate_eta(self, eta):
-        if len(eta) != 2:
-            raise InputError(f"linear_affine expects eta = (tau, sigma), got {eta!r}")
-        _check_nonneg(eta, ("tau", "sigma"))
+    name = "linear_affine"
+    eta_names = ("tau", "sigma")
 
     def pair_values(self, eta, A, B):
         tau, sigma = eta
@@ -299,6 +464,52 @@ class LinearAffine(KernelStructure):
         tau, sigma = eta
         return tau * np.einsum("ij,ij->i", A, A) + sigma
 
+    def theta_member(self, eta, rho):
+        tau, sigma = eta
+        if tau > 1.0:
+            return False
+        if tau == 1.0:
+            return sigma == 0.0
+        if rho == INF:
+            return True
+        return sigma <= rho * (1.0 - tau)
+
+    def delta_member(self, eta, rho):
+        return eta[0] <= 1.0
+
+    def theta_claim(self, eta):
+        tau, sigma = eta
+        if tau == 1.0:
+            return 0.0, sigma
+        nu = sigma / (1.0 - tau)
+        return nu, tau * nu + sigma
+
+    def delta_claim(self, eta):
+        return 0.0, 0.0
+
+    def theta_parameterization(self, rho):
+        if rho == 0.0:
+            return FeasibleParameterization(
+                1, lambda u: (_unit(u[0]), 0.0), "tau in (0, 1), sigma = 0"
+            )
+        if rho == INF:
+            return self.delta_parameterization(rho)
+
+        def to_eta(u):
+            tau = _unit(u[0])
+            return (tau, _unit(u[1]) * rho * (1.0 - tau))
+
+        return FeasibleParameterization(2, to_eta, "tau in (0, 1), sigma < rho (1 - tau)")
+
+    def delta_parameterization(self, rho):
+        return FeasibleParameterization(
+            2, lambda u: (_unit(u[0]), _pos(u[1])), "tau in (0, 1), sigma free"
+        )
+
+    def suggest_eta(self, stats):
+        vy = stats["var_y"]
+        return (vy / stats["mean_zz"], vy / 10.0)
+
 
 @dataclass(frozen=True)
 class Polynomial(KernelStructure):
@@ -309,15 +520,11 @@ class Polynomial(KernelStructure):
     """
 
     degree: int = 2
-    name: str = field(default="polynomial", init=False)
+    name = "polynomial"
 
     def __post_init__(self):
         if not isinstance(self.degree, int) or self.degree < 2:
             raise InputError(f"polynomial degree must be an integer >= 2, got {self.degree!r}")
-
-    @property
-    def arity(self) -> int:
-        return 0
 
     def validate_eta(self, eta):
         if len(eta) != 0:
@@ -332,20 +539,81 @@ class Polynomial(KernelStructure):
     def diag_values(self, eta, A):
         return np.einsum("ij,ij->i", A, A) ** self.degree
 
+    def theta_member(self, eta, rho):
+        return False
+
+    delta_member = theta_member
+
+    def unconstrained_parameterization(self):
+        return FeasibleParameterization(0, lambda u: (), "degree fixed on the structure")
+
+    def theta_parameterization(self, rho):
+        raise InfeasibleTargetError(
+            "polynomial rule: a degree >= 2 kernel grows faster than |a|^2, so its "
+            "viability sets are empty for every rho"
+        )
+
+    delta_parameterization = theta_parameterization
+
+
+def _peak_claim(structure, eta) -> tuple:
+    """``nu = s`` = the zero-lag value, which a stationary ``k(a, a)`` equals."""
+    peak = structure.stationary_peak(eta)
+    return peak, peak
+
+
+def _stationary_delta_claim(structure, eta) -> tuple:
+    """``nu = 0`` on the exact rho = 0 set, else four times the zero-lag value."""
+    peak = structure.stationary_peak(eta)
+    nu = 0.0 if structure.delta_member(eta, 0.0) else 4.0 * peak
+    return nu, 4.0 * peak
+
+
+class _StationaryProfile(KernelStructure):
+    """Shared base of ``tau profile(gamma, |a - b|) + sigma`` kernels with a
+    unit profile at zero lag (gaussian, matern32): ``eta = (tau, gamma,
+    sigma)``, zero-lag value ``tau + sigma``, and the growth rule
+    ``tau + sigma <= rho``."""
+
+    is_stationary = True
+    eta_names = ("tau", "gamma", "sigma")
+
+    def stationary_peak(self, eta):
+        tau, _, sigma = eta
+        return tau + sigma
+
+    def theta_member(self, eta, rho):
+        tau, _, sigma = eta
+        return tau + sigma <= rho
+
+    theta_claim = _peak_claim
+
+    def theta_parameterization(self, rho):
+        if rho == 0.0:
+            raise InfeasibleTargetError(_NO_STATIONARY_ISS)
+        if rho == INF:
+            return self.unconstrained_parameterization()
+
+        def to_eta(u):
+            tau, sigma = _split_mass(rho * _unit(u[0]), _unit(u[2]))
+            return (tau, _pos(u[1]), sigma)
+
+        return FeasibleParameterization(3, to_eta, "tau + sigma in (0, rho), gamma free")
+
+    def peak_le_one_parameterization(self):
+        return _unit_mass_parameterization()
+
+    def suggest_eta(self, stats):
+        vy = stats["var_y"]
+        return (vy, 1.0 / stats["med_sq"], vy / 10.0)
+
+    def factor_suggest_eta(self, stats):
+        return (0.5, 1.0 / stats["med_sq"], 0.25)
+
 
 @dataclass(frozen=True)
-class Gaussian(KernelStructure):
-    name: str = field(default="gaussian", init=False)
-    is_stationary: bool = field(default=True, init=False)
-
-    @property
-    def arity(self) -> int:
-        return 3
-
-    def validate_eta(self, eta):
-        if len(eta) != 3:
-            raise InputError(f"gaussian expects eta = (tau, gamma, sigma), got {eta!r}")
-        _check_nonneg(eta, ("tau", "gamma", "sigma"))
+class Gaussian(_StationaryProfile):
+    name = "gaussian"
 
     def pair_values(self, eta, A, B):
         return _gauss(*eta, _sq_dist_pairs(A, B))
@@ -353,28 +621,43 @@ class Gaussian(KernelStructure):
     def from_terms(self, eta, terms):
         return _gauss(*eta, terms.sq)
 
-    def diag_values(self, eta, A):
-        tau, gamma, sigma = eta
-        return np.full(A.shape[0], tau + sigma)
+    def delta_member(self, eta, rho):
+        tau, gamma, _ = eta
+        if rho == INF:
+            return True
+        if 2.0 * tau * gamma <= 1.0:
+            return True
+        if rho == 0.0:
+            return False
+        return gaussian_delta_boundary(tau, gamma) <= rho
 
-    def stationary_peak(self, eta):
-        tau, _, sigma = eta
-        return tau + sigma
+    def delta_claim(self, eta):
+        tau, gamma, _ = eta
+        return gaussian_delta_boundary(tau, gamma), 4.0 * self.stationary_peak(eta)
+
+    def delta_parameterization(self, rho):
+        if rho == INF:
+            return self.unconstrained_parameterization()
+        if rho == 0.0:
+            def to_eta(u):
+                gamma = _pos(u[0])
+                return (_unit(u[1]) / (2.0 * gamma), gamma, _pos(u[2]))
+
+            return FeasibleParameterization(3, to_eta, "2 tau gamma in (0, 1), sigma free")
+
+        def to_eta(u):
+            gamma = _pos(u[0])
+            tau_max = rho / (2.0 * -math.expm1(-min(gamma * rho, 690.0)))
+            return (_unit(u[1]) * tau_max, gamma, _pos(u[2]))
+
+        return FeasibleParameterization(
+            3, to_eta, "tau below the finite-rho incremental boundary, sigma free"
+        )
 
 
 @dataclass(frozen=True)
-class Matern32(KernelStructure):
-    name: str = field(default="matern32", init=False)
-    is_stationary: bool = field(default=True, init=False)
-
-    @property
-    def arity(self) -> int:
-        return 3
-
-    def validate_eta(self, eta):
-        if len(eta) != 3:
-            raise InputError(f"matern32 expects eta = (tau, gamma, sigma), got {eta!r}")
-        _check_nonneg(eta, ("tau", "gamma", "sigma"))
+class Matern32(_StationaryProfile):
+    name = "matern32"
 
     @staticmethod
     def _profile(tau, gamma, sigma, dist):
@@ -387,13 +670,26 @@ class Matern32(KernelStructure):
     def from_terms(self, eta, terms):
         return self._profile(*eta, terms.dist)
 
-    def diag_values(self, eta, A):
-        tau, _, sigma = eta
-        return np.full(A.shape[0], tau + sigma)
+    def delta_member(self, eta, rho):
+        tau, gamma, sigma = eta
+        if rho == INF:
+            return True
+        exact_zero = 3.0 * tau * gamma ** 2 <= 1.0
+        if rho == 0.0:
+            return exact_zero
+        return exact_zero or 4.0 * (tau + sigma) <= rho
 
-    def stationary_peak(self, eta):
-        tau, _, sigma = eta
-        return tau + sigma
+    delta_claim = _stationary_delta_claim
+
+    def delta_parameterization(self, rho):
+        if rho == INF:
+            return self.unconstrained_parameterization()
+
+        def to_eta(u):
+            gamma = _pos(u[0])
+            return (_unit(u[1]) / (3.0 * gamma ** 2), gamma, _pos(u[2]))
+
+        return FeasibleParameterization(3, to_eta, "3 tau gamma^2 in (0, 1), sigma free")
 
 
 @dataclass(frozen=True)
@@ -404,10 +700,11 @@ class NarxFading(KernelStructure):
     ``window`` the sliding-window width ``p`` in ``{1, ..., model_order}``.
     """
 
-    model_order: int = 2
-    window: int = 1
-    name: str = field(default="narx_fading", init=False)
-    is_stationary: bool = field(default=True, init=False)
+    model_order: int
+    window: int
+    name = "narx_fading"
+    is_stationary = True
+    eta_names = ("tau", "gamma", "xi")
 
     def __post_init__(self):
         m, p = self.model_order, self.window
@@ -415,15 +712,6 @@ class NarxFading(KernelStructure):
             raise InputError(f"narx_fading model_order must be an integer >= 1, got {m!r}")
         if not isinstance(p, int) or not 1 <= p <= m:
             raise InputError(f"narx_fading window must be an integer in [1, {m}], got {p!r}")
-
-    @property
-    def arity(self) -> int:
-        return 3
-
-    def validate_eta(self, eta):
-        if len(eta) != 3:
-            raise InputError(f"narx_fading expects eta = (tau, gamma, xi), got {eta!r}")
-        _check_nonneg(eta, ("tau", "gamma", "xi"))
 
     def check_dim(self, input_dim):
         if input_dim != 2 * self.model_order + 1:
@@ -449,12 +737,60 @@ class NarxFading(KernelStructure):
     def from_terms(self, eta, terms):
         return self._accumulate(eta, terms.window_sq(self.model_order, self.window))
 
-    def diag_values(self, eta, A):
-        return np.full(A.shape[0], self.stationary_peak(eta))
-
     def stationary_peak(self, eta):
         tau, _, xi = eta
         return tau * lag_weight_sum(xi, self.window, self.model_order)
+
+    def theta_member(self, eta, rho):
+        if rho == 0.0:
+            return eta[0] == 0.0
+        if rho == INF:
+            return True
+        raise UnsupportedTargetError(_NARX_GROWTH_RHO)
+
+    def delta_member(self, eta, rho):
+        tau, gamma, xi = eta
+        pi = lag_weight_sum(xi, self.window, self.model_order)
+        if rho == INF:
+            return True
+        exact_zero = 2.0 * gamma * tau * pi <= 1.0
+        if rho == 0.0:
+            return exact_zero
+        return exact_zero or 4.0 * tau * pi <= rho
+
+    theta_claim = _peak_claim
+    delta_claim = _stationary_delta_claim
+
+    def theta_parameterization(self, rho):
+        if rho == 0.0:
+            raise InfeasibleTargetError(_NO_STATIONARY_ISS)
+        if rho == INF:
+            return self.unconstrained_parameterization()
+        raise UnsupportedTargetError(_NARX_GROWTH_RHO)
+
+    def delta_parameterization(self, rho):
+        if rho == INF:
+            return self.unconstrained_parameterization()
+
+        def to_eta(u):
+            gamma, xi = _pos(u[0]), _pos(u[1])
+            pi = lag_weight_sum(xi, self.window, self.model_order)
+            return (_unit(u[2]) / (2.0 * gamma * pi), gamma, xi)
+
+        return FeasibleParameterization(
+            3, to_eta, "2 tau gamma * lag weight sum in (0, 1)"
+        )
+
+    def peak_le_one_parameterization(self):
+        def to_eta(u):
+            gamma, xi = _pos(u[0]), _pos(u[1])
+            pi = lag_weight_sum(xi, self.window, self.model_order)
+            return (_unit(u[2]) / pi, gamma, xi)
+
+        return FeasibleParameterization(3, to_eta, "tau * lag weight sum in (0, 1)")
+
+    def suggest_eta(self, stats):
+        return (stats["var_y"], 1.0 / stats["med_sq"], 1.0)
 
 
 def lag_weight_sum(xi: float, p: int, m: int) -> float:
@@ -475,16 +811,8 @@ class FeatureGaussian(KernelStructure):
     this kernel vanishes at the origin, which is what makes it usable for
     targets that pin the predictor to zero at zero."""
 
-    name: str = field(default="feature_gaussian", init=False)
-
-    @property
-    def arity(self) -> int:
-        return 3
-
-    def validate_eta(self, eta):
-        if len(eta) != 3:
-            raise InputError(f"feature_gaussian expects eta = (tau, gamma, sigma), got {eta!r}")
-        _check_nonneg(eta, ("tau", "gamma", "sigma"))
+    name = "feature_gaussian"
+    eta_names = ("tau", "gamma", "sigma")
 
     def pair_values(self, eta, A, B):
         return np.einsum("ij,ij->i", A, B) * _gauss(*eta, _sq_dist_pairs(A, B))
@@ -498,14 +826,30 @@ class FeatureGaussian(KernelStructure):
         tau, _, sigma = eta
         return (tau + sigma) * np.einsum("ij,ij->i", A, A)
 
+    def theta_member(self, eta, rho):
+        tau, _, sigma = eta
+        return tau + sigma <= 1.0
+
+    delta_member = _unbounded_metric
+
+    def theta_claim(self, eta):
+        return 0.0, 0.0
+
+    def theta_parameterization(self, rho):
+        return _unit_mass_parameterization()
+
+    def suggest_eta(self, stats):
+        vy, mzz = stats["var_y"], stats["mean_zz"]
+        return (vy / mzz, 1.0 / stats["med_sq"], vy / (10.0 * mzz))
+
 
 @dataclass(frozen=True)
 class SumKernel(KernelStructure):
     """Weighted sum of child kernels.  eta is the concatenation of the
     strictly positive weights (one per child) and the children's etas."""
 
-    children: tuple = ()
-    name: str = field(default="sum", init=False)
+    children: tuple
+    name = "sum"
 
     def __post_init__(self):
         if len(self.children) < 1:
@@ -572,15 +916,81 @@ class SumKernel(KernelStructure):
         for child in self.children:
             child.check_dim(input_dim)
 
+    # a sum is viable when its weights sum to at most 1 and every child is
+    def _children_member(self, eta, rule, rho):
+        weights, parts = self.split_eta(eta)
+        if sum(weights) > 1.0:
+            return False
+        return all(getattr(c, rule)(p, rho) for c, p in zip(self.children, parts))
+
+    def theta_member(self, eta, rho):
+        return self._children_member(eta, "theta_member", rho)
+
+    def delta_member(self, eta, rho):
+        return self._children_member(eta, "delta_member", rho)
+
+    def _children_claim(self, eta, rule):
+        _, parts = self.split_eta(eta)
+        pairs = [getattr(c, rule)(p) for c, p in zip(self.children, parts)]
+        nu = max(n for n, _ in pairs)
+        s = max(max(n, s) for n, s in pairs)
+        return nu, s
+
+    def theta_claim(self, eta):
+        return self._children_claim(eta, "theta_claim")
+
+    def delta_claim(self, eta):
+        return self._children_claim(eta, "delta_claim")
+
+    def unconstrained_parameterization(self):
+        children = [c.unconstrained_parameterization() for c in self.children]
+        q = len(self.children)
+
+        def to_eta(u):
+            u = np.asarray(u, dtype=float)
+            weights = tuple(_pos(v) for v in u[:q])
+            return weights + _stacked(children, u[q:])
+
+        dim = q + sum(cp.dim for cp in children)
+        return FeasibleParameterization(dim, to_eta, "weights = exp(u); children unconstrained")
+
+    def _weighted_parameterization(self, children):
+        q = len(self.children)
+
+        def to_eta(u):
+            u = np.asarray(u, dtype=float)
+            mass = _unit(u[0])
+            weights = tuple(mass * _softmax(u[1:1 + q]))
+            return weights + _stacked(children, u[1 + q:])
+
+        dim = 1 + q + sum(cp.dim for cp in children)
+        return FeasibleParameterization(
+            dim, to_eta, "weights sum below 1; children in their own viability sets"
+        )
+
+    def theta_parameterization(self, rho):
+        return self._weighted_parameterization([c.theta_parameterization(rho) for c in self.children])
+
+    def delta_parameterization(self, rho):
+        return self._weighted_parameterization([c.delta_parameterization(rho) for c in self.children])
+
+    def suggest_eta(self, stats):
+        q = len(self.children)
+        weights = (1.0 / (2.0 * q),) * q
+        parts = []
+        for child in self.children:
+            parts.extend(child.suggest_eta(stats))
+        return weights + tuple(parts)
+
 
 @dataclass(frozen=True)
 class ProductWithStationary(KernelStructure):
     """Pointwise product of an arbitrary left kernel with a stationary right
     kernel.  eta is the concatenation (eta_left, eta_right)."""
 
-    left: KernelStructure = None  # type: ignore[assignment]
-    right: KernelStructure = None  # type: ignore[assignment]
-    name: str = field(default="product_stationary", init=False)
+    left: KernelStructure
+    right: KernelStructure
+    name = "product_stationary"
 
     def __post_init__(self):
         if not isinstance(self.left, KernelStructure) or not isinstance(self.right, KernelStructure):
@@ -623,6 +1033,34 @@ class ProductWithStationary(KernelStructure):
         self.left.check_dim(input_dim)
         self.right.check_dim(input_dim)
 
+    def theta_member(self, eta, rho):
+        eta_l, eta_r = self.split_eta(eta)
+        if self.right.stationary_peak(eta_r) > 1.0:
+            return False
+        return self.left.theta_member(eta_l, rho)
+
+    delta_member = _unbounded_metric
+
+    def theta_claim(self, eta):
+        eta_l, eta_r = self.split_eta(eta)
+        nu_l, s_l = self.left.theta_claim(eta_l)
+        return nu_l, s_l * self.right.stationary_peak(eta_r)
+
+    def unconstrained_parameterization(self):
+        return _stacked_parameterization(
+            [self.left.unconstrained_parameterization(), self.right.unconstrained_parameterization()],
+            "factors unconstrained",
+        )
+
+    def theta_parameterization(self, rho):
+        return _stacked_parameterization(
+            [self.left.theta_parameterization(rho), self.right.peak_le_one_parameterization()],
+            "left viable at rho; right peak <= 1",
+        )
+
+    def suggest_eta(self, stats):
+        return tuple(self.left.suggest_eta(stats)) + tuple(self.right.factor_suggest_eta(stats))
+
 
 # ---------------------------------------------------------------------------
 # kernel instances and evaluation entry points
@@ -647,7 +1085,11 @@ class KernelInstance:
             raise InputError(
                 f"input_dim must be an odd integer >= 3 (2m + 1 with m >= 1), got {self.input_dim!r}"
             )
-        object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
+        try:
+            eta = tuple(float(v) for v in self.eta)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"eta must be a sequence of numbers, got {self.eta!r}") from exc
+        object.__setattr__(self, "eta", eta)
         self.structure.validate_eta(self.eta)
         self.structure.check_dim(self.input_dim)
 
@@ -746,74 +1188,75 @@ def gram_from_terms(kernel: KernelInstance, terms: PairTerms) -> np.ndarray:
 # config round-trip
 # ---------------------------------------------------------------------------
 
-_SIMPLE_STRUCTURES = {
-    "linear_affine": LinearAffine,
-    "gaussian": Gaussian,
-    "matern32": Matern32,
-    "feature_gaussian": FeatureGaussian,
+_STRUCTURES = {
+    cls.name: cls
+    for cls in (
+        LinearAffine, Polynomial, Gaussian, Matern32, NarxFading, FeatureGaussian,
+        SumKernel, ProductWithStationary,
+    )
 }
 
 
 def structure_to_config(structure: KernelStructure) -> dict:
-    """Serialize a structure to a plain dict (JSON-compatible)."""
-    if isinstance(structure, Polynomial):
-        return {"structure": "polynomial", "degree": structure.degree}
-    if isinstance(structure, NarxFading):
-        return {
-            "structure": "narx_fading",
-            "model_order": structure.model_order,
-            "window": structure.window,
-        }
-    if isinstance(structure, SumKernel):
-        return {"structure": "sum", "children": [structure_to_config(c) for c in structure.children]}
-    if isinstance(structure, ProductWithStationary):
-        return {
-            "structure": "product_stationary",
-            "left": structure_to_config(structure.left),
-            "right": structure_to_config(structure.right),
-        }
-    if structure.name in _SIMPLE_STRUCTURES:
-        return {"structure": structure.name}
-    raise InputError(f"cannot serialize kernel structure {structure!r}")
+    """Serialize a structure to a plain dict (JSON-compatible): its name and
+    its fields, with child structures serialized in turn."""
+    if _STRUCTURES.get(getattr(structure, "name", None)) is not type(structure):
+        raise InputError(f"cannot serialize kernel structure {structure!r}")
+    cfg = {"structure": structure.name}
+    for f in fields(structure):
+        value = getattr(structure, f.name)
+        if isinstance(value, KernelStructure):
+            value = structure_to_config(value)
+        elif isinstance(value, tuple):
+            value = [structure_to_config(c) for c in value]
+        cfg[f.name] = value
+    return cfg
 
 
 def structure_from_config(cfg: dict) -> KernelStructure:
     """Parse a structure config produced by :func:`structure_to_config`.
 
-    Unknown keys are rejected so that typos fail loudly.
+    Unknown keys are rejected so that typos fail loudly; a field without a
+    default on the structure is required.  Integer fields accept integral
+    numbers only (2 or 2.0).
     """
     if not isinstance(cfg, dict) or "structure" not in cfg:
         raise InputError(f"kernel structure config must be a dict with a 'structure' key, got {cfg!r}")
     name = cfg["structure"]
-    if name == "polynomial":
-        _reject_unknown(cfg, {"structure", "degree"})
-        return Polynomial(degree=int(cfg.get("degree", 2)))
-    if name == "narx_fading":
-        _reject_unknown(cfg, {"structure", "model_order", "window"})
-        if "model_order" not in cfg or "window" not in cfg:
-            raise InputError("narx_fading config needs 'model_order' and 'window'")
-        return NarxFading(model_order=int(cfg["model_order"]), window=int(cfg["window"]))
-    if name == "sum":
-        _reject_unknown(cfg, {"structure", "children"})
-        children = cfg.get("children")
-        if not isinstance(children, list) or not children:
-            raise InputError("sum config needs a nonempty 'children' list")
-        return SumKernel(children=tuple(structure_from_config(c) for c in children))
-    if name == "product_stationary":
-        _reject_unknown(cfg, {"structure", "left", "right"})
-        if "left" not in cfg or "right" not in cfg:
-            raise InputError("product_stationary config needs 'left' and 'right'")
-        return ProductWithStationary(
-            left=structure_from_config(cfg["left"]),
-            right=structure_from_config(cfg["right"]),
-        )
-    if name in _SIMPLE_STRUCTURES:
-        _reject_unknown(cfg, {"structure"})
-        return _SIMPLE_STRUCTURES[name]()
-    raise InputError(f"unknown kernel structure {name!r}")
+    cls = _STRUCTURES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise InputError(f"unknown kernel structure {name!r}")
+    cls_fields = fields(cls)
+    _reject_unknown(cfg, {"structure"} | {f.name for f in cls_fields}, f"{name} config")
+    missing = [f.name for f in cls_fields if f.default is MISSING and f.name not in cfg]
+    if missing:
+        raise InputError(f"{name} config needs {' and '.join(map(repr, missing))}")
+    # keyed by the field annotation, a string under postponed evaluation
+    parse = {
+        "int": _config_int,
+        "KernelStructure": lambda value, what: structure_from_config(value),
+        "tuple": _config_children,
+    }
+    return cls(**{
+        f.name: parse[f.type](cfg[f.name], f"{name} {f.name}") for f in cls_fields if f.name in cfg
+    })
 
 
-def _reject_unknown(cfg: dict, allowed: set) -> None:
+def _config_int(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _config_children(value, what: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{what} must be a nonempty list of structure configs, got {value!r}")
+    return tuple(structure_from_config(c) for c in value)
+
+
+def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
     unknown = set(cfg) - allowed
     if unknown:
-        raise InputError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise InputError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")

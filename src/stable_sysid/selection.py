@@ -44,19 +44,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import InputError, NumericError, StableSysidError
-from .kernels import (
-    FeatureGaussian,
-    Gaussian,
-    KernelInstance,
-    KernelStructure,
-    LinearAffine,
-    Matern32,
-    NarxFading,
-    Polynomial,
-    ProductWithStationary,
-    SumKernel,
-    gram_from_terms,
-)
+from .kernels import KernelInstance, KernelStructure, gram_from_terms
 from .solver import (
     RegressionData,
     _eig_psd,
@@ -238,36 +226,6 @@ def _data_stats(data: RegressionData) -> dict:
     }
 
 
-def _suggest_eta(structure: KernelStructure, stats: dict) -> tuple:
-    """Rule-of-thumb hyperparameters: amplitude tracks the target variance,
-    inverse squared lengthscale the median pairwise distance."""
-    vy, msq, mzz = stats["var_y"], stats["med_sq"], stats["mean_zz"]
-    if isinstance(structure, (Gaussian, Matern32)):
-        return (vy, 1.0 / msq, vy / 10.0)
-    if isinstance(structure, FeatureGaussian):
-        return (vy / mzz, 1.0 / msq, vy / (10.0 * mzz))
-    if isinstance(structure, LinearAffine):
-        return (vy / mzz, vy / 10.0)
-    if isinstance(structure, Polynomial):
-        return ()
-    if isinstance(structure, NarxFading):
-        return (vy, 1.0 / msq, 1.0)
-    if isinstance(structure, SumKernel):
-        q = len(structure.children)
-        weights = (1.0 / (2.0 * q),) * q
-        parts = []
-        for child in structure.children:
-            parts.extend(_suggest_eta(child, stats))
-        return weights + tuple(parts)
-    if isinstance(structure, ProductWithStationary):
-        left = _suggest_eta(structure.left, stats)
-        right = list(_suggest_eta(structure.right, stats))
-        if isinstance(structure.right, (Gaussian, Matern32)):
-            right = [0.5, 1.0 / msq, 0.25]
-        return tuple(left) + tuple(right)
-    return ()
-
-
 def _invert_parameterization(param: FeasibleParameterization, eta_star: tuple) -> np.ndarray:
     """Raw coordinates whose image is (close to) ``eta_star``.
 
@@ -348,7 +306,7 @@ def select_hyperparameters(
     smart = np.concatenate(
         [
             [math.log(max(beta0 - config.iota, 1e-300))],
-            _invert_parameterization(param, _suggest_eta(structure, stats)),
+            _invert_parameterization(param, structure.suggest_eta(stats)),
         ]
     )
 

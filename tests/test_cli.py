@@ -396,6 +396,34 @@ class TestCheckViability:
         assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
         assert "rho in {0, inf}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kernel,extra",
+        [
+            ({"structure": "gaussian", "eta": "abc", "input_dim": 5}, {}),
+            ({"structure": "gaussian", "eta": ["a", 1.0, 0.0], "input_dim": 5}, {}),
+            ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5.5}, {}),
+            ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"falsify": {"samples": "many"}}),
+            ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"falsify": [1]}),
+            ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"target": {"kind": "dviable", "rho": "abc"}}),
+            ({"structure": "polynomial", "degree": 2.7, "eta": [], "input_dim": 5}, {}),
+            ({"structure": "narx_fading", "model_order": 2.9, "window": 1, "eta": [0.1, 1.0, 0.0], "input_dim": 5}, {}),
+        ],
+    )
+    def test_malformed_values_exit_2_without_output(self, workdir, capsys, kernel, extra):
+        cfg = write_config(workdir / "check.json", {"kernel": kernel, "target": {"kind": "diss"}, **extra})
+        assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+
+    def test_integral_float_input_dim_accepted(self, workdir, capsys):
+        cfg = write_config(
+            workdir / "check.json",
+            {"kernel": {"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5.0},
+             "target": {"kind": "diss"}},
+        )
+        assert run(["check-viability", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == "target diss: member\n"
+
 
 class TestSelectionBlock:
     def test_keys_are_config_fields(self):

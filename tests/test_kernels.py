@@ -381,3 +381,33 @@ class TestConfigRoundTrip:
     def test_unknown_structure_rejected(self):
         with pytest.raises(InputError):
             structure_from_config({"structure": "laplace"})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"structure": "polynomial", "degree": 2.7},
+            {"structure": "polynomial", "degree": "x"},
+            {"structure": "polynomial", "degree": True},
+            {"structure": "narx_fading", "model_order": 2.9, "window": 1},
+            {"structure": "narx_fading", "model_order": 2, "window": "1"},
+            {"structure": "narx_fading", "model_order": 2},
+            {"structure": "sum", "children": []},
+            {"structure": "sum", "children": {"structure": "gaussian"}},
+            {"structure": "product_stationary", "left": {"structure": "gaussian"}},
+            {"structure": ["gaussian"]},
+        ],
+    )
+    def test_malformed_fields_are_input_errors(self, cfg):
+        with pytest.raises(InputError):
+            structure_from_config(cfg)
+
+    def test_integral_values_accepted(self):
+        assert structure_from_config({"structure": "polynomial", "degree": 3.0}) == Polynomial(degree=3)
+        narx = structure_from_config({"structure": "narx_fading", "model_order": 2.0, "window": 1})
+        assert narx == NarxFading(model_order=2, window=1)
+        assert structure_to_config(narx) == {"structure": "narx_fading", "model_order": 2, "window": 1}
+
+    @pytest.mark.parametrize("eta", ["abc", ["a", 1.0, 0.0], 5])
+    def test_eta_of_non_numbers_is_input_error(self, eta):
+        with pytest.raises(InputError, match="eta must be a sequence of numbers"):
+            KernelInstance(Gaussian(), eta, 5)

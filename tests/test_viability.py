@@ -1,6 +1,7 @@
 """Viability sets: closed forms, falsifier, feasible parameterizations."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -230,6 +231,11 @@ class TestStabilityTarget:
         with pytest.raises(InputError):
             StabilityTarget.from_config({"kind": "iss", "rho": 1.0})
 
+    @pytest.mark.parametrize("rho", ["abc", None, [1]])
+    def test_malformed_rho_is_input_error(self, rho):
+        with pytest.raises(InputError, match="'rho' must be a number"):
+            StabilityTarget.from_config({"kind": "dviable", "rho": rho})
+
 
 class TestFalsifier:
     def test_stationary_kernel_rejected_at_zero_rho_has_witness(self):
@@ -300,7 +306,7 @@ class TestFeasibleParameterization:
     @pytest.mark.parametrize("structure,target", PARAM_CASES)
     def test_image_lies_in_the_viability_set(self, structure, target):
         param = feasible_parameterization(structure, target)
-        rng = np.random.default_rng(abs(hash((structure.name, target.label()))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"{structure.name}|{target.label()}".encode()))
         for _ in range(100):
             eta = param.to_eta(rng.uniform(-6, 6, size=param.dim))
             structure.validate_eta(tuple(eta))
