@@ -24,12 +24,16 @@ Noise levels default to standard deviations 0.05 (A) and 0.02 (B), which
 puts the signal-to-noise ratio near 10 on both systems.
 
 Monte-Carlo runs are seeded per (dataset seed, run index) and therefore
-embarrassingly parallel; aggregation is a deterministic reduction.
+embarrassingly parallel; aggregation is a deterministic reduction.  Within
+one :func:`run_monte_carlo` call each (run, system) dataset pair is drawn
+once and shared read-only by every method of that run, so the methods are
+scored on the same data.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -302,10 +306,22 @@ def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
 
     All randomness derives from ``(spec.seed, *salt)``; identical arguments
     produce identical datasets.  The validation set is an independent draw
-    from the same distribution.
+    from the same distribution.  The arrays are read-only: a pair may be
+    served from a memo that :func:`run_monte_carlo` empties on entry and
+    exit, and is then shared by every caller that asks for it.
     """
+    return _generate_pair(spec, tuple(salt))
+
+
+# cells run in (run, system) order, so the pairs of the cells in flight fit
+# in a few entries however many runs a call has
+@functools.lru_cache(maxsize=8)
+def _generate_pair(spec: SyntheticSystemSpec, salt: tuple) -> tuple:
     train = _generate_one(spec, spec.n_train, (*salt, 0))
     valid = _generate_one(spec, spec.n_valid, (*salt, 1))
+    for data in (train, valid):
+        data.u.flags.writeable = False
+        data.y.flags.writeable = False
     return train, valid
 
 
@@ -449,7 +465,9 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
 
     Every (structure, target) pair is checked for feasibility up front;
     per-cell numeric failures are recorded in ``failures`` and excluded
-    from ``rows``, never silently dropped.
+    from ``rows``, never silently dropped.  Each (run, system) dataset pair
+    is drawn once per call and shared read-only by the methods of that run;
+    no pair outlives the call.
     """
     for method in config.methods:
         feasible_parameterization(method.structure, method.target)
@@ -460,11 +478,15 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
         for system in config.systems
         for method in config.methods
     ]
-    if config.n_jobs == 1:
-        outcomes = [_run_cell(config, *cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
-            outcomes = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+    _generate_pair.cache_clear()
+    try:
+        if config.n_jobs == 1:
+            outcomes = [_run_cell(config, *cell) for cell in cells]
+        else:
+            with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
+                outcomes = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+    finally:
+        _generate_pair.cache_clear()
 
     rows = tuple(row for row, _ in outcomes if row is not None)
     failures = tuple(fail for _, fail in outcomes if fail is not None)

@@ -119,10 +119,15 @@ def _flag(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """The kernel fields' rule: 2 and 2.0 pass; 2.7, "2" and true do not."""
+    return _config_int(value, "the value")
+
+
 # selection-block keys and their parsers, by the config class that owns the field
-_SELECTION_KEYS = {"method": str, "kfold_k": int, "iota": float, "cap_aware_cost": _flag, "seed": int}
-_OPTIMIZER_KEYS = {"restarts": int, "max_evals": int}
-_FALSIFY_KEYS = {"samples": int, "radius": float, "seed": int}
+_SELECTION_KEYS = {"method": str, "kfold_k": _integer, "iota": float, "cap_aware_cost": _flag, "seed": _integer}
+_OPTIMIZER_KEYS = {"restarts": _integer, "max_evals": _integer}
+_FALSIFY_KEYS = {"samples": _integer, "radius": float, "seed": _integer}
 
 
 def _parse_block(block: dict, parsers: dict, where: str) -> dict:
@@ -132,7 +137,7 @@ def _parse_block(block: dict, parsers: dict, where: str) -> dict:
     _reject_unknown(block, parsers.keys(), where)
     try:
         return {key: parse(block[key]) for key, parse in parsers.items() if key in block}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InputError) as exc:
         raise InputError(f"invalid value in {where}: {exc}") from exc
 
 

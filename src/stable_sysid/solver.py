@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericError
 from .kernels import KernelInstance, PairTerms, gram_from_terms
@@ -160,9 +161,8 @@ def build_regression_data(u, y, m: int) -> RegressionData:
     if n <= m:
         raise InputError(f"need n > m samples, got n = {n} <= m = {m}")
     rows = np.empty((n - m, 2 * m + 1))
-    for j in range(m, n):
-        rows[j - m, :m] = y[j - m:j]
-        rows[j - m, m:] = u[j - m:j + 1]
+    rows[:, :m] = sliding_window_view(y[:-1], m)
+    rows[:, m:] = sliding_window_view(u, m + 1)
     return RegressionData(regressors=rows, targets=y[m:].copy(), model_order=m)
 
 

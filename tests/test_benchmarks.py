@@ -1,11 +1,14 @@
 """Benchmark systems, dataset generation, Monte-Carlo harness, CSV round trips."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stable_sysid import (
+    benchmarks,
     Dataset,
     Gaussian,
     InputError,
@@ -115,7 +118,9 @@ class TestGenerateDataset:
     def test_deterministic_given_seed(self):
         spec = SyntheticSystemSpec("A", seed=4, n_train=50, n_valid=30)
         t1, v1 = generate_dataset(spec)
+        benchmarks._generate_pair.cache_clear()  # draw again, not from the memo
         t2, v2 = generate_dataset(spec)
+        assert t1 is not t2
         assert np.array_equal(t1.u, t2.u) and np.array_equal(t1.y, t2.y)
         assert np.array_equal(v1.u, v2.u) and np.array_equal(v1.y, v2.y)
         assert not np.array_equal(t1.y, v1.y)  # validation is a fresh draw
@@ -242,6 +247,108 @@ class TestMonteCarlo:
         assert pre["median"] == 2.0 and pre["min"] == 0.0 and pre["max"] == 4.0
         sim = next(s for s in summary if s["metric"] == "q_sim")
         assert sim["median"] == 4.0
+
+
+def counting_generation(monkeypatch):
+    """Patch the one-dataset generator and the public pair generator to
+    record their calls; returns the two call lists."""
+    one_calls, pair_calls = [], []
+    generate_one, generate_pair = benchmarks._generate_one, benchmarks.generate_dataset
+
+    def one(spec, n, salt):
+        one_calls.append((spec.variant, salt))
+        return generate_one(spec, n, salt)
+
+    def pair(spec, salt=()):
+        pair_calls.append((spec.variant, salt))
+        return generate_pair(spec, salt)
+
+    monkeypatch.setattr(benchmarks, "_generate_one", one)
+    monkeypatch.setattr(benchmarks, "generate_dataset", pair)
+    return one_calls, pair_calls
+
+
+class TestSharedDataset:
+    """Each (run, system) pair is drawn once per harness call and shared by
+    that run's methods."""
+
+    def config(self, n_jobs=1):
+        systems = (
+            SyntheticSystemSpec("B", seed=2, n_train=25, n_valid=25),
+            SyntheticSystemSpec("A", seed=3, n_train=25, n_valid=25),
+        )
+        methods = tuple(
+            MethodSpec(name, Gaussian(), StabilityTarget.unconstrained(), replace(fast_selection(), iota=iota))
+            for name, iota in (("G1", 1e-10), ("G2", 1e-8))
+        )
+        return MonteCarloConfig(runs=2, systems=systems, methods=methods, n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_one_pair_per_run_and_system(self, monkeypatch, n_jobs):
+        one_calls, pair_calls = counting_generation(monkeypatch)
+        result = run_monte_carlo(self.config(n_jobs))
+        assert len(result.rows) == 8 and not result.failures
+        expected = sorted(
+            (variant, (run, part)) for run in range(2) for variant in ("A", "B") for part in (0, 1)
+        )
+        assert sorted(one_calls) == expected
+        # the tracer's contract: one public generation call per cell
+        assert sorted(pair_calls) == sorted(
+            (variant, (run,)) for run in range(2) for variant in ("A", "B") for _ in range(2)
+        )
+
+    def test_threads_share_pairs_under_fast_switching(self, monkeypatch):
+        # more workers than cores, switching often: a pair may be drawn twice
+        # by racing threads, but every cell must still see the serial data
+        serial = run_monte_carlo(self.config())
+        one_calls, _ = counting_generation(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_monte_carlo(self.config(n_jobs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.q_pre for r in threaded.rows] == [r.q_pre for r in serial.rows]
+        assert [r.q_sim for r in threaded.rows] == [r.q_sim for r in serial.rows]
+        assert len(set(one_calls)) == 8 and len(one_calls) <= 16
+
+    def test_no_pair_crosses_calls(self, monkeypatch):
+        config = self.config()
+        for spec in config.systems:
+            generate_dataset(spec, salt=(0,))  # drawn before the call: not reused
+        one_calls, _ = counting_generation(monkeypatch)
+        first = run_monte_carlo(config)
+        assert len(one_calls) == 8
+        second = run_monte_carlo(config)
+        assert len(one_calls) == 16
+        assert [r.q_pre for r in first.rows] == [r.q_pre for r in second.rows]
+
+    def test_rows_equal_fresh_per_cell_generation(self, monkeypatch):
+        config = self.config()
+        shared = run_monte_carlo(config)
+
+        def fresh(spec, salt=()):
+            benchmarks._generate_pair.cache_clear()
+            return benchmarks._generate_pair(spec, tuple(salt))
+
+        monkeypatch.setattr(benchmarks, "generate_dataset", fresh)
+        unshared = run_monte_carlo(config)
+
+        def content(result):
+            return [(r.run, r.system, r.method, r.q_pre, r.q_sim, r.feasible) for r in result.rows]
+
+        assert content(shared) == content(unshared)
+
+    def test_returned_arrays_are_read_only(self):
+        train, valid = generate_dataset(SyntheticSystemSpec("H", seed=1, n_train=10, n_valid=10))
+        for data in (train, valid):
+            for values in (data.u, data.y):
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+
+    def test_pairs_do_not_outlive_the_call(self):
+        run_monte_carlo(self.config())
+        assert benchmarks._generate_pair.cache_info().currsize == 0
 
 
 class TestCsvRoundTrips:

@@ -14,6 +14,7 @@ from stable_sysid.cli import (
     EXIT_OK,
     main,
 )
+from stable_sysid.errors import InputError
 from stable_sysid.kernels import Gaussian
 from stable_sysid.selection import OptimizerConfig, SelectionConfig
 from stable_sysid.viability import StabilityTarget
@@ -404,6 +405,8 @@ class TestCheckViability:
             ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5.5}, {}),
             ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"falsify": {"samples": "many"}}),
             ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"falsify": [1]}),
+            ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"falsify": {"samples": 2.5}}),
+            ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"falsify": {"seed": True}}),
             ({"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, {"target": {"kind": "dviable", "rho": "abc"}}),
             ({"structure": "polynomial", "degree": 2.7, "eta": [], "input_dim": 5}, {}),
             ({"structure": "narx_fading", "model_order": 2.9, "window": 1, "eta": [0.1, 1.0, 0.0], "input_dim": 5}, {}),
@@ -438,9 +441,22 @@ class TestSelectionBlock:
             method="kfold", kfold_k=4, seed=7, optimizer=OptimizerConfig(restarts=2, max_evals=90)
         )
 
+    @pytest.mark.parametrize(
+        "block",
+        [{"restarts": 2.7}, {"max_evals": 99.9}, {"kfold_k": 2.5}, {"seed": True}, {"restarts": "3"}],
+    )
+    def test_non_integral_count_is_input_error(self, block):
+        with pytest.raises(InputError, match="must be an integer"):
+            cli._parse_selection_block(block, SelectionConfig())
+
+    def test_integral_float_count_accepted(self):
+        parsed = cli._parse_selection_block({"restarts": 2.0, "max_evals": 99, "seed": 3.0}, SelectionConfig())
+        assert parsed.optimizer.restarts == 2 and parsed.optimizer.max_evals == 99 and parsed.seed == 3
+        assert all(type(v) is int for v in (parsed.optimizer.restarts, parsed.seed))
+
     def test_bad_value_is_input_error(self, workdir):
         train, _ = generate_b(workdir, n=20)
-        for block in ({"cap_aware_cost": "yes"}, {"restarts": "many"}):
+        for block in ({"cap_aware_cost": "yes"}, {"restarts": "many"}, {"restarts": 2.7}, {"kfold_k": True}):
             cfg = write_config(
                 workdir / "fit.json",
                 {"data": str(train), "kernel": {"structure": "gaussian"},

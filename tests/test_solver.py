@@ -54,6 +54,20 @@ class TestBuildRegressionData:
         ]
         assert data.targets.tolist() == [30.0, 40.0]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [1, 2, 37])
+    def test_equals_the_row_loop(self, m, extra):
+        rng = np.random.default_rng(m * 100 + extra)
+        n = m + extra
+        u, y = rng.normal(size=n), rng.normal(size=n)
+        want = np.empty((n - m, 2 * m + 1))
+        for j in range(m, n):
+            want[j - m, :m] = y[j - m:j]
+            want[j - m, m:] = u[j - m:j + 1]
+        got = build_regression_data(u, y, m).regressors
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous and got.flags.writeable
+
 
 class TestSolveRidge:
     def test_identity_case(self):
