@@ -27,7 +27,10 @@ Monte-Carlo runs are seeded per (dataset seed, run index) and therefore
 embarrassingly parallel; aggregation is a deterministic reduction.  Within
 one :func:`run_monte_carlo` call each (run, system) dataset pair is drawn
 once and shared read-only by every method of that run, so the methods are
-scored on the same data.
+scored on the same data.  The methods of a run also share one
+:class:`~stable_sysid.solver.RegressionData` per model order, and with it
+the search's memo of Gram spectra, so searches with identical inputs, such
+as H's unconstrained and deltaBIBS methods, factor each Gram once.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -45,7 +49,7 @@ from .errors import InputError, NumericError, StableSysidError
 from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
 from .predictor import PredictorModel, run_model
 from .selection import OptimizerConfig, SelectionConfig, select_hyperparameters
-from .solver import FitProblem, build_regression_data, solve_constrained
+from .solver import FitProblem, RegressionData, build_regression_data, solve_constrained
 from .viability import StabilityTarget, feasible_parameterization
 
 __all__ = [
@@ -301,6 +305,15 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
 # dataset generation
 # ---------------------------------------------------------------------------
 
+# entries per harness memo; cells run in (run, system) order, so the pairs
+# and training sets of the cells in flight fit in a few entries however many
+# runs a call has
+_MEMO_SIZE = 8
+# held while a harness memo is read, so pool threads that miss the same
+# entry at once draw the pair, or build the training set, once
+_MEMO_LOCK = threading.Lock()
+
+
 def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
     """Sample a (train, validation) dataset pair for one system spec.
 
@@ -308,14 +321,14 @@ def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
     produce identical datasets.  The validation set is an independent draw
     from the same distribution.  The arrays are read-only: a pair may be
     served from a memo that :func:`run_monte_carlo` empties on entry and
-    exit, and is then shared by every caller that asks for it.
+    exit, and is then shared by every caller that asks for it; concurrent
+    callers wait for one draw.
     """
-    return _generate_pair(spec, tuple(salt))
+    with _MEMO_LOCK:
+        return _generate_pair(spec, tuple(salt))
 
 
-# cells run in (run, system) order, so the pairs of the cells in flight fit
-# in a few entries however many runs a call has
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _generate_pair(spec: SyntheticSystemSpec, salt: tuple) -> tuple:
     train = _generate_one(spec, spec.n_train, (*salt, 0))
     valid = _generate_one(spec, spec.n_valid, (*salt, 1))
@@ -418,14 +431,16 @@ class MonteCarloResult:
     failures: tuple
 
 
-def fit_method(
-    train: Dataset, method: MethodSpec, model_order: int
-) -> tuple:
-    """Select hyperparameters, solve the fit, and build the predictor model."""
-    data = build_regression_data(train.u, train.y, model_order)
+def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
+    """Select hyperparameters, solve the fit, and build the predictor model.
+
+    The search memoizes its spectra on ``data``, so methods fitted on one
+    shared data (as :func:`run_monte_carlo` does within a run) factor each
+    Gram their searches share once; the results are those of fresh data.
+    """
     sel = select_hyperparameters(method.selection_config(), data, method.structure)
     kernel = KernelInstance(
-        structure=method.structure, eta=sel.eta, input_dim=2 * model_order + 1
+        structure=method.structure, eta=sel.eta, input_dim=2 * data.model_order + 1
     )
     problem = FitProblem(
         data=data,
@@ -439,11 +454,20 @@ def fit_method(
     return model, report, sel
 
 
+# keyed on what draws the pair, since a Dataset (array fields) is unhashable
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _training_data(spec: SyntheticSystemSpec, salt: tuple, model_order: int) -> RegressionData:
+    train, _ = _generate_pair(spec, salt)
+    return build_regression_data(train.u, train.y, model_order)
+
+
 def _run_cell(config: MonteCarloConfig, run: int, system: SyntheticSystemSpec, method: MethodSpec):
-    train, valid = generate_dataset(system, salt=(run,))
+    _, valid = generate_dataset(system, salt=(run,))
     start = time.perf_counter()
     try:
-        model, _, sel = fit_method(train, method, config.model_order)
+        with _MEMO_LOCK:
+            data = _training_data(system, (run,), config.model_order)
+        model, _, sel = fit_method(data, method)
         result = run_model(model, valid.u, valid.y)
     except StableSysidError as exc:
         return None, FailureRow(run=run, system=system.variant, method=method.name, error=str(exc))
@@ -466,8 +490,10 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     Every (structure, target) pair is checked for feasibility up front;
     per-cell numeric failures are recorded in ``failures`` and excluded
     from ``rows``, never silently dropped.  Each (run, system) dataset pair
-    is drawn once per call and shared read-only by the methods of that run;
-    no pair outlives the call.
+    is drawn once per call and shared read-only by the methods of that run,
+    and so is the training set's ``RegressionData``: searches with identical
+    inputs, such as Ha's and Hb's, factor each Gram once.  Neither pair nor
+    data outlives the call.
     """
     for method in config.methods:
         feasible_parameterization(method.structure, method.target)
@@ -478,7 +504,7 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
         for system in config.systems
         for method in config.methods
     ]
-    _generate_pair.cache_clear()
+    _clear_memos()
     try:
         if config.n_jobs == 1:
             outcomes = [_run_cell(config, *cell) for cell in cells]
@@ -486,11 +512,16 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
             with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
                 outcomes = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     finally:
-        _generate_pair.cache_clear()
+        _clear_memos()
 
     rows = tuple(row for row, _ in outcomes if row is not None)
     failures = tuple(fail for _, fail in outcomes if fail is not None)
     return MonteCarloResult(rows=rows, failures=failures)
+
+
+def _clear_memos() -> None:
+    _generate_pair.cache_clear()
+    _training_data.cache_clear()
 
 
 def summarize(rows) -> list:

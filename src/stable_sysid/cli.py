@@ -24,8 +24,11 @@ library defaults, for ``benchmark`` each method's own preset from
 :func:`benchmarks.standard_methods` (with the full-scale search budget
 under ``--full-scale``).  Keys left out keep the base value.
 
-Unknown configuration keys are rejected.  Exit codes: 0 success, 2 input
-error, 3 infeasible stability target, 4 numeric failure, 5 divergence.
+Unknown configuration keys are rejected.  Counts (``seed``, ``n_train``,
+``n_valid``, ``m``, ``runs`` and the selection and falsifier counts) must
+be integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2.  Exit
+codes: 0 success, 2 input error, 3 infeasible stability target, 4 numeric
+failure, 5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
 same bytes (benchmark timing columns are zeroed unless ``record_timing``
 is set, precisely to keep re-runs byte-identical).
@@ -53,6 +56,7 @@ from .errors import (
 from .kernels import KernelInstance, _config_int, _reject_unknown, structure_from_config
 from .predictor import load_model, one_step_predict, run_model, save_model
 from .selection import SelectionConfig
+from .solver import build_regression_data
 from .viability import StabilityTarget, membership, numeric_falsifier
 
 __all__ = ["main"]
@@ -153,6 +157,11 @@ def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=Non
 _SYSTEM_KEYS = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "out"}
 
 
+def _count(value, what: str):
+    """An integral config count, or None where the library default applies."""
+    return None if value is None else _config_int(value, what)
+
+
 def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
     """The system spec of a ``generate`` or ``benchmark`` config."""
     variant = _require(cfg, "system", where)
@@ -160,11 +169,12 @@ def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
     if n_valid is None and full_scale:
         n_valid = benchmarks.FULL_SCALE_N_VALID.get(variant)
     defaults = benchmarks.SyntheticSystemSpec
+    seed = cfg.get("seed", defaults.seed) if args.seed is None else args.seed
     return benchmarks.SyntheticSystemSpec(
         variant=variant,
-        seed=int(cfg.get("seed", defaults.seed) if args.seed is None else args.seed),
-        n_train=cfg.get("n_train"),
-        n_valid=n_valid,
+        seed=_config_int(seed, f"{where} seed"),
+        n_train=_count(cfg.get("n_train"), f"{where} n_train"),
+        n_valid=_count(n_valid, f"{where} n_valid"),
         noise_std=cfg.get("noise_std"),
         hh_dt=float(cfg.get("hh_dt", defaults.hh_dt)),
     )
@@ -205,7 +215,7 @@ def cmd_fit(args) -> int:
     allowed = {"data", "kernel", "target", "selection", "m", "chi", "out", "model_name"}
     _reject_unknown(cfg, allowed, "fit config")
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", "fit config"))
-    m = int(cfg.get("m", benchmarks.MonteCarloConfig.model_order))
+    m = _config_int(cfg.get("m", benchmarks.MonteCarloConfig.model_order), "fit config m")
     target = StabilityTarget.from_config(_require(cfg, "target", "fit config"))
     structure, _, _ = _parse_kernel_block(_require(cfg, "kernel", "fit config"), need_eta=False)
     method = benchmarks.MethodSpec(
@@ -216,7 +226,8 @@ def cmd_fit(args) -> int:
         chi=float(cfg.get("chi", benchmarks.MethodSpec.chi)),
     )
     out = _out_dir(cfg, args)
-    model, report, sel = benchmarks.fit_method(dataset, method, m)
+    data = build_regression_data(dataset.u, dataset.y, m)
+    model, report, sel = benchmarks.fit_method(data, method)
 
     model_path = out / cfg.get("model_name", "model.json")
     save_model(model, model_path)
@@ -283,7 +294,10 @@ def cmd_benchmark(args) -> int:
     _reject_unknown(cfg, allowed, "benchmark config")
     full = bool(args.full_scale)
     spec = _system_spec(cfg, args, "benchmark config", full_scale=full)
-    runs = int(cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs)
+    runs = _config_int(
+        cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs,
+        "benchmark config runs",
+    )
     full_optimizer = benchmarks.benchmark_selection_config(full_scale=True).optimizer
 
     def configured(method):
@@ -303,7 +317,9 @@ def cmd_benchmark(args) -> int:
         runs=runs,
         systems=(spec,),
         methods=tuple(methods),
-        model_order=int(cfg.get("m", benchmarks.MonteCarloConfig.model_order)),
+        model_order=_config_int(
+            cfg.get("m", benchmarks.MonteCarloConfig.model_order), "benchmark config m"
+        ),
     )
     out = _out_dir(cfg, args)
     result = benchmarks.run_monte_carlo(config)

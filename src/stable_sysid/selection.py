@@ -33,6 +33,17 @@ the median pairwise distance), mapped into the feasible coordinates by a
 cheap numeric inversion; the remaining restarts perturb it.  Restarts are
 seeded, making results reproducible; each restart owns its optimizer state
 and cost evaluations are pure, so restarts are safe to run concurrently.
+
+The search memoizes the Gram spectra it computes on the data
+(:attr:`~stable_sysid.solver.RegressionData.spectra`, keyed by the structure
+and the bytes of ``eta``), so an ``eta`` the search revisits, or that an earlier search on the
+same data already factored, costs no second ``eigh``.  On a Gaussian kernel
+the deltaBIBS feasible map is the unconstrained one, and plain EB ignores
+the target, so a deltaBIBS search after an unconstrained one on the same
+data replays every factorization.  Concurrent restarts and searches stay
+safe: entries are read-only and never replaced by different values, since
+every writer of a key computes bit-identical ones.  The public
+``eb_cost``/``gcv_cost``/``kfold_cost`` neither read nor fill the memo.
 """
 
 from __future__ import annotations
@@ -124,11 +135,20 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """The selected point, its cost, and what the search spent.
+
+    ``evaluations`` counts cost evaluations; ``factorizations`` counts the
+    spectra the search computed itself rather than read from the data's
+    memo (see module notes).  It is bookkeeping, so results that differ only
+    in it compare equal.
+    """
+
     beta: float
     eta: tuple
     cost: float
     evaluations: int
     feasible: bool
+    factorizations: int = field(default=0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +292,26 @@ def select_hyperparameters(
     charge_cap = config.target.constrained and config.cap_aware_cost
     m = data.model_order
 
+    factorizations = 0
+
+    def spectrum(eta):
+        nonlocal factorizations
+        # eta's bytes, not its values: 0.0 and -0.0 never share an entry
+        key = (structure, np.asarray(eta, dtype=float).tobytes())
+        entry = data.spectra.get(key)
+        if entry is None:
+            lam, yt = _spectrum(structure, eta, data)
+            lam.flags.writeable = False
+            yt.flags.writeable = False
+            entry = data.spectra[key] = (lam, yt)
+            factorizations += 1
+        return entry
+
     def cost_fn(beta, eta):
         if config.method == "kfold":
             chi = config.chi if charge_cap else None
             return _kfold(beta, eta, data, structure, config.kfold_k, chi)
-        lam, yt = _spectrum(structure, eta, data)
+        lam, yt = spectrum(eta)
         if charge_cap:
             beta = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
         if config.method == "eb":
@@ -352,4 +387,5 @@ def select_hyperparameters(
         cost=float(best_val),
         evaluations=evaluations,
         feasible=bool(feasible),
+        factorizations=factorizations,
     )

@@ -63,6 +63,13 @@ class RegressionData:
     ``terms`` holds the regressors' pair terms.  It is built on first use
     only: data that is never put through a Gram matrix (one-step prediction
     windows, say) never pays for an N x N array.
+
+    ``spectra`` is the hyperparameter search's memo of Gram spectra on this
+    data, keyed by the structure and the bytes of ``eta``: each entry is the
+    read-only pair ``(lam, Q'y)`` of one factorization.  It starts empty, is
+    filled only by :func:`~stable_sysid.selection.select_hyperparameters`,
+    and lives as long as the data, so searches on the same data share their
+    factorizations.
     """
 
     regressors: np.ndarray
@@ -93,6 +100,10 @@ class RegressionData:
     @cached_property
     def terms(self) -> PairTerms:
         return PairTerms(self.regressors, self.regressors)
+
+    @cached_property
+    def spectra(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,28 @@
 """Test-suite settings: hypothesis runs derandomized with a bounded budget,
-so every property test is deterministic and its wall time is fixed."""
+so every property test is deterministic and its wall time is fixed.  Shared
+fixtures live here too."""
 
+import pytest
 from hypothesis import settings
+
+from stable_sysid import selection, solver
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=20)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The size of every spectral factorization made during the test,
+    counted through both names of ``solver._eig_psd`` (the solver's and the
+    search's)."""
+    calls = []
+    real = solver._eig_psd
+
+    def counting(K):
+        calls.append(K.shape[0])
+        return real(K)
+
+    monkeypatch.setattr(solver, "_eig_psd", counting)
+    monkeypatch.setattr(selection, "_eig_psd", counting)
+    return calls

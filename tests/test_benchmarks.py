@@ -36,6 +36,8 @@ from stable_sysid.benchmarks import (
     write_dataset_csv,
     write_results_csv,
 )
+from stable_sysid.predictor import run_model
+from stable_sysid.solver import build_regression_data
 
 
 def fast_selection():
@@ -298,8 +300,8 @@ class TestSharedDataset:
         )
 
     def test_threads_share_pairs_under_fast_switching(self, monkeypatch):
-        # more workers than cores, switching often: a pair may be drawn twice
-        # by racing threads, but every cell must still see the serial data
+        # more workers than cores, switching often: racing threads still
+        # draw each pair once, and every cell sees the serial data
         serial = run_monte_carlo(self.config())
         one_calls, _ = counting_generation(monkeypatch)
         interval = sys.getswitchinterval()
@@ -310,7 +312,7 @@ class TestSharedDataset:
             sys.setswitchinterval(interval)
         assert [r.q_pre for r in threaded.rows] == [r.q_pre for r in serial.rows]
         assert [r.q_sim for r in threaded.rows] == [r.q_sim for r in serial.rows]
-        assert len(set(one_calls)) == 8 and len(one_calls) <= 16
+        assert len(set(one_calls)) == len(one_calls) == 8
 
     def test_no_pair_crosses_calls(self, monkeypatch):
         config = self.config()
@@ -349,6 +351,87 @@ class TestSharedDataset:
     def test_pairs_do_not_outlive_the_call(self):
         run_monte_carlo(self.config())
         assert benchmarks._generate_pair.cache_info().currsize == 0
+        assert benchmarks._training_data.cache_info().currsize == 0
+
+
+class TestSharedTrainingData:
+    """The methods of a run share one RegressionData, and with it the
+    search's memo of spectra: H's unconstrained and deltaBIBS searches are
+    the same search, so the second factors nothing.  Sharing changes no
+    row."""
+
+    def config(self, runs=1, n_jobs=1):
+        selection = replace(
+            benchmarks.benchmark_selection_config(method="eb"),
+            optimizer=OptimizerConfig(restarts=2, max_evals=40),
+        )
+        spec = SyntheticSystemSpec("H", seed=1, n_train=40, n_valid=60)
+        return MonteCarloConfig(
+            runs=runs, systems=(spec,), methods=standard_methods("H", selection), n_jobs=n_jobs
+        )
+
+    def test_each_factorization_runs_once(self, monkeypatch, eigh_calls):
+        from stable_sysid import selection
+
+        keys, results = [], {}
+        real_spectrum, real_select = selection._spectrum, benchmarks.select_hyperparameters
+
+        def spectrum(structure, eta, data):
+            keys.append((structure, np.asarray(eta, dtype=float).tobytes()))
+            return real_spectrum(structure, eta, data)
+
+        def select(config, data, structure):
+            results[config.target.label()] = result = real_select(config, data, structure)
+            return result
+
+        monkeypatch.setattr(selection, "_spectrum", spectrum)
+        monkeypatch.setattr(benchmarks, "select_hyperparameters", select)
+        result = run_monte_carlo(self.config())
+        assert len(result.rows) == 3 and not result.failures
+        # the search's distinct spectra, plus the constrained final solves
+        # of Hb and Hc
+        assert len(keys) == len(set(keys))
+        assert len(eigh_calls) == len(set(keys)) + 2
+        unconstrained, dbibs, diss = (results[label] for label in ("none", "dbibs", "diss"))
+        assert dbibs.factorizations == 0 and dbibs.evaluations == unconstrained.evaluations
+        assert unconstrained.factorizations + diss.factorizations == len(set(keys))
+
+    def test_rows_equal_separate_fits(self, monkeypatch):
+        # each method fitted on its own freshly built data, with a search
+        # that factors on every evaluation, gives the harness's rows bit
+        # for bit
+        from stable_sysid import solver
+
+        config = self.config(runs=2)
+        shared = run_monte_carlo(config)
+        monkeypatch.setattr(solver.RegressionData, "spectra", property(lambda self: {}))
+        separate = []
+        for run in range(config.runs):
+            train, valid = generate_dataset(config.systems[0], salt=(run,))
+            for method in config.methods:
+                data = build_regression_data(train.u, train.y, config.model_order)
+                model, _, sel = benchmarks.fit_method(data, method)
+                scores = run_model(model, valid.u, valid.y)
+                separate.append((run, method.name, scores.q_pre.hex(), scores.q_sim.hex(), sel.feasible))
+        assert [
+            (r.run, r.method, r.q_pre.hex(), r.q_sim.hex(), r.feasible) for r in shared.rows
+        ] == separate
+
+    @pytest.mark.parametrize("n_jobs", [2, 8])
+    def test_thread_pool_rows_equal_serial(self, n_jobs):
+        # pool threads share the data and its memo; racing writers of one
+        # entry compute the same bits, so a lost or repeated write is harmless
+        def content(result):
+            return [(r.run, r.method, r.q_pre.hex(), r.q_sim.hex(), r.feasible) for r in result.rows]
+
+        serial = run_monte_carlo(self.config(runs=2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_monte_carlo(self.config(runs=2, n_jobs=n_jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert content(threaded) == content(serial)
 
 
 class TestCsvRoundTrips:

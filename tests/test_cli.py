@@ -1,5 +1,6 @@
 """CLI: config handling, exit codes, CSV schemas, determinism."""
 
+import argparse
 import json
 from dataclasses import fields
 
@@ -17,6 +18,7 @@ from stable_sysid.cli import (
 from stable_sysid.errors import InputError
 from stable_sysid.kernels import Gaussian
 from stable_sysid.selection import OptimizerConfig, SelectionConfig
+from stable_sysid.solver import build_regression_data
 from stable_sysid.viability import StabilityTarget
 
 
@@ -150,7 +152,9 @@ class TestFit:
             SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=2, max_evals=120), seed=5),
             chi=0.8,
         )
-        model, report, sel = benchmarks.fit_method(benchmarks.read_dataset_csv(train), method, 2)
+        dataset = benchmarks.read_dataset_csv(train)
+        data = build_regression_data(dataset.u, dataset.y, 2)
+        model, report, sel = benchmarks.fit_method(data, method)
         written = json.loads((workdir / "fit_report.json").read_text())
         assert (written["beta"], tuple(written["eta"]), written["mu"]) == (sel.beta, sel.eta, report.mu)
         assert np.array_equal(load_model(workdir / "model.json").coefficients, model.coefficients)
@@ -463,6 +467,60 @@ class TestSelectionBlock:
                  "target": {"kind": "none"}, "selection": block, "out": str(workdir)},
             )
             assert run(["fit", "--config", cfg]) == EXIT_INPUT
+
+
+class TestCounts:
+    """Counts outside the selection block follow the same rule: 2 and 2.0
+    pass; 2.7, "3" and true exit 2 instead of truncating or converting."""
+
+    @pytest.mark.parametrize("value", [2.7, "3", True])
+    @pytest.mark.parametrize("key", ["seed", "n_train", "n_valid"])
+    def test_generate_rejects_non_integral(self, workdir, capsys, key, value):
+        payload = {"system": "B", "seed": 1, "n_train": 20, "n_valid": 20, "out": str(workdir)}
+        cfg = write_config(workdir / "gen.json", {**payload, key: value})
+        assert run(["generate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{key} must be an integer" in captured.err
+        assert not (workdir / "B_train.csv").exists()
+
+    def test_system_spec_reads_integral_floats_as_ints(self):
+        args = argparse.Namespace(seed=None)
+        spec = cli._system_spec({"system": "B", "seed": 2.0, "n_train": 40.0, "n_valid": 30}, args, "generate config")
+        assert (spec.seed, spec.n_train, spec.n_valid) == (2, 40, 30)
+        assert all(type(v) is int for v in (spec.seed, spec.n_train, spec.n_valid))
+
+    def test_integral_floats_write_the_same_bytes(self, workdir):
+        train, valid = generate_b(workdir, n=20, seed=3)
+        expected = train.read_bytes(), valid.read_bytes(), (workdir / "B_manifest.json").read_bytes()
+        cfg = write_config(
+            workdir / "gen.json",
+            {"system": "B", "seed": 3.0, "n_train": 20.0, "n_valid": 20.0, "out": str(workdir)},
+        )
+        assert run(["generate", "--config", cfg]) == EXIT_OK
+        assert (train.read_bytes(), valid.read_bytes(), (workdir / "B_manifest.json").read_bytes()) == expected
+
+    @pytest.mark.parametrize("value", [2.5, "2", True])
+    def test_fit_rejects_non_integral_model_order(self, workdir, capsys, value):
+        train, _ = generate_b(workdir, n=20)
+        cfg = write_config(
+            workdir / "fit.json",
+            {"data": str(train), "kernel": {"structure": "gaussian"}, "target": {"kind": "none"},
+             "m": value, "out": str(workdir)},
+        )
+        assert run(["fit", "--config", cfg]) == EXIT_INPUT
+        assert "m must be an integer" in capsys.readouterr().err
+        assert not (workdir / "model.json").exists()
+
+    @pytest.mark.parametrize("extra", [{"runs": 1.5}, {"runs": "1"}, {"m": True}, {"m": 2.5}, {"seed": 2.7}])
+    def test_benchmark_rejects_non_integral(self, workdir, capsys, extra):
+        cfg = write_config(
+            workdir / "bench.json",
+            {"system": "B", "n_train": 20, "n_valid": 20, "runs": 1, "methods": ["Ba"],
+             "selection": {"restarts": 2, "max_evals": 20}, "out": str(workdir), **extra},
+        )
+        assert run(["benchmark", "--config", cfg]) == EXIT_INPUT
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (workdir / "results.csv").exists()
 
 
 class TestConfigErrors:

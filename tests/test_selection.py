@@ -1,6 +1,7 @@
 """Selection costs and the constrained hyperparameter search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,3 +246,100 @@ class TestCapAwareCost:
         assert result.cost == pytest.approx(
             _eb_from_spectrum(lam, yt, beta_eff, data.size), rel=1e-12
         )
+
+
+def hex_result(result):
+    return (result.beta.hex(), tuple(float(v).hex() for v in result.eta), result.cost.hex())
+
+
+class TestSpectrumMemo:
+    """The search memoizes its spectra on the data: a factorization is done
+    once per (structure, eta) and data, and sharing changes no result."""
+
+    def configs(self):
+        # plain EB on a Gaussian: the deltaBIBS map is the unconstrained one
+        # and the cost ignores the target, as in the H benchmark methods
+        base = SelectionConfig(method="eb", cap_aware_cost=False, optimizer=tiny_optimizer(), seed=3)
+        return replace(base, target=StabilityTarget.unconstrained()), replace(base, target=StabilityTarget.dbibs())
+
+    def test_shared_data_gives_the_fresh_results(self):
+        unconstrained, dbibs = self.configs()
+        shared = smooth_data(45, seed=1)
+        first = select_hyperparameters(unconstrained, shared, Gaussian())
+        second = select_hyperparameters(dbibs, shared, Gaussian())
+        alone_first = select_hyperparameters(unconstrained, smooth_data(45, seed=1), Gaussian())
+        alone_second = select_hyperparameters(dbibs, smooth_data(45, seed=1), Gaussian())
+        assert hex_result(first) == hex_result(alone_first)
+        assert hex_result(second) == hex_result(alone_second)
+        assert (first.evaluations, second.evaluations) == (alone_first.evaluations, alone_second.evaluations)
+
+    @pytest.mark.parametrize("method,target", [("eb", "none"), ("gcv", "dbibs")])
+    def test_memo_changes_no_result(self, monkeypatch, method, target):
+        # the reference search factors on every evaluation: each access to
+        # the memo sees an empty dict
+        from stable_sysid import solver
+
+        config = SelectionConfig(
+            method=method, target=StabilityTarget.from_config({"kind": target}),
+            optimizer=tiny_optimizer(), seed=5,
+        )
+        memoized = select_hyperparameters(config, smooth_data(45, seed=2), Gaussian())
+        monkeypatch.setattr(solver.RegressionData, "spectra", property(lambda self: {}))
+        reference = select_hyperparameters(config, smooth_data(45, seed=2), Gaussian())
+        assert hex_result(memoized) == hex_result(reference)
+        assert memoized.evaluations == reference.evaluations == reference.factorizations
+        assert memoized.factorizations < memoized.evaluations
+
+    def test_entries_are_the_spectra_of_their_keys(self):
+        from stable_sysid.selection import _spectrum
+
+        data = smooth_data(30)
+        select_hyperparameters(self.configs()[1], data, Gaussian())
+        fresh = smooth_data(30)
+        for (structure, eta_bytes), (lam, yt) in data.spectra.items():
+            eta = tuple(np.frombuffer(eta_bytes))
+            expected_lam, expected_yt = _spectrum(structure, eta, fresh)
+            assert np.array_equal(lam, expected_lam) and np.array_equal(yt, expected_yt)
+
+    def test_identical_search_replays_every_factorization(self, eigh_calls):
+        unconstrained, dbibs = self.configs()
+        data = smooth_data(45, seed=1)
+        first = select_hyperparameters(unconstrained, data, Gaussian())
+        assert 0 < first.factorizations == len(eigh_calls) == len(data.spectra)
+        assert first.factorizations <= first.evaluations
+        second = select_hyperparameters(dbibs, data, Gaussian())
+        assert second.factorizations == 0
+        assert second.evaluations == first.evaluations
+        assert len(eigh_calls) == first.factorizations
+
+    def test_memo_arrays_are_read_only(self):
+        data = smooth_data(30)
+        select_hyperparameters(self.configs()[0], data, Gaussian())
+        assert data.spectra
+        for lam, yt in data.spectra.values():
+            for values in (lam, yt):
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+
+    def test_public_costs_do_not_use_the_memo(self, eigh_calls):
+        # they are what a benchmark replay times, so each call must factor
+        data = smooth_data(30)
+        result = select_hyperparameters(self.configs()[0], data, Gaussian())
+        entries, searched = len(data.spectra), len(eigh_calls)
+        for fn in (eb_cost, gcv_cost):
+            fn(result.beta, result.eta, data, Gaussian())
+        assert len(eigh_calls) == searched + 2
+        assert len(data.spectra) == entries
+
+    def test_kfold_search_factors_nothing(self):
+        config = SelectionConfig(method="kfold", optimizer=tiny_optimizer(max_evals=40), seed=1)
+        data = smooth_data(30)
+        assert select_hyperparameters(config, data, Gaussian()).factorizations == 0
+        assert data.spectra == {}
+
+    def test_factorizations_default_and_not_compared(self):
+        from stable_sysid.selection import SelectionResult
+
+        plain = SelectionResult(beta=1.0, eta=(), cost=0.0, evaluations=3, feasible=True)
+        assert plain.factorizations == 0
+        assert plain == SelectionResult(1.0, (), 0.0, 3, True, factorizations=3)
