@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, NumericError, StableSysidError
-from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
+from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure, _config_fields
 from .predictor import PredictorModel, run_model
 from .selection import OptimizerConfig, SelectionConfig, select_hyperparameters
 from .solver import FitProblem, RegressionData, build_regression_data, solve_constrained
@@ -108,12 +108,14 @@ class SyntheticSystemSpec:
     def __post_init__(self):
         if self.variant not in ("A", "B", "H"):
             raise InputError(f"unknown system variant {self.variant!r} (expected A, B, or H)")
-        object.__setattr__(self, "n_train", int(self.n_train if self.n_train is not None else DEFAULT_N_TRAIN[self.variant]))
-        object.__setattr__(self, "n_valid", int(self.n_valid if self.n_valid is not None else DEFAULT_N_VALID[self.variant]))
-        object.__setattr__(self, "noise_std", float(self.noise_std if self.noise_std is not None else DEFAULT_NOISE_STD[self.variant]))
+        defaults = {"n_train": DEFAULT_N_TRAIN, "n_valid": DEFAULT_N_VALID, "noise_std": DEFAULT_NOISE_STD}
+        for name, table in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, table[self.variant])
+        _config_fields(self, ints=("seed", "n_train", "n_valid"), reals=("noise_std", "hh_dt"))
         if self.n_train < 3 or self.n_valid < 3:
             raise InputError("n_train and n_valid must exceed the model order (2)")
-        if self.noise_std < 0:
+        if not (self.noise_std >= 0):
             raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
         if not (self.hh_dt > 0):
             raise InputError(f"hh_dt must be > 0, got {self.hh_dt}")
@@ -398,8 +400,11 @@ class MonteCarloConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        _config_fields(self, ints=("runs", "model_order", "n_jobs"))
         if self.runs < 1:
             raise InputError(f"runs must be >= 1, got {self.runs}")
+        if self.model_order < 1:
+            raise InputError(f"model_order must be >= 1, got {self.model_order}")
         if not self.systems or not self.methods:
             raise InputError("MonteCarloConfig needs at least one system and one method")
         if self.n_jobs < 1:

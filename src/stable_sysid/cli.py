@@ -24,10 +24,13 @@ library defaults, for ``benchmark`` each method's own preset from
 :func:`benchmarks.standard_methods` (with the full-scale search budget
 under ``--full-scale``).  Keys left out keep the base value.
 
-Unknown configuration keys are rejected.  Counts (``seed``, ``n_train``,
-``n_valid``, ``m``, ``runs`` and the selection and falsifier counts) must
-be integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2.  Exit
-codes: 0 success, 2 input error, 3 infeasible stability target, 4 numeric
+Unknown configuration keys are rejected; the library's config classes
+validate the values.  Counts (``seed``, ``n_train``, ``n_valid``, ``m``,
+``runs`` and the selection and falsifier counts) must be integral: 2 and
+2.0 pass; 2.7, ``"2"`` and ``true`` exit 2.  Real values (``noise_std``,
+``hh_dt``, ``chi``, ``iota``, ``rho``, ``radius`` and kernel ``eta``
+entries) must be numbers: ``"0.5"`` and ``true`` exit 2.  Exit codes:
+0 success, 2 input error, 3 infeasible stability target, 4 numeric
 failure, 5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
 same bytes (benchmark timing columns are zeroed unless ``record_timing``
@@ -53,7 +56,7 @@ from .errors import (
     NumericError,
     StableSysidError,
 )
-from .kernels import KernelInstance, _config_int, _reject_unknown, structure_from_config
+from .kernels import KernelInstance, _config_int, _config_real, _reject_unknown, structure_from_config
 from .predictor import load_model, one_step_predict, run_model, save_model
 from .selection import SelectionConfig
 from .solver import build_regression_data
@@ -117,21 +120,20 @@ def _parse_kernel_block(cfg: dict, need_eta: bool):
     return structure, tuple(eta), _config_int(input_dim, "kernel input_dim")
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _integer(value) -> int:
     """The kernel fields' rule: 2 and 2.0 pass; 2.7, "2" and true do not."""
     return _config_int(value, "the value")
 
 
-# selection-block keys and their parsers, by the config class that owns the field
-_SELECTION_KEYS = {"method": str, "kfold_k": _integer, "iota": float, "cap_aware_cost": _flag, "seed": _integer}
-_OPTIMIZER_KEYS = {"restarts": _integer, "max_evals": _integer}
-_FALSIFY_KEYS = {"samples": _integer, "radius": float, "seed": _integer}
+def _real(value) -> float:
+    return _config_real(value, "the value")
+
+
+# selection-block keys, by the config class that owns (and validates) the field
+_SELECTION_KEYS = ("method", "kfold_k", "iota", "cap_aware_cost", "seed")
+_OPTIMIZER_KEYS = ("restarts", "max_evals")
+# falsifier keys and their parsers
+_FALSIFY_KEYS = {"samples": _integer, "radius": _real, "seed": _integer}
 
 
 def _parse_block(block: dict, parsers: dict, where: str) -> dict:
@@ -147,19 +149,17 @@ def _parse_block(block: dict, parsers: dict, where: str) -> dict:
 
 def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=None) -> SelectionConfig:
     """``base`` with the selection block's keys (and the seed override) applied."""
-    fields = _parse_block(block, {**_SELECTION_KEYS, **_OPTIMIZER_KEYS}, "selection block")
+    if not isinstance(block, dict):
+        raise InputError("selection block must be a JSON object")
+    _reject_unknown(block, {*_SELECTION_KEYS, *_OPTIMIZER_KEYS}, "selection block")
+    fields = dict(block)
     optimizer = {key: fields.pop(key) for key in _OPTIMIZER_KEYS if key in fields}
     if seed_override is not None:
-        fields["seed"] = int(seed_override)
+        fields["seed"] = seed_override
     return replace(base, optimizer=replace(base.optimizer, **optimizer), **fields)
 
 
 _SYSTEM_KEYS = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "out"}
-
-
-def _count(value, what: str):
-    """An integral config count, or None where the library default applies."""
-    return None if value is None else _config_int(value, what)
 
 
 def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
@@ -169,14 +169,13 @@ def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
     if n_valid is None and full_scale:
         n_valid = benchmarks.FULL_SCALE_N_VALID.get(variant)
     defaults = benchmarks.SyntheticSystemSpec
-    seed = cfg.get("seed", defaults.seed) if args.seed is None else args.seed
     return benchmarks.SyntheticSystemSpec(
         variant=variant,
-        seed=_config_int(seed, f"{where} seed"),
-        n_train=_count(cfg.get("n_train"), f"{where} n_train"),
-        n_valid=_count(n_valid, f"{where} n_valid"),
+        seed=cfg.get("seed", defaults.seed) if args.seed is None else args.seed,
+        n_train=cfg.get("n_train"),
+        n_valid=n_valid,
         noise_std=cfg.get("noise_std"),
-        hh_dt=float(cfg.get("hh_dt", defaults.hh_dt)),
+        hh_dt=cfg.get("hh_dt", defaults.hh_dt),
     )
 
 
@@ -223,7 +222,7 @@ def cmd_fit(args) -> int:
         structure=structure,
         target=target,
         selection=_parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed),
-        chi=float(cfg.get("chi", benchmarks.MethodSpec.chi)),
+        chi=_config_real(cfg.get("chi", benchmarks.MethodSpec.chi), "fit config chi"),
     )
     out = _out_dir(cfg, args)
     data = build_regression_data(dataset.u, dataset.y, m)
@@ -294,10 +293,7 @@ def cmd_benchmark(args) -> int:
     _reject_unknown(cfg, allowed, "benchmark config")
     full = bool(args.full_scale)
     spec = _system_spec(cfg, args, "benchmark config", full_scale=full)
-    runs = _config_int(
-        cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs,
-        "benchmark config runs",
-    )
+    runs = cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs
     full_optimizer = benchmarks.benchmark_selection_config(full_scale=True).optimizer
 
     def configured(method):
@@ -317,9 +313,7 @@ def cmd_benchmark(args) -> int:
         runs=runs,
         systems=(spec,),
         methods=tuple(methods),
-        model_order=_config_int(
-            cfg.get("m", benchmarks.MonteCarloConfig.model_order), "benchmark config m"
-        ),
+        model_order=cfg.get("m", benchmarks.MonteCarloConfig.model_order),
     )
     out = _out_dir(cfg, args)
     result = benchmarks.run_monte_carlo(config)

@@ -34,12 +34,16 @@ down-weighted by the forgetting rate ``xi``.
 replacement feature map must be norm non-expanding (``|G(a)| <= |a|``),
 which the identity satisfies with equality.
 
-Gram and cross matrices are assembled from :class:`PairTerms`, the
-``eta``-independent pair geometry of two point sets (inner products, squared
-distances, distances, ``narx_fading`` window sums), each computed on first
-use and then kept.  A caller that evaluates many ``eta`` on one point set
-keeps one ``PairTerms`` and pays for the geometry once; only the
-``eta``-dependent ``exp``/``sqrt`` work is redone per evaluation.
+Each structure writes its value once, in ``from_terms``, over
+:class:`PairTerms`, the ``eta``-independent pair geometry of two point sets
+(inner products, squared distances, distances, ``narx_fading`` window
+sums), each computed on first use and then kept.  Over the terms of all
+pairs ``(A[i], B[j])`` it yields Gram and cross matrices; over the
+row-paired terms of ``(A[i], B[i])`` it yields row pairs, and with
+``B = A`` diagonals, so ``k(a, a)`` and the squared kernel metric come from
+the same formula as the matrices.  A caller that evaluates many ``eta`` on
+one point set keeps one ``PairTerms`` and pays for the geometry once; only
+the ``eta``-dependent ``exp``/``sqrt`` work is redone per evaluation.
 
 Each structure class is also the one place that knows its stability rules:
 the closed-form membership of ``eta`` in its growth and incremental
@@ -56,6 +60,7 @@ share across workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Callable
@@ -215,10 +220,30 @@ class PairTerms:
         """``narx_fading`` window sums ``|w_t(A[i] - B[j])|^2``, t = 0..m-p."""
         key = (m, p)
         if key not in self._windows:
-            A, B = self.A, self.B
-            coords = [(A[:, c, None] - B[None, :, c]) ** 2 for c in range(A.shape[1])]
-            self._windows[key] = _window_sums(coords, m, p)
+            self._windows[key] = _window_sums(self._coord_sq(), m, p)
         return self._windows[key]
+
+    def _coord_sq(self) -> list:
+        A, B = self.A, self.B
+        return [(A[:, c, None] - B[None, :, c]) ** 2 for c in range(A.shape[1])]
+
+
+class _RowTerms(PairTerms):
+    """The pair geometry of ``A[i]`` against ``B[i]`` only: every term is a
+    length-n vector, so a structure's ``from_terms`` yields the row pairs
+    ``k_eta(A[i], B[i])`` by the same formula that builds its matrices."""
+
+    @cached_property
+    def inner(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.A, self.B)
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        return _sq_dist_pairs(self.A, self.B)
+
+    def _coord_sq(self) -> list:
+        A, B = self.A, self.B
+        return [(A[:, c] - B[:, c]) ** 2 for c in range(A.shape[1])]
 
 
 def _gauss(tau, gamma, sigma, sq: np.ndarray) -> np.ndarray:
@@ -336,8 +361,9 @@ class KernelStructure:
 
     A structure declares ``name`` and ``eta_names``, from which ``arity``,
     ``validate_eta`` (every entry finite and ``>= 0``) and the ``exp(u)``
-    unconstrained map derive, and implements its evaluation paths (rowwise
-    pairs, the cross matrix from pair terms, diagonal).  It is also the one
+    unconstrained map derive, and implements one evaluation path,
+    ``from_terms``; the generic ``diag_values`` and the module's row-pair
+    functions evaluate it on row-paired terms.  It is also the one
     place that knows its stability rules.  A structure implements the rules
     it supports; the base defaults raise :class:`UnsupportedTargetError`
     naming the structure, except where a default is given:
@@ -379,12 +405,10 @@ class KernelStructure:
             if value < 0:
                 raise InputError(f"hyperparameter {name} must be >= 0, got {value!r}")
 
-    def pair_values(self, eta: tuple, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """k_eta(A[i], B[i]) for each row i."""
-        raise NotImplementedError
-
     def from_terms(self, eta: tuple, terms: PairTerms) -> np.ndarray:
-        """Matrix with entries k_eta(terms.A[i], terms.B[j]).
+        """Matrix with entries k_eta(terms.A[i], terms.B[j]), or the vector
+        k_eta(terms.A[i], terms.B[i]) for row terms: the one place the
+        structure's value is written.
 
         The result is a fresh array that the caller may modify; the
         cached terms themselves are never returned or written.
@@ -396,11 +420,12 @@ class KernelStructure:
         return self.from_terms(eta, PairTerms(A, B))
 
     def diag_values(self, eta: tuple, A: np.ndarray) -> np.ndarray:
-        """k_eta(A[i], A[i]) for each row i; a stationary kernel's zero-lag value."""
-        return np.full(A.shape[0], self.stationary_peak(eta))
+        """k_eta(A[i], A[i]) for each row i."""
+        return self.from_terms(eta, _RowTerms(A, A))
 
     def stationary_peak(self, eta: tuple) -> float:
-        """Value of the stationary profile at zero lag (stationary kernels)."""
+        """Closed-form value of the stationary profile at zero lag
+        (stationary kernels), the ``k(a, a)`` the rules reason with."""
         raise InputError(f"kernel structure {self.name!r} is not stationary")
 
     def check_dim(self, input_dim: int) -> None:
@@ -452,17 +477,9 @@ class LinearAffine(KernelStructure):
     name = "linear_affine"
     eta_names = ("tau", "sigma")
 
-    def pair_values(self, eta, A, B):
-        tau, sigma = eta
-        return tau * np.einsum("ij,ij->i", A, B) + sigma
-
     def from_terms(self, eta, terms):
         tau, sigma = eta
         return tau * terms.inner + sigma
-
-    def diag_values(self, eta, A):
-        tau, sigma = eta
-        return tau * np.einsum("ij,ij->i", A, A) + sigma
 
     def theta_member(self, eta, rho):
         tau, sigma = eta
@@ -530,14 +547,8 @@ class Polynomial(KernelStructure):
         if len(eta) != 0:
             raise InputError(f"polynomial carries its degree on the structure; eta must be empty, got {eta!r}")
 
-    def pair_values(self, eta, A, B):
-        return np.einsum("ij,ij->i", A, B) ** self.degree
-
     def from_terms(self, eta, terms):
         return terms.inner ** self.degree
-
-    def diag_values(self, eta, A):
-        return np.einsum("ij,ij->i", A, A) ** self.degree
 
     def theta_member(self, eta, rho):
         return False
@@ -615,9 +626,6 @@ class _StationaryProfile(KernelStructure):
 class Gaussian(_StationaryProfile):
     name = "gaussian"
 
-    def pair_values(self, eta, A, B):
-        return _gauss(*eta, _sq_dist_pairs(A, B))
-
     def from_terms(self, eta, terms):
         return _gauss(*eta, terms.sq)
 
@@ -663,9 +671,6 @@ class Matern32(_StationaryProfile):
     def _profile(tau, gamma, sigma, dist):
         r = math.sqrt(3.0) * gamma * dist
         return tau * (1.0 + r) * np.exp(-r) + sigma
-
-    def pair_values(self, eta, A, B):
-        return self._profile(*eta, np.sqrt(_sq_dist_pairs(A, B)))
 
     def from_terms(self, eta, terms):
         return self._profile(*eta, terms.dist)
@@ -728,11 +733,6 @@ class NarxFading(KernelStructure):
             term = np.exp(-xi * t - gamma * sq)
             total = term if total is None else total + term
         return tau * total
-
-    def pair_values(self, eta, A, B):
-        Z = A - B
-        coords = [Z[:, c] ** 2 for c in range(Z.shape[1])]
-        return self._accumulate(eta, _window_sums(coords, self.model_order, self.window))
 
     def from_terms(self, eta, terms):
         return self._accumulate(eta, terms.window_sq(self.model_order, self.window))
@@ -814,17 +814,10 @@ class FeatureGaussian(KernelStructure):
     name = "feature_gaussian"
     eta_names = ("tau", "gamma", "sigma")
 
-    def pair_values(self, eta, A, B):
-        return np.einsum("ij,ij->i", A, B) * _gauss(*eta, _sq_dist_pairs(A, B))
-
     def from_terms(self, eta, terms):
         K = _gauss(*eta, terms.sq)
         K *= terms.inner
         return K
-
-    def diag_values(self, eta, A):
-        tau, _, sigma = eta
-        return (tau + sigma) * np.einsum("ij,ij->i", A, A)
 
     def theta_member(self, eta, rho):
         tau, _, sigma = eta
@@ -889,22 +882,13 @@ class SumKernel(KernelStructure):
         for child, part in zip(self.children, parts):
             child.validate_eta(part)
 
-    def _combine(self, eta, method, *arrays):
+    def from_terms(self, eta, terms):
         weights, parts = self.split_eta(eta)
         total = None
         for w, child, part in zip(weights, self.children, parts):
-            term = w * getattr(child, method)(part, *arrays)
+            term = w * child.from_terms(part, terms)
             total = term if total is None else total + term
         return total
-
-    def pair_values(self, eta, A, B):
-        return self._combine(eta, "pair_values", A, B)
-
-    def from_terms(self, eta, terms):
-        return self._combine(eta, "from_terms", terms)
-
-    def diag_values(self, eta, A):
-        return self._combine(eta, "diag_values", A)
 
     def stationary_peak(self, eta):
         if not self.is_stationary:
@@ -1017,17 +1001,9 @@ class ProductWithStationary(KernelStructure):
         self.left.validate_eta(eta_l)
         self.right.validate_eta(eta_r)
 
-    def pair_values(self, eta, A, B):
-        eta_l, eta_r = self.split_eta(eta)
-        return self.left.pair_values(eta_l, A, B) * self.right.pair_values(eta_r, A, B)
-
     def from_terms(self, eta, terms):
         eta_l, eta_r = self.split_eta(eta)
         return self.left.from_terms(eta_l, terms) * self.right.from_terms(eta_r, terms)
-
-    def diag_values(self, eta, A):
-        eta_l, eta_r = self.split_eta(eta)
-        return self.left.diag_values(eta_l, A) * self.right.diag_values(eta_r, A)
 
     def check_dim(self, input_dim):
         self.left.check_dim(input_dim)
@@ -1086,8 +1062,8 @@ class KernelInstance:
                 f"input_dim must be an odd integer >= 3 (2m + 1 with m >= 1), got {self.input_dim!r}"
             )
         try:
-            eta = tuple(float(v) for v in self.eta)
-        except (TypeError, ValueError) as exc:
+            eta = tuple(_config_real(v, "eta entry") for v in self.eta)
+        except (TypeError, InputError) as exc:
             raise InputError(f"eta must be a sequence of numbers, got {self.eta!r}") from exc
         object.__setattr__(self, "eta", eta)
         self.structure.validate_eta(self.eta)
@@ -1117,16 +1093,19 @@ def eval_kernel(kernel: KernelInstance, a, b) -> float:
     B = _as_rows(b, kernel.input_dim, "b")
     if A.shape[0] != 1 or B.shape[0] != 1:
         raise InputError("eval_kernel takes single vectors; use eval_pairs/eval_matrix for batches")
-    return float(kernel.structure.pair_values(kernel.eta, A, B)[0])
+    return float(kernel.structure.from_terms(kernel.eta, _RowTerms(A, B))[0])
 
 
 def eval_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
-    """Rowwise evaluation ``k_eta(A[i], B[i])``."""
+    """Rowwise evaluation ``k_eta(A[i], B[i])``: the structure's
+    ``from_terms`` on row-paired terms, the formula that also builds
+    :func:`eval_matrix`, whose diagonal it matches up to summation
+    rounding."""
     A = _as_rows(A, kernel.input_dim, "A")
     B = _as_rows(B, kernel.input_dim, "B")
     if A.shape[0] != B.shape[0]:
         raise InputError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-    return kernel.structure.pair_values(kernel.eta, A, B)
+    return kernel.structure.from_terms(kernel.eta, _RowTerms(A, B))
 
 
 def eval_matrix(kernel: KernelInstance, A, B) -> np.ndarray:
@@ -1136,12 +1115,6 @@ def eval_matrix(kernel: KernelInstance, A, B) -> np.ndarray:
     return kernel.structure.cross_matrix(kernel.eta, A, B)
 
 
-def diag_values(kernel: KernelInstance, A) -> np.ndarray:
-    """Rowwise diagonal evaluation ``k_eta(A[i], A[i])``."""
-    A = _as_rows(A, kernel.input_dim, "A")
-    return kernel.structure.diag_values(kernel.eta, A)
-
-
 def squared_kernel_metric(kernel: KernelInstance, a, b) -> float:
     """Squared kernel metric ``h(a, b) = k(a, a) - 2 k(a, b) + k(b, b)``,
     the squared distance between the canonical feature images of a and b."""
@@ -1149,13 +1122,16 @@ def squared_kernel_metric(kernel: KernelInstance, a, b) -> float:
 
 
 def metric_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
-    """Rowwise squared kernel metric ``h(A[i], B[i])``."""
+    """Rowwise squared kernel metric ``h(A[i], B[i])``.
+
+    All three terms come from the structure's ``from_terms`` on row-paired
+    terms, so ``h(a, a)`` is exactly 0 for every structure."""
     A = _as_rows(A, kernel.input_dim, "A")
     B = _as_rows(B, kernel.input_dim, "B")
     if A.shape[0] != B.shape[0]:
         raise InputError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
     s = kernel.structure
-    return s.diag_values(kernel.eta, A) - 2.0 * s.pair_values(kernel.eta, A, B) \
+    return s.diag_values(kernel.eta, A) - 2.0 * s.from_terms(kernel.eta, _RowTerms(A, B)) \
         + s.diag_values(kernel.eta, B)
 
 
@@ -1243,11 +1219,29 @@ def structure_from_config(cfg: dict) -> KernelStructure:
 
 
 def _config_int(value, what: str) -> int:
+    """A config count: integers (numpy ones too) and integral floats pass;
+    2.7, ``"2"`` and ``True`` raise."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
+
+
+def _config_real(value, what: str) -> float:
+    """A real config value as a float: numbers (numpy ones too) pass;
+    ``"0.5"`` and ``True`` raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _config_fields(config, ints=(), reals=()) -> None:
+    """Replace the named count and real fields of a frozen config by their
+    values as checked by :func:`_config_int` and :func:`_config_real`."""
+    for names, parse in ((ints, _config_int), (reals, _config_real)):
+        for name in names:
+            object.__setattr__(config, name, parse(getattr(config, name), name))
 
 
 def _config_children(value, what: str) -> tuple:

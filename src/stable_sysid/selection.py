@@ -55,7 +55,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import InputError, NumericError, StableSysidError
-from .kernels import KernelInstance, KernelStructure, gram_from_terms
+from .kernels import KernelInstance, KernelStructure, _config_fields, gram_from_terms
 from .solver import (
     RegressionData,
     _eig_psd,
@@ -98,6 +98,7 @@ class OptimizerConfig:
     fatol: float = 1e-8
 
     def __post_init__(self):
+        _config_fields(self, ints=("restarts", "max_evals"))
         if self.restarts < 1:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_evals < self.restarts:
@@ -123,8 +124,11 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _config_fields(self, ints=("kfold_k", "seed"), reals=("iota",))
         if self.method not in ("eb", "gcv", "kfold"):
             raise InputError(f"unknown selection method {self.method!r}")
+        if not isinstance(self.cap_aware_cost, bool):
+            raise InputError(f"cap_aware_cost must be true or false, got {self.cap_aware_cost!r}")
         if not (self.iota > 0 and math.isfinite(self.iota)):
             raise InputError(f"iota must be finite and > 0, got {self.iota!r}")
         if not (0.0 < self.chi < 1.0):

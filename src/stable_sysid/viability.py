@@ -25,6 +25,8 @@ per membership function below.
 
 ``numeric_falsifier`` samples the defining conditions directly: a returned
 witness disproves membership, while absence of a witness is evidence only.
+It samples ``k(a, a)`` and ``h(a, b)`` from the kernel's own formula (the
+structure's ``from_terms``), so ``h(a, a) = 0`` exactly.
 
 ``feasible_parameterization`` exposes each nonempty set through a smooth
 map from unconstrained coordinates, which is how the hyperparameter search
@@ -44,8 +46,8 @@ from .kernels import (
     FeasibleParameterization,
     KernelInstance,
     KernelStructure,
+    _config_real,
     _reject_unknown,
-    diag_values,
     gaussian_delta_boundary,
     metric_pairs,
 )
@@ -160,10 +162,7 @@ class StabilityTarget:
             _reject_unknown(cfg, {"kind", "rho"}, f"target kind {kind!r}")
             if "rho" not in cfg:
                 raise InputError(f"target kind {kind!r} needs a 'rho' value")
-            try:
-                rho = float(cfg["rho"])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"'rho' must be a number, got {cfg['rho']!r}") from exc
+            rho = _config_real(cfg["rho"], "'rho'")
             if not (0 <= rho < INF):
                 raise InputError(f"'rho' must be a finite value >= 0 here (use bibs/dbibs for rho=inf), got {rho}")
             return cls.viable(rho) if kind == "viable" else cls.delta_viable(rho)
@@ -290,7 +289,7 @@ def numeric_falsifier(
         # of a point (growth) or of a separation (incremental)
         if not is_delta:
             arrays = (A,)
-            vals = diag_values(kernel, A)
+            vals = kernel.structure.diag_values(kernel.eta, A)
             size2 = np.einsum("ij,ij->i", A, A)
         else:
             # half perturbation pairs (log-uniform separations), half independent

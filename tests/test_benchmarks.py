@@ -164,6 +164,43 @@ class TestGenerateDataset:
             SyntheticSystemSpec("C", seed=0)
 
 
+class TestConfigValues:
+    """The config dataclasses validate their own counts and real values."""
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({"seed": 2.7}, "seed"), ({"n_train": 40.9}, "n_train"), ({"n_valid": "30"}, "n_valid"),
+         ({"seed": True}, "seed"), ({"noise_std": True}, "noise_std"), ({"hh_dt": "0.001"}, "hh_dt")],
+    )
+    def test_system_spec_rejects_bad_values(self, kwargs, field):
+        with pytest.raises(InputError, match=f"^{field} must be an? (integer|number)"):
+            SyntheticSystemSpec("B", **kwargs)
+
+    def test_system_spec_normalizes_integral_and_numpy_values(self):
+        spec = SyntheticSystemSpec("B", seed=np.int64(3), n_train=40.0, n_valid=np.int32(30), noise_std=np.float32(0.5))
+        assert (spec.seed, spec.n_train, spec.n_valid, spec.noise_std) == (3, 40, 30, 0.5)
+        assert [type(v) for v in (spec.seed, spec.n_train, spec.n_valid, spec.noise_std, spec.hh_dt)] == [
+            int, int, int, float, float
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [({"runs": 1.5}, "runs must be an integer"), ({"model_order": 2.5}, "model_order must be an integer"),
+         ({"n_jobs": True}, "n_jobs must be an integer"), ({"model_order": 0}, "model_order must be >= 1")],
+    )
+    def test_monte_carlo_config_rejects_bad_counts(self, kwargs, message):
+        spec = SyntheticSystemSpec("B", seed=1, n_train=20, n_valid=20)
+        methods = standard_methods("B", fast_selection())
+        with pytest.raises(InputError, match=message):
+            MonteCarloConfig(**{"runs": 1, "systems": (spec,), "methods": methods, **kwargs})
+
+    def test_monte_carlo_config_accepts_numpy_counts(self):
+        spec = SyntheticSystemSpec("B", seed=1, n_train=20, n_valid=20)
+        config = MonteCarloConfig(runs=np.int64(2), systems=(spec,), methods=standard_methods("B"), model_order=2.0)
+        assert (config.runs, config.model_order) == (2, 2)
+        assert type(config.runs) is int and type(config.model_order) is int
+
+
 def reference_multisine(ms, t):
     """The multisine summed one full-length temporary per sine."""
     t = np.asarray(t, dtype=float)

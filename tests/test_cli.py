@@ -523,6 +523,79 @@ class TestCounts:
         assert not (workdir / "results.csv").exists()
 
 
+class TestRealValues:
+    """Real-valued config values are numbers: true and "0.5" exit 2 instead
+    of reading as 1.0 or 0.5."""
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("key", ["noise_std", "hh_dt"])
+    def test_generate_rejects_non_numbers(self, workdir, capsys, key, value):
+        payload = {"system": "B", "seed": 1, "n_train": 20, "n_valid": 20, "out": str(workdir), key: value}
+        cfg = write_config(workdir / "gen.json", payload)
+        assert run(["generate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{key} must be a number" in captured.err
+        assert not (workdir / "B_train.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"chi": "0.5"}, {"chi": True}, {"selection": {"iota": "1e-8"}}, {"selection": {"iota": True}},
+         {"target": {"kind": "dviable", "rho": "1"}}, {"target": {"kind": "viable", "rho": True}}],
+    )
+    def test_fit_rejects_non_numbers(self, workdir, capsys, extra):
+        train, _ = generate_b(workdir, n=20)
+        payload = {"data": str(train), "kernel": {"structure": "gaussian"}, "target": {"kind": "none"},
+                   "out": str(workdir), **extra}
+        cfg = write_config(workdir / "fit.json", payload)
+        assert run(["fit", "--config", cfg]) == EXIT_INPUT
+        assert "must be a number" in capsys.readouterr().err
+        assert not (workdir / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "kernel,extra",
+        [
+            ({"eta": [True, 1.0, 0.0]}, {}),
+            ({"eta": ["0.5", 1.0, 0.0]}, {}),
+            ({}, {"falsify": {"samples": 10, "radius": "50"}}),
+            ({}, {"falsify": {"samples": 10, "radius": True}}),
+            ({}, {"target": {"kind": "dviable", "rho": "1.0"}}),
+            ({}, {"target": {"kind": "dviable", "rho": False}}),
+        ],
+    )
+    def test_check_viability_rejects_non_numbers(self, workdir, capsys, kernel, extra):
+        block = {"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5, **kernel}
+        cfg = write_config(workdir / "check.json", {"kernel": block, "target": {"kind": "diss"}, **extra})
+        assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+
+    @pytest.mark.parametrize("entry", [True, "1.0"])
+    def test_model_file_eta_must_be_numbers(self, workdir, capsys, entry):
+        train, _ = generate_b(workdir, n=20)
+        model = workdir / "model.json"
+        model.write_text(json.dumps({
+            "model_order": 2,
+            "kernel": {"structure": "gaussian", "eta": [entry, 1.0, 0.0], "input_dim": 5},
+            "stability_target": {"kind": "none"},
+            "centers": [[0.0] * 5],
+            "coefficients": [0.0],
+        }))
+        cfg = write_config(workdir / "sim.json", {"model": str(model), "data": str(train), "out": str(workdir)})
+        assert run(["simulate", "--config", cfg]) == EXIT_INPUT
+        assert "eta must be a sequence of numbers" in capsys.readouterr().err
+        assert not (workdir / "simulate.csv").exists()
+
+    def test_benchmark_rejects_zero_model_order(self, workdir, capsys):
+        cfg = write_config(
+            workdir / "bench.json",
+            {"system": "B", "n_train": 20, "n_valid": 20, "runs": 1, "methods": ["Ba"], "m": 0,
+             "selection": {"restarts": 2, "max_evals": 20}, "out": str(workdir)},
+        )
+        assert run(["benchmark", "--config", cfg]) == EXIT_INPUT
+        assert "model_order must be >= 1" in capsys.readouterr().err
+        assert not (workdir / "results.csv").exists()
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, workdir, capsys):
         assert run(["generate", "--config", workdir / "nope.json"]) == EXIT_INPUT

@@ -17,6 +17,7 @@ from stable_sysid import (
     ProductWithStationary,
     SumKernel,
     eval_kernel,
+    eval_matrix,
     eval_pairs,
     gram_matrix,
     lambert_w0,
@@ -24,7 +25,9 @@ from stable_sysid import (
 )
 from stable_sysid.kernels import (
     PairTerms,
+    _RowTerms,
     gram_from_terms,
+    metric_pairs,
     structure_from_config,
     structure_to_config,
 )
@@ -218,15 +221,147 @@ class TestPairTerms:
         for (m, p), windows in terms._windows.items():
             for got, want in zip(windows, fresh.window_sq(m, p)):
                 assert np.array_equal(got, want)
+        # the row-paired terms serve many eta the same way
+        Q = np.random.default_rng(6).normal(size=(6, 5))
+        rows = _RowTerms(P, Q)
+        for kernel in (first, scaled, first):
+            assert np.array_equal(structure.from_terms(kernel.eta, rows), eval_pairs(kernel, P, Q))
+        fresh = _RowTerms(P, Q)
+        for name in ("inner", "sq", "dist"):
+            if name in rows.__dict__:
+                assert np.array_equal(rows.__dict__[name], getattr(fresh, name))
+        for (m, p), windows in rows._windows.items():
+            for got, want in zip(windows, fresh.window_sq(m, p)):
+                assert np.array_equal(got, want)
+
+
+def reference_pairs(structure, eta, A, B):
+    """Each structure's row pairs k(A[i], B[i]) as written before every
+    evaluation went through ``from_terms``: one formula per structure."""
+    def sq_dist():
+        d = A - B
+        return np.einsum("ij,ij->i", d, d)
+
+    def gauss(tau, gamma, sigma, sq):
+        return tau * np.exp(-gamma * sq) + sigma
+
+    if isinstance(structure, LinearAffine):
+        tau, sigma = eta
+        return tau * np.einsum("ij,ij->i", A, B) + sigma
+    if isinstance(structure, Polynomial):
+        return np.einsum("ij,ij->i", A, B) ** structure.degree
+    if isinstance(structure, Gaussian):
+        return gauss(*eta, sq_dist())
+    if isinstance(structure, Matern32):
+        tau, gamma, sigma = eta
+        r = math.sqrt(3.0) * gamma * np.sqrt(sq_dist())
+        return tau * (1.0 + r) * np.exp(-r) + sigma
+    if isinstance(structure, NarxFading):
+        tau, gamma, xi = eta
+        m, p = structure.model_order, structure.window
+        Z = A - B
+        coords = [Z[:, c] ** 2 for c in range(Z.shape[1])]
+        total = None
+        for t in range(m - p + 1):
+            acc = coords[t].copy()
+            for c in range(t + 1, t + p):
+                acc += coords[c]
+            for c in range(m + t, m + t + p):
+                acc += coords[c]
+            term = np.exp(-xi * t - gamma * acc)
+            total = term if total is None else total + term
+        return tau * total
+    if isinstance(structure, FeatureGaussian):
+        return np.einsum("ij,ij->i", A, B) * gauss(*eta, sq_dist())
+    if isinstance(structure, SumKernel):
+        weights, parts = structure.split_eta(eta)
+        total = None
+        for w, child, part in zip(weights, structure.children, parts):
+            term = w * reference_pairs(child, part, A, B)
+            total = term if total is None else total + term
+        return total
+    if isinstance(structure, ProductWithStationary):
+        eta_l, eta_r = structure.split_eta(eta)
+        return reference_pairs(structure.left, eta_l, A, B) * reference_pairs(structure.right, eta_r, A, B)
+    raise AssertionError(f"no reference for {structure!r}")
+
+
+def reference_diag(structure, eta, A):
+    """Each structure's diagonal k(A[i], A[i]) as written in closed form
+    before diagonals went through ``from_terms``; narx_fading excluded."""
+    zz = np.einsum("ij,ij->i", A, A)
+    if isinstance(structure, LinearAffine):
+        tau, sigma = eta
+        return tau * zz + sigma
+    if isinstance(structure, Polynomial):
+        return zz ** structure.degree
+    if isinstance(structure, (Gaussian, Matern32)):
+        tau, _, sigma = eta
+        return np.full(A.shape[0], tau + sigma)
+    if isinstance(structure, FeatureGaussian):
+        tau, _, sigma = eta
+        return (tau + sigma) * zz
+    if isinstance(structure, SumKernel):
+        weights, parts = structure.split_eta(eta)
+        total = None
+        for w, child, part in zip(weights, structure.children, parts):
+            term = w * reference_diag(child, part, A)
+            total = term if total is None else total + term
+        return total
+    if isinstance(structure, ProductWithStationary):
+        eta_l, eta_r = structure.split_eta(eta)
+        return reference_diag(structure.left, eta_l, A) * reference_diag(structure.right, eta_r, A)
+    raise AssertionError(f"no reference for {structure!r}")
+
+
+def has_narx(structure):
+    if isinstance(structure, SumKernel):
+        return any(has_narx(c) for c in structure.children)
+    if isinstance(structure, ProductWithStationary):
+        return has_narx(structure.left) or has_narx(structure.right)
+    return isinstance(structure, NarxFading)
+
+
+class TestOneFormula:
+    """Matrices, row pairs and diagonals all come from ``from_terms``."""
+
+    @pytest.mark.parametrize("structure,eta", pair_term_cases())
+    def test_rows_bit_equal_to_reference(self, structure, eta):
+        rng = np.random.default_rng(8)
+        A, B = rng.normal(scale=1.5, size=(2, 300, 5))
+        kernel = KernelInstance(structure, eta, 5)
+        assert np.array_equal(eval_pairs(kernel, A, B), reference_pairs(structure, eta, A, B))
+        assert eval_kernel(kernel, A[0], B[0]) == reference_pairs(structure, eta, A[:1], B[:1])[0]
+
+    @pytest.mark.parametrize("structure,eta", pair_term_cases())
+    def test_pairs_match_matrix_diagonal(self, structure, eta):
+        rng = np.random.default_rng(9)
+        A, B = rng.normal(scale=1.5, size=(2, 50, 5))
+        kernel = KernelInstance(structure, eta, 5)
+        pairs, diagonal = eval_pairs(kernel, A, B), np.diag(eval_matrix(kernel, A, B))
+        if isinstance(structure, (Gaussian, Matern32, NarxFading)):
+            # distance-only kernels: the same sums in the same order
+            assert np.array_equal(pairs, diagonal)
+        else:
+            # a row inner product and a matrix product round differently
+            assert np.all(np.abs(pairs - diagonal) <= 1e-12 * np.abs(diagonal))
+
+    @pytest.mark.parametrize("structure,eta", [c for c in pair_term_cases() if not has_narx(c[0])])
+    def test_diagonal_bit_equal_to_closed_form(self, structure, eta):
+        A = np.random.default_rng(10).normal(scale=1.5, size=(40, 5))
+        assert np.array_equal(structure.diag_values(eta, A), reference_diag(structure, eta, A))
 
 
 class TestSquaredKernelMetric:
-    @pytest.mark.parametrize("structure,eta", all_structures())
+    @pytest.mark.parametrize("structure,eta", pair_term_cases())
     def test_zero_at_identical_points(self, structure, eta):
+        # k(a, a) and k(a, b) come from one formula, so h(a, a) is exactly 0
         k = KernelInstance(structure, eta, 5)
         rng = np.random.default_rng(3)
         a = rng.normal(size=5)
-        assert squared_kernel_metric(k, a, a) == pytest.approx(0.0, abs=1e-12)
+        assert squared_kernel_metric(k, a, a) == 0.0
+        A = rng.normal(scale=2.0, size=(500, 5))
+        assert np.all(metric_pairs(k, A, A) == 0.0)
 
     def test_gaussian_metric_at_unit_sqdist(self):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
@@ -403,11 +538,12 @@ class TestConfigRoundTrip:
 
     def test_integral_values_accepted(self):
         assert structure_from_config({"structure": "polynomial", "degree": 3.0}) == Polynomial(degree=3)
+        assert structure_from_config({"structure": "polynomial", "degree": np.int64(3)}) == Polynomial(degree=3)
         narx = structure_from_config({"structure": "narx_fading", "model_order": 2.0, "window": 1})
         assert narx == NarxFading(model_order=2, window=1)
         assert structure_to_config(narx) == {"structure": "narx_fading", "model_order": 2, "window": 1}
 
-    @pytest.mark.parametrize("eta", ["abc", ["a", 1.0, 0.0], 5])
+    @pytest.mark.parametrize("eta", ["abc", ["a", 1.0, 0.0], 5, [True, 1.0, 0.0], ["0.5", 1.0, 0.0]])
     def test_eta_of_non_numbers_is_input_error(self, eta):
         with pytest.raises(InputError, match="eta must be a sequence of numbers"):
             KernelInstance(Gaussian(), eta, 5)

@@ -1,0 +1,151 @@
+"""Digest of the CLI's deterministic outputs over a fixed command list.
+
+Run from the repository root, with no flags:
+
+    PYTHONPATH=src python tools/cli_digest.py
+
+Every command runs in-process, in one temporary working directory and with
+relative paths only, so no output depends on where the script ran.  For each
+command the script prints one ``sha256  name`` line for its standard output,
+its standard error, its exit code and each file it wrote.  Two checkouts that
+behave the same print the same lines: ``diff`` two runs to compare them.
+
+The list covers ``generate`` on A, B and H; ``fit`` on all eight kernel
+structures and the iss, bibs, diss, dbibs, viable and dviable targets at a
+small search budget; ``predict`` and ``simulate``; ``check-viability`` with
+the falsifier, including narx_fading and a sum with a narx_fading child,
+both with witnesses; and a one-run ``benchmark`` on A, B and H.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from stable_sysid import cli
+
+SEARCH = {"restarts": 1, "max_evals": 30}
+NARX = {"structure": "narx_fading", "model_order": 2, "window": 1}
+
+GENERATE = [
+    ("generate-A", {"system": "A", "seed": 3, "n_train": 60, "n_valid": 60, "out": "data"}),
+    ("generate-B", {"system": "B", "seed": 4, "n_train": 60, "n_valid": 60, "out": "data"}),
+    ("generate-H", {"system": "H", "seed": 5, "n_train": 60, "n_valid": 60, "out": "data"}),
+]
+
+# (name, training data, kernel block, target)
+FITS = [
+    ("fit-linear_affine-viable", "B", {"structure": "linear_affine"}, {"kind": "viable", "rho": 0.5}),
+    ("fit-polynomial-none", "B", {"structure": "polynomial", "degree": 2}, {"kind": "none"}),
+    ("fit-gaussian-dbibs", "B", {"structure": "gaussian"}, {"kind": "dbibs"}),
+    ("fit-matern32-diss", "B", {"structure": "matern32"}, {"kind": "diss"}),
+    ("fit-narx_fading-dviable", "B", NARX, {"kind": "dviable", "rho": 0.5}),
+    ("fit-feature_gaussian-iss", "A", {"structure": "feature_gaussian"}, {"kind": "iss"}),
+    (
+        "fit-sum-bibs",
+        "A",
+        {"structure": "sum", "children": [{"structure": "gaussian"}, {"structure": "linear_affine"}]},
+        {"kind": "bibs"},
+    ),
+    (
+        "fit-product_stationary-iss",
+        "A",
+        {"structure": "product_stationary", "left": {"structure": "linear_affine"}, "right": {"structure": "gaussian"}},
+        {"kind": "iss"},
+    ),
+    ("fit-gaussian-dbibs-H", "H", {"structure": "gaussian"}, {"kind": "dbibs"}),
+]
+
+# (command, fit whose model runs, validation data)
+RUNS = [
+    ("predict", "fit-gaussian-dbibs", "B"),
+    ("simulate", "fit-gaussian-dbibs", "B"),
+    ("simulate", "fit-narx_fading-dviable", "B"),
+    ("simulate", "fit-sum-bibs", "A"),
+    ("simulate", "fit-gaussian-dbibs-H", "H"),
+]
+
+FALSIFY = {"samples": 4000, "radius": 5.0, "seed": 1}
+CHECKS = [
+    ("check-gaussian-diss", {"structure": "gaussian", "eta": [0.4, 1.0, 0.1]}, {"kind": "diss"}),
+    ("check-gaussian-dviable-witness", {"structure": "gaussian", "eta": [3.0, 2.0, 0.1]}, {"kind": "dviable", "rho": 0.5}),
+    ("check-narx_fading-iss-witness", {**NARX, "eta": [0.6, 0.5, 0.3]}, {"kind": "iss"}),
+    ("check-narx_fading-diss-witness", {**NARX, "eta": [5.0, 2.0, 0.1]}, {"kind": "diss"}),
+    ("check-narx_fading-dbibs", {**NARX, "eta": [0.6, 0.5, 0.3]}, {"kind": "dbibs"}),
+    (
+        "check-sum-narx-diss-witness",
+        {"structure": "sum", "children": [{"structure": "gaussian"}, NARX], "eta": [0.5, 0.5, 2.0, 2.0, 0.1, 4.0, 1.0, 0.2]},
+        {"kind": "diss"},
+    ),
+    ("check-feature_gaussian-bibs", {"structure": "feature_gaussian", "eta": [0.5, 0.7, 0.2]}, {"kind": "bibs"}),
+]
+
+BENCHMARKS = [
+    (f"benchmark-{system}", {"system": system, "seed": 6, "n_train": 40, "n_valid": 60, "runs": 1, "selection": SEARCH})
+    for system in ("A", "B", "H")
+]
+
+
+def commands():
+    """``(name, argv, config)`` for every command, in run order; a command
+    that writes files writes them to ``out/<name>``."""
+    for name, cfg in GENERATE:
+        yield name, ["generate"], cfg
+    for name, system, kernel, target in FITS:
+        data = f"data/{system}_train.csv"
+        yield name, ["fit"], {"data": data, "kernel": kernel, "target": target, "selection": SEARCH, "out": f"out/{name}"}
+    for want, fit, system in RUNS:
+        name = f"{want}-{fit}"
+        yield name, [want], {"model": f"out/{fit}/model.json", "data": f"data/{system}_valid.csv", "out": f"out/{name}"}
+    for name, kernel, target in CHECKS:
+        yield name, ["check-viability"], {"kernel": {**kernel, "input_dim": 5}, "target": target, "falsify": FALSIFY}
+    for name, cfg in BENCHMARKS:
+        yield name, ["benchmark"], {**cfg, "out": f"out/{name}"}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(name, argv, cfg) -> list:
+    """Run one command; the ``(digest, name)`` lines of everything it produced."""
+    config = Path("configs") / f"{name}.json"
+    config.write_text(json.dumps(cfg))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--config", str(config)])
+    lines = [
+        (sha256(stdout.getvalue().encode()), f"{name}/stdout"),
+        (sha256(stderr.getvalue().encode()), f"{name}/stderr"),
+        (sha256(str(code).encode()), f"{name}/exit"),
+    ]
+    if "out" not in cfg:
+        files = []
+    elif argv == ["generate"]:  # the systems share one data directory
+        files = sorted(Path(cfg["out"]).glob(f"{cfg['system']}_*"))
+    else:
+        files = sorted(Path(cfg["out"]).glob("*"))
+    lines += [(sha256(path.read_bytes()), f"{name}/{path.name}") for path in files]
+    return lines
+
+
+def main() -> None:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("configs").mkdir()
+            for name, argv, cfg in commands():
+                for digest, label in run(name, argv, cfg):
+                    print(f"{digest}  {label}")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()
