@@ -64,8 +64,6 @@ from .selection import (
 )
 from .predictor import (
     PredictorModel,
-    ProbeConfig,
-    ProbeReport,
     SimulationResult,
     evaluate_f,
     load_model,
@@ -74,7 +72,6 @@ from .predictor import (
     run_model,
     save_model,
     simulate,
-    stability_probe,
 )
 from .benchmarks import (
     Dataset,

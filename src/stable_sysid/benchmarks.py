@@ -387,6 +387,9 @@ class MethodSpec:
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     chi: float = 0.99
 
+    def __post_init__(self):
+        _config_fields(self, reals=("chi",))
+
     def selection_config(self) -> SelectionConfig:
         return replace(self.selection, target=self.target, chi=self.chi)
 

@@ -24,13 +24,21 @@ library defaults, for ``benchmark`` each method's own preset from
 :func:`benchmarks.standard_methods` (with the full-scale search budget
 under ``--full-scale``).  Keys left out keep the base value.
 
-Unknown configuration keys are rejected; the library's config classes
-validate the values.  Counts (``seed``, ``n_train``, ``n_valid``, ``m``,
-``runs`` and the selection and falsifier counts) must be integral: 2 and
-2.0 pass; 2.7, ``"2"`` and ``true`` exit 2.  Real values (``noise_std``,
-``hh_dt``, ``chi``, ``iota``, ``rho``, ``radius`` and kernel ``eta``
-entries) must be numbers: ``"0.5"`` and ``true`` exit 2.  Exit codes:
-0 success, 2 input error, 3 infeasible stability target, 4 numeric
+The kernel block of ``check-viability`` and of a ``model.json`` is the
+library's :func:`kernels.kernel_from_config`; ``fit`` reads only its
+structure fields.  The ``falsify`` block's keys (``samples``, ``radius``,
+``seed``) set :func:`viability.numeric_falsifier`'s ``sample_count``,
+``radius`` and ``seed``; keys left out keep that function's defaults.
+
+Unknown configuration keys are rejected; the library's config classes and
+functions validate the values, so every block (``model.json`` and the
+``falsify`` block included) follows the library's rules.  Counts
+(``seed``, ``n_train``, ``n_valid``, ``m``, ``runs``, ``input_dim``,
+``model_order`` and the structure, selection and falsifier counts) must be
+integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2.  Real values
+(``noise_std``, ``hh_dt``, ``chi``, ``iota``, ``rho``, ``radius`` and kernel
+``eta`` entries) must be numbers: ``"0.5"`` and ``true`` exit 2.  Exit
+codes: 0 success, 2 input error, 3 infeasible stability target, 4 numeric
 failure, 5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
 same bytes (benchmark timing columns are zeroed unless ``record_timing``
@@ -56,7 +64,7 @@ from .errors import (
     NumericError,
     StableSysidError,
 )
-from .kernels import KernelInstance, _config_int, _config_real, _reject_unknown, structure_from_config
+from .kernels import _reject_unknown, _structure_block, kernel_from_config, structure_from_config
 from .predictor import load_model, one_step_predict, run_model, save_model
 from .selection import SelectionConfig
 from .solver import build_regression_data
@@ -103,48 +111,11 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _parse_kernel_block(cfg: dict, need_eta: bool):
-    """Kernel block: structure fields + optional eta + input_dim."""
-    if not isinstance(cfg, dict):
-        raise InputError("kernel block must be a JSON object")
-    block = dict(cfg)
-    eta = block.pop("eta", None)
-    input_dim = block.pop("input_dim", None)
-    structure = structure_from_config(block)
-    if not need_eta:
-        return structure, None, None
-    if not isinstance(eta, list):
-        raise InputError("kernel block needs an 'eta' list for this command")
-    if input_dim is None:
-        raise InputError("kernel block needs 'input_dim' for this command")
-    return structure, tuple(eta), _config_int(input_dim, "kernel input_dim")
-
-
-def _integer(value) -> int:
-    """The kernel fields' rule: 2 and 2.0 pass; 2.7, "2" and true do not."""
-    return _config_int(value, "the value")
-
-
-def _real(value) -> float:
-    return _config_real(value, "the value")
-
-
 # selection-block keys, by the config class that owns (and validates) the field
 _SELECTION_KEYS = ("method", "kfold_k", "iota", "cap_aware_cost", "seed")
 _OPTIMIZER_KEYS = ("restarts", "max_evals")
-# falsifier keys and their parsers
-_FALSIFY_KEYS = {"samples": _integer, "radius": _real, "seed": _integer}
-
-
-def _parse_block(block: dict, parsers: dict, where: str) -> dict:
-    """The block's values, each passed through the parser of its key."""
-    if not isinstance(block, dict):
-        raise InputError(f"{where} must be a JSON object")
-    _reject_unknown(block, parsers.keys(), where)
-    try:
-        return {key: parse(block[key]) for key, parse in parsers.items() if key in block}
-    except (TypeError, ValueError, InputError) as exc:
-        raise InputError(f"invalid value in {where}: {exc}") from exc
+# falsify-block keys and the numeric_falsifier arguments they set
+_FALSIFIER_ARGS = {"samples": "sample_count", "radius": "radius", "seed": "seed"}
 
 
 def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=None) -> SelectionConfig:
@@ -164,19 +135,18 @@ _SYSTEM_KEYS = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "o
 
 def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
     """The system spec of a ``generate`` or ``benchmark`` config."""
-    variant = _require(cfg, "system", where)
-    n_valid = cfg.get("n_valid")
-    if n_valid is None and full_scale:
-        n_valid = benchmarks.FULL_SCALE_N_VALID.get(variant)
     defaults = benchmarks.SyntheticSystemSpec
-    return benchmarks.SyntheticSystemSpec(
-        variant=variant,
+    spec = benchmarks.SyntheticSystemSpec(
+        variant=_require(cfg, "system", where),
         seed=cfg.get("seed", defaults.seed) if args.seed is None else args.seed,
         n_train=cfg.get("n_train"),
-        n_valid=n_valid,
+        n_valid=cfg.get("n_valid"),
         noise_std=cfg.get("noise_std"),
         hh_dt=cfg.get("hh_dt", defaults.hh_dt),
     )
+    if full_scale and cfg.get("n_valid") is None:
+        spec = replace(spec, n_valid=benchmarks.FULL_SCALE_N_VALID[spec.variant])
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +184,18 @@ def cmd_fit(args) -> int:
     allowed = {"data", "kernel", "target", "selection", "m", "chi", "out", "model_name"}
     _reject_unknown(cfg, allowed, "fit config")
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", "fit config"))
-    m = _config_int(cfg.get("m", benchmarks.MonteCarloConfig.model_order), "fit config m")
+    data = build_regression_data(dataset.u, dataset.y, cfg.get("m", benchmarks.MonteCarloConfig.model_order))
     target = StabilityTarget.from_config(_require(cfg, "target", "fit config"))
-    structure, _, _ = _parse_kernel_block(_require(cfg, "kernel", "fit config"), need_eta=False)
+    # the search selects eta, and m sets input_dim: the block's own are ignored
+    structure = structure_from_config(_structure_block(_require(cfg, "kernel", "fit config")))
     method = benchmarks.MethodSpec(
         name="fit",
         structure=structure,
         target=target,
         selection=_parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed),
-        chi=_config_real(cfg.get("chi", benchmarks.MethodSpec.chi), "fit config chi"),
+        chi=cfg.get("chi", benchmarks.MethodSpec.chi),
     )
     out = _out_dir(cfg, args)
-    data = build_regression_data(dataset.u, dataset.y, m)
     model, report, sel = benchmarks.fit_method(data, method)
 
     model_path = out / cfg.get("model_name", "model.json")
@@ -346,26 +316,21 @@ def cmd_check_viability(args) -> int:
     cfg = _load_config(args.config)
     allowed = {"kernel", "target", "falsify"}
     _reject_unknown(cfg, allowed, "check-viability config")
-    structure, eta, input_dim = _parse_kernel_block(
-        _require(cfg, "kernel", "check-viability config"), need_eta=True
-    )
+    kernel = kernel_from_config(_require(cfg, "kernel", "check-viability config"))
     target = StabilityTarget.from_config(_require(cfg, "target", "check-viability config"))
     if target.kind == "unconstrained":
         raise InputError("check-viability needs a constrained stability target")
     falsify = cfg.get("falsify")
     if falsify is not None:
-        falsify = _parse_block(falsify, _FALSIFY_KEYS, "falsify block")
-    kernel = KernelInstance(structure=structure, eta=eta, input_dim=input_dim)
-    verdict = membership(structure, kernel.eta, target)
+        if not isinstance(falsify, dict):
+            raise InputError("falsify block must be a JSON object")
+        _reject_unknown(falsify, _FALSIFIER_ARGS.keys(), "falsify block")
+    verdict = membership(kernel.structure, kernel.eta, target)
+    if falsify is not None:
+        witness = numeric_falsifier(kernel, target, **{_FALSIFIER_ARGS[k]: v for k, v in falsify.items()})
+    # nothing is printed until every input has been checked
     print(f"target {target.label()}: {'member' if verdict else 'not member'}")
     if falsify is not None:
-        witness = numeric_falsifier(
-            kernel,
-            target,
-            sample_count=falsify.get("samples", 100_000),
-            radius=falsify.get("radius", 50.0),
-            seed=falsify.get("seed", 0),
-        )
         if witness is None:
             print("falsifier: no witness found")
         else:

@@ -93,17 +93,21 @@ __all__ = [
     "lambert_w0",
     "structure_to_config",
     "structure_from_config",
+    "kernel_to_config",
+    "kernel_from_config",
 ]
 
 _INV_E = math.exp(-1.0)
 INF = math.inf
+# undershoot below -1/e that lambert_w0 still reads as -1/e, not a domain error
+LAMBERT_DOMAIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Lambert W, principal branch
 # ---------------------------------------------------------------------------
 
-def lambert_w0(x: float, tol: float = 1e-12) -> float:
+def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function.
 
     Solves ``w * exp(w) = x`` for ``w >= -1``, defined for ``x >= -1/e``.
@@ -114,9 +118,7 @@ def lambert_w0(x: float, tol: float = 1e-12) -> float:
     Parameters
     ----------
     x : float
-        Argument, must satisfy ``x >= -1/e`` up to a small tolerance.
-    tol : float
-        Allowed undershoot below ``-1/e`` before a domain error is raised.
+        Argument, must satisfy ``x >= -1/e`` up to ``LAMBERT_DOMAIN_TOL``.
 
     Returns
     -------
@@ -125,7 +127,7 @@ def lambert_w0(x: float, tol: float = 1e-12) -> float:
     """
     if not math.isfinite(x):
         raise InputError(f"lambert_w0 requires a finite argument, got {x!r}")
-    if x < -_INV_E - tol:
+    if x < -_INV_E - LAMBERT_DOMAIN_TOL:
         raise InputError(
             f"lambert_w0 domain is [-1/e, inf); got x = {x!r} < {-_INV_E!r}"
         )
@@ -540,8 +542,9 @@ class Polynomial(KernelStructure):
     name = "polynomial"
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 2:
-            raise InputError(f"polynomial degree must be an integer >= 2, got {self.degree!r}")
+        _config_fields(self, ints=("degree",))
+        if self.degree < 2:
+            raise InputError(f"polynomial degree must be >= 2, got {self.degree}")
 
     def validate_eta(self, eta):
         if len(eta) != 0:
@@ -712,11 +715,12 @@ class NarxFading(KernelStructure):
     eta_names = ("tau", "gamma", "xi")
 
     def __post_init__(self):
+        _config_fields(self, ints=("model_order", "window"))
         m, p = self.model_order, self.window
-        if not isinstance(m, int) or m < 1:
-            raise InputError(f"narx_fading model_order must be an integer >= 1, got {m!r}")
-        if not isinstance(p, int) or not 1 <= p <= m:
-            raise InputError(f"narx_fading window must be an integer in [1, {m}], got {p!r}")
+        if m < 1:
+            raise InputError(f"narx_fading model_order must be >= 1, got {m}")
+        if not 1 <= p <= m:
+            raise InputError(f"narx_fading window must lie in [1, {m}], got {p}")
 
     def check_dim(self, input_dim):
         if input_dim != 2 * self.model_order + 1:
@@ -1057,9 +1061,10 @@ class KernelInstance:
     def __post_init__(self):
         if not isinstance(self.structure, KernelStructure):
             raise InputError(f"not a kernel structure: {self.structure!r}")
-        if not isinstance(self.input_dim, int) or self.input_dim < 3 or self.input_dim % 2 == 0:
+        _config_fields(self, ints=("input_dim",))
+        if self.input_dim < 3 or self.input_dim % 2 == 0:
             raise InputError(
-                f"input_dim must be an odd integer >= 3 (2m + 1 with m >= 1), got {self.input_dim!r}"
+                f"input_dim must be odd and >= 3 (2m + 1 with m >= 1), got {self.input_dim}"
             )
         try:
             eta = tuple(_config_real(v, "eta entry") for v in self.eta)
@@ -1193,8 +1198,8 @@ def structure_from_config(cfg: dict) -> KernelStructure:
     """Parse a structure config produced by :func:`structure_to_config`.
 
     Unknown keys are rejected so that typos fail loudly; a field without a
-    default on the structure is required.  Integer fields accept integral
-    numbers only (2 or 2.0).
+    default on the structure is required.  The structure validates its own
+    counts: 2 and 2.0 pass, 2.7, ``"2"`` and ``true`` raise.
     """
     if not isinstance(cfg, dict) or "structure" not in cfg:
         raise InputError(f"kernel structure config must be a dict with a 'structure' key, got {cfg!r}")
@@ -1207,15 +1212,41 @@ def structure_from_config(cfg: dict) -> KernelStructure:
     missing = [f.name for f in cls_fields if f.default is MISSING and f.name not in cfg]
     if missing:
         raise InputError(f"{name} config needs {' and '.join(map(repr, missing))}")
-    # keyed by the field annotation, a string under postponed evaluation
+    # child structures, keyed by the field annotation (a string under
+    # postponed evaluation); the structure checks its other fields itself
     parse = {
-        "int": _config_int,
         "KernelStructure": lambda value, what: structure_from_config(value),
         "tuple": _config_children,
     }
     return cls(**{
-        f.name: parse[f.type](cfg[f.name], f"{name} {f.name}") for f in cls_fields if f.name in cfg
+        f.name: parse[f.type](cfg[f.name], f"{name} {f.name}") if f.type in parse else cfg[f.name]
+        for f in cls_fields if f.name in cfg
     })
+
+
+def kernel_to_config(kernel: KernelInstance) -> dict:
+    """Serialize a kernel to its block: the structure's config plus ``eta``
+    and ``input_dim``."""
+    return {**structure_to_config(kernel.structure), "eta": list(kernel.eta), "input_dim": kernel.input_dim}
+
+
+def kernel_from_config(cfg: dict) -> KernelInstance:
+    """Parse a kernel block produced by :func:`kernel_to_config`.
+
+    ``eta`` and ``input_dim`` are required; :class:`KernelInstance` checks
+    them, the eta entries as real values and ``input_dim`` as a count.
+    """
+    structure = structure_from_config(_structure_block(cfg))
+    if "eta" not in cfg or "input_dim" not in cfg:
+        raise InputError("kernel block needs 'eta' and 'input_dim'")
+    return KernelInstance(structure, cfg["eta"], cfg["input_dim"])
+
+
+def _structure_block(cfg: dict) -> dict:
+    """A kernel block without its instance keys ``eta`` and ``input_dim``."""
+    if not isinstance(cfg, dict):
+        raise InputError(f"kernel block must be a JSON object, got {cfg!r}")
+    return {key: value for key, value in cfg.items() if key not in ("eta", "input_dim")}
 
 
 def _config_int(value, what: str) -> int:

@@ -20,26 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .kernels import (
-    KernelInstance,
-    eval_matrix,
-    structure_from_config,
-    structure_to_config,
-)
+from .kernels import KernelInstance, _config_fields, eval_matrix, kernel_from_config, kernel_to_config
 from .solver import FitReport, RegressionData, build_regression_data
 from .viability import StabilityTarget
 
 __all__ = [
     "PredictorModel",
     "SimulationResult",
-    "ProbeConfig",
-    "ProbeReport",
     "evaluate_f",
     "one_step_predict",
     "simulate",
     "metrics",
     "run_model",
-    "stability_probe",
     "save_model",
     "load_model",
 ]
@@ -58,11 +50,15 @@ class PredictorModel:
     stability_tag: StabilityTarget
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
-        coeff = np.asarray(self.coefficients, dtype=float)
+        _config_fields(self, ints=("model_order",))
         m = self.model_order
-        if not isinstance(m, int) or m < 1:
-            raise InputError(f"model order must be an integer >= 1, got {m!r}")
+        if m < 1:
+            raise InputError(f"model order must be >= 1, got {m}")
+        try:
+            centers = np.asarray(self.centers, dtype=float)
+            coeff = np.asarray(self.coefficients, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"centers and coefficients must be arrays of numbers: {exc}") from exc
         if self.kernel.input_dim != 2 * m + 1:
             raise InputError(
                 f"kernel input_dim {self.kernel.input_dim} does not match model order {m}"
@@ -101,7 +97,6 @@ class SimulationResult:
     simulated: np.ndarray
     q_pre: float
     q_sim: float
-    horizon: int
 
 
 def _f_batch(model: PredictorModel, Z: np.ndarray) -> np.ndarray:
@@ -189,96 +184,7 @@ def run_model(model: PredictorModel, u, y) -> SimulationResult:
     predicted = one_step_predict(model, u, y)
     simulated = simulate(model, u, y[:model.model_order])
     q_pre, q_sim = metrics(y, predicted, simulated, model.model_order)
-    return SimulationResult(
-        predicted=predicted,
-        simulated=simulated,
-        q_pre=q_pre,
-        q_sim=q_sim,
-        horizon=len(y),
-    )
-
-
-# ---------------------------------------------------------------------------
-# empirical stability probes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Empirical probe settings.
-
-    ``mode="boundedness"`` drives the model with inputs and seed windows
-    bounded by ``input_bound`` and records the largest output magnitude.
-    ``mode="incremental"`` runs trajectory pairs with identical inputs but
-    different seed windows and records the largest and final output gaps.
-    """
-
-    horizon: int = 1000
-    input_bound: float = 1.0
-    trials: int = 10
-    mode: str = "boundedness"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
-        if self.mode not in ("boundedness", "incremental"):
-            raise InputError(f"unknown probe mode {self.mode!r}")
-        if self.horizon < 1:
-            raise InputError(f"horizon must be >= 1, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    mode: str
-    horizon: int
-    max_abs_output: tuple  # per trial; boundedness mode
-    max_gap: tuple  # per trial; incremental mode
-    final_gap: tuple  # per trial; incremental mode
-    diverged: tuple  # per-trial flag
-
-
-def stability_probe(model: PredictorModel, probe: ProbeConfig) -> ProbeReport:
-    """Run randomized trajectories and summarize boundedness or contraction.
-
-    Divergence is recorded per trial, never raised.
-    """
-    rng = np.random.default_rng(probe.seed)
-    m = model.model_order
-    n = probe.horizon + m
-    q = probe.input_bound
-    max_abs, max_gap, final_gap, diverged = [], [], [], []
-    for _ in range(probe.trials):
-        u = rng.uniform(-q, q, size=n)
-        seed_a = rng.uniform(-q, q, size=m)
-        if probe.mode == "boundedness":
-            try:
-                traj = simulate(model, u, seed_a)
-                max_abs.append(float(np.max(np.abs(traj))))
-                diverged.append(False)
-            except DivergenceError:
-                max_abs.append(math.inf)
-                diverged.append(True)
-        else:
-            seed_b = rng.uniform(-q, q, size=m)
-            try:
-                ya = simulate(model, u, seed_a)
-                yb = simulate(model, u, seed_b)
-                gap = np.abs(ya - yb)
-                max_gap.append(float(np.max(gap)))
-                final_gap.append(float(gap[-1]))
-                diverged.append(False)
-            except DivergenceError:
-                max_gap.append(math.inf)
-                final_gap.append(math.inf)
-                diverged.append(True)
-    return ProbeReport(
-        mode=probe.mode,
-        horizon=probe.horizon,
-        max_abs_output=tuple(max_abs),
-        max_gap=tuple(max_gap),
-        final_gap=tuple(final_gap),
-        diverged=tuple(diverged),
-    )
+    return SimulationResult(predicted=predicted, simulated=simulated, q_pre=q_pre, q_sim=q_sim)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +192,9 @@ def stability_probe(model: PredictorModel, probe: ProbeConfig) -> ProbeReport:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: PredictorModel) -> dict:
-    kernel_cfg = structure_to_config(model.kernel.structure)
-    kernel_cfg["eta"] = list(model.kernel.eta)
-    kernel_cfg["input_dim"] = model.kernel.input_dim
     return {
         "model_order": model.model_order,
-        "kernel": kernel_cfg,
+        "kernel": kernel_to_config(model.kernel),
         "stability_target": model.stability_tag.to_config(),
         "centers": model.centers.tolist(),
         "coefficients": model.coefficients.tolist(),
@@ -302,18 +205,11 @@ def model_from_dict(payload: dict) -> PredictorModel:
     required = {"model_order", "kernel", "stability_target", "centers", "coefficients"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise InputError(f"model payload must have exactly the keys {sorted(required)}")
-    kernel_cfg = dict(payload["kernel"])
-    eta = kernel_cfg.pop("eta", None)
-    input_dim = kernel_cfg.pop("input_dim", None)
-    if eta is None or input_dim is None:
-        raise InputError("model kernel block needs 'eta' and 'input_dim'")
-    structure = structure_from_config(kernel_cfg)
-    kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=int(input_dim))
     return PredictorModel(
-        model_order=int(payload["model_order"]),
-        kernel=kernel,
-        centers=np.asarray(payload["centers"], dtype=float),
-        coefficients=np.asarray(payload["coefficients"], dtype=float),
+        model_order=payload["model_order"],
+        kernel=kernel_from_config(payload["kernel"]),
+        centers=payload["centers"],
+        coefficients=payload["coefficients"],
         stability_tag=StabilityTarget.from_config(payload["stability_target"]),
     )
 

@@ -82,6 +82,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BAD_COST = 1e100
+# Nelder-Mead stopping tolerances of the search, in the transformed coordinates
+SEARCH_XATOL = 1e-3
+SEARCH_FATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,11 @@ class OptimizerConfig:
     """Multi-start Nelder-Mead settings.
 
     ``max_evals`` is the total cost-evaluation budget, split evenly across
-    the restarts.
+    the restarts; each restart also stops on ``SEARCH_XATOL``/``SEARCH_FATOL``.
     """
 
     restarts: int = 8
     max_evals: int = 2000
-    xatol: float = 1e-3
-    fatol: float = 1e-8
 
     def __post_init__(self):
         _config_fields(self, ints=("restarts", "max_evals"))
@@ -366,8 +367,8 @@ def select_hyperparameters(
                 method="Nelder-Mead",
                 options={
                     "maxfev": budget,
-                    "xatol": config.optimizer.xatol,
-                    "fatol": config.optimizer.fatol,
+                    "xatol": SEARCH_XATOL,
+                    "fatol": SEARCH_FATOL,
                     "adaptive": dim > 4,
                 },
             )

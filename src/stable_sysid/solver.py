@@ -34,7 +34,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericError
-from .kernels import KernelInstance, PairTerms, gram_from_terms
+from .kernels import KernelInstance, PairTerms, _config_int, gram_from_terms
 
 __all__ = [
     "RegressionData",
@@ -77,11 +77,12 @@ class RegressionData:
     model_order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "model_order", _config_int(self.model_order, "model order m"))
         reg = np.asarray(self.regressors, dtype=float)
         tgt = np.asarray(self.targets, dtype=float)
         m = self.model_order
-        if not isinstance(m, int) or m < 1:
-            raise InputError(f"model order must be an integer >= 1, got {m!r}")
+        if m < 1:
+            raise InputError(f"model order must be >= 1, got {m}")
         if reg.ndim != 2 or reg.shape[1] != 2 * m + 1:
             raise InputError(
                 f"regressors must be N x {2 * m + 1} for model order {m}, got shape {reg.shape}"
@@ -136,7 +137,8 @@ class FitProblem:
 class FitReport:
     """Solved coefficients plus the quantities the stability theory cares about.
 
-    ``effective_alpha = max(alpha_bar, beta)``; ``mu = m * c' K c`` is the
+    ``effective_alpha = max(alpha_bar, beta)``; ``mu = m * c' K c``, the
+    squared RKHS norm of the predictor times the model order, is the
     contraction budget actually used (at most chi + roundoff when the fit is
     constrained); ``constraint_active`` records whether the norm budget
     raised the regularizer above beta.
@@ -147,7 +149,6 @@ class FitReport:
     alpha_bar: float
     effective_alpha: float
     constraint_active: bool
-    rkhs_norm_sq: float
     mu: float
 
 
@@ -167,8 +168,9 @@ def build_regression_data(u, y, m: int) -> RegressionData:
     if u.ndim != 1 or y.ndim != 1 or u.shape[0] != y.shape[0]:
         raise InputError("u and y must be equal-length 1-D sequences")
     n = u.shape[0]
-    if not isinstance(m, int) or m < 1:
-        raise InputError(f"model order must be an integer >= 1, got {m!r}")
+    m = _config_int(m, "model order m")
+    if m < 1:
+        raise InputError(f"model order must be >= 1, got {m}")
     if n <= m:
         raise InputError(f"need n > m samples, got n = {n} <= m = {m}")
     rows = np.empty((n - m, 2 * m + 1))
@@ -363,14 +365,11 @@ def solve_constrained(problem: FitProblem) -> FitReport:
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(K + problem.beta * np.eye(K.shape[0]))
         raise NumericError(f"linear solve failed (condition number {cond:.3e}): {exc}") from exc
-    effective = max(alpha_bar, problem.beta)
-    norm_sq = float(c @ (K @ c))
     return FitReport(
         coefficients=c,
         beta=problem.beta,
         alpha_bar=alpha_bar,
-        effective_alpha=effective,
+        effective_alpha=max(alpha_bar, problem.beta),
         constraint_active=problem.constrained and alpha_bar > problem.beta,
-        rkhs_norm_sq=norm_sq,
-        mu=m * norm_sq,
+        mu=m * float(c @ (K @ c)),
     )

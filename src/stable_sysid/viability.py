@@ -46,6 +46,7 @@ from .kernels import (
     FeasibleParameterization,
     KernelInstance,
     KernelStructure,
+    _config_int,
     _config_real,
     _reject_unknown,
     gaussian_delta_boundary,
@@ -251,10 +252,14 @@ def numeric_falsifier(
     the conditions are checked at the (nu, s) the closed form guarantees;
     when it rejects them, the check uses nu = rho, so that any witness
     found is a genuine disproof of membership.  Returning ``None`` is
-    evidence, not proof.
+    evidence, not proof.  ``sample_count`` and ``seed`` must be integral and
+    ``radius`` a number; anything else raises :class:`InputError`.
     """
     if target.kind == "unconstrained":
         raise InputError("numeric_falsifier needs a constrained stability target")
+    sample_count = _config_int(sample_count, "sample_count")
+    radius = _config_real(radius, "radius")
+    seed = _config_int(seed, "seed")
     if sample_count < 1:
         raise InputError(f"sample_count must be >= 1, got {sample_count}")
     if not (radius > 0):

@@ -12,9 +12,14 @@ from stable_sysid import (
     Dataset,
     Gaussian,
     InputError,
+    KernelInstance,
     MethodSpec,
     MonteCarloConfig,
+    NarxFading,
     OptimizerConfig,
+    Polynomial,
+    PredictorModel,
+    RegressionData,
     SelectionConfig,
     StabilityTarget,
     SyntheticSystemSpec,
@@ -164,6 +169,20 @@ class TestGenerateDataset:
             SyntheticSystemSpec("C", seed=0)
 
 
+# one count of each library type: (field, a valid value, the object built from it)
+LIBRARY_COUNTS = [
+    ("input_dim", 5, lambda v: KernelInstance(Gaussian(), (1.0, 1.0, 0.0), v).input_dim),
+    ("model_order", 2, lambda v: PredictorModel(v, KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5),
+                                                 np.zeros((1, 5)), np.zeros(1),
+                                                 StabilityTarget.unconstrained()).model_order),
+    ("model order m", 2, lambda v: build_regression_data(np.arange(6.0), np.arange(6.0), v).model_order),
+    ("model order m", 2, lambda v: RegressionData(np.zeros((3, 5)), np.zeros(3), v).model_order),
+    ("degree", 3, lambda v: Polynomial(v).degree),
+    ("model_order", 2, lambda v: NarxFading(v, 1).model_order),
+    ("window", 1, lambda v: NarxFading(2, v).window),
+]
+
+
 class TestConfigValues:
     """The config dataclasses validate their own counts and real values."""
 
@@ -199,6 +218,23 @@ class TestConfigValues:
         config = MonteCarloConfig(runs=np.int64(2), systems=(spec,), methods=standard_methods("B"), model_order=2.0)
         assert (config.runs, config.model_order) == (2, 2)
         assert type(config.runs) is int and type(config.model_order) is int
+
+    @pytest.mark.parametrize("field,value,build", LIBRARY_COUNTS)
+    def test_library_counts_accept_integral_and_numpy_values(self, field, value, build):
+        for count in (value, float(value), np.int64(value), np.int32(value)):
+            built = build(count)
+            assert built == value and type(built) is int
+
+    @pytest.mark.parametrize("bad", [2.7, "2", True])
+    @pytest.mark.parametrize("field,value,build", LIBRARY_COUNTS)
+    def test_library_counts_reject_non_integral_values(self, field, value, build, bad):
+        with pytest.raises(InputError, match=f"^{field} must be an integer"):
+            build(bad)
+
+    @pytest.mark.parametrize("chi", ["0.5", True, None])
+    def test_method_spec_rejects_non_number_chi(self, chi):
+        with pytest.raises(InputError, match="^chi must be a number"):
+            MethodSpec("fit", Gaussian(), StabilityTarget.diss(), chi=chi)
 
 
 def reference_multisine(ms, t):

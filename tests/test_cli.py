@@ -17,6 +17,7 @@ from stable_sysid.cli import (
 )
 from stable_sysid.errors import InputError
 from stable_sysid.kernels import Gaussian
+from stable_sysid.predictor import load_model
 from stable_sysid.selection import OptimizerConfig, SelectionConfig
 from stable_sysid.solver import build_regression_data
 from stable_sysid.viability import StabilityTarget
@@ -343,6 +344,21 @@ class TestBenchmark:
                 assert (sel.method, sel.cap_aware_cost) == ("gcv", True)
                 assert sel.optimizer == OptimizerConfig(restarts=5, max_evals=preset.optimizer.max_evals)
 
+    @pytest.mark.parametrize("system", [["A"], {"A": 1}])
+    def test_full_scale_malformed_system_exits_2(self, workdir, capsys, system):
+        cfg = write_config(workdir / "bench.json", {"system": system, "runs": 1, "out": str(workdir)})
+        assert run(["benchmark", "--config", cfg, "--full-scale"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown system variant" in captured.err
+
+    def test_full_scale_sets_validation_length_unless_given(self):
+        args = argparse.Namespace(seed=None)
+        for variant, n_valid in benchmarks.FULL_SCALE_N_VALID.items():
+            spec = cli._system_spec({"system": variant}, args, "benchmark config", full_scale=True)
+            assert spec.n_valid == n_valid
+        spec = cli._system_spec({"system": "H", "n_valid": 30}, args, "benchmark config", full_scale=True)
+        assert spec.n_valid == 30
+
     def test_override_can_switch_off_cap_aware_charging(self, workdir, monkeypatch):
         selections = self._selections(
             workdir, monkeypatch, {"system": "B", "selection": {"cap_aware_cost": False}}
@@ -594,6 +610,54 @@ class TestRealValues:
         assert run(["benchmark", "--config", cfg]) == EXIT_INPUT
         assert "model_order must be >= 1" in capsys.readouterr().err
         assert not (workdir / "results.csv").exists()
+
+
+class TestModelFile:
+    """``model.json`` is read by the library's types: malformed counts, kernel
+    blocks and arrays exit 2 instead of being cut down or crashing."""
+
+    MODEL = {
+        "model_order": 2,
+        "kernel": {"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5},
+        "stability_target": {"kind": "none"},
+        "centers": [[0.0] * 5],
+        "coefficients": [0.0],
+    }
+
+    def _simulate_config(self, workdir, **change):
+        train, _ = generate_b(workdir, n=20)
+        (workdir / "model.json").write_text(json.dumps({**self.MODEL, **change}))
+        return write_config(workdir / "sim.json", {"model": str(workdir / "model.json"), "data": str(train),
+                                                   "out": str(workdir)})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model_order": 2.7},
+            {"model_order": "2"},
+            {"kernel": {"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5.9}},
+            {"kernel": [1]},
+            {"kernel": {"structure": "gaussian", "eta": 5, "input_dim": 5}},
+            {"centers": "abc"},
+            {"centers": [[0.0] * 5, [0.0]]},
+            {"coefficients": {"c": 0.0}},
+        ],
+    )
+    def test_malformed_model_file_exits_2(self, workdir, capsys, change):
+        cfg = self._simulate_config(workdir, **change)
+        capsys.readouterr()
+        assert run(["simulate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+        assert not (workdir / "simulate.csv").exists()
+
+    def test_model_file_integral_float_counts_load(self, workdir):
+        kernel = {**self.MODEL["kernel"], "input_dim": 5.0}
+        cfg = self._simulate_config(workdir, model_order=2.0, kernel=kernel)
+        assert run(["simulate", "--config", cfg]) == EXIT_OK
+        loaded = load_model(workdir / "model.json")
+        assert (loaded.model_order, loaded.kernel.input_dim) == (2, 5)
+        assert type(loaded.model_order) is int and type(loaded.kernel.input_dim) is int
 
 
 class TestConfigErrors:

@@ -1,4 +1,4 @@
-"""Predictor models: evaluation, prediction, simulation, metrics, probes."""
+"""Predictor models: evaluation, prediction, simulation, metrics, serialization."""
 
 import math
 
@@ -14,18 +14,17 @@ from stable_sysid import (
     KernelInstance,
     LinearAffine,
     PredictorModel,
-    ProbeConfig,
     StabilityTarget,
     build_regression_data,
     evaluate_f,
     eval_kernel,
     load_model,
+    membership,
     metrics,
     one_step_predict,
     save_model,
     simulate,
     solve_constrained,
-    stability_probe,
 )
 
 
@@ -257,7 +256,7 @@ class TestInvariants:
 
     def test_cauchy_schwarz_envelope(self):
         model, data, report = fitted_model()
-        norm_sq = report.rkhs_norm_sq
+        norm_sq = report.mu / data.model_order
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.normal(scale=2.0, size=5)
@@ -265,32 +264,19 @@ class TestInvariants:
             assert evaluate_f(model, z) ** 2 <= bound * (1 + 1e-9) + 1e-12
 
 
-class TestStabilityProbe:
-    def test_zero_model_bounded_at_zero(self):
-        report = stability_probe(make_model(), ProbeConfig(horizon=50, trials=3, seed=1))
-        assert report.mode == "boundedness"
-        assert all(v <= 2.0 for v in report.max_abs_output)  # seed values only
-        assert not any(report.diverged)
-
-    def test_incremental_probe_contracts_for_delta_fit(self):
+class TestIncrementalStability:
+    def test_delta_fit_forgets_its_seed(self):
+        """A deltaISS fit is incrementally stable: under one random input, the
+        free runs from two random seed windows end within 1e-6 of each other."""
         model, _, _ = fitted_model(structure=Gaussian(), eta=(0.5, 0.3, 0.01),
                                    target=StabilityTarget.diss())
-        probe = ProbeConfig(horizon=400, trials=4, mode="incremental", seed=2)
-        report = stability_probe(model, probe)
-        assert not any(report.diverged)
-        assert all(g < 1e-6 for g in report.final_gap)
-
-    def test_divergence_recorded_not_raised(self):
-        model = PredictorModel(
-            model_order=1,
-            kernel=KernelInstance(LinearAffine(), (1.0, 0.0), 3),
-            centers=np.array([[4.0, 0.0, 0.0]]),
-            coefficients=np.array([1.0]),
-            stability_tag=StabilityTarget.unconstrained(),
-        )
-        report = stability_probe(model, ProbeConfig(horizon=100, trials=2, seed=3))
-        assert all(report.diverged)
-        assert all(math.isinf(v) for v in report.max_abs_output)
+        assert membership(model.kernel.structure, model.kernel.eta, model.stability_tag)
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            u = rng.uniform(-1.0, 1.0, size=402)
+            ya = simulate(model, u, rng.uniform(-1.0, 1.0, size=2))
+            yb = simulate(model, u, rng.uniform(-1.0, 1.0, size=2))
+            assert abs(ya[-1] - yb[-1]) < 1e-6
 
 
 class TestSerialization:

@@ -228,8 +228,9 @@ class TestSolveConstrained:
         report = solve_constrained(problem)
         assert report.effective_alpha >= report.beta
         assert report.effective_alpha == max(report.alpha_bar, report.beta)
-        assert report.rkhs_norm_sq >= 0
-        assert report.mu == pytest.approx(2 * report.rkhs_norm_sq)
+        K = gram_matrix(problem.kernel, problem.data.regressors)
+        c = report.coefficients
+        assert report.mu == pytest.approx(2 * float(c @ K @ c))
         assert report.mu <= 0.99 + 1e-8
 
     def test_unconstrained_mode_is_plain_ridge(self):

@@ -278,6 +278,22 @@ class TestFalsifier:
         assert np.array_equal(w1.points[0], w2.points[0])
         assert w1.margin == w2.margin
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({"sample_count": 2.5}, "sample_count"), ({"sample_count": True}, "sample_count"),
+         ({"radius": "5"}, "radius"), ({"seed": 1.5}, "seed")],
+    )
+    def test_malformed_arguments_are_input_errors(self, kwargs, field):
+        k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
+        with pytest.raises(InputError, match=f"^{field} must be an? (integer|number)"):
+            numeric_falsifier(k, StabilityTarget.iss(), **{"sample_count": 10, **kwargs})
+
+    def test_integral_and_numpy_arguments_accepted(self):
+        k = KernelInstance(Gaussian(), (2.0, 1.0, 0.0), 5)
+        w1 = numeric_falsifier(k, StabilityTarget.diss(), sample_count=5000.0, radius=np.float32(50), seed=np.int64(9))
+        w2 = numeric_falsifier(k, StabilityTarget.diss(), sample_count=5000, seed=9)
+        assert np.array_equal(w1.points[0], w2.points[0]) and w1.margin == w2.margin
+
 
 PARAM_CASES = [
     (Gaussian(), StabilityTarget.diss()),
