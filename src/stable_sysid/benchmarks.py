@@ -112,12 +112,11 @@ class SyntheticSystemSpec:
         for name, table in defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, table[self.variant])
-        _config_fields(self, ints=("seed", "n_train", "n_valid"), reals=("noise_std", "hh_dt"))
-        if self.n_train < 3 or self.n_valid < 3:
-            raise InputError("n_train and n_valid must exceed the model order (2)")
-        if not (self.noise_std >= 0):
+        # each set holds at least one regression row at the model order 2
+        _config_fields(self, ints={"seed": 0, "n_train": 3, "n_valid": 3}, reals=("noise_std", "hh_dt"))
+        if self.noise_std < 0:
             raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not (self.hh_dt > 0):
+        if self.hh_dt <= 0:
             raise InputError(f"hh_dt must be > 0, got {self.hh_dt}")
 
 
@@ -389,6 +388,7 @@ class MethodSpec:
 
     def __post_init__(self):
         _config_fields(self, reals=("chi",))
+        self.selection_config()  # the selection config checks chi
 
     def selection_config(self) -> SelectionConfig:
         return replace(self.selection, target=self.target, chi=self.chi)
@@ -403,15 +403,9 @@ class MonteCarloConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        _config_fields(self, ints=("runs", "model_order", "n_jobs"))
-        if self.runs < 1:
-            raise InputError(f"runs must be >= 1, got {self.runs}")
-        if self.model_order < 1:
-            raise InputError(f"model_order must be >= 1, got {self.model_order}")
+        _config_fields(self, ints=dict.fromkeys(("runs", "model_order", "n_jobs"), 1))
         if not self.systems or not self.methods:
             raise InputError("MonteCarloConfig needs at least one system and one method")
-        if self.n_jobs < 1:
-            raise InputError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 @dataclass(frozen=True)
@@ -615,7 +609,6 @@ def standard_methods(variant: str, selection: SelectionConfig | None = None) -> 
         )
     raise InputError(f"unknown system variant {variant!r}")
 
-
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
@@ -624,29 +617,43 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Dump a dataset as ``t,u,y`` rows (1-based time index)."""
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and then the rows, each a list of cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "u", "y"])
-        for t, (u, y) in enumerate(zip(dataset.u, dataset.y), start=1):
-            writer.writerow([t, _fmt(u), _fmt(y)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, columns: dict) -> list:
+    """The rows of a CSV file whose header is ``columns``' keys, each cell
+    parsed by its column's function.  A file that cannot be opened, decoded
+    or parsed raises :class:`InputError`."""
+    header = list(columns)
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        if not rows or rows[0] != header:
+            raise InputError(f"CSV {path} must have header {','.join(header)}, got {rows[0] if rows else None}")
+        for row in rows[1:]:
+            if len(row) != len(header):
+                raise InputError(f"malformed row {row!r} in {path}")
+        return [[parse(cell) for parse, cell in zip(columns.values(), row)] for row in rows[1:]]
+    except (OSError, ValueError, csv.Error) as exc:
+        raise InputError(f"cannot read CSV {path}: {exc}") from exc
+
+
+def write_dataset_csv(dataset: Dataset, path) -> None:
+    """Dump a dataset as ``t,u,y`` rows (1-based time index)."""
+    rows = ([t, _fmt(u), _fmt(y)] for t, (u, y) in enumerate(zip(dataset.u, dataset.y), start=1))
+    _write_csv(path, ["t", "u", "y"], rows)
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "u", "y"]:
-            raise InputError(f"dataset CSV {path} must have header t,u,y, got {header}")
-        u, y = [], []
-        for row in reader:
-            if len(row) != 3:
-                raise InputError(f"malformed dataset row {row!r} in {path}")
-            u.append(float(row[1]))
-            y.append(float(row[2]))
-    if not u:
+    rows = _read_csv(path, {"t": str, "u": float, "y": float})
+    if not rows:
         raise InputError(f"dataset CSV {path} has no rows")
+    _, u, y = zip(*rows)
     return Dataset(u=np.array(u), y=np.array(y))
 
 
@@ -656,43 +663,13 @@ RESULTS_HEADER = ["run", "system", "method", "q_pre", "q_sim", "feasible", "fit_
 def write_results_csv(rows, path, record_timing: bool = False) -> None:
     """Dump result rows; timings are zeroed unless ``record_timing`` so that
     re-runs with identical seeds produce byte-identical files."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            seconds = row.fit_seconds if record_timing else 0.0
-            writer.writerow(
-                [
-                    row.run,
-                    row.system,
-                    row.method,
-                    _fmt(row.q_pre),
-                    _fmt(row.q_sim),
-                    str(bool(row.feasible)).lower(),
-                    _fmt(seconds),
-                ]
-            )
+    _write_csv(path, RESULTS_HEADER, (
+        [row.run, row.system, row.method, _fmt(row.q_pre), _fmt(row.q_sim),
+         str(bool(row.feasible)).lower(), _fmt(row.fit_seconds if record_timing else 0.0)]
+        for row in rows
+    ))
 
 
 def read_results_csv(path) -> list:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_HEADER:
-            raise InputError(f"results CSV {path} has header {header}, expected {RESULTS_HEADER}")
-        rows = []
-        for raw in reader:
-            if len(raw) != len(RESULTS_HEADER):
-                raise InputError(f"malformed results row {raw!r} in {path}")
-            rows.append(
-                ResultRow(
-                    run=int(raw[0]),
-                    system=raw[1],
-                    method=raw[2],
-                    q_pre=float(raw[3]),
-                    q_sim=float(raw[4]),
-                    feasible=raw[5] == "true",
-                    fit_seconds=float(raw[6]),
-                )
-            )
-    return rows
+    parse = (int, str, str, float, float, "true".__eq__, float)
+    return [ResultRow(*row) for row in _read_csv(path, dict(zip(RESULTS_HEADER, parse)))]

@@ -35,11 +35,15 @@ functions validate the values, so every block (``model.json`` and the
 ``falsify`` block included) follows the library's rules.  Counts
 (``seed``, ``n_train``, ``n_valid``, ``m``, ``runs``, ``input_dim``,
 ``model_order`` and the structure, selection and falsifier counts) must be
-integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2.  Real values
-(``noise_std``, ``hh_dt``, ``chi``, ``iota``, ``rho``, ``radius`` and kernel
-``eta`` entries) must be numbers: ``"0.5"`` and ``true`` exit 2.  Exit
-codes: 0 success, 2 input error, 3 infeasible stability target, 4 numeric
-failure, 5 divergence.
+integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2, and so does a
+negative seed.  Real values (``noise_std``, ``hh_dt``, ``chi``, ``iota``,
+``rho``, ``radius`` and kernel ``eta`` entries) must be finite numbers:
+``"0.5"``, ``true``, ``Infinity`` and ``NaN`` exit 2.  Path values (``data``,
+``model``, ``out``, ``model_name``, ``output_name``) must be strings and
+``record_timing`` true or false, checked before any work.  An input file
+(config, data CSV or ``model.json``) that is missing, unreadable, not UTF-8
+or does not parse exits 2.  Exit codes: 0 success, 2 input error, 3
+infeasible stability target, 4 numeric failure, 5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
 same bytes (benchmark timing columns are zeroed unless ``record_timing``
 is set, precisely to keep re-runs byte-identical).
@@ -48,8 +52,6 @@ is set, precisely to keep re-runs byte-identical).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -65,7 +67,7 @@ from .errors import (
     StableSysidError,
 )
 from .kernels import _reject_unknown, _structure_block, kernel_from_config, structure_from_config
-from .predictor import load_model, one_step_predict, run_model, save_model
+from .predictor import _read_json, _write_json, load_model, one_step_predict, run_model, save_model
 from .selection import SelectionConfig
 from .solver import build_regression_data
 from .viability import StabilityTarget, membership, numeric_falsifier
@@ -83,16 +85,18 @@ EXIT_DIVERGED = 5
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+def _load_config(args, allowed: set) -> dict:
+    """The command's config object, its keys among ``allowed`` and its path
+    and flag values of the right type, checked before any work."""
+    cfg = _read_json(args.config, "config file")
     if not isinstance(cfg, dict):
         raise InputError(f"config root must be a JSON object, got {type(cfg).__name__}")
+    _reject_unknown(cfg, allowed, f"{args.command} config")
+    for key in ("data", "model", "out", "model_name", "output_name"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise InputError(f"{key} must be a string, got {cfg[key]!r}")
+    if not isinstance(cfg.get("record_timing", False), bool):
+        raise InputError(f"record_timing must be true or false, got {cfg['record_timing']!r}")
     return cfg
 
 
@@ -154,8 +158,7 @@ def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
-    _reject_unknown(cfg, _SYSTEM_KEYS, "generate config")
+    cfg = _load_config(args, _SYSTEM_KEYS)
     spec = _system_spec(cfg, args, "generate config")
     out = _out_dir(cfg, args)
     train, valid = benchmarks.generate_dataset(spec)
@@ -172,17 +175,13 @@ def cmd_generate(args) -> int:
         "train": train_path.name,
         "valid": valid_path.name,
     }
-    with open(out / f"{spec.variant}_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / f"{spec.variant}_manifest.json", manifest)
     print(f"wrote {train_path} ({len(train)} rows) and {valid_path} ({len(valid)} rows)")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
-    allowed = {"data", "kernel", "target", "selection", "m", "chi", "out", "model_name"}
-    _reject_unknown(cfg, allowed, "fit config")
+    cfg = _load_config(args, {"data", "kernel", "target", "selection", "m", "chi", "out", "model_name"})
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", "fit config"))
     data = build_regression_data(dataset.u, dataset.y, cfg.get("m", benchmarks.MonteCarloConfig.model_order))
     target = StabilityTarget.from_config(_require(cfg, "target", "fit config"))
@@ -212,37 +211,29 @@ def cmd_fit(args) -> int:
         "feasible": sel.feasible,
         "target": target.label(),
     }
-    with open(out / "fit_report.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "fit_report.json", record)
     print(f"wrote {model_path}: target={target.label()} beta={sel.beta:.3e} mu={report.mu:.6f}")
     return EXIT_OK
 
 
 def _run_outputs(args, want: str) -> int:
-    cfg = _load_config(args.config)
-    allowed = {"model", "data", "out", "output_name"}
-    _reject_unknown(cfg, allowed, f"{want} config")
+    cfg = _load_config(args, {"model", "data", "out", "output_name"})
     model = load_model(_require(cfg, "model", f"{want} config"))
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", f"{want} config"))
     out = _out_dir(cfg, args)
     if want == "predict":
         predicted = one_step_predict(model, dataset.u, dataset.y)
         m = model.model_order
-        columns = {"y_pred": predicted}
+        columns = {"y": dataset.y, "y_pred": predicted}
         scores = {"q_pre": float(np.mean(np.abs(dataset.y[m:] - predicted[m:])))}
     else:
         result = run_model(model, dataset.u, dataset.y)
-        columns = {"y_pred": result.predicted, "y_sim": result.simulated}
+        columns = {"y": dataset.y, "y_pred": result.predicted, "y_sim": result.simulated}
         scores = {"q_pre": result.q_pre, "q_sim": result.q_sim}
     path = out / cfg.get("output_name", f"{want}.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y", *columns])
-        for t in range(len(dataset)):
-            writer.writerow(
-                [t + 1, repr(float(dataset.y[t]))] + [repr(float(col[t])) for col in columns.values()]
-            )
+    benchmarks._write_csv(path, ["t", *columns], (
+        [t + 1, *(benchmarks._fmt(col[t]) for col in columns.values())] for t in range(len(dataset))
+    ))
     print(f"wrote {path}")
     for name, value in scores.items():
         print(f"{name} = {value!r}")
@@ -258,9 +249,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    allowed = _SYSTEM_KEYS | {"methods", "runs", "selection", "m", "record_timing"}
-    _reject_unknown(cfg, allowed, "benchmark config")
+    cfg = _load_config(args, _SYSTEM_KEYS | {"methods", "runs", "selection", "m", "record_timing"})
     full = bool(args.full_scale)
     spec = _system_spec(cfg, args, "benchmark config", full_scale=full)
     runs = cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs
@@ -288,19 +277,12 @@ def cmd_benchmark(args) -> int:
     out = _out_dir(cfg, args)
     result = benchmarks.run_monte_carlo(config)
     results_path = out / "results.csv"
-    benchmarks.write_results_csv(
-        result.rows, results_path, record_timing=bool(cfg.get("record_timing", False))
-    )
+    benchmarks.write_results_csv(result.rows, results_path, record_timing=cfg.get("record_timing", False))
     summary = benchmarks.summarize(result.rows)
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["system", "method", "metric", "count", "min", "q1", "median", "q3", "max"])
-        for entry in summary:
-            writer.writerow(
-                [entry["system"], entry["method"], entry["metric"], entry["count"]]
-                + [repr(entry[k]) for k in ("min", "q1", "median", "q3", "max")]
-            )
+    header = ["system", "method", "metric", "count", "min", "q1", "median", "q3", "max"]
+    benchmarks._write_csv(out / "summary.csv", header, (
+        [*(entry[k] for k in header[:4]), *(benchmarks._fmt(entry[k]) for k in header[4:])] for entry in summary
+    ))
     print(f"wrote {results_path} ({len(result.rows)} rows, {len(result.failures)} failures)")
     for entry in summary:
         print(
@@ -313,9 +295,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_check_viability(args) -> int:
-    cfg = _load_config(args.config)
-    allowed = {"kernel", "target", "falsify"}
-    _reject_unknown(cfg, allowed, "check-viability config")
+    cfg = _load_config(args, {"kernel", "target", "falsify"})
     kernel = kernel_from_config(_require(cfg, "kernel", "check-viability config"))
     target = StabilityTarget.from_config(_require(cfg, "target", "check-viability config"))
     if target.kind == "unconstrained":

@@ -542,9 +542,7 @@ class Polynomial(KernelStructure):
     name = "polynomial"
 
     def __post_init__(self):
-        _config_fields(self, ints=("degree",))
-        if self.degree < 2:
-            raise InputError(f"polynomial degree must be >= 2, got {self.degree}")
+        _config_fields(self, ints={"degree": 2})
 
     def validate_eta(self, eta):
         if len(eta) != 0:
@@ -715,10 +713,8 @@ class NarxFading(KernelStructure):
     eta_names = ("tau", "gamma", "xi")
 
     def __post_init__(self):
-        _config_fields(self, ints=("model_order", "window"))
+        _config_fields(self, ints={"model_order": 1, "window": None})
         m, p = self.model_order, self.window
-        if m < 1:
-            raise InputError(f"narx_fading model_order must be >= 1, got {m}")
         if not 1 <= p <= m:
             raise InputError(f"narx_fading window must lie in [1, {m}], got {p}")
 
@@ -1061,7 +1057,7 @@ class KernelInstance:
     def __post_init__(self):
         if not isinstance(self.structure, KernelStructure):
             raise InputError(f"not a kernel structure: {self.structure!r}")
-        _config_fields(self, ints=("input_dim",))
+        _config_fields(self, ints={"input_dim": None})
         if self.input_dim < 3 or self.input_dim % 2 == 0:
             raise InputError(
                 f"input_dim must be odd and >= 3 (2m + 1 with m >= 1), got {self.input_dim}"
@@ -1069,14 +1065,10 @@ class KernelInstance:
         try:
             eta = tuple(_config_real(v, "eta entry") for v in self.eta)
         except (TypeError, InputError) as exc:
-            raise InputError(f"eta must be a sequence of numbers, got {self.eta!r}") from exc
+            raise InputError(f"eta must be a sequence of numbers with finite values, got {self.eta!r}") from exc
         object.__setattr__(self, "eta", eta)
         self.structure.validate_eta(self.eta)
         self.structure.check_dim(self.input_dim)
-
-    @property
-    def model_order(self) -> int:
-        return (self.input_dim - 1) // 2
 
 
 def _as_rows(x, input_dim: int, what: str) -> np.ndarray:
@@ -1123,7 +1115,10 @@ def eval_matrix(kernel: KernelInstance, A, B) -> np.ndarray:
 def squared_kernel_metric(kernel: KernelInstance, a, b) -> float:
     """Squared kernel metric ``h(a, b) = k(a, a) - 2 k(a, b) + k(b, b)``,
     the squared distance between the canonical feature images of a and b."""
-    return float(metric_pairs(kernel, a, b)[0])
+    h = metric_pairs(kernel, a, b)
+    if h.shape != (1,):
+        raise InputError("squared_kernel_metric takes single vectors; use metric_pairs for batches")
+    return float(h[0])
 
 
 def metric_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
@@ -1249,30 +1244,37 @@ def _structure_block(cfg: dict) -> dict:
     return {key: value for key, value in cfg.items() if key not in ("eta", "input_dim")}
 
 
-def _config_int(value, what: str) -> int:
+def _config_int(value, what: str, minimum: int | None = None) -> int:
     """A config count: integers (numpy ones too) and integral floats pass;
-    2.7, ``"2"`` and ``True`` raise."""
+    2.7, ``"2"`` and ``True`` raise, and so does a count below ``minimum``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{what} must be >= {minimum}, got {value}")
     return int(value)
 
 
 def _config_real(value, what: str) -> float:
-    """A real config value as a float: numbers (numpy ones too) pass;
-    ``"0.5"`` and ``True`` raise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    """A real config value as a float: finite numbers (numpy ones too) pass;
+    ``"0.5"``, ``True``, nan and ±inf raise."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise InputError(f"{what} must be a number with a finite value, got {value!r}")
 
 
-def _config_fields(config, ints=(), reals=()) -> None:
+def _config_fields(config, ints=None, reals=()) -> None:
     """Replace the named count and real fields of a frozen config by their
-    values as checked by :func:`_config_int` and :func:`_config_real`."""
-    for names, parse in ((ints, _config_int), (reals, _config_real)):
-        for name in names:
-            object.__setattr__(config, name, parse(getattr(config, name), name))
+    values as checked by :func:`_config_int` and :func:`_config_real`;
+    ``ints`` maps each count field to its lower bound, or None."""
+    for name, minimum in (ints or {}).items():
+        object.__setattr__(config, name, _config_int(getattr(config, name), name, minimum))
+    for name in reals:
+        object.__setattr__(config, name, _config_real(getattr(config, name), name))
 
 
 def _config_children(value, what: str) -> tuple:

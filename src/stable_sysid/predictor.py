@@ -50,10 +50,8 @@ class PredictorModel:
     stability_tag: StabilityTarget
 
     def __post_init__(self):
-        _config_fields(self, ints=("model_order",))
+        _config_fields(self, ints={"model_order": 1})
         m = self.model_order
-        if m < 1:
-            raise InputError(f"model order must be >= 1, got {m}")
         try:
             centers = np.asarray(self.centers, dtype=float)
             coeff = np.asarray(self.coefficients, dtype=float)
@@ -216,15 +214,24 @@ def model_from_dict(payload: dict) -> PredictorModel:
 
 def save_model(model: PredictorModel, path) -> None:
     """Write the model as a self-contained, human-readable JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, model_to_dict(model), sort_keys=False)
 
 
 def load_model(path) -> PredictorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+    return model_from_dict(_read_json(path, "model file"))
+
+
+def _write_json(path, payload, sort_keys: bool = True) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def _read_json(path, what: str):
+    """The value in a JSON file; a file that cannot be opened, decoded or
+    parsed raises :class:`InputError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc

@@ -99,9 +99,7 @@ class OptimizerConfig:
     max_evals: int = 2000
 
     def __post_init__(self):
-        _config_fields(self, ints=("restarts", "max_evals"))
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
+        _config_fields(self, ints={"restarts": 1, "max_evals": None})
         if self.max_evals < self.restarts:
             raise InputError("max_evals must cover at least one evaluation per restart")
 
@@ -125,13 +123,13 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _config_fields(self, ints=("kfold_k", "seed"), reals=("iota",))
+        _config_fields(self, ints={"kfold_k": None, "seed": 0}, reals=("iota", "chi"))
         if self.method not in ("eb", "gcv", "kfold"):
             raise InputError(f"unknown selection method {self.method!r}")
         if not isinstance(self.cap_aware_cost, bool):
             raise InputError(f"cap_aware_cost must be true or false, got {self.cap_aware_cost!r}")
-        if not (self.iota > 0 and math.isfinite(self.iota)):
-            raise InputError(f"iota must be finite and > 0, got {self.iota!r}")
+        if self.iota <= 0:
+            raise InputError(f"iota must be > 0, got {self.iota!r}")
         if not (0.0 < self.chi < 1.0):
             raise InputError(f"chi must lie in (0, 1), got {self.chi!r}")
         if self.method == "kfold" and self.kfold_k < 2:

@@ -77,12 +77,10 @@ class RegressionData:
     model_order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "model_order", _config_int(self.model_order, "model order m"))
+        object.__setattr__(self, "model_order", _config_int(self.model_order, "model order m", 1))
         reg = np.asarray(self.regressors, dtype=float)
         tgt = np.asarray(self.targets, dtype=float)
         m = self.model_order
-        if m < 1:
-            raise InputError(f"model order must be >= 1, got {m}")
         if reg.ndim != 2 or reg.shape[1] != 2 * m + 1:
             raise InputError(
                 f"regressors must be N x {2 * m + 1} for model order {m}, got shape {reg.shape}"
@@ -168,9 +166,7 @@ def build_regression_data(u, y, m: int) -> RegressionData:
     if u.ndim != 1 or y.ndim != 1 or u.shape[0] != y.shape[0]:
         raise InputError("u and y must be equal-length 1-D sequences")
     n = u.shape[0]
-    m = _config_int(m, "model order m")
-    if m < 1:
-        raise InputError(f"model order must be >= 1, got {m}")
+    m = _config_int(m, "model order m", 1)
     if n <= m:
         raise InputError(f"need n > m samples, got n = {n} <= m = {m}")
     rows = np.empty((n - m, 2 * m + 1))

@@ -163,9 +163,10 @@ class StabilityTarget:
             _reject_unknown(cfg, {"kind", "rho"}, f"target kind {kind!r}")
             if "rho" not in cfg:
                 raise InputError(f"target kind {kind!r} needs a 'rho' value")
-            rho = _config_real(cfg["rho"], "'rho'")
-            if not (0 <= rho < INF):
-                raise InputError(f"'rho' must be a finite value >= 0 here (use bibs/dbibs for rho=inf), got {rho}")
+            try:
+                rho = _config_real(cfg["rho"], "'rho'")
+            except InputError as exc:
+                raise InputError(f"{exc} (use bibs/dbibs for rho=inf)") from None
             return cls.viable(rho) if kind == "viable" else cls.delta_viable(rho)
         raise InputError(f"unknown stability target kind {kind!r}")
 
@@ -252,17 +253,16 @@ def numeric_falsifier(
     the conditions are checked at the (nu, s) the closed form guarantees;
     when it rejects them, the check uses nu = rho, so that any witness
     found is a genuine disproof of membership.  Returning ``None`` is
-    evidence, not proof.  ``sample_count`` and ``seed`` must be integral and
-    ``radius`` a number; anything else raises :class:`InputError`.
+    evidence, not proof.  ``sample_count`` must be an integer >= 1, ``seed``
+    one >= 0 and ``radius`` a finite number > 0; anything else raises
+    :class:`InputError`.
     """
     if target.kind == "unconstrained":
         raise InputError("numeric_falsifier needs a constrained stability target")
-    sample_count = _config_int(sample_count, "sample_count")
+    sample_count = _config_int(sample_count, "sample_count", 1)
     radius = _config_real(radius, "radius")
-    seed = _config_int(seed, "seed")
-    if sample_count < 1:
-        raise InputError(f"sample_count must be >= 1, got {sample_count}")
-    if not (radius > 0):
+    seed = _config_int(seed, "seed", 0)
+    if radius <= 0:
         raise InputError(f"radius must be > 0, got {radius}")
 
     rho = float(target.rho)

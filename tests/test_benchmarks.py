@@ -43,6 +43,7 @@ from stable_sysid.benchmarks import (
 )
 from stable_sysid.predictor import run_model
 from stable_sysid.solver import build_regression_data
+from stable_sysid.viability import numeric_falsifier
 
 
 def fast_selection():
@@ -182,6 +183,22 @@ LIBRARY_COUNTS = [
     ("window", 1, lambda v: NarxFading(2, v).window),
 ]
 
+# counts whose lower bound moved into the config helpers, or is new (the
+# seeds): (field as named in the message, the bound, a build from a count)
+BOUNDED_COUNTS = [
+    ("model_order", 1, LIBRARY_COUNTS[1][2]),
+    ("model order m", 1, LIBRARY_COUNTS[2][2]),
+    ("model order m", 1, LIBRARY_COUNTS[3][2]),
+    ("degree", 2, LIBRARY_COUNTS[4][2]),
+    ("model_order", 1, lambda v: NarxFading(v, 1)),
+    ("n_train", 3, lambda v: SyntheticSystemSpec("B", n_train=v)),
+    ("n_valid", 3, lambda v: SyntheticSystemSpec("B", n_valid=v)),
+    ("seed", 0, lambda v: SyntheticSystemSpec("B", seed=v)),
+    ("seed", 0, lambda v: SelectionConfig(seed=v)),
+    ("seed", 0, lambda v: numeric_falsifier(KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5),
+                                            StabilityTarget.iss(), sample_count=10, seed=v)),
+]
+
 
 class TestConfigValues:
     """The config dataclasses validate their own counts and real values."""
@@ -189,7 +206,9 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "kwargs,field",
         [({"seed": 2.7}, "seed"), ({"n_train": 40.9}, "n_train"), ({"n_valid": "30"}, "n_valid"),
-         ({"seed": True}, "seed"), ({"noise_std": True}, "noise_std"), ({"hh_dt": "0.001"}, "hh_dt")],
+         ({"seed": True}, "seed"), ({"noise_std": True}, "noise_std"), ({"hh_dt": "0.001"}, "hh_dt"),
+         ({"noise_std": math.inf}, "noise_std"), ({"noise_std": math.nan}, "noise_std"),
+         ({"hh_dt": math.inf}, "hh_dt"), ({"hh_dt": math.nan}, "hh_dt")],
     )
     def test_system_spec_rejects_bad_values(self, kwargs, field):
         with pytest.raises(InputError, match=f"^{field} must be an? (integer|number)"):
@@ -231,10 +250,21 @@ class TestConfigValues:
         with pytest.raises(InputError, match=f"^{field} must be an integer"):
             build(bad)
 
-    @pytest.mark.parametrize("chi", ["0.5", True, None])
+    @pytest.mark.parametrize("chi", ["0.5", True, None, math.inf, math.nan])
     def test_method_spec_rejects_non_number_chi(self, chi):
         with pytest.raises(InputError, match="^chi must be a number"):
             MethodSpec("fit", Gaussian(), StabilityTarget.diss(), chi=chi)
+
+    @pytest.mark.parametrize("chi", [0.0, 1.0, 1.5, -0.5])
+    def test_method_spec_rejects_chi_outside_unit_interval(self, chi):
+        method = standard_methods("B")[1]
+        with pytest.raises(InputError, match=r"^chi must lie in \(0, 1\)"):
+            replace(method, chi=chi)
+
+    @pytest.mark.parametrize("field,minimum,build", BOUNDED_COUNTS)
+    def test_counts_below_their_bound_are_rejected(self, field, minimum, build):
+        with pytest.raises(InputError, match=f"^{field} must be >= {minimum}, got {minimum - 1}$"):
+            build(minimum - 1)
 
 
 def reference_multisine(ms, t):
@@ -545,3 +575,21 @@ class TestCsvRoundTrips:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InputError):
             read_dataset_csv(path)
+
+    def test_header_only_results_read_as_empty(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv([], path)
+        assert path.read_bytes() == ",".join(benchmarks.RESULTS_HEADER).encode() + b"\r\n"
+        assert read_results_csv(path) == []
+
+    @pytest.mark.parametrize("last_cell", [None, b"abc", b"\xff", b"0.1\x00"], ids=["missing", "cell", "undecodable", "nul"])
+    @pytest.mark.parametrize("read,header", [(read_dataset_csv, "t,u,y"),
+                                             (read_results_csv, ",".join(benchmarks.RESULTS_HEADER))],
+                             ids=["dataset", "results"])
+    def test_unreadable_files_are_input_errors(self, tmp_path, read, header, last_cell):
+        # a well-formed header and row whose last cell is bad, or no file
+        path = tmp_path / "data.csv"
+        if last_cell is not None:
+            path.write_bytes(header.encode() + b"\n" + b"0," * header.count(",") + last_cell + b"\n")
+        with pytest.raises(InputError, match="^cannot read CSV"):
+            read(path)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -438,6 +439,21 @@ class TestCheckViability:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error:")
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_exits_2(self, workdir, capsys, radius):
+        # a non-member whose witness lies inside radius 50: no radius may
+        # turn the falsifier's verdict into "no witness found"
+        payload = {"kernel": {"structure": "feature_gaussian", "eta": [2.0, 1.0, 0.5], "input_dim": 5},
+                   "target": {"kind": "iss"}}
+        cfg = write_config(workdir / "check.json", {**payload, "falsify": {"radius": 50}})
+        assert run(["check-viability", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "not member" in out and "theta_contractive" in out
+        cfg = write_config(workdir / "check.json", {**payload, "falsify": {"radius": radius}})
+        assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "radius must be a number" in captured.err
+
     def test_integral_float_input_dim_accepted(self, workdir, capsys):
         cfg = write_config(
             workdir / "check.json",
@@ -499,6 +515,12 @@ class TestCounts:
         assert captured.out == "" and f"{key} must be an integer" in captured.err
         assert not (workdir / "B_train.csv").exists()
 
+    def test_generate_rejects_negative_seed(self, workdir, capsys):
+        cfg = write_config(workdir / "gen.json", {"system": "B", "seed": -1, "out": str(workdir)})
+        assert run(["generate", "--config", cfg]) == EXIT_INPUT
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (workdir / "B_train.csv").exists()
+
     def test_system_spec_reads_integral_floats_as_ints(self):
         args = argparse.Namespace(seed=None)
         spec = cli._system_spec({"system": "B", "seed": 2.0, "n_train": 40.0, "n_valid": 30}, args, "generate config")
@@ -540,10 +562,10 @@ class TestCounts:
 
 
 class TestRealValues:
-    """Real-valued config values are numbers: true and "0.5" exit 2 instead
-    of reading as 1.0 or 0.5."""
+    """Real-valued config values are finite numbers: true, "0.5", Infinity
+    and NaN exit 2 instead of reading as 1.0, 0.5 or a non-finite value."""
 
-    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("value", [True, "0.5", math.inf, math.nan])
     @pytest.mark.parametrize("key", ["noise_std", "hh_dt"])
     def test_generate_rejects_non_numbers(self, workdir, capsys, key, value):
         payload = {"system": "B", "seed": 1, "n_train": 20, "n_valid": 20, "out": str(workdir), key: value}
@@ -556,7 +578,9 @@ class TestRealValues:
     @pytest.mark.parametrize(
         "extra",
         [{"chi": "0.5"}, {"chi": True}, {"selection": {"iota": "1e-8"}}, {"selection": {"iota": True}},
-         {"target": {"kind": "dviable", "rho": "1"}}, {"target": {"kind": "viable", "rho": True}}],
+         {"target": {"kind": "dviable", "rho": "1"}}, {"target": {"kind": "viable", "rho": True}},
+         {"chi": math.inf}, {"selection": {"iota": math.inf}}, {"selection": {"iota": math.nan}},
+         {"target": {"kind": "dviable", "rho": math.inf}}, {"target": {"kind": "viable", "rho": math.nan}}],
     )
     def test_fit_rejects_non_numbers(self, workdir, capsys, extra):
         train, _ = generate_b(workdir, n=20)
@@ -668,3 +692,53 @@ class TestConfigErrors:
         bad = workdir / "bad.json"
         bad.write_text("{")
         assert run(["generate", "--config", bad]) == EXIT_INPUT
+
+    def test_undecodable_config(self, workdir, capsys):
+        bad = workdir / "bad.json"
+        bad.write_bytes(b'{"system": "\xff"}')
+        assert run(["generate", "--config", bad]) == EXIT_INPUT
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["missing-data", "missing-model", "bad-cell", "undecodable-data"])
+    def test_unreadable_input_files_exit_2(self, workdir, capsys, fault):
+        train, _ = generate_b(workdir, n=20)
+        model = workdir / "model.json"
+        model.write_text(json.dumps(TestModelFile.MODEL))
+        if fault == "missing-data":
+            train = workdir / "nope.csv"
+        elif fault == "missing-model":
+            model = workdir / "nope.json"
+        elif fault == "bad-cell":
+            train.write_text("t,u,y\n1,0.0,abc\n")
+        else:
+            train.write_bytes(b"t,u,y\n1,0.0,\xff\n")
+        cfg = write_config(workdir / "sim.json", {"model": str(model), "data": str(train), "out": str(workdir)})
+        capsys.readouterr()
+        assert run(["simulate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: cannot read")
+        assert not (workdir / "simulate.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("fit", "data", ["data.csv"]), ("fit", "model_name", 5), ("fit", "out", 7.5),
+         ("simulate", "model", ["model.json"]), ("simulate", "output_name", 5),
+         ("generate", "out", 7), ("benchmark", "record_timing", "no")],
+    )
+    def test_path_and_flag_values_checked_before_any_work(self, workdir, capsys, command, key, value):
+        train, _ = generate_b(workdir, n=20)
+        (workdir / "model.json").write_text(json.dumps(TestModelFile.MODEL))
+        out = workdir / "out"
+        payload = {
+            "fit": {"data": str(train), "kernel": {"structure": "gaussian"}, "target": {"kind": "none"}},
+            "simulate": {"model": str(workdir / "model.json"), "data": str(train)},
+            "generate": {"system": "B", "n_train": 20, "n_valid": 20},
+            "benchmark": {"system": "B", "n_train": 20, "n_valid": 20, "runs": 1, "methods": ["Ba"],
+                          "selection": {"restarts": 1, "max_evals": 10}},
+        }[command]
+        cfg = write_config(workdir / "cfg.json", {**payload, "out": str(out), key: value})
+        capsys.readouterr()
+        assert run([command, "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"input error: {key} must be")
+        assert not out.exists()

@@ -379,6 +379,15 @@ class TestSquaredKernelMetric:
                 float(np.sum((a - b) ** 2)), rel=1e-12
             )
 
+    def test_batches_rejected(self):
+        # as in eval_kernel: a batch goes to metric_pairs, not to its first row
+        k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
+        A = np.random.default_rng(5).normal(size=(2, 5))
+        with pytest.raises(InputError, match="single vectors"):
+            squared_kernel_metric(k, A, A[::-1])
+        with pytest.raises(InputError, match="single vectors"):
+            squared_kernel_metric(k, A[:0], A[:0])
+
     @pytest.mark.parametrize("structure,eta", all_structures())
     def test_matches_eval_composition_and_nonnegative(self, structure, eta):
         k = KernelInstance(structure, eta, 5)

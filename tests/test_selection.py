@@ -241,6 +241,9 @@ class TestConfigValues:
             (lambda: SelectionConfig(iota=True), "iota must be a number"),
             (lambda: SelectionConfig(iota="1e-8"), "iota must be a number"),
             (lambda: SelectionConfig(cap_aware_cost="yes"), "cap_aware_cost must be true or false"),
+            (lambda: SelectionConfig(iota=math.inf), "iota must be a number"),
+            (lambda: SelectionConfig(chi="0.5"), "chi must be a number"),
+            (lambda: SelectionConfig(chi=math.nan), "chi must be a number"),
         ],
     )
     def test_rejects_bad_values(self, make, message):

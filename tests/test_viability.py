@@ -281,7 +281,8 @@ class TestFalsifier:
     @pytest.mark.parametrize(
         "kwargs,field",
         [({"sample_count": 2.5}, "sample_count"), ({"sample_count": True}, "sample_count"),
-         ({"radius": "5"}, "radius"), ({"seed": 1.5}, "seed")],
+         ({"radius": "5"}, "radius"), ({"seed": 1.5}, "seed"),
+         ({"radius": math.inf}, "radius"), ({"radius": math.nan}, "radius")],
     )
     def test_malformed_arguments_are_input_errors(self, kwargs, field):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
