@@ -16,9 +16,10 @@ noise on the outputs; and
       I      = 36 (V - 12) kappa^4,
 
   driven by a random multisine voltage and sampled every 0.1 s starting at
-  t = 50 s.  The gate ODE is integrated with fixed-step classical RK4; the
-  ratio (V+10)/(exp((V+10)/10)-1) has a removable singularity at V = -10,
-  handled by its limit value 10.
+  t = 50 s.  The gate ODE is integrated with fixed-step classical RK4 in
+  fixed-size blocks of steps, so generation memory is bounded by the block,
+  not by the horizon; the ratio (V+10)/(exp((V+10)/10)-1) has a removable
+  singularity at V = -10, handled by its limit value 10.
 
 Noise levels default to standard deviations 0.05 (A) and 0.02 (B), which
 puts the signal-to-noise ratio near 10 on both systems.
@@ -85,9 +86,9 @@ FULL_SCALE_N_VALID = {"A": 200, "B": 200, "H": 5001}
 HH_SAMPLE_PERIOD = 0.1
 HH_SAMPLE_OFFSET = 49.9
 DEFAULT_HH_DT = 1e-3
-# samples per block when summing a multisine: the working arrays stay in
-# cache instead of streaming a full-length temporary through memory per sine
-MULTISINE_BLOCK = 1 << 14
+# solver steps per block of simulate_hh: a block's half-step grid, voltage,
+# rates and RK4 coefficients take a few MB in all, whatever the horizon
+_HH_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +131,16 @@ class MultisineRealization:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        out = np.zeros(flat.shape)
-        work = np.empty(min(flat.size, MULTISINE_BLOCK))
-        sines = [
-            (a, 2.0 * math.pi * nu, phi)
-            for a, nu, phi in zip(self.amplitudes, self.frequencies, self.phases)
-        ]
-        for start in range(0, flat.size, MULTISINE_BLOCK):
-            t_blk = flat[start:start + MULTISINE_BLOCK]
-            out_blk = out[start:start + MULTISINE_BLOCK]
-            w = work[:t_blk.size]
-            # per sample and in the same sine order: out += a sin(omega t + phi)
-            for a, omega, phi in sines:
-                np.multiply(omega, t_blk, out=w)
-                w += phi
-                np.sin(w, out=w)
-                w *= a
-                out_blk += w
-        return out.reshape(t.shape)
+        out = np.zeros(t.shape)
+        w = np.empty(t.shape)
+        # per sample and in the same sine order: out += a sin(omega t + phi)
+        for a, nu, phi in zip(self.amplitudes, self.frequencies, self.phases):
+            np.multiply(2.0 * math.pi * nu, t, out=w)
+            w += phi
+            np.sin(w, out=w)
+            w *= a
+            out += w
+        return out
 
 
 def draw_multisine(rng: np.random.Generator) -> MultisineRealization:
@@ -261,7 +253,9 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
     gate equation is affine in kappa, each RK4 step reduces to
     ``kappa <- p_k kappa + q_k`` with coefficients computed from the rates
     on a half-step grid; the coefficients are vectorized and only the scalar
-    recursion runs as a loop.
+    recursion runs as a loop.  The steps run in fixed-size blocks, each on
+    its own slice of the half-step grid, so the memory beyond ``kappa`` is
+    bounded by the block, not by the horizon; every value is as in one pass.
     """
     if not (dt_solver > 0 and t_end > 0):
         raise InputError("dt_solver and t_end must be > 0")
@@ -269,33 +263,34 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
     if n_steps < 1:
         raise InputError("horizon shorter than one solver step")
     h = dt_solver
-    half_grid = 0.5 * h * np.arange(2 * n_steps + 1)
-    V = np.asarray(voltage(half_grid), dtype=float)
-    if V.shape != half_grid.shape or not np.all(np.isfinite(V)):
-        raise NumericError("voltage input produced a malformed or non-finite sample grid")
-    A = hh_alpha(V)
-    B = A + hh_beta(V)  # kappa' = alpha - (alpha + beta) kappa
-    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
-    B0, Bh, B1 = B[0:-1:2], B[1::2], B[2::2]
-
-    c1 = A0
-    d1 = -B0
-    c2 = Ah - Bh * (h / 2.0) * c1
-    d2 = -Bh * (1.0 + (h / 2.0) * d1)
-    c3 = Ah - Bh * (h / 2.0) * c2
-    d3 = -Bh * (1.0 + (h / 2.0) * d2)
-    c4 = A1 - B1 * h * c3
-    d4 = -B1 * (1.0 + h * d3)
-    q = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-    p = 1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-
     kappa = np.empty(n_steps + 1)
     kappa[0] = kappa0
     x = float(kappa0)
-    p_list, q_list = p.tolist(), q.tolist()
-    for i in range(n_steps):
-        x = p_list[i] * x + q_list[i]
-        kappa[i + 1] = x
+    for s0 in range(0, n_steps, _HH_BLOCK):
+        s1 = min(s0 + _HH_BLOCK, n_steps)
+        half_grid = 0.5 * h * np.arange(2 * s0, 2 * s1 + 1)
+        V = np.asarray(voltage(half_grid), dtype=float)
+        if V.shape != half_grid.shape or not np.all(np.isfinite(V)):
+            raise NumericError("voltage input produced a malformed or non-finite sample grid")
+        A = hh_alpha(V)
+        B = A + hh_beta(V)  # kappa' = alpha - (alpha + beta) kappa
+        A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
+        B0, Bh, B1 = B[0:-1:2], B[1::2], B[2::2]
+
+        c1 = A0
+        d1 = -B0
+        c2 = Ah - Bh * (h / 2.0) * c1
+        d2 = -Bh * (1.0 + (h / 2.0) * d1)
+        c3 = Ah - Bh * (h / 2.0) * c2
+        d3 = -Bh * (1.0 + (h / 2.0) * d2)
+        c4 = A1 - B1 * h * c3
+        d4 = -B1 * (1.0 + h * d3)
+        q = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        p = 1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+
+        for i, (p_i, q_i) in enumerate(zip(p.tolist(), q.tolist()), start=s0 + 1):
+            x = p_i * x + q_i
+            kappa[i] = x
     if not np.all(np.isfinite(kappa)):
         bad = int(np.argmax(~np.isfinite(kappa)))
         raise NumericError(f"gate integration produced a non-finite state at step {bad}")
@@ -618,11 +613,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write a header line and then the rows, each a list of cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a header line and then the rows; an unwritable file raises InputError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InputError(f"cannot write CSV {path}: {exc}") from exc
 
 
 def _read_csv(path, columns: dict) -> list:

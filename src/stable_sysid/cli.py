@@ -42,8 +42,10 @@ negative seed.  Real values (``noise_std``, ``hh_dt``, ``chi``, ``iota``,
 ``model``, ``out``, ``model_name``, ``output_name``) must be strings and
 ``record_timing`` true or false, checked before any work.  An input file
 (config, data CSV or ``model.json``) that is missing, unreadable, not UTF-8
-or does not parse exits 2.  Exit codes: 0 success, 2 input error, 3
-infeasible stability target, 4 numeric failure, 5 divergence.
+or does not parse exits 2, and so does an output file that cannot be
+written.  ``methods`` must be a list of method names.  Exit codes: 0
+success, 2 input error, 3 infeasible stability target, 4 numeric failure,
+5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
 same bytes (benchmark timing columns are zeroed unless ``record_timing``
 is set, precisely to keep re-runs byte-identical).
@@ -261,8 +263,12 @@ def cmd_benchmark(args) -> int:
 
     available = {m.name: configured(m) for m in benchmarks.standard_methods(spec.variant)}
     wanted = cfg.get("methods", sorted(available))
+    if not isinstance(wanted, list):
+        raise InputError(f"methods must be a list of method names, got {type(wanted).__name__}")
     methods = []
     for name in wanted:
+        if not isinstance(name, str):
+            raise InputError(f"methods must hold method names, got {type(name).__name__} {name!r}")
         if name not in available:
             raise InputError(
                 f"unknown method {name!r} for system {spec.variant}; available: {sorted(available)}"

@@ -101,6 +101,8 @@ _INV_E = math.exp(-1.0)
 INF = math.inf
 # undershoot below -1/e that lambert_w0 still reads as -1/e, not a domain error
 LAMBERT_DOMAIN_TOL = 1e-12
+# rows of A per block of _sq_dist_matrix; a 198-row training Gram is one block
+_SQ_DIST_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +174,13 @@ def _sq_dist_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _sq_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # (a - b)^2 expanded per coordinate keeps exact symmetry when A is B
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # (a - b)^2 expanded per coordinate keeps exact symmetry when A is B; row
+    # blocks keep the (rows, N, d) difference a few MB, whatever the rows
+    out = np.empty((A.shape[0], B.shape[0]))
+    for start in range(0, A.shape[0], _SQ_DIST_ROWS):
+        diff = A[start:start + _SQ_DIST_ROWS, None, :] - B[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:start + _SQ_DIST_ROWS])
+    return out
 
 
 def _window_sums(sq_by_coord: list, m: int, p: int) -> list:

@@ -222,9 +222,13 @@ def load_model(path) -> PredictorModel:
 
 
 def _write_json(path, payload, sort_keys: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=sort_keys)
-        fh.write("\n")
+    """Write ``payload`` as JSON; an unwritable file raises InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=sort_keys)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_json(path, what: str):

@@ -32,7 +32,7 @@ from stable_sysid import (
     summarize,
 )
 from stable_sysid.benchmarks import (
-    MULTISINE_BLOCK,
+    _HH_BLOCK,
     draw_multisine,
     hh_alpha,
     hh_beta,
@@ -120,6 +120,63 @@ class TestHodgkinHuxleyGate:
         traj = simulate_hh(voltage, 0.5, t_end=1.0, dt_solver=0.01)
         with pytest.raises(InputError):
             traj.kappa_at([0.005])
+
+
+def reference_kappa(voltage, kappa0, n_steps, h):
+    """The gate recursion on one full-horizon half-step grid."""
+    V = np.asarray(voltage(0.5 * h * np.arange(2 * n_steps + 1)), dtype=float)
+    A = hh_alpha(V)
+    B = A + hh_beta(V)
+    c1, d1 = A[0:-1:2], -B[0:-1:2]
+    Ah, Bh, A1, B1 = A[1::2], B[1::2], A[2::2], B[2::2]
+    c2, d2 = Ah - Bh * (h / 2.0) * c1, -Bh * (1.0 + (h / 2.0) * d1)
+    c3, d3 = Ah - Bh * (h / 2.0) * c2, -Bh * (1.0 + (h / 2.0) * d2)
+    c4, d4 = A1 - B1 * h * c3, -B1 * (1.0 + h * d3)
+    q = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    p = 1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    kappa = [float(kappa0)]
+    for p_i, q_i in zip(p.tolist(), q.tolist()):
+        kappa.append(p_i * kappa[-1] + q_i)
+    return np.array(kappa)
+
+
+class TestHodgkinHuxleyBlocks:
+    H = 0.01
+
+    def test_multi_block_horizon_bit_equal_to_one_pass(self):
+        voltage = draw_multisine(np.random.default_rng(4))
+        steps = 2 * _HH_BLOCK + 5
+        got = simulate_hh(voltage, 0.3, steps * self.H, self.H).kappa
+        assert np.array_equal(got, reference_kappa(voltage, 0.3, steps, self.H))
+
+    @pytest.mark.parametrize("steps", [24, 25])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_block_size_moves_no_bit(self, monkeypatch, block, steps):
+        voltage = draw_multisine(np.random.default_rng(4))
+        want = simulate_hh(voltage, 0.3, steps * self.H, self.H).kappa
+        monkeypatch.setattr(benchmarks, "_HH_BLOCK", block)
+        got = simulate_hh(voltage, 0.3, steps * self.H, self.H).kappa
+        assert got.shape == (steps + 1,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, reference_kappa(voltage, 0.3, steps, self.H))
+
+    @pytest.mark.parametrize("block", [3, None])
+    def test_voltage_sees_one_block_at_a_time(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(benchmarks, "_HH_BLOCK", block)
+        block = benchmarks._HH_BLOCK
+        multisine = draw_multisine(np.random.default_rng(4))
+        sizes = []
+
+        def voltage(t):
+            sizes.append(np.size(t))
+            return multisine(t)
+
+        steps = 2 * block + 1  # two full blocks and a one-step tail
+        simulate_hh(voltage, 0.3, steps * self.H, self.H)
+        assert max(sizes) <= 2 * block + 1
+        # each block's grid shares its first point with the last of the one before
+        assert sum(sizes) == 2 * steps + len(sizes) and len(sizes) == 3
 
 
 class TestGenerateDataset:
@@ -279,9 +336,9 @@ def reference_multisine(ms, t):
 class TestMultisine:
     @pytest.mark.parametrize(
         "shape",
-        [(), (1,), (MULTISINE_BLOCK - 1,), (MULTISINE_BLOCK,), (MULTISINE_BLOCK + 1,), (3, 7), (0,)],
+        [(), (1,), (2 * _HH_BLOCK,), (2 * _HH_BLOCK + 1,), (2 * _HH_BLOCK + 2,), (3, 7), (0,)],
     )
-    def test_blockwise_sum_bit_equal_to_reference(self, shape):
+    def test_sum_bit_equal_to_reference(self, shape):
         ms = draw_multisine(np.random.default_rng(9))
         size = int(np.prod(shape))
         t = 49.9 + 0.0005 * np.arange(size, dtype=float).reshape(shape)

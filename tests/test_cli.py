@@ -742,3 +742,28 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"input error: {key} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_unwritable_output_exits_2(self, workdir, capsys, command):
+        train, _ = generate_b(workdir, n=20)
+        (workdir / "model.json").write_text(json.dumps(TestModelFile.MODEL))
+        payload = {
+            "fit": {"data": str(train), "kernel": {"structure": "gaussian"}, "target": {"kind": "none"},
+                    "selection": {"restarts": 1, "max_evals": 10}, "model_name": "sub/m.json"},
+            "predict": {"model": str(workdir / "model.json"), "data": str(train), "output_name": "sub/p.csv"},
+        }[command]
+        cfg = write_config(workdir / "cfg.json", {**payload, "out": str(workdir / "out")})
+        capsys.readouterr()
+        assert run([command, "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: cannot write") and "sub" in captured.err
+        assert not (workdir / "out" / "sub").exists()
+
+    @pytest.mark.parametrize("methods,named", [([["Ba"]], "list"), ("Ba", "str"), ({"Ba": 1}, "dict")])
+    def test_benchmark_methods_must_be_a_list_of_names(self, workdir, capsys, methods, named):
+        out = workdir / "out"
+        cfg = write_config(workdir / "bench.json", {"system": "B", "methods": methods, "runs": 1, "out": str(out)})
+        assert run(["benchmark", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: methods must") and f"got {named}" in err
+        assert not out.exists()

@@ -24,8 +24,10 @@ from stable_sysid import (
     squared_kernel_metric,
 )
 from stable_sysid.kernels import (
+    _SQ_DIST_ROWS,
     PairTerms,
     _RowTerms,
+    _sq_dist_matrix,
     gram_from_terms,
     metric_pairs,
     structure_from_config,
@@ -185,6 +187,20 @@ def pair_term_cases():
         (NarxFading(model_order=2, window=2), (0.6, 0.5, 0.3)),
         (nested, nested_eta),
     ]
+
+
+class TestSqDistMatrix:
+    @pytest.mark.parametrize("rows", [_SQ_DIST_ROWS - 1, _SQ_DIST_ROWS, _SQ_DIST_ROWS + 1])
+    def test_row_blocks_bit_equal_to_one_pass(self, rows):
+        rng = np.random.default_rng(rows)
+        A = rng.normal(scale=3.0, size=(rows, 5))
+        B = rng.normal(size=(199, 5))
+        diff = A[:, None, :] - B[None, :, :]
+        assert np.array_equal(_sq_dist_matrix(A, B), np.einsum("ijk,ijk->ij", diff, diff))
+        S = _sq_dist_matrix(A, A)
+        diff = A[:, None, :] - A[None, :, :]
+        assert np.array_equal(S, np.einsum("ijk,ijk->ij", diff, diff))
+        assert np.array_equal(S, S.T)
 
 
 class TestPairTerms:

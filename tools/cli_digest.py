@@ -10,11 +10,13 @@ command the script prints one ``sha256  name`` line for its standard output,
 its standard error, its exit code and each file it wrote.  Two checkouts that
 behave the same print the same lines: ``diff`` two runs to compare them.
 
-The list covers ``generate`` on A, B and H; ``fit`` on all eight kernel
-structures and the iss, bibs, diss, dbibs, viable and dviable targets at a
-small search budget; ``predict`` and ``simulate``; ``check-viability`` with
-the falsifier, including narx_fading and a sum with a narx_fading child,
-both with witnesses; and a one-run ``benchmark`` on A, B and H.
+The list covers ``generate`` on A, B and H, plus an H validation set of
+1,200 samples whose 120,000 solver steps span many integration blocks;
+``fit`` on all eight kernel structures and the iss, bibs, diss, dbibs,
+viable and dviable targets at a small search budget; ``predict`` and
+``simulate``, the H model on both H validation sets; ``check-viability``
+with the falsifier, including narx_fading and a sum with a narx_fading
+child, both with witnesses; and a one-run ``benchmark`` on A, B and H.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ GENERATE = [
     ("generate-A", {"system": "A", "seed": 3, "n_train": 60, "n_valid": 60, "out": "data"}),
     ("generate-B", {"system": "B", "seed": 4, "n_train": 60, "n_valid": 60, "out": "data"}),
     ("generate-H", {"system": "H", "seed": 5, "n_train": 60, "n_valid": 60, "out": "data"}),
+    ("generate-H-long", {"system": "H", "seed": 8, "n_train": 40, "n_valid": 1200, "out": "long"}),
 ]
 
 # (name, training data, kernel block, target)
@@ -61,13 +64,15 @@ FITS = [
     ("fit-gaussian-dbibs-H", "H", {"structure": "gaussian"}, {"kind": "dbibs"}),
 ]
 
-# (command, fit whose model runs, validation data)
+# (command, fit whose model runs, validation data directory, system)
 RUNS = [
-    ("predict", "fit-gaussian-dbibs", "B"),
-    ("simulate", "fit-gaussian-dbibs", "B"),
-    ("simulate", "fit-narx_fading-dviable", "B"),
-    ("simulate", "fit-sum-bibs", "A"),
-    ("simulate", "fit-gaussian-dbibs-H", "H"),
+    ("predict", "fit-gaussian-dbibs", "data", "B"),
+    ("simulate", "fit-gaussian-dbibs", "data", "B"),
+    ("simulate", "fit-narx_fading-dviable", "data", "B"),
+    ("simulate", "fit-sum-bibs", "data", "A"),
+    ("simulate", "fit-gaussian-dbibs-H", "data", "H"),
+    ("predict", "fit-gaussian-dbibs-H", "long", "H"),
+    ("simulate", "fit-gaussian-dbibs-H", "long", "H"),
 ]
 
 FALSIFY = {"samples": 4000, "radius": 5.0, "seed": 1}
@@ -99,9 +104,9 @@ def commands():
     for name, system, kernel, target in FITS:
         data = f"data/{system}_train.csv"
         yield name, ["fit"], {"data": data, "kernel": kernel, "target": target, "selection": SEARCH, "out": f"out/{name}"}
-    for want, fit, system in RUNS:
-        name = f"{want}-{fit}"
-        yield name, [want], {"model": f"out/{fit}/model.json", "data": f"data/{system}_valid.csv", "out": f"out/{name}"}
+    for want, fit, directory, system in RUNS:
+        name = f"{want}-{fit}" if directory == "data" else f"{want}-{fit}-{directory}"
+        yield name, [want], {"model": f"out/{fit}/model.json", "data": f"{directory}/{system}_valid.csv", "out": f"out/{name}"}
     for name, kernel, target in CHECKS:
         yield name, ["check-viability"], {"kernel": {**kernel, "input_dim": 5}, "target": target, "falsify": FALSIFY}
     for name, cfg in BENCHMARKS:
