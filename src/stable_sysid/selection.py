@@ -34,7 +34,11 @@ cheap numeric inversion; the remaining restarts perturb it.  Restarts are
 seeded, making results reproducible; each restart owns its optimizer state
 and cost evaluations are pure, so restarts are safe to run concurrently.
 
-The search memoizes the Gram spectra it computes on the data
+GCV charged at ``(beta, eta)`` is scored from one Cholesky factor of
+``K + beta I`` (GPML 2006, Algorithm 2.1), with the clamped spectrum only
+where the factor fails.  The cap-aware GCV needs the spectrum for its root,
+and EB keeps it until the regularizer has a floor double precision can see
+(a Cholesky EB moves rows).  The search memoizes those spectra on the data
 (:attr:`~stable_sysid.solver.RegressionData.spectra`, keyed by the structure
 and the bytes of ``eta``), so an ``eta`` the search revisits, or that an earlier search on the
 same data already factored, costs no second ``eigh``.  On a Gaussian kernel
@@ -53,12 +57,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.lapack import dpotrs, dtrtri
 
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelInstance, KernelStructure, _config_fields, gram_from_terms
 from .solver import (
     RegressionData,
     _eig_psd,
+    _shifted_cholesky,
     alpha_bar_from_spectrum,
     solve_norm_constrained,
     solve_ridge,
@@ -141,9 +147,9 @@ class SelectionResult:
     """The selected point, its cost, and what the search spent.
 
     ``evaluations`` counts cost evaluations; ``factorizations`` counts the
-    spectra the search computed itself rather than read from the data's
-    memo (see module notes).  It is bookkeeping, so results that differ only
-    in it compare equal.
+    Cholesky factors and the spectra the search computed rather than read
+    from the data's memo (see module notes).  It is bookkeeping, so results
+    that differ only in it compare equal.
     """
 
     beta: float
@@ -158,9 +164,13 @@ class SelectionResult:
 # cost functions
 # ---------------------------------------------------------------------------
 
-def _spectrum(structure, eta, data: RegressionData):
+def _gram(structure, eta, data: RegressionData) -> np.ndarray:
     kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=data.regressors.shape[1])
-    lam, Q = _eig_psd(gram_from_terms(kernel, data.terms))
+    return gram_from_terms(kernel, data.terms)
+
+
+def _spectrum(structure, eta, data: RegressionData):
+    lam, Q = _eig_psd(_gram(structure, eta, data))
     return lam, Q.T @ data.targets
 
 
@@ -178,6 +188,31 @@ def _gcv_from_spectrum(lam, yt, beta, n) -> float:
     return n * residual_sq / trace ** 2
 
 
+def _gcv(beta, eta, data: RegressionData, structure, spectrum) -> float:
+    """GCV from ``L L' = K + beta I``: residual ``beta (K + beta I)^{-1} y``,
+    ``trace(I - H) = beta |L^{-1}|_F^2``, in the spectral form's product order
+    (finite up to ``beta = exp(690)``).  ``spectrum(eta)`` serves where the
+    factor fails, and only there is the Gram checked for negative eigenvalues."""
+    _, L = _shifted_cholesky(_gram(structure, eta, data), beta)
+    if L is None:
+        lam, yt = spectrum(eta)
+        score = _gcv_from_spectrum(lam, yt, beta, data.size)
+    elif not math.isfinite(float(np.trace(L))):
+        # a nan pivot passes dpotrf's test, and an infinite one factors
+        raise NumericError("the Gram is not finite")
+    else:
+        c, _ = dpotrs(L, data.targets, lower=1)
+        L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)
+        residual_sq = float(np.sum((beta * c) ** 2))
+        trace = beta * float(np.sum(L_inv ** 2))
+        if trace == 0.0:
+            raise NumericError("GCV trace vanished; increase iota")
+        score = data.size * residual_sq / trace ** 2
+    if not math.isfinite(score):
+        raise NumericError(f"GCV score is {score}")
+    return score
+
+
 def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Negative log marginal likelihood of the targets under the kernel prior."""
     if not (beta > 0):
@@ -190,8 +225,7 @@ def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStr
     """Generalized cross-validation score of the ridge smoother."""
     if not (beta > 0):
         raise InputError(f"beta must be > 0, got {beta!r}")
-    lam, yt = _spectrum(structure, eta, data)
-    return _gcv_from_spectrum(lam, yt, beta, data.size)
+    return _gcv(beta, eta, data, structure, lambda eta: _spectrum(structure, eta, data))
 
 
 def kfold_cost(
@@ -208,8 +242,7 @@ def _kfold(beta, eta, data, structure, k, chi) -> float:
     n = data.size
     if not 2 <= k <= n:
         raise InputError(f"kfold needs 2 <= k <= {n}, got {k}")
-    kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=data.regressors.shape[1])
-    K = gram_from_terms(kernel, data.terms)
+    K = _gram(structure, eta, data)
     bounds = np.linspace(0, n, k + 1, dtype=int)
     total, count = 0.0, 0
     for i in range(k):
@@ -217,12 +250,11 @@ def _kfold(beta, eta, data, structure, k, chi) -> float:
         if held.size == 0:
             continue
         kept = np.setdiff1d(np.arange(n), held)
+        K_kept, y_kept = K[np.ix_(kept, kept)], data.targets[kept]
         if chi is None:
-            c = solve_ridge(K[np.ix_(kept, kept)], data.targets[kept], beta)
+            c = solve_ridge(K_kept, y_kept, beta)
         else:
-            c, _ = solve_norm_constrained(
-                K[np.ix_(kept, kept)], data.targets[kept], data.model_order, chi, beta
-            )
+            c, _ = solve_norm_constrained(K_kept, y_kept, data.model_order, chi, beta)
         pred = K[np.ix_(held, kept)] @ c
         total += float(np.sum((data.targets[held] - pred) ** 2))
         count += held.size
@@ -311,9 +343,13 @@ def select_hyperparameters(
         return entry
 
     def cost_fn(beta, eta):
+        nonlocal factorizations
         if config.method == "kfold":
             chi = config.chi if charge_cap else None
             return _kfold(beta, eta, data, structure, config.kfold_k, chi)
+        if config.method == "gcv" and not charge_cap:
+            factorizations += 1
+            return _gcv(beta, eta, data, structure, spectrum)
         lam, yt = spectrum(eta)
         if charge_cap:
             beta = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))

@@ -15,6 +15,8 @@ global optimum of the convex program.
 All alpha-dependent quantities are evaluated through one symmetric
 eigendecomposition of K per problem; eigenvalues within ``-1e-10 |K|`` of
 zero are clamped to zero, anything lower raises :class:`NumericError`.
+The plain ridge solve and the search's unconstrained GCV factor
+``K + beta I`` by Cholesky instead; EB follows after ROADMAP Direction 2.
 
 Gram matrices over a :class:`RegressionData` are assembled from its
 ``terms``, the regressors' ``eta``-independent pair terms
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericError
@@ -215,6 +217,20 @@ def _eig_psd(K: np.ndarray):
     return lam, Q
 
 
+def _shifted_cholesky(K: np.ndarray, beta: float):
+    """``A = K + beta I`` (``K`` exactly symmetric) and its lower Cholesky
+    factor, or None for the factor where LAPACK rejects it.  The package's
+    only Cholesky is scipy's as :func:`_eig_psd` is numpy's: each loads its
+    own OpenBLAS and thread pool, and alternating them (198 x 198, 2 vCPUs)
+    took 30-34 ms a pair against 5-6 and 0.4-0.9 ms apart.  scipy's
+    ``eigh``, like pinned threads, moved mc-h Hb ``q_sim`` by 5.4%."""
+    A = np.array(K, dtype=float)
+    A.flat[::A.shape[0] + 1] += beta
+    # the transpose of a symmetric C-ordered array is its Fortran-ordered self
+    L, info = dpotrf(A.T, lower=1, clean=1)
+    return A, (L if info == 0 else None)
+
+
 def _rotated_spectrum(K, y):
     """Validate ``(K, y)``, factor K, and rotate y into its eigenbasis."""
     K, y = _validate_matrix(K, y)
@@ -249,14 +265,12 @@ def solve_ridge(K, y, beta: float) -> np.ndarray:
     K, y = _validate_matrix(K, y)
     if not (beta > 0 and math.isfinite(beta)):
         raise InputError(f"beta must be finite and > 0, got {beta!r}")
-    A = K + beta * np.eye(K.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        c = scipy.linalg.cho_solve(factor, y, check_finite=False)
-        c += scipy.linalg.cho_solve(factor, y - A @ c, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    A, L = _shifted_cholesky(K, beta)
+    if L is None:
         lam, Q = _eig_psd(K)
-        c = Q @ (Q.T @ y / (lam + beta))
+        return Q @ (Q.T @ y / (lam + beta))
+    c = dpotrs(L, y, lower=1)[0]
+    c += dpotrs(L, y - A @ c, lower=1)[0]
     return c
 
 
@@ -352,15 +366,10 @@ def solve_constrained(problem: FitProblem) -> FitReport:
     K = gram_from_terms(problem.kernel, problem.data.terms)
     y = problem.data.targets
     m = problem.data.model_order
-    try:
-        if problem.constrained:
-            c, alpha_bar = solve_norm_constrained(K, y, m, problem.chi, problem.beta)
-        else:
-            c = solve_ridge(K, y, problem.beta)
-            alpha_bar = 0.0
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(K + problem.beta * np.eye(K.shape[0]))
-        raise NumericError(f"linear solve failed (condition number {cond:.3e}): {exc}") from exc
+    if problem.constrained:
+        c, alpha_bar = solve_norm_constrained(K, y, m, problem.chi, problem.beta)
+    else:
+        c, alpha_bar = solve_ridge(K, y, problem.beta), 0.0
     return FitReport(
         coefficients=c,
         beta=problem.beta,

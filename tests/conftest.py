@@ -26,3 +26,18 @@ def eigh_calls(monkeypatch):
     monkeypatch.setattr(solver, "_eig_psd", counting)
     monkeypatch.setattr(selection, "_eig_psd", counting)
     return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The size of every Cholesky factor attempted during the test (the
+    ridge solve's and the unconstrained GCV's)."""
+    calls = []
+    real = solver.dpotrf
+
+    def counting(A, **kwargs):
+        calls.append(A.shape[0])
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(solver, "dpotrf", counting)
+    return calls

@@ -23,6 +23,7 @@ from stable_sysid import (
     select_hyperparameters,
     solve_constrained,
 )
+from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
 from stable_sysid.viability import feasible_parameterization
 
@@ -282,6 +283,105 @@ def hex_result(result):
     return (result.beta.hex(), tuple(float(v).hex() for v in result.eta), result.cost.hex())
 
 
+class TestCholeskyGcv:
+    """GCV charged at (beta, eta) comes from one Cholesky factor of
+    K + beta I, and from the clamped spectrum only when LAPACK rejects it."""
+
+    ETA = (0.5, 0.4, 0.1)
+
+    def spectral(self, beta, data):
+        from stable_sysid.selection import _gcv_from_spectrum, _spectrum
+
+        lam, yt = _spectrum(Gaussian(), self.ETA, data)
+        return _gcv_from_spectrum(lam, yt, beta, data.size), float(lam[-1])
+
+    @staticmethod
+    def failing_dpotrf(monkeypatch):
+        from stable_sysid import solver
+
+        monkeypatch.setattr(solver, "dpotrf", lambda A, **kwargs: (A, 1))
+
+    @staticmethod
+    def fixed_gram(monkeypatch, K):
+        from stable_sysid import selection
+
+        monkeypatch.setattr(selection, "_gram", lambda structure, eta, data: K.copy())
+
+    @pytest.mark.parametrize("scale", ["lam_max", "one", "huge"])
+    def test_agrees_with_the_spectrum(self, scale, eigh_calls, cholesky_calls):
+        data = smooth_data(30)
+        lam_max = self.spectral(1.0, data)[1]
+        beta = {"lam_max": 1e-3 * lam_max, "one": 1.0, "huge": 1e250}[scale]
+        expected = self.spectral(beta, data)[0]
+        calls = len(eigh_calls)
+        value = gcv_cost(beta, self.ETA, data, Gaussian())
+        assert (len(eigh_calls), cholesky_calls) == (calls, [data.size])
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-10)
+
+    def test_failed_factor_falls_back_to_the_spectrum(self, monkeypatch, eigh_calls):
+        data = smooth_data(30)
+        expected = self.spectral(0.3, data)[0]
+        self.failing_dpotrf(monkeypatch)
+        calls = len(eigh_calls)
+        assert gcv_cost(0.3, self.ETA, data, Gaussian()) == expected
+        assert len(eigh_calls) == calls + 1
+
+    def test_indefinite_gram_is_checked_only_on_the_fallback(self, monkeypatch):
+        # a Gram below -1e-10 |K| that still factors with beta scores as its
+        # unclamped spectrum does; one that does not factor meets _eig_psd
+        from stable_sysid.selection import _gcv_from_spectrum
+
+        data = smooth_data(30)
+        Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(data.size,) * 2))
+        lam = np.linspace(-0.05, 2.0, data.size)
+        K = (Q * lam) @ Q.T
+        self.fixed_gram(monkeypatch, 0.5 * (K + K.T))
+        expected = _gcv_from_spectrum(lam, Q.T @ data.targets, 1.0, data.size)
+        assert gcv_cost(1.0, self.ETA, data, Gaussian()) == pytest.approx(expected, rel=1e-10)
+        with pytest.raises(NumericError, match="positive semidefinite"):
+            gcv_cost(0.01, self.ETA, data, Gaussian())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("cell", [(3, 3), (5, 3)])
+    def test_non_finite_gram_raises(self, monkeypatch, value, cell):
+        # a nan pivot passes dpotrf's test and an infinite one factors
+        from stable_sysid.selection import _gram
+
+        data = smooth_data(30)
+        K = _gram(Gaussian(), self.ETA, data)
+        K[cell] = K[cell[::-1]] = value
+        self.fixed_gram(monkeypatch, K)
+        with pytest.raises(NumericError):
+            gcv_cost(1.0, self.ETA, data, Gaussian())
+
+    def test_unconstrained_search_makes_no_spectrum(self, eigh_calls, cholesky_calls):
+        config = SelectionConfig(method="gcv", optimizer=tiny_optimizer(), seed=3)
+        data = smooth_data(45, seed=1)
+        result = select_hyperparameters(config, data, Gaussian())
+        assert eigh_calls == [] and data.spectra == {}
+        assert result.factorizations == result.evaluations == len(cholesky_calls)
+
+    def test_cap_aware_search_still_memoizes(self, eigh_calls, cholesky_calls):
+        config = SelectionConfig(
+            method="gcv", target=StabilityTarget.dbibs(), optimizer=tiny_optimizer(), seed=3
+        )
+        data = smooth_data(45, seed=1)
+        result = select_hyperparameters(config, data, Gaussian())
+        assert cholesky_calls == []
+        assert 0 < result.factorizations == len(eigh_calls) == len(data.spectra)
+
+    def test_spectral_search_selects_an_equal_cost(self, monkeypatch):
+        config = SelectionConfig(method="gcv", optimizer=tiny_optimizer(), seed=3)
+        cholesky = select_hyperparameters(config, smooth_data(45, seed=1), Gaussian())
+        self.failing_dpotrf(monkeypatch)
+        data = smooth_data(45, seed=1)
+        spectral = select_hyperparameters(config, data, Gaussian())
+        assert spectral.cost == pytest.approx(cholesky.cost, rel=1e-8)
+        # every evaluation tried a factor, and every fallback was memoized
+        assert spectral.factorizations == spectral.evaluations + len(data.spectra)
+
+
 class TestSpectrumMemo:
     """The search memoizes its spectra on the data: a factorization is done
     once per (structure, eta) and data, and sharing changes no result."""
@@ -351,14 +451,17 @@ class TestSpectrumMemo:
                 with pytest.raises(ValueError):
                     values[0] = 1.0
 
-    def test_public_costs_do_not_use_the_memo(self, eigh_calls):
-        # they are what a benchmark replay times, so each call must factor
+    def test_public_costs_do_not_use_the_memo(self, eigh_calls, cholesky_calls):
+        # they are what a benchmark replay times, so each call must factor:
+        # eb_cost by one eigh, gcv_cost by one Cholesky factor
         data = smooth_data(30)
         result = select_hyperparameters(self.configs()[0], data, Gaussian())
         entries, searched = len(data.spectra), len(eigh_calls)
+        assert cholesky_calls == []
         for fn in (eb_cost, gcv_cost):
             fn(result.beta, result.eta, data, Gaussian())
-        assert len(eigh_calls) == searched + 2
+        assert len(eigh_calls) == searched + 1
+        assert cholesky_calls == [data.size]
         assert len(data.spectra) == entries
 
     def test_kfold_search_factors_nothing(self):

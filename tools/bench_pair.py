@@ -1,0 +1,128 @@
+"""Measure a change against its parent on the perfbench workloads and write
+a ``BENCH_<n>.json``.
+
+Run from anywhere, one process at a time on an otherwise idle machine:
+
+    python tools/bench_pair.py PARENT CHANGE --out BENCH_<n>.json
+
+PARENT and CHANGE are two checkout directories (the parent one made with
+``git archive`` or ``git clone``).  For each workload the script runs
+``perfbench/run.py --trace 0`` at seed 0 in the two checkouts in alternating
+order, ten times each (the pairs a gain claim needs), and keeps every run's
+end-to-end metrics, gate verdict and failed cells, and the quality medians.  Once per checkout and workload it
+also runs a probe round in a fresh interpreter, which counts the
+``numpy.linalg.eigh`` calls of one round and, on mc-ab, times the
+thread-pool check round (a wall time, not a metric).  The machine facts are
+those of the parent's first run record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("mc-ab", "mc-h")
+PAIRS = 10
+SEED = 0
+MACHINE_KEYS = ("nproc", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "python", "numpy", "scipy")
+
+
+def probe(root: Path, workload: str) -> dict:
+    """One round with ``eigh`` counted, then the timed thread-pool round."""
+    sys.path[:0] = [str(root / "src"), str(root)]
+    import numpy as np
+
+    from perfbench import bench
+
+    calls = 0
+    real = np.linalg.eigh
+
+    def counting(K):
+        nonlocal calls
+        calls += 1
+        return real(K)
+
+    np.linalg.eigh = counting
+    configs = bench.workload_configs(workload, SEED)
+    round_ = bench.run_round(configs)
+    np.linalg.eigh = real
+    pooled = bench.jobs_counterpart(workload, configs)
+    return {
+        "eigh_per_round": calls,
+        "round_s": round_.wall_s,
+        "threadpool_round_s": None if pooled is None else pooled.wall_s,
+        "threadpool_rows_equal": None if pooled is None else bench.outcome(pooled) == bench.outcome(round_),
+    }
+
+
+def run_benchmark(root: Path, workload: str) -> dict:
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--trace", "0"]
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=1800)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = json.loads((root / "perfbench" / "out" / f"{workload}-seed{SEED}-trace0.json").read_text())
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+        "quality": record["quality"],
+        "environment": record["environment"],
+    }
+
+
+def run_probe(root: Path, workload: str) -> dict:
+    command = [sys.executable, str(Path(__file__).resolve()), "--probe", str(root), workload]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=1800, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def side_summary(runs: list, probed: dict) -> dict:
+    names = runs[0]["metrics"]
+    return {
+        "runs": [{k: run[k] for k in ("correct", "attempted", "failed", "metrics")} for run in runs],
+        "median": {name: statistics.median(run["metrics"][name] for run in runs) for name in names},
+        "quality": runs[0]["quality"],
+        **probed,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {"seed": SEED, "pairs": PAIRS, "workloads": {}}
+    for workload in WORKLOADS:
+        runs = {side: [] for side in sides}
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_benchmark(sides[side], workload))
+                print(workload, side, runs[side][-1]["metrics"], flush=True)
+        if "machine" not in report:
+            env = runs["parent"][0]["environment"]
+            report["machine"] = {key: env.get(key) for key in MACHINE_KEYS}
+        summary = {side: side_summary(runs[side], run_probe(root, workload))
+                   for side, root in sides.items()}
+        summary["change_over_parent"] = {
+            name: summary["change"]["median"][name] / summary["parent"]["median"][name]
+            for name in summary["parent"]["median"]
+        }
+        report["workloads"][workload] = summary
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--probe"]:  # the fresh interpreter of run_probe
+        root, workload = sys.argv[2:4]
+        print(json.dumps(probe(Path(root).resolve(), workload)))
+    else:
+        sys.exit(main())
