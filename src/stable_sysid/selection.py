@@ -34,20 +34,23 @@ cheap numeric inversion; the remaining restarts perturb it.  Restarts are
 seeded, making results reproducible; each restart owns its optimizer state
 and cost evaluations are pure, so restarts are safe to run concurrently.
 
-GCV charged at ``(beta, eta)`` is scored from one Cholesky factor of
-``K + beta I`` (GPML 2006, Algorithm 2.1), with the clamped spectrum only
-where the factor fails.  The cap-aware GCV needs the spectrum for its root,
-and EB keeps it until the regularizer has a floor double precision can see
-(a Cholesky EB moves rows).  The search memoizes those spectra on the data
-(:attr:`~stable_sysid.solver.RegressionData.spectra`, keyed by the structure
-and the bytes of ``eta``), so an ``eta`` the search revisits, or that an earlier search on the
-same data already factored, costs no second ``eigh``.  On a Gaussian kernel
-the deltaBIBS feasible map is the unconstrained one, and plain EB ignores
-the target, so a deltaBIBS search after an unconstrained one on the same
-data replays every factorization.  Concurrent restarts and searches stay
-safe: entries are read-only and never replaced by different values, since
-every writer of a key computes bit-identical ones.  The public
-``eb_cost``/``gcv_cost``/``kfold_cost`` neither read nor fill the memo.
+GCV is scored from one Cholesky factor of ``K + beta I`` (GPML 2006,
+Algorithm 2.1), with the clamped spectrum only where the factor fails.
+Cap-aware GCV is that same score at ``max(beta, alpha_bar)``, whose root
+comes from one tridiagonal reduction of the Gram (``solver._effective_alpha``),
+and from the spectrum only where that path fails.  EB keeps the spectrum
+until the regularizer has a floor double precision can see (a Cholesky EB
+moves rows).  The search memoizes the spectra of EB and of the fallbacks on
+the data (:attr:`~stable_sysid.solver.RegressionData.spectra`, keyed by the
+structure and the bytes of ``eta``), so an ``eta`` the search revisits, or
+that an earlier search on the same data already factored, costs no second
+``eigh``.  On a Gaussian kernel the deltaBIBS feasible map is the
+unconstrained one, and plain EB ignores the target, so a deltaBIBS search
+after an unconstrained one on the same data replays every factorization.
+Concurrent restarts and searches stay safe: entries are read-only and never
+replaced by different values, since every writer of a key computes
+bit-identical ones.  The public ``eb_cost``/``gcv_cost``/``kfold_cost``
+neither read nor fill the memo.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelInstance, KernelStructure, _config_fields, gram_from_terms
 from .solver import (
     RegressionData,
+    _check_beta,
+    _effective_alpha,
     _eig_psd,
     _shifted_cholesky,
     alpha_bar_from_spectrum,
@@ -147,9 +152,9 @@ class SelectionResult:
     """The selected point, its cost, and what the search spent.
 
     ``evaluations`` counts cost evaluations; ``factorizations`` counts the
-    Cholesky factors and the spectra the search computed rather than read
-    from the data's memo (see module notes).  It is bookkeeping, so results
-    that differ only in it compare equal.
+    Cholesky factors, the tridiagonal reductions and the spectra the search
+    computed rather than read from the data's memo (see module notes).  It
+    is bookkeeping, so results that differ only in it compare equal.
     """
 
     beta: float
@@ -188,14 +193,14 @@ def _gcv_from_spectrum(lam, yt, beta, n) -> float:
     return n * residual_sq / trace ** 2
 
 
-def _gcv(beta, eta, data: RegressionData, structure, spectrum) -> float:
+def _gcv(K, beta, data: RegressionData, spectrum) -> float:
     """GCV from ``L L' = K + beta I``: residual ``beta (K + beta I)^{-1} y``,
     ``trace(I - H) = beta |L^{-1}|_F^2``, in the spectral form's product order
-    (finite up to ``beta = exp(690)``).  ``spectrum(eta)`` serves where the
+    (finite up to ``beta = exp(690)``).  ``spectrum()`` serves where the
     factor fails, and only there is the Gram checked for negative eigenvalues."""
-    _, L = _shifted_cholesky(_gram(structure, eta, data), beta)
+    _, L = _shifted_cholesky(K, beta)
     if L is None:
-        lam, yt = spectrum(eta)
+        lam, yt = spectrum()
         score = _gcv_from_spectrum(lam, yt, beta, data.size)
     elif not math.isfinite(float(np.trace(L))):
         # a nan pivot passes dpotrf's test, and an infinite one factors
@@ -215,17 +220,15 @@ def _gcv(beta, eta, data: RegressionData, structure, spectrum) -> float:
 
 def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Negative log marginal likelihood of the targets under the kernel prior."""
-    if not (beta > 0):
-        raise InputError(f"beta must be > 0, got {beta!r}")
+    _check_beta(beta)
     lam, yt = _spectrum(structure, eta, data)
     return _eb_from_spectrum(lam, yt, beta, data.size)
 
 
 def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Generalized cross-validation score of the ridge smoother."""
-    if not (beta > 0):
-        raise InputError(f"beta must be > 0, got {beta!r}")
-    return _gcv(beta, eta, data, structure, lambda eta: _spectrum(structure, eta, data))
+    _check_beta(beta)
+    return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
 
 
 def kfold_cost(
@@ -237,8 +240,7 @@ def kfold_cost(
 
 def _kfold(beta, eta, data, structure, k, chi) -> float:
     # chi switches the per-fold solve to the norm-capped one
-    if not (beta > 0):
-        raise InputError(f"beta must be > 0, got {beta!r}")
+    _check_beta(beta)
     n = data.size
     if not 2 <= k <= n:
         raise InputError(f"kfold needs 2 <= k <= {n}, got {k}")
@@ -347,15 +349,21 @@ def select_hyperparameters(
         if config.method == "kfold":
             chi = config.chi if charge_cap else None
             return _kfold(beta, eta, data, structure, config.kfold_k, chi)
-        if config.method == "gcv" and not charge_cap:
-            factorizations += 1
-            return _gcv(beta, eta, data, structure, spectrum)
-        lam, yt = spectrum(eta)
-        if charge_cap:
-            beta = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
         if config.method == "eb":
+            lam, yt = spectrum(eta)
+            if charge_cap:
+                beta = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
             return _eb_from_spectrum(lam, yt, beta, data.size)
-        return _gcv_from_spectrum(lam, yt, beta, data.size)
+        K = _gram(structure, eta, data)
+        if charge_cap:
+            factorizations += 1
+            effective = _effective_alpha(K, data.targets, m, config.chi, beta)
+            if effective is None:
+                lam, yt = spectrum(eta)
+                effective = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
+            beta = effective
+        factorizations += 1
+        return _gcv(K, beta, data, lambda: spectrum(eta))
 
     evaluations = 0
 

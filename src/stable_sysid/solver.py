@@ -12,11 +12,13 @@ otherwise.  This satisfies the KKT conditions of the finite-dimensional
 problem with multiplier ``(max(alpha_bar, beta) - beta) / m``, so it is a
 global optimum of the convex program.
 
-All alpha-dependent quantities are evaluated through one symmetric
-eigendecomposition of K per problem; eigenvalues within ``-1e-10 |K|`` of
-zero are clamped to zero, anything lower raises :class:`NumericError`.
-The plain ridge solve and the search's unconstrained GCV factor
-``K + beta I`` by Cholesky instead; EB follows after ROADMAP Direction 2.
+The constrained solve and the public root evaluate every alpha-dependent
+quantity through one symmetric eigendecomposition of K per problem;
+eigenvalues within ``-1e-10 |K|`` of zero are clamped to zero, anything
+lower raises :class:`NumericError`.  The plain ridge solve and the search's
+GCV factor ``K + beta I`` by Cholesky, and the cap-aware GCV finds its root
+on one tridiagonal reduction of K, falling back to the spectrum where
+LAPACK rejects either; EB follows after ROADMAP Direction 2.
 
 Gram matrices over a :class:`RegressionData` are assembled from its
 ``terms``, the regressors' ``eta``-independent pair terms
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dnrm2, dsymv, dsyr2
+from scipy.linalg.lapack import dpotrf, dpotrs, dptsv, dpttrs, dsytrd, dsytrd_lwork
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericError
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 PSD_RTOL = 1e-10
+NEWTON_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,8 @@ class RegressionData:
     ``spectra`` is the hyperparameter search's memo of Gram spectra on this
     data, keyed by the structure and the bytes of ``eta``: each entry is the
     read-only pair ``(lam, Q'y)`` of one factorization.  It starts empty, is
-    filled only by :func:`~stable_sysid.selection.select_hyperparameters`,
+    filled only by :func:`~stable_sysid.selection.select_hyperparameters`
+    (by EB, and by GCV only where its Cholesky or tridiagonal path fails),
     and lives as long as the data, so searches on the same data share their
     factorizations.
     """
@@ -122,8 +127,7 @@ class FitProblem:
     constrained: bool = True
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise InputError(f"beta must be finite and > 0, got {self.beta!r}")
+        _check_beta(self.beta)
         if self.constrained and not (0.0 < self.chi < 1.0):
             raise InputError(f"chi must lie in (0, 1), got {self.chi!r}")
         if self.kernel.input_dim != 2 * self.data.model_order + 1:
@@ -180,6 +184,11 @@ def build_regression_data(u, y, m: int) -> RegressionData:
 # ---------------------------------------------------------------------------
 # spectral helpers
 # ---------------------------------------------------------------------------
+
+def _check_beta(beta) -> None:
+    if not (beta > 0 and math.isfinite(beta)):
+        raise InputError(f"beta must be finite and > 0, got {beta!r}")
+
 
 def _validate_matrix(K, y):
     K = np.asarray(K, dtype=float)
@@ -263,8 +272,7 @@ def solve_ridge(K, y, beta: float) -> np.ndarray:
     machine precision even when beta is tiny relative to the spectrum.
     """
     K, y = _validate_matrix(K, y)
-    if not (beta > 0 and math.isfinite(beta)):
-        raise InputError(f"beta must be finite and > 0, got {beta!r}")
+    _check_beta(beta)
     A, L = _shifted_cholesky(K, beta)
     if L is None:
         lam, Q = _eig_psd(K)
@@ -330,6 +338,55 @@ def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float
     return alpha
 
 
+def _effective_alpha(K: np.ndarray, y: np.ndarray, m: int, chi: float, beta: float):
+    """``max(beta, alpha_bar)`` for an exactly symmetric Gram without its
+    spectrum, or None where this path cannot vouch for it (the caller then
+    takes :func:`alpha_bar_from_spectrum`).  A reflector ``I - 2uu'`` maps y
+    onto e1, and a lower ``dsytrd`` reduces the reflected Gram to a
+    tridiagonal T and keeps e1, so the gap is ``m|y|^2 v'Tv - chi`` with
+    ``(T + alpha I) v = e1``.  Newton on ``1/sqrt(gap + chi)``, concave and
+    increasing (Moré & Sorensen 1983), rises from beta to the root at O(N) a
+    step.  ``dsytrd`` runs blocked only with ``dsytrd_lwork``'s workspace
+    (1.2 ms against 3.0 ms at N = 198)."""
+    n = K.shape[0]
+    norm = float(dnrm2(y))
+    if norm == 0.0:
+        return beta
+    # scipy's dptsv rejects the empty off-diagonal of a 1 x 1 problem
+    if n < 2 or not np.all(np.isfinite(K)):
+        return None
+    u = np.array(y, dtype=float)
+    u[0] += math.copysign(norm, u[0])
+    u /= dnrm2(u)
+    Ku = dsymv(1.0, K.T, u, lower=1)
+    # the lower triangle of (I - 2uu') K (I - 2uu') = K - 2(uw' + wu')
+    A = dsyr2(-2.0, u, Ku - float(np.sum(u * Ku)) * u, lower=1, a=K.T)
+    lwork = int(dsytrd_lwork(n, lower=1)[0])
+    _, d, e, _, info = dsytrd(A, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        return None
+    scale, e1, alpha = m * norm * norm, np.eye(1, n)[0], beta
+    for _ in range(NEWTON_STEPS):
+        df, ef, v, info = dptsv(d + alpha, e, e1)
+        if info != 0:
+            return None
+        Tv = d * v
+        Tv[:-1] += e * v[1:]
+        Tv[1:] += e * v[:-1]
+        reach = scale * float(np.sum(v * Tv))  # gap + chi
+        if reach <= chi:
+            return alpha
+        # d reach / d alpha = -2 scale v'T (T + alpha I)^{-1} v
+        x, _ = dpttrs(df, ef, v)
+        step = reach * (math.sqrt(reach / chi) - 1.0) / (scale * float(np.sum(Tv * x)))
+        if not math.isfinite(step):
+            return None
+        alpha += step
+        if step <= 1e-12 * alpha:
+            return alpha
+    return None
+
+
 def find_alpha_bar(K, y, m: int, chi: float) -> float:
     """Root of the constraint gap, or 0 when the gap is nonpositive at 0.
 
@@ -345,8 +402,7 @@ def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
     ``c = (K + max(alpha_bar, beta) I)^{-1} y`` solved through the shared
     eigendecomposition.
     """
-    if not (beta > 0 and math.isfinite(beta)):
-        raise InputError(f"beta must be finite and > 0, got {beta!r}")
+    _check_beta(beta)
     if not chi > 0:
         raise InputError(f"chi must be > 0, got {chi!r}")
     lam, Q, yt = _rotated_spectrum(K, y)

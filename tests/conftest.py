@@ -41,3 +41,18 @@ def cholesky_calls(monkeypatch):
 
     monkeypatch.setattr(solver, "dpotrf", counting)
     return calls
+
+
+@pytest.fixture
+def reduction_calls(monkeypatch):
+    """The size of every tridiagonal reduction made during the test (the
+    cap-aware search's ``alpha_bar``)."""
+    calls = []
+    real = solver.dsytrd
+
+    def counting(A, **kwargs):
+        calls.append(A.shape[0])
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(solver, "dsytrd", counting)
+    return calls

@@ -98,6 +98,13 @@ class TestKfoldCost:
             kfold_cost(1.0, (1.0, 1.0, 0.0), data, Gaussian(), k=1)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("cost", [eb_cost, gcv_cost, kfold_cost])
+def test_costs_reject_a_bad_beta_alike(cost, beta):
+    with pytest.raises(InputError, match="beta must be finite and > 0"):
+        cost(beta, (1.0, 1.0, 0.1), smooth_data(20), Gaussian())
+
+
 class TestSelectHyperparameters:
     def test_infeasible_pair_raises_before_search(self):
         config = SelectionConfig(target=StabilityTarget.iss(), optimizer=tiny_optimizer())
@@ -362,14 +369,53 @@ class TestCholeskyGcv:
         assert eigh_calls == [] and data.spectra == {}
         assert result.factorizations == result.evaluations == len(cholesky_calls)
 
-    def test_cap_aware_search_still_memoizes(self, eigh_calls, cholesky_calls):
-        config = SelectionConfig(
-            method="gcv", target=StabilityTarget.dbibs(), optimizer=tiny_optimizer(), seed=3
-        )
+    CAP_AWARE = SelectionConfig(
+        method="gcv", target=StabilityTarget.dbibs(), optimizer=tiny_optimizer(), seed=3
+    )
+
+    @staticmethod
+    def failing_dptsv(monkeypatch):
+        from stable_sysid import solver
+
+        monkeypatch.setattr(solver, "dptsv", lambda d, e, b: (d, e, b, 1))
+
+    def test_cap_aware_search_makes_no_spectrum(
+        self, monkeypatch, eigh_calls, cholesky_calls, reduction_calls
+    ):
         data = smooth_data(45, seed=1)
-        result = select_hyperparameters(config, data, Gaussian())
-        assert cholesky_calls == []
-        assert 0 < result.factorizations == len(eigh_calls) == len(data.spectra)
+        result = select_hyperparameters(self.CAP_AWARE, data, Gaussian())
+        assert eigh_calls == [] and data.spectra == {}
+        assert len(reduction_calls) == len(cholesky_calls) == result.evaluations
+        assert result.factorizations == 2 * result.evaluations
+        # the all-spectral search: every root and every factor falls back
+        self.failing_dptsv(monkeypatch)
+        self.failing_dpotrf(monkeypatch)
+        spectral = select_hyperparameters(self.CAP_AWARE, smooth_data(45, seed=1), Gaussian())
+        assert spectral.cost == pytest.approx(result.cost, rel=1e-8)
+
+    def test_failed_root_takes_the_spectral_root(self, monkeypatch):
+        from stable_sysid import selection
+        from stable_sysid.solver import find_alpha_bar
+
+        monkeypatch.setattr(
+            selection, "_effective_alpha",
+            lambda K, y, m, chi, beta: max(beta, find_alpha_bar(K, y, m, chi)),
+        )
+        reference = select_hyperparameters(self.CAP_AWARE, smooth_data(45, seed=1), Gaussian())
+        monkeypatch.undo()
+        self.failing_dptsv(monkeypatch)
+        fallback = select_hyperparameters(self.CAP_AWARE, smooth_data(45, seed=1), Gaussian())
+        assert hex_result(fallback) == hex_result(reference)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gram_scores_no_cap_aware_point(self, monkeypatch, value):
+        from stable_sysid.selection import _gram
+
+        K = _gram(Gaussian(), self.ETA, smooth_data(45, seed=1))
+        K[5, 3] = K[3, 5] = value
+        self.fixed_gram(monkeypatch, K)
+        with pytest.raises(NumericError, match="no finite cost"):
+            select_hyperparameters(self.CAP_AWARE, smooth_data(45, seed=1), Gaussian())
 
     def test_spectral_search_selects_an_equal_cost(self, monkeypatch):
         config = SelectionConfig(method="gcv", optimizer=tiny_optimizer(), seed=3)
@@ -403,7 +449,7 @@ class TestSpectrumMemo:
         assert hex_result(second) == hex_result(alone_second)
         assert (first.evaluations, second.evaluations) == (alone_first.evaluations, alone_second.evaluations)
 
-    @pytest.mark.parametrize("method,target", [("eb", "none"), ("gcv", "dbibs")])
+    @pytest.mark.parametrize("method,target", [("eb", "none"), ("eb", "dbibs")])
     def test_memo_changes_no_result(self, monkeypatch, method, target):
         # the reference search factors on every evaluation: each access to
         # the memo sees an empty dict

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stable_sysid import (
     FitProblem,
@@ -18,9 +20,11 @@ from stable_sysid import (
     solve_norm_constrained,
     solve_ridge,
 )
-from stable_sysid.solver import alpha_bar_from_spectrum
+from stable_sysid.kernels import gram_from_terms
+from stable_sysid.solver import _effective_alpha, alpha_bar_from_spectrum
 
 from oracles import projected_gradient_min, quadratic_objective, random_psd
+from rule_cases import STATS, STRUCTURES, structure_id
 
 
 class TestBuildRegressionData:
@@ -197,6 +201,79 @@ class TestAlphaBarFromSpectrum:
                 assert got == reference_alpha_bar(lam, yt2, 2, chi)
                 roots += got > 0.0
         assert roots > 0
+
+
+class TestEffectiveAlpha:
+    """max(beta, alpha_bar) from one tridiagonal reduction and a secular
+    Newton agrees with the spectral root, and says None where it cannot."""
+
+    CHI = 0.1
+
+    @staticmethod
+    def problem(structure, n=60):
+        rng = np.random.default_rng(3)
+        data = build_regression_data(rng.normal(size=n), rng.normal(size=n), 2)
+        kernel = KernelInstance(structure, structure.suggest_eta(STATS), 5)
+        return gram_from_terms(kernel, data.terms), data.targets
+
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=structure_id)
+    def test_agrees_with_the_spectral_root(self, structure):
+        K, y = self.problem(structure)
+        before = K.copy()
+        alpha_bar = find_alpha_bar(K, y, 2, self.CHI)
+        assert alpha_bar > 0
+        for ratio in (1e-3, 0.5):
+            value = _effective_alpha(K, y, 2, self.CHI, ratio * alpha_bar)
+            assert value == pytest.approx(alpha_bar, rel=1e-12)
+        # where the cap does not bind the result is beta itself
+        assert _effective_alpha(K, y, 2, self.CHI, 2.0 * alpha_bar) == 2.0 * alpha_bar
+        assert np.array_equal(K, before)
+
+    def test_zero_targets_return_beta(self):
+        assert _effective_alpha(np.eye(4), np.zeros(4), 2, 0.99, 0.3) == 0.3
+
+    def test_failed_tridiagonal_solve_returns_none(self, monkeypatch):
+        from stable_sysid import solver
+
+        K, y = self.problem(Gaussian())
+        monkeypatch.setattr(solver, "dptsv", lambda d, e, b: (d, e, b, 1))
+        assert _effective_alpha(K, y, 2, self.CHI, 1e-3) is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("cell", [(3, 3), (5, 3)])
+    def test_non_finite_gram_returns_none(self, value, cell):
+        K, y = self.problem(Gaussian())
+        K[cell] = K[cell[::-1]] = value
+        assert _effective_alpha(K, y, 2, self.CHI, 1e-3) is None
+
+    @given(
+        n=st.integers(2, 40),
+        m=st.integers(1, 3),
+        chi=st.floats(0.05, 0.95),
+        log_beta=st.floats(-12.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_spectra(self, n, m, chi, log_beta, seed):
+        # the reference is the root of the exact spectrum; the tolerance adds
+        # the root's first-order error under an eps |K| eigenvalue error, the
+        # floor of any method working on the rounded K (the spectral root
+        # misses it by up to 7e-8 where tiny eigenvalues set the gap)
+        rng = np.random.default_rng(seed)
+        lam = 10.0 ** rng.uniform(-12.0, 0.0, size=n)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        K = (Q * lam) @ Q.T
+        K = 0.5 * (K + K.T)
+        y = rng.normal(size=n)
+        beta = 10.0 ** log_beta
+        z2 = (Q.T @ y) ** 2
+        alpha = max(beta, alpha_bar_from_spectrum(lam, z2, m, chi))
+        value = _effective_alpha(K, y, m, chi, beta)
+        if alpha == beta:
+            assert value == beta
+            return
+        d = lam + alpha
+        cond = lam.max() * np.sum(z2 * np.abs(alpha - lam) / d ** 3) / (2.0 * alpha * np.sum(lam * z2 / d ** 3))
+        assert value == pytest.approx(alpha, rel=1e-9 + n * cond * np.finfo(float).eps)
 
 
 class TestSolveConstrained:

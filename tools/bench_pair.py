@@ -9,11 +9,12 @@ PARENT and CHANGE are two checkout directories (the parent one made with
 ``git archive`` or ``git clone``).  For each workload the script runs
 ``perfbench/run.py --trace 0`` at seed 0 in the two checkouts in alternating
 order, ten times each (the pairs a gain claim needs), and keeps every run's
-end-to-end metrics, gate verdict and failed cells, and the quality medians.  Once per checkout and workload it
-also runs a probe round in a fresh interpreter, which counts the
-``numpy.linalg.eigh`` calls of one round and, on mc-ab, times the
-thread-pool check round (a wall time, not a metric).  The machine facts are
-those of the parent's first run record.
+end-to-end metrics, gate verdict and failed cells, and the quality medians.
+Once per checkout and workload it also runs a probe round in a fresh
+interpreter, which counts the ``numpy.linalg.eigh`` calls and scipy's
+``dsytrd`` (tridiagonal reduction) and ``dpotrf`` (Cholesky) calls of one
+round and, on mc-ab, times the thread-pool check round (a wall time, not a
+metric).  The machine facts are those of the parent's first run record.
 """
 
 from __future__ import annotations
@@ -33,27 +34,34 @@ MACHINE_KEYS = ("nproc", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NU
 
 
 def probe(root: Path, workload: str) -> dict:
-    """One round with ``eigh`` counted, then the timed thread-pool round."""
+    """One round with ``eigh``, ``dsytrd`` and ``dpotrf`` counted, then the
+    timed thread-pool round."""
     sys.path[:0] = [str(root / "src"), str(root)]
     import numpy as np
+    import scipy.linalg.lapack as lapack
 
+    calls = {"eigh": 0, "dsytrd": 0, "dpotrf": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    # the package binds the LAPACK names at import, so they are wrapped first
+    for name in ("dsytrd", "dpotrf"):
+        setattr(lapack, name, counting(name, getattr(lapack, name)))
     from perfbench import bench
 
-    calls = 0
-    real = np.linalg.eigh
-
-    def counting(K):
-        nonlocal calls
-        calls += 1
-        return real(K)
-
-    np.linalg.eigh = counting
+    real_eigh = np.linalg.eigh
+    np.linalg.eigh = counting("eigh", real_eigh)
     configs = bench.workload_configs(workload, SEED)
     round_ = bench.run_round(configs)
-    np.linalg.eigh = real
+    np.linalg.eigh = real_eigh
+    counted = {f"{name}_per_round": count for name, count in calls.items()}
     pooled = bench.jobs_counterpart(workload, configs)
     return {
-        "eigh_per_round": calls,
+        **counted,
         "round_s": round_.wall_s,
         "threadpool_round_s": None if pooled is None else pooled.wall_s,
         "threadpool_rows_equal": None if pooled is None else bench.outcome(pooled) == bench.outcome(round_),
