@@ -36,9 +36,12 @@ and cost evaluations are pure, so restarts are safe to run concurrently.
 
 GCV is scored from one Cholesky factor of ``K + beta I`` (GPML 2006,
 Algorithm 2.1), with the clamped spectrum only where the factor fails.
-Cap-aware GCV is that same score at ``max(beta, alpha_bar)``, whose root
-comes from one tridiagonal reduction of the Gram (``solver._effective_alpha``),
-and from the spectrum only where that path fails.  EB keeps the spectrum
+Cap-aware GCV is scored on the tridiagonal form of the Gram that finds its
+root (``solver._effective_alpha``): one reduction gives ``max(beta,
+alpha_bar)``, the residual and the trace, in O(N) beyond the reduction and
+with no Cholesky factor; where that path fails, the root and the score both
+come from the spectrum.  Where the cap binds, the score has the same bits
+for every beta below the root, as on the spectrum.  EB keeps the spectrum
 until the regularizer has a floor double precision can see (a Cholesky EB
 moves rows).  The search memoizes the spectra of EB and of the fallbacks on
 the data (:attr:`~stable_sysid.solver.RegressionData.spectra`, keyed by the
@@ -153,8 +156,10 @@ class SelectionResult:
 
     ``evaluations`` counts cost evaluations; ``factorizations`` counts the
     Cholesky factors, the tridiagonal reductions and the spectra the search
-    computed rather than read from the data's memo (see module notes).  It
-    is bookkeeping, so results that differ only in it compare equal.
+    computed rather than read from the data's memo (see module notes): one
+    per GCV evaluation, a Cholesky factor for plain GCV and a reduction for
+    cap-aware GCV, plus a spectrum where either fails.  It is bookkeeping,
+    so results that differ only in it compare equal.
     """
 
     beta: float
@@ -184,13 +189,19 @@ def _eb_from_spectrum(lam, yt, beta, n) -> float:
     return float(0.5 * np.sum(yt ** 2 / d) + 0.5 * np.sum(np.log(d)) + 0.5 * n * _LOG_2PI)
 
 
-def _gcv_from_spectrum(lam, yt, beta, n) -> float:
-    d = lam + beta
-    residual_sq = float(np.sum((beta * yt / d) ** 2))
-    trace = float(np.sum(beta / d))
+def _gcv_score(n, residual_sq, trace) -> float:
+    """``N |(I - H) y|^2 / trace(I - H)^2``, as every GCV path forms it."""
     if trace == 0.0:
         raise NumericError("GCV trace vanished; increase iota")
-    return n * residual_sq / trace ** 2
+    score = n * residual_sq / trace ** 2
+    if not math.isfinite(score):
+        raise NumericError(f"GCV score is {score}")
+    return score
+
+
+def _gcv_from_spectrum(lam, yt, beta, n) -> float:
+    d = lam + beta
+    return _gcv_score(n, float(np.sum((beta * yt / d) ** 2)), float(np.sum(beta / d)))
 
 
 def _gcv(K, beta, data: RegressionData, spectrum) -> float:
@@ -201,21 +212,13 @@ def _gcv(K, beta, data: RegressionData, spectrum) -> float:
     _, L = _shifted_cholesky(K, beta)
     if L is None:
         lam, yt = spectrum()
-        score = _gcv_from_spectrum(lam, yt, beta, data.size)
-    elif not math.isfinite(float(np.trace(L))):
+        return _gcv_from_spectrum(lam, yt, beta, data.size)
+    if not math.isfinite(float(np.trace(L))):
         # a nan pivot passes dpotrf's test, and an infinite one factors
         raise NumericError("the Gram is not finite")
-    else:
-        c, _ = dpotrs(L, data.targets, lower=1)
-        L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)
-        residual_sq = float(np.sum((beta * c) ** 2))
-        trace = beta * float(np.sum(L_inv ** 2))
-        if trace == 0.0:
-            raise NumericError("GCV trace vanished; increase iota")
-        score = data.size * residual_sq / trace ** 2
-    if not math.isfinite(score):
-        raise NumericError(f"GCV score is {score}")
-    return score
+    c, _ = dpotrs(L, data.targets, lower=1)
+    L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)
+    return _gcv_score(data.size, float(np.sum((beta * c) ** 2)), beta * float(np.sum(L_inv ** 2)))
 
 
 def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
@@ -355,15 +358,16 @@ def select_hyperparameters(
                 beta = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
             return _eb_from_spectrum(lam, yt, beta, data.size)
         K = _gram(structure, eta, data)
-        if charge_cap:
-            factorizations += 1
-            effective = _effective_alpha(K, data.targets, m, config.chi, beta)
-            if effective is None:
-                lam, yt = spectrum(eta)
-                effective = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
-            beta = effective
         factorizations += 1
-        return _gcv(K, beta, data, lambda: spectrum(eta))
+        if not charge_cap:
+            return _gcv(K, beta, data, lambda: spectrum(eta))
+        smoother = _effective_alpha(K, data.targets, m, config.chi, beta)
+        if smoother is None:
+            lam, yt = spectrum(eta)
+            alpha = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
+            return _gcv_from_spectrum(lam, yt, alpha, data.size)
+        _, residual_sq, trace = smoother
+        return _gcv_score(data.size, residual_sq, trace)
 
     evaluations = 0
 

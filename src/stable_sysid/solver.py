@@ -16,9 +16,10 @@ The constrained solve and the public root evaluate every alpha-dependent
 quantity through one symmetric eigendecomposition of K per problem;
 eigenvalues within ``-1e-10 |K|`` of zero are clamped to zero, anything
 lower raises :class:`NumericError`.  The plain ridge solve and the search's
-GCV factor ``K + beta I`` by Cholesky, and the cap-aware GCV finds its root
-on one tridiagonal reduction of K, falling back to the spectrum where
-LAPACK rejects either; EB follows after ROADMAP Direction 2.
+plain GCV factor ``K + beta I`` by Cholesky.  The cap-aware GCV takes its
+root and the smoother's residual and trace from one tridiagonal reduction
+of K.  Each falls back to the spectrum where LAPACK rejects it; EB follows
+after ROADMAP Direction 2.
 
 Gram matrices over a :class:`RegressionData` are assembled from its
 ``terms``, the regressors' ``eta``-independent pair terms
@@ -74,9 +75,9 @@ class RegressionData:
     data, keyed by the structure and the bytes of ``eta``: each entry is the
     read-only pair ``(lam, Q'y)`` of one factorization.  It starts empty, is
     filled only by :func:`~stable_sysid.selection.select_hyperparameters`
-    (by EB, and by GCV only where its Cholesky or tridiagonal path fails),
-    and lives as long as the data, so searches on the same data share their
-    factorizations.
+    (by EB, and by GCV only where its Cholesky factor or, cap-aware, its one
+    tridiagonal reduction per evaluation fails), and lives as long as the
+    data, so searches on the same data share their factorizations.
     """
 
     regressors: np.ndarray
@@ -339,25 +340,32 @@ def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float
 
 
 def _effective_alpha(K: np.ndarray, y: np.ndarray, m: int, chi: float, beta: float):
-    """``max(beta, alpha_bar)`` for an exactly symmetric Gram without its
-    spectrum, or None where this path cannot vouch for it (the caller then
-    takes :func:`alpha_bar_from_spectrum`).  A reflector ``I - 2uu'`` maps y
-    onto e1, and a lower ``dsytrd`` reduces the reflected Gram to a
-    tridiagonal T and keeps e1, so the gap is ``m|y|^2 v'Tv - chi`` with
-    ``(T + alpha I) v = e1``.  Newton on ``1/sqrt(gap + chi)``, concave and
-    increasing (Moré & Sorensen 1983), rises from beta to the root at O(N) a
-    step.  ``dsytrd`` runs blocked only with ``dsytrd_lwork``'s workspace
-    (1.2 ms against 3.0 ms at N = 198)."""
+    """``(alpha, |(I - H) y|^2, trace(I - H))`` at ``alpha = max(beta,
+    alpha_bar)``, with ``H = K (K + alpha I)^{-1}``, for an exactly symmetric
+    Gram without its spectrum, or None where this path cannot vouch for it
+    (the caller then takes :func:`alpha_bar_from_spectrum`).
+
+    A reflector ``I - 2uu'`` maps y onto e1, and a lower ``dsytrd`` reduces
+    the reflected Gram to a tridiagonal T and keeps e1, so the gap is
+    ``m|y|^2 v'Tv - chi`` with ``(T + alpha I) v = e1``.  Where the gap at
+    beta is positive, Newton on ``1/sqrt(gap + chi)``, concave and increasing
+    (Moré & Sorensen 1983), rises to the root at O(N) a step.  It starts from
+    the first of ``m|y|^2 / (4^k chi)``, k >= 1, below the root, not from
+    beta, so the root has the same bits for every beta below it, as the
+    spectral root has.  At alpha, ``(K + alpha I)^{-1} y`` has the norm
+    ``|y| |v|``, and ``trace((K + alpha I)^{-1}) = sum(z)`` from ``dptsv``'s
+    factor ``L D L'`` of ``T + alpha I``: ``z_n = 1/D_n``,
+    ``z_i = 1/D_i + l_i^2 z_{i+1}``.  ``dsytrd`` runs blocked only with
+    ``dsytrd_lwork``'s workspace (1.2 ms against 3.0 ms at N = 198)."""
     n = K.shape[0]
-    norm = float(dnrm2(y))
-    if norm == 0.0:
-        return beta
     # scipy's dptsv rejects the empty off-diagonal of a 1 x 1 problem
     if n < 2 or not np.all(np.isfinite(K)):
         return None
+    norm = float(dnrm2(y))
     u = np.array(y, dtype=float)
-    u[0] += math.copysign(norm, u[0])
-    u /= dnrm2(u)
+    if norm > 0.0:
+        u[0] += math.copysign(norm, u[0])
+        u /= dnrm2(u)
     Ku = dsymv(1.0, K.T, u, lower=1)
     # the lower triangle of (I - 2uu') K (I - 2uu') = K - 2(uw' + wu')
     A = dsyr2(-2.0, u, Ku - float(np.sum(u * Ku)) * u, lower=1, a=K.T)
@@ -365,26 +373,59 @@ def _effective_alpha(K: np.ndarray, y: np.ndarray, m: int, chi: float, beta: flo
     _, d, e, _, info = dsytrd(A, lower=1, lwork=lwork, overwrite_a=1)
     if info != 0:
         return None
-    scale, e1, alpha = m * norm * norm, np.eye(1, n)[0], beta
-    for _ in range(NEWTON_STEPS):
+    scale, e1 = m * norm * norm, np.eye(1, n)[0]
+
+    def shifted(alpha):
+        # the factor of T + alpha I, v, Tv and gap + chi, or None
         df, ef, v, info = dptsv(d + alpha, e, e1)
         if info != 0:
             return None
         Tv = d * v
         Tv[:-1] += e * v[1:]
         Tv[1:] += e * v[:-1]
-        reach = scale * float(np.sum(v * Tv))  # gap + chi
-        if reach <= chi:
-            return alpha
-        # d reach / d alpha = -2 scale v'T (T + alpha I)^{-1} v
-        x, _ = dpttrs(df, ef, v)
-        step = reach * (math.sqrt(reach / chi) - 1.0) / (scale * float(np.sum(Tv * x)))
-        if not math.isfinite(step):
+        return df, ef, v, Tv, scale * float(np.sum(v * Tv))
+
+    alpha = beta
+    at = at_beta = shifted(beta)
+    if at_beta is None:
+        return None
+    if at_beta[4] > chi:
+        # the root is below m|y|^2 / (4 chi), since lam / (lam + a)^2 <= 1/(4a)
+        alpha = scale / (4.0 * chi)
+        while True:
+            alpha *= 0.25
+            at = shifted(alpha)
+            if at is None or not 0.0 < alpha < math.inf:
+                return None
+            if at[4] > chi:
+                break
+        for _ in range(NEWTON_STEPS):
+            df, ef, v, Tv, reach = at
+            if reach <= chi:
+                break
+            # d reach / d alpha = -2 scale v'T (T + alpha I)^{-1} v
+            x, _ = dpttrs(df, ef, v)
+            step = reach * (math.sqrt(reach / chi) - 1.0) / (scale * float(np.sum(Tv * x)))
+            if not math.isfinite(step):
+                return None
+            alpha += step
+            at = shifted(alpha)
+            if at is None:
+                return None
+            if step <= 1e-12 * alpha:
+                break
+        else:
             return None
-        alpha += step
-        if step <= 1e-12 * alpha:
-            return alpha
-    return None
+        if alpha < beta:
+            alpha, at = beta, at_beta
+    df, ef, v = at[:3]
+    inv_d, l_sq = (1.0 / df).tolist(), (ef * ef).tolist()
+    z = inv_trace = inv_d[-1]
+    for inv_di, l_sq_i in zip(inv_d[-2::-1], l_sq[::-1]):
+        z = inv_di + l_sq_i * z
+        inv_trace += z
+    residual_sq = norm * norm * float(np.sum((alpha * v) ** 2))
+    return alpha, residual_sq, alpha * inv_trace
 
 
 def find_alpha_bar(K, y, m: int, chi: float) -> float:

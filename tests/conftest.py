@@ -31,7 +31,7 @@ def eigh_calls(monkeypatch):
 @pytest.fixture
 def cholesky_calls(monkeypatch):
     """The size of every Cholesky factor attempted during the test (the
-    ridge solve's and the unconstrained GCV's)."""
+    ridge solve's and the plain GCV's)."""
     calls = []
     real = solver.dpotrf
 
@@ -44,9 +44,24 @@ def cholesky_calls(monkeypatch):
 
 
 @pytest.fixture
+def inverse_calls(monkeypatch):
+    """The size of every triangular inverse made during the test (the plain
+    GCV's trace)."""
+    calls = []
+    real = selection.dtrtri
+
+    def counting(L, **kwargs):
+        calls.append(L.shape[0])
+        return real(L, **kwargs)
+
+    monkeypatch.setattr(selection, "dtrtri", counting)
+    return calls
+
+
+@pytest.fixture
 def reduction_calls(monkeypatch):
     """The size of every tridiagonal reduction made during the test (the
-    cap-aware search's ``alpha_bar``)."""
+    cap-aware GCV's ``alpha_bar`` and score)."""
     calls = []
     real = solver.dsytrd
 

@@ -17,6 +17,26 @@ def random_psd(rng, n, lam_min=0.05, lam_max=3.0):
     return (Q * lam) @ Q.T
 
 
+def random_spectrum_problem(seed, n):
+    """A Gram ``K = Q diag(lam) Q'`` with eigenvalues log-uniform in
+    [1e-12, 1], exactly symmetric, with its eigenpairs and random targets:
+    ``(lam, Q, K, y)``."""
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** rng.uniform(-12.0, 0.0, size=n)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    K = (Q * lam) @ Q.T
+    return lam, Q, 0.5 * (K + K.T), rng.normal(size=n)
+
+
+def root_conditioning(lam, z2, alpha):
+    """Relative first-order change of the constraint-gap root ``alpha``
+    under an eigenvalue error of ``max(lam)``, for squared rotated targets
+    ``z2``.  Times ``n eps`` it is the floor of any method that works on the
+    rounded K."""
+    d = lam + alpha
+    return lam.max() * np.sum(z2 * np.abs(alpha - lam) / d ** 3) / (2.0 * alpha * np.sum(lam * z2 / d ** 3))
+
+
 def quadratic_objective(K, y, beta, c):
     """c'(K + beta I) K c - 2 y' K c + y'y, the fit cost as a function of c."""
     Kc = K @ c

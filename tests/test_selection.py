@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stable_sysid import (
     FitProblem,
@@ -26,6 +28,8 @@ from stable_sysid import (
 from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
 from stable_sysid.viability import feasible_parameterization
+
+from oracles import random_spectrum_problem, root_conditioning
 
 
 class ZeroKernelLike:
@@ -292,7 +296,8 @@ def hex_result(result):
 
 class TestCholeskyGcv:
     """GCV charged at (beta, eta) comes from one Cholesky factor of
-    K + beta I, and from the clamped spectrum only when LAPACK rejects it."""
+    K + beta I, cap-aware GCV from the tridiagonal reduction of its root,
+    and either from the clamped spectrum only when LAPACK rejects it."""
 
     ETA = (0.5, 0.4, 0.1)
 
@@ -380,27 +385,38 @@ class TestCholeskyGcv:
         monkeypatch.setattr(solver, "dptsv", lambda d, e, b: (d, e, b, 1))
 
     def test_cap_aware_search_makes_no_spectrum(
-        self, monkeypatch, eigh_calls, cholesky_calls, reduction_calls
+        self, monkeypatch, eigh_calls, cholesky_calls, inverse_calls, reduction_calls
     ):
+        # the cap-aware score comes off the reduction that finds the root:
+        # no Cholesky factor and no triangular inverse
         data = smooth_data(45, seed=1)
         result = select_hyperparameters(self.CAP_AWARE, data, Gaussian())
         assert eigh_calls == [] and data.spectra == {}
-        assert len(reduction_calls) == len(cholesky_calls) == result.evaluations
-        assert result.factorizations == 2 * result.evaluations
-        # the all-spectral search: every root and every factor falls back
+        assert cholesky_calls == [] and inverse_calls == []
+        assert len(reduction_calls) == result.factorizations == result.evaluations
+        # the all-spectral search: every reduction, root and factor fails
+        from stable_sysid import solver
+
+        monkeypatch.setattr(solver, "dsytrd", lambda A, **kwargs: (A, None, None, None, 1))
         self.failing_dptsv(monkeypatch)
         self.failing_dpotrf(monkeypatch)
         spectral = select_hyperparameters(self.CAP_AWARE, smooth_data(45, seed=1), Gaussian())
         assert spectral.cost == pytest.approx(result.cost, rel=1e-8)
 
     def test_failed_root_takes_the_spectral_root(self, monkeypatch):
+        # the reference replaces the tridiagonal path with the spectral root
+        # and the spectral score terms, computed afresh per evaluation
         from stable_sysid import selection
-        from stable_sysid.solver import find_alpha_bar
+        from stable_sysid.solver import _eig_psd, alpha_bar_from_spectrum
 
-        monkeypatch.setattr(
-            selection, "_effective_alpha",
-            lambda K, y, m, chi, beta: max(beta, find_alpha_bar(K, y, m, chi)),
-        )
+        def spectral(K, y, m, chi, beta):
+            lam, Q = _eig_psd(K)
+            yt = Q.T @ y
+            alpha = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, chi))
+            d = lam + alpha
+            return alpha, float(np.sum((alpha * yt / d) ** 2)), float(np.sum(alpha / d))
+
+        monkeypatch.setattr(selection, "_effective_alpha", spectral)
         reference = select_hyperparameters(self.CAP_AWARE, smooth_data(45, seed=1), Gaussian())
         monkeypatch.undo()
         self.failing_dptsv(monkeypatch)
@@ -426,6 +442,61 @@ class TestCholeskyGcv:
         assert spectral.cost == pytest.approx(cholesky.cost, rel=1e-8)
         # every evaluation tried a factor, and every fallback was memoized
         assert spectral.factorizations == spectral.evaluations + len(data.spectra)
+
+
+class TestTridiagonalGcv:
+    """The cap-aware GCV scored on the tridiagonal form that finds the root
+    equals the spectral GCV at max(beta, alpha_bar)."""
+
+    @staticmethod
+    def scores(lam, Q, K, y, m, chi, beta):
+        """The tridiagonal score, the spectral one, and the spectral
+        ``max(beta, alpha_bar)``."""
+        from stable_sysid.selection import _gcv_from_spectrum, _gcv_score
+        from stable_sysid.solver import _effective_alpha, alpha_bar_from_spectrum
+
+        yt = Q.T @ y
+        alpha = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, chi))
+        _, residual_sq, trace = _effective_alpha(K, y, m, chi, beta)
+        return _gcv_score(y.size, residual_sq, trace), _gcv_from_spectrum(lam, yt, alpha, y.size), alpha
+
+    @given(
+        n=st.integers(2, 40),
+        m=st.integers(1, 3),
+        chi=st.floats(0.05, 0.95),
+        log_beta=st.floats(-12.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_spectra(self, n, m, chi, log_beta, seed):
+        # the tolerance adds the root's conditioning, the floor of any method
+        # working on the rounded K (TestEffectiveAlpha.test_random_spectra)
+        lam, Q, K, y = random_spectrum_problem(seed, n)
+        beta = 10.0 ** log_beta
+        value, expected, alpha = self.scores(lam, Q, K, y, m, chi, beta)
+        cond = 0.0 if alpha == beta else root_conditioning(lam, (Q.T @ y) ** 2, alpha)
+        assert value == pytest.approx(expected, rel=1e-9 + n * cond * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("ratio,binds", [(2.0, False), (1e-3, True)])
+    def test_slack_and_binding_cap(self, ratio, binds):
+        from stable_sysid.solver import alpha_bar_from_spectrum
+
+        lam, Q, K, y = random_spectrum_problem(7, 30)
+        alpha_bar = alpha_bar_from_spectrum(lam, (Q.T @ y) ** 2, 2, 0.5)
+        assert alpha_bar > 0
+        value, expected, alpha = self.scores(lam, Q, K, y, 2, 0.5, ratio * alpha_bar)
+        assert (alpha > ratio * alpha_bar) is binds
+        assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_largest_beta_scores_finite(self):
+        lam, Q, K, y = random_spectrum_problem(7, 30)
+        value, expected, alpha = self.scores(lam, Q, K, y, 2, 0.5, math.exp(690.0))
+        assert alpha == math.exp(690.0)
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_zero_targets_score_zero(self):
+        lam, Q, K, _ = random_spectrum_problem(7, 30)
+        assert self.scores(lam, Q, K, np.zeros(30), 2, 0.5, 1e-3)[:2] == (0.0, 0.0)
 
 
 class TestSpectrumMemo:

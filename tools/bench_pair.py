@@ -12,9 +12,10 @@ order, ten times each (the pairs a gain claim needs), and keeps every run's
 end-to-end metrics, gate verdict and failed cells, and the quality medians.
 Once per checkout and workload it also runs a probe round in a fresh
 interpreter, which counts the ``numpy.linalg.eigh`` calls and scipy's
-``dsytrd`` (tridiagonal reduction) and ``dpotrf`` (Cholesky) calls of one
-round and, on mc-ab, times the thread-pool check round (a wall time, not a
-metric).  The machine facts are those of the parent's first run record.
+``dsytrd`` (tridiagonal reduction), ``dpotrf`` (Cholesky) and ``dtrtri``
+(triangular inverse) calls of one round and, on mc-ab, times the
+thread-pool check round (a wall time, not a metric).  The machine facts
+are those of the parent's first run record.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ MACHINE_KEYS = ("nproc", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NU
 
 
 def probe(root: Path, workload: str) -> dict:
-    """One round with ``eigh``, ``dsytrd`` and ``dpotrf`` counted, then the
-    timed thread-pool round."""
+    """One round with ``eigh``, ``dsytrd``, ``dpotrf`` and ``dtrtri`` counted,
+    then the timed thread-pool round."""
     sys.path[:0] = [str(root / "src"), str(root)]
     import numpy as np
     import scipy.linalg.lapack as lapack
 
-    calls = {"eigh": 0, "dsytrd": 0, "dpotrf": 0}
+    calls = {"eigh": 0, "dsytrd": 0, "dpotrf": 0, "dtrtri": 0}
 
     def counting(name, real):
         def call(*args, **kwargs):
@@ -49,7 +50,7 @@ def probe(root: Path, workload: str) -> dict:
         return call
 
     # the package binds the LAPACK names at import, so they are wrapped first
-    for name in ("dsytrd", "dpotrf"):
+    for name in ("dsytrd", "dpotrf", "dtrtri"):
         setattr(lapack, name, counting(name, getattr(lapack, name)))
     from perfbench import bench
 
