@@ -33,6 +33,12 @@ the median pairwise distance), mapped into the feasible coordinates by a
 cheap numeric inversion; the remaining restarts perturb it.  Restarts are
 seeded, making results reproducible; each restart owns its optimizer state
 and cost evaluations are pure, so restarts are safe to run concurrently.
+The Nelder-Mead is the package's own (:func:`_nelder_mead`), with the
+arithmetic of scipy 1.17's ``minimize(method="Nelder-Mead")`` for the case
+used here, pinned bit for bit against scipy by the test suite: importing
+scipy's optimize package for two calls cost every process about 20 MB and
+0.25 s of start-up.  Results therefore no longer depend on the installed
+scipy's Nelder-Mead.
 
 GCV is scored from one Cholesky factor of ``K + beta I`` (GPML 2006,
 Algorithm 2.1), with the clamped spectrum only where the factor fails.
@@ -62,7 +68,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg.lapack import dpotrs, dtrtri
 
 from .errors import InputError, NumericError, StableSysidError
@@ -105,8 +110,12 @@ SEARCH_FATOL = 1e-8
 class OptimizerConfig:
     """Multi-start Nelder-Mead settings.
 
-    ``max_evals`` is the total cost-evaluation budget, split evenly across
-    the restarts; each restart also stops on ``SEARCH_XATOL``/``SEARCH_FATOL``.
+    ``max_evals`` is split evenly across the restarts, with a floor: each
+    restart may spend ``max(max_evals // restarts, 2 * dim + 2)``
+    evaluations, ``dim`` being the number of search coordinates (``beta``
+    plus the feasible coordinates of ``eta``), so that its simplex can take
+    at least one step.  Where the floor binds, a search spends more than
+    ``max_evals``.  Each restart also stops on ``SEARCH_XATOL``/``SEARCH_FATOL``.
     """
 
     restarts: int = 8
@@ -115,7 +124,11 @@ class OptimizerConfig:
     def __post_init__(self):
         _config_fields(self, ints={"restarts": 1, "max_evals": None})
         if self.max_evals < self.restarts:
-            raise InputError("max_evals must cover at least one evaluation per restart")
+            raise InputError(
+                "max_evals must be >= restarts; each restart then spends at most "
+                "max(max_evals // restarts, 2 * dim + 2) evaluations, dim being "
+                "the number of search coordinates"
+            )
 
 
 @dataclass(frozen=True)
@@ -158,8 +171,11 @@ class SelectionResult:
     Cholesky factors, the tridiagonal reductions and the spectra the search
     computed rather than read from the data's memo (see module notes): one
     per GCV evaluation, a Cholesky factor for plain GCV and a reduction for
-    cap-aware GCV, plus a spectrum where either fails.  It is bookkeeping,
-    so results that differ only in it compare equal.
+    cap-aware GCV, plus a spectrum where either fails.  ``restarts`` holds
+    one ``(evaluations, best_cost, stop_reason)`` per restart, in start
+    order, with ``stop_reason`` ``"tolerance"`` or ``"maxfev"``; their
+    evaluations sum to ``evaluations``.  Both are bookkeeping, so results
+    that differ only in them compare equal.
     """
 
     beta: float
@@ -168,6 +184,7 @@ class SelectionResult:
     evaluations: int
     feasible: bool
     factorizations: int = field(default=0, compare=False)
+    restarts: tuple = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +320,100 @@ def _invert_parameterization(param: FeasibleParameterization, eta_star: tuple) -
             return _BAD_COST
         return float(np.sum((np.log(eta + 1e-12) - np.log(target + 1e-12)) ** 2))
 
-    res = scipy.optimize.minimize(
-        mismatch,
-        np.zeros(param.dim),
-        method="Nelder-Mead",
-        options={"maxfev": 120 * param.dim, "xatol": 1e-6, "fatol": 1e-10},
+    x, _, _, _ = _nelder_mead(
+        mismatch, np.zeros(param.dim), maxfev=120 * param.dim, xatol=1e-6, fatol=1e-10, adaptive=False
     )
-    return np.asarray(res.x, dtype=float)
+    return x
+
+
+class _BudgetSpent(Exception):
+    """The counted objective of :func:`_nelder_mead` refused an evaluation."""
+
+
+def _nelder_mead(fun, x0, maxfev, xatol, fatol, adaptive):
+    """Minimize ``fun`` by Nelder-Mead from ``x0``; ``(x, fun(x), evaluations,
+    stop_reason)`` with ``stop_reason`` ``"tolerance"`` or ``"maxfev"``.
+
+    The arithmetic is that of scipy 1.17's ``minimize(method="Nelder-Mead")``
+    without bounds, callback or initial simplex, so the iterates have its
+    bits (pinned by the test suite against scipy): the 5% / 0.00025 initial
+    simplex, reflection 1, and either the classic coefficients or the
+    dimension-adaptive ones of Gao & Han (Comput. Optim. Appl. 51, 2012).
+    Vertices are reordered by ``np.argsort``'s default sort after every
+    iteration, twice after the initial simplex.  The tolerances are tested
+    before each iteration; an evaluation past ``maxfev`` is refused, which
+    may stop a shrink half done.  ``fun`` receives a copy of each vertex.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    if adaptive:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        if evaluations >= maxfev:
+            raise _BudgetSpent
+        evaluations += 1
+        return fun(np.copy(x))
+
+    def sort(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = sort(sim, fsim)
+    sim, fsim = sort(sim, fsim)
+
+    while evaluations < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi) * xbar - psi * sim[-1]  # outside contraction
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]  # inside contraction
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = sort(sim, fsim)
+
+    return sim[0], np.min(fsim), evaluations, "maxfev" if evaluations >= maxfev else "tolerance"
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +473,11 @@ def select_hyperparameters(
         _, residual_sq, trace = smoother
         return _gcv_score(data.size, residual_sq, trace)
 
-    evaluations = 0
-
     def decode(x):
         beta = config.iota + math.exp(min(float(x[0]), 690.0))
         return beta, tuple(param.to_eta(np.asarray(x[1:], dtype=float)))
 
     def objective(x):
-        nonlocal evaluations
-        evaluations += 1
         try:
             beta, eta = decode(x)
             value = cost_fn(beta, eta)
@@ -405,21 +505,15 @@ def select_hyperparameters(
 
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
     best_x, best_val = None, math.inf
+    restarts = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for x0 in starts:
-            res = scipy.optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": budget,
-                    "xatol": SEARCH_XATOL,
-                    "fatol": SEARCH_FATOL,
-                    "adaptive": dim > 4,
-                },
+            x, value, spent, stop = _nelder_mead(
+                objective, x0, maxfev=budget, xatol=SEARCH_XATOL, fatol=SEARCH_FATOL, adaptive=dim > 4
             )
-            if res.fun < best_val:
-                best_val, best_x = res.fun, res.x
+            restarts.append((spent, float(value), stop))
+            if value < best_val:
+                best_val, best_x = value, x
 
     if best_x is None or not math.isfinite(best_val) or best_val >= _BAD_COST:
         raise NumericError(
@@ -436,7 +530,8 @@ def select_hyperparameters(
         beta=beta,
         eta=eta,
         cost=float(best_val),
-        evaluations=evaluations,
+        evaluations=sum(spent for spent, _, _ in restarts),
         feasible=bool(feasible),
         factorizations=factorizations,
+        restarts=tuple(restarts),
     )

@@ -1,7 +1,9 @@
 """Selection costs and the constrained hyperparameter search."""
 
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from stable_sysid import (
     select_hyperparameters,
     solve_constrained,
 )
+from stable_sysid.benchmarks import SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
 from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
+from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _nelder_mead
 from stable_sysid.viability import feasible_parameterization
 
 from oracles import random_spectrum_problem, root_conditioning
@@ -591,5 +595,143 @@ class TestSpectrumMemo:
         from stable_sysid.selection import SelectionResult
 
         plain = SelectionResult(beta=1.0, eta=(), cost=0.0, evaluations=3, feasible=True)
-        assert plain.factorizations == 0
+        assert (plain.factorizations, plain.restarts) == (0, ())
         assert plain == SelectionResult(1.0, (), 0.0, 3, True, factorizations=3)
+        assert plain == SelectionResult(1.0, (), 0.0, 3, True, restarts=((3, 0.0, "maxfev"),))
+
+
+class TestNelderMead:
+    """The search's own Nelder-Mead repeats scipy's arithmetic bit for bit;
+    scipy.optimize is the reference here and is imported by no module of
+    the package."""
+
+    @staticmethod
+    def assert_matches_scipy(fun, x0, maxfev, xatol=SEARCH_XATOL, fatol=SEARCH_FATOL, adaptive=False):
+        import scipy.optimize
+
+        ref = scipy.optimize.minimize(
+            fun, x0, method="Nelder-Mead",
+            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol, "adaptive": adaptive},
+        )
+        x, value, evaluations, stop = _nelder_mead(fun, x0, maxfev, xatol, fatol, adaptive)
+        assert np.array_equal(x, ref.x)
+        assert value == ref.fun
+        assert evaluations == ref.nfev
+        assert stop == ("maxfev" if ref.status == 1 else "tolerance")
+        return stop
+
+    @staticmethod
+    def quadratic(dim):
+        rng = np.random.default_rng(dim)
+        A, center = rng.normal(size=(dim, dim)), rng.normal(size=dim)
+        return lambda x: float(np.sum((A @ (x - center)) ** 2))
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_dimensions_stop_on_tolerance(self, dim):
+        x0 = np.linspace(0.5, 2.0, dim)
+        assert self.assert_matches_scipy(self.quadratic(dim), x0, 4000, adaptive=dim > 4) == "tolerance"
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_dimensions_stop_on_maxfev(self, dim):
+        def rosenbrock(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) + x[0] ** 2)
+
+        x0 = np.full(dim, -1.2)
+        assert self.assert_matches_scipy(rosenbrock, x0, 25 * dim, adaptive=dim > 4) == "maxfev"
+
+    def test_zero_coordinate_takes_the_small_step(self):
+        self.assert_matches_scipy(self.quadratic(3), np.array([0.0, 1.5, 0.0]), 400)
+
+    @pytest.mark.parametrize("maxfev", range(1, 61))
+    def test_every_budget_on_tied_values(self, maxfev):
+        # quarter steps tie many vertices exactly, and failed contractions
+        # shrink, so some budget runs out inside a shrink
+        def stepped(x):
+            return math.floor(4.0 * float(np.sum((x - 0.3) ** 2))) / 4.0
+
+        self.assert_matches_scipy(stepped, np.array([1.0, 0.0, -2.0]), maxfev, xatol=1e-6, fatol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x0,step,xatol,fatol",
+        [
+            ([3.0, -1.0], 1.0, 1e-6, 1e-12),  # a contraction ties the reflection
+            ([0.5, 2.5], 1.0, 1e-6, 1e-12),
+            ([1.0, 0.0, -2.0], 0.25, 10.0, 0.25),  # the spread of values equals fatol
+            ([3.0], 1.0, 10.0, 1.0),
+            ([1.0], 1.0, 1.05 - 1.0, 1.0),  # the first simplex's spread equals xatol
+            ([5.0, 5.0, 5.0], 1.0, 1e-6, 1e-12),  # an expansion ties the reflection
+            ([5.0], 4.0, 1e-6, 1e-12),
+        ],
+    )
+    def test_ties_at_the_comparisons(self, x0, step, xatol, fatol):
+        def stepped(x):
+            return math.floor(float(np.sum((x - 0.3) ** 2)) / step) * step
+
+        self.assert_matches_scipy(stepped, np.array(x0), 200, xatol=xatol, fatol=fatol)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_bad_cost_plateau(self, adaptive):
+        def fenced(x):
+            return _BAD_COST if x[0] > 1.0 or x[1] < -0.5 else float(np.sum((x - 1.2) ** 2))
+
+        self.assert_matches_scipy(fenced, np.array([0.9, -0.45, 0.2, 0.0, 1.0]), 600, adaptive=adaptive)
+
+    def test_objective_receives_a_copy(self):
+        seen = []
+
+        def keeping(x):
+            seen.append(x)
+            x[0] = 99.0
+            return float(np.sum(x ** 2))
+
+        x, _, evaluations, _ = _nelder_mead(keeping, np.array([1.0, 2.0]), 30, 1e-6, 1e-10, False)
+        assert len({id(v) for v in seen}) == evaluations == 30
+        assert x[0] != 99.0
+
+    def test_package_imports_no_scipy_optimize(self):
+        import subprocess
+        import sys
+
+        import stable_sysid
+
+        src = str(Path(stable_sysid.__file__).resolve().parents[1])
+        for module in ("stable_sysid", "stable_sysid.cli"):
+            code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+            assert done.stdout.strip() == "False", module
+
+
+class TestRestartRecord:
+    def test_restarts_sum_to_the_evaluations(self):
+        config = SelectionConfig(method="gcv", optimizer=tiny_optimizer(restarts=3, max_evals=200), seed=2)
+        result = select_hyperparameters(config, smooth_data(40, seed=3), Gaussian())
+        assert len(result.restarts) == 3
+        assert sum(spent for spent, _, _ in result.restarts) == result.evaluations
+        assert min(cost for _, cost, _ in result.restarts) == result.cost
+        assert {stop for _, _, stop in result.restarts} <= {"tolerance", "maxfev"}
+
+    @pytest.mark.parametrize("system", ["A", "B"])
+    def test_seed0_desk_searches_spend_their_budget(self, system):
+        spec = SyntheticSystemSpec(system, seed=0)
+        train, _ = generate_dataset(spec, salt=(0,))
+        data = build_regression_data(train.u, train.y, 2)
+        for method in standard_methods(system):
+            _, _, sel = fit_method(data, method)
+            assert [stop for _, _, stop in sel.restarts] == ["maxfev"] * 3, method.name
+            assert sel.evaluations == 360
+
+
+class TestBudgetFloor:
+    def test_floor_per_restart_binds_over_max_evals(self):
+        # a Gaussian search has 4 coordinates (log beta and 3 of eta): each
+        # restart may spend 2 * 4 + 2 = 10 evaluations, above 3 // 3 = 1
+        config = SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=3, max_evals=3), seed=0)
+        result = select_hyperparameters(config, smooth_data(30), Gaussian())
+        assert result.evaluations == 30
+        assert [spent for spent, _, _ in result.restarts] == [10, 10, 10]
+
+    def test_fewer_evaluations_than_restarts_rejected(self):
+        with pytest.raises(InputError, match=r"max_evals must be >= restarts; each restart then spends "
+                                              r"at most max\(max_evals // restarts, 2 \* dim \+ 2\)"):
+            OptimizerConfig(restarts=4, max_evals=3)
