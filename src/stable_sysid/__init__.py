@@ -28,8 +28,8 @@ from .kernels import (
     eval_kernel,
     eval_matrix,
     eval_pairs,
+    gaussian_delta_boundary,
     gram_matrix,
-    lambert_w0,
     squared_kernel_metric,
 )
 from .viability import (
@@ -37,7 +37,6 @@ from .viability import (
     ViabilityWitness,
     delta_membership,
     feasible_parameterization,
-    gaussian_delta_boundary,
     membership,
     numeric_falsifier,
     theta_membership,

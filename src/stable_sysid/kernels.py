@@ -90,78 +90,17 @@ __all__ = [
     "metric_pairs",
     "gram_matrix",
     "gram_from_terms",
-    "lambert_w0",
     "structure_to_config",
     "structure_from_config",
     "kernel_to_config",
     "kernel_from_config",
 ]
 
-_INV_E = math.exp(-1.0)
 INF = math.inf
-# undershoot below -1/e that lambert_w0 still reads as -1/e, not a domain error
-LAMBERT_DOMAIN_TOL = 1e-12
+# relative margin by which the Gaussian incremental boundary errs to the safe side
+_BOUNDARY_MARGIN = 4.0 * np.finfo(float).eps
 # rows of A per block of _sq_dist_matrix; a 198-row training Gram is one block
 _SQ_DIST_ROWS = 256
-
-
-# ---------------------------------------------------------------------------
-# Lambert W, principal branch
-# ---------------------------------------------------------------------------
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function.
-
-    Solves ``w * exp(w) = x`` for ``w >= -1``, defined for ``x >= -1/e``.
-    Halley iteration from ``log(1 + x)`` for ``x >= 0``, from a branch-point
-    series for ``x`` near ``-1/e``, and from a small-argument start
-    otherwise.
-
-    Parameters
-    ----------
-    x : float
-        Argument, must satisfy ``x >= -1/e`` up to ``LAMBERT_DOMAIN_TOL``.
-
-    Returns
-    -------
-    float
-        ``w`` with residual ``|w exp(w) - x| <= 1e-12 * max(1, |x|)``.
-    """
-    if not math.isfinite(x):
-        raise InputError(f"lambert_w0 requires a finite argument, got {x!r}")
-    if x < -_INV_E - LAMBERT_DOMAIN_TOL:
-        raise InputError(
-            f"lambert_w0 domain is [-1/e, inf); got x = {x!r} < {-_INV_E!r}"
-        )
-    x = max(x, -_INV_E)
-    if x == -_INV_E:
-        return -1.0
-    if x == 0.0:
-        return 0.0
-
-    if x < -_INV_E + 1e-2:
-        # series around the branch point, p = sqrt(2 (e x + 1))
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    elif x < 0.0:
-        w = x * (1.0 - x)  # two-term Taylor start, exact enough to converge
-    else:
-        w = math.log1p(x)
-
-    for _ in range(60):
-        ew = math.exp(w)
-        f = w * ew - x
-        # Halley step: f' = e^w (w + 1), f'' = e^w (w + 2)
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        if denom == 0.0:
-            break
-        step = f / denom
-        w -= step
-        if w < -1.0:
-            w = -1.0 + 1e-16
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return max(w, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +267,36 @@ def _unit_mass_parameterization() -> FeasibleParameterization:
     return FeasibleParameterization(3, to_eta, "tau + sigma in (0, 1), gamma free")
 
 
+def _gaussian_tau_max(gamma: float, rho: float) -> float:
+    """Largest ``tau`` with ``2 tau (1 - exp(-gamma rho)) <= rho``: the
+    Gaussian incremental rule at a finite ``rho > 0``."""
+    return rho / (2.0 * -math.expm1(-min(gamma * rho, 690.0)))
+
+
 def gaussian_delta_boundary(tau: float, gamma: float) -> float:
     """Smallest rho for which a Gaussian (tau, gamma, .) is incrementally viable.
 
-    Returns 0 when ``2 tau gamma <= 1``; otherwise the unique positive root
-    of ``2 tau (1 - exp(-gamma z)) = z``, expressed through the principal
-    Lambert W branch as ``2 tau + W(-2 gamma tau e^{-2 gamma tau}) / gamma``.
+    That is 0 when ``2 tau gamma <= 1``, else the positive root of the
+    finite-rho rule ``2 tau (1 - exp(-gamma z)) = z``, which lies in
+    ``(0, 2 tau)``.  Bisection over ``(0, 2 tau]`` on that inequality, its
+    right side shrunk by ``4 eps`` to cover the rounding of both sides,
+    returns the upper end, so the result is never below the root.  Its
+    relative error is about ``eps / (2 tau gamma - 1)``, the root's
+    conditioning.
     """
-    if tau < 0 or gamma < 0:
-        raise InputError("tau and gamma must be >= 0")
-    u = 2.0 * tau * gamma
-    if u <= 1.0:
+    if not (math.isfinite(tau) and math.isfinite(gamma) and tau >= 0 and gamma >= 0):
+        raise InputError(f"tau and gamma must be finite and >= 0, got tau={tau!r}, gamma={gamma!r}")
+    if 2.0 * tau * gamma <= 1.0 - _BOUNDARY_MARGIN:
         return 0.0
-    w = lambert_w0(-u * math.exp(-u))
-    return 2.0 * tau + w / gamma
+    lo, hi = 0.0, 2.0 * tau
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if 2.0 * tau * -math.expm1(-gamma * mid) <= mid * (1.0 - _BOUNDARY_MARGIN):
+            hi = mid
+        else:
+            lo = mid
 
 
 _NO_STATIONARY_ISS = (
@@ -638,13 +593,12 @@ class Gaussian(_StationaryProfile):
 
     def delta_member(self, eta, rho):
         tau, gamma, _ = eta
-        if rho == INF:
+        if rho == INF or 2.0 * tau * gamma <= 1.0:
             return True
-        if 2.0 * tau * gamma <= 1.0:
-            return True
-        if rho == 0.0:
+        if gamma * rho == 0.0:
+            # rho = 0, or gamma rho underflowed so the cap rounds to 1 / (2 gamma)
             return False
-        return gaussian_delta_boundary(tau, gamma) <= rho
+        return tau <= _gaussian_tau_max(gamma, rho)
 
     def delta_claim(self, eta):
         tau, gamma, _ = eta
@@ -662,8 +616,7 @@ class Gaussian(_StationaryProfile):
 
         def to_eta(u):
             gamma = _pos(u[0])
-            tau_max = rho / (2.0 * -math.expm1(-min(gamma * rho, 690.0)))
-            return (_unit(u[1]) * tau_max, gamma, _pos(u[2]))
+            return (_unit(u[1]) * _gaussian_tau_max(gamma, rho), gamma, _pos(u[2]))
 
         return FeasibleParameterization(
             3, to_eta, "tau below the finite-rho incremental boundary, sigma free"

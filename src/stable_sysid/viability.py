@@ -36,6 +36,7 @@ optimizes over a viability set without constraint handling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,6 @@ from .kernels import (
     _config_int,
     _config_real,
     _reject_unknown,
-    gaussian_delta_boundary,
     metric_pairs,
 )
 
@@ -59,7 +59,6 @@ __all__ = [
     "theta_membership",
     "delta_membership",
     "membership",
-    "gaussian_delta_boundary",
     "numeric_falsifier",
     "FeasibleParameterization",
     "feasible_parameterization",
@@ -70,13 +69,24 @@ __all__ = [
 # targets and witnesses
 # ---------------------------------------------------------------------------
 
+def _rho(value, what: str) -> float:
+    """A target's ``rho`` as a float: numbers in ``[0, inf]`` (numpy ones
+    too) pass; nan, negatives, ``True`` and ``"0.5"`` raise."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and float(value) >= 0:
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise InputError(f"{what} needs rho in [0, inf], got {value!r}")
+
+
 @dataclass(frozen=True)
 class StabilityTarget:
     """Selects the feasibility set for hyperparameter selection.
 
     ``kind`` is one of ``"unconstrained"``, ``"viable"``, ``"delta_viable"``;
-    ``rho`` is a nonnegative extended real (``math.inf`` allowed) and must be
-    present exactly when the target is constrained.
+    ``rho`` is a nonnegative extended real (``math.inf`` allowed), must be
+    present exactly when the target is constrained, and is kept as a float.
     """
 
     kind: str
@@ -89,8 +99,7 @@ class StabilityTarget:
             if self.rho is not None:
                 raise InputError("unconstrained target takes no rho")
         else:
-            if self.rho is None or (isinstance(self.rho, float) and math.isnan(self.rho)) or self.rho < 0:
-                raise InputError(f"target {self.kind!r} needs rho in [0, inf], got {self.rho!r}")
+            object.__setattr__(self, "rho", _rho(self.rho, f"target {self.kind!r}"))
 
     # canonical constructors -------------------------------------------------
     @classmethod
@@ -99,11 +108,11 @@ class StabilityTarget:
 
     @classmethod
     def viable(cls, rho: float) -> "StabilityTarget":
-        return cls("viable", float(rho))
+        return cls("viable", rho)
 
     @classmethod
     def delta_viable(cls, rho: float) -> "StabilityTarget":
-        return cls("delta_viable", float(rho))
+        return cls("delta_viable", rho)
 
     @classmethod
     def iss(cls) -> "StabilityTarget":
@@ -195,9 +204,7 @@ class ViabilityWitness:
 
 def _closed_form(rule, structure: KernelStructure, eta: tuple, rho) -> bool:
     """``rule`` (a structure's member method) at a checked rho and validated eta."""
-    rho = float(rho)
-    if math.isnan(rho) or rho < 0:
-        raise InputError(f"rho must lie in [0, inf], got {rho!r}")
+    rho = _rho(rho, "membership")
     structure.validate_eta(tuple(eta))
     return rule(tuple(float(v) for v in eta), rho)
 

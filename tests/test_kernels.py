@@ -1,4 +1,4 @@
-"""Kernel structures: pointwise values, metric, Gram assembly, Lambert W."""
+"""Kernel structures: pointwise values, metric, Gram assembly."""
 
 import math
 
@@ -20,7 +20,6 @@ from stable_sysid import (
     eval_matrix,
     eval_pairs,
     gram_matrix,
-    lambert_w0,
     squared_kernel_metric,
 )
 from stable_sysid.kernels import (
@@ -456,38 +455,6 @@ class TestGramMatrix:
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
         with pytest.raises(InputError):
             eval_pairs(k, np.zeros((3, 5)), np.zeros((2, 5)))
-
-
-class TestLambertW:
-    def test_anchor_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
-        assert lambert_w0(-1.0 / math.e) == -1.0
-
-    def test_residual_on_log_grid(self):
-        xs = np.concatenate(
-            [
-                -1.0 / math.e + np.logspace(-18, 0, 60) * (1.0 / math.e),
-                np.logspace(-12, 6, 120),
-                [0.0, -1.0 / math.e],
-            ]
-        )
-        for x in xs:
-            w = lambert_w0(float(x))
-            assert w >= -1.0
-            assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-
-    def test_matches_scipy_oracle(self):
-        import scipy.special
-
-        for x in [-0.367, -0.2, -1e-8, 0.5, 3.0, 1e4]:
-            assert lambert_w0(x) == pytest.approx(
-                float(scipy.special.lambertw(x).real), rel=1e-12, abs=1e-12
-            )
-
-    def test_domain_error_below_branch_point(self):
-        with pytest.raises(InputError):
-            lambert_w0(-1.0 / math.e - 1e-6)
 
 
 class TestValidation:

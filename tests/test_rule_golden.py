@@ -8,6 +8,13 @@ structure's suggested search start with its membership and claim.  The
 table was captured from the implementation in which these rules were
 ``isinstance`` chains in ``viability`` and ``selection``; every value must
 stay bit-identical.
+
+Three claims were regenerated on purpose when ``gaussian_delta_boundary``
+became a bisection on the finite-rho rule in place of a special-function
+form.  Each ``nu`` moved up, to the safe side, by 6 to 15 ulps:
+``gaussian|dviable(rho=0.7)`` image 2, ``gaussian|dbibs`` image 0 and
+``sum(linear_affine,sum(gaussian,matern32))|dviable(rho=0.7)`` image 1.
+Every image, membership, ``dim`` and suggested start kept its bits.
 """
 
 import json

@@ -37,7 +37,7 @@ def gaussian_delta_gap(tau, gamma, zeta):
 
 
 def boundary_by_bisection(tau, gamma):
-    """Positive root of the incremental gap by bisection (independent of Lambert W)."""
+    """Positive root of the incremental gap by a plain bisection on its sign."""
     assert 2 * tau * gamma > 1
     lo = math.log(2 * tau * gamma) / gamma  # gap maximizer, gap > 0 here
     hi = 2 * tau  # gap(2 tau) = -2 tau exp(-2 gamma tau) < 0
@@ -131,6 +131,21 @@ class TestDeltaMembership:
                 ref = boundary_by_bisection(tau, gamma)
                 assert v == pytest.approx(ref, abs=1e-9, rel=1e-9)
 
+    @pytest.mark.parametrize("tau,gamma", [(math.nan, 1.0), (1.0, math.nan), (INF, 1.0), (1.0, INF)])
+    def test_gaussian_boundary_rejects_non_finite(self, tau, gamma):
+        with pytest.raises(InputError, match="tau and gamma must be finite"):
+            gaussian_delta_boundary(tau, gamma)
+
+    def test_gaussian_boundary_overflowing_product(self):
+        # 2 tau gamma overflows; the root lies just below 2 tau
+        v = gaussian_delta_boundary(1e300, 1e10)
+        assert math.isfinite(v)
+        assert v == pytest.approx(2e300, rel=1e-15)
+
+    def test_gaussian_finite_rho_underflowing_gamma_rho(self):
+        # gamma rho underflows to 0: the cap is 1 / (2 gamma) = 5e299 < tau
+        assert delta_membership(Gaussian(), (1e301, 1e-300, 0.0), 1e-100) is False
+
     def test_unsupported_structures(self):
         with pytest.raises(UnsupportedTargetError):
             delta_membership(FeatureGaussian(), (0.5, 1.0, 0.1), 0.0)
@@ -198,6 +213,16 @@ class TestStabilityTarget:
             StabilityTarget("unconstrained", 1.0)
         with pytest.raises(InputError):
             StabilityTarget("delta_viable", -0.5)
+
+    @pytest.mark.parametrize("rho", ["a", True, None, math.nan])
+    def test_rho_must_be_a_number(self, rho):
+        with pytest.raises(InputError, match="needs rho in"):
+            StabilityTarget("viable", rho)
+
+    def test_rho_is_kept_as_a_float(self):
+        assert StabilityTarget("viable", 2).rho == 2.0
+        assert type(StabilityTarget("viable", np.int64(2)).rho) is float
+        assert StabilityTarget("delta_viable", INF).rho == INF
 
     def test_config_round_trip(self):
         targets = [

@@ -16,7 +16,10 @@ The list covers ``generate`` on A, B and H, plus an H validation set of
 viable and dviable targets at a small search budget; ``predict`` and
 ``simulate``, the H model on both H validation sets; ``check-viability``
 with the falsifier, including narx_fading and a sum with a narx_fading
-child, both with witnesses; and a one-run ``benchmark`` on A, B and H.
+child, both with witnesses, and a Gaussian member just inside its finite-rho
+incremental boundary (``2 tau gamma - 1`` about 5e-9), whose witness is the
+roundoff of the falsifier's ``k(a,a) + k(b,b) - 2 k(a,b)`` at ``tau`` about
+1.5e7; and a one-run ``benchmark`` on A, B and H.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ FALSIFY = {"samples": 4000, "radius": 5.0, "seed": 1}
 CHECKS = [
     ("check-gaussian-diss", {"structure": "gaussian", "eta": [0.4, 1.0, 0.1]}, {"kind": "diss"}),
     ("check-gaussian-dviable-witness", {"structure": "gaussian", "eta": [3.0, 2.0, 0.1]}, {"kind": "dviable", "rho": 0.5}),
+    (
+        "check-gaussian-dviable-near-boundary",
+        {"structure": "gaussian", "eta": [14751463.032274457, 3.389494326196924e-08, 0.0]},
+        {"kind": "dviable", "rho": 0.7},
+    ),
     ("check-narx_fading-iss-witness", {**NARX, "eta": [0.6, 0.5, 0.3]}, {"kind": "iss"}),
     ("check-narx_fading-diss-witness", {**NARX, "eta": [5.0, 2.0, 0.1]}, {"kind": "diss"}),
     ("check-narx_fading-dbibs", {**NARX, "eta": [0.6, 0.5, 0.3]}, {"kind": "dbibs"}),
