@@ -68,8 +68,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtri
 
+from ._lapack import dpotrs, dtrtri
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelInstance, KernelStructure, _config_fields, gram_from_terms
 from .solver import (

@@ -21,6 +21,12 @@ root and the smoother's residual and trace from one tridiagonal reduction
 of K.  Each falls back to the spectrum where LAPACK rejects it; EB follows
 after ROADMAP Direction 2.
 
+The LAPACK and BLAS routines (``dpotrf``, ``dsytrd``, ``dptsv`` and the
+rest) are scipy's compiled ones, bound by :mod:`stable_sysid._lapack` from
+scipy's ``_flapack``/``_fblas`` extension files without importing the
+``scipy.linalg`` package, whose ``__init__`` cost every process about 0.3 s
+and 16 MB of start-up; ``scipy.linalg.lapack`` holds the same objects.
+
 Gram matrices over a :class:`RegressionData` are assembled from its
 ``terms``, the regressors' ``eta``-independent pair terms
 (:class:`~stable_sysid.kernels.PairTerms`), built on first use and kept for
@@ -35,12 +41,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dnrm2, dsymv, dsyr2
-from scipy.linalg.lapack import dpotrf, dpotrs, dptsv, dpttrs, dsytrd, dsytrd_lwork
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
 from .errors import InputError, NumericError
-from .kernels import KernelInstance, PairTerms, _config_int, gram_from_terms
+from .kernels import KernelInstance, PairTerms, _config_int, _config_real, gram_from_terms
 
 __all__ = [
     "RegressionData",
@@ -191,6 +196,15 @@ def _check_beta(beta) -> None:
         raise InputError(f"beta must be finite and > 0, got {beta!r}")
 
 
+def _check_gap(m, chi) -> int:
+    """The model order of a constraint gap, checked with ``chi``: ``m`` a
+    count >= 1 and ``chi`` finite and > 0, else :class:`InputError`."""
+    m = _config_int(m, "model order m", 1)
+    if not _config_real(chi, "chi") > 0:
+        raise InputError(f"chi must be > 0, got {chi!r}")
+    return m
+
+
 def _validate_matrix(K, y):
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -230,10 +244,12 @@ def _eig_psd(K: np.ndarray):
 def _shifted_cholesky(K: np.ndarray, beta: float):
     """``A = K + beta I`` (``K`` exactly symmetric) and its lower Cholesky
     factor, or None for the factor where LAPACK rejects it.  The package's
-    only Cholesky is scipy's as :func:`_eig_psd` is numpy's: each loads its
-    own OpenBLAS and thread pool, and alternating them (198 x 198, 2 vCPUs)
-    took 30-34 ms a pair against 5-6 and 0.4-0.9 ms apart.  scipy's
-    ``eigh``, like pinned threads, moved mc-h Hb ``q_sim`` by 5.4%."""
+    only Cholesky is scipy's ``dpotrf`` (bound by :mod:`stable_sysid._lapack`
+    without the ``scipy.linalg`` package) as :func:`_eig_psd` is numpy's:
+    each loads its own OpenBLAS and thread pool, and alternating them
+    (198 x 198, 2 vCPUs) took 30-34 ms a pair against 5-6 and 0.4-0.9 ms
+    apart.  scipy's ``eigh``, like pinned threads, moved mc-h Hb ``q_sim``
+    by 5.4%."""
     A = np.array(K, dtype=float)
     A.flat[::A.shape[0] + 1] += beta
     # the transpose of a symmetric C-ordered array is its Fortran-ordered self
@@ -290,7 +306,8 @@ def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
     contribute their limit value 0.  Non-increasing in alpha with limit
     ``-chi``.
     """
-    if alpha < 0:
+    m = _check_gap(m, chi)
+    if not alpha >= 0:
         raise InputError(f"alpha must be >= 0, got {alpha!r}")
     lam, _, yt = _rotated_spectrum(K, y)
     yt2 = yt ** 2
@@ -433,6 +450,7 @@ def find_alpha_bar(K, y, m: int, chi: float) -> float:
 
     The returned root has ``|gamma| <= 1e-10``.
     """
+    m = _check_gap(m, chi)
     lam, _, yt = _rotated_spectrum(K, y)
     return alpha_bar_from_spectrum(lam, yt ** 2, m, chi)
 
@@ -444,8 +462,7 @@ def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
     eigendecomposition.
     """
     _check_beta(beta)
-    if not chi > 0:
-        raise InputError(f"chi must be > 0, got {chi!r}")
+    m = _check_gap(m, chi)
     lam, Q, yt = _rotated_spectrum(K, y)
     alpha_bar = alpha_bar_from_spectrum(lam, yt ** 2, m, chi)
     effective = max(alpha_bar, beta)

@@ -689,17 +689,20 @@ class TestNelderMead:
         assert x[0] != 99.0
 
     def test_package_imports_no_scipy_optimize(self):
+        # nor the scipy.linalg package, whose __init__ imports numpy.f2py:
+        # the package binds scipy's LAPACK/BLAS modules by path
         import subprocess
         import sys
 
         import stable_sysid
 
         src = str(Path(stable_sysid.__file__).resolve().parents[1])
+        unwanted = ["scipy.optimize", "scipy.linalg", "numpy.f2py"]
         for module in ("stable_sysid", "stable_sysid.cli"):
-            code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+            code = f"import sys, {module}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-            assert done.stdout.strip() == "False", module
+            assert done.stdout.strip() == "[]", module
 
 
 class TestRestartRecord:

@@ -155,6 +155,55 @@ class TestFindAlphaBar:
                 assert gamma_fn(K, y, 2, 0.99, 0.0) <= 0.0
 
 
+class TestRootArguments:
+    """The public root functions reject an invalid model order, budget or
+    regularizer before they factor anything."""
+
+    K, y = np.array([[1.0]]), np.array([2.0])
+
+    def test_gamma_rejects_nan_alpha(self):
+        with pytest.raises(InputError, match="alpha must be >= 0"):
+            gamma_fn(self.K, self.y, 2, 0.99, math.nan)
+
+    def test_gamma_rejects_negative_alpha(self):
+        with pytest.raises(InputError, match="alpha must be >= 0"):
+            gamma_fn(self.K, self.y, 2, 0.99, -1e-300)
+
+    def test_gamma_accepts_infinite_alpha(self):
+        assert gamma_fn(self.K, self.y, 2, 0.99, math.inf) == -0.99
+
+    @pytest.mark.parametrize("chi", [0.0, -1.0])
+    def test_find_alpha_bar_rejects_nonpositive_chi(self, chi):
+        with pytest.raises(InputError, match="chi must be > 0"):
+            find_alpha_bar(self.K, self.y, 2, chi)
+
+    def test_find_alpha_bar_rejects_nan_chi(self):
+        with pytest.raises(InputError, match="chi must be a number with a finite value"):
+            find_alpha_bar(self.K, self.y, 2, math.nan)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5])
+    def test_find_alpha_bar_rejects_bad_model_order(self, m):
+        with pytest.raises(InputError, match="model order m"):
+            find_alpha_bar(self.K, self.y, m, 0.99)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5])
+    def test_solve_norm_constrained_rejects_bad_model_order(self, m):
+        with pytest.raises(InputError, match="model order m"):
+            solve_norm_constrained(self.K, self.y, m, 0.99, 1e-3)
+
+    def test_solve_norm_constrained_rejects_infinite_chi(self):
+        with pytest.raises(InputError, match="chi must be a number with a finite value"):
+            solve_norm_constrained(self.K, self.y, 2, math.inf, 1e-3)
+
+    @pytest.mark.parametrize("m, chi", [(0, 0.99), (2.5, 0.99), (2, 0.0), (2, math.inf)])
+    def test_gamma_rejects_bad_model_order_or_chi(self, m, chi):
+        with pytest.raises(InputError):
+            gamma_fn(self.K, self.y, m, chi, 0.0)
+
+    def test_integral_float_model_order_gives_the_same_root(self):
+        assert find_alpha_bar(self.K, self.y, 2.0, 0.99) == find_alpha_bar(self.K, self.y, 2, 0.99)
+
+
 def reference_alpha_bar(lam, yt2, m, chi):
     """The root with the gap written out in full at every evaluation."""
     def g(a):

@@ -11,10 +11,13 @@ PARENT and CHANGE are two checkout directories (the parent one made with
 order, ten times each (the pairs a gain claim needs), and keeps every run's
 end-to-end metrics, gate verdict and failed cells, and the quality medians.
 Once per checkout and workload it also runs a probe round in a fresh
-interpreter, which counts the ``numpy.linalg.eigh`` calls and scipy's
+interpreter, which counts the ``numpy.linalg.eigh`` calls and LAPACK's
 ``dsytrd`` (tridiagonal reduction), ``dpotrf`` (Cholesky) and ``dtrtri``
-(triangular inverse) calls of one round and, on mc-ab, times the
-thread-pool check round (a wall time, not a metric).  The machine facts
+(triangular inverse) calls of one round, wrapping each name where the
+package looks it up (``solver.dsytrd``, ``solver.dpotrf``,
+``selection.dtrtri``), and fails if a routine the workload calls was never
+counted; on mc-ab it also times the thread-pool check round (a wall time,
+not a metric).  The machine facts
 are those of the parent's first run record.
 """
 
@@ -30,6 +33,9 @@ from pathlib import Path
 WORKLOADS = ("mc-ab", "mc-h")
 PAIRS = 10
 SEED = 0
+# the counted routines each workload calls at seed 0: mc-h's plain-EB searches
+# make no tridiagonal reduction and no triangular inverse
+CALLED = {"mc-ab": ("eigh", "dsytrd", "dpotrf", "dtrtri"), "mc-h": ("eigh", "dpotrf")}
 MACHINE_KEYS = ("nproc", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "python", "numpy", "scipy")
 
@@ -39,9 +45,12 @@ def probe(root: Path, workload: str) -> dict:
     then the timed thread-pool round."""
     sys.path[:0] = [str(root / "src"), str(root)]
     import numpy as np
-    import scipy.linalg.lapack as lapack
+    from stable_sysid import selection, solver
+    from perfbench import bench
 
-    calls = {"eigh": 0, "dsytrd": 0, "dpotrf": 0, "dtrtri": 0}
+    # each name is wrapped where the package looks it up at call time
+    sites = {"eigh": np.linalg, "dsytrd": solver, "dpotrf": solver, "dtrtri": selection}
+    calls = dict.fromkeys(sites, 0)
 
     def counting(name, real):
         def call(*args, **kwargs):
@@ -49,16 +58,19 @@ def probe(root: Path, workload: str) -> dict:
             return real(*args, **kwargs)
         return call
 
-    # the package binds the LAPACK names at import, so they are wrapped first
-    for name in ("dsytrd", "dpotrf", "dtrtri"):
-        setattr(lapack, name, counting(name, getattr(lapack, name)))
-    from perfbench import bench
-
-    real_eigh = np.linalg.eigh
-    np.linalg.eigh = counting("eigh", real_eigh)
     configs = bench.workload_configs(workload, SEED)
-    round_ = bench.run_round(configs)
-    np.linalg.eigh = real_eigh
+    real = {name: getattr(owner, name) for name, owner in sites.items()}
+    for name, owner in sites.items():
+        setattr(owner, name, counting(name, real[name]))
+    try:
+        round_ = bench.run_round(configs)
+    finally:
+        for name, owner in sites.items():
+            setattr(owner, name, real[name])
+    uncounted = [name for name in CALLED[workload] if calls[name] == 0]
+    if uncounted:
+        raise RuntimeError(f"{workload} calls {uncounted}, but the probe counted none: "
+                           "the package no longer looks them up where they are wrapped")
     counted = {f"{name}_per_round": count for name, count in calls.items()}
     pooled = bench.jobs_counterpart(workload, configs)
     return {
@@ -86,7 +98,9 @@ def run_benchmark(root: Path, workload: str) -> dict:
 
 def run_probe(root: Path, workload: str) -> dict:
     command = [sys.executable, str(Path(__file__).resolve()), "--probe", str(root), workload]
-    done = subprocess.run(command, capture_output=True, text=True, timeout=1800, check=True)
+    done = subprocess.run(command, capture_output=True, text=True, timeout=1800)
+    if done.returncode != 0:
+        raise SystemExit(f"probe of {root} on {workload} failed:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
