@@ -46,8 +46,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import _config_fields
 from .errors import InputError, NumericError, StableSysidError
-from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure, _config_fields
+from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
 from .predictor import PredictorModel, run_model
 from .selection import OptimizerConfig, SelectionConfig, select_hyperparameters
 from .solver import FitProblem, RegressionData, build_regression_data, solve_constrained
@@ -119,6 +120,8 @@ class SyntheticSystemSpec:
             raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.hh_dt <= 0:
             raise InputError(f"hh_dt must be > 0, got {self.hh_dt}")
+        if self.variant == "H":  # the samples are read only after the whole integration
+            _grid_steps(HH_SAMPLE_PERIOD * np.arange(1, max(self.n_train, self.n_valid) + 1), self.hh_dt)
 
 
 @dataclass(frozen=True)
@@ -226,12 +229,7 @@ class HHTrajectory:
     voltage: object  # callable t -> V(t)
 
     def _indices(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        idx = times / self.dt
-        rounded = np.rint(idx)
-        if np.max(np.abs(idx - rounded)) > 1e-6:
-            raise InputError("requested times do not align with the solver grid")
-        rounded = rounded.astype(int)
+        rounded = _grid_steps(times, self.dt)
         if rounded.min() < 0 or rounded.max() >= self.kappa.shape[0]:
             raise InputError("requested times fall outside the integrated horizon")
         return rounded
@@ -244,6 +242,15 @@ class HHTrajectory:
         times = np.asarray(times, dtype=float)
         V = np.asarray(self.voltage(times), dtype=float)
         return 36.0 * (V - 12.0) * self.kappa_at(times) ** 4
+
+
+def _grid_steps(times, dt: float) -> np.ndarray:
+    """The solver step of each of ``times``; a time off the grid raises."""
+    idx = np.asarray(times, dtype=float) / dt
+    rounded = np.rint(idx)
+    if not np.max(np.abs(idx - rounded)) <= 1e-6:  # an overflowing step reads as nan
+        raise InputError(f"sample times do not align with the solver grid of step {dt!r}")
+    return rounded.astype(int)
 
 
 def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT_HH_DT) -> HHTrajectory:

@@ -55,12 +55,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks
+from .config import _config_flag, _reject_unknown
 from .errors import (
     DivergenceError,
     InfeasibleTargetError,
@@ -68,9 +69,9 @@ from .errors import (
     NumericError,
     StableSysidError,
 )
-from .kernels import _reject_unknown, _structure_block, kernel_from_config, structure_from_config
+from .kernels import _structure_block, kernel_from_config, structure_from_config
 from .predictor import _read_json, _write_json, load_model, one_step_predict, run_model, save_model
-from .selection import SelectionConfig
+from .selection import OptimizerConfig, SelectionConfig
 from .solver import build_regression_data
 from .viability import StabilityTarget, membership, numeric_falsifier
 
@@ -91,14 +92,11 @@ def _load_config(args, allowed: set) -> dict:
     """The command's config object, its keys among ``allowed`` and its path
     and flag values of the right type, checked before any work."""
     cfg = _read_json(args.config, "config file")
-    if not isinstance(cfg, dict):
-        raise InputError(f"config root must be a JSON object, got {type(cfg).__name__}")
     _reject_unknown(cfg, allowed, f"{args.command} config")
     for key in ("data", "model", "out", "model_name", "output_name"):
         if not isinstance(cfg.get(key, ""), str):
             raise InputError(f"{key} must be a string, got {cfg[key]!r}")
-    if not isinstance(cfg.get("record_timing", False), bool):
-        raise InputError(f"record_timing must be true or false, got {cfg['record_timing']!r}")
+    _config_flag(cfg.get("record_timing", False), "record_timing")
     return cfg
 
 
@@ -117,23 +115,21 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-# selection-block keys, by the config class that owns (and validates) the field
-_SELECTION_KEYS = ("method", "kfold_k", "iota", "cap_aware_cost", "seed")
-_OPTIMIZER_KEYS = ("restarts", "max_evals")
+# selection-block keys: the fields of the configs that validate them, less a fit's own chi and target
+_SELECTION_KEYS = tuple(f.name for f in fields(SelectionConfig) if f.name not in ("chi", "target", "optimizer"))
+_OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerConfig))
 # falsify-block keys and the numeric_falsifier arguments they set
 _FALSIFIER_ARGS = {"samples": "sample_count", "radius": "radius", "seed": "seed"}
 
 
 def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=None) -> SelectionConfig:
     """``base`` with the selection block's keys (and the seed override) applied."""
-    if not isinstance(block, dict):
-        raise InputError("selection block must be a JSON object")
     _reject_unknown(block, {*_SELECTION_KEYS, *_OPTIMIZER_KEYS}, "selection block")
-    fields = dict(block)
-    optimizer = {key: fields.pop(key) for key in _OPTIMIZER_KEYS if key in fields}
+    selection = dict(block)
+    optimizer = {key: selection.pop(key) for key in _OPTIMIZER_KEYS if key in selection}
     if seed_override is not None:
-        fields["seed"] = seed_override
-    return replace(base, optimizer=replace(base.optimizer, **optimizer), **fields)
+        selection["seed"] = seed_override
+    return replace(base, optimizer=replace(base.optimizer, **optimizer), **selection)
 
 
 _SYSTEM_KEYS = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "out"}
@@ -308,8 +304,6 @@ def cmd_check_viability(args) -> int:
         raise InputError("check-viability needs a constrained stability target")
     falsify = cfg.get("falsify")
     if falsify is not None:
-        if not isinstance(falsify, dict):
-            raise InputError("falsify block must be a JSON object")
         _reject_unknown(falsify, _FALSIFIER_ARGS.keys(), "falsify block")
     verdict = membership(kernel.structure, kernel.eta, target)
     if falsify is not None:

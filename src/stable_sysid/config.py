@@ -1,0 +1,77 @@
+"""The boundary rules: each kind of value that enters the package (count,
+real, ``rho``, flag, config block) is checked by one rule here, which raises
+:class:`~stable_sysid.errors.InputError` naming the value.  Structure configs
+are parsed in :mod:`stable_sysid.kernels`, beside the classes they name.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+from .errors import InputError
+
+
+def _as_float(value):
+    """A real number other than a bool as a float, else None."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else None
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _config_int(value, what: str, minimum: int | None = None) -> int:
+    """A count: integers (numpy ones too) and integral floats pass; 2.7,
+    ``"2"`` and ``True`` raise, and so does a count below ``minimum``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _config_real(value, what: str) -> float:
+    """A real as a float: finite numbers (numpy ones too) pass; ``"0.5"``,
+    ``True``, nan and ±inf raise."""
+    x = _as_float(value)
+    if x is None or not math.isfinite(x):
+        raise InputError(f"{what} must be a number with a finite value, got {value!r}")
+    return x
+
+
+def _config_rho(value, what: str) -> float:
+    """A target's ``rho`` as a float: numbers in ``[0, inf]`` pass; nan,
+    negatives, ``True`` and ``"0.5"`` raise."""
+    x = _as_float(value)
+    if x is None or not x >= 0:
+        raise InputError(f"{what} needs rho in [0, inf], got {value!r}")
+    return x
+
+
+def _config_flag(value, what: str) -> None:
+    """A flag: ``True`` and ``False`` pass; 1, ``"true"`` and None raise."""
+    if not isinstance(value, bool):
+        raise InputError(f"{what} must be true or false, got {value!r}")
+
+
+def _config_fields(config, ints=None, reals=(), bools=()) -> None:
+    """Check the named count, real and flag fields of a frozen config, and
+    replace counts and reals by their checked values; ``ints`` maps each
+    count field to its lower bound, or None."""
+    for name, minimum in (ints or {}).items():
+        object.__setattr__(config, name, _config_int(getattr(config, name), name, minimum))
+    for name in reals:
+        object.__setattr__(config, name, _config_real(getattr(config, name), name))
+    for name in bools:
+        _config_flag(getattr(config, name), name)
+
+
+def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
+    """A config block: a JSON object whose keys are all ``allowed``."""
+    if not isinstance(cfg, dict):
+        raise InputError(f"{where} must be a JSON object, got {type(cfg).__name__}")
+    unknown = set(cfg) - allowed
+    if unknown:
+        raise InputError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")

@@ -60,13 +60,13 @@ share across workers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .config import _config_fields, _config_real, _reject_unknown
 from .errors import InfeasibleTargetError, InputError, UnsupportedTargetError
 
 __all__ = [
@@ -217,7 +217,6 @@ class FeasibleParameterization:
 
     dim: int
     to_eta: Callable[[np.ndarray], tuple]
-    description: str
 
 
 def _pos(u: float) -> float:
@@ -251,11 +250,11 @@ def _stacked(params: list, u: np.ndarray) -> tuple:
     return tuple(parts)
 
 
-def _stacked_parameterization(params: list, description: str) -> FeasibleParameterization:
+def _stacked_parameterization(params: list) -> FeasibleParameterization:
     def to_eta(u):
         return _stacked(params, np.asarray(u, dtype=float))
 
-    return FeasibleParameterization(sum(p.dim for p in params), to_eta, description)
+    return FeasibleParameterization(sum(p.dim for p in params), to_eta)
 
 
 def _unit_mass_parameterization() -> FeasibleParameterization:
@@ -264,7 +263,7 @@ def _unit_mass_parameterization() -> FeasibleParameterization:
         tau, sigma = _split_mass(_unit(u[0]), _unit(u[2]))
         return (tau, _pos(u[1]), sigma)
 
-    return FeasibleParameterization(3, to_eta, "tau + sigma in (0, 1), gamma free")
+    return FeasibleParameterization(3, to_eta)
 
 
 def _gaussian_tau_max(gamma: float, rho: float) -> float:
@@ -323,9 +322,9 @@ class KernelStructure:
     """Base class for kernel structures.
 
     A structure declares ``name`` and ``eta_names``, from which ``arity``,
-    ``validate_eta`` (every entry finite and ``>= 0``) and the ``exp(u)``
-    unconstrained map derive, and implements one evaluation path,
-    ``from_terms``; the generic ``diag_values`` and the module's row-pair
+    ``validate_eta`` (every entry a real ``>= 0``, returned as floats) and
+    the ``exp(u)`` unconstrained map derive, and implements one evaluation
+    path, ``from_terms``; the generic ``diag_values`` and the module's row-pair
     functions evaluate it on row-paired terms.  It is also the one
     place that knows its stability rules.  A structure implements the rules
     it supports; the base defaults raise :class:`UnsupportedTargetError`
@@ -359,14 +358,14 @@ class KernelStructure:
     def arity(self) -> int:
         return len(self.eta_names)
 
-    def validate_eta(self, eta: tuple) -> None:
+    def validate_eta(self, eta: tuple) -> tuple:
         if len(eta) != self.arity:
             raise InputError(f"{self.name} expects eta = ({', '.join(self.eta_names)}), got {eta!r}")
-        for value, name in zip(eta, self.eta_names):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise InputError(f"hyperparameter {name} must be finite, got {value!r}")
+        parsed = tuple(_config_real(v, f"hyperparameter {n}") for v, n in zip(eta, self.eta_names))
+        for value, name in zip(parsed, self.eta_names):
             if value < 0:
                 raise InputError(f"hyperparameter {name} must be >= 0, got {value!r}")
+        return parsed
 
     def from_terms(self, eta: tuple, terms: PairTerms) -> np.ndarray:
         """Matrix with entries k_eta(terms.A[i], terms.B[j]), or the vector
@@ -409,9 +408,7 @@ class KernelStructure:
 
     def unconstrained_parameterization(self) -> FeasibleParameterization:
         n = self.arity
-        return FeasibleParameterization(
-            n, lambda u: tuple(_pos(u[i]) for i in range(n)), f"{', '.join(self.eta_names)} = exp(u)"
-        )
+        return FeasibleParameterization(n, lambda u: tuple(_pos(u[i]) for i in range(n)))
 
     def theta_parameterization(self, rho: float) -> FeasibleParameterization:
         raise UnsupportedTargetError(f"no growth parameterization for structure {self.name!r}")
@@ -469,9 +466,7 @@ class LinearAffine(KernelStructure):
 
     def theta_parameterization(self, rho):
         if rho == 0.0:
-            return FeasibleParameterization(
-                1, lambda u: (_unit(u[0]), 0.0), "tau in (0, 1), sigma = 0"
-            )
+            return FeasibleParameterization(1, lambda u: (_unit(u[0]), 0.0))
         if rho == INF:
             return self.delta_parameterization(rho)
 
@@ -479,12 +474,10 @@ class LinearAffine(KernelStructure):
             tau = _unit(u[0])
             return (tau, _unit(u[1]) * rho * (1.0 - tau))
 
-        return FeasibleParameterization(2, to_eta, "tau in (0, 1), sigma < rho (1 - tau)")
+        return FeasibleParameterization(2, to_eta)
 
     def delta_parameterization(self, rho):
-        return FeasibleParameterization(
-            2, lambda u: (_unit(u[0]), _pos(u[1])), "tau in (0, 1), sigma free"
-        )
+        return FeasibleParameterization(2, lambda u: (_unit(u[0]), _pos(u[1])))
 
     def suggest_eta(self, stats):
         vy = stats["var_y"]
@@ -505,10 +498,6 @@ class Polynomial(KernelStructure):
     def __post_init__(self):
         _config_fields(self, ints={"degree": 2})
 
-    def validate_eta(self, eta):
-        if len(eta) != 0:
-            raise InputError(f"polynomial carries its degree on the structure; eta must be empty, got {eta!r}")
-
     def from_terms(self, eta, terms):
         return terms.inner ** self.degree
 
@@ -518,7 +507,7 @@ class Polynomial(KernelStructure):
     delta_member = theta_member
 
     def unconstrained_parameterization(self):
-        return FeasibleParameterization(0, lambda u: (), "degree fixed on the structure")
+        return FeasibleParameterization(0, lambda u: ())
 
     def theta_parameterization(self, rho):
         raise InfeasibleTargetError(
@@ -571,7 +560,7 @@ class _StationaryProfile(KernelStructure):
             tau, sigma = _split_mass(rho * _unit(u[0]), _unit(u[2]))
             return (tau, _pos(u[1]), sigma)
 
-        return FeasibleParameterization(3, to_eta, "tau + sigma in (0, rho), gamma free")
+        return FeasibleParameterization(3, to_eta)
 
     def peak_le_one_parameterization(self):
         return _unit_mass_parameterization()
@@ -612,15 +601,13 @@ class Gaussian(_StationaryProfile):
                 gamma = _pos(u[0])
                 return (_unit(u[1]) / (2.0 * gamma), gamma, _pos(u[2]))
 
-            return FeasibleParameterization(3, to_eta, "2 tau gamma in (0, 1), sigma free")
+            return FeasibleParameterization(3, to_eta)
 
         def to_eta(u):
             gamma = _pos(u[0])
             return (_unit(u[1]) * _gaussian_tau_max(gamma, rho), gamma, _pos(u[2]))
 
-        return FeasibleParameterization(
-            3, to_eta, "tau below the finite-rho incremental boundary, sigma free"
-        )
+        return FeasibleParameterization(3, to_eta)
 
 
 @dataclass(frozen=True)
@@ -654,7 +641,7 @@ class Matern32(_StationaryProfile):
             gamma = _pos(u[0])
             return (_unit(u[1]) / (3.0 * gamma ** 2), gamma, _pos(u[2]))
 
-        return FeasibleParameterization(3, to_eta, "3 tau gamma^2 in (0, 1), sigma free")
+        return FeasibleParameterization(3, to_eta)
 
 
 @dataclass(frozen=True)
@@ -736,9 +723,7 @@ class NarxFading(KernelStructure):
             pi = lag_weight_sum(xi, self.window, self.model_order)
             return (_unit(u[2]) / (2.0 * gamma * pi), gamma, xi)
 
-        return FeasibleParameterization(
-            3, to_eta, "2 tau gamma * lag weight sum in (0, 1)"
-        )
+        return FeasibleParameterization(3, to_eta)
 
     def peak_le_one_parameterization(self):
         def to_eta(u):
@@ -746,7 +731,7 @@ class NarxFading(KernelStructure):
             pi = lag_weight_sum(xi, self.window, self.model_order)
             return (_unit(u[2]) / pi, gamma, xi)
 
-        return FeasibleParameterization(3, to_eta, "tau * lag weight sum in (0, 1)")
+        return FeasibleParameterization(3, to_eta)
 
     def suggest_eta(self, stats):
         return (stats["var_y"], 1.0 / stats["med_sq"], 1.0)
@@ -830,16 +815,15 @@ class SumKernel(KernelStructure):
 
     def validate_eta(self, eta):
         if len(eta) != self.arity:
-            raise InputError(
-                f"sum kernel expects {self.arity} hyperparameters "
-                f"({len(self.children)} weights + children), got {len(eta)}"
-            )
+            raise InputError(f"sum kernel expects {self.arity} hyperparameters "
+                             f"({len(self.children)} weights + children), got {len(eta)}")
         weights, parts = self.split_eta(eta)
-        for w in weights:
-            if not (isinstance(w, (int, float)) and math.isfinite(w)) or w <= 0:
-                raise InputError(f"sum kernel weights must be finite and > 0, got {w!r}")
+        parsed = tuple(_config_real(w, "sum kernel weight") for w in weights)
+        if min(parsed) <= 0:
+            raise InputError(f"sum kernel weights must be > 0, got {weights!r}")
         for child, part in zip(self.children, parts):
-            child.validate_eta(part)
+            parsed += child.validate_eta(part)
+        return parsed
 
     def from_terms(self, eta, terms):
         weights, parts = self.split_eta(eta)
@@ -895,7 +879,7 @@ class SumKernel(KernelStructure):
             return weights + _stacked(children, u[q:])
 
         dim = q + sum(cp.dim for cp in children)
-        return FeasibleParameterization(dim, to_eta, "weights = exp(u); children unconstrained")
+        return FeasibleParameterization(dim, to_eta)
 
     def _weighted_parameterization(self, children):
         q = len(self.children)
@@ -907,9 +891,7 @@ class SumKernel(KernelStructure):
             return weights + _stacked(children, u[1 + q:])
 
         dim = 1 + q + sum(cp.dim for cp in children)
-        return FeasibleParameterization(
-            dim, to_eta, "weights sum below 1; children in their own viability sets"
-        )
+        return FeasibleParameterization(dim, to_eta)
 
     def theta_parameterization(self, rho):
         return self._weighted_parameterization([c.theta_parameterization(rho) for c in self.children])
@@ -953,12 +935,9 @@ class ProductWithStationary(KernelStructure):
 
     def validate_eta(self, eta):
         if len(eta) != self.arity:
-            raise InputError(
-                f"product_stationary expects {self.arity} hyperparameters, got {len(eta)}"
-            )
+            raise InputError(f"product_stationary expects {self.arity} hyperparameters, got {len(eta)}")
         eta_l, eta_r = self.split_eta(eta)
-        self.left.validate_eta(eta_l)
-        self.right.validate_eta(eta_r)
+        return self.left.validate_eta(eta_l) + self.right.validate_eta(eta_r)
 
     def from_terms(self, eta, terms):
         eta_l, eta_r = self.split_eta(eta)
@@ -983,14 +962,12 @@ class ProductWithStationary(KernelStructure):
 
     def unconstrained_parameterization(self):
         return _stacked_parameterization(
-            [self.left.unconstrained_parameterization(), self.right.unconstrained_parameterization()],
-            "factors unconstrained",
+            [self.left.unconstrained_parameterization(), self.right.unconstrained_parameterization()]
         )
 
     def theta_parameterization(self, rho):
         return _stacked_parameterization(
-            [self.left.theta_parameterization(rho), self.right.peak_le_one_parameterization()],
-            "left viable at rho; right peak <= 1",
+            [self.left.theta_parameterization(rho), self.right.peak_le_one_parameterization()]
         )
 
     def suggest_eta(self, stats):
@@ -1022,11 +999,10 @@ class KernelInstance:
                 f"input_dim must be odd and >= 3 (2m + 1 with m >= 1), got {self.input_dim}"
             )
         try:
-            eta = tuple(_config_real(v, "eta entry") for v in self.eta)
-        except (TypeError, InputError) as exc:
-            raise InputError(f"eta must be a sequence of numbers with finite values, got {self.eta!r}") from exc
-        object.__setattr__(self, "eta", eta)
-        self.structure.validate_eta(self.eta)
+            eta = tuple(self.eta)
+        except TypeError as exc:
+            raise InputError(f"eta must be a sequence of numbers, got {self.eta!r}") from exc
+        object.__setattr__(self, "eta", self.structure.validate_eta(eta))
         self.structure.check_dim(self.input_dim)
 
 
@@ -1170,7 +1146,7 @@ def structure_from_config(cfg: dict) -> KernelStructure:
     # postponed evaluation); the structure checks its other fields itself
     parse = {
         "KernelStructure": lambda value, what: structure_from_config(value),
-        "tuple": _config_children,
+        "tuple": _children_from_config,
     }
     return cls(**{
         f.name: parse[f.type](cfg[f.name], f"{name} {f.name}") if f.type in parse else cfg[f.name]
@@ -1203,46 +1179,8 @@ def _structure_block(cfg: dict) -> dict:
     return {key: value for key, value in cfg.items() if key not in ("eta", "input_dim")}
 
 
-def _config_int(value, what: str, minimum: int | None = None) -> int:
-    """A config count: integers (numpy ones too) and integral floats pass;
-    2.7, ``"2"`` and ``True`` raise, and so does a count below ``minimum``."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InputError(f"{what} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _config_real(value, what: str) -> float:
-    """A real config value as a float: finite numbers (numpy ones too) pass;
-    ``"0.5"``, ``True``, nan and ±inf raise."""
-    try:
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise InputError(f"{what} must be a number with a finite value, got {value!r}")
-
-
-def _config_fields(config, ints=None, reals=()) -> None:
-    """Replace the named count and real fields of a frozen config by their
-    values as checked by :func:`_config_int` and :func:`_config_real`;
-    ``ints`` maps each count field to its lower bound, or None."""
-    for name, minimum in (ints or {}).items():
-        object.__setattr__(config, name, _config_int(getattr(config, name), name, minimum))
-    for name in reals:
-        object.__setattr__(config, name, _config_real(getattr(config, name), name))
-
-
-def _config_children(value, what: str) -> tuple:
+def _children_from_config(value, what: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise InputError(f"{what} must be a nonempty list of structure configs, got {value!r}")
     return tuple(structure_from_config(c) for c in value)
 
-
-def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise InputError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")

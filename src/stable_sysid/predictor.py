@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _config_fields
 from .errors import DivergenceError, InputError
-from .kernels import KernelInstance, _config_fields, eval_matrix, kernel_from_config, kernel_to_config
+from .kernels import KernelInstance, eval_matrix, kernel_from_config, kernel_to_config
 from .solver import FitReport, RegressionData, build_regression_data
 from .viability import StabilityTarget
 

@@ -30,10 +30,12 @@ coordinates: ``log`` scale for ``beta`` (shifted so the image is
 ``eta``, so every iterate is feasible by construction.  The first start is
 data-driven (amplitudes near the target variance, inverse lengthscale near
 the median pairwise distance), mapped into the feasible coordinates by a
-cheap numeric inversion; the remaining restarts perturb it.  Restarts are
-seeded, making results reproducible; each restart owns its optimizer state
-and cost evaluations are pure, so restarts are safe to run concurrently.
-The Nelder-Mead is the package's own (:func:`_nelder_mead`), with the
+Nelder-Mead inversion that in practice spends all its 120 evaluations per
+coordinate; the second start is the origin of the search coordinates, and
+the others add a seeded uniform draw in ``[-3, 3]`` per coordinate to the
+first.  Restarts are seeded, making results reproducible; each restart owns
+its optimizer state and cost evaluations are pure, so restarts are safe to
+run concurrently.  The Nelder-Mead is the package's own (:func:`_nelder_mead`), with the
 arithmetic of scipy 1.17's ``minimize(method="Nelder-Mead")`` for the case
 used here, pinned bit for bit against scipy by the test suite: importing
 scipy's optimize package for two calls cost every process about 20 MB and
@@ -70,8 +72,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrs, dtrtri
+from .config import _config_fields
 from .errors import InputError, NumericError, StableSysidError
-from .kernels import KernelInstance, KernelStructure, _config_fields, gram_from_terms
+from .kernels import KernelInstance, KernelStructure, gram_from_terms
 from .solver import (
     RegressionData,
     _check_beta,
@@ -150,11 +153,9 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _config_fields(self, ints={"kfold_k": None, "seed": 0}, reals=("iota", "chi"))
+        _config_fields(self, ints={"kfold_k": None, "seed": 0}, reals=("iota", "chi"), bools=("cap_aware_cost",))
         if self.method not in ("eb", "gcv", "kfold"):
             raise InputError(f"unknown selection method {self.method!r}")
-        if not isinstance(self.cap_aware_cost, bool):
-            raise InputError(f"cap_aware_cost must be true or false, got {self.cap_aware_cost!r}")
         if self.iota <= 0:
             raise InputError(f"iota must be > 0, got {self.iota!r}")
         if not (0.0 < self.chi < 1.0):

@@ -44,8 +44,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
+from .config import _config_fields, _config_int, _config_real
 from .errors import InputError, NumericError
-from .kernels import KernelInstance, PairTerms, _config_int, _config_real, gram_from_terms
+from .kernels import KernelInstance, PairTerms, gram_from_terms
 
 __all__ = [
     "RegressionData",
@@ -133,7 +134,8 @@ class FitProblem:
     constrained: bool = True
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        object.__setattr__(self, "beta", _check_beta(self.beta))
+        _config_fields(self, reals=("chi",), bools=("constrained",))
         if self.constrained and not (0.0 < self.chi < 1.0):
             raise InputError(f"chi must lie in (0, 1), got {self.chi!r}")
         if self.kernel.input_dim != 2 * self.data.model_order + 1:
@@ -191,9 +193,11 @@ def build_regression_data(u, y, m: int) -> RegressionData:
 # spectral helpers
 # ---------------------------------------------------------------------------
 
-def _check_beta(beta) -> None:
-    if not (beta > 0 and math.isfinite(beta)):
+def _check_beta(beta) -> float:
+    value = _config_real(beta, "beta")
+    if not value > 0:
         raise InputError(f"beta must be finite and > 0, got {beta!r}")
+    return value
 
 
 def _check_gap(m, chi) -> int:
@@ -289,7 +293,7 @@ def solve_ridge(K, y, beta: float) -> np.ndarray:
     machine precision even when beta is tiny relative to the spectrum.
     """
     K, y = _validate_matrix(K, y)
-    _check_beta(beta)
+    beta = _check_beta(beta)
     A, L = _shifted_cholesky(K, beta)
     if L is None:
         lam, Q = _eig_psd(K)
@@ -461,7 +465,7 @@ def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
     ``c = (K + max(alpha_bar, beta) I)^{-1} y`` solved through the shared
     eigendecomposition.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     m = _check_gap(m, chi)
     lam, Q, yt = _rotated_spectrum(K, y)
     alpha_bar = alpha_bar_from_spectrum(lam, yt ** 2, m, chi)

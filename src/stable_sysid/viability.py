@@ -36,22 +36,13 @@ optimizes over a viability set without constraint handling.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _config_int, _config_real, _config_rho, _reject_unknown
 from .errors import InputError
-from .kernels import (
-    INF,
-    FeasibleParameterization,
-    KernelInstance,
-    KernelStructure,
-    _config_int,
-    _config_real,
-    _reject_unknown,
-    metric_pairs,
-)
+from .kernels import INF, FeasibleParameterization, KernelInstance, KernelStructure, metric_pairs
 
 __all__ = [
     "StabilityTarget",
@@ -68,17 +59,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # targets and witnesses
 # ---------------------------------------------------------------------------
-
-def _rho(value, what: str) -> float:
-    """A target's ``rho`` as a float: numbers in ``[0, inf]`` (numpy ones
-    too) pass; nan, negatives, ``True`` and ``"0.5"`` raise."""
-    try:
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and float(value) >= 0:
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise InputError(f"{what} needs rho in [0, inf], got {value!r}")
-
 
 @dataclass(frozen=True)
 class StabilityTarget:
@@ -99,7 +79,7 @@ class StabilityTarget:
             if self.rho is not None:
                 raise InputError("unconstrained target takes no rho")
         else:
-            object.__setattr__(self, "rho", _rho(self.rho, f"target {self.kind!r}"))
+            object.__setattr__(self, "rho", _config_rho(self.rho, f"target {self.kind!r}"))
 
     # canonical constructors -------------------------------------------------
     @classmethod
@@ -204,9 +184,8 @@ class ViabilityWitness:
 
 def _closed_form(rule, structure: KernelStructure, eta: tuple, rho) -> bool:
     """``rule`` (a structure's member method) at a checked rho and validated eta."""
-    rho = _rho(rho, "membership")
-    structure.validate_eta(tuple(eta))
-    return rule(tuple(float(v) for v in eta), rho)
+    rho = _config_rho(rho, "membership")
+    return rule(structure.validate_eta(tuple(eta)), rho)
 
 
 def theta_membership(structure: KernelStructure, eta: tuple, rho) -> bool:
@@ -272,7 +251,6 @@ def numeric_falsifier(
     if radius <= 0:
         raise InputError(f"radius must be > 0, got {radius}")
 
-    rho = float(target.rho)
     structure, eta, dim = kernel.structure, kernel.eta, kernel.input_dim
     is_delta = target.kind == "delta_viable"
 
@@ -280,7 +258,7 @@ def numeric_falsifier(
     if accepted:
         nu, s = structure.delta_claim(eta) if is_delta else structure.theta_claim(eta)
     else:
-        nu, s = rho, INF
+        nu, s = target.rho, INF
 
     rng = np.random.default_rng(seed)
 
@@ -357,7 +335,6 @@ def feasible_parameterization(
     """
     if target.kind == "unconstrained":
         return structure.unconstrained_parameterization()
-    rho = float(target.rho)
     if target.kind == "viable":
-        return structure.theta_parameterization(rho)
-    return structure.delta_parameterization(rho)
+        return structure.theta_parameterization(target.rho)
+    return structure.delta_parameterization(target.rho)

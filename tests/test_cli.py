@@ -622,7 +622,7 @@ class TestRealValues:
         }))
         cfg = write_config(workdir / "sim.json", {"model": str(model), "data": str(train), "out": str(workdir)})
         assert run(["simulate", "--config", cfg]) == EXIT_INPUT
-        assert "eta must be a sequence of numbers" in capsys.readouterr().err
+        assert "hyperparameter tau must be a number with a finite value" in capsys.readouterr().err
         assert not (workdir / "simulate.csv").exists()
 
     def test_benchmark_rejects_zero_model_order(self, workdir, capsys):

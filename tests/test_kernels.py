@@ -537,5 +537,8 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("eta", ["abc", ["a", 1.0, 0.0], 5, [True, 1.0, 0.0], ["0.5", 1.0, 0.0]])
     def test_eta_of_non_numbers_is_input_error(self, eta):
-        with pytest.raises(InputError, match="eta must be a sequence of numbers"):
+        # a sequence names its first bad entry; anything else is not a sequence
+        message = ("eta must be a sequence of numbers" if eta == 5
+                   else "hyperparameter tau must be a number with a finite value")
+        with pytest.raises(InputError, match=message):
             KernelInstance(Gaussian(), eta, 5)

@@ -19,7 +19,10 @@ with the falsifier, including narx_fading and a sum with a narx_fading
 child, both with witnesses, and a Gaussian member just inside its finite-rho
 incremental boundary (``2 tau gamma - 1`` about 5e-9), whose witness is the
 roundoff of the falsifier's ``k(a,a) + k(b,b) - 2 k(a,b)`` at ``tau`` about
-1.5e7; and a one-run ``benchmark`` on A, B and H.
+1.5e7; a one-run ``benchmark`` on A, B and H; and bad inputs that exit 2:
+a string ``chi``, a ``true`` eta entry, an integer ``cap_aware_cost``, a
+string ``record_timing``, an H solver step off the sample grid, and a config
+root, a selection block and a falsify block that are not JSON objects.
 """
 
 from __future__ import annotations
@@ -104,6 +107,21 @@ BENCHMARKS = [
 ]
 
 
+FIT_B = {"data": "data/B_train.csv", "kernel": {"structure": "gaussian"}, "target": {"kind": "diss"}}
+CHECK = {"kernel": {"structure": "gaussian", "eta": [0.4, 1.0, 0.1], "input_dim": 5}, "target": {"kind": "diss"}}
+# (name, command, config), each rejected before any work
+BAD_INPUTS = [
+    ("bad-fit-chi-string", "fit", {**FIT_B, "chi": "0.5"}),
+    ("bad-check-eta-true", "check-viability", {**CHECK, "kernel": {**CHECK["kernel"], "eta": [True, 1.0, 0.1]}}),
+    ("bad-fit-cap-aware-integer", "fit", {**FIT_B, "selection": {"cap_aware_cost": 1}}),
+    ("bad-benchmark-record-timing", "benchmark", {"system": "B", "runs": 1, "record_timing": "yes"}),
+    ("bad-generate-H-step", "generate", {"system": "H", "seed": 5, "n_train": 60, "n_valid": 60, "hh_dt": 0.003}),
+    ("bad-fit-config-root", "fit", [FIT_B]),
+    ("bad-fit-selection-block", "fit", {**FIT_B, "selection": [SEARCH]}),
+    ("bad-check-falsify-block", "check-viability", {**CHECK, "falsify": [FALSIFY]}),
+]
+
+
 def commands():
     """``(name, argv, config)`` for every command, in run order; a command
     that writes files writes them to ``out/<name>``."""
@@ -119,6 +137,8 @@ def commands():
         yield name, ["check-viability"], {"kernel": {**kernel, "input_dim": 5}, "target": target, "falsify": FALSIFY}
     for name, cfg in BENCHMARKS:
         yield name, ["benchmark"], {**cfg, "out": f"out/{name}"}
+    for name, command, cfg in BAD_INPUTS:
+        yield name, [command], cfg
 
 
 def sha256(data: bytes) -> str:
