@@ -16,10 +16,11 @@ noise on the outputs; and
       I      = 36 (V - 12) kappa^4,
 
   driven by a random multisine voltage and sampled every 0.1 s starting at
-  t = 50 s.  The gate ODE is integrated with fixed-step classical RK4 in
-  fixed-size blocks of steps, so generation memory is bounded by the block,
-  not by the horizon; the ratio (V+10)/(exp((V+10)/10)-1) has a removable
-  singularity at V = -10, handled by its limit value 10.
+  t = 50 s.  The gate ODE is integrated by classical RK4 at the fixed step
+  1e-3 s (every 100th state is a sample) in fixed-size blocks of steps, so
+  memory beyond the gate array is bounded by the block; the ratio
+  (V+10)/(exp((V+10)/10)-1) has a removable singularity at V = -10, handled
+  by its limit value 10.
 
 Noise levels default to standard deviations 0.05 (A) and 0.02 (B), which
 puts the signal-to-noise ratio near 10 on both systems.
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import _config_fields
+from .config import _config_fields, _config_real
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
 from .predictor import PredictorModel, run_model
@@ -58,7 +59,6 @@ __all__ = [
     "SyntheticSystemSpec",
     "MultisineRealization",
     "Dataset",
-    "HHTrajectory",
     "MethodSpec",
     "MonteCarloConfig",
     "ResultRow",
@@ -87,6 +87,7 @@ FULL_SCALE_N_VALID = {"A": 200, "B": 200, "H": 5001}
 HH_SAMPLE_PERIOD = 0.1
 HH_SAMPLE_OFFSET = 49.9
 DEFAULT_HH_DT = 1e-3
+_HH_STRIDE = round(HH_SAMPLE_PERIOD / DEFAULT_HH_DT)  # solver steps per sample
 # solver steps per block of simulate_hh: a block's half-step grid, voltage,
 # rates and RK4 coefficients take a few MB in all, whatever the horizon
 _HH_BLOCK = 1 << 13
@@ -105,7 +106,6 @@ class SyntheticSystemSpec:
     n_train: int | None = None
     n_valid: int | None = None
     noise_std: float | None = None
-    hh_dt: float = DEFAULT_HH_DT
 
     def __post_init__(self):
         if self.variant not in ("A", "B", "H"):
@@ -115,13 +115,9 @@ class SyntheticSystemSpec:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, table[self.variant])
         # each set holds at least one regression row at the model order 2
-        _config_fields(self, ints={"seed": 0, "n_train": 3, "n_valid": 3}, reals=("noise_std", "hh_dt"))
+        _config_fields(self, ints={"seed": 0, "n_train": 3, "n_valid": 3}, reals=("noise_std",))
         if self.noise_std < 0:
             raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.hh_dt <= 0:
-            raise InputError(f"hh_dt must be > 0, got {self.hh_dt}")
-        if self.variant == "H":  # the samples are read only after the whole integration
-            _grid_steps(HH_SAMPLE_PERIOD * np.arange(1, max(self.n_train, self.n_valid) + 1), self.hh_dt)
 
 
 @dataclass(frozen=True)
@@ -220,43 +216,12 @@ def hh_beta(V) -> np.ndarray:
     return np.exp(V / 80.0) / 8.0
 
 
-@dataclass(frozen=True)
-class HHTrajectory:
-    """Integrated gate trajectory, samplable on the solver grid."""
+def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT_HH_DT) -> np.ndarray:
+    """The gate at the ``round(t_end / dt_solver) + 1`` step boundaries of
+    classical fixed-step RK4 started from ``kappa0`` at ``t = 0``.
 
-    dt: float
-    kappa: np.ndarray  # gate value at each step boundary, length n_steps + 1
-    voltage: object  # callable t -> V(t)
-
-    def _indices(self, times) -> np.ndarray:
-        rounded = _grid_steps(times, self.dt)
-        if rounded.min() < 0 or rounded.max() >= self.kappa.shape[0]:
-            raise InputError("requested times fall outside the integrated horizon")
-        return rounded
-
-    def kappa_at(self, times) -> np.ndarray:
-        return self.kappa[self._indices(times)]
-
-    def current_at(self, times) -> np.ndarray:
-        """Potassium current I = 36 (V - 12) kappa^4 at the given times."""
-        times = np.asarray(times, dtype=float)
-        V = np.asarray(self.voltage(times), dtype=float)
-        return 36.0 * (V - 12.0) * self.kappa_at(times) ** 4
-
-
-def _grid_steps(times, dt: float) -> np.ndarray:
-    """The solver step of each of ``times``; a time off the grid raises."""
-    idx = np.asarray(times, dtype=float) / dt
-    rounded = np.rint(idx)
-    if not np.max(np.abs(idx - rounded)) <= 1e-6:  # an overflowing step reads as nan
-        raise InputError(f"sample times do not align with the solver grid of step {dt!r}")
-    return rounded.astype(int)
-
-
-def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT_HH_DT) -> HHTrajectory:
-    """Integrate the gate ODE with classical fixed-step RK4.
-
-    ``voltage`` must be a vectorized callable ``t -> V(t)``.  Because the
+    ``kappa0``, ``t_end`` and ``dt_solver`` are finite reals, the last two
+    > 0; ``voltage`` is a vectorized callable ``t -> V(t)``.  Because the
     gate equation is affine in kappa, each RK4 step reduces to
     ``kappa <- p_k kappa + q_k`` with coefficients computed from the rates
     on a half-step grid; the coefficients are vectorized and only the scalar
@@ -264,15 +229,16 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
     its own slice of the half-step grid, so the memory beyond ``kappa`` is
     bounded by the block, not by the horizon; every value is as in one pass.
     """
-    if not (dt_solver > 0 and t_end > 0):
-        raise InputError("dt_solver and t_end must be > 0")
-    n_steps = int(round(t_end / dt_solver))
+    x = _config_real(kappa0, "kappa0")
+    t_end = _config_real(t_end, "t_end")
+    h = _config_real(dt_solver, "dt_solver")
+    if not (h > 0 and t_end > 0 and t_end / h < math.inf):
+        raise InputError(f"dt_solver and t_end must be > 0 with a finite ratio, got {h!r} and {t_end!r}")
+    n_steps = int(round(t_end / h))
     if n_steps < 1:
         raise InputError("horizon shorter than one solver step")
-    h = dt_solver
     kappa = np.empty(n_steps + 1)
-    kappa[0] = kappa0
-    x = float(kappa0)
+    kappa[0] = x
     for s0 in range(0, n_steps, _HH_BLOCK):
         s1 = min(s0 + _HH_BLOCK, n_steps)
         half_grid = 0.5 * h * np.arange(2 * s0, 2 * s1 + 1)
@@ -301,7 +267,7 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
     if not np.all(np.isfinite(kappa)):
         bad = int(np.argmax(~np.isfinite(kappa)))
         raise NumericError(f"gate integration produced a non-finite state at step {bad}")
-    return HHTrajectory(dt=h, kappa=kappa, voltage=voltage)
+    return kappa
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +321,12 @@ def _generate_one(spec: SyntheticSystemSpec, n: int, salt: tuple) -> Dataset:
     w = rng.standard_normal(n)
     # kappa0 is imposed at the sampling epoch (absolute time 49.9 s), so each
     # dataset carries its own randomized gate-relaxation transient; the solver
-    # runs in epoch-relative time with the multisine shifted to match, and the
-    # samples land at absolute times 49.9 + 0.1 t exactly
-    shifted = _ShiftedVoltage(multisine, HH_SAMPLE_OFFSET)
-    traj = simulate_hh(shifted, kappa0, HH_SAMPLE_PERIOD * n, spec.hh_dt)
-    rel_times = HH_SAMPLE_PERIOD * np.arange(1, n + 1)
-    u = np.asarray(multisine(HH_SAMPLE_OFFSET + rel_times), dtype=float)
-    y = traj.current_at(rel_times) + spec.noise_std * w
+    # runs in epoch-relative time with the multisine shifted to match, and
+    # sample t, at absolute time 49.9 + 0.1 t, is solver state 100 t
+    kappa = simulate_hh(lambda t: multisine(HH_SAMPLE_OFFSET + t), kappa0, HH_SAMPLE_PERIOD * n)
+    u = multisine(HH_SAMPLE_OFFSET + HH_SAMPLE_PERIOD * np.arange(1, n + 1))
+    y = 36.0 * (u - 12.0) * kappa[_HH_STRIDE::_HH_STRIDE] ** 4 + spec.noise_std * w
     return Dataset(u=u, y=y)
-
-
-@dataclass(frozen=True)
-class _ShiftedVoltage:
-    base: MultisineRealization
-    offset: float
-
-    def __call__(self, t):
-        return self.base(self.offset + np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +335,16 @@ class _ShiftedVoltage:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One fitting method: kernel structure, stability target, and selection."""
+    """One fitting method: kernel structure, stability target, and selection,
+    whose ``chi`` is the norm budget ``m c'Kc <= chi`` of search and fit."""
 
     name: str
     structure: KernelStructure
     target: StabilityTarget
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    chi: float = 0.99
-
-    def __post_init__(self):
-        _config_fields(self, reals=("chi",))
-        self.selection_config()  # the selection config checks chi
 
     def selection_config(self) -> SelectionConfig:
-        return replace(self.selection, target=self.target, chi=self.chi)
+        return replace(self.selection, target=self.target)
 
 
 @dataclass(frozen=True)
@@ -442,7 +393,8 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     shared data (as :func:`run_monte_carlo` does within a run) factor each
     Gram their searches share once; the results are those of fresh data.
     """
-    sel = select_hyperparameters(method.selection_config(), data, method.structure)
+    selection = method.selection_config()
+    sel = select_hyperparameters(selection, data, method.structure)
     kernel = KernelInstance(
         structure=method.structure, eta=sel.eta, input_dim=2 * data.model_order + 1
     )
@@ -450,7 +402,7 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
         data=data,
         kernel=kernel,
         beta=sel.beta,
-        chi=method.chi,
+        chi=selection.chi,
         constrained=method.target.constrained,
     )
     report = solve_constrained(problem)

@@ -17,12 +17,14 @@ free-runs the model (``t,y,y_pred,y_sim``) and prints ``q_pre`` and
 ``q_sim``; a diverging simulation exits 5.
 
 ``fit`` and ``benchmark`` take an optional ``selection`` block.  Its keys
-(``method``, ``kfold_k``, ``iota``, ``cap_aware_cost``, ``seed``,
-``restarts``, ``max_evals``) are fields of :class:`SelectionConfig` and
+(``method``, ``iota``, ``cap_aware_cost``, ``seed``, ``restarts``,
+``max_evals``) are fields of :class:`SelectionConfig` and
 :class:`OptimizerConfig` and override a base config: for ``fit`` the
 library defaults, for ``benchmark`` each method's own preset from
 :func:`benchmarks.standard_methods` (with the full-scale search budget
-under ``--full-scale``).  Keys left out keep the base value.
+under ``--full-scale``).  Keys left out keep the base value.  ``fit``'s
+top-level ``chi`` sets the selection's ``chi``, the norm budget that both
+the search and the constrained fit use.
 
 The kernel block of ``check-viability`` and of a ``model.json`` is the
 library's :func:`kernels.kernel_from_config`; ``fit`` reads only its
@@ -36,7 +38,7 @@ functions validate the values, so every block (``model.json`` and the
 (``seed``, ``n_train``, ``n_valid``, ``m``, ``runs``, ``input_dim``,
 ``model_order`` and the structure, selection and falsifier counts) must be
 integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2, and so does a
-negative seed.  Real values (``noise_std``, ``hh_dt``, ``chi``, ``iota``,
+negative seed.  Real values (``noise_std``, ``chi``, ``iota``,
 ``rho``, ``radius`` and kernel ``eta`` entries) must be finite numbers:
 ``"0.5"``, ``true``, ``Infinity`` and ``NaN`` exit 2.  Path values (``data``,
 ``model``, ``out``, ``model_name``, ``output_name``) must be strings and
@@ -132,20 +134,17 @@ def _parse_selection_block(block: dict, base: SelectionConfig, seed_override=Non
     return replace(base, optimizer=replace(base.optimizer, **optimizer), **selection)
 
 
-_SYSTEM_KEYS = {"system", "seed", "n_train", "n_valid", "noise_std", "hh_dt", "out"}
+# system keys: the spec's fields, its variant read as system, plus out
+_SPEC_KEYS = tuple(f.name for f in fields(benchmarks.SyntheticSystemSpec) if f.name != "variant")
+_SYSTEM_KEYS = {"system", *_SPEC_KEYS, "out"}
 
 
 def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
     """The system spec of a ``generate`` or ``benchmark`` config."""
-    defaults = benchmarks.SyntheticSystemSpec
-    spec = benchmarks.SyntheticSystemSpec(
-        variant=_require(cfg, "system", where),
-        seed=cfg.get("seed", defaults.seed) if args.seed is None else args.seed,
-        n_train=cfg.get("n_train"),
-        n_valid=cfg.get("n_valid"),
-        noise_std=cfg.get("noise_std"),
-        hh_dt=cfg.get("hh_dt", defaults.hh_dt),
-    )
+    given = {key: cfg[key] for key in _SPEC_KEYS if key in cfg}
+    if args.seed is not None:
+        given["seed"] = args.seed
+    spec = benchmarks.SyntheticSystemSpec(_require(cfg, "system", where), **given)
     if full_scale and cfg.get("n_valid") is None:
         spec = replace(spec, n_valid=benchmarks.FULL_SCALE_N_VALID[spec.variant])
     return spec
@@ -185,13 +184,8 @@ def cmd_fit(args) -> int:
     target = StabilityTarget.from_config(_require(cfg, "target", "fit config"))
     # the search selects eta, and m sets input_dim: the block's own are ignored
     structure = structure_from_config(_structure_block(_require(cfg, "kernel", "fit config")))
-    method = benchmarks.MethodSpec(
-        name="fit",
-        structure=structure,
-        target=target,
-        selection=_parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed),
-        chi=cfg.get("chi", benchmarks.MethodSpec.chi),
-    )
+    selection = _parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed)
+    method = benchmarks.MethodSpec("fit", structure, target, replace(selection, chi=cfg.get("chi", selection.chi)))
     out = _out_dir(cfg, args)
     model, report, sel = benchmarks.fit_method(data, method)
 

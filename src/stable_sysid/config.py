@@ -1,7 +1,7 @@
 """The boundary rules: each kind of value that enters the package (count,
-real, ``rho``, flag, config block) is checked by one rule here, which raises
-:class:`~stable_sysid.errors.InputError` naming the value.  Structure configs
-are parsed in :mod:`stable_sysid.kernels`, beside the classes they name.
+real, ``rho``, ``chi``, ``eta``, flag, config block) is checked by one rule
+here, which raises :class:`~stable_sysid.errors.InputError` naming the
+value.  Structure configs are parsed in :mod:`stable_sysid.kernels`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,33 @@ def _config_real(value, what: str) -> float:
     return x
 
 
-def _config_rho(value, what: str) -> float:
-    """A target's ``rho`` as a float: numbers in ``[0, inf]`` pass; nan,
-    negatives, ``True`` and ``"0.5"`` raise."""
+def _config_nonnegative(value, what: str, rule: str = "must be >= 0") -> float:
+    """A real in ``[0, inf]`` as a float; nan, negatives, bools and strings raise."""
     x = _as_float(value)
     if x is None or not x >= 0:
-        raise InputError(f"{what} needs rho in [0, inf], got {value!r}")
+        raise InputError(f"{what} {rule}, got {value!r}")
     return x
+
+
+def _config_rho(value, what: str) -> float:
+    """A target's ``rho``: a real in ``[0, inf]``."""
+    return _config_nonnegative(value, what, "needs rho in [0, inf]")
+
+
+def _config_chi(value) -> float:
+    """A norm budget ``chi`` as a float: finite reals in ``(0, 1)`` pass."""
+    chi = _config_real(value, "chi")
+    if not 0.0 < chi < 1.0:
+        raise InputError(f"chi must lie in (0, 1), got {chi!r}")
+    return chi
+
+
+def _config_eta(value) -> tuple:
+    """A hyperparameter vector as a tuple; the structure checks its entries."""
+    try:
+        return tuple(value)
+    except TypeError as exc:
+        raise InputError(f"eta must be a sequence of numbers, got {value!r}") from exc
 
 
 def _config_flag(value, what: str) -> None:

@@ -66,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import _config_fields, _config_real, _reject_unknown
+from .config import _as_float, _config_eta, _config_fields, _config_real, _reject_unknown
 from .errors import InfeasibleTargetError, InputError, UnsupportedTargetError
 
 __all__ = [
@@ -283,8 +283,10 @@ def gaussian_delta_boundary(tau: float, gamma: float) -> float:
     relative error is about ``eps / (2 tau gamma - 1)``, the root's
     conditioning.
     """
-    if not (math.isfinite(tau) and math.isfinite(gamma) and tau >= 0 and gamma >= 0):
+    parsed = (_as_float(tau), _as_float(gamma))
+    if not all(x is not None and 0.0 <= x < math.inf for x in parsed):
         raise InputError(f"tau and gamma must be finite and >= 0, got tau={tau!r}, gamma={gamma!r}")
+    tau, gamma = parsed
     if 2.0 * tau * gamma <= 1.0 - _BOUNDARY_MARGIN:
         return 0.0
     lo, hi = 0.0, 2.0 * tau
@@ -998,11 +1000,7 @@ class KernelInstance:
             raise InputError(
                 f"input_dim must be odd and >= 3 (2m + 1 with m >= 1), got {self.input_dim}"
             )
-        try:
-            eta = tuple(self.eta)
-        except TypeError as exc:
-            raise InputError(f"eta must be a sequence of numbers, got {self.eta!r}") from exc
-        object.__setattr__(self, "eta", self.structure.validate_eta(eta))
+        object.__setattr__(self, "eta", self.structure.validate_eta(_config_eta(self.eta)))
         self.structure.check_dim(self.input_dim)
 
 

@@ -10,7 +10,7 @@ implemented:
 * ``gcv``    - generalized cross-validation,
                ``N |(I - H) y|^2 / trace(I - H)^2`` with
                ``H = K (K + beta I)^{-1}``;
-* ``kfold``  - mean squared one-step error over contiguous-block folds.
+* ``kfold``  - mean squared one-step error over five contiguous-block folds.
 
 For a constrained target the cost is by default charged at the effective
 regularizer ``max(alpha_bar, beta)`` that the norm budget
@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrs, dtrtri
-from .config import _config_fields
+from .config import _config_chi, _config_fields
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelInstance, KernelStructure, gram_from_terms
 from .solver import (
@@ -104,6 +104,7 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BAD_COST = 1e100
+_KFOLD_K = 5  # folds of the kfold cost, in the search and by default
 # Nelder-Mead stopping tolerances of the search, in the transformed coordinates
 SEARCH_XATOL = 1e-3
 SEARCH_FATOL = 1e-8
@@ -138,13 +139,12 @@ class OptimizerConfig:
 class SelectionConfig:
     """Cost choice, feasibility floor iota, stability target, and search budget.
 
-    ``chi`` is the norm budget of the downstream constrained fit; it only
-    enters the search when the target is constrained and ``cap_aware_cost``
-    is set, which is the default (see module notes).
+    ``chi`` is the norm budget ``m c'Kc <= chi`` of the search and of the
+    constrained fit; it only enters the search when the target is
+    constrained and ``cap_aware_cost`` is set, the default (see module notes).
     """
 
     method: str = "eb"  # eb | gcv | kfold
-    kfold_k: int = 5
     iota: float = 1e-10
     chi: float = 0.99
     cap_aware_cost: bool = True
@@ -153,15 +153,12 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _config_fields(self, ints={"kfold_k": None, "seed": 0}, reals=("iota", "chi"), bools=("cap_aware_cost",))
+        _config_fields(self, ints={"seed": 0}, reals=("iota",), bools=("cap_aware_cost",))
+        object.__setattr__(self, "chi", _config_chi(self.chi))
         if self.method not in ("eb", "gcv", "kfold"):
             raise InputError(f"unknown selection method {self.method!r}")
         if self.iota <= 0:
             raise InputError(f"iota must be > 0, got {self.iota!r}")
-        if not (0.0 < self.chi < 1.0):
-            raise InputError(f"chi must lie in (0, 1), got {self.chi!r}")
-        if self.method == "kfold" and self.kfold_k < 2:
-            raise InputError(f"kfold needs k >= 2, got {self.kfold_k}")
 
 
 @dataclass(frozen=True)
@@ -253,13 +250,13 @@ def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStr
 
 
 def kfold_cost(
-    beta: float, eta: tuple, data: RegressionData, structure: KernelStructure, k: int = 5
+    beta: float, eta: tuple, data: RegressionData, structure: KernelStructure, k: int = _KFOLD_K
 ) -> float:
     """Mean squared held-out one-step error over k contiguous blocks."""
-    return _kfold(beta, eta, data, structure, k, chi=None)
+    return _kfold(beta, eta, data, structure, chi=None, k=k)
 
 
-def _kfold(beta, eta, data, structure, k, chi) -> float:
+def _kfold(beta, eta, data, structure, chi, k=_KFOLD_K) -> float:
     # chi switches the per-fold solve to the norm-capped one
     _check_beta(beta)
     n = data.size
@@ -456,7 +453,7 @@ def select_hyperparameters(
         nonlocal factorizations
         if config.method == "kfold":
             chi = config.chi if charge_cap else None
-            return _kfold(beta, eta, data, structure, config.kfold_k, chi)
+            return _kfold(beta, eta, data, structure, chi)
         if config.method == "eb":
             lam, yt = spectrum(eta)
             if charge_cap:

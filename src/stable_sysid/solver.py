@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
-from .config import _config_fields, _config_int, _config_real
+from .config import _config_chi, _config_fields, _config_int, _config_nonnegative, _config_real
 from .errors import InputError, NumericError
 from .kernels import KernelInstance, PairTerms, gram_from_terms
 
@@ -136,8 +136,8 @@ class FitProblem:
     def __post_init__(self):
         object.__setattr__(self, "beta", _check_beta(self.beta))
         _config_fields(self, reals=("chi",), bools=("constrained",))
-        if self.constrained and not (0.0 < self.chi < 1.0):
-            raise InputError(f"chi must lie in (0, 1), got {self.chi!r}")
+        if self.constrained:
+            _config_chi(self.chi)
         if self.kernel.input_dim != 2 * self.data.model_order + 1:
             raise InputError(
                 f"kernel input_dim {self.kernel.input_dim} does not match model order "
@@ -311,11 +311,10 @@ def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
     ``-chi``.
     """
     m = _check_gap(m, chi)
-    if not alpha >= 0:
-        raise InputError(f"alpha must be >= 0, got {alpha!r}")
+    alpha = _config_nonnegative(alpha, "alpha")
     lam, _, yt = _rotated_spectrum(K, y)
     yt2 = yt ** 2
-    return _gamma_from_eigs(lam, yt2, lam * yt2, m, chi, float(alpha))
+    return _gamma_from_eigs(lam, yt2, lam * yt2, m, chi, alpha)
 
 
 def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float) -> float:

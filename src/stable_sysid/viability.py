@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _config_int, _config_real, _config_rho, _reject_unknown
+from .config import _config_eta, _config_int, _config_real, _config_rho, _reject_unknown
 from .errors import InputError
 from .kernels import INF, FeasibleParameterization, KernelInstance, KernelStructure, metric_pairs
 
@@ -185,7 +185,7 @@ class ViabilityWitness:
 def _closed_form(rule, structure: KernelStructure, eta: tuple, rho) -> bool:
     """``rule`` (a structure's member method) at a checked rho and validated eta."""
     rho = _config_rho(rho, "membership")
-    return rule(structure.validate_eta(tuple(eta)), rho)
+    return rule(structure.validate_eta(_config_eta(eta)), rho)
 
 
 def theta_membership(structure: KernelStructure, eta: tuple, rho) -> bool:
@@ -213,7 +213,7 @@ def delta_membership(structure: KernelStructure, eta: tuple, rho) -> bool:
 def membership(structure: KernelStructure, eta: tuple, target: StabilityTarget) -> bool:
     """Dispatch to the closed form matching ``target``; unconstrained is always True."""
     if target.kind == "unconstrained":
-        structure.validate_eta(tuple(eta))
+        structure.validate_eta(_config_eta(eta))
         return True
     if target.kind == "viable":
         return theta_membership(structure, eta, target.rho)

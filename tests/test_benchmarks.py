@@ -84,8 +84,7 @@ class TestHodgkinHuxleyGate:
     def test_constant_voltage_reaches_algebraic_fixed_point(self):
         for V in (-3.0, 0.0, 5.0):
             voltage = lambda t, V=V: np.full_like(np.asarray(t, dtype=float), V)
-            traj = simulate_hh(voltage, 0.9, t_end=200.0, dt_solver=0.01)
-            kappa_end = traj.kappa[-1]
+            kappa_end = simulate_hh(voltage, 0.9, t_end=200.0, dt_solver=0.01)[-1]
             a, b = float(hh_alpha(V)), float(hh_beta(V))
             assert abs(a * (1 - kappa_end) - b * kappa_end) <= 1e-8
 
@@ -94,32 +93,21 @@ class TestHodgkinHuxleyGate:
         for seed in range(5):
             voltage = draw_multisine(np.random.default_rng(seed))
             kappa0 = float(rng.uniform(0, 1))
-            traj = simulate_hh(voltage, kappa0, t_end=30.0, dt_solver=0.005)
-            assert np.all(traj.kappa >= -1e-9)
-            assert np.all(traj.kappa <= 1.0 + 1e-9)
-
-    def test_current_vanishes_at_reversal_voltage(self):
-        voltage = lambda t: np.full_like(np.asarray(t, dtype=float), 12.0)
-        traj = simulate_hh(voltage, 0.5, t_end=1.0, dt_solver=0.01)
-        times = np.arange(0.0, 1.0, 0.1)
-        assert np.all(traj.current_at(times) == 0.0)
+            kappa = simulate_hh(voltage, kappa0, t_end=30.0, dt_solver=0.005)
+            assert kappa.shape == (6001,)
+            assert np.all(kappa >= -1e-9)
+            assert np.all(kappa <= 1.0 + 1e-9)
 
     def test_fourth_order_convergence_on_dt_halving(self):
         voltage = draw_multisine(np.random.default_rng(7))
         t_end = 2.0
-        ref = simulate_hh(voltage, 0.4, t_end, dt_solver=t_end / 12800).kappa[-1]
+        ref = simulate_hh(voltage, 0.4, t_end, dt_solver=t_end / 12800)[-1]
         errors = []
         for steps in (100, 200, 400):
-            kappa = simulate_hh(voltage, 0.4, t_end, dt_solver=t_end / steps).kappa[-1]
+            kappa = simulate_hh(voltage, 0.4, t_end, dt_solver=t_end / steps)[-1]
             errors.append(abs(kappa - ref))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
-
-    def test_misaligned_sample_times_rejected(self):
-        voltage = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        traj = simulate_hh(voltage, 0.5, t_end=1.0, dt_solver=0.01)
-        with pytest.raises(InputError):
-            traj.kappa_at([0.005])
 
 
 def reference_kappa(voltage, kappa0, n_steps, h):
@@ -140,22 +128,35 @@ def reference_kappa(voltage, kappa0, n_steps, h):
     return np.array(kappa)
 
 
+def reference_hh(spec, n, salt):
+    """An H set as its definition states it: the gate at each 0.1 s sample
+    indexed by ``rint(t / dt)``, the current from a fresh multisine call."""
+    rng = np.random.default_rng([spec.seed, *salt])
+    multisine = draw_multisine(rng)
+    kappa0 = float(rng.standard_normal())
+    noise = spec.noise_std * rng.standard_normal(n)
+    dt, t = benchmarks.DEFAULT_HH_DT, 0.1 * np.arange(1, n + 1)
+    kappa = simulate_hh(lambda s: multisine(49.9 + s), kappa0, 0.1 * n, dt)
+    V = multisine(49.9 + t)
+    return V, 36.0 * (V - 12.0) * kappa[np.rint(t / dt).astype(int)] ** 4 + noise
+
+
 class TestHodgkinHuxleyBlocks:
     H = 0.01
 
     def test_multi_block_horizon_bit_equal_to_one_pass(self):
         voltage = draw_multisine(np.random.default_rng(4))
         steps = 2 * _HH_BLOCK + 5
-        got = simulate_hh(voltage, 0.3, steps * self.H, self.H).kappa
+        got = simulate_hh(voltage, 0.3, steps * self.H, self.H)
         assert np.array_equal(got, reference_kappa(voltage, 0.3, steps, self.H))
 
     @pytest.mark.parametrize("steps", [24, 25])
     @pytest.mark.parametrize("block", [1, 3, 8])
     def test_block_size_moves_no_bit(self, monkeypatch, block, steps):
         voltage = draw_multisine(np.random.default_rng(4))
-        want = simulate_hh(voltage, 0.3, steps * self.H, self.H).kappa
+        want = simulate_hh(voltage, 0.3, steps * self.H, self.H)
         monkeypatch.setattr(benchmarks, "_HH_BLOCK", block)
-        got = simulate_hh(voltage, 0.3, steps * self.H, self.H).kappa
+        got = simulate_hh(voltage, 0.3, steps * self.H, self.H)
         assert got.shape == (steps + 1,)
         assert np.array_equal(got, want)
         assert np.array_equal(got, reference_kappa(voltage, 0.3, steps, self.H))
@@ -222,6 +223,25 @@ class TestGenerateDataset:
         # multisine amplitudes cap |V| at 50 * 0.5 = 25
         assert np.max(np.abs(train.u)) <= 25.0
 
+    @pytest.mark.parametrize("seed,n_valid", [(0, 40), (3, 1200)])
+    def test_hh_pair_is_the_sampled_gate_current(self, seed, n_valid):
+        spec = SyntheticSystemSpec("H", seed=seed, n_train=30, n_valid=n_valid)
+        for data, salt in zip(generate_dataset(spec, salt=(2,)), ((2, 0), (2, 1))):
+            u, y = reference_hh(spec, len(data), salt)
+            assert np.array_equal(data.u, u) and np.array_equal(data.y, y)
+
+    def test_current_vanishes_at_reversal_voltage(self, monkeypatch):
+        # one sine of frequency 0 and phase pi/2 holds V at 12 exactly
+        reversal = benchmarks.MultisineRealization(np.array([12.0]), np.array([0.0]), np.array([math.pi / 2]))
+        monkeypatch.setattr(benchmarks, "draw_multisine", lambda rng: reversal)
+        benchmarks._clear_memos()
+        try:
+            train, valid = generate_dataset(SyntheticSystemSpec("H", seed=1, n_train=20, n_valid=20))
+        finally:
+            benchmarks._clear_memos()
+        for data in (train, valid):
+            assert np.all(data.u == 12.0) and np.all(data.y == 0.0)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             SyntheticSystemSpec("C", seed=0)
@@ -263,9 +283,8 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "kwargs,field",
         [({"seed": 2.7}, "seed"), ({"n_train": 40.9}, "n_train"), ({"n_valid": "30"}, "n_valid"),
-         ({"seed": True}, "seed"), ({"noise_std": True}, "noise_std"), ({"hh_dt": "0.001"}, "hh_dt"),
-         ({"noise_std": math.inf}, "noise_std"), ({"noise_std": math.nan}, "noise_std"),
-         ({"hh_dt": math.inf}, "hh_dt"), ({"hh_dt": math.nan}, "hh_dt")],
+         ({"seed": True}, "seed"), ({"noise_std": True}, "noise_std"),
+         ({"noise_std": math.inf}, "noise_std"), ({"noise_std": math.nan}, "noise_std")],
     )
     def test_system_spec_rejects_bad_values(self, kwargs, field):
         with pytest.raises(InputError, match=f"^{field} must be an? (integer|number)"):
@@ -274,9 +293,7 @@ class TestConfigValues:
     def test_system_spec_normalizes_integral_and_numpy_values(self):
         spec = SyntheticSystemSpec("B", seed=np.int64(3), n_train=40.0, n_valid=np.int32(30), noise_std=np.float32(0.5))
         assert (spec.seed, spec.n_train, spec.n_valid, spec.noise_std) == (3, 40, 30, 0.5)
-        assert [type(v) for v in (spec.seed, spec.n_train, spec.n_valid, spec.noise_std, spec.hh_dt)] == [
-            int, int, int, float, float
-        ]
+        assert [type(v) for v in (spec.seed, spec.n_train, spec.n_valid, spec.noise_std)] == [int, int, int, float]
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -308,15 +325,35 @@ class TestConfigValues:
             build(bad)
 
     @pytest.mark.parametrize("chi", ["0.5", True, None, math.inf, math.nan])
-    def test_method_spec_rejects_non_number_chi(self, chi):
+    def test_selection_rejects_non_number_chi(self, chi):
         with pytest.raises(InputError, match="^chi must be a number"):
-            MethodSpec("fit", Gaussian(), StabilityTarget.diss(), chi=chi)
+            SelectionConfig(chi=chi)
 
     @pytest.mark.parametrize("chi", [0.0, 1.0, 1.5, -0.5])
-    def test_method_spec_rejects_chi_outside_unit_interval(self, chi):
+    def test_selection_rejects_chi_outside_unit_interval(self, chi):
         method = standard_methods("B")[1]
         with pytest.raises(InputError, match=r"^chi must lie in \(0, 1\)"):
-            replace(method, chi=chi)
+            replace(method.selection, chi=chi)
+
+    def test_method_chi_is_the_selection_chi(self, monkeypatch):
+        seen = {}
+
+        def search(config, data, structure):
+            seen["search"] = config.chi
+            return select(config, data, structure)
+
+        def solve(problem):
+            seen["fit"] = problem.chi
+            return solve_constrained(problem)
+
+        select, solve_constrained = benchmarks.select_hyperparameters, benchmarks.solve_constrained
+        monkeypatch.setattr(benchmarks, "select_hyperparameters", search)
+        monkeypatch.setattr(benchmarks, "solve_constrained", solve)
+        train, _ = generate_dataset(SyntheticSystemSpec("B", seed=2, n_train=30, n_valid=10))
+        method = MethodSpec("x", Gaussian(), StabilityTarget.diss(), replace(fast_selection(), chi=0.5))
+        _, report, _ = benchmarks.fit_method(build_regression_data(train.u, train.y, 2), method)
+        assert seen == {"search": 0.5, "fit": 0.5}
+        assert report.mu <= 0.5 * (1 + 1e-9)
 
     @pytest.mark.parametrize("field,minimum,build", BOUNDED_COUNTS)
     def test_counts_below_their_bound_are_rejected(self, field, minimum, build):

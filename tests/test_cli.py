@@ -151,8 +151,7 @@ class TestFit:
             "fit",
             Gaussian(),
             StabilityTarget.diss(),
-            SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=2, max_evals=120), seed=5),
-            chi=0.8,
+            SelectionConfig(method="gcv", chi=0.8, optimizer=OptimizerConfig(restarts=2, max_evals=120), seed=5),
         )
         dataset = benchmarks.read_dataset_csv(train)
         data = build_regression_data(dataset.u, dataset.y, 2)
@@ -470,16 +469,16 @@ class TestSelectionBlock:
         assert set(cli._OPTIMIZER_KEYS) <= {f.name for f in fields(OptimizerConfig)}
 
     def test_keys_override_only_themselves(self):
-        base = SelectionConfig(method="gcv", kfold_k=4, optimizer=OptimizerConfig(restarts=3, max_evals=90))
+        base = SelectionConfig(method="gcv", iota=1e-8, optimizer=OptimizerConfig(restarts=3, max_evals=90))
         block = {"method": "kfold", "restarts": 2}
         parsed = cli._parse_selection_block(block, base, seed_override=7)
         assert parsed == SelectionConfig(
-            method="kfold", kfold_k=4, seed=7, optimizer=OptimizerConfig(restarts=2, max_evals=90)
+            method="kfold", iota=1e-8, seed=7, optimizer=OptimizerConfig(restarts=2, max_evals=90)
         )
 
     @pytest.mark.parametrize(
         "block",
-        [{"restarts": 2.7}, {"max_evals": 99.9}, {"kfold_k": 2.5}, {"seed": True}, {"restarts": "3"}],
+        [{"restarts": 2.7}, {"max_evals": 99.9}, {"seed": 2.5}, {"seed": True}, {"restarts": "3"}],
     )
     def test_non_integral_count_is_input_error(self, block):
         with pytest.raises(InputError, match="must be an integer"):
@@ -492,13 +491,39 @@ class TestSelectionBlock:
 
     def test_bad_value_is_input_error(self, workdir):
         train, _ = generate_b(workdir, n=20)
-        for block in ({"cap_aware_cost": "yes"}, {"restarts": "many"}, {"restarts": 2.7}, {"kfold_k": True}):
+        for block in ({"cap_aware_cost": "yes"}, {"restarts": "many"}, {"restarts": 2.7}, {"iota": True}):
             cfg = write_config(
                 workdir / "fit.json",
                 {"data": str(train), "kernel": {"structure": "gaussian"},
                  "target": {"kind": "none"}, "selection": block, "out": str(workdir)},
             )
             assert run(["fit", "--config", cfg]) == EXIT_INPUT
+
+
+class TestRemovedKeys:
+    """The H solver step and the fold count are no settings: naming one exits 2."""
+
+    def test_system_keys_are_the_spec_fields(self):
+        assert cli._SYSTEM_KEYS == {"system", "seed", "n_train", "n_valid", "noise_std", "out"}
+
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    def test_hh_dt_is_unknown(self, workdir, capsys, command):
+        payload = {"system": "H", "n_train": 20, "n_valid": 20, "hh_dt": 0.001, "out": str(workdir)}
+        cfg = write_config(workdir / "cfg.json", payload)
+        assert run([command, "--config", cfg]) == EXIT_INPUT
+        assert f"unknown keys ['hh_dt'] in {command} config" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json"]
+
+    def test_kfold_k_is_unknown(self, workdir, capsys):
+        train, _ = generate_b(workdir, n=20)
+        cfg = write_config(
+            workdir / "fit.json",
+            {"data": str(train), "kernel": {"structure": "gaussian"}, "target": {"kind": "none"},
+             "selection": {"method": "kfold", "kfold_k": 5}, "out": str(workdir)},
+        )
+        assert run(["fit", "--config", cfg]) == EXIT_INPUT
+        assert "unknown keys ['kfold_k'] in selection block" in capsys.readouterr().err
+        assert not (workdir / "model.json").exists()
 
 
 class TestCounts:
@@ -566,7 +591,7 @@ class TestRealValues:
     and NaN exit 2 instead of reading as 1.0, 0.5 or a non-finite value."""
 
     @pytest.mark.parametrize("value", [True, "0.5", math.inf, math.nan])
-    @pytest.mark.parametrize("key", ["noise_std", "hh_dt"])
+    @pytest.mark.parametrize("key", ["noise_std"])
     def test_generate_rejects_non_numbers(self, workdir, capsys, key, value):
         payload = {"system": "B", "seed": 1, "n_train": 20, "n_valid": 20, "out": str(workdir), key: value}
         cfg = write_config(workdir / "gen.json", payload)

@@ -4,22 +4,21 @@ Each count, real and flag field of the config classes, and ``beta`` of the
 public costs and of ``solve_ridge``, rejects ``True``, ``"1"``, nan and inf
 with :class:`InputError` (a flag accepts ``True`` and rejects ``1``
 instead); membership and :class:`KernelInstance` read ``eta`` entries by
-one rule.
+one rule; and the public functions that take plain numbers raise
+:class:`InputError` for a string or a bool.
 """
 
-import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stable_sysid import benchmarks, cli
-from stable_sysid.benchmarks import MethodSpec, MonteCarloConfig, SyntheticSystemSpec
+from stable_sysid.benchmarks import MethodSpec, MonteCarloConfig, SyntheticSystemSpec, simulate_hh
 from stable_sysid.errors import InputError
-from stable_sysid.kernels import Gaussian, KernelInstance, LinearAffine, SumKernel
+from stable_sysid.kernels import Gaussian, KernelInstance, LinearAffine, SumKernel, gaussian_delta_boundary
 from stable_sysid.selection import OptimizerConfig, SelectionConfig, eb_cost, gcv_cost, kfold_cost
-from stable_sysid.solver import FitProblem, build_regression_data, solve_ridge
+from stable_sysid.solver import FitProblem, build_regression_data, gamma_fn, solve_ridge
 from stable_sysid.viability import StabilityTarget, delta_membership, theta_membership
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
@@ -34,14 +33,11 @@ PROBLEM = FitProblem(DATA, KERNEL, beta=1e-3)
 # the config classes, and every public beta
 FIELDS = [
     *((f"SelectionConfig.{n}", kind, lambda v, n=n: SelectionConfig(**{n: v}))
-      for n, kind in [("kfold_k", "count"), ("seed", "count"), ("iota", "real"), ("chi", "real"),
-                      ("cap_aware_cost", "flag")]),
+      for n, kind in [("seed", "count"), ("iota", "real"), ("chi", "real"), ("cap_aware_cost", "flag")]),
     *((f"OptimizerConfig.{n}", "count", lambda v, n=n: OptimizerConfig(**{n: v})) for n in ("restarts", "max_evals")),
     *((f"MonteCarloConfig.{n}", "count", lambda v, n=n: replace(MC, **{n: v})) for n in ("runs", "model_order", "n_jobs")),
     *((f"SyntheticSystemSpec.{n}", kind, lambda v, n=n: replace(SPEC, **{n: v}))
-      for n, kind in [("seed", "count"), ("n_train", "count"), ("n_valid", "count"), ("noise_std", "real"),
-                      ("hh_dt", "real")]),
-    ("MethodSpec.chi", "real", lambda v: replace(METHOD, chi=v)),
+      for n, kind in [("seed", "count"), ("n_train", "count"), ("n_valid", "count"), ("noise_std", "real")]),
     *((f"FitProblem.{n}", kind, lambda v, n=n: replace(PROBLEM, **{n: v}))
       for n, kind in [("beta", "real"), ("chi", "real"), ("constrained", "flag")]),
     ("KernelInstance.input_dim", "count", lambda v: KernelInstance(Gaussian(), GAUSS_ETA, v)),
@@ -96,28 +92,30 @@ class TestEtaEntries:
             theta_membership(structure, (True,) + eta[1:], 0.5)
 
 
-class TestHStep:
-    @pytest.mark.parametrize("hh_dt", [0.003, 0.0007, 0.2])
-    def test_step_off_the_sample_grid_is_rejected_at_construction(self, hh_dt):
-        with pytest.raises(InputError, match="do not align with the solver grid"):
-            SyntheticSystemSpec("H", n_train=20, n_valid=20, hh_dt=hh_dt)
+# public functions whose arguments go through the config rules: each call
+# raises InputError, not a TypeError, ValueError or OverflowError, and a bool
+# is not read as 1
+ARGUMENTS = {
+    "gamma_fn-alpha-string": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, "1"),
+    "gaussian_delta_boundary-tau-string": lambda: gaussian_delta_boundary("1", 1.0),
+    "theta_membership-eta-integer": lambda: theta_membership(Gaussian(), 5, 0.5),
+    "simulate_hh-dt_solver-string": lambda: simulate_hh(np.sin, 0.5, 1.0, "1"),
+    "simulate_hh-t_end-string": lambda: simulate_hh(np.sin, 0.5, "1"),
+    "simulate_hh-kappa0-string": lambda: simulate_hh(np.sin, "a", 1.0),
+    "simulate_hh-t_end-true": lambda: simulate_hh(np.sin, 0.5, True),
+    "simulate_hh-dt_solver-subnormal": lambda: simulate_hh(np.sin, 0.5, 1.0, 5e-324),
+}
 
-    @pytest.mark.parametrize("hh_dt", [1e-3, 5e-4, 2e-3])
-    def test_steps_on_the_grid_generate(self, hh_dt):
-        train, valid = benchmarks.generate_dataset(SyntheticSystemSpec("H", n_train=10, n_valid=10, hh_dt=hh_dt))
-        assert len(train) == len(valid) == 10 and np.all(np.isfinite(train.y))
 
-    def test_step_off_the_grid_only_constrains_h(self):
-        assert SyntheticSystemSpec("B", hh_dt=0.003).hh_dt == 0.003
+@pytest.mark.parametrize("call", ARGUMENTS.values(), ids=ARGUMENTS.keys())
+def test_untyped_arguments_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
-    @pytest.mark.parametrize("command", ["generate", "benchmark"])
-    def test_cli_exits_before_any_integration(self, tmp_path, monkeypatch, capsys, command):
-        def integrate(*args, **kwargs):
-            raise AssertionError("integrated before the step was checked")
 
-        monkeypatch.setattr(benchmarks, "simulate_hh", integrate)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"system": "H", "n_train": 20, "n_valid": 20, "hh_dt": 0.003, "out": str(tmp_path)}))
-        assert cli.main([command, "--config", str(path)]) == cli.EXIT_INPUT
-        assert "do not align with the solver grid" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [path]
+def test_chi_in_the_unit_interval_binds_selection_and_constrained_fit():
+    for build in (lambda chi: SelectionConfig(chi=chi), lambda chi: replace(PROBLEM, chi=chi)):
+        assert build(np.float32(0.5)).chi == 0.5
+        with pytest.raises(InputError, match=r"^chi must lie in \(0, 1\), got 1.0$"):
+            build(1)
+    assert replace(PROBLEM, chi=1.5, constrained=False).chi == 1.5

@@ -253,7 +253,7 @@ class TestConfigValues:
         [
             (lambda: OptimizerConfig(restarts=2.5), "restarts must be an integer"),
             (lambda: OptimizerConfig(max_evals="90"), "max_evals must be an integer"),
-            (lambda: SelectionConfig(kfold_k=2.5), "kfold_k must be an integer"),
+            (lambda: SelectionConfig(chi=1.5), r"chi must lie in \(0, 1\)"),
             (lambda: SelectionConfig(seed=True), "seed must be an integer"),
             (lambda: SelectionConfig(iota=True), "iota must be a number"),
             (lambda: SelectionConfig(iota="1e-8"), "iota must be a number"),
@@ -268,12 +268,12 @@ class TestConfigValues:
             make()
 
     def test_integral_and_numpy_values_normalized(self):
-        config = SelectionConfig(kfold_k=4.0, seed=np.int64(7), iota=np.float32(0.5),
+        config = SelectionConfig(seed=np.int64(7), iota=np.float32(0.5),
                                  optimizer=OptimizerConfig(restarts=np.int16(2), max_evals=90.0))
-        assert (config.kfold_k, config.seed, config.iota) == (4, 7, 0.5)
+        assert (config.seed, config.iota) == (7, 0.5)
         assert (config.optimizer.restarts, config.optimizer.max_evals) == (2, 90)
-        values = (config.kfold_k, config.seed, config.iota, config.optimizer.restarts, config.optimizer.max_evals)
-        assert [type(v) for v in values] == [int, int, float, int, int]
+        values = (config.seed, config.iota, config.optimizer.restarts, config.optimizer.max_evals)
+        assert [type(v) for v in values] == [int, float, int, int]
 
 
 class TestCapAwareCost:

@@ -21,8 +21,9 @@ incremental boundary (``2 tau gamma - 1`` about 5e-9), whose witness is the
 roundoff of the falsifier's ``k(a,a) + k(b,b) - 2 k(a,b)`` at ``tau`` about
 1.5e7; a one-run ``benchmark`` on A, B and H; and bad inputs that exit 2:
 a string ``chi``, a ``true`` eta entry, an integer ``cap_aware_cost``, a
-string ``record_timing``, an H solver step off the sample grid, and a config
-root, a selection block and a falsify block that are not JSON objects.
+string ``record_timing``, the removed ``hh_dt`` (H solver step) and
+``kfold_k`` (fold count) keys, and a config root, a selection block and a
+falsify block that are not JSON objects.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ BAD_INPUTS = [
     ("bad-fit-cap-aware-integer", "fit", {**FIT_B, "selection": {"cap_aware_cost": 1}}),
     ("bad-benchmark-record-timing", "benchmark", {"system": "B", "runs": 1, "record_timing": "yes"}),
     ("bad-generate-H-step", "generate", {"system": "H", "seed": 5, "n_train": 60, "n_valid": 60, "hh_dt": 0.003}),
+    ("bad-fit-selection-kfold_k", "fit", {**FIT_B, "selection": {"method": "kfold", "kfold_k": 5}}),
     ("bad-fit-config-root", "fit", [FIT_B]),
     ("bad-fit-selection-block", "fit", {**FIT_B, "selection": [SEARCH]}),
     ("bad-check-falsify-block", "check-viability", {**CHECK, "falsify": [FALSIFY]}),
