@@ -98,6 +98,18 @@ class TestHodgkinHuxleyGate:
             assert np.all(kappa >= -1e-9)
             assert np.all(kappa <= 1.0 + 1e-9)
 
+    def test_current_vanishes_at_reversal_voltage(self, monkeypatch):
+        # one sine of frequency 0 and phase pi/2 holds V at 12 exactly
+        reversal = benchmarks.MultisineRealization(np.array([12.0]), np.array([0.0]), np.array([math.pi / 2]))
+        monkeypatch.setattr(benchmarks, "draw_multisine", lambda rng: reversal)
+        benchmarks._clear_memos()
+        try:
+            train, valid = generate_dataset(SyntheticSystemSpec("H", seed=1, n_train=20, n_valid=20))
+        finally:
+            benchmarks._clear_memos()
+        for data in (train, valid):
+            assert np.all(data.u == 12.0) and np.all(data.y == 0.0)
+
     def test_fourth_order_convergence_on_dt_halving(self):
         voltage = draw_multisine(np.random.default_rng(7))
         t_end = 2.0
@@ -230,18 +242,6 @@ class TestGenerateDataset:
             u, y = reference_hh(spec, len(data), salt)
             assert np.array_equal(data.u, u) and np.array_equal(data.y, y)
 
-    def test_current_vanishes_at_reversal_voltage(self, monkeypatch):
-        # one sine of frequency 0 and phase pi/2 holds V at 12 exactly
-        reversal = benchmarks.MultisineRealization(np.array([12.0]), np.array([0.0]), np.array([math.pi / 2]))
-        monkeypatch.setattr(benchmarks, "draw_multisine", lambda rng: reversal)
-        benchmarks._clear_memos()
-        try:
-            train, valid = generate_dataset(SyntheticSystemSpec("H", seed=1, n_train=20, n_valid=20))
-        finally:
-            benchmarks._clear_memos()
-        for data in (train, valid):
-            assert np.all(data.u == 12.0) and np.all(data.y == 0.0)
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             SyntheticSystemSpec("C", seed=0)
@@ -325,15 +325,15 @@ class TestConfigValues:
             build(bad)
 
     @pytest.mark.parametrize("chi", ["0.5", True, None, math.inf, math.nan])
-    def test_selection_rejects_non_number_chi(self, chi):
+    def test_method_spec_rejects_non_number_chi(self, chi):
         with pytest.raises(InputError, match="^chi must be a number"):
-            SelectionConfig(chi=chi)
+            MethodSpec("fit", Gaussian(), StabilityTarget.diss(), SelectionConfig(chi=chi))
 
     @pytest.mark.parametrize("chi", [0.0, 1.0, 1.5, -0.5])
-    def test_selection_rejects_chi_outside_unit_interval(self, chi):
+    def test_method_spec_rejects_chi_outside_unit_interval(self, chi):
         method = standard_methods("B")[1]
         with pytest.raises(InputError, match=r"^chi must lie in \(0, 1\)"):
-            replace(method.selection, chi=chi)
+            replace(method, selection=replace(method.selection, chi=chi))
 
     def test_method_chi_is_the_selection_chi(self, monkeypatch):
         seen = {}

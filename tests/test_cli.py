@@ -501,18 +501,11 @@ class TestSelectionBlock:
 
 
 class TestRemovedKeys:
-    """The H solver step and the fold count are no settings: naming one exits 2."""
+    """The fold count is no setting: naming it exits 2.  The H solver step's
+    key is checked in ``test_config``."""
 
     def test_system_keys_are_the_spec_fields(self):
         assert cli._SYSTEM_KEYS == {"system", "seed", "n_train", "n_valid", "noise_std", "out"}
-
-    @pytest.mark.parametrize("command", ["generate", "benchmark"])
-    def test_hh_dt_is_unknown(self, workdir, capsys, command):
-        payload = {"system": "H", "n_train": 20, "n_valid": 20, "hh_dt": 0.001, "out": str(workdir)}
-        cfg = write_config(workdir / "cfg.json", payload)
-        assert run([command, "--config", cfg]) == EXIT_INPUT
-        assert f"unknown keys ['hh_dt'] in {command} config" in capsys.readouterr().err
-        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json"]
 
     def test_kfold_k_is_unknown(self, workdir, capsys):
         train, _ = generate_b(workdir, n=20)

@@ -4,16 +4,19 @@ Each count, real and flag field of the config classes, and ``beta`` of the
 public costs and of ``solve_ridge``, rejects ``True``, ``"1"``, nan and inf
 with :class:`InputError` (a flag accepts ``True`` and rejects ``1``
 instead); membership and :class:`KernelInstance` read ``eta`` entries by
-one rule; and the public functions that take plain numbers raise
-:class:`InputError` for a string or a bool.
+one rule; the public functions that take plain numbers raise
+:class:`InputError` for a string, a bool, a non-finite value or one out of
+range; and the removed H solver step key exits 2 before any integration.
 """
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stable_sysid import benchmarks, cli
 from stable_sysid.benchmarks import MethodSpec, MonteCarloConfig, SyntheticSystemSpec, simulate_hh
 from stable_sysid.errors import InputError
 from stable_sysid.kernels import Gaussian, KernelInstance, LinearAffine, SumKernel, gaussian_delta_boundary
@@ -92,6 +95,23 @@ class TestEtaEntries:
             theta_membership(structure, (True,) + eta[1:], 0.5)
 
 
+class TestHStep:
+    """The H solver step is no setting: naming it in a config exits 2
+    before any integration and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    def test_cli_exits_before_any_integration(self, tmp_path, monkeypatch, capsys, command):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before the keys were checked")
+
+        monkeypatch.setattr(benchmarks, "simulate_hh", integrate)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": "H", "n_train": 20, "n_valid": 20, "hh_dt": 0.001, "out": str(tmp_path)}))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_INPUT
+        assert f"unknown keys ['hh_dt'] in {command} config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+
 # public functions whose arguments go through the config rules: each call
 # raises InputError, not a TypeError, ValueError or OverflowError, and a bool
 # is not read as 1
@@ -104,6 +124,13 @@ ARGUMENTS = {
     "simulate_hh-kappa0-string": lambda: simulate_hh(np.sin, "a", 1.0),
     "simulate_hh-t_end-true": lambda: simulate_hh(np.sin, 0.5, True),
     "simulate_hh-dt_solver-subnormal": lambda: simulate_hh(np.sin, 0.5, 1.0, 5e-324),
+    "simulate_hh-kappa0-true": lambda: simulate_hh(np.sin, True, 1.0),
+    "simulate_hh-dt_solver-nan": lambda: simulate_hh(np.sin, 0.5, 1.0, math.nan),
+    "simulate_hh-dt_solver-negative": lambda: simulate_hh(np.sin, 0.5, 1.0, -1e-3),
+    "simulate_hh-t_end-below-one-step": lambda: simulate_hh(np.sin, 0.5, 1e-4),
+    "gaussian_delta_boundary-gamma-true": lambda: gaussian_delta_boundary(1.0, True),
+    "gamma_fn-alpha-true": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, True),
+    "gamma_fn-alpha-negative": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, -1.0),
 }
 
 
