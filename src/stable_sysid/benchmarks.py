@@ -216,6 +216,15 @@ def hh_beta(V) -> np.ndarray:
     return np.exp(V / 80.0) / 8.0
 
 
+def _sized(make, n: int, what: str) -> np.ndarray:
+    """``make(n)`` for an array of ``n`` values; a count numpy refuses before
+    allocating, such as ``10**20``, raises :class:`InputError`."""
+    try:
+        return make(n)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded" and kin
+        raise InputError(f"too many {what} for an array: {exc}") from exc
+
+
 def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT_HH_DT) -> np.ndarray:
     """The gate at the ``round(t_end / dt_solver) + 1`` step boundaries of
     classical fixed-step RK4 started from ``kappa0`` at ``t = 0``.
@@ -237,7 +246,7 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
     n_steps = int(round(t_end / h))
     if n_steps < 1:
         raise InputError("horizon shorter than one solver step")
-    kappa = np.empty(n_steps + 1)
+    kappa = _sized(np.empty, n_steps + 1, "solver steps")
     kappa[0] = x
     for s0 in range(0, n_steps, _HH_BLOCK):
         s1 = min(s0 + _HH_BLOCK, n_steps)
@@ -261,9 +270,13 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
         q = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
         p = 1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
-        for i, (p_i, q_i) in enumerate(zip(p.tolist(), q.tolist()), start=s0 + 1):
+        # one slice store per block: an indexed numpy store per step costs
+        # about as much as the recursion itself
+        states = []
+        for p_i, q_i in zip(p.tolist(), q.tolist()):
             x = p_i * x + q_i
-            kappa[i] = x
+            states.append(x)
+        kappa[s0 + 1:s1 + 1] = states
     if not np.all(np.isfinite(kappa)):
         bad = int(np.argmax(~np.isfinite(kappa)))
         raise NumericError(f"gate integration produced a non-finite state at step {bad}")
@@ -311,14 +324,14 @@ def _generate_one(spec: SyntheticSystemSpec, n: int, salt: tuple) -> Dataset:
     rng = np.random.default_rng([int(spec.seed), *[int(s) for s in salt]])
     if spec.variant in ("A", "B"):
         y0, y1 = rng.standard_normal(2)
-        u = rng.standard_normal(n + 3)
+        u = _sized(rng.standard_normal, n + 3, "samples")
         w = rng.standard_normal(n)
         sim = simulate_system_a if spec.variant == "A" else simulate_system_b
         y = sim(u, y0, y1, n + 3)
         return Dataset(u=u[3:], y=y[3:] + spec.noise_std * w)
     multisine = draw_multisine(rng)
     kappa0 = float(rng.standard_normal())
-    w = rng.standard_normal(n)
+    w = _sized(rng.standard_normal, n, "samples")
     # kappa0 is imposed at the sampling epoch (absolute time 49.9 s), so each
     # dataset carries its own randomized gate-relaxation transient; the solver
     # runs in epoch-relative time with the multisine shifted to match, and

@@ -99,8 +99,10 @@ __all__ = [
 INF = math.inf
 # relative margin by which the Gaussian incremental boundary errs to the safe side
 _BOUNDARY_MARGIN = 4.0 * np.finfo(float).eps
-# rows of A per block of _sq_dist_matrix; a 198-row training Gram is one block
-_SQ_DIST_ROWS = 256
+# rows per block wherever a row count is unbounded: the rows of A in
+# _sq_dist_matrix and the windows of the predictor's one-step evaluation; a
+# 198-row training Gram or validation set is one block
+ROW_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +118,9 @@ def _sq_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # (a - b)^2 expanded per coordinate keeps exact symmetry when A is B; row
     # blocks keep the (rows, N, d) difference a few MB, whatever the rows
     out = np.empty((A.shape[0], B.shape[0]))
-    for start in range(0, A.shape[0], _SQ_DIST_ROWS):
-        diff = A[start:start + _SQ_DIST_ROWS, None, :] - B[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:start + _SQ_DIST_ROWS])
+    for start in range(0, A.shape[0], ROW_BLOCK):
+        diff = A[start:start + ROW_BLOCK, None, :] - B[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:start + ROW_BLOCK])
     return out
 
 

@@ -2,7 +2,9 @@
 
 Every structure family appears once, plus a nested sum and a product whose
 stationary right factor is ``narx_fading``; every target kind appears at
-``rho`` in {0, 0.7, inf}.  All structures accept ``input_dim = 5``.
+``rho`` in {0, 0.7, inf}.  :func:`all_structures` gives the evaluation
+tests one (structure, eta) per variant.  All structures accept
+``input_dim = 5``.
 """
 
 import math
@@ -68,3 +70,23 @@ def raw_vectors(dim: int) -> list:
     """Fixed unconstrained coordinates, spread over signs and scales."""
     k = np.arange(dim, dtype=float)
     return [np.zeros(dim), np.linspace(-2.5, 3.1, dim), 4.0 * np.sin(1.3 * k + 0.4)]
+
+
+def all_structures():
+    """One representative (structure, eta) per variant, dim 5."""
+    return [
+        (LinearAffine(), (0.7, 0.3)),
+        (Polynomial(degree=3), ()),
+        (Gaussian(), (1.2, 0.8, 0.4)),
+        (Matern32(), (0.9, 1.1, 0.2)),
+        (NarxFading(model_order=2, window=1), (0.6, 0.5, 0.3)),
+        (FeatureGaussian(), (0.5, 0.7, 0.2)),
+        (
+            SumKernel(children=(Gaussian(), LinearAffine())),
+            (0.4, 0.3, 1.0, 0.5, 0.1, 0.6, 0.2),
+        ),
+        (
+            ProductWithStationary(left=LinearAffine(), right=Gaussian()),
+            (0.8, 0.1, 0.9, 0.4, 0.1),
+        ),
+    ]

@@ -533,6 +533,16 @@ class TestCounts:
         assert captured.out == "" and f"{key} must be an integer" in captured.err
         assert not (workdir / "B_train.csv").exists()
 
+    @pytest.mark.parametrize("key", ["n_train", "n_valid"])
+    def test_generate_rejects_count_beyond_array_limit(self, workdir, capsys, key):
+        # numpy refuses 10**20 samples before allocating; the CLI exits 2
+        payload = {"system": "A", "n_train": 20, "n_valid": 20, "out": str(workdir)}
+        cfg = write_config(workdir / "gen.json", {**payload, key: 10**20})
+        assert run(["generate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "too many samples for an array" in captured.err
+        assert list(workdir.iterdir()) == [workdir / "gen.json"]
+
     def test_generate_rejects_negative_seed(self, workdir, capsys):
         cfg = write_config(workdir / "gen.json", {"system": "B", "seed": -1, "out": str(workdir)})
         assert run(["generate", "--config", cfg]) == EXIT_INPUT

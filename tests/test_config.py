@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from stable_sysid import benchmarks, cli
-from stable_sysid.benchmarks import MethodSpec, MonteCarloConfig, SyntheticSystemSpec, simulate_hh
+from stable_sysid.benchmarks import MethodSpec, MonteCarloConfig, SyntheticSystemSpec, generate_dataset, simulate_hh
 from stable_sysid.errors import InputError
 from stable_sysid.kernels import Gaussian, KernelInstance, LinearAffine, SumKernel, gaussian_delta_boundary
 from stable_sysid.selection import OptimizerConfig, SelectionConfig, eb_cost, gcv_cost, kfold_cost
@@ -128,6 +128,10 @@ ARGUMENTS = {
     "simulate_hh-dt_solver-nan": lambda: simulate_hh(np.sin, 0.5, 1.0, math.nan),
     "simulate_hh-dt_solver-negative": lambda: simulate_hh(np.sin, 0.5, 1.0, -1e-3),
     "simulate_hh-t_end-below-one-step": lambda: simulate_hh(np.sin, 0.5, 1e-4),
+    # step and sample counts that numpy refuses before allocating anything
+    "simulate_hh-t_end-too-many-steps": lambda: simulate_hh(np.sin, 0.5, 1e300, 1e-3),
+    "generate_dataset-A-n_train-too-many": lambda: generate_dataset(SyntheticSystemSpec("A", n_train=10**20)),
+    "generate_dataset-H-n_valid-too-many": lambda: generate_dataset(SyntheticSystemSpec("H", n_train=20, n_valid=10**20)),
     "gaussian_delta_boundary-gamma-true": lambda: gaussian_delta_boundary(1.0, True),
     "gamma_fn-alpha-true": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, True),
     "gamma_fn-alpha-negative": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, -1.0),

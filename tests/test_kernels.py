@@ -23,7 +23,7 @@ from stable_sysid import (
     squared_kernel_metric,
 )
 from stable_sysid.kernels import (
-    _SQ_DIST_ROWS,
+    ROW_BLOCK,
     PairTerms,
     _RowTerms,
     _sq_dist_matrix,
@@ -32,6 +32,7 @@ from stable_sysid.kernels import (
     structure_from_config,
     structure_to_config,
 )
+from rule_cases import all_structures
 
 # frozen with mpmath at 30 digits: (1 + sqrt(3)) * exp(-sqrt(3))
 MATERN_AT_UNIT_DISTANCE = 0.4833577245965076
@@ -44,26 +45,6 @@ def unit_apart(dim=5):
     b = np.zeros(dim)
     b[0] = 1.0
     return a, b
-
-
-def all_structures():
-    """One representative (structure, eta) per variant, dim 5."""
-    return [
-        (LinearAffine(), (0.7, 0.3)),
-        (Polynomial(degree=3), ()),
-        (Gaussian(), (1.2, 0.8, 0.4)),
-        (Matern32(), (0.9, 1.1, 0.2)),
-        (NarxFading(model_order=2, window=1), (0.6, 0.5, 0.3)),
-        (FeatureGaussian(), (0.5, 0.7, 0.2)),
-        (
-            SumKernel(children=(Gaussian(), LinearAffine())),
-            (0.4, 0.3, 1.0, 0.5, 0.1, 0.6, 0.2),
-        ),
-        (
-            ProductWithStationary(left=LinearAffine(), right=Gaussian()),
-            (0.8, 0.1, 0.9, 0.4, 0.1),
-        ),
-    ]
 
 
 class TestEval:
@@ -189,7 +170,7 @@ def pair_term_cases():
 
 
 class TestSqDistMatrix:
-    @pytest.mark.parametrize("rows", [_SQ_DIST_ROWS - 1, _SQ_DIST_ROWS, _SQ_DIST_ROWS + 1])
+    @pytest.mark.parametrize("rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
     def test_row_blocks_bit_equal_to_one_pass(self, rows):
         rng = np.random.default_rng(rows)
         A = rng.normal(scale=3.0, size=(rows, 5))

@@ -1,6 +1,7 @@
 """Predictor models: evaluation, prediction, simulation, metrics, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from stable_sysid import (
     simulate,
     solve_constrained,
 )
+from stable_sysid.kernels import ROW_BLOCK, eval_matrix
+from rule_cases import all_structures
 
 
 def make_model(structure=None, eta=(1.0, 1.0, 0.0), centers=None, coefficients=None,
@@ -141,6 +144,42 @@ class TestOneStepPredict:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             one_step_predict(make_model(), np.zeros(5), np.zeros(4))
+
+
+class TestRowBlocks:
+    """One-step prediction evaluates ``f`` in blocks of ``ROW_BLOCK`` windows."""
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, 3000])
+    @pytest.mark.parametrize("structure,eta", all_structures())
+    def test_bit_equal_to_block_reference(self, structure, eta, rows):
+        rng = np.random.default_rng(rows)
+        centers = rng.normal(size=(37, 5))
+        coeff = rng.normal(size=37)
+        model = make_model(structure, eta, centers, coeff)
+        u, y = rng.normal(size=rows + 2), rng.normal(size=rows + 2)
+        pred = one_step_predict(model, u, y)
+        Z = build_regression_data(u, y, 2).regressors
+        blocks = [eval_matrix(model.kernel, Z[i:i + ROW_BLOCK], centers) @ coeff
+                  for i in range(0, rows, ROW_BLOCK)]
+        assert np.array_equal(pred[2:], np.concatenate(blocks))
+        # against the unblocked product, relative to the summed term magnitudes
+        K = eval_matrix(model.kernel, Z, centers)
+        assert np.all(np.abs(pred[2:] - K @ coeff) <= 1e-12 * (np.abs(K) @ np.abs(coeff)))
+
+    def test_memory_bounded_by_one_block(self):
+        # the unblocked 4,999 x 199 cross matrix traced a 16 MB peak; one
+        # block of 256 windows stays under 4 MB
+        rng = np.random.default_rng(0)
+        model = make_model(centers=rng.normal(size=(199, 5)), coefficients=rng.normal(size=199))
+        u, y = rng.normal(size=5001), rng.normal(size=5001)
+        one_step_predict(model, u[:10], y[:10])
+        tracemalloc.start()
+        try:
+            one_step_predict(model, u, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSimulate:
