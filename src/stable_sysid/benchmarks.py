@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import _config_fields, _config_real
+from .config import _config_array, _config_fields, _config_instance, _config_int, _config_real
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
 from .predictor import PredictorModel, run_model
@@ -159,9 +159,9 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if u.ndim != 1 or y.shape != u.shape:
+        u = _config_array(self.u, "dataset u", 1, finite=False)
+        y = _config_array(self.y, "dataset y", 1, finite=False)
+        if y.shape != u.shape:
             raise InputError("dataset needs equal-length 1-D input and output")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
@@ -175,9 +175,8 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _simulate_ab(u, y0, y1, length, output_fn):
-    u = np.asarray(u, dtype=float)
-    if length < 2:
-        raise InputError(f"length must be >= 2, got {length}")
+    u = _config_array(u, "u", 1, finite=False)
+    length = _config_int(length, "length", 2)
     if u.shape[0] < length - 1:
         raise InputError(f"need at least {length - 1} input samples, got {u.shape[0]}")
     y = np.empty(length)
@@ -306,8 +305,9 @@ def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
     exit, and is then shared by every caller that asks for it; concurrent
     callers wait for one draw.
     """
+    salt = tuple(_config_int(s, "salt entry", 0) for s in salt)
     with _MEMO_LOCK:
-        return _generate_pair(spec, tuple(salt))
+        return _generate_pair(spec, salt)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -321,7 +321,7 @@ def _generate_pair(spec: SyntheticSystemSpec, salt: tuple) -> tuple:
 
 
 def _generate_one(spec: SyntheticSystemSpec, n: int, salt: tuple) -> Dataset:
-    rng = np.random.default_rng([int(spec.seed), *[int(s) for s in salt]])
+    rng = np.random.default_rng([spec.seed, *salt])
     if spec.variant in ("A", "B"):
         y0, y1 = rng.standard_normal(2)
         u = _sized(rng.standard_normal, n + 3, "samples")
@@ -356,6 +356,11 @@ class MethodSpec:
     target: StabilityTarget
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
+    def __post_init__(self):
+        _config_instance(self.structure, KernelStructure, "method structure")
+        _config_instance(self.target, StabilityTarget, "method target")
+        _config_instance(self.selection, SelectionConfig, "method selection")
+
     def selection_config(self) -> SelectionConfig:
         return replace(self.selection, target=self.target)
 
@@ -372,6 +377,10 @@ class MonteCarloConfig:
         _config_fields(self, ints=dict.fromkeys(("runs", "model_order", "n_jobs"), 1))
         if not self.systems or not self.methods:
             raise InputError("MonteCarloConfig needs at least one system and one method")
+        for system in self.systems:
+            _config_instance(system, SyntheticSystemSpec, "MonteCarloConfig system")
+        for method in self.methods:
+            _config_instance(method, MethodSpec, "MonteCarloConfig method")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,10 @@ functions validate the values, so every block (``model.json`` and the
 integral: 2 and 2.0 pass; 2.7, ``"2"`` and ``true`` exit 2, and so does a
 negative seed.  Real values (``noise_std``, ``chi``, ``iota``,
 ``rho``, ``radius`` and kernel ``eta`` entries) must be finite numbers:
-``"0.5"``, ``true``, ``Infinity`` and ``NaN`` exit 2.  Path values (``data``,
+``"0.5"``, ``true``, ``Infinity`` and ``NaN`` exit 2.  A ``model.json``'s
+``centers`` (N rows of 2m + 1) and ``coefficients`` (N) are arrays of
+finite numbers: a string entry such as ``"0.5"``, a ``true``, a ragged row
+or ``NaN`` exits 2.  Path values (``data``,
 ``model``, ``out``, ``model_name``, ``output_name``) must be strings and
 ``record_timing`` true or false, checked before any work.  An input file
 (config, data CSV or ``model.json``) that is missing, unreadable, not UTF-8

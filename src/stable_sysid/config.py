@@ -1,13 +1,18 @@
 """The boundary rules: each kind of value that enters the package (count,
-real, ``rho``, ``chi``, ``eta``, flag, config block) is checked by one rule
-here, which raises :class:`~stable_sysid.errors.InputError` naming the
-value.  Structure configs are parsed in :mod:`stable_sysid.kernels`.
+real, ``rho``, ``chi``, ``eta``, flag, array, object of a config class,
+config block) is checked by one rule here, which raises
+:class:`~stable_sysid.errors.InputError` naming the value.  An array is read
+once, where it enters; inside the package the checked float64 array is
+passed on and not checked again.  Structure configs are parsed in
+:mod:`stable_sysid.kernels`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 from .errors import InputError
 
@@ -68,6 +73,32 @@ def _config_eta(value) -> tuple:
         return tuple(value)
     except TypeError as exc:
         raise InputError(f"eta must be a sequence of numbers, got {value!r}") from exc
+
+
+def _config_array(value, what: str, ndim: int | None, finite: bool = True) -> np.ndarray:
+    """An array of real numbers as float64: integer and real dtypes pass, and
+    a float64 array comes back as the same object.  Strings, bools, complex
+    values, objects and ragged nesting raise, and so do a rank other than
+    ``ndim`` (None takes any) and, where ``finite``, nan and ±inf."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"{what} must be an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be an array of numbers, got {arr.dtype} values")
+    if ndim is not None and arr.ndim != ndim:
+        raise InputError(f"{what} must be {ndim}-D, got shape {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    if finite and not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} contains non-finite values")
+    return arr
+
+
+def _config_instance(value, cls, what: str):
+    """An object of ``cls`` (or a subclass) as given; anything else raises."""
+    if not isinstance(value, cls):
+        raise InputError(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def _config_flag(value, what: str) -> None:

@@ -66,7 +66,15 @@ from typing import Callable
 
 import numpy as np
 
-from .config import _as_float, _config_eta, _config_fields, _config_real, _reject_unknown
+from .config import (
+    _as_float,
+    _config_array,
+    _config_eta,
+    _config_fields,
+    _config_instance,
+    _config_real,
+    _reject_unknown,
+)
 from .errors import InfeasibleTargetError, InputError, UnsupportedTargetError
 
 __all__ = [
@@ -140,14 +148,15 @@ def _window_sums(sq_by_coord: list, m: int, p: int) -> list:
 class PairTerms:
     """The ``eta``-independent pair geometry of the rows of ``A`` and ``B``.
 
-    Every term is computed on first use and kept, so one instance serves
-    any number of hyperparameter vectors.  The arrays are shared: kernel
-    assembly reads them and never writes to them.
+    ``A`` and ``B`` are float64 arrays of rows, checked where they entered
+    the package.  Every term is computed on first use and kept, so one
+    instance serves any number of hyperparameter vectors.  The arrays are
+    shared: kernel assembly reads them and never writes to them.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
-        self.A = np.asarray(A, dtype=float)
-        self.B = np.asarray(B, dtype=float)
+        self.A = A
+        self.B = B
         self._windows = {}
 
     @cached_property
@@ -796,8 +805,7 @@ class SumKernel(KernelStructure):
         if len(self.children) < 1:
             raise InputError("sum kernel needs at least one child structure")
         for child in self.children:
-            if not isinstance(child, KernelStructure):
-                raise InputError(f"sum child is not a kernel structure: {child!r}")
+            _config_instance(child, KernelStructure, "sum child")
 
     @property
     def is_stationary(self) -> bool:  # type: ignore[override]
@@ -922,8 +930,8 @@ class ProductWithStationary(KernelStructure):
     name = "product_stationary"
 
     def __post_init__(self):
-        if not isinstance(self.left, KernelStructure) or not isinstance(self.right, KernelStructure):
-            raise InputError("product_stationary needs two kernel structures")
+        _config_instance(self.left, KernelStructure, "product_stationary left")
+        _config_instance(self.right, KernelStructure, "product_stationary right")
         if not self.right.is_stationary:
             raise InputError(
                 f"product_stationary right factor must be stationary, got {self.right.name!r}"
@@ -995,8 +1003,7 @@ class KernelInstance:
     input_dim: int
 
     def __post_init__(self):
-        if not isinstance(self.structure, KernelStructure):
-            raise InputError(f"not a kernel structure: {self.structure!r}")
+        _config_instance(self.structure, KernelStructure, "structure")
         _config_fields(self, ints={"input_dim": None})
         if self.input_dim < 3 or self.input_dim % 2 == 0:
             raise InputError(
@@ -1007,15 +1014,13 @@ class KernelInstance:
 
 
 def _as_rows(x, input_dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    """Points as a 2-D array of rows; one vector is one row."""
+    arr = _config_array(x, what, None)
+    shape = arr.shape
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != input_dim:
-        raise InputError(
-            f"{what} must have dimension {input_dim}, got shape {np.asarray(x).shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{what} contains non-finite entries")
+        raise InputError(f"{what} must have dimension {input_dim}, got shape {shape}")
     return arr
 
 

@@ -8,7 +8,9 @@ model of the iterated predictor.  Both sequences copy the measured outputs
 for the first ``m`` samples so simulations start from a sensible state.
 One-step prediction evaluates ``f`` in fixed-size row blocks, so its
 memory is bounded by one block of windows against the centers, however
-long the record.
+long the record.  Free run steps through the same evaluator, one window at
+a time: the model's centers are checked at construction and the inputs once
+per call, so the evaluator goes straight to the kernel structure.
 
 Models are immutable after construction; distinct trajectories can be
 simulated concurrently, a single trajectory is inherently sequential.
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _config_fields
+from .config import _config_array, _config_fields, _config_instance, _config_int
 from .errors import DivergenceError, InputError
-from .kernels import ROW_BLOCK, KernelInstance, eval_matrix, kernel_from_config, kernel_to_config
+from .kernels import ROW_BLOCK, KernelInstance, kernel_from_config, kernel_to_config
 from .solver import FitReport, RegressionData, build_regression_data
 from .viability import StabilityTarget
 
@@ -56,21 +58,18 @@ class PredictorModel:
     def __post_init__(self):
         _config_fields(self, ints={"model_order": 1})
         m = self.model_order
-        try:
-            centers = np.asarray(self.centers, dtype=float)
-            coeff = np.asarray(self.coefficients, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"centers and coefficients must be arrays of numbers: {exc}") from exc
+        _config_instance(self.kernel, KernelInstance, "kernel")
+        _config_instance(self.stability_tag, StabilityTarget, "stability_tag")
+        centers = _config_array(self.centers, "centers", 2)
+        coeff = _config_array(self.coefficients, "coefficients", 1)
         if self.kernel.input_dim != 2 * m + 1:
             raise InputError(
                 f"kernel input_dim {self.kernel.input_dim} does not match model order {m}"
             )
-        if centers.ndim != 2 or centers.shape[1] != 2 * m + 1 or centers.shape[0] < 1:
+        if centers.shape[1] != 2 * m + 1 or centers.shape[0] < 1:
             raise InputError(f"centers must be N x {2 * m + 1} with N >= 1, got {centers.shape}")
         if coeff.shape != (centers.shape[0],):
             raise InputError("coefficients must align one-to-one with centers")
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(coeff))):
-            raise InputError("model contains non-finite values")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "coefficients", coeff)
 
@@ -86,7 +85,7 @@ class PredictorModel:
             model_order=data.model_order,
             kernel=kernel,
             centers=data.regressors.copy(),
-            coefficients=np.asarray(report.coefficients, dtype=float).copy(),
+            coefficients=report.coefficients.copy(),
             stability_tag=stability_tag,
         )
 
@@ -102,18 +101,20 @@ class SimulationResult:
 
 
 def _f_batch(model: PredictorModel, Z: np.ndarray) -> np.ndarray:
-    # one block of windows x centers at a time, so memory is bounded by the
-    # block, not by the row count
+    """``f`` at each checked window (row) of ``Z``: the package's one
+    evaluation of the predictor.  One block of windows x centers at a time,
+    so memory is bounded by the block, not by the row count."""
+    structure, eta = model.kernel.structure, model.kernel.eta
     out = np.empty(Z.shape[0])
     for start in range(0, Z.shape[0], ROW_BLOCK):
-        cross = eval_matrix(model.kernel, Z[start:start + ROW_BLOCK], model.centers)
+        cross = structure.cross_matrix(eta, Z[start:start + ROW_BLOCK], model.centers)
         out[start:start + ROW_BLOCK] = cross @ model.coefficients
     return out
 
 
 def evaluate_f(model: PredictorModel, z) -> float:
     """Evaluate the predictor at one regressor vector of dimension 2m + 1."""
-    z = np.asarray(z, dtype=float)
+    z = _config_array(z, "regressor", 1)
     if z.shape != (2 * model.model_order + 1,):
         raise InputError(
             f"regressor must have dimension {2 * model.model_order + 1}, got shape {z.shape}"
@@ -135,7 +136,7 @@ def one_step_predict(model: PredictorModel, u, y) -> np.ndarray:
     m = model.model_order
     data = build_regression_data(u, y, m)
     out = np.empty(data.size + m)
-    out[:m] = np.asarray(y, dtype=float)[:m]
+    out[:m] = data.regressors[0, :m]  # y_1..y_m
     out[m:] = _f_batch(model, data.regressors)
     return out
 
@@ -147,28 +148,23 @@ def simulate(model: PredictorModel, u, y_seed) -> np.ndarray:
     :class:`DivergenceError` (carrying the 1-based index of the first bad
     sample) when a value goes non-finite or beyond ``1e12``.
     """
-    u = np.asarray(u, dtype=float)
-    seed = np.asarray(y_seed, dtype=float)
+    u = _config_array(u, "u", 1)
+    seed = _config_array(y_seed, "y_seed", 1)
     m = model.model_order
-    if u.ndim != 1 or u.shape[0] <= m:
+    if u.shape[0] <= m:
         raise InputError(f"u must be 1-D with more than m = {m} samples")
     if seed.shape != (m,):
         raise InputError(f"y_seed must hold exactly m = {m} values, got shape {seed.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(seed))):
-        raise InputError("u and y_seed must be finite")
-    # inputs are checked once here and the model's centers at construction,
-    # so each step evaluates the structure directly
-    structure, eta = model.kernel.structure, model.kernel.eta
-    centers, coefficients = model.centers, model.coefficients
     n = u.shape[0]
     out = np.empty(n)
     out[:m] = seed
-    z = np.empty(2 * m + 1)
+    Z = np.empty((1, 2 * m + 1))
+    z = Z[0]
     for j in range(m, n):
         z[:m] = out[j - m:j]
         z[m:2 * m] = u[j - m:j]
         z[2 * m] = u[j]
-        value = float((structure.cross_matrix(eta, z[None, :], centers) @ coefficients)[0])
+        value = float(_f_batch(model, Z)[0])
         if not math.isfinite(value) or abs(value) > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"simulation diverged at sample {j + 1}: value {value!r}", index=j + 1
@@ -179,10 +175,11 @@ def simulate(model: PredictorModel, u, y_seed) -> np.ndarray:
 
 def metrics(y_true, predicted, simulated, m: int):
     """Mean absolute one-step and simulation errors over samples m+1..n."""
-    y_true = np.asarray(y_true, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    simulated = np.asarray(simulated, dtype=float)
-    if not (y_true.shape == predicted.shape == simulated.shape) or y_true.ndim != 1:
+    m = _config_int(m, "model order m", 1)
+    y_true = _config_array(y_true, "y_true", 1, finite=False)
+    predicted = _config_array(predicted, "predicted", 1, finite=False)
+    simulated = _config_array(simulated, "simulated", 1, finite=False)
+    if not y_true.shape == predicted.shape == simulated.shape:
         raise InputError("metrics needs three equal-length 1-D sequences")
     if y_true.shape[0] <= m:
         raise InputError("sequences must be longer than the model order")
@@ -193,7 +190,7 @@ def metrics(y_true, predicted, simulated, m: int):
 
 def run_model(model: PredictorModel, u, y) -> SimulationResult:
     """Predict and simulate against a measured pair, with metrics."""
-    y = np.asarray(y, dtype=float)
+    y = _config_array(y, "y", 1, finite=False)
     predicted = one_step_predict(model, u, y)
     simulated = simulate(model, u, y[:model.model_order])
     q_pre, q_sim = metrics(y, predicted, simulated, model.model_order)

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrs, dtrtri
-from .config import _config_chi, _config_fields
+from .config import _config_chi, _config_fields, _config_instance
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelInstance, KernelStructure, gram_from_terms
 from .solver import (
@@ -155,6 +155,8 @@ class SelectionConfig:
     def __post_init__(self):
         _config_fields(self, ints={"seed": 0}, reals=("iota",), bools=("cap_aware_cost",))
         object.__setattr__(self, "chi", _config_chi(self.chi))
+        _config_instance(self.target, StabilityTarget, "selection target")
+        _config_instance(self.optimizer, OptimizerConfig, "selection optimizer")
         if self.method not in ("eb", "gcv", "kfold"):
             raise InputError(f"unknown selection method {self.method!r}")
         if self.iota <= 0:

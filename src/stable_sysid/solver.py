@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
-from .config import _config_chi, _config_fields, _config_int, _config_nonnegative, _config_real
+from .config import _config_array, _config_chi, _config_fields, _config_int, _config_nonnegative, _config_real
 from .errors import InputError, NumericError
 from .kernels import KernelInstance, PairTerms, gram_from_terms
 
@@ -92,17 +92,15 @@ class RegressionData:
 
     def __post_init__(self):
         object.__setattr__(self, "model_order", _config_int(self.model_order, "model order m", 1))
-        reg = np.asarray(self.regressors, dtype=float)
-        tgt = np.asarray(self.targets, dtype=float)
+        reg = _config_array(self.regressors, "regressors", 2)
+        tgt = _config_array(self.targets, "targets", 1)
         m = self.model_order
-        if reg.ndim != 2 or reg.shape[1] != 2 * m + 1:
+        if reg.shape[1] != 2 * m + 1:
             raise InputError(
                 f"regressors must be N x {2 * m + 1} for model order {m}, got shape {reg.shape}"
             )
-        if tgt.ndim != 1 or tgt.shape[0] != reg.shape[0] or reg.shape[0] < 1:
+        if tgt.shape[0] != reg.shape[0] or reg.shape[0] < 1:
             raise InputError("targets must be a vector with one entry per regressor row")
-        if not (np.all(np.isfinite(reg)) and np.all(np.isfinite(tgt))):
-            raise InputError("regression data contains non-finite values")
         object.__setattr__(self, "regressors", reg)
         object.__setattr__(self, "targets", tgt)
 
@@ -173,11 +171,12 @@ def build_regression_data(u, y, m: int) -> RegressionData:
 
     For each time ``t`` in ``{m+1, ..., n}`` (1-based) the regressor is
     ``(y_{t-m}, ..., y_{t-1}, u_{t-m}, ..., u_t)`` and the target is ``y_t``,
-    giving ``n - m`` rows of dimension ``2m + 1``.
+    giving ``n - m`` rows of dimension ``2m + 1``.  :class:`RegressionData`
+    checks that every value is finite.
     """
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if u.ndim != 1 or y.ndim != 1 or u.shape[0] != y.shape[0]:
+    u = _config_array(u, "u", 1, finite=False)
+    y = _config_array(y, "y", 1, finite=False)
+    if u.shape[0] != y.shape[0]:
         raise InputError("u and y must be equal-length 1-D sequences")
     n = u.shape[0]
     m = _config_int(m, "model order m", 1)
@@ -210,14 +209,12 @@ def _check_gap(m, chi) -> int:
 
 
 def _validate_matrix(K, y):
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+    K = _config_array(K, "K", 2)
+    y = _config_array(y, "y", 1)
+    if K.shape[0] != K.shape[1]:
         raise InputError(f"K must be square, got shape {K.shape}")
-    if y.ndim != 1 or y.shape[0] != K.shape[0]:
+    if y.shape[0] != K.shape[0]:
         raise InputError(f"y must have length {K.shape[0]}, got shape {y.shape}")
-    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(y))):
-        raise InputError("K and y must be finite")
     # caller-supplied matrices may carry roundoff asymmetry; Gram matrices
     # are exactly symmetric and skip this step on the search path
     return 0.5 * (K + K.T), y

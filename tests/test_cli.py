@@ -693,6 +693,10 @@ class TestModelFile:
             {"centers": "abc"},
             {"centers": [[0.0] * 5, [0.0]]},
             {"coefficients": {"c": 0.0}},
+            # string and bool entries are not numbers, though numpy reads "0.5" as 0.5
+            {"centers": [["0.5", 0.0, 0.0, 0.0, 0.0]]},
+            {"coefficients": ["0.0"]},
+            {"centers": [[True, False, False, False, False]]},
         ],
     )
     def test_malformed_model_file_exits_2(self, workdir, capsys, change):

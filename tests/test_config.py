@@ -6,7 +6,11 @@ with :class:`InputError` (a flag accepts ``True`` and rejects ``1``
 instead); membership and :class:`KernelInstance` read ``eta`` entries by
 one rule; the public functions that take plain numbers raise
 :class:`InputError` for a string, a bool, a non-finite value or one out of
-range; and the removed H solver step key exits 2 before any integration.
+range; every public entry point that takes an array rejects string, bool
+and complex entries and ragged nesting, and nan and inf where it requires
+finite values; every field that holds an object of a config class rejects
+anything else at construction; and the removed H solver step key exits 2
+before any integration.
 """
 
 import json
@@ -17,11 +21,42 @@ import numpy as np
 import pytest
 
 from stable_sysid import benchmarks, cli
-from stable_sysid.benchmarks import MethodSpec, MonteCarloConfig, SyntheticSystemSpec, generate_dataset, simulate_hh
+from stable_sysid.benchmarks import (
+    Dataset,
+    MethodSpec,
+    MonteCarloConfig,
+    SyntheticSystemSpec,
+    generate_dataset,
+    simulate_hh,
+    simulate_system_a,
+    simulate_system_b,
+)
 from stable_sysid.errors import InputError
-from stable_sysid.kernels import Gaussian, KernelInstance, LinearAffine, SumKernel, gaussian_delta_boundary
+from stable_sysid.kernels import (
+    Gaussian,
+    KernelInstance,
+    LinearAffine,
+    ProductWithStationary,
+    SumKernel,
+    eval_kernel,
+    eval_matrix,
+    eval_pairs,
+    gaussian_delta_boundary,
+    gram_matrix,
+    metric_pairs,
+    squared_kernel_metric,
+)
+from stable_sysid.predictor import PredictorModel, evaluate_f, metrics, one_step_predict, run_model, simulate
 from stable_sysid.selection import OptimizerConfig, SelectionConfig, eb_cost, gcv_cost, kfold_cost
-from stable_sysid.solver import FitProblem, build_regression_data, gamma_fn, solve_ridge
+from stable_sysid.solver import (
+    FitProblem,
+    RegressionData,
+    build_regression_data,
+    find_alpha_bar,
+    gamma_fn,
+    solve_norm_constrained,
+    solve_ridge,
+)
 from stable_sysid.viability import StabilityTarget, delta_membership, theta_membership
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
@@ -135,6 +170,17 @@ ARGUMENTS = {
     "gaussian_delta_boundary-gamma-true": lambda: gaussian_delta_boundary(1.0, True),
     "gamma_fn-alpha-true": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, True),
     "gamma_fn-alpha-negative": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, -1.0),
+    # counts: metrics scores samples m+1..n, so m < 1 would score the wrong ones
+    "metrics-m-negative": lambda: metrics(np.ones(4), np.ones(4), np.ones(4), -1),
+    "metrics-m-zero": lambda: metrics(np.ones(4), np.ones(4), np.ones(4), 0),
+    "metrics-m-string": lambda: metrics(np.ones(4), np.ones(4), np.ones(4), "2"),
+    "simulate_system_a-length-fraction": lambda: simulate_system_a(np.ones(5), 0.0, 0.0, 2.5),
+    "simulate_system_a-length-string": lambda: simulate_system_a(np.ones(5), 0.0, 0.0, "5"),
+    "simulate_system_b-length-fraction": lambda: simulate_system_b(np.ones(5), 0.0, 0.0, 2.5),
+    "simulate_system_b-length-one": lambda: simulate_system_b(np.ones(5), 0.0, 0.0, 1),
+    "generate_dataset-salt-string": lambda: generate_dataset(SPEC, salt=("a",)),
+    "generate_dataset-salt-negative": lambda: generate_dataset(SPEC, salt=(-1,)),
+    "generate_dataset-salt-true": lambda: generate_dataset(SPEC, salt=(True,)),
 }
 
 
@@ -150,3 +196,130 @@ def test_chi_in_the_unit_interval_binds_selection_and_constrained_fit():
         with pytest.raises(InputError, match=r"^chi must lie in \(0, 1\), got 1.0$"):
             build(1)
     assert replace(PROBLEM, chi=1.5, constrained=False).chi == 1.5
+
+
+# every public entry point that takes an array, one row per array argument:
+# (what, call with that argument, a good value, whether nan and inf raise);
+# the other arguments are good
+U, Y = np.sin(np.arange(12.0)), np.cos(np.arange(12.0))
+ROWS = build_regression_data(U, Y, 2).regressors[:4]
+P = np.random.default_rng(0).normal(size=(4, 5))
+MODEL = PredictorModel(2, KERNEL, ROWS, np.full(4, 0.01), StabilityTarget.unconstrained())
+MATRIX_SOLVES = [
+    ("solve_ridge", lambda K, y: solve_ridge(K, y, 0.1)),
+    ("gamma_fn", lambda K, y: gamma_fn(K, y, 2, 0.5, 0.1)),
+    ("find_alpha_bar", lambda K, y: find_alpha_bar(K, y, 2, 0.5)),
+    ("solve_norm_constrained", lambda K, y: solve_norm_constrained(K, y, 2, 0.5, 0.1)),
+]
+ARRAYS = [
+    ("Dataset(u)", lambda x: Dataset(x, Y), U, False),
+    ("Dataset(y)", lambda x: Dataset(U, x), Y, False),
+    ("simulate_system_a(u)", lambda x: simulate_system_a(x, 0.1, 0.2, 10), U, False),
+    ("simulate_system_b(u)", lambda x: simulate_system_b(x, 0.1, 0.2, 10), U, False),
+    ("RegressionData(regressors)", lambda x: RegressionData(x, ROWS[:, 0], 2), ROWS, True),
+    ("RegressionData(targets)", lambda x: RegressionData(ROWS, x, 2), ROWS[:, 0], True),
+    ("build_regression_data(u)", lambda x: build_regression_data(x, Y, 2), U, True),
+    ("build_regression_data(y)", lambda x: build_regression_data(U, x, 2), Y, True),
+    *(row for name, f in MATRIX_SOLVES for row in (
+        (f"{name}(K)", lambda x, f=f: f(x, np.ones(3)), np.eye(3), True),
+        (f"{name}(y)", lambda x, f=f: f(np.eye(3), x), np.ones(3), True))),
+    ("eval_kernel(a)", lambda x: eval_kernel(KERNEL, x, P[0]), P[1], True),
+    ("eval_kernel(b)", lambda x: eval_kernel(KERNEL, P[0], x), P[1], True),
+    ("squared_kernel_metric(a)", lambda x: squared_kernel_metric(KERNEL, x, P[0]), P[1], True),
+    ("squared_kernel_metric(b)", lambda x: squared_kernel_metric(KERNEL, P[0], x), P[1], True),
+    *((f"{f.__name__}({arg})", lambda x, f=f, i=i: f(KERNEL, *((x, P), (P, x))[i]), P, True)
+      for f in (eval_pairs, eval_matrix, metric_pairs) for i, arg in enumerate("AB")),
+    ("gram_matrix(points)", lambda x: gram_matrix(KERNEL, x), P, True),
+    ("PredictorModel(centers)", lambda x: replace(MODEL, centers=x), ROWS, True),
+    ("PredictorModel(coefficients)", lambda x: replace(MODEL, coefficients=x), np.full(4, 0.01), True),
+    ("evaluate_f(z)", lambda x: evaluate_f(MODEL, x), P[0], True),
+    ("one_step_predict(u)", lambda x: one_step_predict(MODEL, x, Y), U, True),
+    ("one_step_predict(y)", lambda x: one_step_predict(MODEL, U, x), Y, True),
+    ("simulate(u)", lambda x: simulate(MODEL, x, Y[:2]), U, True),
+    ("simulate(y_seed)", lambda x: simulate(MODEL, U, x), Y[:2], True),
+    ("run_model(u)", lambda x: run_model(MODEL, x, Y), U, True),
+    ("run_model(y)", lambda x: run_model(MODEL, U, x), Y, True),
+    ("metrics(y_true)", lambda x: metrics(x, Y, Y, 2), Y, False),
+    ("metrics(predicted)", lambda x: metrics(Y, x, Y, 2), Y, False),
+    ("metrics(simulated)", lambda x: metrics(Y, Y, x, 2), Y, False),
+]
+
+
+def _with_entry(good, value) -> list:
+    """``good`` as nested lists, its first entry replaced by ``value``."""
+    rows = good.tolist()
+    if good.ndim == 1:
+        return [value] + rows[1:]
+    return [[value] + rows[0][1:]] + rows[1:]
+
+
+def _bad_array(good, variant):
+    """``good`` spoiled one way."""
+    rows = good.tolist()
+    if variant == "string":
+        return _with_entry(good, str(good.flat[0]))
+    if variant == "ragged":
+        return [[rows[0], rows[0]]] + rows[1:] if good.ndim == 1 else rows[:-1] + [rows[-1][:-1]]
+    if variant == "bool":
+        return np.ones(good.shape, dtype=bool)
+    if variant == "complex":
+        return good + 0j
+    return np.array(_with_entry(good, {"nan": math.nan, "inf": math.inf}[variant]))
+
+
+# each entry point against each variant it rejects; where nan passes at the
+# parent, a nan case pins that it still passes
+ARRAY_CASES = [
+    pytest.param(call, good, variant, finite or variant != "nan", id=f"{what}-{variant}")
+    for what, call, good, finite in ARRAYS
+    for variant in ("string", "ragged", "bool", "complex", "nan", *(("inf",) if finite else ()))
+]
+
+
+@pytest.mark.parametrize("call,good,variant,rejected", ARRAY_CASES)
+def test_array_arguments_read_by_one_rule(call, good, variant, rejected):
+    call(good)
+    bad = _bad_array(good, variant)
+    if not rejected:
+        call(bad)
+        return
+    with pytest.raises(InputError):
+        call(bad)
+
+
+def test_float64_arrays_are_kept_without_a_copy():
+    data = RegressionData(ROWS, ROWS[:, 0], 2)
+    assert np.shares_memory(data.regressors, ROWS) and np.shares_memory(data.targets, ROWS)
+    coefficients = np.full(4, 0.01)
+    model = PredictorModel(2, KERNEL, ROWS, coefficients, StabilityTarget.unconstrained())
+    assert model.centers is ROWS and model.coefficients is coefficients
+
+
+def test_integer_arrays_read_as_float64():
+    data = RegressionData(np.ones((3, 5), dtype=np.int64), [1, 2, 3], 2)
+    assert data.regressors.dtype == data.targets.dtype == np.float64
+    assert Dataset([1, 2], np.array([3, 4], dtype=np.uint8)).y.dtype == np.float64
+
+
+# every field that holds an object of a config class, given something else
+INSTANCES = {
+    "SelectionConfig-target-string": lambda: SelectionConfig(target="iss"),
+    "SelectionConfig-optimizer-none": lambda: SelectionConfig(optimizer=None),
+    "MethodSpec-structure-string": lambda: MethodSpec("x", "gaussian", StabilityTarget.diss()),
+    "MethodSpec-target-string": lambda: MethodSpec("x", Gaussian(), "diss"),
+    "MethodSpec-selection-dict": lambda: MethodSpec("x", Gaussian(), StabilityTarget.diss(), {"method": "eb"}),
+    "MonteCarloConfig-systems-string": lambda: replace(MC, systems=("A",)),
+    "MonteCarloConfig-methods-string": lambda: replace(MC, methods=("Aa",)),
+    "PredictorModel-kernel-none": lambda: replace(MODEL, kernel=None),
+    "PredictorModel-stability_tag-string": lambda: replace(MODEL, stability_tag="iss"),
+    "KernelInstance-structure-string": lambda: KernelInstance("gaussian", GAUSS_ETA, 5),
+    "SumKernel-child-string": lambda: SumKernel((Gaussian(), "linear_affine")),
+    "ProductWithStationary-left-string": lambda: ProductWithStationary("linear_affine", Gaussian()),
+    "ProductWithStationary-right-none": lambda: ProductWithStationary(LinearAffine(), None),
+}
+
+
+@pytest.mark.parametrize("call", INSTANCES.values(), ids=INSTANCES.keys())
+def test_object_fields_rejected_at_construction(call):
+    with pytest.raises(InputError):
+        call()

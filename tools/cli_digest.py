@@ -23,7 +23,11 @@ roundoff of the falsifier's ``k(a,a) + k(b,b) - 2 k(a,b)`` at ``tau`` about
 a string ``chi``, a ``true`` eta entry, an integer ``cap_aware_cost``, a
 string ``record_timing``, the removed ``hh_dt`` (H solver step) and
 ``kfold_k`` (fold count) keys, and a config root, a selection block and a
-falsify block that are not JSON objects.
+falsify block that are not JSON objects.  Last come bad input files, each a
+copy of an earlier output with one value broken: a ``model.json`` center
+entry written as a JSON string (``simulate``), a ``model.json`` whose last
+center is one entry short (``predict``), and a training CSV with a ``nan``
+output (``fit``).
 """
 
 from __future__ import annotations
@@ -124,6 +128,38 @@ BAD_INPUTS = [
 ]
 
 
+def _string_center(text):
+    """A ``model.json`` text with its first center entry written as a string."""
+    model = json.loads(text)
+    model["centers"][0][0] = str(model["centers"][0][0])
+    return json.dumps(model)
+
+
+def _ragged_centers(text):
+    """A ``model.json`` text whose last center is one entry short."""
+    model = json.loads(text)
+    model["centers"][-1].pop()
+    return json.dumps(model)
+
+
+def _nan_output(text):
+    """A dataset CSV text with the output of sample 5 replaced by nan."""
+    lines = text.splitlines()
+    t, u, _ = lines[5].split(",")
+    lines[5] = f"{t},{u},nan"
+    return "\n".join(lines) + "\n"
+
+
+MODEL_B = "out/fit-gaussian-dbibs/model.json"
+RUN_B = {"data": "data/B_valid.csv"}
+# (name, command, config key of the broken file, its source, edit, config)
+BAD_FILES = [
+    ("bad-simulate-model-string-center", "simulate", "model", MODEL_B, _string_center, RUN_B),
+    ("bad-predict-model-ragged-centers", "predict", "model", MODEL_B, _ragged_centers, RUN_B),
+    ("bad-fit-data-nan", "fit", "data", "data/B_train.csv", _nan_output, {**FIT_B, "selection": SEARCH}),
+]
+
+
 def commands():
     """``(name, argv, config)`` for every command, in run order; a command
     that writes files writes them to ``out/<name>``."""
@@ -141,6 +177,11 @@ def commands():
         yield name, ["benchmark"], {**cfg, "out": f"out/{name}"}
     for name, command, cfg in BAD_INPUTS:
         yield name, [command], cfg
+    for name, command, key, source, edit, cfg in BAD_FILES:
+        path = Path("broken") / f"{name}{Path(source).suffix}"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(edit(Path(source).read_text()))
+        yield name, [command], {**cfg, key: str(path), "out": f"out/{name}"}
 
 
 def sha256(data: bytes) -> str:
