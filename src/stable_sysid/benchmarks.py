@@ -176,6 +176,8 @@ class Dataset:
 
 def _simulate_ab(u, y0, y1, length, output_fn):
     u = _config_array(u, "u", 1, finite=False)
+    if np.isinf(u).any():  # a nan sample makes nan outputs; inf has no sine
+        raise InputError("u contains an infinite value")
     length = _config_int(length, "length", 2)
     if u.shape[0] < length - 1:
         raise InputError(f"need at least {length - 1} input samples, got {u.shape[0]}")

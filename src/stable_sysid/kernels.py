@@ -97,7 +97,6 @@ __all__ = [
     "squared_kernel_metric",
     "metric_pairs",
     "gram_matrix",
-    "gram_from_terms",
     "structure_to_config",
     "structure_from_config",
     "kernel_to_config",
@@ -152,6 +151,9 @@ class PairTerms:
     the package.  Every term is computed on first use and kept, so one
     instance serves any number of hyperparameter vectors.  The arrays are
     shared: kernel assembly reads them and never writes to them.
+    With ``B`` the array ``A``, every term is exactly symmetric (numpy runs
+    ``A @ A.T`` as one ``syrk`` and mirrors it, and ``(a - b)^2`` is
+    ``(b - a)^2``), and so is every structure's Gram: none is re-symmetrized.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
@@ -262,10 +264,7 @@ def _stacked(params: list, u: np.ndarray) -> tuple:
 
 
 def _stacked_parameterization(params: list) -> FeasibleParameterization:
-    def to_eta(u):
-        return _stacked(params, np.asarray(u, dtype=float))
-
-    return FeasibleParameterization(sum(p.dim for p in params), to_eta)
+    return FeasibleParameterization(sum(p.dim for p in params), lambda u: _stacked(params, u))
 
 
 def _unit_mass_parameterization() -> FeasibleParameterization:
@@ -886,7 +885,6 @@ class SumKernel(KernelStructure):
         q = len(self.children)
 
         def to_eta(u):
-            u = np.asarray(u, dtype=float)
             weights = tuple(_pos(v) for v in u[:q])
             return weights + _stacked(children, u[q:])
 
@@ -897,7 +895,6 @@ class SumKernel(KernelStructure):
         q = len(self.children)
 
         def to_eta(u):
-            u = np.asarray(u, dtype=float)
             mass = _unit(u[0])
             weights = tuple(mass * _softmax(u[1:1 + q]))
             return weights + _stacked(children, u[1 + q:])
@@ -1078,26 +1075,14 @@ def metric_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
 def gram_matrix(kernel: KernelInstance, points) -> np.ndarray:
     """Symmetric Gram matrix over a nonempty list of points.
 
-    The result is symmetrized exactly; positive semidefiniteness (up to a
-    1e-10 relative spectral tolerance) is enforced where the matrix is
-    factorized, in the solver and cost routines.
+    Exactly symmetric as assembled (see :class:`PairTerms`); positive
+    semidefiniteness (up to a 1e-10 relative spectral tolerance) is enforced
+    where the matrix is factorized, in the solver and cost routines.
     """
     P = _as_rows(points, kernel.input_dim, "points")
     if P.shape[0] < 1:
         raise InputError("gram_matrix needs at least one point")
-    return gram_from_terms(kernel, PairTerms(P, P))
-
-
-def gram_from_terms(kernel: KernelInstance, terms: PairTerms) -> np.ndarray:
-    """Symmetric Gram matrix from the pair terms of a point set with itself.
-
-    The same arithmetic as :func:`gram_matrix`; a caller that keeps
-    ``terms`` across hyperparameters pays for the pair geometry once.
-    """
-    K = kernel.structure.from_terms(kernel.eta, terms)
-    K += K.T
-    K *= 0.5
-    return K
+    return kernel.structure.from_terms(kernel.eta, PairTerms(P, P))
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrs, dtrtri
-from .config import _config_chi, _config_fields, _config_instance
+from .config import _config_chi, _config_eta, _config_fields, _config_instance
 from .errors import InputError, NumericError, StableSysidError
-from .kernels import KernelInstance, KernelStructure, gram_from_terms
+from .kernels import KernelStructure
 from .solver import (
     RegressionData,
+    _alpha_bar,
     _check_beta,
     _effective_alpha,
     _eig_psd,
     _shifted_cholesky,
-    alpha_bar_from_spectrum,
     solve_norm_constrained,
     solve_ridge,
 )
@@ -191,9 +191,14 @@ class SelectionResult:
 # cost functions
 # ---------------------------------------------------------------------------
 
+def _check_structure(structure, data: RegressionData) -> None:
+    # a kernel instance's checks of its structure, once per search or cost
+    _config_instance(structure, KernelStructure, "structure")
+    structure.check_dim(data.regressors.shape[1])
+
+
 def _gram(structure, eta, data: RegressionData) -> np.ndarray:
-    kernel = KernelInstance(structure=structure, eta=tuple(eta), input_dim=data.regressors.shape[1])
-    return gram_from_terms(kernel, data.terms)
+    return structure.from_terms(structure.validate_eta(_config_eta(eta)), data.terms)
 
 
 def _spectrum(structure, eta, data: RegressionData):
@@ -241,6 +246,7 @@ def _gcv(K, beta, data: RegressionData, spectrum) -> float:
 def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Negative log marginal likelihood of the targets under the kernel prior."""
     _check_beta(beta)
+    _check_structure(structure, data)
     lam, yt = _spectrum(structure, eta, data)
     return _eb_from_spectrum(lam, yt, beta, data.size)
 
@@ -248,6 +254,7 @@ def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStru
 def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Generalized cross-validation score of the ridge smoother."""
     _check_beta(beta)
+    _check_structure(structure, data)
     return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
 
 
@@ -255,6 +262,7 @@ def kfold_cost(
     beta: float, eta: tuple, data: RegressionData, structure: KernelStructure, k: int = _KFOLD_K
 ) -> float:
     """Mean squared held-out one-step error over k contiguous blocks."""
+    _check_structure(structure, data)
     return _kfold(beta, eta, data, structure, chi=None, k=k)
 
 
@@ -431,6 +439,7 @@ def select_hyperparameters(
     infeasible or unsupported (structure, target) pair raises before any
     evaluation.
     """
+    _check_structure(structure, data)
     param = feasible_parameterization(structure, config.target)
     dim = 1 + param.dim
     charge_cap = config.target.constrained and config.cap_aware_cost
@@ -459,7 +468,7 @@ def select_hyperparameters(
         if config.method == "eb":
             lam, yt = spectrum(eta)
             if charge_cap:
-                beta = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
+                beta = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
             return _eb_from_spectrum(lam, yt, beta, data.size)
         K = _gram(structure, eta, data)
         factorizations += 1
@@ -468,14 +477,14 @@ def select_hyperparameters(
         smoother = _effective_alpha(K, data.targets, m, config.chi, beta)
         if smoother is None:
             lam, yt = spectrum(eta)
-            alpha = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, config.chi))
+            alpha = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
             return _gcv_from_spectrum(lam, yt, alpha, data.size)
         _, residual_sq, trace = smoother
         return _gcv_score(data.size, residual_sq, trace)
 
     def decode(x):
         beta = config.iota + math.exp(min(float(x[0]), 690.0))
-        return beta, tuple(param.to_eta(np.asarray(x[1:], dtype=float)))
+        return beta, tuple(param.to_eta(x[1:]))
 
     def objective(x):
         try:

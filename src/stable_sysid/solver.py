@@ -27,11 +27,10 @@ scipy's ``_flapack``/``_fblas`` extension files without importing the
 ``scipy.linalg`` package, whose ``__init__`` cost every process about 0.3 s
 and 16 MB of start-up; ``scipy.linalg.lapack`` holds the same objects.
 
-Gram matrices over a :class:`RegressionData` are assembled from its
-``terms``, the regressors' ``eta``-independent pair terms
-(:class:`~stable_sysid.kernels.PairTerms`), built on first use and kept for
-the life of the data, so the hyperparameter search and the final solve
-share one copy.
+Gram matrices over a :class:`RegressionData` are assembled, exactly
+symmetric, from its ``terms`` (:class:`~stable_sysid.kernels.PairTerms`),
+built on first use and kept for the life of the data, so the search and the
+final solve share one copy; the public matrix solves symmetrize their ``K``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
 from .config import _config_array, _config_chi, _config_fields, _config_int, _config_nonnegative, _config_real
 from .errors import InputError, NumericError
-from .kernels import KernelInstance, PairTerms, gram_from_terms
+from .kernels import KernelInstance, PairTerms
 
 __all__ = [
     "RegressionData",
@@ -215,8 +214,8 @@ def _validate_matrix(K, y):
         raise InputError(f"K must be square, got shape {K.shape}")
     if y.shape[0] != K.shape[0]:
         raise InputError(f"y must have length {K.shape[0]}, got shape {y.shape}")
-    # caller-supplied matrices may carry roundoff asymmetry; Gram matrices
-    # are exactly symmetric and skip this step on the search path
+    # a caller's matrix may carry roundoff asymmetry; the package's Grams
+    # are exactly symmetric as assembled and the search never comes here
     return 0.5 * (K + K.T), y
 
 
@@ -318,8 +317,17 @@ def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float
     """Constraint-gap root given eigenvalues and squared rotated targets.
 
     Brackets geometrically, bisects the monotone eigenform, then polishes
-    with Newton steps.
+    with Newton steps.  ``lam`` and ``yt2`` are finite 1-D arrays of one length.
     """
+    m = _check_gap(m, chi)
+    lam, yt2 = _config_array(lam, "lam", 1), _config_array(yt2, "yt2", 1)
+    if lam.shape != yt2.shape:
+        raise InputError(f"lam and yt2 must have one length, got {lam.size} and {yt2.size}")
+    return _alpha_bar(lam, yt2, m, chi)
+
+
+def _alpha_bar(lam, yt2, m, chi) -> float:
+    # alpha_bar_from_spectrum on arrays the package computed
     lam_yt2 = lam * yt2
     g = lambda a: _gamma_from_eigs(lam, yt2, lam_yt2, m, chi, a)
     if g(0.0) <= 0.0:
@@ -360,7 +368,7 @@ def _effective_alpha(K: np.ndarray, y: np.ndarray, m: int, chi: float, beta: flo
     """``(alpha, |(I - H) y|^2, trace(I - H))`` at ``alpha = max(beta,
     alpha_bar)``, with ``H = K (K + alpha I)^{-1}``, for an exactly symmetric
     Gram without its spectrum, or None where this path cannot vouch for it
-    (the caller then takes :func:`alpha_bar_from_spectrum`).
+    (the caller then takes the spectral root, :func:`_alpha_bar`).
 
     A reflector ``I - 2uu'`` maps y onto e1, and a lower ``dsytrd`` reduces
     the reflected Gram to a tridiagonal T and keeps e1, so the gap is
@@ -452,7 +460,7 @@ def find_alpha_bar(K, y, m: int, chi: float) -> float:
     """
     m = _check_gap(m, chi)
     lam, _, yt = _rotated_spectrum(K, y)
-    return alpha_bar_from_spectrum(lam, yt ** 2, m, chi)
+    return _alpha_bar(lam, yt ** 2, m, chi)
 
 
 def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
@@ -464,7 +472,7 @@ def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
     beta = _check_beta(beta)
     m = _check_gap(m, chi)
     lam, Q, yt = _rotated_spectrum(K, y)
-    alpha_bar = alpha_bar_from_spectrum(lam, yt ** 2, m, chi)
+    alpha_bar = _alpha_bar(lam, yt ** 2, m, chi)
     effective = max(alpha_bar, beta)
     c = Q @ (yt / (lam + effective))
     return c, alpha_bar
@@ -477,7 +485,7 @@ def solve_constrained(problem: FitProblem) -> FitReport:
     for constrained problems, ``mu <= chi`` up to root-finding tolerance
     with ``constraint_active`` set when the norm budget binds.
     """
-    K = gram_from_terms(problem.kernel, problem.data.terms)
+    K = problem.kernel.structure.from_terms(problem.kernel.eta, problem.data.terms)
     y = problem.data.targets
     m = problem.data.model_order
     if problem.constrained:

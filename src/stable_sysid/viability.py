@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _config_eta, _config_int, _config_real, _config_rho, _reject_unknown
+from .config import _config_array, _config_eta, _config_int, _config_real, _config_rho, _reject_unknown
 from .errors import InputError
 from .kernels import INF, FeasibleParameterization, KernelInstance, KernelStructure, metric_pairs
 
@@ -332,9 +332,21 @@ def feasible_parameterization(
         with the responsible closed-form rule in the message.
     UnsupportedTargetError
         When no closed-form set is implemented for the combination.
+
+    The returned ``to_eta`` takes a 1-D array of ``dim`` numbers, nan and
+    ±inf too (search iterates), else raises :class:`InputError`.
     """
     if target.kind == "unconstrained":
-        return structure.unconstrained_parameterization()
-    if target.kind == "viable":
-        return structure.theta_parameterization(target.rho)
-    return structure.delta_parameterization(target.rho)
+        param = structure.unconstrained_parameterization()
+    elif target.kind == "viable":
+        param = structure.theta_parameterization(target.rho)
+    else:
+        param = structure.delta_parameterization(target.rho)
+
+    def to_eta(u):
+        u = _config_array(u, "raw coordinates", 1, finite=False)
+        if u.shape[0] != param.dim:
+            raise InputError(f"raw coordinates must have length {param.dim}, got {u.shape[0]}")
+        return param.to_eta(u)
+
+    return FeasibleParameterization(param.dim, to_eta)

@@ -7,8 +7,8 @@ instead); membership and :class:`KernelInstance` read ``eta`` entries by
 one rule; the public functions that take plain numbers raise
 :class:`InputError` for a string, a bool, a non-finite value or one out of
 range; every public entry point that takes an array rejects string, bool
-and complex entries and ragged nesting, and nan and inf where it requires
-finite values; every field that holds an object of a config class rejects
+and complex entries and ragged nesting, and the non-finite values it
+cannot use; every field that holds an object of a config class rejects
 anything else at construction; and the removed H solver step key exits 2
 before any integration.
 """
@@ -51,17 +51,24 @@ from stable_sysid.selection import OptimizerConfig, SelectionConfig, eb_cost, gc
 from stable_sysid.solver import (
     FitProblem,
     RegressionData,
+    alpha_bar_from_spectrum,
     build_regression_data,
     find_alpha_bar,
     gamma_fn,
     solve_norm_constrained,
     solve_ridge,
 )
-from stable_sysid.viability import StabilityTarget, delta_membership, theta_membership
+from stable_sysid.viability import (
+    StabilityTarget,
+    delta_membership,
+    feasible_parameterization,
+    theta_membership,
+)
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
 DATA = build_regression_data(np.sin(np.arange(30.0)), np.cos(np.arange(30.0)), 2)
 KERNEL = KernelInstance(Gaussian(), GAUSS_ETA, 5)
+DISS_MAP = feasible_parameterization(Gaussian(), StabilityTarget.diss())
 SPEC = SyntheticSystemSpec("B", n_train=20, n_valid=20)
 METHOD = MethodSpec("Bb", Gaussian(), StabilityTarget.diss())
 MC = MonteCarloConfig(runs=1, systems=(SPEC,), methods=(METHOD,))
@@ -181,6 +188,12 @@ ARGUMENTS = {
     "generate_dataset-salt-string": lambda: generate_dataset(SPEC, salt=("a",)),
     "generate_dataset-salt-negative": lambda: generate_dataset(SPEC, salt=(-1,)),
     "generate_dataset-salt-true": lambda: generate_dataset(SPEC, salt=(True,)),
+    "alpha_bar_from_spectrum-lengths-differ": lambda: alpha_bar_from_spectrum(np.ones(1), np.ones(2), 2, 0.5),
+    "alpha_bar_from_spectrum-m-zero": lambda: alpha_bar_from_spectrum(np.ones(2), np.ones(2), 0, 0.5),
+    "alpha_bar_from_spectrum-chi-string": lambda: alpha_bar_from_spectrum(np.ones(2), np.ones(2), 2, "0.5"),
+    "to_eta-too-short": lambda: DISS_MAP.to_eta(np.zeros(2)),
+    "to_eta-too-long": lambda: DISS_MAP.to_eta(np.zeros(4)),
+    "to_eta-2d": lambda: DISS_MAP.to_eta(np.zeros((1, 3))),
 }
 
 
@@ -199,8 +212,8 @@ def test_chi_in_the_unit_interval_binds_selection_and_constrained_fit():
 
 
 # every public entry point that takes an array, one row per array argument:
-# (what, call with that argument, a good value, whether nan and inf raise);
-# the other arguments are good
+# (what, call with that argument, a good value, the non-finite values that
+# raise); the other arguments are good
 U, Y = np.sin(np.arange(12.0)), np.cos(np.arange(12.0))
 ROWS = build_regression_data(U, Y, 2).regressors[:4]
 P = np.random.default_rng(0).normal(size=(4, 5))
@@ -211,37 +224,42 @@ MATRIX_SOLVES = [
     ("find_alpha_bar", lambda K, y: find_alpha_bar(K, y, 2, 0.5)),
     ("solve_norm_constrained", lambda K, y: solve_norm_constrained(K, y, 2, 0.5, 0.1)),
 ]
+NAN_INF = ("nan", "inf")
 ARRAYS = [
-    ("Dataset(u)", lambda x: Dataset(x, Y), U, False),
-    ("Dataset(y)", lambda x: Dataset(U, x), Y, False),
-    ("simulate_system_a(u)", lambda x: simulate_system_a(x, 0.1, 0.2, 10), U, False),
-    ("simulate_system_b(u)", lambda x: simulate_system_b(x, 0.1, 0.2, 10), U, False),
-    ("RegressionData(regressors)", lambda x: RegressionData(x, ROWS[:, 0], 2), ROWS, True),
-    ("RegressionData(targets)", lambda x: RegressionData(ROWS, x, 2), ROWS[:, 0], True),
-    ("build_regression_data(u)", lambda x: build_regression_data(x, Y, 2), U, True),
-    ("build_regression_data(y)", lambda x: build_regression_data(U, x, 2), Y, True),
+    ("Dataset(u)", lambda x: Dataset(x, Y), U, ()),
+    ("Dataset(y)", lambda x: Dataset(U, x), Y, ()),
+    ("simulate_system_a(u)", lambda x: simulate_system_a(x, 0.1, 0.2, 10), U, ("inf",)),
+    ("simulate_system_b(u)", lambda x: simulate_system_b(x, 0.1, 0.2, 10), U, ("inf",)),
+    ("RegressionData(regressors)", lambda x: RegressionData(x, ROWS[:, 0], 2), ROWS, NAN_INF),
+    ("RegressionData(targets)", lambda x: RegressionData(ROWS, x, 2), ROWS[:, 0], NAN_INF),
+    ("build_regression_data(u)", lambda x: build_regression_data(x, Y, 2), U, NAN_INF),
+    ("build_regression_data(y)", lambda x: build_regression_data(U, x, 2), Y, NAN_INF),
     *(row for name, f in MATRIX_SOLVES for row in (
-        (f"{name}(K)", lambda x, f=f: f(x, np.ones(3)), np.eye(3), True),
-        (f"{name}(y)", lambda x, f=f: f(np.eye(3), x), np.ones(3), True))),
-    ("eval_kernel(a)", lambda x: eval_kernel(KERNEL, x, P[0]), P[1], True),
-    ("eval_kernel(b)", lambda x: eval_kernel(KERNEL, P[0], x), P[1], True),
-    ("squared_kernel_metric(a)", lambda x: squared_kernel_metric(KERNEL, x, P[0]), P[1], True),
-    ("squared_kernel_metric(b)", lambda x: squared_kernel_metric(KERNEL, P[0], x), P[1], True),
-    *((f"{f.__name__}({arg})", lambda x, f=f, i=i: f(KERNEL, *((x, P), (P, x))[i]), P, True)
+        (f"{name}(K)", lambda x, f=f: f(x, np.ones(3)), np.eye(3), NAN_INF),
+        (f"{name}(y)", lambda x, f=f: f(np.eye(3), x), np.ones(3), NAN_INF))),
+    ("eval_kernel(a)", lambda x: eval_kernel(KERNEL, x, P[0]), P[1], NAN_INF),
+    ("eval_kernel(b)", lambda x: eval_kernel(KERNEL, P[0], x), P[1], NAN_INF),
+    ("squared_kernel_metric(a)", lambda x: squared_kernel_metric(KERNEL, x, P[0]), P[1], NAN_INF),
+    ("squared_kernel_metric(b)", lambda x: squared_kernel_metric(KERNEL, P[0], x), P[1], NAN_INF),
+    *((f"{f.__name__}({arg})", lambda x, f=f, i=i: f(KERNEL, *((x, P), (P, x))[i]), P, NAN_INF)
       for f in (eval_pairs, eval_matrix, metric_pairs) for i, arg in enumerate("AB")),
-    ("gram_matrix(points)", lambda x: gram_matrix(KERNEL, x), P, True),
-    ("PredictorModel(centers)", lambda x: replace(MODEL, centers=x), ROWS, True),
-    ("PredictorModel(coefficients)", lambda x: replace(MODEL, coefficients=x), np.full(4, 0.01), True),
-    ("evaluate_f(z)", lambda x: evaluate_f(MODEL, x), P[0], True),
-    ("one_step_predict(u)", lambda x: one_step_predict(MODEL, x, Y), U, True),
-    ("one_step_predict(y)", lambda x: one_step_predict(MODEL, U, x), Y, True),
-    ("simulate(u)", lambda x: simulate(MODEL, x, Y[:2]), U, True),
-    ("simulate(y_seed)", lambda x: simulate(MODEL, U, x), Y[:2], True),
-    ("run_model(u)", lambda x: run_model(MODEL, x, Y), U, True),
-    ("run_model(y)", lambda x: run_model(MODEL, U, x), Y, True),
-    ("metrics(y_true)", lambda x: metrics(x, Y, Y, 2), Y, False),
-    ("metrics(predicted)", lambda x: metrics(Y, x, Y, 2), Y, False),
-    ("metrics(simulated)", lambda x: metrics(Y, Y, x, 2), Y, False),
+    ("gram_matrix(points)", lambda x: gram_matrix(KERNEL, x), P, NAN_INF),
+    ("PredictorModel(centers)", lambda x: replace(MODEL, centers=x), ROWS, NAN_INF),
+    ("PredictorModel(coefficients)", lambda x: replace(MODEL, coefficients=x), np.full(4, 0.01), NAN_INF),
+    ("evaluate_f(z)", lambda x: evaluate_f(MODEL, x), P[0], NAN_INF),
+    ("one_step_predict(u)", lambda x: one_step_predict(MODEL, x, Y), U, NAN_INF),
+    ("one_step_predict(y)", lambda x: one_step_predict(MODEL, U, x), Y, NAN_INF),
+    ("simulate(u)", lambda x: simulate(MODEL, x, Y[:2]), U, NAN_INF),
+    ("simulate(y_seed)", lambda x: simulate(MODEL, U, x), Y[:2], NAN_INF),
+    ("run_model(u)", lambda x: run_model(MODEL, x, Y), U, NAN_INF),
+    ("run_model(y)", lambda x: run_model(MODEL, U, x), Y, NAN_INF),
+    ("metrics(y_true)", lambda x: metrics(x, Y, Y, 2), Y, ()),
+    ("metrics(predicted)", lambda x: metrics(Y, x, Y, 2), Y, ()),
+    ("metrics(simulated)", lambda x: metrics(Y, Y, x, 2), Y, ()),
+    ("alpha_bar_from_spectrum(lam)", lambda x: alpha_bar_from_spectrum(x, np.ones(3), 2, 0.5), np.ones(3), NAN_INF),
+    ("alpha_bar_from_spectrum(yt2)", lambda x: alpha_bar_from_spectrum(np.ones(3), x, 2, 0.5), np.ones(3), NAN_INF),
+    # the search's iterates may hold nan or inf; the map takes them
+    ("to_eta(u)", DISS_MAP.to_eta, np.zeros(3), ()),
 ]
 
 
@@ -267,12 +285,12 @@ def _bad_array(good, variant):
     return np.array(_with_entry(good, {"nan": math.nan, "inf": math.inf}[variant]))
 
 
-# each entry point against each variant it rejects; where nan passes at the
-# parent, a nan case pins that it still passes
+# each entry point against each variant it rejects; where nan passes, a nan
+# case pins that it still passes
 ARRAY_CASES = [
-    pytest.param(call, good, variant, finite or variant != "nan", id=f"{what}-{variant}")
-    for what, call, good, finite in ARRAYS
-    for variant in ("string", "ragged", "bool", "complex", "nan", *(("inf",) if finite else ()))
+    pytest.param(call, good, variant, variant != "nan" or variant in nonfinite, id=f"{what}-{variant}")
+    for what, call, good, nonfinite in ARRAYS
+    for variant in ("string", "ragged", "bool", "complex", "nan", *(("inf",) if "inf" in nonfinite else ()))
 ]
 
 

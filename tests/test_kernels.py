@@ -27,7 +27,6 @@ from stable_sysid.kernels import (
     PairTerms,
     _RowTerms,
     _sq_dist_matrix,
-    gram_from_terms,
     metric_pairs,
     structure_from_config,
     structure_to_config,
@@ -196,10 +195,11 @@ class TestPairTerms:
     def test_gram_bit_equal_to_reference(self, structure, eta):
         P = np.random.default_rng(4).normal(scale=1.5, size=(9, 5))
         K = reference_cross(structure, eta, P, P)
+        # the symmetrized reference: the Gram as assembled equals it bit for bit
         expected = 0.5 * (K + K.T)
         kernel = KernelInstance(structure, eta, 5)
         assert np.array_equal(gram_matrix(kernel, P), expected)
-        assert np.array_equal(gram_from_terms(kernel, PairTerms(P, P)), expected)
+        assert np.array_equal(structure.from_terms(kernel.eta, PairTerms(P, P)), expected)
 
     @pytest.mark.parametrize("structure,eta", pair_term_cases())
     def test_shared_terms_serve_many_eta_unchanged(self, structure, eta):
@@ -208,7 +208,7 @@ class TestPairTerms:
         first = KernelInstance(structure, eta, 5)
         scaled = KernelInstance(structure, tuple(1.5 * v for v in eta), 5)
         for kernel in (first, scaled, first):
-            assert np.array_equal(gram_from_terms(kernel, terms), gram_matrix(kernel, P))
+            assert np.array_equal(structure.from_terms(kernel.eta, terms), gram_matrix(kernel, P))
         # assembly never writes into the cached terms
         fresh = PairTerms(P, P)
         for name in ("inner", "sq", "dist"):
@@ -424,13 +424,17 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("structure,eta", all_structures())
     def test_psd_random_point_sets(self, structure, eta):
+        # no pass symmetrizes a Gram: the pair terms of a point set with
+        # itself, and so every structure's from_terms on them, are exactly
+        # symmetric at every size (300 rows span two row blocks) and scale
         k = KernelInstance(structure, eta, 5)
         rng = np.random.default_rng(17)
-        for n in (2, 7, 20):
-            K = gram_matrix(k, rng.normal(scale=2.0, size=(n, 5)))
-            lam = np.linalg.eigvalsh(K)
-            assert lam[0] >= -1e-10 * max(np.max(np.abs(lam)), 1e-12)
-            assert np.array_equal(K, K.T)
+        for n in (2, 7, 20, 300):
+            for scale in (1e-3, 2.0, 1e3):
+                K = gram_matrix(k, rng.normal(scale=scale, size=(n, 5)))
+                lam = np.linalg.eigvalsh(K)
+                assert lam[0] >= -1e-10 * max(np.max(np.abs(lam)), 1e-12), (n, scale)
+                assert np.array_equal(K, K.T), (n, scale)
 
     def test_pairs_row_mismatch_rejected(self):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)

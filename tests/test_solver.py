@@ -20,7 +20,6 @@ from stable_sysid import (
     solve_norm_constrained,
     solve_ridge,
 )
-from stable_sysid.kernels import gram_from_terms
 from stable_sysid.solver import _effective_alpha, alpha_bar_from_spectrum
 
 from oracles import (
@@ -269,7 +268,7 @@ class TestEffectiveAlpha:
         rng = np.random.default_rng(3)
         data = build_regression_data(rng.normal(size=n), rng.normal(size=n), 2)
         kernel = KernelInstance(structure, structure.suggest_eta(STATS), 5)
-        return gram_from_terms(kernel, data.terms), data.targets
+        return structure.from_terms(kernel.eta, data.terms), data.targets
 
     @pytest.mark.parametrize("structure", STRUCTURES, ids=structure_id)
     def test_agrees_with_the_spectral_root(self, structure):

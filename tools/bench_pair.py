@@ -18,13 +18,16 @@ package looks it up (``solver.dsytrd``, ``solver.dpotrf``,
 ``selection.dtrtri``), and fails if a routine the workload calls was never
 counted; on mc-ab it also times the thread-pool check round (a wall time,
 not a metric).  The machine facts
-are those of the parent's first run record.
+are those of the parent's first run record, plus ``PYTHONDONTWRITEBYTECODE``
+as this script's runs inherit it: where it is set, every run compiles the
+package source afresh, which ``setup_s`` includes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -132,6 +135,7 @@ def main(argv=None) -> int:
         if "machine" not in report:
             env = runs["parent"][0]["environment"]
             report["machine"] = {key: env.get(key) for key in MACHINE_KEYS}
+            report["machine"]["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
         summary = {side: side_summary(runs[side], run_probe(root, workload))
                    for side, root in sides.items()}
         summary["change_over_parent"] = {
