@@ -25,21 +25,17 @@ from .kernels import (
     Polynomial,
     ProductWithStationary,
     SumKernel,
-    eval_kernel,
     eval_matrix,
     eval_pairs,
     gaussian_delta_boundary,
     gram_matrix,
-    squared_kernel_metric,
 )
 from .viability import (
     StabilityTarget,
     ViabilityWitness,
-    delta_membership,
     feasible_parameterization,
     membership,
     numeric_falsifier,
-    theta_membership,
 )
 from .solver import (
     FitProblem,

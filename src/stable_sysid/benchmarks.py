@@ -174,10 +174,18 @@ class Dataset:
 # difference-equation systems
 # ---------------------------------------------------------------------------
 
+# the largest magnitude of an input sample or start value at which the four
+# squares of a regressor sum to a finite norm; every output stays below it
+_AB_MAGNITUDE = math.sqrt(np.finfo(float).max) / 2.0
+
+
 def _simulate_ab(u, y0, y1, length, output_fn):
     u = _config_array(u, "u", 1, finite=False)
-    if np.isinf(u).any():  # a nan sample makes nan outputs; inf has no sine
-        raise InputError("u contains an infinite value")
+    y0, y1 = _config_real(y0, "y0"), _config_real(y1, "y1")
+    # a nan sample makes nan outputs; an infinite norm has no sine
+    for what, values in (("u", u), ("y0", y0), ("y1", y1)):
+        if np.any(np.abs(values) > _AB_MAGNITUDE):
+            raise InputError(f"{what} must lie within +-{_AB_MAGNITUDE:.4g}, where the regressor norm is finite")
     length = _config_int(length, "length", 2)
     if u.shape[0] < length - 1:
         raise InputError(f"need at least {length - 1} input samples, got {u.shape[0]}")

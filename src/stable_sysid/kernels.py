@@ -91,10 +91,8 @@ __all__ = [
     "PairTerms",
     "FeasibleParameterization",
     "gaussian_delta_boundary",
-    "eval_kernel",
     "eval_pairs",
     "eval_matrix",
-    "squared_kernel_metric",
     "metric_pairs",
     "gram_matrix",
     "structure_to_config",
@@ -1021,15 +1019,6 @@ def _as_rows(x, input_dim: int, what: str) -> np.ndarray:
     return arr
 
 
-def eval_kernel(kernel: KernelInstance, a, b) -> float:
-    """Evaluate ``k_eta(a, b)`` for two vectors of dimension ``input_dim``."""
-    A = _as_rows(a, kernel.input_dim, "a")
-    B = _as_rows(b, kernel.input_dim, "b")
-    if A.shape[0] != 1 or B.shape[0] != 1:
-        raise InputError("eval_kernel takes single vectors; use eval_pairs/eval_matrix for batches")
-    return float(kernel.structure.from_terms(kernel.eta, _RowTerms(A, B))[0])
-
-
 def eval_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
     """Rowwise evaluation ``k_eta(A[i], B[i])``: the structure's
     ``from_terms`` on row-paired terms, the formula that also builds
@@ -1047,15 +1036,6 @@ def eval_matrix(kernel: KernelInstance, A, B) -> np.ndarray:
     A = _as_rows(A, kernel.input_dim, "A")
     B = _as_rows(B, kernel.input_dim, "B")
     return kernel.structure.cross_matrix(kernel.eta, A, B)
-
-
-def squared_kernel_metric(kernel: KernelInstance, a, b) -> float:
-    """Squared kernel metric ``h(a, b) = k(a, a) - 2 k(a, b) + k(b, b)``,
-    the squared distance between the canonical feature images of a and b."""
-    h = metric_pairs(kernel, a, b)
-    if h.shape != (1,):
-        raise InputError("squared_kernel_metric takes single vectors; use metric_pairs for batches")
-    return float(h[0])
 
 
 def metric_pairs(kernel: KernelInstance, A, B) -> np.ndarray:

@@ -81,9 +81,10 @@ from .solver import (
     _check_beta,
     _effective_alpha,
     _eig_psd,
+    _finite_gram,
+    _norm_constrained,
+    _ridge,
     _shifted_cholesky,
-    solve_norm_constrained,
-    solve_ridge,
 )
 from .viability import (
     FeasibleParameterization,
@@ -268,11 +269,11 @@ def kfold_cost(
 
 def _kfold(beta, eta, data, structure, chi, k=_KFOLD_K) -> float:
     # chi switches the per-fold solve to the norm-capped one
-    _check_beta(beta)
+    beta = _check_beta(beta)
     n = data.size
     if not 2 <= k <= n:
         raise InputError(f"kfold needs 2 <= k <= {n}, got {k}")
-    K = _gram(structure, eta, data)
+    K = _finite_gram(_gram(structure, eta, data))
     bounds = np.linspace(0, n, k + 1, dtype=int)
     total, count = 0.0, 0
     for i in range(k):
@@ -282,9 +283,9 @@ def _kfold(beta, eta, data, structure, chi, k=_KFOLD_K) -> float:
         kept = np.setdiff1d(np.arange(n), held)
         K_kept, y_kept = K[np.ix_(kept, kept)], data.targets[kept]
         if chi is None:
-            c = solve_ridge(K_kept, y_kept, beta)
+            c = _ridge(K_kept, y_kept, beta)
         else:
-            c, _ = solve_norm_constrained(K_kept, y_kept, data.model_order, chi, beta)
+            c, _ = _norm_constrained(K_kept, y_kept, data.model_order, chi, beta)
         pred = K[np.ix_(held, kept)] @ c
         total += float(np.sum((data.targets[held] - pred) ** 2))
         count += held.size

@@ -12,10 +12,11 @@ otherwise.  This satisfies the KKT conditions of the finite-dimensional
 problem with multiplier ``(max(alpha_bar, beta) - beta) / m``, so it is a
 global optimum of the convex program.
 
-The constrained solve and the public root evaluate every alpha-dependent
-quantity through one symmetric eigendecomposition of K per problem;
-eigenvalues within ``-1e-10 |K|`` of zero are clamped to zero, anything
-lower raises :class:`NumericError`.  The plain ridge solve and the search's
+The constrained solve, ``gamma_fn`` and ``find_alpha_bar`` evaluate every
+alpha-dependent quantity through one symmetric eigendecomposition of K per
+problem, and every spectral root is :func:`_alpha_bar`; eigenvalues within
+``-1e-10 |K|`` of zero are clamped to zero, anything lower raises
+:class:`NumericError`.  The plain ridge solve and the search's
 plain GCV factor ``K + beta I`` by Cholesky.  The cap-aware GCV takes its
 root and the smoother's residual and trace from one tridiagonal reduction
 of K.  Each falls back to the spectrum where LAPACK rejects it; EB follows
@@ -30,7 +31,9 @@ and 16 MB of start-up; ``scipy.linalg.lapack`` holds the same objects.
 Gram matrices over a :class:`RegressionData` are assembled, exactly
 symmetric, from its ``terms`` (:class:`~stable_sysid.kernels.PairTerms`),
 built on first use and kept for the life of the data, so the search and the
-final solve share one copy; the public matrix solves symmetrize their ``K``.
+final solve share one copy.  Each public matrix solve checks and symmetrizes
+a caller's ``K`` and then runs a private body (``_ridge``,
+``_norm_constrained``), which the package's own Grams enter directly.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "build_regression_data",
     "solve_ridge",
     "gamma_fn",
-    "alpha_bar_from_spectrum",
     "find_alpha_bar",
     "solve_norm_constrained",
     "solve_constrained",
@@ -215,8 +217,16 @@ def _validate_matrix(K, y):
     if y.shape[0] != K.shape[0]:
         raise InputError(f"y must have length {K.shape[0]}, got shape {y.shape}")
     # a caller's matrix may carry roundoff asymmetry; the package's Grams
-    # are exactly symmetric as assembled and the search never comes here
+    # are exactly symmetric as assembled and never come here
     return 0.5 * (K + K.T), y
+
+
+def _finite_gram(K: np.ndarray) -> np.ndarray:
+    # a package Gram passes no boundary rule, yet finite data and eta can
+    # overflow an entry: raise rather than return nan coefficients
+    if not np.all(np.isfinite(K)):
+        raise NumericError("the Gram is not finite")
+    return K
 
 
 def _eig_psd(K: np.ndarray):
@@ -289,7 +299,11 @@ def solve_ridge(K, y, beta: float) -> np.ndarray:
     machine precision even when beta is tiny relative to the spectrum.
     """
     K, y = _validate_matrix(K, y)
-    beta = _check_beta(beta)
+    return _ridge(K, y, _check_beta(beta))
+
+
+def _ridge(K, y, beta) -> np.ndarray:
+    # solve_ridge on a Gram the package assembled (exactly symmetric, finite)
     A, L = _shifted_cholesky(K, beta)
     if L is None:
         lam, Q = _eig_psd(K)
@@ -313,21 +327,9 @@ def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
     return _gamma_from_eigs(lam, yt2, lam * yt2, m, chi, alpha)
 
 
-def alpha_bar_from_spectrum(lam: np.ndarray, yt2: np.ndarray, m: int, chi: float) -> float:
-    """Constraint-gap root given eigenvalues and squared rotated targets.
-
-    Brackets geometrically, bisects the monotone eigenform, then polishes
-    with Newton steps.  ``lam`` and ``yt2`` are finite 1-D arrays of one length.
-    """
-    m = _check_gap(m, chi)
-    lam, yt2 = _config_array(lam, "lam", 1), _config_array(yt2, "yt2", 1)
-    if lam.shape != yt2.shape:
-        raise InputError(f"lam and yt2 must have one length, got {lam.size} and {yt2.size}")
-    return _alpha_bar(lam, yt2, m, chi)
-
-
 def _alpha_bar(lam, yt2, m, chi) -> float:
-    # alpha_bar_from_spectrum on arrays the package computed
+    # the spectral root of every solve and search, on arrays the package
+    # computed: bracket geometrically, bisect, then polish by Newton steps
     lam_yt2 = lam * yt2
     g = lambda a: _gamma_from_eigs(lam, yt2, lam_yt2, m, chi, a)
     if g(0.0) <= 0.0:
@@ -471,7 +473,14 @@ def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
     """
     beta = _check_beta(beta)
     m = _check_gap(m, chi)
-    lam, Q, yt = _rotated_spectrum(K, y)
+    K, y = _validate_matrix(K, y)
+    return _norm_constrained(K, y, m, chi, beta)
+
+
+def _norm_constrained(K, y, m, chi, beta):
+    # solve_norm_constrained on a Gram the package assembled
+    lam, Q = _eig_psd(K)
+    yt = Q.T @ y
     alpha_bar = _alpha_bar(lam, yt ** 2, m, chi)
     effective = max(alpha_bar, beta)
     c = Q @ (yt / (lam + effective))
@@ -485,13 +494,13 @@ def solve_constrained(problem: FitProblem) -> FitReport:
     for constrained problems, ``mu <= chi`` up to root-finding tolerance
     with ``constraint_active`` set when the norm budget binds.
     """
-    K = problem.kernel.structure.from_terms(problem.kernel.eta, problem.data.terms)
+    K = _finite_gram(problem.kernel.structure.from_terms(problem.kernel.eta, problem.data.terms))
     y = problem.data.targets
     m = problem.data.model_order
     if problem.constrained:
-        c, alpha_bar = solve_norm_constrained(K, y, m, problem.chi, problem.beta)
+        c, alpha_bar = _norm_constrained(K, y, m, problem.chi, problem.beta)
     else:
-        c, alpha_bar = solve_ridge(K, y, problem.beta), 0.0
+        c, alpha_bar = _ridge(K, y, problem.beta), 0.0
     return FitReport(
         coefficients=c,
         beta=problem.beta,

@@ -20,8 +20,8 @@ module validates its inputs and dispatches to them.  For composite kernels
 (sum, product-with-stationary) and for stationary kernels at finite
 ``rho`` in the incremental family where only a sufficient inclusion is
 known, a ``True`` answer means *provably viable* and ``False`` means *not
-provably viable by the implemented inclusion*; this one-sidedness is noted
-per membership function below.
+provably viable by the implemented inclusion*; ``membership`` notes which
+answers are one-sided.
 
 ``numeric_falsifier`` samples the defining conditions directly: a returned
 witness disproves membership, while absence of a witness is evidence only.
@@ -47,8 +47,6 @@ from .kernels import INF, FeasibleParameterization, KernelInstance, KernelStruct
 __all__ = [
     "StabilityTarget",
     "ViabilityWitness",
-    "theta_membership",
-    "delta_membership",
     "membership",
     "numeric_falsifier",
     "FeasibleParameterization",
@@ -119,45 +117,44 @@ class StabilityTarget:
         return f"{cfg['kind']}(rho={cfg['rho']})" if "rho" in cfg else cfg["kind"]
 
     def to_config(self) -> dict:
-        if self.kind == "unconstrained":
-            return {"kind": "none"}
-        if self.kind == "viable":
-            if self.rho == 0:
-                return {"kind": "iss"}
-            if self.rho == INF:
-                return {"kind": "bibs"}
-            return {"kind": "viable", "rho": self.rho}
-        if self.rho == 0:
-            return {"kind": "diss"}
-        if self.rho == INF:
-            return {"kind": "dbibs"}
-        return {"kind": "dviable", "rho": self.rho}
+        if (self.kind, self.rho) in _CONFIG_NAMES:
+            return {"kind": _CONFIG_NAMES[self.kind, self.rho]}
+        return {"kind": _CONFIG_NAMES[self.kind, "rho"], "rho": self.rho}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "StabilityTarget":
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise InputError(f"stability target config must be a dict with 'kind', got {cfg!r}")
         kind = cfg["kind"]
-        simple = {
-            "none": cls.unconstrained,
-            "bibs": cls.bibs,
-            "iss": cls.iss,
-            "dbibs": cls.dbibs,
-            "diss": cls.diss,
-        }
-        if kind in simple:
+        if not isinstance(kind, str) or kind not in _CONFIG_KINDS:
+            raise InputError(f"unknown stability target kind {kind!r}")
+        target_kind, rho = _CONFIG_KINDS[kind]
+        if rho != "rho":
             _reject_unknown(cfg, {"kind"}, f"target kind {kind!r}")
-            return simple[kind]()
-        if kind in ("viable", "dviable"):
-            _reject_unknown(cfg, {"kind", "rho"}, f"target kind {kind!r}")
-            if "rho" not in cfg:
-                raise InputError(f"target kind {kind!r} needs a 'rho' value")
-            try:
-                rho = _config_real(cfg["rho"], "'rho'")
-            except InputError as exc:
-                raise InputError(f"{exc} (use bibs/dbibs for rho=inf)") from None
-            return cls.viable(rho) if kind == "viable" else cls.delta_viable(rho)
-        raise InputError(f"unknown stability target kind {kind!r}")
+            return cls(target_kind, rho)
+        _reject_unknown(cfg, {"kind", "rho"}, f"target kind {kind!r}")
+        if "rho" not in cfg:
+            raise InputError(f"target kind {kind!r} needs a 'rho' value")
+        try:
+            rho = _config_real(cfg["rho"], "'rho'")
+        except InputError as exc:
+            raise InputError(f"{exc} (use bibs/dbibs for rho=inf)") from None
+        return cls(target_kind, rho)
+
+
+# each config kind of a target: the target's kind and its rho, or "rho"
+# where the config gives rho; a target with a kind's fixed rho is written
+# with that kind's name
+_CONFIG_KINDS = {
+    "none": ("unconstrained", None),
+    "iss": ("viable", 0.0),
+    "bibs": ("viable", INF),
+    "viable": ("viable", "rho"),
+    "diss": ("delta_viable", 0.0),
+    "dbibs": ("delta_viable", INF),
+    "dviable": ("delta_viable", "rho"),
+}
+_CONFIG_NAMES = {target: name for name, target in _CONFIG_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -182,42 +179,23 @@ class ViabilityWitness:
 # closed-form membership
 # ---------------------------------------------------------------------------
 
-def _closed_form(rule, structure: KernelStructure, eta: tuple, rho) -> bool:
-    """``rule`` (a structure's member method) at a checked rho and validated eta."""
-    rho = _config_rho(rho, "membership")
-    return rule(structure.validate_eta(_config_eta(eta)), rho)
-
-
-def theta_membership(structure: KernelStructure, eta: tuple, rho) -> bool:
-    """Closed-form membership of ``eta`` in the growth viability set at ``rho``.
-
-    For sum and product-with-stationary structures, and for the
-    feature-times-Gaussian kernel, the implemented set is the known
-    sufficient inclusion: ``True`` is a guarantee, ``False`` means not
-    provably viable this way.
-    """
-    return _closed_form(structure.theta_member, structure, eta, rho)
-
-
-def delta_membership(structure: KernelStructure, eta: tuple, rho) -> bool:
-    """Closed-form membership of ``eta`` in the incremental viability set.
-
-    Exact for linear_affine, polynomial, and gaussian (any rho).  For
-    matern32 and narx_fading at finite rho > 0 membership combines the
-    exact rho = 0 set with the general stationary bound (four times the
-    zero-lag value below rho); both branches are sufficient only.
-    """
-    return _closed_form(structure.delta_member, structure, eta, rho)
-
-
 def membership(structure: KernelStructure, eta: tuple, target: StabilityTarget) -> bool:
-    """Dispatch to the closed form matching ``target``; unconstrained is always True."""
+    """Closed-form membership of ``eta`` in ``target``'s viability set;
+    every valid ``eta`` is a member of the unconstrained target.
+
+    One-sided answers, where ``False`` means only not provably viable: the
+    growth sets of sum, product-with-stationary and feature_gaussian
+    structures are known sufficient inclusions; the incremental sets of
+    matern32 and narx_fading at finite rho > 0 combine the exact rho = 0
+    set with the general stationary bound (four times the zero-lag value
+    below rho).  The incremental sets of linear_affine, polynomial and
+    gaussian are exact at any rho.
+    """
+    eta = structure.validate_eta(_config_eta(eta))
     if target.kind == "unconstrained":
-        structure.validate_eta(_config_eta(eta))
         return True
-    if target.kind == "viable":
-        return theta_membership(structure, eta, target.rho)
-    return delta_membership(structure, eta, target.rho)
+    rule = structure.theta_member if target.kind == "viable" else structure.delta_member
+    return rule(eta, target.rho)
 
 
 # ---------------------------------------------------------------------------

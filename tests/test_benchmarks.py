@@ -74,6 +74,18 @@ class TestSystemsAB:
             yb = simulate_system_b(u, y0, y1, 120)
             assert np.all(yb[2:] >= 0.0) and np.all(yb[2:] <= 0.2)
 
+    def test_largest_magnitude_runs_and_a_larger_one_is_named(self):
+        # at the bound the four squares of a regressor sum to a finite norm
+        # (a RuntimeWarning fails the test); past it the argument is named
+        bound = benchmarks._AB_MAGNITUDE
+        above = np.nextafter(bound, math.inf)
+        for sim in (simulate_system_a, simulate_system_b):
+            assert np.all(np.isfinite(sim(np.full(12, -bound), bound, -bound, 12)))
+            for what, args in [("u", (np.full(12, above), 0.0, 0.0)), ("y0", (np.zeros(12), above, 0.0)),
+                               ("y1", (np.zeros(12), 0.0, -above))]:
+                with pytest.raises(InputError, match=f"^{what} must lie within"):
+                    sim(*args, 12)
+
 
 class TestHodgkinHuxleyGate:
     def test_rate_singularity_handled(self):

@@ -16,11 +16,9 @@ from stable_sysid import (
     Polynomial,
     ProductWithStationary,
     SumKernel,
-    eval_kernel,
     eval_matrix,
     eval_pairs,
     gram_matrix,
-    squared_kernel_metric,
 )
 from stable_sysid.kernels import (
     ROW_BLOCK,
@@ -50,18 +48,18 @@ class TestEval:
     def test_gaussian_diagonal_is_tau_plus_sigma(self):
         k = KernelInstance(Gaussian(), (2.0, 1.0, 0.5), 5)
         a = np.array([0.3, -1.2, 4.0, 0.0, 2.2])
-        assert eval_kernel(k, a, a) == pytest.approx(2.5, abs=0)
+        assert eval_pairs(k, a, a)[0] == pytest.approx(2.5, abs=0)
 
     def test_linear_affine_orthogonal_zero_offset(self):
         k = KernelInstance(LinearAffine(), (1.0, 0.0), 5)
         a = np.array([1.0, 0, 0, 0, 0])
         b = np.array([0.0, 1, 0, 0, 0])
-        assert eval_kernel(k, a, b) == 0.0
+        assert eval_pairs(k, a, b)[0] == 0.0
 
     def test_matern_value_at_unit_distance(self):
         k = KernelInstance(Matern32(), (1.0, 1.0, 0.0), 5)
         a, b = unit_apart()
-        assert eval_kernel(k, a, b) == pytest.approx(MATERN_AT_UNIT_DISTANCE, rel=1e-14)
+        assert eval_pairs(k, a, b)[0] == pytest.approx(MATERN_AT_UNIT_DISTANCE, rel=1e-14)
 
     def test_narx_fading_matches_hand_expansion(self):
         # m=2, p=1: windows (z1,z3), (z2,z4) of the difference, weights 1, e^-xi
@@ -74,14 +72,14 @@ class TestEval:
             math.exp(-gamma * (z[0] ** 2 + z[2] ** 2))
             + math.exp(-xi - gamma * (z[1] ** 2 + z[3] ** 2))
         )
-        assert eval_kernel(k, a, b) == pytest.approx(expected, rel=1e-14)
+        assert eval_pairs(k, a, b)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
         with pytest.raises(InputError):
-            eval_kernel(k, np.zeros(4), np.zeros(4))
+            eval_pairs(k, np.zeros(4), np.zeros(4))
         with pytest.raises(InputError):
-            eval_kernel(k, np.zeros(5), np.zeros(4))
+            eval_pairs(k, np.zeros(5), np.zeros(4))
 
     @pytest.mark.parametrize("structure,eta", all_structures())
     def test_symmetry_on_random_pairs(self, structure, eta):
@@ -90,8 +88,8 @@ class TestEval:
         for _ in range(1000):
             a = rng.normal(scale=3.0, size=5)
             b = rng.normal(scale=3.0, size=5)
-            v1 = eval_kernel(k, a, b)
-            v2 = eval_kernel(k, b, a)
+            v1 = eval_pairs(k, a, b)[0]
+            v2 = eval_pairs(k, b, a)[0]
             assert abs(v1 - v2) <= 1e-14 * max(1.0, abs(v1))
 
     @pytest.mark.parametrize("structure,eta", all_structures())
@@ -101,8 +99,8 @@ class TestEval:
         for _ in range(300):
             a = rng.normal(scale=2.0, size=5)
             b = rng.normal(scale=2.0, size=5)
-            lhs = abs(eval_kernel(k, a, b))
-            rhs = math.sqrt(eval_kernel(k, a, a) * eval_kernel(k, b, b))
+            lhs = abs(eval_pairs(k, a, b)[0])
+            rhs = math.sqrt(eval_pairs(k, a, a)[0] * eval_pairs(k, b, b)[0])
             assert lhs <= rhs + 1e-12
 
 
@@ -327,7 +325,7 @@ class TestOneFormula:
         A, B = rng.normal(scale=1.5, size=(2, 300, 5))
         kernel = KernelInstance(structure, eta, 5)
         assert np.array_equal(eval_pairs(kernel, A, B), reference_pairs(structure, eta, A, B))
-        assert eval_kernel(kernel, A[0], B[0]) == reference_pairs(structure, eta, A[:1], B[:1])[0]
+        assert eval_pairs(kernel, A[0], B[0])[0] == reference_pairs(structure, eta, A[:1], B[:1])[0]
 
     @pytest.mark.parametrize("structure,eta", pair_term_cases())
     def test_pairs_match_matrix_diagonal(self, structure, eta):
@@ -355,14 +353,14 @@ class TestSquaredKernelMetric:
         k = KernelInstance(structure, eta, 5)
         rng = np.random.default_rng(3)
         a = rng.normal(size=5)
-        assert squared_kernel_metric(k, a, a) == 0.0
+        assert metric_pairs(k, a, a)[0] == 0.0
         A = rng.normal(scale=2.0, size=(500, 5))
         assert np.all(metric_pairs(k, A, A) == 0.0)
 
     def test_gaussian_metric_at_unit_sqdist(self):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
         a, b = unit_apart()
-        assert squared_kernel_metric(k, a, b) == pytest.approx(
+        assert metric_pairs(k, a, b)[0] == pytest.approx(
             GAUSS_METRIC_AT_UNIT_SQDIST, rel=1e-14
         )
 
@@ -371,18 +369,9 @@ class TestSquaredKernelMetric:
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b = rng.normal(size=(2, 5))
-            assert squared_kernel_metric(k, a, b) == pytest.approx(
+            assert metric_pairs(k, a, b)[0] == pytest.approx(
                 float(np.sum((a - b) ** 2)), rel=1e-12
             )
-
-    def test_batches_rejected(self):
-        # as in eval_kernel: a batch goes to metric_pairs, not to its first row
-        k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
-        A = np.random.default_rng(5).normal(size=(2, 5))
-        with pytest.raises(InputError, match="single vectors"):
-            squared_kernel_metric(k, A, A[::-1])
-        with pytest.raises(InputError, match="single vectors"):
-            squared_kernel_metric(k, A[:0], A[:0])
 
     @pytest.mark.parametrize("structure,eta", all_structures())
     def test_matches_eval_composition_and_nonnegative(self, structure, eta):
@@ -390,8 +379,8 @@ class TestSquaredKernelMetric:
         rng = np.random.default_rng(23)
         for _ in range(200):
             a, b = rng.normal(scale=2.0, size=(2, 5))
-            h = squared_kernel_metric(k, a, b)
-            composed = eval_kernel(k, a, a) - 2 * eval_kernel(k, a, b) + eval_kernel(k, b, b)
+            h = metric_pairs(k, a, b)[0]
+            composed = eval_pairs(k, a, a)[0] - 2 * eval_pairs(k, a, b)[0] + eval_pairs(k, b, b)[0]
             assert h == pytest.approx(composed, abs=1e-13)
             assert h >= -1e-12
 

@@ -27,7 +27,8 @@ from stable_sysid import (
     select_hyperparameters,
     solve_constrained,
 )
-from stable_sysid.benchmarks import SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
+from stable_sysid import solver
+from stable_sysid.benchmarks import MethodSpec, SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
 from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
 from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _nelder_mead
@@ -280,7 +281,7 @@ class TestCapAwareCost:
     def test_constrained_cost_interpretation(self):
         """For a constrained target the reported cost is the plain cost at the
         effective regularizer induced by the norm budget."""
-        from stable_sysid.solver import alpha_bar_from_spectrum
+        from stable_sysid.solver import _alpha_bar
         from stable_sysid.selection import _spectrum, _eb_from_spectrum
 
         data = smooth_data(40, seed=9)
@@ -289,7 +290,7 @@ class TestCapAwareCost:
         )
         result = select_hyperparameters(config, data, Gaussian())
         lam, yt = _spectrum(Gaussian(), result.eta, data)
-        beta_eff = max(result.beta, alpha_bar_from_spectrum(lam, yt ** 2, 2, config.chi))
+        beta_eff = max(result.beta, _alpha_bar(lam, yt ** 2, 2, config.chi))
         assert result.cost == pytest.approx(
             _eb_from_spectrum(lam, yt, beta_eff, data.size), rel=1e-12
         )
@@ -412,12 +413,12 @@ class TestCholeskyGcv:
         # the reference replaces the tridiagonal path with the spectral root
         # and the spectral score terms, computed afresh per evaluation
         from stable_sysid import selection
-        from stable_sysid.solver import _eig_psd, alpha_bar_from_spectrum
+        from stable_sysid.solver import _alpha_bar, _eig_psd
 
         def spectral(K, y, m, chi, beta):
             lam, Q = _eig_psd(K)
             yt = Q.T @ y
-            alpha = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, chi))
+            alpha = max(beta, _alpha_bar(lam, yt ** 2, m, chi))
             d = lam + alpha
             return alpha, float(np.sum((alpha * yt / d) ** 2)), float(np.sum(alpha / d))
 
@@ -458,10 +459,10 @@ class TestTridiagonalGcv:
         """The tridiagonal score, the spectral one, and the spectral
         ``max(beta, alpha_bar)``."""
         from stable_sysid.selection import _gcv_from_spectrum, _gcv_score
-        from stable_sysid.solver import _effective_alpha, alpha_bar_from_spectrum
+        from stable_sysid.solver import _alpha_bar, _effective_alpha
 
         yt = Q.T @ y
-        alpha = max(beta, alpha_bar_from_spectrum(lam, yt ** 2, m, chi))
+        alpha = max(beta, _alpha_bar(lam, yt ** 2, m, chi))
         _, residual_sq, trace = _effective_alpha(K, y, m, chi, beta)
         return _gcv_score(y.size, residual_sq, trace), _gcv_from_spectrum(lam, yt, alpha, y.size), alpha
 
@@ -483,10 +484,10 @@ class TestTridiagonalGcv:
 
     @pytest.mark.parametrize("ratio,binds", [(2.0, False), (1e-3, True)])
     def test_slack_and_binding_cap(self, ratio, binds):
-        from stable_sysid.solver import alpha_bar_from_spectrum
+        from stable_sysid.solver import _alpha_bar
 
         lam, Q, K, y = random_spectrum_problem(7, 30)
-        alpha_bar = alpha_bar_from_spectrum(lam, (Q.T @ y) ** 2, 2, 0.5)
+        alpha_bar = _alpha_bar(lam, (Q.T @ y) ** 2, 2, 0.5)
         assert alpha_bar > 0
         value, expected, alpha = self.scores(lam, Q, K, y, 2, 0.5, ratio * alpha_bar)
         assert (alpha > ratio * alpha_bar) is binds
@@ -739,3 +740,51 @@ class TestBudgetFloor:
         with pytest.raises(InputError, match=r"max_evals must be >= restarts; each restart then spends "
                                               r"at most max\(max_evals // restarts, 2 \* dim \+ 2\)"):
             OptimizerConfig(restarts=4, max_evals=3)
+
+
+class TestPackageGrams:
+    """The package's own Grams enter the solve bodies directly: the boundary
+    check of a caller's matrix runs on none of them, and a Gram that
+    overflowed raises NumericError."""
+
+    @pytest.fixture
+    def unchecked(self, monkeypatch):
+        def boundary(K, y):
+            raise AssertionError("a package Gram went through the boundary check")
+
+        monkeypatch.setattr(solver, "_validate_matrix", boundary)
+
+    @pytest.mark.parametrize("target", [StabilityTarget.unconstrained(), StabilityTarget.diss()])
+    def test_fit_method(self, unchecked, target):
+        selection = SelectionConfig(method="gcv", optimizer=tiny_optimizer(max_evals=40), seed=2)
+        _, report, _ = fit_method(smooth_data(40), MethodSpec("x", Gaussian(), target, selection))
+        assert np.all(np.isfinite(report.coefficients))
+
+    @pytest.mark.parametrize("cap_aware_cost", [False, True])
+    def test_kfold_search(self, unchecked, cap_aware_cost):
+        config = SelectionConfig(method="kfold", target=StabilityTarget.diss(), cap_aware_cost=cap_aware_cost,
+                                 optimizer=tiny_optimizer(max_evals=40), seed=1)
+        assert math.isfinite(select_hyperparameters(config, smooth_data(30), Gaussian()).cost)
+
+    def test_same_bits_as_the_public_solves(self):
+        data = smooth_data(40)
+        kernel = KernelInstance(Gaussian(), (1.0, 0.5, 0.1), 5)
+        K = gram_matrix(kernel, data.regressors)
+        for constrained in (False, True):
+            report = solve_constrained(FitProblem(data, kernel, beta=1e-6, chi=0.5, constrained=constrained))
+            if constrained:
+                c, alpha_bar = solver.solve_norm_constrained(K, data.targets, 2, 0.5, 1e-6)
+            else:
+                c, alpha_bar = solver.solve_ridge(K, data.targets, 1e-6), 0.0
+            assert np.array_equal(report.coefficients, c) and report.alpha_bar == alpha_bar
+
+    def test_overflowed_gram_raises_numeric_error(self):
+        # finite data and eta whose inner products overflow
+        data = build_regression_data(np.linspace(1.0, 2.0, 30), np.linspace(0.0, 1e200, 30), 1)
+        kernel = KernelInstance(LinearAffine(), (1e300, 0.0), 3)
+        with np.errstate(over="ignore"):
+            for constrained in (False, True):
+                with pytest.raises(NumericError, match="the Gram is not finite"):
+                    solve_constrained(FitProblem(data, kernel, beta=1.0, constrained=constrained))
+            with pytest.raises(NumericError, match="the Gram is not finite"):
+                kfold_cost(1.0, kernel.eta, data, LinearAffine())

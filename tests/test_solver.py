@@ -20,7 +20,7 @@ from stable_sysid import (
     solve_norm_constrained,
     solve_ridge,
 )
-from stable_sysid.solver import _effective_alpha, alpha_bar_from_spectrum
+from stable_sysid.solver import _alpha_bar, _effective_alpha
 
 from oracles import (
     projected_gradient_min,
@@ -242,7 +242,7 @@ def reference_alpha_bar(lam, yt2, m, chi):
     return alpha
 
 
-class TestAlphaBarFromSpectrum:
+class TestAlphaBar:
     def test_bit_equal_to_unhoisted_reference(self):
         rng = np.random.default_rng(8)
         roots = 0
@@ -251,7 +251,7 @@ class TestAlphaBarFromSpectrum:
             lam[:3] = 0.0
             yt2 = (3.0 * rng.normal(size=25)) ** 2
             for chi in (0.5, 0.99):
-                got = alpha_bar_from_spectrum(lam, yt2, 2, chi)
+                got = _alpha_bar(lam, yt2, 2, chi)
                 assert got == reference_alpha_bar(lam, yt2, 2, chi)
                 roots += got > 0.0
         assert roots > 0
@@ -333,7 +333,7 @@ class TestEffectiveAlpha:
         lam, Q, K, y = random_spectrum_problem(seed, n)
         beta = 10.0 ** log_beta
         z2 = (Q.T @ y) ** 2
-        alpha = max(beta, alpha_bar_from_spectrum(lam, z2, m, chi))
+        alpha = max(beta, _alpha_bar(lam, z2, m, chi))
         value = _effective_alpha(K, y, m, chi, beta)[0]
         if alpha == beta:
             assert value == beta

@@ -20,15 +20,14 @@ from stable_sysid import (
     StabilityTarget,
     SumKernel,
     UnsupportedTargetError,
-    delta_membership,
     feasible_parameterization,
     gaussian_delta_boundary,
     membership,
     numeric_falsifier,
-    theta_membership,
 )
 
 INF = math.inf
+viable, dviable = StabilityTarget.viable, StabilityTarget.delta_viable
 
 
 def gaussian_delta_gap(tau, gamma, zeta):
@@ -52,72 +51,72 @@ def boundary_by_bisection(tau, gamma):
 
 class TestThetaMembership:
     def test_gaussian_sum_below_rho(self):
-        assert theta_membership(Gaussian(), (0.3, 2.0, 0.1), 0.5) is True
-        assert theta_membership(Gaussian(), (0.3, 2.0, 0.3), 0.5) is False
+        assert membership(Gaussian(), (0.3, 2.0, 0.1), viable(0.5)) is True
+        assert membership(Gaussian(), (0.3, 2.0, 0.3), viable(0.5)) is False
 
     def test_polynomial_never_viable(self):
         for rho in (0.0, 1.0, INF):
-            assert theta_membership(Polynomial(degree=3), (), rho) is False
+            assert membership(Polynomial(degree=3), (), viable(rho)) is False
 
     def test_linear_affine_zero_rho(self):
-        assert theta_membership(LinearAffine(), (1.0, 0.0), 0.0) is True
-        assert theta_membership(LinearAffine(), (1.0, 0.1), INF) is False
-        assert theta_membership(LinearAffine(), (0.5, 0.2), 1.0) is True  # 0.2 <= 0.5
-        assert theta_membership(LinearAffine(), (0.5, 0.6), 1.0) is False
-        assert theta_membership(LinearAffine(), (1.5, 0.0), INF) is False
+        assert membership(LinearAffine(), (1.0, 0.0), viable(0.0)) is True
+        assert membership(LinearAffine(), (1.0, 0.1), viable(INF)) is False
+        assert membership(LinearAffine(), (0.5, 0.2), viable(1.0)) is True  # 0.2 <= 0.5
+        assert membership(LinearAffine(), (0.5, 0.6), viable(1.0)) is False
+        assert membership(LinearAffine(), (1.5, 0.0), viable(INF)) is False
 
     def test_narx_supported_rhos_only(self):
         narx = NarxFading(model_order=2, window=1)
-        assert theta_membership(narx, (0.0, 1.0, 0.5), 0.0) is True
-        assert theta_membership(narx, (0.2, 1.0, 0.5), 0.0) is False
-        assert theta_membership(narx, (5.0, 1.0, 0.5), INF) is True
+        assert membership(narx, (0.0, 1.0, 0.5), viable(0.0)) is True
+        assert membership(narx, (0.2, 1.0, 0.5), viable(0.0)) is False
+        assert membership(narx, (5.0, 1.0, 0.5), viable(INF)) is True
         with pytest.raises(UnsupportedTargetError):
-            theta_membership(narx, (0.2, 1.0, 0.5), 1.0)
+            membership(narx, (0.2, 1.0, 0.5), viable(1.0))
 
     def test_feature_gaussian_unit_budget(self):
-        assert theta_membership(FeatureGaussian(), (0.6, 1.0, 0.4), 0.0) is True
-        assert theta_membership(FeatureGaussian(), (0.8, 1.0, 0.4), 0.0) is False
+        assert membership(FeatureGaussian(), (0.6, 1.0, 0.4), viable(0.0)) is True
+        assert membership(FeatureGaussian(), (0.8, 1.0, 0.4), viable(0.0)) is False
 
     def test_sum_needs_children_and_weight_budget(self):
         s = SumKernel(children=(Gaussian(), Gaussian()))
         eta_ok = (0.5, 0.4, 0.2, 1.0, 0.1, 0.3, 1.0, 0.1)  # both children tau+sigma<=1
-        assert theta_membership(s, eta_ok, 1.0) is True
+        assert membership(s, eta_ok, viable(1.0)) is True
         eta_heavy = (0.8, 0.4, 0.2, 1.0, 0.1, 0.3, 1.0, 0.1)  # weights sum 1.2
-        assert theta_membership(s, eta_heavy, 1.0) is False
+        assert membership(s, eta_heavy, viable(1.0)) is False
 
     def test_product_requires_unit_peak_right(self):
         p = ProductWithStationary(left=LinearAffine(), right=Gaussian())
-        assert theta_membership(p, (0.9, 0.0, 0.5, 1.0, 0.4), 0.0) is True
-        assert theta_membership(p, (0.9, 0.0, 0.8, 1.0, 0.4), 0.0) is False  # peak 1.2
+        assert membership(p, (0.9, 0.0, 0.5, 1.0, 0.4), viable(0.0)) is True
+        assert membership(p, (0.9, 0.0, 0.8, 1.0, 0.4), viable(0.0)) is False  # peak 1.2
 
 
 class TestDeltaMembership:
     def test_gaussian_zero_rho(self):
-        assert delta_membership(Gaussian(), (0.5, 1.0, 7.0), 0.0) is True
-        assert delta_membership(Gaussian(), (1.0, 1.0, 0.0), 0.0) is False
+        assert membership(Gaussian(), (0.5, 1.0, 7.0), dviable(0.0)) is True
+        assert membership(Gaussian(), (1.0, 1.0, 0.0), dviable(0.0)) is False
 
     def test_narx_example(self):
         narx = NarxFading(model_order=2, window=1)
         # pi(0, 1) = 2; 2 * 1 * 0.1 * 2 = 0.4 <= 1
-        assert delta_membership(narx, (0.1, 1.0, 0.0), 0.0) is True
-        assert delta_membership(narx, (0.45, 1.0, 0.0), 0.0) is False  # 0.9 * pi(0,1) = 1.8
+        assert membership(narx, (0.1, 1.0, 0.0), dviable(0.0)) is True
+        assert membership(narx, (0.45, 1.0, 0.0), dviable(0.0)) is False  # 0.9 * pi(0,1) = 1.8
         # large forgetting rate shrinks the lag weight sum toward 1
-        assert delta_membership(narx, (0.45, 1.0, 10.0), 0.0) is True
+        assert membership(narx, (0.45, 1.0, 10.0), dviable(0.0)) is True
 
     def test_matern_zero_rho(self):
-        assert delta_membership(Matern32(), (1.0, 0.5, 3.0), 0.0) is True  # 3*1*0.25
-        assert delta_membership(Matern32(), (1.0, 1.0, 0.0), 0.0) is False
+        assert membership(Matern32(), (1.0, 0.5, 3.0), dviable(0.0)) is True  # 3*1*0.25
+        assert membership(Matern32(), (1.0, 1.0, 0.0), dviable(0.0)) is False
 
     def test_linear_affine_rho_independent(self):
         for rho in (0.0, 2.0, INF):
-            assert delta_membership(LinearAffine(), (1.0, 100.0), rho) is True
-            assert delta_membership(LinearAffine(), (1.1, 0.0), rho) is False
+            assert membership(LinearAffine(), (1.0, 100.0), dviable(rho)) is True
+            assert membership(LinearAffine(), (1.1, 0.0), dviable(rho)) is False
 
     def test_gaussian_finite_rho_boundary(self):
         tau, gamma = 2.0, 1.0  # 2 tau gamma = 4 > 1
         v = gaussian_delta_boundary(tau, gamma)
-        assert delta_membership(Gaussian(), (tau, gamma, 0.0), v * (1 + 1e-9)) is True
-        assert delta_membership(Gaussian(), (tau, gamma, 0.0), v * (1 - 1e-9)) is False
+        assert membership(Gaussian(), (tau, gamma, 0.0), dviable(v * (1 + 1e-9))) is True
+        assert membership(Gaussian(), (tau, gamma, 0.0), dviable(v * (1 - 1e-9))) is False
 
     def test_gaussian_boundary_matches_bisection(self):
         rng = np.random.default_rng(0)
@@ -144,22 +143,22 @@ class TestDeltaMembership:
 
     def test_gaussian_finite_rho_underflowing_gamma_rho(self):
         # gamma rho underflows to 0: the cap is 1 / (2 gamma) = 5e299 < tau
-        assert delta_membership(Gaussian(), (1e301, 1e-300, 0.0), 1e-100) is False
+        assert membership(Gaussian(), (1e301, 1e-300, 0.0), dviable(1e-100)) is False
 
     def test_unsupported_structures(self):
         with pytest.raises(UnsupportedTargetError):
-            delta_membership(FeatureGaussian(), (0.5, 1.0, 0.1), 0.0)
+            membership(FeatureGaussian(), (0.5, 1.0, 0.1), dviable(0.0))
         with pytest.raises(UnsupportedTargetError):
-            delta_membership(
+            membership(
                 ProductWithStationary(left=LinearAffine(), right=Gaussian()),
                 (1.0, 0.0, 0.5, 1.0, 0.1),
-                0.0,
+                dviable(0.0),
             )
 
     def test_matern_finite_rho_uses_sufficient_bound(self):
         # 3 tau gamma^2 = 3 > 1, but 4 (tau + sigma) = 4.4 <= 5
-        assert delta_membership(Matern32(), (1.0, 1.0, 0.1), 5.0) is True
-        assert delta_membership(Matern32(), (1.0, 1.0, 0.1), 4.0) is False
+        assert membership(Matern32(), (1.0, 1.0, 0.1), dviable(5.0)) is True
+        assert membership(Matern32(), (1.0, 1.0, 0.1), dviable(4.0)) is False
 
 
 MONOTONE_CASES = [
@@ -176,17 +175,17 @@ class TestInvariants:
     @pytest.mark.parametrize("structure,eta", MONOTONE_CASES)
     def test_membership_monotone_in_rho(self, structure, eta):
         grid = [0.0, 0.5, 1.0, 4.0, INF]
-        for fn in (theta_membership, delta_membership):
+        for target in (viable, dviable):
             values = []
             for rho in grid:
                 try:
-                    values.append(fn(structure, eta, rho))
+                    values.append(membership(structure, eta, target(rho)))
                 except UnsupportedTargetError:
                     values.append(None)
             known = [(r, v) for r, v in zip(grid, values) if v is not None]
             for (r1, v1), (r2, v2) in zip(known, known[1:]):
                 assert not (v1 and not v2), (
-                    f"{fn.__name__} not monotone for {structure.name}: "
+                    f"{target.__name__} membership not monotone for {structure.name}: "
                     f"member at rho={r1} but not at rho={r2}"
                 )
 
@@ -197,12 +196,12 @@ class TestInvariants:
             (NarxFading(model_order=2, window=2), (9.0, 2.0, 0.0)),
         ]
         for structure, eta in cases:
-            assert theta_membership(structure, eta, INF) is True
-            assert delta_membership(structure, eta, INF) is True
+            assert membership(structure, eta, viable(INF)) is True
+            assert membership(structure, eta, dviable(INF)) is True
 
     def test_rho_validation(self):
         with pytest.raises(InputError):
-            theta_membership(Gaussian(), (1.0, 1.0, 0.0), -1.0)
+            membership(Gaussian(), (1.0, 1.0, 0.0), viable(-1.0))
 
 
 class TestStabilityTarget:

@@ -84,10 +84,16 @@ def probe(root: Path, workload: str) -> dict:
     }
 
 
-def run_benchmark(root: Path, workload: str) -> dict:
+def run_benchmark(root: Path, workload: str, side: str) -> dict:
+    """One run's result line and record; a gate failure (exit 1 with a result
+    line) is kept as ``correct: false``, a run without one stops the pairing."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--trace", "0"]
     done = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=1800)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"{workload} run of the {side} ({root}) exited {done.returncode} without a "
+                         f"result line; stderr ends:\n{done.stderr[-3000:]}") from None
     record = json.loads((root / "perfbench" / "out" / f"{workload}-seed{SEED}-trace0.json").read_text())
     return {
         "correct": result["correct"],
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_benchmark(sides[side], workload))
+                runs[side].append(run_benchmark(sides[side], workload, side))
                 print(workload, side, runs[side][-1]["metrics"], flush=True)
         if "machine" not in report:
             env = runs["parent"][0]["environment"]
