@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrs, dtrtri
-from .config import _config_chi, _config_eta, _config_fields, _config_instance
+from .config import _config_chi, _config_eta, _config_fields, _config_instance, _config_int
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelStructure
 from .solver import (
@@ -264,7 +264,7 @@ def kfold_cost(
 ) -> float:
     """Mean squared held-out one-step error over k contiguous blocks."""
     _check_structure(structure, data)
-    return _kfold(beta, eta, data, structure, chi=None, k=k)
+    return _kfold(beta, eta, data, structure, chi=None, k=_config_int(k, "k"))
 
 
 def _kfold(beta, eta, data, structure, chi, k=_KFOLD_K) -> float:

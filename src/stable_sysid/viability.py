@@ -40,7 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _config_array, _config_eta, _config_int, _config_real, _config_rho, _reject_unknown
+from .config import (
+    _config_array,
+    _config_eta,
+    _config_instance,
+    _config_int,
+    _config_real,
+    _config_rho,
+    _reject_unknown,
+)
 from .errors import InputError
 from .kernels import INF, FeasibleParameterization, KernelInstance, KernelStructure, metric_pairs
 
@@ -191,6 +199,8 @@ def membership(structure: KernelStructure, eta: tuple, target: StabilityTarget) 
     below rho).  The incremental sets of linear_affine, polynomial and
     gaussian are exact at any rho.
     """
+    _config_instance(structure, KernelStructure, "structure")
+    _config_instance(target, StabilityTarget, "target")
     eta = structure.validate_eta(_config_eta(eta))
     if target.kind == "unconstrained":
         return True
@@ -221,6 +231,8 @@ def numeric_falsifier(
     one >= 0 and ``radius`` a finite number > 0; anything else raises
     :class:`InputError`.
     """
+    _config_instance(kernel, KernelInstance, "kernel")
+    _config_instance(target, StabilityTarget, "target")
     if target.kind == "unconstrained":
         raise InputError("numeric_falsifier needs a constrained stability target")
     sample_count = _config_int(sample_count, "sample_count", 1)

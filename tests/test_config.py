@@ -55,7 +55,7 @@ from stable_sysid.solver import (
     solve_norm_constrained,
     solve_ridge,
 )
-from stable_sysid.viability import StabilityTarget, feasible_parameterization, membership
+from stable_sysid.viability import StabilityTarget, feasible_parameterization, membership, numeric_falsifier
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
 DATA = build_regression_data(np.sin(np.arange(30.0)), np.cos(np.arange(30.0)), 2)
@@ -153,6 +153,13 @@ ARGUMENTS = {
     "gamma_fn-alpha-string": lambda: gamma_fn(np.eye(3), np.ones(3), 2, 0.5, "1"),
     "gaussian_delta_boundary-tau-string": lambda: gaussian_delta_boundary("1", 1.0),
     "membership-eta-integer": lambda: membership(Gaussian(), 5, StabilityTarget.viable(0.5)),
+    "membership-structure-string": lambda: membership("gaussian", GAUSS_ETA, StabilityTarget.viable(0.5)),
+    "membership-target-string": lambda: membership(Gaussian(), GAUSS_ETA, "iss"),
+    "numeric_falsifier-kernel-string": lambda: numeric_falsifier("gaussian", StabilityTarget.viable(0.5)),
+    "numeric_falsifier-target-none": lambda: numeric_falsifier(KERNEL, None),
+    "kfold_cost-k-fraction": lambda: kfold_cost(1e-3, GAUSS_ETA, DATA, Gaussian(), k=2.5),
+    "kfold_cost-k-string": lambda: kfold_cost(1e-3, GAUSS_ETA, DATA, Gaussian(), k="3"),
+    "kfold_cost-k-true": lambda: kfold_cost(1e-3, GAUSS_ETA, DATA, Gaussian(), k=True),
     "simulate_hh-dt_solver-string": lambda: simulate_hh(np.sin, 0.5, 1.0, "1"),
     "simulate_hh-t_end-string": lambda: simulate_hh(np.sin, 0.5, "1"),
     "simulate_hh-kappa0-string": lambda: simulate_hh(np.sin, "a", 1.0),
@@ -237,6 +244,9 @@ ARRAYS = [
         (f"{name}(y)", lambda x, f=f: f(np.eye(3), x), np.ones(3), NAN_INF))),
     *((f"{f.__name__}({arg})", lambda x, f=f, i=i: f(KERNEL, *((x, P), (P, x))[i]), P, NAN_INF)
       for f in (eval_pairs, eval_matrix, metric_pairs) for i, arg in enumerate("AB")),
+    # one vector is one row: the single-pair form of the row evaluators
+    *((f"{f.__name__}({arg} vector)", lambda x, f=f, i=i: f(KERNEL, *((x, P[0]), (P[0], x))[i]), P[1], NAN_INF)
+      for f in (eval_pairs, metric_pairs) for i, arg in enumerate("AB")),
     ("gram_matrix(points)", lambda x: gram_matrix(KERNEL, x), P, NAN_INF),
     ("PredictorModel(centers)", lambda x: replace(MODEL, centers=x), ROWS, NAN_INF),
     ("PredictorModel(coefficients)", lambda x: replace(MODEL, coefficients=x), np.full(4, 0.01), NAN_INF),
