@@ -26,13 +26,13 @@ Noise levels default to standard deviations 0.05 (A) and 0.02 (B), which
 puts the signal-to-noise ratio near 10 on both systems.
 
 Monte-Carlo runs are seeded per (dataset seed, run index) and therefore
-embarrassingly parallel; aggregation is a deterministic reduction.  Within
-one :func:`run_monte_carlo` call each (run, system) dataset pair is drawn
-once and shared read-only by every method of that run, so the methods are
-scored on the same data.  The methods of a run also share one
-:class:`~stable_sysid.solver.RegressionData` per model order, and with it
-the search's memo of Gram spectra, so searches with identical inputs, such
-as H's unconstrained and deltaBIBS methods, factor each Gram once.
+embarrassingly parallel; aggregation is a deterministic reduction.  The
+harness's unit of work is the (run, system) group: one thread runs every
+method of a group in turn, the group's dataset pair is drawn once and shared
+read-only by those methods, so they are scored on the same data, and so is
+one :class:`~stable_sysid.solver.RegressionData` per model order, with the
+search's memo of Gram spectra.  Searches with identical inputs, such as H's
+unconstrained and deltaBIBS methods, therefore factor each Gram once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -296,13 +295,11 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
 # dataset generation
 # ---------------------------------------------------------------------------
 
-# entries per harness memo; cells run in (run, system) order, so the pairs
-# and training sets of the cells in flight fit in a few entries however many
-# runs a call has
+# entries per harness memo: a group's cells run in turn on one thread, so
+# each group in flight holds one pair and one training set however many runs
+# a call has; with more than 8 groups in flight (n_jobs > 8) an entry can be
+# evicted before its group is done and is then drawn again, with the same bits
 _MEMO_SIZE = 8
-# held while a harness memo is read, so pool threads that miss the same
-# entry at once draw the pair, or build the training set, once
-_MEMO_LOCK = threading.Lock()
 
 
 def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
@@ -312,12 +309,10 @@ def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
     produce identical datasets.  The validation set is an independent draw
     from the same distribution.  The arrays are read-only: a pair may be
     served from a memo that :func:`run_monte_carlo` empties on entry and
-    exit, and is then shared by every caller that asks for it; concurrent
-    callers wait for one draw.
+    exit, and is then shared by every caller that asks for it.
     """
     salt = tuple(_config_int(s, "salt entry", 0) for s in salt)
-    with _MEMO_LOCK:
-        return _generate_pair(spec, salt)
+    return _generate_pair(spec, salt)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -358,21 +353,25 @@ def _generate_one(spec: SyntheticSystemSpec, n: int, salt: tuple) -> Dataset:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One fitting method: kernel structure, stability target, and selection,
-    whose ``chi`` is the norm budget ``m c'Kc <= chi`` of search and fit."""
+    """One fitting method: a kernel structure and a selection, whose
+    ``target`` is the method's stability target and whose ``chi`` is the
+    norm budget ``m c'Kc <= chi`` of search and fit."""
 
     name: str
     structure: KernelStructure
-    target: StabilityTarget
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
     def __post_init__(self):
         _config_instance(self.structure, KernelStructure, "method structure")
-        _config_instance(self.target, StabilityTarget, "method target")
         _config_instance(self.selection, SelectionConfig, "method selection")
 
+    # perfbench reads these two; they go with its tracer (ROADMAP Direction 7)
+    @property
+    def target(self) -> StabilityTarget:
+        return self.selection.target
+
     def selection_config(self) -> SelectionConfig:
-        return replace(self.selection, target=self.target)
+        return self.selection
 
 
 @dataclass(frozen=True)
@@ -425,7 +424,7 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     shared data (as :func:`run_monte_carlo` does within a run) factor each
     Gram their searches share once; the results are those of fresh data.
     """
-    selection = method.selection_config()
+    selection = method.selection
     sel = select_hyperparameters(selection, data, method.structure)
     kernel = KernelInstance(
         structure=method.structure, eta=sel.eta, input_dim=2 * data.model_order + 1
@@ -435,10 +434,10 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
         kernel=kernel,
         beta=sel.beta,
         chi=selection.chi,
-        constrained=method.target.constrained,
+        constrained=selection.target.constrained,
     )
     report = solve_constrained(problem)
-    model = PredictorModel.from_fit(data, kernel, report, method.target)
+    model = PredictorModel.from_fit(data, kernel, report, selection.target)
     return model, report, sel
 
 
@@ -453,8 +452,7 @@ def _run_cell(config: MonteCarloConfig, run: int, system: SyntheticSystemSpec, m
     _, valid = generate_dataset(system, salt=(run,))
     start = time.perf_counter()
     try:
-        with _MEMO_LOCK:
-            data = _training_data(system, (run,), config.model_order)
+        data = _training_data(system, (run,), config.model_order)
         model, _, sel = fit_method(data, method)
         result = run_model(model, valid.u, valid.y)
     except StableSysidError as exc:
@@ -475,33 +473,34 @@ def _run_cell(config: MonteCarloConfig, run: int, system: SyntheticSystemSpec, m
 def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     """Run the full (runs x systems x methods) grid.
 
-    Every (structure, target) pair is checked for feasibility up front;
-    per-cell numeric failures are recorded in ``failures`` and excluded
-    from ``rows``, never silently dropped.  Each (run, system) dataset pair
-    is drawn once per call and shared read-only by the methods of that run,
-    and so is the training set's ``RegressionData``: searches with identical
-    inputs, such as Ha's and Hb's, factor each Gram once.  Neither pair nor
-    data outlives the call.
+    Every method's (structure, target) pair is checked for feasibility up
+    front; per-cell numeric failures are recorded in ``failures`` and
+    excluded from ``rows``, never silently dropped.  One thread runs the
+    methods of a (run, system) group in turn, ``n_jobs`` groups at once, on
+    one dataset pair and one training ``RegressionData`` shared read-only:
+    searches with identical inputs, such as Ha's and Hb's, factor each Gram
+    once.  With more than 8 groups in flight a pair can be evicted and drawn
+    again, with the same bits; none outlives the call.  Rows come in cell
+    order whatever ``n_jobs``.
     """
     for method in config.methods:
-        feasible_parameterization(method.structure, method.target)
+        feasible_parameterization(method.structure, method.selection.target)
 
-    cells = [
-        (run, system, method)
-        for run in range(config.runs)
-        for system in config.systems
-        for method in config.methods
-    ]
+    def run_group(group):
+        return [_run_cell(config, *group, method) for method in config.methods]
+
+    groups = [(run, system) for run in range(config.runs) for system in config.systems]
     _clear_memos()
     try:
         if config.n_jobs == 1:
-            outcomes = [_run_cell(config, *cell) for cell in cells]
+            outcomes = [run_group(group) for group in groups]
         else:
             with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
-                outcomes = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+                outcomes = list(pool.map(run_group, groups))
     finally:
         _clear_memos()
 
+    outcomes = [outcome for group in outcomes for outcome in group]
     rows = tuple(row for row, _ in outcomes if row is not None)
     failures = tuple(fail for _, fail in outcomes if fail is not None)
     return MonteCarloResult(rows=rows, failures=failures)
@@ -562,38 +561,34 @@ def benchmark_selection_config(full_scale: bool = False, method: str = "gcv") ->
     )
 
 
+# per system: the default cost, the kernel structure and each method's (name, target)
+_STANDARD_METHODS = {
+    "A": ("gcv", FeatureGaussian(), (("Aa", StabilityTarget.unconstrained()), ("Ab", StabilityTarget.iss()))),
+    "B": ("gcv", Gaussian(), (("Ba", StabilityTarget.unconstrained()), ("Bb", StabilityTarget.diss()))),
+    "H": ("eb", Gaussian(), (
+        ("Ha", StabilityTarget.unconstrained()), ("Hb", StabilityTarget.dbibs()), ("Hc", StabilityTarget.diss()),
+    )),
+}
+
+
 def standard_methods(variant: str, selection: SelectionConfig | None = None) -> tuple:
     """The per-system method codes used in the benchmark tables.
 
     ``<system>a`` is the unconstrained baseline; ``b``/``c`` add stability
     targets: A uses the feature-times-Gaussian kernel with the ISS growth
     set, B the Gaussian kernel with the incremental (deltaISS) set, and H
-    the Gaussian kernel with the deltaBIBS (b) and deltaISS (c) sets.
+    the Gaussian kernel with the deltaBIBS (b) and deltaISS (c) sets.  Each
+    method is ``selection`` with its target in place of the given one.
 
     A and B default to the cap-aware GCV cost; H uses the plain
     marginal-likelihood cost, whose amplitude anchoring is what exposes the
     unconstrained baseline's free-run failure on that system.
     """
-    if variant == "A":
-        selection = selection if selection is not None else benchmark_selection_config()
-        return (
-            MethodSpec("Aa", FeatureGaussian(), StabilityTarget.unconstrained(), selection),
-            MethodSpec("Ab", FeatureGaussian(), StabilityTarget.iss(), selection),
-        )
-    if variant == "B":
-        selection = selection if selection is not None else benchmark_selection_config()
-        return (
-            MethodSpec("Ba", Gaussian(), StabilityTarget.unconstrained(), selection),
-            MethodSpec("Bb", Gaussian(), StabilityTarget.diss(), selection),
-        )
-    if variant == "H":
-        selection = selection if selection is not None else benchmark_selection_config(method="eb")
-        return (
-            MethodSpec("Ha", Gaussian(), StabilityTarget.unconstrained(), selection),
-            MethodSpec("Hb", Gaussian(), StabilityTarget.dbibs(), selection),
-            MethodSpec("Hc", Gaussian(), StabilityTarget.diss(), selection),
-        )
-    raise InputError(f"unknown system variant {variant!r}")
+    if not isinstance(variant, str) or variant not in _STANDARD_METHODS:
+        raise InputError(f"unknown system variant {variant!r}")
+    cost, structure, targets = _STANDARD_METHODS[variant]
+    selection = selection if selection is not None else benchmark_selection_config(method=cost)
+    return tuple(MethodSpec(name, structure, replace(selection, target=target)) for name, target in targets)
 
 # ---------------------------------------------------------------------------
 # CSV interfaces

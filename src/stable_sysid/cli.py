@@ -188,7 +188,8 @@ def cmd_fit(args) -> int:
     # the search selects eta, and m sets input_dim: the block's own are ignored
     structure = structure_from_config(_structure_block(_require(cfg, "kernel", "fit config")))
     selection = _parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed)
-    method = benchmarks.MethodSpec("fit", structure, target, replace(selection, chi=cfg.get("chi", selection.chi)))
+    selection = replace(selection, target=target, chi=cfg.get("chi", selection.chi))
+    method = benchmarks.MethodSpec("fit", structure, selection)
     out = _out_dir(cfg, args)
     model, report, sel = benchmarks.fit_method(data, method)
 

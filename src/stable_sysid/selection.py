@@ -10,7 +10,8 @@ implemented:
 * ``gcv``    - generalized cross-validation,
                ``N |(I - H) y|^2 / trace(I - H)^2`` with
                ``H = K (K + beta I)^{-1}``;
-* ``kfold``  - mean squared one-step error over five contiguous-block folds.
+* ``kfold``  - mean squared one-step error over five contiguous-block folds,
+               one regression row at least in each.
 
 For a constrained target the cost is by default charged at the effective
 regularizer ``max(alpha_bar, beta)`` that the norm budget
@@ -58,10 +59,10 @@ that an earlier search on the same data already factored, costs no second
 ``eigh``.  On a Gaussian kernel the deltaBIBS feasible map is the
 unconstrained one, and plain EB ignores the target, so a deltaBIBS search
 after an unconstrained one on the same data replays every factorization.
-Concurrent restarts and searches stay safe: entries are read-only and never
-replaced by different values, since every writer of a key computes
-bit-identical ones.  The public ``eb_cost``/``gcv_cost``/``kfold_cost``
-neither read nor fill the memo.
+The harness runs the searches on one data in turn; concurrent ones stay
+safe all the same: entries are read-only and never replaced by different
+values, since every writer of a key computes bit-identical ones.  The
+public ``eb_cost``/``gcv_cost``/``kfold_cost`` neither read nor fill the memo.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrs, dtrtri
-from .config import _config_chi, _config_eta, _config_fields, _config_instance, _config_int
+from .config import _config_chi, _config_eta, _config_fields, _config_instance
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelStructure
 from .solver import (
@@ -105,7 +106,7 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BAD_COST = 1e100
-_KFOLD_K = 5  # folds of the kfold cost, in the search and by default
+_KFOLD_K = 5  # folds of the kfold cost
 # Nelder-Mead stopping tolerances of the search, in the transformed coordinates
 SEARCH_XATOL = 1e-3
 SEARCH_FATOL = 1e-8
@@ -259,27 +260,27 @@ def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStr
     return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
 
 
-def kfold_cost(
-    beta: float, eta: tuple, data: RegressionData, structure: KernelStructure, k: int = _KFOLD_K
-) -> float:
-    """Mean squared held-out one-step error over k contiguous blocks."""
+def kfold_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
+    """Mean squared held-out one-step error over five contiguous blocks."""
     _check_structure(structure, data)
-    return _kfold(beta, eta, data, structure, chi=None, k=_config_int(k, "k"))
+    _check_kfold_rows(data)
+    return _kfold(beta, eta, data, structure, chi=None)
 
 
-def _kfold(beta, eta, data, structure, chi, k=_KFOLD_K) -> float:
+def _check_kfold_rows(data: RegressionData) -> None:
+    if data.size < _KFOLD_K:
+        raise InputError(f"kfold needs at least {_KFOLD_K} regression rows, one per fold, got {data.size}")
+
+
+def _kfold(beta, eta, data, structure, chi) -> float:
     # chi switches the per-fold solve to the norm-capped one
     beta = _check_beta(beta)
     n = data.size
-    if not 2 <= k <= n:
-        raise InputError(f"kfold needs 2 <= k <= {n}, got {k}")
     K = _finite_gram(_gram(structure, eta, data))
-    bounds = np.linspace(0, n, k + 1, dtype=int)
-    total, count = 0.0, 0
-    for i in range(k):
+    bounds = np.linspace(0, n, _KFOLD_K + 1, dtype=int)
+    total = 0.0
+    for i in range(_KFOLD_K):
         held = np.arange(bounds[i], bounds[i + 1])
-        if held.size == 0:
-            continue
         kept = np.setdiff1d(np.arange(n), held)
         K_kept, y_kept = K[np.ix_(kept, kept)], data.targets[kept]
         if chi is None:
@@ -288,8 +289,7 @@ def _kfold(beta, eta, data, structure, chi, k=_KFOLD_K) -> float:
             c, _ = _norm_constrained(K_kept, y_kept, data.model_order, chi, beta)
         pred = K[np.ix_(held, kept)] @ c
         total += float(np.sum((data.targets[held] - pred) ** 2))
-        count += held.size
-    return total / count
+    return total / n
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +437,14 @@ def select_hyperparameters(
     """Minimize the configured cost over the target's feasibility set.
 
     The result's ``eta`` always passes the target's membership test; an
-    infeasible or unsupported (structure, target) pair raises before any
+    infeasible or unsupported (structure, target) pair, and a ``kfold``
+    search on fewer regression rows than its five folds, raise before any
     evaluation.
     """
     _check_structure(structure, data)
     param = feasible_parameterization(structure, config.target)
+    if config.method == "kfold":
+        _check_kfold_rows(data)
     dim = 1 + param.dim
     charge_cap = config.target.constrained and config.cap_aware_cost
     m = data.model_order

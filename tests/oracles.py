@@ -3,10 +3,13 @@
 These deliberately avoid the library's solver path: the constrained fit is
 checked against a projected-gradient minimizer of the finite-dimensional
 quadratic, with the norm-ball projection computed by bisection on its
-multiplier.
+multiplier.  The free-run step ratio checks the incremental promise on a
+fitted simulator itself, from two of its free runs.
 """
 
 import numpy as np
+
+from stable_sysid import simulate
 
 
 def random_psd(rng, n, lam_min=0.05, lam_max=3.0):
@@ -113,3 +116,20 @@ def projected_gradient_min(K, y, m, chi, beta, iterations=20000):
             if stall > 200:
                 break
     return Q @ best
+
+
+def free_run_step_ratio(model, u, y_seed, y_train, d):
+    """The largest ratio of ``dy_t^2`` to the mean of ``dy^2`` over the
+    previous ``m`` steps, ``dy`` being the gap between two free runs of
+    ``model`` under the input ``u``: one from ``y_seed``, one from
+    ``y_seed + d std(y_train)``.  Windows whose mean squared gap is at or
+    below ``(1e-6 d std(y_train))^2`` are roundoff and skipped; 0.0 when all
+    are.  A deltaISS fit at rho = 0 with ``m c'Kc = mu`` keeps the ratio at
+    most ``mu``: ``dy_t^2 <= (mu / m) sum_{i=1..m} dy_{t-i}^2``."""
+    m = model.model_order
+    shift = d * float(np.std(y_train))
+    y_seed = np.asarray(y_seed, dtype=float)
+    gap_sq = (simulate(model, u, y_seed) - simulate(model, u, y_seed + shift)) ** 2
+    window = np.lib.stride_tricks.sliding_window_view(gap_sq[:-1], m).mean(axis=1)
+    counted = window > (1e-6 * shift) ** 2
+    return float(np.max(gap_sq[m:][counted] / window[counted], initial=0.0))

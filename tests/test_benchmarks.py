@@ -2,7 +2,8 @@
 
 import math
 import sys
-from dataclasses import replace
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -339,13 +340,36 @@ class TestConfigValues:
     @pytest.mark.parametrize("chi", ["0.5", True, None, math.inf, math.nan])
     def test_method_spec_rejects_non_number_chi(self, chi):
         with pytest.raises(InputError, match="^chi must be a number"):
-            MethodSpec("fit", Gaussian(), StabilityTarget.diss(), SelectionConfig(chi=chi))
+            MethodSpec("fit", Gaussian(), SelectionConfig(chi=chi, target=StabilityTarget.diss()))
 
     @pytest.mark.parametrize("chi", [0.0, 1.0, 1.5, -0.5])
     def test_method_spec_rejects_chi_outside_unit_interval(self, chi):
         method = standard_methods("B")[1]
         with pytest.raises(InputError, match=r"^chi must lie in \(0, 1\)"):
             replace(method, selection=replace(method.selection, chi=chi))
+
+    def test_method_target_is_the_selection_target(self):
+        selection = replace(fast_selection(), target=StabilityTarget.diss())
+        method = MethodSpec("x", Gaussian(), selection)
+        assert [f.name for f in fields(MethodSpec)] == ["name", "structure", "selection"]
+        assert method.target == method.selection_config().target == StabilityTarget.diss()
+        with pytest.raises(InputError, match="^method selection must be"):
+            MethodSpec("x", Gaussian(), StabilityTarget.diss())
+        with pytest.raises(TypeError):
+            MethodSpec("x", Gaussian(), target=StabilityTarget.diss())
+        with pytest.raises(TypeError):
+            replace(method, target=StabilityTarget.unconstrained())
+        train, _ = generate_dataset(SyntheticSystemSpec("B", seed=2, n_train=30, n_valid=10))
+        model, report, _ = benchmarks.fit_method(build_regression_data(train.u, train.y, 2), method)
+        assert model.stability_tag == StabilityTarget.diss()
+        assert report.mu <= selection.chi * (1 + 1e-9)
+
+    def test_standard_methods_carry_their_targets(self):
+        kinds = {variant: [m.selection.target.label() for m in standard_methods(variant, fast_selection())]
+                 for variant in ("A", "B", "H")}
+        assert kinds == {"A": ["none", "iss"], "B": ["none", "diss"], "H": ["none", "dbibs", "diss"]}
+        for method in standard_methods("H", fast_selection()):
+            assert method.selection == replace(fast_selection(), target=method.target)
 
     def test_method_chi_is_the_selection_chi(self, monkeypatch):
         seen = {}
@@ -362,7 +386,7 @@ class TestConfigValues:
         monkeypatch.setattr(benchmarks, "select_hyperparameters", search)
         monkeypatch.setattr(benchmarks, "solve_constrained", solve)
         train, _ = generate_dataset(SyntheticSystemSpec("B", seed=2, n_train=30, n_valid=10))
-        method = MethodSpec("x", Gaussian(), StabilityTarget.diss(), replace(fast_selection(), chi=0.5))
+        method = MethodSpec("x", Gaussian(), replace(fast_selection(), chi=0.5, target=StabilityTarget.diss()))
         _, report, _ = benchmarks.fit_method(build_regression_data(train.u, train.y, 2), method)
         assert seen == {"search": 0.5, "fit": 0.5}
         assert report.mu <= 0.5 * (1 + 1e-9)
@@ -415,7 +439,7 @@ class TestMonteCarlo:
 
     def test_reproducible(self):
         spec = SyntheticSystemSpec("B", seed=1, n_train=30, n_valid=30)
-        methods = (MethodSpec("Ba", Gaussian(), StabilityTarget.unconstrained(), fast_selection()),)
+        methods = (MethodSpec("Ba", Gaussian(), fast_selection()),)
         config = MonteCarloConfig(runs=2, systems=(spec,), methods=methods)
         r1 = run_monte_carlo(config)
         r2 = run_monte_carlo(config)
@@ -429,7 +453,7 @@ class TestMonteCarlo:
     def test_beats_trivial_zero_predictor(self):
         # noise-free System B: a fitted model must out-predict the zero model
         spec = SyntheticSystemSpec("B", seed=5, n_train=80, n_valid=80, noise_std=0.0)
-        methods = (MethodSpec("Ba", Gaussian(), StabilityTarget.unconstrained(), fast_selection()),)
+        methods = (MethodSpec("Ba", Gaussian(), fast_selection()),)
         config = MonteCarloConfig(runs=1, systems=(spec,), methods=methods)
         result = run_monte_carlo(config)
         assert len(result.rows) == 1
@@ -439,7 +463,7 @@ class TestMonteCarlo:
 
     def test_infeasible_method_rejected_upfront(self):
         spec = SyntheticSystemSpec("B", seed=1, n_train=30, n_valid=30)
-        bad = (MethodSpec("Bx", Gaussian(), StabilityTarget.iss(), fast_selection()),)
+        bad = (MethodSpec("Bx", Gaussian(), replace(fast_selection(), target=StabilityTarget.iss())),)
         from stable_sysid import InfeasibleTargetError
 
         with pytest.raises(InfeasibleTargetError):
@@ -489,7 +513,7 @@ class TestSharedDataset:
             SyntheticSystemSpec("A", seed=3, n_train=25, n_valid=25),
         )
         methods = tuple(
-            MethodSpec(name, Gaussian(), StabilityTarget.unconstrained(), replace(fast_selection(), iota=iota))
+            MethodSpec(name, Gaussian(), replace(fast_selection(), iota=iota))
             for name, iota in (("G1", 1e-10), ("G2", 1e-8))
         )
         return MonteCarloConfig(runs=2, systems=systems, methods=methods, n_jobs=n_jobs)
@@ -509,8 +533,8 @@ class TestSharedDataset:
         )
 
     def test_threads_share_pairs_under_fast_switching(self, monkeypatch):
-        # more workers than cores, switching often: racing threads still
-        # draw each pair once, and every cell sees the serial data
+        # more workers than cores, switching often: each pair is still
+        # drawn once, and every cell sees the serial data
         serial = run_monte_carlo(self.config())
         one_calls, _ = counting_generation(monkeypatch)
         interval = sys.getswitchinterval()
@@ -522,6 +546,28 @@ class TestSharedDataset:
         assert [r.q_pre for r in threaded.rows] == [r.q_pre for r in serial.rows]
         assert [r.q_sim for r in threaded.rows] == [r.q_sim for r in serial.rows]
         assert len(set(one_calls)) == len(one_calls) == 8
+
+    def test_each_group_runs_on_one_thread(self, monkeypatch):
+        # more workers than groups, switching often: every cell of a
+        # (run, system) group runs on its group's thread, methods in order
+        cells, run_cell = {}, benchmarks._run_cell
+
+        def recording(config, run, system, method):
+            cells.setdefault((run, system.variant), []).append((threading.get_ident(), method.name))
+            return run_cell(config, run, system, method)
+
+        monkeypatch.setattr(benchmarks, "_run_cell", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_monte_carlo(self.config(n_jobs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(result.rows) == 8 and not result.failures
+        assert sorted(cells) == [(run, variant) for run in range(2) for variant in ("A", "B")]
+        for group in cells.values():
+            assert len({thread for thread, _ in group}) == 1
+            assert [name for _, name in group] == ["G1", "G2"]
 
     def test_no_pair_crosses_calls(self, monkeypatch):
         config = self.config()
@@ -628,8 +674,8 @@ class TestSharedTrainingData:
 
     @pytest.mark.parametrize("n_jobs", [2, 8])
     def test_thread_pool_rows_equal_serial(self, n_jobs):
-        # pool threads share the data and its memo; racing writers of one
-        # entry compute the same bits, so a lost or repeated write is harmless
+        # each group's methods share the data and its memo on their group's
+        # thread, so the pool's rows are the serial rows bit for bit
         def content(result):
             return [(r.run, r.method, r.q_pre.hex(), r.q_sim.hex(), r.feasible) for r in result.rows]
 

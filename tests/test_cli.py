@@ -150,8 +150,10 @@ class TestFit:
         method = benchmarks.MethodSpec(
             "fit",
             Gaussian(),
-            StabilityTarget.diss(),
-            SelectionConfig(method="gcv", chi=0.8, optimizer=OptimizerConfig(restarts=2, max_evals=120), seed=5),
+            SelectionConfig(
+                method="gcv", chi=0.8, target=StabilityTarget.diss(),
+                optimizer=OptimizerConfig(restarts=2, max_evals=120), seed=5,
+            ),
         )
         dataset = benchmarks.read_dataset_csv(train)
         data = build_regression_data(dataset.u, dataset.y, 2)
@@ -501,8 +503,9 @@ class TestSelectionBlock:
 
 
 class TestRemovedKeys:
-    """The fold count is no setting: naming it exits 2.  The H solver step's
-    key is checked in ``test_config``."""
+    """The fold count is no setting: naming it exits 2, and so does a k-fold
+    fit on data too short for its five folds.  The H solver step's key is
+    checked in ``test_config``."""
 
     def test_system_keys_are_the_spec_fields(self):
         assert cli._SYSTEM_KEYS == {"system", "seed", "n_train", "n_valid", "noise_std", "out"}
@@ -517,6 +520,20 @@ class TestRemovedKeys:
         assert run(["fit", "--config", cfg]) == EXIT_INPUT
         assert "unknown keys ['kfold_k'] in selection block" in capsys.readouterr().err
         assert not (workdir / "model.json").exists()
+
+    def test_kfold_on_too_few_rows_exits_2(self, workdir, capsys):
+        train, _ = generate_b(workdir, n=6)
+        capsys.readouterr()
+        cfg = write_config(
+            workdir / "fit.json",
+            {"data": str(train), "kernel": {"structure": "gaussian"}, "target": {"kind": "diss"},
+             "selection": {"method": "kfold"}, "out": str(workdir / "out")},
+        )
+        assert run(["fit", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "input error: kfold needs at least 5 regression rows, one per fold, got 4\n"
+        assert captured.out == ""
+        assert list((workdir / "out").glob("*")) == []
 
 
 class TestCounts:

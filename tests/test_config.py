@@ -62,7 +62,7 @@ DATA = build_regression_data(np.sin(np.arange(30.0)), np.cos(np.arange(30.0)), 2
 KERNEL = KernelInstance(Gaussian(), GAUSS_ETA, 5)
 DISS_MAP = feasible_parameterization(Gaussian(), StabilityTarget.diss())
 SPEC = SyntheticSystemSpec("B", n_train=20, n_valid=20)
-METHOD = MethodSpec("Bb", Gaussian(), StabilityTarget.diss())
+METHOD = MethodSpec("Bb", Gaussian(), SelectionConfig(target=StabilityTarget.diss()))
 MC = MonteCarloConfig(runs=1, systems=(SPEC,), methods=(METHOD,))
 PROBLEM = FitProblem(DATA, KERNEL, beta=1e-3)
 
@@ -157,9 +157,6 @@ ARGUMENTS = {
     "membership-target-string": lambda: membership(Gaussian(), GAUSS_ETA, "iss"),
     "numeric_falsifier-kernel-string": lambda: numeric_falsifier("gaussian", StabilityTarget.viable(0.5)),
     "numeric_falsifier-target-none": lambda: numeric_falsifier(KERNEL, None),
-    "kfold_cost-k-fraction": lambda: kfold_cost(1e-3, GAUSS_ETA, DATA, Gaussian(), k=2.5),
-    "kfold_cost-k-string": lambda: kfold_cost(1e-3, GAUSS_ETA, DATA, Gaussian(), k="3"),
-    "kfold_cost-k-true": lambda: kfold_cost(1e-3, GAUSS_ETA, DATA, Gaussian(), k=True),
     "simulate_hh-dt_solver-string": lambda: simulate_hh(np.sin, 0.5, 1.0, "1"),
     "simulate_hh-t_end-string": lambda: simulate_hh(np.sin, 0.5, "1"),
     "simulate_hh-kappa0-string": lambda: simulate_hh(np.sin, "a", 1.0),
@@ -325,9 +322,9 @@ def test_integer_arrays_read_as_float64():
 INSTANCES = {
     "SelectionConfig-target-string": lambda: SelectionConfig(target="iss"),
     "SelectionConfig-optimizer-none": lambda: SelectionConfig(optimizer=None),
-    "MethodSpec-structure-string": lambda: MethodSpec("x", "gaussian", StabilityTarget.diss()),
+    "MethodSpec-structure-string": lambda: MethodSpec("x", "gaussian"),
     "MethodSpec-target-string": lambda: MethodSpec("x", Gaussian(), "diss"),
-    "MethodSpec-selection-dict": lambda: MethodSpec("x", Gaussian(), StabilityTarget.diss(), {"method": "eb"}),
+    "MethodSpec-selection-dict": lambda: MethodSpec("x", Gaussian(), {"method": "eb"}),
     "MonteCarloConfig-systems-string": lambda: replace(MC, systems=("A",)),
     "MonteCarloConfig-methods-string": lambda: replace(MC, methods=("Aa",)),
     "PredictorModel-kernel-none": lambda: replace(MODEL, kernel=None),

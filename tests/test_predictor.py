@@ -27,7 +27,9 @@ from stable_sysid import (
     simulate,
     solve_constrained,
 )
+from stable_sysid.benchmarks import SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
 from stable_sysid.kernels import ROW_BLOCK, eval_matrix
+from oracles import free_run_step_ratio
 from rule_cases import all_structures
 
 
@@ -316,6 +318,37 @@ class TestIncrementalStability:
             ya = simulate(model, u, rng.uniform(-1.0, 1.0, size=2))
             yb = simulate(model, u, rng.uniform(-1.0, 1.0, size=2))
             assert abs(ya[-1] - yb[-1]) < 1e-6
+
+
+def harness_fit(variant, seed, name):
+    """A standard method fitted at desk scale on the harness's run-0 pair:
+    the model, its fit report, and the training and validation sets."""
+    train, valid = generate_dataset(SyntheticSystemSpec(variant, seed=seed), salt=(0,))
+    method = next(method for method in standard_methods(variant) if method.name == name)
+    model, report, _ = fit_method(build_regression_data(train.u, train.y, 2), method)
+    return model, report, train, valid
+
+
+class TestFreeRunStepRatio:
+    """The deltaISS promise on fitted simulators: the gap between two free
+    runs under one input obeys ``dy_t^2 <= (mu / m) sum_i dy_{t-i}^2``,
+    checked against the fit's own ``mu`` with seed offsets ``d std(y)``."""
+
+    # (system, seed, method, first validation sample): the largest ratio
+    # measured is 0.0017, 0.26 and 0.49, each fit at mu = 0.99; from sample 0
+    # on H seed 3 every model collapses within 4 steps, a transient
+    @pytest.mark.parametrize("variant,seed,name,start", [("B", 0, "Bb", 0), ("H", 1, "Hc", 0), ("H", 3, "Hc", 200)])
+    def test_delta_iss_fit_keeps_the_step_bound(self, variant, seed, name, start):
+        model, report, train, valid = harness_fit(variant, seed, name)
+        u, y_seed = valid.u[start:], valid.y[start:start + 2]
+        for d in (1e-3, 0.3, 1.0):
+            assert 0.0 < free_run_step_ratio(model, u, y_seed, train.y, d) <= report.mu
+
+    def test_unconstrained_fit_breaks_it(self):
+        # negative control: Ha on H seed 1 (mu = 149) reaches 762 and 303
+        model, report, train, valid = harness_fit("H", 1, "Ha")
+        for d in (1e-3, 0.3):
+            assert free_run_step_ratio(model, valid.u, valid.y[:2], train.y, d) > report.mu
 
 
 class TestSerialization:

@@ -98,13 +98,32 @@ class TestKfoldCost:
         for t in range(1, 30):
             y[t] = 0.5 * y[t - 1] + 0.25 * u[t - 1] + 0.1 * u[t]
         data = build_regression_data(u, y, 1)
-        value = kfold_cost(1e-8, (1.0, 0.0), data, LinearAffine(), k=5)
+        value = kfold_cost(1e-8, (1.0, 0.0), data, LinearAffine())
         assert value < 1e-10
 
-    def test_k_bounds_validated(self):
-        data = smooth_data(20)
-        with pytest.raises(Exception):
-            kfold_cost(1.0, (1.0, 1.0, 0.0), data, Gaussian(), k=1)
+    @pytest.mark.parametrize("rows", [1, 3, 4])
+    def test_fewer_rows_than_folds_raise_before_any_evaluation(self, monkeypatch, rows):
+        from stable_sysid import selection
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began on data too short for five folds")
+
+        for name in ("_gram", "_data_stats", "_nelder_mead"):
+            monkeypatch.setattr(selection, name, no_work)
+        data = smooth_data(rows + 2)
+        message = f"^kfold needs at least 5 regression rows, one per fold, got {rows}$"
+        with pytest.raises(InputError, match=message):
+            kfold_cost(1.0, (1.0, 1.0, 0.0), data, Gaussian())
+        for cap_aware_cost in (False, True):
+            config = SelectionConfig(method="kfold", target=StabilityTarget.diss(), cap_aware_cost=cap_aware_cost)
+            with pytest.raises(InputError, match=message):
+                select_hyperparameters(config, data, Gaussian())
+
+    def test_five_rows_are_enough(self):
+        data = smooth_data(7)
+        assert math.isfinite(kfold_cost(1.0, (1.0, 1.0, 0.0), data, Gaussian()))
+        config = SelectionConfig(method="kfold", optimizer=tiny_optimizer(max_evals=20))
+        assert math.isfinite(select_hyperparameters(config, data, Gaussian()).cost)
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
@@ -757,7 +776,7 @@ class TestPackageGrams:
     @pytest.mark.parametrize("target", [StabilityTarget.unconstrained(), StabilityTarget.diss()])
     def test_fit_method(self, unchecked, target):
         selection = SelectionConfig(method="gcv", optimizer=tiny_optimizer(max_evals=40), seed=2)
-        _, report, _ = fit_method(smooth_data(40), MethodSpec("x", Gaussian(), target, selection))
+        _, report, _ = fit_method(smooth_data(40), MethodSpec("x", Gaussian(), replace(selection, target=target)))
         assert np.all(np.isfinite(report.coefficients))
 
     @pytest.mark.parametrize("cap_aware_cost", [False, True])

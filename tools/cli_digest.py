@@ -13,7 +13,8 @@ behave the same print the same lines: ``diff`` two runs to compare them.
 The list covers ``generate`` on A, B and H, plus an H validation set of
 1,200 samples whose 120,000 solver steps span many integration blocks;
 ``fit`` on all eight kernel structures and the iss, bibs, diss, dbibs,
-viable and dviable targets at a small search budget; ``predict`` and
+viable and dviable targets at a small search budget, plus a k-fold ``fit``
+at the same budget; ``predict`` and
 ``simulate``, the H model on both H validation sets; ``check-viability``
 with the falsifier, including narx_fading and a sum with a narx_fading
 child, both with witnesses, and a Gaussian member just inside its finite-rho
@@ -26,8 +27,9 @@ string ``record_timing``, the removed ``hh_dt`` (H solver step) and
 falsify block that are not JSON objects.  Last come bad input files, each a
 copy of an earlier output with one value broken: a ``model.json`` center
 entry written as a JSON string (``simulate``), a ``model.json`` whose last
-center is one entry short (``predict``), and a training CSV with a ``nan``
-output (``fit``).
+center is one entry short (``predict``), a training CSV with a ``nan``
+output (``fit``), and a training CSV cut to 6 samples, 4 regression rows,
+too few for the five folds of a k-fold ``fit``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from pathlib import Path
 from stable_sysid import cli
 
 SEARCH = {"restarts": 1, "max_evals": 30}
+KFOLD_SEARCH = {**SEARCH, "method": "kfold"}
 NARX = {"structure": "narx_fading", "model_order": 2, "window": 1}
 
 GENERATE = [
@@ -142,6 +145,11 @@ def _ragged_centers(text):
     return json.dumps(model)
 
 
+def _first_six_samples(text):
+    """A dataset CSV text cut to its header and first 6 samples."""
+    return "\n".join(text.splitlines()[:7]) + "\n"
+
+
 def _nan_output(text):
     """A dataset CSV text with the output of sample 5 replaced by nan."""
     lines = text.splitlines()
@@ -157,6 +165,8 @@ BAD_FILES = [
     ("bad-simulate-model-string-center", "simulate", "model", MODEL_B, _string_center, RUN_B),
     ("bad-predict-model-ragged-centers", "predict", "model", MODEL_B, _ragged_centers, RUN_B),
     ("bad-fit-data-nan", "fit", "data", "data/B_train.csv", _nan_output, {**FIT_B, "selection": SEARCH}),
+    ("bad-fit-kfold-six-samples", "fit", "data", "data/B_train.csv", _first_six_samples,
+     {**FIT_B, "selection": KFOLD_SEARCH}),
 ]
 
 
@@ -168,6 +178,7 @@ def commands():
     for name, system, kernel, target in FITS:
         data = f"data/{system}_train.csv"
         yield name, ["fit"], {"data": data, "kernel": kernel, "target": target, "selection": SEARCH, "out": f"out/{name}"}
+    yield "fit-gaussian-diss-kfold", ["fit"], {**FIT_B, "selection": KFOLD_SEARCH, "out": "out/fit-gaussian-diss-kfold"}
     for want, fit, directory, system in RUNS:
         name = f"{want}-{fit}" if directory == "data" else f"{want}-{fit}-{directory}"
         yield name, [want], {"model": f"out/{fit}/model.json", "data": f"{directory}/{system}_valid.csv", "out": f"out/{name}"}
