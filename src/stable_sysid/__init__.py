@@ -25,8 +25,6 @@ from .kernels import (
     Polynomial,
     ProductWithStationary,
     SumKernel,
-    eval_matrix,
-    eval_pairs,
     gaussian_delta_boundary,
     gram_matrix,
 )
@@ -45,8 +43,6 @@ from .solver import (
     find_alpha_bar,
     gamma_fn,
     solve_constrained,
-    solve_norm_constrained,
-    solve_ridge,
 )
 from .selection import (
     OptimizerConfig,
@@ -54,13 +50,11 @@ from .selection import (
     SelectionResult,
     eb_cost,
     gcv_cost,
-    kfold_cost,
     select_hyperparameters,
 )
 from .predictor import (
     PredictorModel,
     SimulationResult,
-    evaluate_f,
     load_model,
     metrics,
     one_step_predict,

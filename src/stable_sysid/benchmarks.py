@@ -76,7 +76,6 @@ __all__ = [
     "write_dataset_csv",
     "read_dataset_csv",
     "write_results_csv",
-    "read_results_csv",
 ]
 
 DEFAULT_NOISE_STD = {"A": 0.05, "B": 0.02, "H": 0.0}
@@ -126,6 +125,12 @@ class MultisineRealization:
     amplitudes: np.ndarray
     frequencies: np.ndarray
     phases: np.ndarray
+
+    def __post_init__(self):
+        for name in ("amplitudes", "frequencies", "phases"):
+            object.__setattr__(self, name, _config_array(getattr(self, name), f"multisine {name}", 1))
+        if not self.amplitudes.shape == self.frequencies.shape == self.phases.shape:
+            raise InputError("multisine amplitudes, frequencies and phases must have equal lengths")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -652,8 +657,3 @@ def write_results_csv(rows, path, record_timing: bool = False) -> None:
          str(bool(row.feasible)).lower(), _fmt(row.fit_seconds if record_timing else 0.0)]
         for row in rows
     ))
-
-
-def read_results_csv(path) -> list:
-    parse = (int, str, str, float, float, "true".__eq__, float)
-    return [ResultRow(*row) for row in _read_csv(path, dict(zip(RESULTS_HEADER, parse)))]

@@ -47,8 +47,10 @@ or ``NaN`` exits 2.  Path values (``data``,
 ``model``, ``out``, ``model_name``, ``output_name``) must be strings and
 ``record_timing`` true or false, checked before any work.  An input file
 (config, data CSV or ``model.json``) that is missing, unreadable, not UTF-8
-or does not parse exits 2, and so does an output file that cannot be
-written.  ``methods`` must be a list of method names.  Exit codes: 0
+or does not parse exits 2, and so does an output directory that cannot be
+made or an output file that cannot be written.  The output directory is
+made just before a command's first write, so a command that fails earlier
+leaves none behind.  ``methods`` must be a list of method names.  Exit codes: 0
 success, 2 input error, 3 infeasible stability target, 4 numeric failure,
 5 divergence.
 Commands are deterministic given config + seed: re-running overwrites the
@@ -112,6 +114,9 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _out_dir(cfg: dict, args) -> Path:
+    """The output directory, made where it is missing.  Each command calls
+    this just before its first write, so work that fails leaves no
+    directory behind."""
     out = Path(args.out) if args.out else Path(cfg.get("out", "."))
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -160,8 +165,8 @@ def _system_spec(cfg: dict, args, where: str, full_scale: bool = False):
 def cmd_generate(args) -> int:
     cfg = _load_config(args, _SYSTEM_KEYS)
     spec = _system_spec(cfg, args, "generate config")
-    out = _out_dir(cfg, args)
     train, valid = benchmarks.generate_dataset(spec)
+    out = _out_dir(cfg, args)
     train_path = out / f"{spec.variant}_train.csv"
     valid_path = out / f"{spec.variant}_valid.csv"
     benchmarks.write_dataset_csv(train, train_path)
@@ -190,9 +195,8 @@ def cmd_fit(args) -> int:
     selection = _parse_selection_block(cfg.get("selection", {}), SelectionConfig(), args.seed)
     selection = replace(selection, target=target, chi=cfg.get("chi", selection.chi))
     method = benchmarks.MethodSpec("fit", structure, selection)
-    out = _out_dir(cfg, args)
     model, report, sel = benchmarks.fit_method(data, method)
-
+    out = _out_dir(cfg, args)
     model_path = out / cfg.get("model_name", "model.json")
     save_model(model, model_path)
     record = {
@@ -216,7 +220,6 @@ def _run_outputs(args, want: str) -> int:
     cfg = _load_config(args, {"model", "data", "out", "output_name"})
     model = load_model(_require(cfg, "model", f"{want} config"))
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", f"{want} config"))
-    out = _out_dir(cfg, args)
     if want == "predict":
         predicted = one_step_predict(model, dataset.u, dataset.y)
         m = model.model_order
@@ -226,7 +229,7 @@ def _run_outputs(args, want: str) -> int:
         result = run_model(model, dataset.u, dataset.y)
         columns = {"y": dataset.y, "y_pred": result.predicted, "y_sim": result.simulated}
         scores = {"q_pre": result.q_pre, "q_sim": result.q_sim}
-    path = out / cfg.get("output_name", f"{want}.csv")
+    path = _out_dir(cfg, args) / cfg.get("output_name", f"{want}.csv")
     benchmarks._write_csv(path, ["t", *columns], (
         [t + 1, *(benchmarks._fmt(col[t]) for col in columns.values())] for t in range(len(dataset))
     ))
@@ -274,8 +277,8 @@ def cmd_benchmark(args) -> int:
         methods=tuple(methods),
         model_order=cfg.get("m", benchmarks.MonteCarloConfig.model_order),
     )
-    out = _out_dir(cfg, args)
     result = benchmarks.run_monte_carlo(config)
+    out = _out_dir(cfg, args)
     results_path = out / "results.csv"
     benchmarks.write_results_csv(result.rows, results_path, record_timing=cfg.get("record_timing", False))
     summary = benchmarks.summarize(result.rows)

@@ -91,8 +91,6 @@ __all__ = [
     "PairTerms",
     "FeasibleParameterization",
     "gaussian_delta_boundary",
-    "eval_pairs",
-    "eval_matrix",
     "metric_pairs",
     "gram_matrix",
     "structure_to_config",
@@ -386,10 +384,6 @@ class KernelStructure:
         cached terms themselves are never returned or written.
         """
         raise NotImplementedError
-
-    def cross_matrix(self, eta: tuple, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Matrix with entries k_eta(A[i], B[j])."""
-        return self.from_terms(eta, PairTerms(A, B))
 
     def diag_values(self, eta: tuple, A: np.ndarray) -> np.ndarray:
         """k_eta(A[i], A[i]) for each row i."""
@@ -1017,25 +1011,6 @@ def _as_rows(x, input_dim: int, what: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != input_dim:
         raise InputError(f"{what} must have dimension {input_dim}, got shape {shape}")
     return arr
-
-
-def eval_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
-    """Rowwise evaluation ``k_eta(A[i], B[i])``: the structure's
-    ``from_terms`` on row-paired terms, the formula that also builds
-    :func:`eval_matrix`, whose diagonal it matches up to summation
-    rounding."""
-    A = _as_rows(A, kernel.input_dim, "A")
-    B = _as_rows(B, kernel.input_dim, "B")
-    if A.shape[0] != B.shape[0]:
-        raise InputError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-    return kernel.structure.from_terms(kernel.eta, _RowTerms(A, B))
-
-
-def eval_matrix(kernel: KernelInstance, A, B) -> np.ndarray:
-    """Cross-kernel matrix with entries ``k_eta(A[i], B[j])``."""
-    A = _as_rows(A, kernel.input_dim, "A")
-    B = _as_rows(B, kernel.input_dim, "B")
-    return kernel.structure.cross_matrix(kernel.eta, A, B)
 
 
 def metric_pairs(kernel: KernelInstance, A, B) -> np.ndarray:

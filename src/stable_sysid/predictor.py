@@ -26,14 +26,13 @@ import numpy as np
 
 from .config import _config_array, _config_fields, _config_instance, _config_int
 from .errors import DivergenceError, InputError
-from .kernels import ROW_BLOCK, KernelInstance, kernel_from_config, kernel_to_config
+from .kernels import ROW_BLOCK, KernelInstance, PairTerms, kernel_from_config, kernel_to_config
 from .solver import FitReport, RegressionData, build_regression_data
 from .viability import StabilityTarget
 
 __all__ = [
     "PredictorModel",
     "SimulationResult",
-    "evaluate_f",
     "one_step_predict",
     "simulate",
     "metrics",
@@ -107,19 +106,9 @@ def _f_batch(model: PredictorModel, Z: np.ndarray) -> np.ndarray:
     structure, eta = model.kernel.structure, model.kernel.eta
     out = np.empty(Z.shape[0])
     for start in range(0, Z.shape[0], ROW_BLOCK):
-        cross = structure.cross_matrix(eta, Z[start:start + ROW_BLOCK], model.centers)
+        cross = structure.from_terms(eta, PairTerms(Z[start:start + ROW_BLOCK], model.centers))
         out[start:start + ROW_BLOCK] = cross @ model.coefficients
     return out
-
-
-def evaluate_f(model: PredictorModel, z) -> float:
-    """Evaluate the predictor at one regressor vector of dimension 2m + 1."""
-    z = _config_array(z, "regressor", 1)
-    if z.shape != (2 * model.model_order + 1,):
-        raise InputError(
-            f"regressor must have dimension {2 * model.model_order + 1}, got shape {z.shape}"
-        )
-    return float(_f_batch(model, z[None, :])[0])
 
 
 def one_step_predict(model: PredictorModel, u, y) -> np.ndarray:

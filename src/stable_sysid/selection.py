@@ -62,7 +62,7 @@ after an unconstrained one on the same data replays every factorization.
 The harness runs the searches on one data in turn; concurrent ones stay
 safe all the same: entries are read-only and never replaced by different
 values, since every writer of a key computes bit-identical ones.  The
-public ``eb_cost``/``gcv_cost``/``kfold_cost`` neither read nor fill the memo.
+public ``eb_cost``/``gcv_cost`` neither read nor fill the memo.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ __all__ = [
     "SelectionResult",
     "eb_cost",
     "gcv_cost",
-    "kfold_cost",
     "select_hyperparameters",
 ]
 
@@ -258,13 +257,6 @@ def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStr
     _check_beta(beta)
     _check_structure(structure, data)
     return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
-
-
-def kfold_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
-    """Mean squared held-out one-step error over five contiguous blocks."""
-    _check_structure(structure, data)
-    _check_kfold_rows(data)
-    return _kfold(beta, eta, data, structure, chi=None)
 
 
 def _check_kfold_rows(data: RegressionData) -> None:

@@ -31,9 +31,10 @@ and 16 MB of start-up; ``scipy.linalg.lapack`` holds the same objects.
 Gram matrices over a :class:`RegressionData` are assembled, exactly
 symmetric, from its ``terms`` (:class:`~stable_sysid.kernels.PairTerms`),
 built on first use and kept for the life of the data, so the search and the
-final solve share one copy.  Each public matrix solve checks and symmetrizes
-a caller's ``K`` and then runs a private body (``_ridge``,
-``_norm_constrained``), which the package's own Grams enter directly.
+final solve share one copy.  The two matrix solves, ``_ridge`` and
+``_norm_constrained``, take only such Grams and their principal submatrices
+(k-fold's folds); ``gamma_fn`` and ``find_alpha_bar`` check and symmetrize
+a caller's ``K`` first.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ __all__ = [
     "FitProblem",
     "FitReport",
     "build_regression_data",
-    "solve_ridge",
     "gamma_fn",
     "find_alpha_bar",
-    "solve_norm_constrained",
     "solve_constrained",
 ]
 
@@ -292,18 +291,10 @@ def _gamma_from_eigs(lam, yt2, lam_yt2, m, chi, alpha):
 # solves
 # ---------------------------------------------------------------------------
 
-def solve_ridge(K, y, beta: float) -> np.ndarray:
-    """Solve ``(K + beta I) c = y`` for symmetric PSD K and beta > 0.
-
-    One step of iterative refinement keeps the relative residual near
-    machine precision even when beta is tiny relative to the spectrum.
-    """
-    K, y = _validate_matrix(K, y)
-    return _ridge(K, y, _check_beta(beta))
-
-
 def _ridge(K, y, beta) -> np.ndarray:
-    # solve_ridge on a Gram the package assembled (exactly symmetric, finite)
+    """Solve ``(K + beta I) c = y`` for an exactly symmetric PSD ``K`` and
+    beta > 0.  One step of iterative refinement keeps the relative residual
+    near machine precision even when beta is tiny relative to the spectrum."""
     A, L = _shifted_cholesky(K, beta)
     if L is None:
         lam, Q = _eig_psd(K)
@@ -465,20 +456,9 @@ def find_alpha_bar(K, y, m: int, chi: float) -> float:
     return _alpha_bar(lam, yt ** 2, m, chi)
 
 
-def solve_norm_constrained(K, y, m: int, chi: float, beta: float):
-    """Matrix-level constrained solve, returning ``(c, alpha_bar)``.
-
-    ``c = (K + max(alpha_bar, beta) I)^{-1} y`` solved through the shared
-    eigendecomposition.
-    """
-    beta = _check_beta(beta)
-    m = _check_gap(m, chi)
-    K, y = _validate_matrix(K, y)
-    return _norm_constrained(K, y, m, chi, beta)
-
-
 def _norm_constrained(K, y, m, chi, beta):
-    # solve_norm_constrained on a Gram the package assembled
+    """``(c, alpha_bar)`` with ``c = (K + max(alpha_bar, beta) I)^{-1} y``,
+    solved through one eigendecomposition of an exactly symmetric ``K``."""
     lam, Q = _eig_psd(K)
     yt = Q.T @ y
     alpha_bar = _alpha_bar(lam, yt ** 2, m, chi)

@@ -1,6 +1,7 @@
 """CLI: config handling, exit codes, CSV schemas, determinism."""
 
 import argparse
+import csv
 import json
 import math
 from dataclasses import fields
@@ -112,6 +113,30 @@ class TestFit:
         assert run(["fit", "--config", cfg]) == EXIT_INFEASIBLE
         assert "stationary" in capsys.readouterr().err
 
+    def test_infeasible_fit_leaves_no_output_directory(self, workdir, capsys):
+        train, _ = generate_b(workdir, n=20)
+        out = workdir / "fitout"
+        cfg = write_config(workdir / "fit.json", {"data": str(train), "kernel": {"structure": "polynomial", "degree": 2},
+                                                  "target": {"kind": "iss"}, "out": str(out)})
+        assert run(["fit", "--config", cfg]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("infeasible stability target:")
+        assert not out.exists()
+
+    def test_uncreatable_output_directory_exits_2_after_the_fit(self, workdir, capsys, monkeypatch):
+        train, _ = generate_b(workdir, n=20)
+        fits = []
+        fit_method = benchmarks.fit_method
+        monkeypatch.setattr(benchmarks, "fit_method", lambda *args: fits.append(args) or fit_method(*args))
+        (workdir / "file").write_text("")
+        cfg = write_config(workdir / "fit.json", {"data": str(train), "kernel": {"structure": "gaussian"},
+                                                  "target": {"kind": "none"}, "out": str(workdir / "file" / "out"),
+                                                  "selection": {"restarts": 1, "max_evals": 10}})
+        capsys.readouterr()
+        assert run(["fit", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: cannot create output directory")
+        assert len(fits) == 1
+
     def test_gaussian_dbibs_feasible_with_mu_budget(self, workdir):
         train, _ = generate_b(workdir)
         cfg = self._fit_config(workdir, train, {"kind": "dbibs"})
@@ -202,7 +227,7 @@ class TestPredictSimulate:
         )
         assert run(["predict", "--config", cfg]) == EXIT_OK
 
-    def _divergent_config(self, workdir):
+    def _divergent_config(self, workdir, out=None):
         payload = {
             "model_order": 1,
             "kernel": {"structure": "linear_affine", "eta": [1.0, 0.0], "input_dim": 3},
@@ -216,13 +241,18 @@ class TestPredictSimulate:
         rows = ["t,u,y"] + [f"{t},0.0,1.0" for t in range(1, 61)]
         data.write_text("\n".join(rows) + "\n")
         return write_config(
-            workdir / "sim.json", {"model": str(model), "data": str(data), "out": str(workdir)}
+            workdir / "sim.json", {"model": str(model), "data": str(data), "out": str(out or workdir)}
         )
 
     def test_divergent_model_exit_code(self, workdir, capsys):
         cfg = self._divergent_config(workdir)
         assert run(["simulate", "--config", cfg]) == EXIT_DIVERGED
         assert "sample 21" in capsys.readouterr().err
+
+    def test_divergent_simulate_leaves_no_output_directory(self, workdir):
+        cfg = self._divergent_config(workdir, out=workdir / "simout")
+        assert run(["simulate", "--config", cfg]) == EXIT_DIVERGED
+        assert not (workdir / "simout").exists()
 
     def test_predict_never_simulates(self, workdir, capsys):
         cfg = self._divergent_config(workdir)
@@ -276,10 +306,9 @@ class TestBenchmark:
         lines = (workdir / "results.csv").read_text().splitlines()
         assert lines[0] == "run,system,method,q_pre,q_sim,feasible,fit_seconds"
         assert len(lines) == 5
-        from stable_sysid.benchmarks import read_results_csv
-
-        rows = read_results_csv(workdir / "results.csv")
-        assert {r.method for r in rows} == {"Ba", "Bb"}
+        with open(workdir / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["method"] for r in rows} == {"Ba", "Bb"}
         assert (workdir / "summary.csv").exists()
 
     def test_byte_identical_rerun(self, workdir):
@@ -533,7 +562,7 @@ class TestRemovedKeys:
         captured = capsys.readouterr()
         assert captured.err == "input error: kfold needs at least 5 regression rows, one per fold, got 4\n"
         assert captured.out == ""
-        assert list((workdir / "out").glob("*")) == []
+        assert not (workdir / "out").exists()
 
 
 class TestCounts:

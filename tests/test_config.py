@@ -1,7 +1,7 @@
 """The boundary rules of :mod:`stable_sysid.config`, as every entry point applies them.
 
 Each count, real and flag field of the config classes, and ``beta`` of the
-public costs and of ``solve_ridge``, rejects ``True``, ``"1"``, nan and inf
+public costs and of the k-fold cost, rejects ``True``, ``"1"``, nan and inf
 with :class:`InputError` (a flag accepts ``True`` and rejects ``1``
 instead); membership and :class:`KernelInstance` read ``eta`` entries by
 one rule; the public functions that take plain numbers raise
@@ -25,6 +25,7 @@ from stable_sysid.benchmarks import (
     Dataset,
     MethodSpec,
     MonteCarloConfig,
+    MultisineRealization,
     SyntheticSystemSpec,
     generate_dataset,
     simulate_hh,
@@ -38,23 +39,13 @@ from stable_sysid.kernels import (
     LinearAffine,
     ProductWithStationary,
     SumKernel,
-    eval_matrix,
-    eval_pairs,
     gaussian_delta_boundary,
     gram_matrix,
     metric_pairs,
 )
-from stable_sysid.predictor import PredictorModel, evaluate_f, metrics, one_step_predict, run_model, simulate
-from stable_sysid.selection import OptimizerConfig, SelectionConfig, eb_cost, gcv_cost, kfold_cost
-from stable_sysid.solver import (
-    FitProblem,
-    RegressionData,
-    build_regression_data,
-    find_alpha_bar,
-    gamma_fn,
-    solve_norm_constrained,
-    solve_ridge,
-)
+from stable_sysid.predictor import PredictorModel, metrics, one_step_predict, run_model, simulate
+from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_cost, gcv_cost
+from stable_sysid.solver import FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn
 from stable_sysid.viability import StabilityTarget, feasible_parameterization, membership, numeric_falsifier
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
@@ -81,8 +72,8 @@ FIELDS = [
     *((f"KernelInstance.eta[{i}]", "real",
        lambda v, i=i: KernelInstance(Gaussian(), GAUSS_ETA[:i] + (v,) + GAUSS_ETA[i + 1:], 5)) for i in range(3)),
     *((f"{cost.__name__}(beta)", "real", lambda v, cost=cost: cost(v, GAUSS_ETA, DATA, Gaussian()))
-      for cost in (eb_cost, gcv_cost, kfold_cost)),
-    ("solve_ridge(beta)", "real", lambda v: solve_ridge(np.eye(3), np.ones(3), v)),
+      for cost in (eb_cost, gcv_cost)),
+    ("_kfold(beta)", "real", lambda v: _kfold(v, GAUSS_ETA, DATA, Gaussian(), None)),
 ]
 BAD = {"count": [True, "1", math.nan, math.inf], "real": [True, "1", math.nan, math.inf],
        "flag": [1, "1", math.nan, math.inf]}
@@ -196,6 +187,9 @@ ARGUMENTS = {
     "to_eta-too-short": lambda: DISS_MAP.to_eta(np.zeros(2)),
     "to_eta-too-long": lambda: DISS_MAP.to_eta(np.zeros(4)),
     "to_eta-2d": lambda: DISS_MAP.to_eta(np.zeros((1, 3))),
+    # zip would drop the unmatched frequency or amplitude
+    "MultisineRealization-frequencies-longer": lambda: MultisineRealization([1.0], [0.5, 0.2], [0.0]),
+    "MultisineRealization-phases-shorter": lambda: MultisineRealization([1.0, 0.3], [0.5, 0.2], [0.0]),
 }
 
 
@@ -221,11 +215,10 @@ ROWS = build_regression_data(U, Y, 2).regressors[:4]
 P = np.random.default_rng(0).normal(size=(4, 5))
 MODEL = PredictorModel(2, KERNEL, ROWS, np.full(4, 0.01), StabilityTarget.unconstrained())
 MATRIX_SOLVES = [
-    ("solve_ridge", lambda K, y: solve_ridge(K, y, 0.1)),
     ("gamma_fn", lambda K, y: gamma_fn(K, y, 2, 0.5, 0.1)),
     ("find_alpha_bar", lambda K, y: find_alpha_bar(K, y, 2, 0.5)),
-    ("solve_norm_constrained", lambda K, y: solve_norm_constrained(K, y, 2, 0.5, 0.1)),
 ]
+SINE = {"amplitudes": np.array([0.2, 0.4]), "frequencies": np.array([0.1, 0.7]), "phases": np.array([0.0, 3.0])}
 NAN_INF = ("nan", "inf")
 ARRAYS = [
     ("Dataset(u)", lambda x: Dataset(x, Y), U, ()),
@@ -239,15 +232,14 @@ ARRAYS = [
     *(row for name, f in MATRIX_SOLVES for row in (
         (f"{name}(K)", lambda x, f=f: f(x, np.ones(3)), np.eye(3), NAN_INF),
         (f"{name}(y)", lambda x, f=f: f(np.eye(3), x), np.ones(3), NAN_INF))),
-    *((f"{f.__name__}({arg})", lambda x, f=f, i=i: f(KERNEL, *((x, P), (P, x))[i]), P, NAN_INF)
-      for f in (eval_pairs, eval_matrix, metric_pairs) for i, arg in enumerate("AB")),
-    # one vector is one row: the single-pair form of the row evaluators
-    *((f"{f.__name__}({arg} vector)", lambda x, f=f, i=i: f(KERNEL, *((x, P[0]), (P[0], x))[i]), P[1], NAN_INF)
-      for f in (eval_pairs, metric_pairs) for i, arg in enumerate("AB")),
+    *((f"metric_pairs({arg})", lambda x, i=i: metric_pairs(KERNEL, *((x, P), (P, x))[i]), P, NAN_INF)
+      for i, arg in enumerate("AB")),
+    # one vector is one row: the single-pair form of the row evaluator
+    *((f"metric_pairs({arg} vector)", lambda x, i=i: metric_pairs(KERNEL, *((x, P[0]), (P[0], x))[i]), P[1], NAN_INF)
+      for i, arg in enumerate("AB")),
     ("gram_matrix(points)", lambda x: gram_matrix(KERNEL, x), P, NAN_INF),
     ("PredictorModel(centers)", lambda x: replace(MODEL, centers=x), ROWS, NAN_INF),
     ("PredictorModel(coefficients)", lambda x: replace(MODEL, coefficients=x), np.full(4, 0.01), NAN_INF),
-    ("evaluate_f(z)", lambda x: evaluate_f(MODEL, x), P[0], NAN_INF),
     ("one_step_predict(u)", lambda x: one_step_predict(MODEL, x, Y), U, NAN_INF),
     ("one_step_predict(y)", lambda x: one_step_predict(MODEL, U, x), Y, NAN_INF),
     ("simulate(u)", lambda x: simulate(MODEL, x, Y[:2]), U, NAN_INF),
@@ -257,6 +249,8 @@ ARRAYS = [
     ("metrics(y_true)", lambda x: metrics(x, Y, Y, 2), Y, ()),
     ("metrics(predicted)", lambda x: metrics(Y, x, Y, 2), Y, ()),
     ("metrics(simulated)", lambda x: metrics(Y, Y, x, 2), Y, ()),
+    *((f"MultisineRealization({name})", lambda x, name=name: MultisineRealization(**{**SINE, name: x}), good, NAN_INF)
+      for name, good in SINE.items()),
     # the search's iterates may hold nan or inf; the map takes them
     ("to_eta(u)", DISS_MAP.to_eta, np.zeros(3), ()),
 ]
@@ -310,6 +304,8 @@ def test_float64_arrays_are_kept_without_a_copy():
     coefficients = np.full(4, 0.01)
     model = PredictorModel(2, KERNEL, ROWS, coefficients, StabilityTarget.unconstrained())
     assert model.centers is ROWS and model.coefficients is coefficients
+    sine = MultisineRealization(**SINE)
+    assert all(getattr(sine, name) is good for name, good in SINE.items())
 
 
 def test_integer_arrays_read_as_float64():

@@ -19,17 +19,17 @@ PUBLIC = {
     # kernels
     "LinearAffine", "Polynomial", "Gaussian", "Matern32", "NarxFading", "FeatureGaussian",
     "SumKernel", "ProductWithStationary", "KernelInstance",
-    "eval_pairs", "eval_matrix", "gram_matrix", "gaussian_delta_boundary",
+    "gram_matrix", "gaussian_delta_boundary",
     # viability
     "StabilityTarget", "ViabilityWitness", "membership", "numeric_falsifier", "feasible_parameterization",
     # solver
     "RegressionData", "FitProblem", "FitReport", "build_regression_data",
-    "solve_ridge", "gamma_fn", "find_alpha_bar", "solve_norm_constrained", "solve_constrained",
+    "gamma_fn", "find_alpha_bar", "solve_constrained",
     # selection
     "OptimizerConfig", "SelectionConfig", "SelectionResult",
-    "eb_cost", "gcv_cost", "kfold_cost", "select_hyperparameters",
+    "eb_cost", "gcv_cost", "select_hyperparameters",
     # predictor
-    "PredictorModel", "SimulationResult", "evaluate_f", "one_step_predict", "simulate",
+    "PredictorModel", "SimulationResult", "one_step_predict", "simulate",
     "metrics", "run_model", "save_model", "load_model",
     # benchmarks
     "Dataset", "SyntheticSystemSpec", "MethodSpec", "MonteCarloConfig", "MonteCarloResult",

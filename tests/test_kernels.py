@@ -16,8 +16,6 @@ from stable_sysid import (
     Polynomial,
     ProductWithStationary,
     SumKernel,
-    eval_matrix,
-    eval_pairs,
     gram_matrix,
 )
 from stable_sysid.kernels import (
@@ -37,6 +35,12 @@ MATERN_AT_UNIT_DISTANCE = 0.4833577245965076
 GAUSS_METRIC_AT_UNIT_SQDIST = 1.2642411176571153
 
 
+def pair_values(kernel, A, B):
+    """``k_eta(A[i], B[i])`` from the structure's ``from_terms`` on
+    row-paired terms; one vector is one row."""
+    return kernel.structure.from_terms(kernel.eta, _RowTerms(np.atleast_2d(A), np.atleast_2d(B)))
+
+
 def unit_apart(dim=5):
     a = np.zeros(dim)
     b = np.zeros(dim)
@@ -48,18 +52,18 @@ class TestEval:
     def test_gaussian_diagonal_is_tau_plus_sigma(self):
         k = KernelInstance(Gaussian(), (2.0, 1.0, 0.5), 5)
         a = np.array([0.3, -1.2, 4.0, 0.0, 2.2])
-        assert eval_pairs(k, a, a)[0] == pytest.approx(2.5, abs=0)
+        assert pair_values(k, a, a)[0] == pytest.approx(2.5, abs=0)
 
     def test_linear_affine_orthogonal_zero_offset(self):
         k = KernelInstance(LinearAffine(), (1.0, 0.0), 5)
         a = np.array([1.0, 0, 0, 0, 0])
         b = np.array([0.0, 1, 0, 0, 0])
-        assert eval_pairs(k, a, b)[0] == 0.0
+        assert pair_values(k, a, b)[0] == 0.0
 
     def test_matern_value_at_unit_distance(self):
         k = KernelInstance(Matern32(), (1.0, 1.0, 0.0), 5)
         a, b = unit_apart()
-        assert eval_pairs(k, a, b)[0] == pytest.approx(MATERN_AT_UNIT_DISTANCE, rel=1e-14)
+        assert pair_values(k, a, b)[0] == pytest.approx(MATERN_AT_UNIT_DISTANCE, rel=1e-14)
 
     def test_narx_fading_matches_hand_expansion(self):
         # m=2, p=1: windows (z1,z3), (z2,z4) of the difference, weights 1, e^-xi
@@ -72,14 +76,14 @@ class TestEval:
             math.exp(-gamma * (z[0] ** 2 + z[2] ** 2))
             + math.exp(-xi - gamma * (z[1] ** 2 + z[3] ** 2))
         )
-        assert eval_pairs(k, a, b)[0] == pytest.approx(expected, rel=1e-14)
+        assert pair_values(k, a, b)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
         with pytest.raises(InputError):
-            eval_pairs(k, np.zeros(4), np.zeros(4))
+            metric_pairs(k, np.zeros(4), np.zeros(4))
         with pytest.raises(InputError):
-            eval_pairs(k, np.zeros(5), np.zeros(4))
+            metric_pairs(k, np.zeros(5), np.zeros(4))
 
     @pytest.mark.parametrize("structure,eta", all_structures())
     def test_symmetry_on_random_pairs(self, structure, eta):
@@ -88,8 +92,8 @@ class TestEval:
         for _ in range(1000):
             a = rng.normal(scale=3.0, size=5)
             b = rng.normal(scale=3.0, size=5)
-            v1 = eval_pairs(k, a, b)[0]
-            v2 = eval_pairs(k, b, a)[0]
+            v1 = pair_values(k, a, b)[0]
+            v2 = pair_values(k, b, a)[0]
             assert abs(v1 - v2) <= 1e-14 * max(1.0, abs(v1))
 
     @pytest.mark.parametrize("structure,eta", all_structures())
@@ -99,8 +103,8 @@ class TestEval:
         for _ in range(300):
             a = rng.normal(scale=2.0, size=5)
             b = rng.normal(scale=2.0, size=5)
-            lhs = abs(eval_pairs(k, a, b)[0])
-            rhs = math.sqrt(eval_pairs(k, a, a)[0] * eval_pairs(k, b, b)[0])
+            lhs = abs(pair_values(k, a, b)[0])
+            rhs = math.sqrt(pair_values(k, a, a)[0] * pair_values(k, b, b)[0])
             assert lhs <= rhs + 1e-12
 
 
@@ -187,7 +191,7 @@ class TestPairTerms:
         A = rng.normal(scale=1.5, size=(7, 5))
         B = rng.normal(scale=1.5, size=(4, 5))
         structure.validate_eta(eta)
-        assert np.array_equal(structure.cross_matrix(eta, A, B), reference_cross(structure, eta, A, B))
+        assert np.array_equal(structure.from_terms(eta, PairTerms(A, B)), reference_cross(structure, eta, A, B))
 
     @pytest.mark.parametrize("structure,eta", pair_term_cases())
     def test_gram_bit_equal_to_reference(self, structure, eta):
@@ -219,7 +223,7 @@ class TestPairTerms:
         Q = np.random.default_rng(6).normal(size=(6, 5))
         rows = _RowTerms(P, Q)
         for kernel in (first, scaled, first):
-            assert np.array_equal(structure.from_terms(kernel.eta, rows), eval_pairs(kernel, P, Q))
+            assert np.array_equal(structure.from_terms(kernel.eta, rows), pair_values(kernel, P, Q))
         fresh = _RowTerms(P, Q)
         for name in ("inner", "sq", "dist"):
             if name in rows.__dict__:
@@ -324,15 +328,15 @@ class TestOneFormula:
         rng = np.random.default_rng(8)
         A, B = rng.normal(scale=1.5, size=(2, 300, 5))
         kernel = KernelInstance(structure, eta, 5)
-        assert np.array_equal(eval_pairs(kernel, A, B), reference_pairs(structure, eta, A, B))
-        assert eval_pairs(kernel, A[0], B[0])[0] == reference_pairs(structure, eta, A[:1], B[:1])[0]
+        assert np.array_equal(pair_values(kernel, A, B), reference_pairs(structure, eta, A, B))
+        assert pair_values(kernel, A[0], B[0])[0] == reference_pairs(structure, eta, A[:1], B[:1])[0]
 
     @pytest.mark.parametrize("structure,eta", pair_term_cases())
     def test_pairs_match_matrix_diagonal(self, structure, eta):
         rng = np.random.default_rng(9)
         A, B = rng.normal(scale=1.5, size=(2, 50, 5))
         kernel = KernelInstance(structure, eta, 5)
-        pairs, diagonal = eval_pairs(kernel, A, B), np.diag(eval_matrix(kernel, A, B))
+        pairs, diagonal = pair_values(kernel, A, B), np.diag(structure.from_terms(kernel.eta, PairTerms(A, B)))
         if isinstance(structure, (Gaussian, Matern32, NarxFading)):
             # distance-only kernels: the same sums in the same order
             assert np.array_equal(pairs, diagonal)
@@ -380,7 +384,7 @@ class TestSquaredKernelMetric:
         for _ in range(200):
             a, b = rng.normal(scale=2.0, size=(2, 5))
             h = metric_pairs(k, a, b)[0]
-            composed = eval_pairs(k, a, a)[0] - 2 * eval_pairs(k, a, b)[0] + eval_pairs(k, b, b)[0]
+            composed = pair_values(k, a, a)[0] - 2 * pair_values(k, a, b)[0] + pair_values(k, b, b)[0]
             assert h == pytest.approx(composed, abs=1e-13)
             assert h >= -1e-12
 
@@ -428,7 +432,7 @@ class TestGramMatrix:
     def test_pairs_row_mismatch_rejected(self):
         k = KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 5)
         with pytest.raises(InputError):
-            eval_pairs(k, np.zeros((3, 5)), np.zeros((2, 5)))
+            metric_pairs(k, np.zeros((3, 5)), np.zeros((2, 5)))
 
 
 class TestValidation:

@@ -17,8 +17,6 @@ from stable_sysid import (
     PredictorModel,
     StabilityTarget,
     build_regression_data,
-    eval_pairs,
-    evaluate_f,
     load_model,
     membership,
     metrics,
@@ -28,7 +26,8 @@ from stable_sysid import (
     solve_constrained,
 )
 from stable_sysid.benchmarks import SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
-from stable_sysid.kernels import ROW_BLOCK, eval_matrix
+from stable_sysid.kernels import ROW_BLOCK, PairTerms, _RowTerms
+from stable_sysid.predictor import _f_batch
 from oracles import free_run_step_ratio
 from rule_cases import all_structures
 
@@ -45,6 +44,16 @@ def make_model(structure=None, eta=(1.0, 1.0, 0.0), centers=None, coefficients=N
         coefficients=np.asarray(coefficients, dtype=float),
         stability_tag=tag if tag is not None else StabilityTarget.unconstrained(),
     )
+
+
+def f_at(model, z):
+    """``f`` at one window, through the package's one evaluator."""
+    return float(_f_batch(model, np.asarray(z, dtype=float)[None, :])[0])
+
+
+def k_pair(kernel, a, b):
+    """``k_eta(a, b)`` from the structure's ``from_terms`` on row-paired terms."""
+    return kernel.structure.from_terms(kernel.eta, _RowTerms(a[None, :], b[None, :]))[0]
 
 
 def fitted_model(seed=0, n=60, constrained=True, target=None, structure=None, eta=None,
@@ -68,12 +77,12 @@ def fitted_model(seed=0, n=60, constrained=True, target=None, structure=None, et
 class TestEvaluateF:
     def test_zero_coefficients(self):
         model = make_model()
-        assert evaluate_f(model, np.ones(5)) == 0.0
+        assert f_at(model, np.ones(5)) == 0.0
 
     def test_single_center_at_peak(self):
         center = np.array([[0.5, -0.2, 1.0, 0.0, 0.3]])
         model = make_model(centers=center, coefficients=[0.7])
-        assert evaluate_f(model, center[0]) == pytest.approx(0.7)
+        assert f_at(model, center[0]) == pytest.approx(0.7)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -83,14 +92,10 @@ class TestEvaluateF:
         for _ in range(20):
             z = rng.normal(size=5)
             direct = sum(
-                c * eval_pairs(model.kernel, z, center)[0]
+                c * k_pair(model.kernel, z, center)
                 for c, center in zip(coeff, centers)
             )
-            assert evaluate_f(model, z) == pytest.approx(direct, abs=1e-12)
-
-    def test_dimension_checked(self):
-        with pytest.raises(InputError):
-            evaluate_f(make_model(), np.ones(4))
+            assert f_at(model, z) == pytest.approx(direct, abs=1e-12)
 
 
 class TestOneStepPredict:
@@ -105,7 +110,7 @@ class TestOneStepPredict:
     def test_interpolation_on_training_set(self):
         model, data, _ = fitted_model(constrained=False, beta=1e-9)
         preds = data.regressors  # predictions at training regressors
-        values = np.array([evaluate_f(model, z) for z in preds])
+        values = np.array([f_at(model, z) for z in preds])
         assert np.max(np.abs(values - data.targets)) < 1e-3
 
     def test_hand_unroll_order_one(self):
@@ -161,11 +166,11 @@ class TestRowBlocks:
         u, y = rng.normal(size=rows + 2), rng.normal(size=rows + 2)
         pred = one_step_predict(model, u, y)
         Z = build_regression_data(u, y, 2).regressors
-        blocks = [eval_matrix(model.kernel, Z[i:i + ROW_BLOCK], centers) @ coeff
+        blocks = [structure.from_terms(model.kernel.eta, PairTerms(Z[i:i + ROW_BLOCK], centers)) @ coeff
                   for i in range(0, rows, ROW_BLOCK)]
         assert np.array_equal(pred[2:], np.concatenate(blocks))
         # against the unblocked product, relative to the summed term magnitudes
-        K = eval_matrix(model.kernel, Z, centers)
+        K = structure.from_terms(model.kernel.eta, PairTerms(Z, centers))
         assert np.all(np.abs(pred[2:] - K @ coeff) <= 1e-12 * (np.abs(K) @ np.abs(coeff)))
 
     def test_memory_bounded_by_one_block(self):
@@ -202,7 +207,7 @@ class TestSimulate:
         manual = [0.3, -0.2]
         for j in range(2, 7):
             z = np.array([manual[j - 2], manual[j - 1], u[j - 2], u[j - 1], u[j]])
-            manual.append(evaluate_f(model, z))
+            manual.append(f_at(model, z))
         assert traj == pytest.approx(np.array(manual), abs=1e-14)
 
     def test_iss_tagged_model_decays_to_zero_input(self):
@@ -211,7 +216,7 @@ class TestSimulate:
             target=StabilityTarget.iss(),
         )
         assert report.mu <= 0.99 + 1e-8
-        assert evaluate_f(model, np.zeros(5)) == pytest.approx(0.0, abs=1e-12)
+        assert f_at(model, np.zeros(5)) == pytest.approx(0.0, abs=1e-12)
         traj = simulate(model, np.zeros(300), np.array([0.5, -0.5]))
         assert abs(traj[-1]) < 1e-8
 
@@ -243,15 +248,15 @@ class TestSimulate:
             simulate(make_model(), np.zeros(10), np.array([0.0, bad]))
 
     def test_bit_equal_to_validated_step_loop(self):
-        # the loop runs each step through evaluate_f, which validates every
-        # window; simulate checks its inputs once and must give the same bits
+        # the loop builds each window by hand and evaluates it alone;
+        # simulate's shift register must give the same bits
         model, data, _ = fitted_model(seed=5)
         u = np.random.default_rng(6).normal(size=40)
         seed = data.targets[:2]
         manual = list(seed)
         for j in range(2, 40):
             z = np.array([manual[j - 2], manual[j - 1], u[j - 2], u[j - 1], u[j]])
-            manual.append(evaluate_f(model, z))
+            manual.append(f_at(model, z))
         assert np.array_equal(simulate(model, u, seed), np.array(manual))
 
 
@@ -301,8 +306,8 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         for _ in range(100):
             z = rng.normal(scale=2.0, size=5)
-            bound = norm_sq * eval_pairs(model.kernel, z, z)[0]
-            assert evaluate_f(model, z) ** 2 <= bound * (1 + 1e-9) + 1e-12
+            bound = norm_sq * k_pair(model.kernel, z, z)
+            assert f_at(model, z) ** 2 <= bound * (1 + 1e-9) + 1e-12
 
 
 class TestIncrementalStability:
@@ -371,7 +376,7 @@ class TestSerialization:
         rng = np.random.default_rng(10)
         for _ in range(20):
             z = rng.normal(size=5)
-            assert evaluate_f(loaded, z) == evaluate_f(model, z)
+            assert f_at(loaded, z) == f_at(model, z)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Selection costs and the constrained hyperparameter search."""
 
+import functools
 import math
 import os
 from dataclasses import replace
@@ -22,7 +23,6 @@ from stable_sysid import (
     build_regression_data,
     eb_cost,
     gcv_cost,
-    kfold_cost,
     membership,
     select_hyperparameters,
     solve_constrained,
@@ -31,7 +31,7 @@ from stable_sysid import solver
 from stable_sysid.benchmarks import MethodSpec, SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
 from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
-from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _nelder_mead
+from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _kfold, _nelder_mead
 from stable_sysid.viability import feasible_parameterization
 
 from oracles import random_spectrum_problem, root_conditioning
@@ -98,7 +98,7 @@ class TestKfoldCost:
         for t in range(1, 30):
             y[t] = 0.5 * y[t - 1] + 0.25 * u[t - 1] + 0.1 * u[t]
         data = build_regression_data(u, y, 1)
-        value = kfold_cost(1e-8, (1.0, 0.0), data, LinearAffine())
+        value = _kfold(1e-8, (1.0, 0.0), data, LinearAffine(), None)
         assert value < 1e-10
 
     @pytest.mark.parametrize("rows", [1, 3, 4])
@@ -112,8 +112,6 @@ class TestKfoldCost:
             monkeypatch.setattr(selection, name, no_work)
         data = smooth_data(rows + 2)
         message = f"^kfold needs at least 5 regression rows, one per fold, got {rows}$"
-        with pytest.raises(InputError, match=message):
-            kfold_cost(1.0, (1.0, 1.0, 0.0), data, Gaussian())
         for cap_aware_cost in (False, True):
             config = SelectionConfig(method="kfold", target=StabilityTarget.diss(), cap_aware_cost=cap_aware_cost)
             with pytest.raises(InputError, match=message):
@@ -121,13 +119,13 @@ class TestKfoldCost:
 
     def test_five_rows_are_enough(self):
         data = smooth_data(7)
-        assert math.isfinite(kfold_cost(1.0, (1.0, 1.0, 0.0), data, Gaussian()))
+        assert math.isfinite(_kfold(1.0, (1.0, 1.0, 0.0), data, Gaussian(), None))
         config = SelectionConfig(method="kfold", optimizer=tiny_optimizer(max_evals=20))
         assert math.isfinite(select_hyperparameters(config, data, Gaussian()).cost)
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
-@pytest.mark.parametrize("cost", [eb_cost, gcv_cost, kfold_cost])
+@pytest.mark.parametrize("cost", [eb_cost, gcv_cost, functools.partial(_kfold, chi=None)])
 def test_costs_reject_a_bad_beta_alike(cost, beta):
     message = "beta must be finite and > 0" if math.isfinite(beta) else "beta must be a number with a finite value"
     with pytest.raises(InputError, match=message):
@@ -785,16 +783,16 @@ class TestPackageGrams:
                                  optimizer=tiny_optimizer(max_evals=40), seed=1)
         assert math.isfinite(select_hyperparameters(config, smooth_data(30), Gaussian()).cost)
 
-    def test_same_bits_as_the_public_solves(self):
+    def test_same_bits_as_the_matrix_solves(self):
         data = smooth_data(40)
         kernel = KernelInstance(Gaussian(), (1.0, 0.5, 0.1), 5)
         K = gram_matrix(kernel, data.regressors)
         for constrained in (False, True):
             report = solve_constrained(FitProblem(data, kernel, beta=1e-6, chi=0.5, constrained=constrained))
             if constrained:
-                c, alpha_bar = solver.solve_norm_constrained(K, data.targets, 2, 0.5, 1e-6)
+                c, alpha_bar = solver._norm_constrained(K, data.targets, 2, 0.5, 1e-6)
             else:
-                c, alpha_bar = solver.solve_ridge(K, data.targets, 1e-6), 0.0
+                c, alpha_bar = solver._ridge(K, data.targets, 1e-6), 0.0
             assert np.array_equal(report.coefficients, c) and report.alpha_bar == alpha_bar
 
     def test_overflowed_gram_raises_numeric_error(self):
@@ -806,4 +804,4 @@ class TestPackageGrams:
                 with pytest.raises(NumericError, match="the Gram is not finite"):
                     solve_constrained(FitProblem(data, kernel, beta=1.0, constrained=constrained))
             with pytest.raises(NumericError, match="the Gram is not finite"):
-                kfold_cost(1.0, kernel.eta, data, LinearAffine())
+                _kfold(1.0, kernel.eta, data, LinearAffine(), None)

@@ -17,10 +17,8 @@ from stable_sysid import (
     gamma_fn,
     gram_matrix,
     solve_constrained,
-    solve_norm_constrained,
-    solve_ridge,
 )
-from stable_sysid.solver import _alpha_bar, _effective_alpha
+from stable_sysid.solver import _alpha_bar, _effective_alpha, _norm_constrained, _ridge
 
 from oracles import (
     projected_gradient_min,
@@ -78,28 +76,35 @@ class TestBuildRegressionData:
         assert got.flags.c_contiguous and got.flags.writeable
 
 
+def symmetric_psd(rng, n):
+    """A random PSD matrix made exactly symmetric, as the solves take it."""
+    K = random_psd(rng, n)
+    return 0.5 * (K + K.T)
+
+
 class TestSolveRidge:
     def test_identity_case(self):
-        c = solve_ridge(np.eye(2), np.array([1.0, 2.0]), 1.0)
+        c = _ridge(np.eye(2), np.array([1.0, 2.0]), 1.0)
         assert c == pytest.approx([0.5, 1.0])
 
     def test_zero_targets(self):
-        c = solve_ridge(np.eye(3) * 2.0, np.zeros(3), 0.5)
+        c = _ridge(np.eye(3) * 2.0, np.zeros(3), 0.5)
         assert np.all(c == 0.0)
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            K = random_psd(rng, 10)
+            K = symmetric_psd(rng, 10)
             y = rng.normal(size=10)
             beta = 10.0 ** rng.uniform(-10, 1)
-            c = solve_ridge(K, y, beta)
+            c = _ridge(K, y, beta)
             residual = np.linalg.norm((K + beta * np.eye(10)) @ c - y)
             assert residual <= 1e-10 * np.linalg.norm(y)
 
     def test_beta_must_be_positive(self):
+        data = build_regression_data(np.arange(4.0), np.arange(4.0), 1)
         with pytest.raises(InputError):
-            solve_ridge(np.eye(2), np.zeros(2), 0.0)
+            FitProblem(data, KernelInstance(Gaussian(), (1.0, 1.0, 0.0), 3), beta=0.0)
 
 
 class TestGammaFn:
@@ -184,15 +189,6 @@ class TestRootArguments:
     def test_find_alpha_bar_rejects_bad_model_order(self, m):
         with pytest.raises(InputError, match="model order m"):
             find_alpha_bar(self.K, self.y, m, 0.99)
-
-    @pytest.mark.parametrize("m", [0, -1, 2.5])
-    def test_solve_norm_constrained_rejects_bad_model_order(self, m):
-        with pytest.raises(InputError, match="model order m"):
-            solve_norm_constrained(self.K, self.y, m, 0.99, 1e-3)
-
-    def test_solve_norm_constrained_rejects_infinite_chi(self):
-        with pytest.raises(InputError, match="chi must be a number with a finite value"):
-            solve_norm_constrained(self.K, self.y, 2, math.inf, 1e-3)
 
     @pytest.mark.parametrize("m, chi", [(0, 0.99), (2.5, 0.99), (2, 0.0), (2, math.inf)])
     def test_gamma_rejects_bad_model_order_or_chi(self, m, chi):
@@ -381,13 +377,13 @@ class TestSolveConstrained:
         problem = self._problem(rng, beta=50.0)
         report = solve_constrained(problem)
         K = gram_matrix(problem.kernel, problem.data.regressors)
-        ridge = solve_ridge(K, problem.data.targets, 50.0)
+        ridge = _ridge(K, problem.data.targets, 50.0)
         assert report.coefficients == pytest.approx(ridge, rel=1e-12, abs=1e-14)
         assert report.effective_alpha == 50.0
         assert not report.constraint_active
 
     def test_scalar_example_hits_the_budget(self):
-        c, alpha_bar = solve_norm_constrained(np.array([[1.0]]), np.array([2.0]), 2, 0.99, 1e-10)
+        c, alpha_bar = _norm_constrained(np.array([[1.0]]), np.array([2.0]), 2, 0.99, 1e-10)
         assert alpha_bar == pytest.approx(2 * math.sqrt(2 / 0.99) - 1, rel=1e-12)
         assert 2 * c[0] ** 2 == pytest.approx(0.99, rel=1e-10)
 
@@ -410,15 +406,15 @@ class TestSolveConstrained:
         assert not report.constraint_active
         K = gram_matrix(problem.kernel, problem.data.regressors)
         assert report.coefficients == pytest.approx(
-            solve_ridge(K, problem.data.targets, 1e-3), rel=1e-10
+            _ridge(K, problem.data.targets, 1e-3), rel=1e-10
         )
 
     def test_huge_chi_equals_ridge(self):
         rng = np.random.default_rng(9)
         data = build_regression_data(rng.normal(size=40), rng.normal(size=40), 2)
         K = gram_matrix(KernelInstance(Gaussian(), (1.0, 0.5, 0.1), 5), data.regressors)
-        c_con, alpha_bar = solve_norm_constrained(K, data.targets, 2, 1e12, 1e-3)
-        c_ridge = solve_ridge(K, data.targets, 1e-3)
+        c_con, alpha_bar = _norm_constrained(K, data.targets, 2, 1e12, 1e-3)
+        c_ridge = _ridge(K, data.targets, 1e-3)
         assert alpha_bar == 0.0
         assert c_con == pytest.approx(c_ridge, rel=1e-12, abs=1e-14)
 
@@ -426,10 +422,10 @@ class TestSolveConstrained:
         rng = np.random.default_rng(10)
         for _ in range(10):
             n = int(rng.integers(5, 30))
-            K = random_psd(rng, n)
+            K = symmetric_psd(rng, n)
             y = rng.normal(size=n)
             m, chi, beta = 2, 0.99, 1e-10
-            c, _ = solve_norm_constrained(K, y, m, chi, beta)
+            c, _ = _norm_constrained(K, y, m, chi, beta)
             assert m * float(c @ K @ c) <= chi + 1e-8
             c_pg = projected_gradient_min(K, y, m, chi, beta)
             val = quadratic_objective(K, y, beta, c)
@@ -440,10 +436,10 @@ class TestSolveConstrained:
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(5, 40))
-            K = random_psd(rng, n)
+            K = symmetric_psd(rng, n)
             y = rng.normal(size=n)
             m, chi, beta = 2, 0.99, 1e-10
-            c, alpha_bar = solve_norm_constrained(K, y, m, chi, beta)
+            c, alpha_bar = _norm_constrained(K, y, m, chi, beta)
             lam = (max(alpha_bar, beta) - beta) / m
             assert lam >= 0
             stationarity = np.linalg.norm((K + beta * np.eye(n)) @ (K @ c) - K @ y + lam * m * (K @ c))
