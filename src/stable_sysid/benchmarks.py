@@ -133,7 +133,7 @@ class MultisineRealization:
             raise InputError("multisine amplitudes, frequencies and phases must have equal lengths")
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        t = _config_array(t, "multisine t", None, finite=False)
         out = np.zeros(t.shape)
         w = np.empty(t.shape)
         # per sample and in the same sine order: out += a sin(omega t + phi)
@@ -217,7 +217,7 @@ def simulate_system_b(u, y0: float, y1: float, length: int) -> np.ndarray:
 
 def hh_alpha(V) -> np.ndarray:
     """Gate opening rate; the V = -10 singularity is removable with value 0.1."""
-    V = np.asarray(V, dtype=float)
+    V = _config_array(V, "V", None, finite=False)
     x = V + 10.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(x) < 1e-6, 10.0, x / np.expm1(x / 10.0))
@@ -225,7 +225,7 @@ def hh_alpha(V) -> np.ndarray:
 
 
 def hh_beta(V) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
+    V = _config_array(V, "V", None, finite=False)
     return np.exp(V / 80.0) / 8.0
 
 

@@ -6,9 +6,9 @@ with :class:`InputError` (a flag accepts ``True`` and rejects ``1``
 instead); membership and :class:`KernelInstance` read ``eta`` entries by
 one rule; the public functions that take plain numbers raise
 :class:`InputError` for a string, a bool, a non-finite value or one out of
-range; every public entry point that takes an array rejects string, bool
-and complex entries and ragged nesting, and the non-finite values it
-cannot use; every field that holds an object of a config class rejects
+range; every public entry point that takes an array rejects string, bool,
+complex and None entries, ragged nesting, a rank it does not take, and the
+non-finite values it cannot use; every field that holds an object of a config class rejects
 anything else at construction; and the removed H solver step key exits 2
 before any integration.
 """
@@ -28,6 +28,8 @@ from stable_sysid.benchmarks import (
     MultisineRealization,
     SyntheticSystemSpec,
     generate_dataset,
+    hh_alpha,
+    hh_beta,
     simulate_hh,
     simulate_system_a,
     simulate_system_b,
@@ -251,9 +253,15 @@ ARRAYS = [
     ("metrics(simulated)", lambda x: metrics(Y, Y, x, 2), Y, ()),
     *((f"MultisineRealization({name})", lambda x, name=name: MultisineRealization(**{**SINE, name: x}), good, NAN_INF)
       for name, good in SINE.items()),
+    ("MultisineRealization(t)", lambda x: MultisineRealization(**SINE)(x), U, ()),
+    ("hh_alpha(V)", hh_alpha, np.linspace(-50.0, 40.0, 7), ()),
+    ("hh_beta(V)", hh_beta, np.linspace(-50.0, 40.0, 7), ()),
     # the search's iterates may hold nan or inf; the map takes them
     ("to_eta(u)", DISS_MAP.to_eta, np.zeros(3), ()),
 ]
+# the entries that take more than one rank: one vector or rows of them, or
+# values taken entry by entry
+ANY_RANK = {"metric_pairs(A vector)", "metric_pairs(B vector)", "MultisineRealization(t)", "hh_alpha(V)", "hh_beta(V)"}
 
 
 def _with_entry(good, value) -> list:
@@ -269,6 +277,10 @@ def _bad_array(good, variant):
     rows = good.tolist()
     if variant == "string":
         return _with_entry(good, str(good.flat[0]))
+    if variant == "none":
+        return _with_entry(good, None)
+    if variant == "rank":
+        return good[None]
     if variant == "ragged":
         return [[rows[0], rows[0]]] + rows[1:] if good.ndim == 1 else rows[:-1] + [rows[-1][:-1]]
     if variant == "bool":
@@ -278,12 +290,21 @@ def _bad_array(good, variant):
     return np.array(_with_entry(good, {"nan": math.nan, "inf": math.inf}[variant]))
 
 
-# each entry point against each variant it rejects; where nan passes, a nan
+def _rejected(what, nonfinite, variant) -> bool:
+    """Whether the entry ``what`` rejects ``variant``."""
+    if variant == "nan":
+        return variant in nonfinite
+    if variant == "rank":
+        return what not in ANY_RANK
+    return True
+
+
+# each entry point against each variant; where nan or another rank passes, a
 # case pins that it still passes
 ARRAY_CASES = [
-    pytest.param(call, good, variant, variant != "nan" or variant in nonfinite, id=f"{what}-{variant}")
+    pytest.param(call, good, variant, _rejected(what, nonfinite, variant), id=f"{what}-{variant}")
     for what, call, good, nonfinite in ARRAYS
-    for variant in ("string", "ragged", "bool", "complex", "nan", *(("inf",) if "inf" in nonfinite else ()))
+    for variant in ("string", "ragged", "bool", "complex", "none", "rank", "nan", *(("inf",) if "inf" in nonfinite else ()))
 ]
 
 
