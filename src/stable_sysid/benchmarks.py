@@ -264,8 +264,12 @@ def simulate_hh(voltage, kappa0: float, t_end: float, dt_solver: float = DEFAULT
     for s0 in range(0, n_steps, _HH_BLOCK):
         s1 = min(s0 + _HH_BLOCK, n_steps)
         half_grid = 0.5 * h * np.arange(2 * s0, 2 * s1 + 1)
-        V = np.asarray(voltage(half_grid), dtype=float)
-        if V.shape != half_grid.shape or not np.all(np.isfinite(V)):
+        values = voltage(half_grid)
+        try:
+            V = _config_array(values, "voltage grid", 1)
+        except InputError:
+            V = None
+        if V is None or V.shape != half_grid.shape:
             raise NumericError("voltage input produced a malformed or non-finite sample grid")
         A = hh_alpha(V)
         B = A + hh_beta(V)  # kappa' = alpha - (alpha + beta) kappa

@@ -250,17 +250,16 @@ def _split_mass(total: float, frac: float) -> tuple:
     return total * frac, total * (1.0 - frac)
 
 
-def _stacked(params: list, u: np.ndarray) -> tuple:
-    """Concatenated images of consecutive slices of ``u``, one per map."""
-    parts, offset = [], 0
-    for param in params:
-        parts.extend(param.to_eta(u[offset:offset + param.dim]))
-        offset += param.dim
-    return tuple(parts)
-
-
 def _stacked_parameterization(params: list) -> FeasibleParameterization:
-    return FeasibleParameterization(sum(p.dim for p in params), lambda u: _stacked(params, u))
+    """Concatenated images of consecutive slices of ``u``, one per map."""
+    def to_eta(u):
+        parts, offset = [], 0
+        for param in params:
+            parts.extend(param.to_eta(u[offset:offset + param.dim]))
+            offset += param.dim
+        return tuple(parts)
+
+    return FeasibleParameterization(sum(p.dim for p in params), to_eta)
 
 
 def _unit_mass_parameterization() -> FeasibleParameterization:
@@ -331,7 +330,8 @@ class KernelStructure:
 
     A structure declares ``name`` and ``eta_names``, from which ``arity``,
     ``validate_eta`` (every entry a real ``>= 0``, returned as floats) and
-    the ``exp(u)`` unconstrained map derive, and implements one evaluation
+    the ``exp(u)`` unconstrained map derive (the composite structures take
+    these from ``_Composite``'s layout), and implements one evaluation
     path, ``from_terms``; the generic ``diag_values`` and the module's row-pair
     functions evaluate it on row-paired terms.  It is also the one
     place that knows its stability rules.  A structure implements the rules
@@ -784,10 +784,53 @@ class FeatureGaussian(KernelStructure):
         return (vy / mzz, 1.0 / stats["med_sq"], vy / (10.0 * mzz))
 
 
+class _Composite(KernelStructure):
+    """The one eta layout of the structures built from ``parts``, which a
+    subclass supplies: ``weight_count`` leading weights, each a real > 0,
+    then each part's eta.  The unconstrained map is ``exp(u)`` per weight,
+    then each part's own map."""
+
+    weight_count = 0
+
+    @property
+    def arity(self) -> int:
+        return self.weight_count + sum(p.arity for p in self.parts)
+
+    def split_eta(self, eta):
+        """``(weights, [eta per part])``."""
+        offset = self.weight_count
+        etas = []
+        for part in self.parts:
+            etas.append(tuple(eta[offset:offset + part.arity]))
+            offset += part.arity
+        return tuple(eta[:self.weight_count]), etas
+
+    def validate_eta(self, eta):
+        if len(eta) != self.arity:
+            raise InputError(f"{self.name} expects {self.arity} hyperparameters, got {len(eta)}")
+        weights, etas = self.split_eta(eta)
+        parsed = tuple(_config_real(w, f"{self.name} kernel weight") for w in weights)
+        if weights and min(parsed) <= 0:
+            raise InputError(f"{self.name} kernel weights must be > 0, got {weights!r}")
+        for part, part_eta in zip(self.parts, etas):
+            parsed += part.validate_eta(part_eta)
+        return parsed
+
+    def check_dim(self, input_dim):
+        for part in self.parts:
+            part.check_dim(input_dim)
+
+    def unconstrained_parameterization(self):
+        weight = FeasibleParameterization(1, lambda u: (_pos(u[0]),))
+        return _stacked_parameterization(
+            [weight] * self.weight_count + [p.unconstrained_parameterization() for p in self.parts]
+        )
+
+
 @dataclass(frozen=True)
-class SumKernel(KernelStructure):
-    """Weighted sum of child kernels.  eta is the concatenation of the
-    strictly positive weights (one per child) and the children's etas."""
+class SumKernel(_Composite):
+    """Weighted sum of child kernels: one weight per child, and the children
+    are the parts of :class:`_Composite`'s layout."""
 
     children: tuple
     name = "sum"
@@ -803,30 +846,12 @@ class SumKernel(KernelStructure):
         return all(c.is_stationary for c in self.children)
 
     @property
-    def arity(self) -> int:
-        return len(self.children) + sum(c.arity for c in self.children)
+    def parts(self) -> tuple:
+        return self.children
 
-    def split_eta(self, eta):
-        q = len(self.children)
-        weights = tuple(eta[:q])
-        parts = []
-        offset = q
-        for child in self.children:
-            parts.append(tuple(eta[offset:offset + child.arity]))
-            offset += child.arity
-        return weights, parts
-
-    def validate_eta(self, eta):
-        if len(eta) != self.arity:
-            raise InputError(f"sum kernel expects {self.arity} hyperparameters "
-                             f"({len(self.children)} weights + children), got {len(eta)}")
-        weights, parts = self.split_eta(eta)
-        parsed = tuple(_config_real(w, "sum kernel weight") for w in weights)
-        if min(parsed) <= 0:
-            raise InputError(f"sum kernel weights must be > 0, got {weights!r}")
-        for child, part in zip(self.children, parts):
-            parsed += child.validate_eta(part)
-        return parsed
+    @property
+    def weight_count(self) -> int:  # type: ignore[override]
+        return len(self.children)
 
     def from_terms(self, eta, terms):
         weights, parts = self.split_eta(eta)
@@ -841,10 +866,6 @@ class SumKernel(KernelStructure):
             raise InputError("sum kernel is stationary only if all children are")
         weights, parts = self.split_eta(eta)
         return sum(w * c.stationary_peak(p) for w, c, p in zip(weights, self.children, parts))
-
-    def check_dim(self, input_dim):
-        for child in self.children:
-            child.check_dim(input_dim)
 
     # a sum is viable when its weights sum to at most 1 and every child is
     def _children_member(self, eta, rule, rho):
@@ -872,27 +893,10 @@ class SumKernel(KernelStructure):
     def delta_claim(self, eta):
         return self._children_claim(eta, "delta_claim")
 
-    def unconstrained_parameterization(self):
-        children = [c.unconstrained_parameterization() for c in self.children]
-        q = len(self.children)
-
-        def to_eta(u):
-            weights = tuple(_pos(v) for v in u[:q])
-            return weights + _stacked(children, u[q:])
-
-        dim = q + sum(cp.dim for cp in children)
-        return FeasibleParameterization(dim, to_eta)
-
     def _weighted_parameterization(self, children):
-        q = len(self.children)
-
-        def to_eta(u):
-            mass = _unit(u[0])
-            weights = tuple(mass * _softmax(u[1:1 + q]))
-            return weights + _stacked(children, u[1 + q:])
-
-        dim = 1 + q + sum(cp.dim for cp in children)
-        return FeasibleParameterization(dim, to_eta)
+        # a total mass in (0, 1) shared out by a softmax, then the children
+        weights = FeasibleParameterization(1 + len(children), lambda u: tuple(_unit(u[0]) * _softmax(u[1:])))
+        return _stacked_parameterization([weights, *children])
 
     def theta_parameterization(self, rho):
         return self._weighted_parameterization([c.theta_parameterization(rho) for c in self.children])
@@ -910,9 +914,10 @@ class SumKernel(KernelStructure):
 
 
 @dataclass(frozen=True)
-class ProductWithStationary(KernelStructure):
+class ProductWithStationary(_Composite):
     """Pointwise product of an arbitrary left kernel with a stationary right
-    kernel.  eta is the concatenation (eta_left, eta_right)."""
+    kernel: no weights, and ``(left, right)`` are the parts of
+    :class:`_Composite`'s layout."""
 
     left: KernelStructure
     right: KernelStructure
@@ -927,29 +932,15 @@ class ProductWithStationary(KernelStructure):
             )
 
     @property
-    def arity(self) -> int:
-        return self.left.arity + self.right.arity
-
-    def split_eta(self, eta):
-        na = self.left.arity
-        return tuple(eta[:na]), tuple(eta[na:])
-
-    def validate_eta(self, eta):
-        if len(eta) != self.arity:
-            raise InputError(f"product_stationary expects {self.arity} hyperparameters, got {len(eta)}")
-        eta_l, eta_r = self.split_eta(eta)
-        return self.left.validate_eta(eta_l) + self.right.validate_eta(eta_r)
+    def parts(self) -> tuple:
+        return self.left, self.right
 
     def from_terms(self, eta, terms):
-        eta_l, eta_r = self.split_eta(eta)
+        _, (eta_l, eta_r) = self.split_eta(eta)
         return self.left.from_terms(eta_l, terms) * self.right.from_terms(eta_r, terms)
 
-    def check_dim(self, input_dim):
-        self.left.check_dim(input_dim)
-        self.right.check_dim(input_dim)
-
     def theta_member(self, eta, rho):
-        eta_l, eta_r = self.split_eta(eta)
+        _, (eta_l, eta_r) = self.split_eta(eta)
         if self.right.stationary_peak(eta_r) > 1.0:
             return False
         return self.left.theta_member(eta_l, rho)
@@ -957,14 +948,9 @@ class ProductWithStationary(KernelStructure):
     delta_member = _unbounded_metric
 
     def theta_claim(self, eta):
-        eta_l, eta_r = self.split_eta(eta)
+        _, (eta_l, eta_r) = self.split_eta(eta)
         nu_l, s_l = self.left.theta_claim(eta_l)
         return nu_l, s_l * self.right.stationary_peak(eta_r)
-
-    def unconstrained_parameterization(self):
-        return _stacked_parameterization(
-            [self.left.unconstrained_parameterization(), self.right.unconstrained_parameterization()]
-        )
 
     def theta_parameterization(self, rho):
         return _stacked_parameterization(

@@ -203,8 +203,8 @@ def _gram(structure, eta, data: RegressionData) -> np.ndarray:
 
 
 def _spectrum(structure, eta, data: RegressionData):
-    lam, Q = _eig_psd(_gram(structure, eta, data))
-    return lam, Q.T @ data.targets
+    lam, _, yt = _eig_psd(_gram(structure, eta, data), data.targets)
+    return lam, yt
 
 
 def _eb_from_spectrum(lam, yt, beta, n) -> float:
@@ -433,6 +433,8 @@ def select_hyperparameters(
     search on fewer regression rows than its five folds, raise before any
     evaluation.
     """
+    _config_instance(config, SelectionConfig, "config")
+    _config_instance(data, RegressionData, "data")
     _check_structure(structure, data)
     param = feasible_parameterization(structure, config.target)
     if config.method == "kfold":

@@ -14,7 +14,8 @@ global optimum of the convex program.
 
 The constrained solve, ``gamma_fn`` and ``find_alpha_bar`` evaluate every
 alpha-dependent quantity through one symmetric eigendecomposition of K per
-problem, and every spectral root is :func:`_alpha_bar`; eigenvalues within
+problem, :func:`_eig_psd`, which also gives every spectral path ``Q'y``,
+and every spectral root is :func:`_alpha_bar`; eigenvalues within
 ``-1e-10 |K|`` of zero are clamped to zero, anything lower raises
 :class:`NumericError`.  The plain ridge solve and the search's
 plain GCV factor ``K + beta I`` by Cholesky.  The cap-aware GCV takes its
@@ -47,7 +48,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
-from .config import _config_array, _config_chi, _config_fields, _config_int, _config_nonnegative, _config_real
+from .config import (
+    _config_array, _config_chi, _config_fields, _config_instance, _config_int, _config_nonnegative, _config_real,
+)
 from .errors import InputError, NumericError
 from .kernels import KernelInstance, PairTerms
 
@@ -132,6 +135,8 @@ class FitProblem:
     constrained: bool = True
 
     def __post_init__(self):
+        _config_instance(self.data, RegressionData, "fit data")
+        _config_instance(self.kernel, KernelInstance, "fit kernel")
         object.__setattr__(self, "beta", _check_beta(self.beta))
         _config_fields(self, reals=("chi",), bools=("constrained",))
         if self.constrained:
@@ -228,13 +233,14 @@ def _finite_gram(K: np.ndarray) -> np.ndarray:
     return K
 
 
-def _eig_psd(K: np.ndarray):
-    """Eigendecomposition of a symmetric PSD matrix with roundoff clamping.
+def _eig_psd(K: np.ndarray, y: np.ndarray):
+    """``(lam, Q, Q'y)``: the eigendecomposition of a symmetric PSD matrix,
+    with roundoff clamping, and ``y`` rotated into its eigenbasis.
 
-    This is the package's only spectral factorization.  ``K`` must be
-    exactly symmetric.  Eigenvalues in ``[-1e-10 |K|, 0)`` are set to zero;
-    anything below that raises :class:`NumericError` with the offending
-    value.
+    This is the package's only spectral factorization and the only place
+    that rotates into an eigenbasis.  ``K`` must be exactly symmetric.
+    Eigenvalues in ``[-1e-10 |K|, 0)`` are set to zero; anything below that
+    raises :class:`NumericError` with the offending value.
     """
     try:
         lam, Q = np.linalg.eigh(K)
@@ -247,7 +253,7 @@ def _eig_psd(K: np.ndarray):
             f"min eigenvalue {lam[0]:.3e} vs spectral norm {scale:.3e}"
         )
     lam = np.maximum(lam, 0.0)
-    return lam, Q
+    return lam, Q, Q.T @ y
 
 
 def _shifted_cholesky(K: np.ndarray, beta: float):
@@ -264,13 +270,6 @@ def _shifted_cholesky(K: np.ndarray, beta: float):
     # the transpose of a symmetric C-ordered array is its Fortran-ordered self
     L, info = dpotrf(A.T, lower=1, clean=1)
     return A, (L if info == 0 else None)
-
-
-def _rotated_spectrum(K, y):
-    """Validate ``(K, y)``, factor K, and rotate y into its eigenbasis."""
-    K, y = _validate_matrix(K, y)
-    lam, Q = _eig_psd(K)
-    return lam, Q, Q.T @ y
 
 
 def _gamma_from_eigs(lam, yt2, lam_yt2, m, chi, alpha):
@@ -297,8 +296,8 @@ def _ridge(K, y, beta) -> np.ndarray:
     near machine precision even when beta is tiny relative to the spectrum."""
     A, L = _shifted_cholesky(K, beta)
     if L is None:
-        lam, Q = _eig_psd(K)
-        return Q @ (Q.T @ y / (lam + beta))
+        lam, Q, yt = _eig_psd(K, y)
+        return Q @ (yt / (lam + beta))
     c = dpotrs(L, y, lower=1)[0]
     c += dpotrs(L, y - A @ c, lower=1)[0]
     return c
@@ -313,7 +312,7 @@ def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
     """
     m = _check_gap(m, chi)
     alpha = _config_nonnegative(alpha, "alpha")
-    lam, _, yt = _rotated_spectrum(K, y)
+    lam, _, yt = _eig_psd(*_validate_matrix(K, y))
     yt2 = yt ** 2
     return _gamma_from_eigs(lam, yt2, lam * yt2, m, chi, alpha)
 
@@ -452,15 +451,14 @@ def find_alpha_bar(K, y, m: int, chi: float) -> float:
     The returned root has ``|gamma| <= 1e-10``.
     """
     m = _check_gap(m, chi)
-    lam, _, yt = _rotated_spectrum(K, y)
+    lam, _, yt = _eig_psd(*_validate_matrix(K, y))
     return _alpha_bar(lam, yt ** 2, m, chi)
 
 
 def _norm_constrained(K, y, m, chi, beta):
     """``(c, alpha_bar)`` with ``c = (K + max(alpha_bar, beta) I)^{-1} y``,
     solved through one eigendecomposition of an exactly symmetric ``K``."""
-    lam, Q = _eig_psd(K)
-    yt = Q.T @ y
+    lam, Q, yt = _eig_psd(K, y)
     alpha_bar = _alpha_bar(lam, yt ** 2, m, chi)
     effective = max(alpha_bar, beta)
     c = Q @ (yt / (lam + effective))

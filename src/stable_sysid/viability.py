@@ -326,6 +326,8 @@ def feasible_parameterization(
     The returned ``to_eta`` takes a 1-D array of ``dim`` numbers, nan and
     ±inf too (search iterates), else raises :class:`InputError`.
     """
+    _config_instance(structure, KernelStructure, "structure")
+    _config_instance(target, StabilityTarget, "target")
     if target.kind == "unconstrained":
         param = structure.unconstrained_parameterization()
     elif target.kind == "viable":

@@ -19,9 +19,9 @@ def eigh_calls(monkeypatch):
     calls = []
     real = solver._eig_psd
 
-    def counting(K):
+    def counting(K, y):
         calls.append(K.shape[0])
-        return real(K)
+        return real(K, y)
 
     monkeypatch.setattr(solver, "_eig_psd", counting)
     monkeypatch.setattr(selection, "_eig_psd", counting)

@@ -18,6 +18,7 @@ from stable_sysid import (
     MethodSpec,
     MonteCarloConfig,
     NarxFading,
+    NumericError,
     OptimizerConfig,
     Polynomial,
     PredictorModel,
@@ -35,6 +36,7 @@ from stable_sysid import (
 )
 from stable_sysid.benchmarks import (
     _HH_BLOCK,
+    FailureRow,
     ResultRow,
     draw_multisine,
     hh_alpha,
@@ -123,6 +125,30 @@ class TestHodgkinHuxleyGate:
             benchmarks._clear_memos()
         for data in (train, valid):
             assert np.all(data.u == 12.0) and np.all(data.y == 0.0)
+
+    @pytest.mark.parametrize(
+        "voltage",
+        [lambda t: np.full(t.shape, "a"), lambda t: np.ones(t.shape, dtype=bool), lambda t: t + 0j,
+         lambda t: [t.tolist(), [0.0]], lambda t: t[:-1], lambda t: np.where(t > 0.005, np.nan, t)],
+        ids=["string", "bool", "complex", "ragged", "wrong-length", "nan"],
+    )
+    def test_malformed_voltage_grid_is_a_numeric_error(self, voltage):
+        with pytest.raises(NumericError, match="^voltage input produced a malformed or non-finite sample grid$"):
+            simulate_hh(voltage, 0.5, 0.01, 0.001)
+
+    def test_float64_grid_reaches_the_rates_as_given(self, monkeypatch):
+        grids, seen = [], []
+        rates = benchmarks.hh_alpha
+        monkeypatch.setattr(benchmarks, "hh_alpha", lambda V: seen.append(V) or rates(V))
+        simulate_hh(lambda t: grids.append(np.sin(t)) or grids[-1], 0.5, 0.01, 0.001)
+        assert len(seen) == len(grids) == 1 and seen[0] is grids[0]
+        integer = simulate_hh(lambda t: np.zeros(t.shape, dtype=np.int64), 0.5, 0.01, 0.001)
+        assert np.array_equal(integer, simulate_hh(lambda t: np.zeros(t.shape), 0.5, 0.01, 0.001))
+
+    def test_overflowing_gate_names_its_step(self):
+        # at V = 0 a step of 100 is far past RK4's stability limit
+        with pytest.raises(NumericError, match="^gate integration produced a non-finite state at step 87$"):
+            simulate_hh(lambda t: np.zeros(t.shape), 0.5, 1e5, 100.0)
 
     def test_fourth_order_convergence_on_dt_halving(self):
         voltage = draw_multisine(np.random.default_rng(7))
@@ -461,6 +487,25 @@ class TestMonteCarlo:
         _, valid = generate_dataset(spec, salt=(0,))
         zero_q_pre = float(np.mean(np.abs(valid.y[2:])))
         assert result.rows[0].q_pre < zero_q_pre
+
+    def test_numeric_failure_becomes_a_failure_row(self, monkeypatch):
+        spec = SyntheticSystemSpec("B", seed=1, n_train=30, n_valid=30)
+        config = MonteCarloConfig(runs=2, systems=(spec,), methods=standard_methods("B", fast_selection()))
+        fit = benchmarks.fit_method
+
+        def failing(data, method):
+            if method.name == "Bb":
+                raise NumericError("the Gram is not finite")
+            return fit(data, method)
+
+        def content(rows):  # everything but the wall-clock column
+            return [(r.run, r.method, r.q_pre, r.q_sim, r.feasible) for r in rows]
+
+        kept = [row for row in run_monte_carlo(config).rows if row.method == "Ba"]
+        monkeypatch.setattr(benchmarks, "fit_method", failing)
+        result = run_monte_carlo(config)
+        assert result.failures == tuple(FailureRow(run, "B", "Bb", "the Gram is not finite") for run in (0, 1))
+        assert content(result.rows) == content(kept) and [r.run for r in kept] == [0, 1]
 
     def test_infeasible_method_rejected_upfront(self):
         spec = SyntheticSystemSpec("B", seed=1, n_train=30, n_valid=30)

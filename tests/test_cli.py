@@ -14,10 +14,11 @@ from stable_sysid.cli import (
     EXIT_DIVERGED,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
+    EXIT_NUMERIC,
     EXIT_OK,
     main,
 )
-from stable_sysid.errors import InputError
+from stable_sysid.errors import InputError, NumericError
 from stable_sysid.kernels import Gaussian
 from stable_sysid.predictor import load_model
 from stable_sysid.selection import OptimizerConfig, SelectionConfig
@@ -120,6 +121,21 @@ class TestFit:
                                                   "target": {"kind": "iss"}, "out": str(out)})
         assert run(["fit", "--config", cfg]) == EXIT_INFEASIBLE
         assert capsys.readouterr().err.startswith("infeasible stability target:")
+        assert not out.exists()
+
+    def test_numeric_failure_exits_4(self, workdir, capsys, monkeypatch):
+        train, _ = generate_b(workdir, n=20)
+
+        def failing(*args):
+            raise NumericError("the Gram is not finite")
+
+        monkeypatch.setattr(benchmarks, "fit_method", failing)
+        out = workdir / "fitout"
+        cfg = write_config(workdir / "fit.json", {"data": str(train), "kernel": {"structure": "gaussian"},
+                                                  "target": {"kind": "none"}, "out": str(out)})
+        capsys.readouterr()
+        assert run(["fit", "--config", cfg]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: the Gram is not finite\n"
         assert not out.exists()
 
     def test_uncreatable_output_directory_exits_2_after_the_fit(self, workdir, capsys, monkeypatch):

@@ -46,7 +46,7 @@ from stable_sysid.kernels import (
     metric_pairs,
 )
 from stable_sysid.predictor import PredictorModel, metrics, one_step_predict, run_model, simulate
-from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_cost, gcv_cost
+from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_cost, gcv_cost, select_hyperparameters
 from stable_sysid.solver import FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn
 from stable_sysid.viability import StabilityTarget, feasible_parameterization, membership, numeric_falsifier
 
@@ -150,6 +150,11 @@ ARGUMENTS = {
     "membership-target-string": lambda: membership(Gaussian(), GAUSS_ETA, "iss"),
     "numeric_falsifier-kernel-string": lambda: numeric_falsifier("gaussian", StabilityTarget.viable(0.5)),
     "numeric_falsifier-target-none": lambda: numeric_falsifier(KERNEL, None),
+    "feasible_parameterization-structure-string": lambda: feasible_parameterization("gaussian", StabilityTarget.iss()),
+    "feasible_parameterization-target-string": lambda: feasible_parameterization(Gaussian(), "iss"),
+    "feasible_parameterization-target-none": lambda: feasible_parameterization(Gaussian(), None),
+    "select_hyperparameters-config-string": lambda: select_hyperparameters("x", DATA, Gaussian()),
+    "select_hyperparameters-data-string": lambda: select_hyperparameters(SelectionConfig(), "d", Gaussian()),
     "simulate_hh-dt_solver-string": lambda: simulate_hh(np.sin, 0.5, 1.0, "1"),
     "simulate_hh-t_end-string": lambda: simulate_hh(np.sin, 0.5, "1"),
     "simulate_hh-kappa0-string": lambda: simulate_hh(np.sin, "a", 1.0),
@@ -347,6 +352,8 @@ INSTANCES = {
     "PredictorModel-kernel-none": lambda: replace(MODEL, kernel=None),
     "PredictorModel-stability_tag-string": lambda: replace(MODEL, stability_tag="iss"),
     "KernelInstance-structure-string": lambda: KernelInstance("gaussian", GAUSS_ETA, 5),
+    "FitProblem-data-string": lambda: FitProblem("d", KERNEL, 1.0),
+    "FitProblem-kernel-string": lambda: FitProblem(DATA, "k", 1.0),
     "SumKernel-child-string": lambda: SumKernel((Gaussian(), "linear_affine")),
     "ProductWithStationary-left-string": lambda: ProductWithStationary("linear_affine", Gaussian()),
     "ProductWithStationary-right-none": lambda: ProductWithStationary(LinearAffine(), None),

@@ -152,7 +152,7 @@ def reference_cross(structure, eta, A, B):
             total = term if total is None else total + term
         return total
     if isinstance(structure, ProductWithStationary):
-        eta_l, eta_r = structure.split_eta(eta)
+        _, (eta_l, eta_r) = structure.split_eta(eta)
         return reference_cross(structure.left, eta_l, A, B) * reference_cross(structure.right, eta_r, A, B)
     raise AssertionError(f"no reference for {structure!r}")
 
@@ -279,7 +279,7 @@ def reference_pairs(structure, eta, A, B):
             total = term if total is None else total + term
         return total
     if isinstance(structure, ProductWithStationary):
-        eta_l, eta_r = structure.split_eta(eta)
+        _, (eta_l, eta_r) = structure.split_eta(eta)
         return reference_pairs(structure.left, eta_l, A, B) * reference_pairs(structure.right, eta_r, A, B)
     raise AssertionError(f"no reference for {structure!r}")
 
@@ -307,7 +307,7 @@ def reference_diag(structure, eta, A):
             total = term if total is None else total + term
         return total
     if isinstance(structure, ProductWithStationary):
-        eta_l, eta_r = structure.split_eta(eta)
+        _, (eta_l, eta_r) = structure.split_eta(eta)
         return reference_diag(structure.left, eta_l, A) * reference_diag(structure.right, eta_r, A)
     raise AssertionError(f"no reference for {structure!r}")
 

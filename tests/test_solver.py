@@ -101,6 +101,18 @@ class TestSolveRidge:
             residual = np.linalg.norm((K + beta * np.eye(10)) @ c - y)
             assert residual <= 1e-10 * np.linalg.norm(y)
 
+    def test_refused_factor_solves_through_the_spectrum(self, cholesky_calls, eigh_calls):
+        # an eigenvalue of -1e-11 |K| is clamped, but K + 1e-13 I is indefinite
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        K = (Q * np.linspace(-1e-11, 1.0, 8)) @ Q.T
+        K = 0.5 * (K + K.T)
+        y = rng.normal(size=8)
+        c = _ridge(K, y, 1e-13)
+        assert cholesky_calls == [8] and eigh_calls == [8]
+        lam, V = np.linalg.eigh(K)
+        assert np.array_equal(c, V @ (V.T @ y / (np.maximum(lam, 0.0) + 1e-13)))
+
     def test_beta_must_be_positive(self):
         data = build_regression_data(np.arange(4.0), np.arange(4.0), 1)
         with pytest.raises(InputError):

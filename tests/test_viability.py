@@ -313,6 +313,23 @@ class TestFalsifier:
         with pytest.raises(InputError, match=f"^{field} must be an? (integer|number)"):
             numeric_falsifier(k, StabilityTarget.iss(), **{"sample_count": 10, **kwargs})
 
+    @pytest.mark.parametrize(
+        "rule,target,eta,claim",
+        [("theta_claim", viable(1.0), (0.5, 1.0, 0.0), (0.5, 0.25)),
+         ("delta_claim", dviable(10.0), (3.0, 1.0, 0.0), (12.0, 1.0))],
+    )
+    def test_understated_claim_yields_a_bounded_witness(self, monkeypatch, rule, target, eta, claim):
+        # below nu the kernel side must stay below s; a claimed s the kernel
+        # exceeds there is reported as a bounded witness
+        k = KernelInstance(Gaussian(), eta, 5)
+        assert membership(Gaussian(), eta, target)
+        monkeypatch.setattr(Gaussian, rule, lambda self, eta: claim)
+        witness = numeric_falsifier(k, target, sample_count=2000, seed=5)
+        kind = rule.split("_")[0]
+        assert witness is not None and witness.violated_condition == f"{kind}_bounded"
+        gap = witness.points[0] - (witness.points[1] if kind == "delta" else 0.0)
+        assert float(gap @ gap) < claim[0]
+
     def test_integral_and_numpy_arguments_accepted(self):
         k = KernelInstance(Gaussian(), (2.0, 1.0, 0.0), 5)
         w1 = numeric_falsifier(k, StabilityTarget.diss(), sample_count=5000.0, radius=np.float32(50), seed=np.int64(9))
@@ -384,6 +401,47 @@ class TestFeasibleParameterization:
     def test_unsupported_delta_product(self):
         with pytest.raises(UnsupportedTargetError):
             feasible_parameterization(FeatureGaussian(), StabilityTarget.diss())
+
+
+class TestStationarySumAsRightFactor:
+    """The one nested composite the rules admit: a product whose stationary
+    right factor is itself a sum, which reads the sum's zero-lag value."""
+
+    RIGHT = SumKernel((Gaussian(), Matern32()))
+    PRODUCT = ProductWithStationary(LinearAffine(), RIGHT)
+
+    @staticmethod
+    def eta(weight):
+        return (0.5, 0.0, weight, weight, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0)
+
+    def test_layout_nests(self):
+        assert self.RIGHT.is_stationary and self.PRODUCT.arity == 10
+        weights, parts = self.PRODUCT.split_eta(self.eta(0.3))
+        assert weights == () and parts == [(0.5, 0.0), self.eta(0.3)[2:]]
+        assert self.RIGHT.split_eta(self.eta(0.3)[2:]) == ((0.3, 0.3), [(1.0, 1.0, 0.0)] * 2)
+        assert feasible_parameterization(self.PRODUCT, StabilityTarget.unconstrained()).to_eta(np.zeros(10)) \
+            == (1.0,) * 10
+        with pytest.raises(InputError, match="^product_stationary expects 10 hyperparameters, got 9$"):
+            self.PRODUCT.validate_eta(self.eta(0.3)[:9])
+        with pytest.raises(InputError, match="^sum expects 8 hyperparameters, got 9$"):
+            self.RIGHT.validate_eta(self.eta(0.3)[1:])
+
+    def test_growth_membership_reads_the_sum_peak(self):
+        assert self.RIGHT.stationary_peak(self.eta(0.3)[2:]) == pytest.approx(0.6)
+        assert membership(self.PRODUCT, self.eta(0.3), StabilityTarget.iss())
+        assert not membership(self.PRODUCT, self.eta(0.6), StabilityTarget.iss())
+
+    def test_no_unit_peak_map_for_a_sum(self):
+        with pytest.raises(UnsupportedTargetError, match="no unit-peak parameterization for stationary factor 'sum'"):
+            feasible_parameterization(self.PRODUCT, StabilityTarget.iss())
+
+    def test_sum_with_a_linear_child_is_no_right_factor(self):
+        mixed = SumKernel((Gaussian(), LinearAffine()))
+        assert not mixed.is_stationary
+        with pytest.raises(InputError, match="right factor must be stationary, got 'sum'"):
+            ProductWithStationary(LinearAffine(), mixed)
+        with pytest.raises(InputError, match="stationary only if all children are"):
+            mixed.stationary_peak((0.5, 0.5, 1.0, 1.0, 0.0, 1.0, 0.0))
 
 
 class TestSoundnessAgainstFalsifier:
