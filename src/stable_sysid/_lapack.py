@@ -18,12 +18,34 @@ keeps its bits.  No stand-in ``scipy.linalg`` is registered.
 
 Where either file is missing (a scipy built another way), the modules come
 from ``scipy.linalg`` itself: the same objects, at the old start-up cost.
+
+numpy and scipy each load their own OpenBLAS, with its own thread pool, and
+alternating between the two pools is slow: on mc-ab, after the scipy-only
+GCV searches, numpy's final ``eigh`` pair took 0.124 s a round where 0.008 s
+is normal (2 vCPUs).  At the search's size a second thread does not pay
+either: one ``dpotrf`` of a 199 x 199 Gram took 0.21 ms on one thread and
+0.46 ms on two.  So :func:`_scipy_threads` runs scipy's pool on one thread
+for the length of each search, through the run-time setter that scipy's
+OpenBLAS exports, found with ``ctypes`` as ``threadpoolctl`` does
+(https://github.com/joblib/threadpoolctl); on another BLAS the setter is
+absent and nothing is pinned.  Only scipy's pool and only the search are
+pinned, which moved none of the mc-ab/mc-h rows of seeds 0-9: numpy's
+thread count sets the bits of every ``eigh`` and so of the H rows (ROADMAP
+D17), and ``dpotrf``'s bits depend on the thread count from N = 128 up, so
+a final solve on one thread moved Ha's row on 7 of 10 seeds.  Pinning both pools, fits included, waits
+for the re-baseline of ROADMAP Direction 1 (Direction 16).  The count is
+process-wide, so the context also holds one process-wide lock, which every
+other scipy caller of the package takes at the caller's count: a final
+Cholesky never runs pinned because another thread is searching.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import sys
+import threading
+from contextlib import contextmanager
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from types import ModuleType
@@ -93,3 +115,38 @@ dtrtri = _flapack.dtrtri
 dnrm2 = _fblas.dnrm2
 dsymv = _fblas.dsymv
 dsyr2 = _fblas.dsyr2
+
+
+def _thread_setters(module: ModuleType):
+    """``(set, get)`` of the OpenBLAS that ``module`` links, or ``(None, None)``
+    where it exports no scipy-OpenBLAS thread setter."""
+    # dlopen of a loaded extension returns its handle, and dlsym on that
+    # handle also searches the libraries it links
+    library = ctypes.CDLL(module.__file__)
+    set_threads = getattr(library, "scipy_openblas_set_num_threads", None)
+    get_threads = getattr(library, "scipy_openblas_get_num_threads", None)
+    if set_threads is None or get_threads is None:
+        return None, None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
+
+
+_set_threads, _get_threads = _thread_setters(_flapack)
+_LOCK = threading.RLock()
+
+
+@contextmanager
+def _scipy_threads(count: int | None = None):
+    """Hold the package's scipy lock, with scipy's OpenBLAS on ``count``
+    threads (None keeps the caller's), and restore the caller's count on
+    exit, also when the body raises."""
+    with _LOCK:
+        before = None if count is None or _set_threads is None else _get_threads()
+        if before is not None:
+            _set_threads(count)
+        try:
+            yield
+        finally:
+            if before is not None:
+                _set_threads(before)

@@ -490,7 +490,11 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     searches with identical inputs, such as Ha's and Hb's, factor each Gram
     once.  With more than 8 groups in flight a pair can be evicted and drawn
     again, with the same bits; none outlives the call.  Rows come in cell
-    order whatever ``n_jobs``.
+    order whatever ``n_jobs``.  The searches of different groups do not
+    overlap: each holds the package's scipy lock, which a group's final
+    Cholesky also takes (see :mod:`stable_sysid.selection`), and their
+    LAPACK calls hold the GIL anyway.  Threads overlap only the work outside
+    the lock: data generation, numpy's spectra and the predictions.
     """
     for method in config.methods:
         feasible_parameterization(method.structure, method.selection.target)

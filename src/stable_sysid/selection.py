@@ -63,6 +63,14 @@ The harness runs the searches on one data in turn; concurrent ones stay
 safe all the same: entries are read-only and never replaced by different
 values, since every writer of a key computes bit-identical ones.  The
 public ``eb_cost``/``gcv_cost`` neither read nor fill the memo.
+
+Every search runs its restarts with scipy's OpenBLAS on one thread, under
+the package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_threads`),
+so the searches of different threads, such as the harness's groups, no
+longer overlap.  Threads could not speed a search up anyway: scipy's
+``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran
+them at 0.64-0.92 times the serial speed (N = 199, 2 vCPUs); only
+processes can run searches side by side.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import dpotrs, dtrtri
+from ._lapack import _scipy_threads, dpotrs, dtrtri
 from .config import _config_chi, _config_eta, _config_fields, _config_instance
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelStructure
@@ -247,6 +255,7 @@ def _gcv(K, beta, data: RegressionData, spectrum) -> float:
 def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Negative log marginal likelihood of the targets under the kernel prior."""
     _check_beta(beta)
+    _config_instance(data, RegressionData, "data")
     _check_structure(structure, data)
     lam, yt = _spectrum(structure, eta, data)
     return _eb_from_spectrum(lam, yt, beta, data.size)
@@ -255,8 +264,10 @@ def eb_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStru
 def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStructure) -> float:
     """Generalized cross-validation score of the ridge smoother."""
     _check_beta(beta)
+    _config_instance(data, RegressionData, "data")
     _check_structure(structure, data)
-    return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
+    with _scipy_threads():
+        return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
 
 
 def _check_kfold_rows(data: RegressionData) -> None:
@@ -513,7 +524,8 @@ def select_hyperparameters(
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
     best_x, best_val = None, math.inf
     restarts = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+    # scipy's OpenBLAS on one thread for every cost evaluation (see _lapack)
+    with _scipy_threads(1), np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for x0 in starts:
             x, value, spent, stop = _nelder_mead(
                 objective, x0, maxfev=budget, xatol=SEARCH_XATOL, fatol=SEARCH_FATOL, adaptive=dim > 4

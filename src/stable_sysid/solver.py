@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._lapack import dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
+from ._lapack import _scipy_threads, dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
 from .config import (
     _config_array, _config_chi, _config_fields, _config_instance, _config_int, _config_nonnegative, _config_real,
 )
@@ -260,11 +260,13 @@ def _shifted_cholesky(K: np.ndarray, beta: float):
     """``A = K + beta I`` (``K`` exactly symmetric) and its lower Cholesky
     factor, or None for the factor where LAPACK rejects it.  The package's
     only Cholesky is scipy's ``dpotrf`` (bound by :mod:`stable_sysid._lapack`
-    without the ``scipy.linalg`` package) as :func:`_eig_psd` is numpy's:
-    each loads its own OpenBLAS and thread pool, and alternating them
-    (198 x 198, 2 vCPUs) took 30-34 ms a pair against 5-6 and 0.4-0.9 ms
-    apart.  scipy's ``eigh``, like pinned threads, moved mc-h Hb ``q_sim``
-    by 5.4%."""
+    without the ``scipy.linalg`` package) as :func:`_eig_psd` is numpy's,
+    and each library runs its own OpenBLAS thread pool.  The phase rule
+    (see :mod:`stable_sysid._lapack`): inside a search, scipy's pool runs on
+    one thread; every other call keeps the caller's count, since
+    ``dpotrf``'s bits depend on it from N = 128 up; numpy's pool is never
+    pinned.  scipy's ``eigh`` in place of numpy's moved mc-h Hb ``q_sim`` by
+    5.4%, and a pinned numpy pool moves the H rows too (ROADMAP D17)."""
     A = np.array(K, dtype=float)
     A.flat[::A.shape[0] + 1] += beta
     # the transpose of a symmetric C-ordered array is its Fortran-ordered self
@@ -294,13 +296,14 @@ def _ridge(K, y, beta) -> np.ndarray:
     """Solve ``(K + beta I) c = y`` for an exactly symmetric PSD ``K`` and
     beta > 0.  One step of iterative refinement keeps the relative residual
     near machine precision even when beta is tiny relative to the spectrum."""
-    A, L = _shifted_cholesky(K, beta)
-    if L is None:
-        lam, Q, yt = _eig_psd(K, y)
-        return Q @ (yt / (lam + beta))
-    c = dpotrs(L, y, lower=1)[0]
-    c += dpotrs(L, y - A @ c, lower=1)[0]
-    return c
+    with _scipy_threads():
+        A, L = _shifted_cholesky(K, beta)
+        if L is None:
+            lam, Q, yt = _eig_psd(K, y)
+            return Q @ (yt / (lam + beta))
+        c = dpotrs(L, y, lower=1)[0]
+        c += dpotrs(L, y - A @ c, lower=1)[0]
+        return c
 
 
 def gamma_fn(K, y, m: int, chi: float, alpha: float) -> float:
@@ -472,6 +475,7 @@ def solve_constrained(problem: FitProblem) -> FitReport:
     for constrained problems, ``mu <= chi`` up to root-finding tolerance
     with ``constraint_active`` set when the norm budget binds.
     """
+    _config_instance(problem, FitProblem, "problem")
     K = _finite_gram(problem.kernel.structure.from_terms(problem.kernel.eta, problem.data.terms))
     y = problem.data.targets
     m = problem.data.model_order

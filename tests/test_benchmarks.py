@@ -735,6 +735,64 @@ class TestSharedTrainingData:
         assert content(threaded) == content(serial)
 
 
+class TestSearchLock:
+    """A search runs scipy's OpenBLAS on one thread and holds the package's
+    scipy lock, which every other scipy caller of the package takes, so a
+    group's final Cholesky never runs inside another group's search: at
+    N >= 128 its bits depend on the thread count."""
+
+    def config(self, runs=2, n_jobs=1):
+        spec = SyntheticSystemSpec("B", seed=4, n_train=130, n_valid=30)
+        selection = replace(fast_selection(), optimizer=OptimizerConfig(restarts=1, max_evals=30))
+        return MonteCarloConfig(runs=runs, systems=(spec,), methods=(MethodSpec("Ba", Gaussian(), selection),),
+                                n_jobs=n_jobs)
+
+    @staticmethod
+    def content(result):
+        return [(r.run, r.q_pre.hex(), r.q_sim.hex(), r.feasible) for r in result.rows]
+
+    def test_a_final_solve_due_inside_a_search_waits_for_it(self, monkeypatch):
+        from stable_sysid import selection, solver
+
+        serial = run_monte_carlo(self.config())
+        entered, solved, order = threading.Event(), threading.Event(), []
+        real_gcv, real_ridge = selection._gcv, solver._ridge
+
+        def gcv(*args):
+            # the second group to score a point holds still inside its search
+            # until the first group's final solve is done; the lock keeps
+            # that solve out, so the wait runs out instead
+            if threading.get_ident() not in order:
+                order.append(threading.get_ident())
+                if len(order) == 2:
+                    entered.set()
+                    solved.wait(timeout=1.0)
+            return real_gcv(*args)
+
+        def ridge(*args):
+            entered.wait(timeout=1.0)  # until the other group is searching
+            c = real_ridge(*args)
+            solved.set()
+            return c
+
+        monkeypatch.setattr(selection, "_gcv", gcv)
+        monkeypatch.setattr(solver, "_ridge", ridge)
+        threaded = run_monte_carlo(self.config(n_jobs=2))
+        assert len(serial.rows) == 2 and not threaded.failures
+        assert self.content(threaded) == self.content(serial)
+
+    def test_more_workers_than_cores_under_fast_switching_give_the_serial_rows(self):
+        serial = run_monte_carlo(self.config(runs=4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_monte_carlo(self.config(runs=4, n_jobs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(serial.rows) == 4 and not threaded.failures
+        assert self.content(threaded) == self.content(serial)
+
+
 def read_results(path) -> list:
     """The rows of a ``results.csv``, read back by the csv module."""
     with open(path, newline="", encoding="utf-8") as fh:

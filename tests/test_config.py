@@ -47,7 +47,9 @@ from stable_sysid.kernels import (
 )
 from stable_sysid.predictor import PredictorModel, metrics, one_step_predict, run_model, simulate
 from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_cost, gcv_cost, select_hyperparameters
-from stable_sysid.solver import FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn
+from stable_sysid.solver import (
+    FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn, solve_constrained,
+)
 from stable_sysid.viability import StabilityTarget, feasible_parameterization, membership, numeric_falsifier
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
@@ -155,6 +157,9 @@ ARGUMENTS = {
     "feasible_parameterization-target-none": lambda: feasible_parameterization(Gaussian(), None),
     "select_hyperparameters-config-string": lambda: select_hyperparameters("x", DATA, Gaussian()),
     "select_hyperparameters-data-string": lambda: select_hyperparameters(SelectionConfig(), "d", Gaussian()),
+    "solve_constrained-problem-string": lambda: solve_constrained("p"),
+    "eb_cost-data-string": lambda: eb_cost(1.0, GAUSS_ETA, "d", Gaussian()),
+    "gcv_cost-data-string": lambda: gcv_cost(1.0, GAUSS_ETA, "d", Gaussian()),
     "simulate_hh-dt_solver-string": lambda: simulate_hh(np.sin, 0.5, 1.0, "1"),
     "simulate_hh-t_end-string": lambda: simulate_hh(np.sin, 0.5, "1"),
     "simulate_hh-kappa0-string": lambda: simulate_hh(np.sin, "a", 1.0),

@@ -1,18 +1,24 @@
 """The package's LAPACK/BLAS routines are scipy's own compiled ones, whether
 they were bound by path or, where scipy's extension files are elsewhere,
-through ``scipy.linalg``."""
+through ``scipy.linalg``; a search runs them on one thread and gives the
+caller's thread count back."""
 
 import os
 import subprocess
 import sys
+import threading
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
+import numpy as np
+import pytest
 import scipy.linalg.blas
 import scipy.linalg.lapack
+from numpy.linalg import _umath_linalg
 
 import stable_sysid
-from stable_sysid import _lapack
+from stable_sysid import Gaussian, OptimizerConfig, RegressionData, SelectionConfig, _lapack, selection
+from stable_sysid.selection import select_hyperparameters
 
 BLAS = ("dnrm2", "dsymv", "dsyr2")
 LAPACK = ("dpotrf", "dpotrs", "dptsv", "dpttrs", "dsytrd", "dsytrd_lwork", "dtrtri")
@@ -67,3 +73,78 @@ def test_reload_from_the_real_directory_keeps_the_modules():
     assert _lapack._load(_lapack._scipy_linalg_directory()) == before
     assert_scipys_routines(*before)
 
+
+def gcv_search():
+    """A plain-GCV search on small fixed data."""
+    rng = np.random.default_rng(3)
+    data = RegressionData(rng.standard_normal((40, 5)), rng.standard_normal(40), 2)
+    config = SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=2, max_evals=40))
+    return select_hyperparameters(config, data, Gaussian())
+
+
+@pytest.fixture
+def scipy_threads():
+    """scipy's OpenBLAS set to three threads, a count no search pins, and
+    set back to its count before the test afterwards."""
+    if _lapack._set_threads is None:
+        pytest.skip("scipy's BLAS exports no scipy-OpenBLAS thread setter")
+    # a test may patch the module's setter away before this teardown runs
+    setter, before = _lapack._set_threads, _lapack._get_threads()
+    setter(3)
+    yield 3
+    setter(before)
+
+
+def counting_scores(monkeypatch, fail=False):
+    """Patch the plain GCV score to record scipy's thread count, raising
+    ``RuntimeError`` instead of scoring where ``fail``."""
+    counts, real = [], selection._gcv
+
+    def gcv(*args):
+        counts.append(_lapack._get_threads())
+        if fail:
+            raise RuntimeError("stopped inside the search")
+        return real(*args)
+
+    monkeypatch.setattr(selection, "_gcv", gcv)
+    return counts
+
+
+def test_a_search_runs_scipy_on_one_thread_and_restores_the_count(monkeypatch, scipy_threads):
+    counts = counting_scores(monkeypatch)
+    gcv_search()
+    assert counts and set(counts) == {1}
+    assert _lapack._get_threads() == scipy_threads
+
+
+def test_a_search_that_raises_restores_the_count(monkeypatch, scipy_threads):
+    counts = counting_scores(monkeypatch, fail=True)
+    with pytest.raises(RuntimeError, match="stopped inside the search"):
+        gcv_search()
+    assert counts == [1]
+    assert _lapack._get_threads() == scipy_threads
+    # the lock was released: another thread takes it at once
+    taken = []
+
+    def take():
+        taken.append(_lapack._LOCK.acquire(timeout=5))
+        if taken[0]:
+            _lapack._LOCK.release()
+
+    thread = threading.Thread(target=take)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and taken == [True]
+
+
+def test_without_the_setter_a_search_runs_unpinned(monkeypatch, scipy_threads):
+    pinned = gcv_search()
+    counts = counting_scores(monkeypatch)
+    monkeypatch.setattr(_lapack, "_set_threads", None)
+    assert gcv_search() == pinned
+    assert counts and set(counts) == {scipy_threads}
+
+
+def test_another_blas_has_no_setter():
+    # numpy's OpenBLAS exports only the 64-bit-suffixed names
+    assert _lapack._thread_setters(_umath_linalg) == (None, None)

@@ -20,12 +20,17 @@ counted; on mc-ab it also times the thread-pool check round (a wall time,
 not a metric).  The machine facts
 are those of the parent's first run record, plus ``PYTHONDONTWRITEBYTECODE``
 as this script's runs inherit it: where it is set, every run compiles the
-package source afresh, which ``setup_s`` includes.
+package source afresh, which ``setup_s`` includes.  They also hold the live
+thread counts of numpy's and scipy's OpenBLAS pools, as this script's
+interpreter reads them through each library's getter (None where it exports
+none): ``OPENBLAS_NUM_THREADS`` is None where it is unset, while each pool
+runs one thread per CPU.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import statistics
@@ -41,6 +46,23 @@ SEED = 0
 CALLED = {"mc-ab": ("eigh", "dsytrd", "dpotrf", "dtrtri"), "mc-h": ("eigh", "dpotrf")}
 MACHINE_KEYS = ("nproc", "blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "python", "numpy", "scipy")
+
+
+def pool_threads() -> dict:
+    """The live thread counts of numpy's and scipy's OpenBLAS pools, read
+    through the getter each library's LAPACK extension links, or None where
+    it exports none."""
+    from numpy.linalg import _umath_linalg
+    from scipy.linalg import _flapack
+
+    counts = {}
+    for key, module, name in (("numpy_blas_threads", _umath_linalg, "scipy_openblas_get_num_threads64_"),
+                              ("scipy_blas_threads", _flapack, "scipy_openblas_get_num_threads")):
+        getter = getattr(ctypes.CDLL(module.__file__), name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+        counts[key] = None if getter is None else getter()
+    return counts
 
 
 def probe(root: Path, workload: str) -> dict:
@@ -142,6 +164,7 @@ def main(argv=None) -> int:
             env = runs["parent"][0]["environment"]
             report["machine"] = {key: env.get(key) for key in MACHINE_KEYS}
             report["machine"]["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
+            report["machine"].update(pool_threads())
         summary = {side: side_summary(runs[side], run_probe(root, workload))
                    for side, root in sides.items()}
         summary["change_over_parent"] = {
