@@ -320,6 +320,7 @@ def generate_dataset(spec: SyntheticSystemSpec, salt: tuple = ()) -> tuple:
     served from a memo that :func:`run_monte_carlo` empties on entry and
     exit, and is then shared by every caller that asks for it.
     """
+    _config_instance(spec, SyntheticSystemSpec, "spec")
     salt = tuple(_config_int(s, "salt entry", 0) for s in salt)
     return _generate_pair(spec, salt)
 
@@ -494,8 +495,13 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     overlap: each holds the package's scipy lock, which a group's final
     Cholesky also takes (see :mod:`stable_sysid.selection`), and their
     LAPACK calls hold the GIL anyway.  Threads overlap only the work outside
-    the lock: data generation, numpy's spectra and the predictions.
+    the lock: data generation, numpy's spectra and the predictions.  A GCV
+    search with more than one restart (A and B's methods) runs every second
+    restart in one helper process, on a second CPU where the affinity set
+    has one, whatever ``n_jobs``; EB searches (H's methods) run in this
+    process.  The rows are the same either way, bit for bit.
     """
+    _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:
         feasible_parameterization(method.structure, method.selection.target)
 
@@ -528,6 +534,7 @@ def summarize(rows) -> list:
     """Per (system, method, metric) five-number summaries, sorted."""
     groups: dict = {}
     for row in rows:
+        _config_instance(row, ResultRow, "summary row")
         groups.setdefault((row.system, row.method), []).append(row)
     out = []
     for (system, method), members in sorted(groups.items()):
@@ -600,7 +607,9 @@ def standard_methods(variant: str, selection: SelectionConfig | None = None) -> 
     if not isinstance(variant, str) or variant not in _STANDARD_METHODS:
         raise InputError(f"unknown system variant {variant!r}")
     cost, structure, targets = _STANDARD_METHODS[variant]
-    selection = selection if selection is not None else benchmark_selection_config(method=cost)
+    if selection is None:
+        selection = benchmark_selection_config(method=cost)
+    _config_instance(selection, SelectionConfig, "selection")
     return tuple(MethodSpec(name, structure, replace(selection, target=target)) for name, target in targets)
 
 # ---------------------------------------------------------------------------
@@ -642,6 +651,7 @@ def _read_csv(path, columns: dict) -> list:
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Dump a dataset as ``t,u,y`` rows (1-based time index)."""
+    _config_instance(dataset, Dataset, "dataset")
     rows = ([t, _fmt(u), _fmt(y)] for t, (u, y) in enumerate(zip(dataset.u, dataset.y), start=1))
     _write_csv(path, ["t", "u", "y"], rows)
 
@@ -660,6 +670,7 @@ RESULTS_HEADER = ["run", "system", "method", "q_pre", "q_sim", "feasible", "fit_
 def write_results_csv(rows, path, record_timing: bool = False) -> None:
     """Dump result rows; timings are zeroed unless ``record_timing`` so that
     re-runs with identical seeds produce byte-identical files."""
+    rows = [_config_instance(row, ResultRow, "result row") for row in rows]
     _write_csv(path, RESULTS_HEADER, (
         [row.run, row.system, row.method, _fmt(row.q_pre), _fmt(row.q_sim),
          str(bool(row.feasible)).lower(), _fmt(row.fit_seconds if record_timing else 0.0)]

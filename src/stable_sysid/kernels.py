@@ -1004,6 +1004,7 @@ def metric_pairs(kernel: KernelInstance, A, B) -> np.ndarray:
 
     All three terms come from the structure's ``from_terms`` on row-paired
     terms, so ``h(a, a)`` is exactly 0 for every structure."""
+    _config_instance(kernel, KernelInstance, "kernel")
     A = _as_rows(A, kernel.input_dim, "A")
     B = _as_rows(B, kernel.input_dim, "B")
     if A.shape[0] != B.shape[0]:
@@ -1020,7 +1021,7 @@ def gram_matrix(kernel: KernelInstance, points) -> np.ndarray:
     semidefiniteness (up to a 1e-10 relative spectral tolerance) is enforced
     where the matrix is factorized, in the solver and cost routines.
     """
-    P = _as_rows(points, kernel.input_dim, "points")
+    P = _as_rows(points, _config_instance(kernel, KernelInstance, "kernel").input_dim, "points")
     if P.shape[0] < 1:
         raise InputError("gram_matrix needs at least one point")
     return kernel.structure.from_terms(kernel.eta, PairTerms(P, P))

@@ -80,6 +80,8 @@ class PredictorModel:
         report: FitReport,
         stability_tag: StabilityTarget,
     ) -> "PredictorModel":
+        _config_instance(data, RegressionData, "data")
+        _config_instance(report, FitReport, "report")
         return cls(
             model_order=data.model_order,
             kernel=kernel,
@@ -122,7 +124,7 @@ def one_step_predict(model: PredictorModel, u, y) -> np.ndarray:
     against 199 Gaussian centers traces a peak of about 3.3 MB, against 16 MB
     for the whole cross matrix at once.
     """
-    m = model.model_order
+    m = _config_instance(model, PredictorModel, "model").model_order
     data = build_regression_data(u, y, m)
     out = np.empty(data.size + m)
     out[:m] = data.regressors[0, :m]  # y_1..y_m
@@ -139,7 +141,7 @@ def simulate(model: PredictorModel, u, y_seed) -> np.ndarray:
     """
     u = _config_array(u, "u", 1)
     seed = _config_array(y_seed, "y_seed", 1)
-    m = model.model_order
+    m = _config_instance(model, PredictorModel, "model").model_order
     if u.shape[0] <= m:
         raise InputError(f"u must be 1-D with more than m = {m} samples")
     if seed.shape != (m,):
@@ -179,6 +181,7 @@ def metrics(y_true, predicted, simulated, m: int):
 
 def run_model(model: PredictorModel, u, y) -> SimulationResult:
     """Predict and simulate against a measured pair, with metrics."""
+    _config_instance(model, PredictorModel, "model")
     y = _config_array(y, "y", 1, finite=False)
     predicted = one_step_predict(model, u, y)
     simulated = simulate(model, u, y[:model.model_order])
@@ -215,6 +218,7 @@ def model_from_dict(payload: dict) -> PredictorModel:
 
 def save_model(model: PredictorModel, path) -> None:
     """Write the model as a self-contained, human-readable JSON file."""
+    _config_instance(model, PredictorModel, "model")
     _write_json(path, model_to_dict(model), sort_keys=False)
 
 

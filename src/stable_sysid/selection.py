@@ -66,11 +66,23 @@ public ``eb_cost``/``gcv_cost`` neither read nor fill the memo.
 
 Every search runs its restarts with scipy's OpenBLAS on one thread, under
 the package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_threads`),
-so the searches of different threads, such as the harness's groups, no
-longer overlap.  Threads could not speed a search up anyway: scipy's
-``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran
-them at 0.64-0.92 times the serial speed (N = 199, 2 vCPUs); only
-processes can run searches side by side.
+so the searches of different threads, such as the harness's groups, do not
+overlap.  Threads could not speed a search up: scipy's ``dpotrf``,
+``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran them at
+0.64-0.92 times the serial speed (N = 199, 2 vCPUs).  A second process can.
+Where the process may run on at least two CPUs, a GCV search (plain or
+cap-aware) with more than one restart sends every second restart (the
+second, the fourth, ...) to one helper process (:mod:`stable_sysid._worker`),
+runs the others meanwhile, and merges the runs in start order.  Both
+processes build the objective alike (:class:`_Objective`) from the same
+data, its pair terms included, and each restart is independent and seeded,
+so the result, the restart record and the factorization count are those of
+the one-process search bit for bit; the spectra the worker factored join the
+data's memo.  Where the worker is lost, the process runs those restarts
+itself, with the same result.  EB searches stay in one process: numpy's
+two-thread ``eigh`` ran three times slower beside one busy thread (150 calls
+at N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold
+and one-restart searches stay too.
 """
 
 from __future__ import annotations
@@ -451,59 +463,6 @@ def select_hyperparameters(
     if config.method == "kfold":
         _check_kfold_rows(data)
     dim = 1 + param.dim
-    charge_cap = config.target.constrained and config.cap_aware_cost
-    m = data.model_order
-
-    factorizations = 0
-
-    def spectrum(eta):
-        nonlocal factorizations
-        # eta's bytes, not its values: 0.0 and -0.0 never share an entry
-        key = (structure, np.asarray(eta, dtype=float).tobytes())
-        entry = data.spectra.get(key)
-        if entry is None:
-            lam, yt = _spectrum(structure, eta, data)
-            lam.flags.writeable = False
-            yt.flags.writeable = False
-            entry = data.spectra[key] = (lam, yt)
-            factorizations += 1
-        return entry
-
-    def cost_fn(beta, eta):
-        nonlocal factorizations
-        if config.method == "kfold":
-            chi = config.chi if charge_cap else None
-            return _kfold(beta, eta, data, structure, chi)
-        if config.method == "eb":
-            lam, yt = spectrum(eta)
-            if charge_cap:
-                beta = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
-            return _eb_from_spectrum(lam, yt, beta, data.size)
-        K = _gram(structure, eta, data)
-        factorizations += 1
-        if not charge_cap:
-            return _gcv(K, beta, data, lambda: spectrum(eta))
-        smoother = _effective_alpha(K, data.targets, m, config.chi, beta)
-        if smoother is None:
-            lam, yt = spectrum(eta)
-            alpha = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
-            return _gcv_from_spectrum(lam, yt, alpha, data.size)
-        _, residual_sq, trace = smoother
-        return _gcv_score(data.size, residual_sq, trace)
-
-    def decode(x):
-        beta = config.iota + math.exp(min(float(x[0]), 690.0))
-        return beta, tuple(param.to_eta(x[1:]))
-
-    def objective(x):
-        try:
-            beta, eta = decode(x)
-            value = cost_fn(beta, eta)
-        except (NumericError, OverflowError, FloatingPointError):
-            return _BAD_COST
-        if not math.isfinite(value):
-            return _BAD_COST
-        return value
 
     stats = _data_stats(data)
     beta0 = max(stats["var_y"] / 10.0, config.iota * 10.0)
@@ -522,17 +481,15 @@ def select_hyperparameters(
         starts.append(smart + rng.uniform(-3.0, 3.0, size=dim))
 
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
+    # scipy's OpenBLAS on one thread for every cost evaluation (see _lapack)
+    with _scipy_threads(1):
+        runs, factorizations, _ = _restarts(config, data, structure, starts, budget)
     best_x, best_val = None, math.inf
     restarts = []
-    # scipy's OpenBLAS on one thread for every cost evaluation (see _lapack)
-    with _scipy_threads(1), np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        for x0 in starts:
-            x, value, spent, stop = _nelder_mead(
-                objective, x0, maxfev=budget, xatol=SEARCH_XATOL, fatol=SEARCH_FATOL, adaptive=dim > 4
-            )
-            restarts.append((spent, float(value), stop))
-            if value < best_val:
-                best_val, best_x = value, x
+    for x, value, spent, stop in runs:
+        restarts.append((spent, float(value), stop))
+        if value < best_val:
+            best_val, best_x = value, x
 
     if best_x is None or not math.isfinite(best_val) or best_val >= _BAD_COST:
         raise NumericError(
@@ -540,7 +497,7 @@ def select_hyperparameters(
             "is numerically degenerate"
         )
 
-    beta, eta = decode(best_x)
+    beta, eta = _decode(best_x, config.iota, param)
     try:
         feasible = membership(structure, eta, config.target)
     except StableSysidError:
@@ -554,3 +511,122 @@ def select_hyperparameters(
         factorizations=factorizations,
         restarts=tuple(restarts),
     )
+
+
+def _decode(x, iota, param: FeasibleParameterization):
+    """``(beta, eta)`` at the search coordinates ``x``."""
+    return iota + math.exp(min(float(x[0]), 690.0)), tuple(param.to_eta(x[1:]))
+
+
+class _Objective:
+    """The cost of one search at its coordinates, ``_BAD_COST`` where the
+    cost fails or is not finite; the main process and the worker build it
+    alike.
+
+    ``factorizations`` counts as :class:`SelectionResult` does;
+    ``spectra`` holds, by the bytes of ``eta``, the spectra this objective
+    factored because the data's memo lacked them.
+    """
+
+    def __init__(self, config: SelectionConfig, data: RegressionData, structure: KernelStructure):
+        self.config, self.data, self.structure = config, data, structure
+        self.param = feasible_parameterization(structure, config.target)
+        self.charge_cap = config.target.constrained and config.cap_aware_cost
+        self.factorizations = 0
+        self.spectra = {}
+
+    def spectrum(self, eta):
+        # eta's bytes, not its values: 0.0 and -0.0 never share an entry
+        eta_bytes = np.asarray(eta, dtype=float).tobytes()
+        key = (self.structure, eta_bytes)
+        entry = self.data.spectra.get(key)
+        if entry is None:
+            lam, yt = _spectrum(self.structure, eta, self.data)
+            lam.flags.writeable = False
+            yt.flags.writeable = False
+            entry = self.data.spectra[key] = self.spectra[eta_bytes] = (lam, yt)
+            self.factorizations += 1
+        return entry
+
+    def cost(self, beta, eta) -> float:
+        config, data, structure = self.config, self.data, self.structure
+        m = data.model_order
+        if config.method == "kfold":
+            chi = config.chi if self.charge_cap else None
+            return _kfold(beta, eta, data, structure, chi)
+        if config.method == "eb":
+            lam, yt = self.spectrum(eta)
+            if self.charge_cap:
+                beta = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
+            return _eb_from_spectrum(lam, yt, beta, data.size)
+        K = _gram(structure, eta, data)
+        self.factorizations += 1
+        if not self.charge_cap:
+            return _gcv(K, beta, data, lambda: self.spectrum(eta))
+        smoother = _effective_alpha(K, data.targets, m, config.chi, beta)
+        if smoother is None:
+            lam, yt = self.spectrum(eta)
+            alpha = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
+            return _gcv_from_spectrum(lam, yt, alpha, data.size)
+        _, residual_sq, trace = smoother
+        return _gcv_score(data.size, residual_sq, trace)
+
+    def __call__(self, x) -> float:
+        try:
+            value = self.cost(*_decode(x, self.config.iota, self.param))
+        except (NumericError, OverflowError, FloatingPointError):
+            return _BAD_COST
+        if not math.isfinite(value):
+            return _BAD_COST
+        return value
+
+
+def _run_restarts(config, data, structure, starts, budget):
+    """Nelder-Mead from each of ``starts`` in turn: the ``(x, cost,
+    evaluations, stop_reason)`` of each, and the objective's
+    ``factorizations`` and ``spectra``.  The worker runs this function for
+    its restarts."""
+    objective = _Objective(config, data, structure)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        runs = [
+            _nelder_mead(objective, x0, maxfev=budget, xatol=SEARCH_XATOL, fatol=SEARCH_FATOL,
+                         adaptive=len(x0) > 4)
+            for x0 in starts
+        ]
+    return runs, objective.factorizations, objective.spectra
+
+
+def _restarts(config, data, structure, starts, budget):
+    """:func:`_run_restarts` over every start, in start order; a GCV search
+    with more than one start runs every second one (``starts[1::2]``) in
+    the worker meanwhile, where it can (see module notes)."""
+    if config.method != "gcv" or len(starts) < 2:
+        return _run_restarts(config, data, structure, starts, budget)
+    from . import _worker
+
+    # the worker reads the parent's pair terms, so its Grams have their bits
+    data.terms.sq, data.terms.inner
+    if not _worker.submit(_run_restarts, config, data, structure, starts[1::2], budget):
+        return _run_restarts(config, data, structure, starts, budget)
+    try:
+        local = _run_restarts(config, data, structure, starts[0::2], budget)
+    except Exception:
+        local = None
+    finally:
+        try:
+            remote = _worker.collect()
+        except _worker.WorkerLost:
+            remote = None
+    if local is None:
+        # in one process, in start order: the error a one-process search raises
+        return _run_restarts(config, data, structure, starts, budget)
+    if remote is None:
+        remote = _run_restarts(config, data, structure, starts[1::2], budget)
+    runs = [None] * len(starts)
+    runs[0::2], runs[1::2] = local[0], remote[0]
+    # pickle keeps the worker's entries read-only
+    for eta_bytes, entry in remote[2].items():
+        data.spectra.setdefault((structure, eta_bytes), entry)
+    # a spectrum both processes factored is one factorization in one process
+    factorizations = local[1] + remote[1] - len(local[2].keys() & remote[2].keys())
+    return runs, factorizations, {**remote[2], **local[2]}

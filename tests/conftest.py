@@ -5,14 +5,21 @@ fixtures live here too."""
 import pytest
 from hypothesis import settings
 
-from stable_sysid import selection, solver
+from stable_sysid import _worker, selection, solver
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=20)
 settings.load_profile("tier1")
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
+def in_process(monkeypatch):
+    """Every search of the test runs all its restarts in this process, where
+    the test's patches reach them: none reaches the search's worker."""
+    monkeypatch.setattr(_worker, "_ENABLED", False)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch, in_process):
     """The size of every spectral factorization made during the test,
     counted through both names of ``solver._eig_psd`` (the solver's and the
     search's)."""
@@ -29,7 +36,7 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
-def cholesky_calls(monkeypatch):
+def cholesky_calls(monkeypatch, in_process):
     """The size of every Cholesky factor attempted during the test (the
     ridge solve's and the plain GCV's)."""
     calls = []
@@ -44,7 +51,7 @@ def cholesky_calls(monkeypatch):
 
 
 @pytest.fixture
-def inverse_calls(monkeypatch):
+def inverse_calls(monkeypatch, in_process):
     """The size of every triangular inverse made during the test (the plain
     GCV's trace)."""
     calls = []
@@ -59,7 +66,7 @@ def inverse_calls(monkeypatch):
 
 
 @pytest.fixture
-def reduction_calls(monkeypatch):
+def reduction_calls(monkeypatch, in_process):
     """The size of every tridiagonal reduction made during the test (the
     cap-aware GCV's ``alpha_bar`` and score)."""
     calls = []

@@ -735,6 +735,7 @@ class TestSharedTrainingData:
         assert content(threaded) == content(serial)
 
 
+@pytest.mark.usefixtures("in_process")
 class TestSearchLock:
     """A search runs scipy's OpenBLAS on one thread and holds the package's
     scipy lock, which every other scipy caller of the package takes, so a

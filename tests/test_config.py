@@ -9,12 +9,14 @@ one rule; the public functions that take plain numbers raise
 range; every public entry point that takes an array rejects string, bool,
 complex and None entries, ragged nesting, a rank it does not take, and the
 non-finite values it cannot use; every field that holds an object of a config class rejects
-anything else at construction; and the removed H solver step key exits 2
-before any integration.
+anything else at construction, and every public entry point rejects an
+object argument of another class, naming the argument; and the removed H
+solver step key exits 2 before any integration.
 """
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -30,9 +32,14 @@ from stable_sysid.benchmarks import (
     generate_dataset,
     hh_alpha,
     hh_beta,
+    run_monte_carlo,
     simulate_hh,
     simulate_system_a,
     simulate_system_b,
+    standard_methods,
+    summarize,
+    write_dataset_csv,
+    write_results_csv,
 )
 from stable_sysid.errors import InputError
 from stable_sysid.kernels import (
@@ -45,7 +52,7 @@ from stable_sysid.kernels import (
     gram_matrix,
     metric_pairs,
 )
-from stable_sysid.predictor import PredictorModel, metrics, one_step_predict, run_model, simulate
+from stable_sysid.predictor import PredictorModel, metrics, one_step_predict, run_model, save_model, simulate
 from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_cost, gcv_cost, select_hyperparameters
 from stable_sysid.solver import (
     FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn, solve_constrained,
@@ -202,6 +209,40 @@ ARGUMENTS = {
     # zip would drop the unmatched frequency or amplitude
     "MultisineRealization-frequencies-longer": lambda: MultisineRealization([1.0], [0.5, 0.2], [0.0]),
     "MultisineRealization-phases-shorter": lambda: MultisineRealization([1.0, 0.3], [0.5, 0.2], [0.0]),
+    # object arguments of the wrong type (ROADMAP D16)
+    "one_step_predict-model-string": lambda: one_step_predict("m", U, Y),
+    "simulate-model-string": lambda: simulate("m", U, Y[:2]),
+    "run_model-model-string": lambda: run_model("m", U, Y),
+    "save_model-model-string": lambda: save_model("m", os.devnull),
+    "PredictorModel.from_fit-data-string": lambda: PredictorModel.from_fit(
+        "d", KERNEL, solve_constrained(PROBLEM), StabilityTarget.unconstrained()),
+    "PredictorModel.from_fit-report-string": lambda: PredictorModel.from_fit(
+        DATA, KERNEL, "r", StabilityTarget.unconstrained()),
+    "run_monte_carlo-config-string": lambda: run_monte_carlo("c"),
+    "summarize-rows-string": lambda: summarize("ab"),
+    "generate_dataset-spec-string": lambda: generate_dataset("s"),
+    "gram_matrix-kernel-string": lambda: gram_matrix("k", P),
+    "metric_pairs-kernel-string": lambda: metric_pairs("k", P, P),
+    "write_dataset_csv-dataset-string": lambda: write_dataset_csv("ds", os.devnull),
+    "write_results_csv-rows-strings": lambda: write_results_csv(["row"], os.devnull),
+    "standard_methods-selection-string": lambda: standard_methods("B", selection="x"),
+}
+# the argument each object row names in its message
+OBJECT_ARGUMENTS = {
+    "one_step_predict-model-string": "model",
+    "simulate-model-string": "model",
+    "run_model-model-string": "model",
+    "save_model-model-string": "model",
+    "PredictorModel.from_fit-data-string": "data",
+    "PredictorModel.from_fit-report-string": "report",
+    "run_monte_carlo-config-string": "config",
+    "summarize-rows-string": "summary row",
+    "generate_dataset-spec-string": "spec",
+    "gram_matrix-kernel-string": "kernel",
+    "metric_pairs-kernel-string": "kernel",
+    "write_dataset_csv-dataset-string": "dataset",
+    "write_results_csv-rows-strings": "result row",
+    "standard_methods-selection-string": "selection",
 }
 
 
@@ -209,6 +250,12 @@ ARGUMENTS = {
 def test_untyped_arguments_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("key,what", OBJECT_ARGUMENTS.items(), ids=OBJECT_ARGUMENTS.keys())
+def test_object_arguments_name_themselves(key, what):
+    with pytest.raises(InputError, match=f"^{what} must be a "):
+        ARGUMENTS[key]()
 
 
 def test_chi_in_the_unit_interval_binds_selection_and_constrained_fit():

@@ -17,7 +17,7 @@ import scipy.linalg.lapack
 from numpy.linalg import _umath_linalg
 
 import stable_sysid
-from stable_sysid import Gaussian, OptimizerConfig, RegressionData, SelectionConfig, _lapack, selection
+from stable_sysid import Gaussian, OptimizerConfig, RegressionData, SelectionConfig, _lapack, _worker, selection
 from stable_sysid.selection import select_hyperparameters
 
 BLAS = ("dnrm2", "dsymv", "dsyr2")
@@ -97,8 +97,10 @@ def scipy_threads():
 
 def counting_scores(monkeypatch, fail=False):
     """Patch the plain GCV score to record scipy's thread count, raising
-    ``RuntimeError`` instead of scoring where ``fail``."""
+    ``RuntimeError`` instead of scoring where ``fail``; the search runs in
+    this process, where the patch reaches every restart."""
     counts, real = [], selection._gcv
+    monkeypatch.setattr(_worker, "_ENABLED", False)
 
     def gcv(*args):
         counts.append(_lapack._get_threads())

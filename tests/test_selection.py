@@ -317,6 +317,7 @@ def hex_result(result):
     return (result.beta.hex(), tuple(float(v).hex() for v in result.eta), result.cost.hex())
 
 
+@pytest.mark.usefixtures("in_process")
 class TestCholeskyGcv:
     """GCV charged at (beta, eta) comes from one Cholesky factor of
     K + beta I, cap-aware GCV from the tridiagonal reduction of its root,
@@ -708,14 +709,16 @@ class TestNelderMead:
 
     def test_package_imports_no_scipy_optimize(self):
         # nor the scipy.linalg package, whose __init__ imports numpy.f2py:
-        # the package binds scipy's LAPACK/BLAS modules by path
+        # the package binds scipy's LAPACK/BLAS modules by path; nor the
+        # search's worker, which a GCV search imports on first use
         import subprocess
         import sys
 
         import stable_sysid
 
         src = str(Path(stable_sysid.__file__).resolve().parents[1])
-        unwanted = ["scipy.optimize", "scipy.linalg", "numpy.f2py"]
+        unwanted = ["scipy.optimize", "scipy.linalg", "numpy.f2py", "stable_sysid._worker", "subprocess",
+                    "multiprocessing"]
         for module in ("stable_sysid", "stable_sysid.cli"):
             code = f"import sys, {module}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

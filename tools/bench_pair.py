@@ -16,15 +16,20 @@ interpreter, which counts the ``numpy.linalg.eigh`` calls and LAPACK's
 (triangular inverse) calls of one round, wrapping each name where the
 package looks it up (``solver.dsytrd``, ``solver.dpotrf``,
 ``selection.dtrtri``), and fails if a routine the workload calls was never
-counted; on mc-ab it also times the thread-pool check round (a wall time,
-not a metric).  The machine facts
+counted.  That round keeps every search in the probe's process, since a
+wrapper cannot count the calls of the search's worker process; on mc-ab
+the probe then times the thread-pool check round (a wall time, not a
+metric) with the worker as a run uses it, and records whether a search
+started one (``search_worker``; always false for a checkout without the
+worker).  The machine facts
 are those of the parent's first run record, plus ``PYTHONDONTWRITEBYTECODE``
 as this script's runs inherit it: where it is set, every run compiles the
 package source afresh, which ``setup_s`` includes.  They also hold the live
 thread counts of numpy's and scipy's OpenBLAS pools, as this script's
 interpreter reads them through each library's getter (None where it exports
 none): ``OPENBLAS_NUM_THREADS`` is None where it is unset, while each pool
-runs one thread per CPU.
+runs one thread per CPU, and per checkout whether its searches used a
+worker in any probe.
 """
 
 from __future__ import annotations
@@ -73,6 +78,11 @@ def probe(root: Path, workload: str) -> dict:
     from stable_sysid import selection, solver
     from perfbench import bench
 
+    try:
+        from stable_sysid import _worker
+    except ImportError:  # a checkout whose searches have no worker
+        _worker = None
+
     # each name is wrapped where the package looks it up at call time
     sites = {"eigh": np.linalg, "dsytrd": solver, "dpotrf": solver, "dtrtri": selection}
     calls = dict.fromkeys(sites, 0)
@@ -87,11 +97,15 @@ def probe(root: Path, workload: str) -> dict:
     real = {name: getattr(owner, name) for name, owner in sites.items()}
     for name, owner in sites.items():
         setattr(owner, name, counting(name, real[name]))
+    if _worker is not None:
+        _worker._ENABLED = False
     try:
         round_ = bench.run_round(configs)
     finally:
         for name, owner in sites.items():
             setattr(owner, name, real[name])
+        if _worker is not None:
+            _worker._ENABLED = True
     uncounted = [name for name in CALLED[workload] if calls[name] == 0]
     if uncounted:
         raise RuntimeError(f"{workload} calls {uncounted}, but the probe counted none: "
@@ -103,6 +117,7 @@ def probe(root: Path, workload: str) -> dict:
         "round_s": round_.wall_s,
         "threadpool_round_s": None if pooled is None else pooled.wall_s,
         "threadpool_rows_equal": None if pooled is None else bench.outcome(pooled) == bench.outcome(round_),
+        "search_worker": _worker is not None and _worker._proc is not None,
     }
 
 
@@ -172,6 +187,9 @@ def main(argv=None) -> int:
             for name in summary["parent"]["median"]
         }
         report["workloads"][workload] = summary
+    report["machine"]["search_worker"] = {
+        side: any(summary[side]["search_worker"] for summary in report["workloads"].values()) for side in sides
+    }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
