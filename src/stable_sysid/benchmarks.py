@@ -31,8 +31,8 @@ harness's unit of work is the (run, system) group: one thread runs every
 method of a group in turn, the group's dataset pair is drawn once and shared
 read-only by those methods, so they are scored on the same data, and so is
 one :class:`~stable_sysid.solver.RegressionData` per model order, with the
-search's memo of Gram spectra.  Searches with identical inputs, such as H's
-unconstrained and deltaBIBS methods, therefore factor each Gram once.
+EB search's memo of Gram spectra.  EB searches with identical inputs, such
+as H's unconstrained and deltaBIBS methods, therefore factor each Gram once.
 """
 
 from __future__ import annotations
@@ -430,9 +430,9 @@ class MonteCarloResult:
 def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     """Select hyperparameters, solve the fit, and build the predictor model.
 
-    The search memoizes its spectra on ``data``, so methods fitted on one
-    shared data (as :func:`run_monte_carlo` does within a run) factor each
-    Gram their searches share once; the results are those of fresh data.
+    The EB search memoizes its spectra on ``data``, so EB methods fitted on
+    one shared data (as :func:`run_monte_carlo` does within a run) factor
+    each Gram their searches share once; the results are those of fresh data.
     """
     selection = method.selection
     sel = select_hyperparameters(selection, data, method.structure)
@@ -488,18 +488,21 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     excluded from ``rows``, never silently dropped.  One thread runs the
     methods of a (run, system) group in turn, ``n_jobs`` groups at once, on
     one dataset pair and one training ``RegressionData`` shared read-only:
-    searches with identical inputs, such as Ha's and Hb's, factor each Gram
-    once.  With more than 8 groups in flight a pair can be evicted and drawn
-    again, with the same bits; none outlives the call.  Rows come in cell
-    order whatever ``n_jobs``.  The searches of different groups do not
+    EB searches with identical inputs, such as Ha's and Hb's, factor each
+    Gram once.  With more than 8 groups in flight a pair can be evicted and
+    drawn again, with the same bits; none outlives the call.  Rows come in
+    cell order whatever ``n_jobs``.  The searches of different groups do not
     overlap: each holds the package's scipy lock, which a group's final
     Cholesky also takes (see :mod:`stable_sysid.selection`), and their
     LAPACK calls hold the GIL anyway.  Threads overlap only the work outside
-    the lock: data generation, numpy's spectra and the predictions.  A GCV
-    search with more than one restart (A and B's methods) runs every second
-    restart in one helper process, on a second CPU where the affinity set
-    has one, whatever ``n_jobs``; EB searches (H's methods) run in this
-    process.  The rows are the same either way, bit for bit.
+    the lock: data generation, numpy's spectra and the predictions, so
+    ``n_jobs=2`` is about as fast as ``n_jobs=1``: with two runs, medians of
+    4.39 s against 4.34 s on the perfbench mc-ab cells and 10.51 s against
+    10.50 s on mc-h (six alternating pairs, 2 vCPUs).  A GCV search with
+    more than one restart (A and B's methods) runs every second restart in
+    one helper process, on a second CPU where the affinity set has one,
+    whatever ``n_jobs``; EB searches (H's methods) run in this process.  The
+    rows are the same either way, bit for bit.
     """
     _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:

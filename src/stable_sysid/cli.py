@@ -77,7 +77,7 @@ from .errors import (
     StableSysidError,
 )
 from .kernels import _structure_block, kernel_from_config, structure_from_config
-from .predictor import _read_json, _write_json, load_model, one_step_predict, run_model, save_model
+from .predictor import _mean_abs_error, _read_json, _write_json, load_model, one_step_predict, run_model, save_model
 from .selection import OptimizerConfig, SelectionConfig
 from .solver import build_regression_data
 from .viability import StabilityTarget, membership, numeric_falsifier
@@ -222,9 +222,8 @@ def _run_outputs(args, want: str) -> int:
     dataset = benchmarks.read_dataset_csv(_require(cfg, "data", f"{want} config"))
     if want == "predict":
         predicted = one_step_predict(model, dataset.u, dataset.y)
-        m = model.model_order
         columns = {"y": dataset.y, "y_pred": predicted}
-        scores = {"q_pre": float(np.mean(np.abs(dataset.y[m:] - predicted[m:])))}
+        scores = {"q_pre": _mean_abs_error(dataset.y, predicted, model.model_order)}
     else:
         result = run_model(model, dataset.u, dataset.y)
         columns = {"y": dataset.y, "y_pred": result.predicted, "y_sim": result.simulated}
@@ -343,8 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
+        if name in ("generate", "fit", "benchmark"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "check-viability":
+            p.add_argument("--out", default=None, help="override the output directory")
         if name == "benchmark":
             p.add_argument("--runs", type=int, default=None, help="override the run count")
             p.add_argument("--full-scale", action="store_true", help="full-size experiment")

@@ -262,10 +262,10 @@ def _stacked_parameterization(params: list) -> FeasibleParameterization:
     return FeasibleParameterization(sum(p.dim for p in params), to_eta)
 
 
-def _unit_mass_parameterization() -> FeasibleParameterization:
-    """``(tau, gamma, sigma)`` with ``tau + sigma`` in (0, 1), gamma free."""
+def _mass_parameterization(rho: float) -> FeasibleParameterization:
+    """``(tau, gamma, sigma)`` with ``tau + sigma`` in (0, rho), gamma free."""
     def to_eta(u):
-        tau, sigma = _split_mass(_unit(u[0]), _unit(u[2]))
+        tau, sigma = _split_mass(rho * _unit(u[0]), _unit(u[2]))
         return (tau, _pos(u[1]), sigma)
 
     return FeasibleParameterization(3, to_eta)
@@ -559,15 +559,10 @@ class _StationaryProfile(KernelStructure):
             raise InfeasibleTargetError(_NO_STATIONARY_ISS)
         if rho == INF:
             return self.unconstrained_parameterization()
-
-        def to_eta(u):
-            tau, sigma = _split_mass(rho * _unit(u[0]), _unit(u[2]))
-            return (tau, _pos(u[1]), sigma)
-
-        return FeasibleParameterization(3, to_eta)
+        return _mass_parameterization(rho)
 
     def peak_le_one_parameterization(self):
-        return _unit_mass_parameterization()
+        return _mass_parameterization(1.0)
 
     def suggest_eta(self, stats):
         vy = stats["var_y"]
@@ -777,7 +772,7 @@ class FeatureGaussian(KernelStructure):
         return 0.0, 0.0
 
     def theta_parameterization(self, rho):
-        return _unit_mass_parameterization()
+        return _mass_parameterization(1.0)
 
     def suggest_eta(self, stats):
         vy, mzz = stats["var_y"], stats["mean_zz"]

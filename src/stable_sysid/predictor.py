@@ -164,6 +164,11 @@ def simulate(model: PredictorModel, u, y_seed) -> np.ndarray:
     return out
 
 
+def _mean_abs_error(y_true, estimate, m: int) -> float:
+    # the error of every metric: over samples m+1..n
+    return float(np.mean(np.abs(y_true[m:] - estimate[m:])))
+
+
 def metrics(y_true, predicted, simulated, m: int):
     """Mean absolute one-step and simulation errors over samples m+1..n."""
     m = _config_int(m, "model order m", 1)
@@ -174,9 +179,7 @@ def metrics(y_true, predicted, simulated, m: int):
         raise InputError("metrics needs three equal-length 1-D sequences")
     if y_true.shape[0] <= m:
         raise InputError("sequences must be longer than the model order")
-    q_pre = float(np.mean(np.abs(y_true[m:] - predicted[m:])))
-    q_sim = float(np.mean(np.abs(y_true[m:] - simulated[m:])))
-    return q_pre, q_sim
+    return _mean_abs_error(y_true, predicted, m), _mean_abs_error(y_true, simulated, m)
 
 
 def run_model(model: PredictorModel, u, y) -> SimulationResult:

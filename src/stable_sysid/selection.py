@@ -52,17 +52,12 @@ with no Cholesky factor; where that path fails, the root and the score both
 come from the spectrum.  Where the cap binds, the score has the same bits
 for every beta below the root, as on the spectrum.  EB keeps the spectrum
 until the regularizer has a floor double precision can see (a Cholesky EB
-moves rows).  The search memoizes the spectra of EB and of the fallbacks on
-the data (:attr:`~stable_sysid.solver.RegressionData.spectra`, keyed by the
-structure and the bytes of ``eta``), so an ``eta`` the search revisits, or
-that an earlier search on the same data already factored, costs no second
-``eigh``.  On a Gaussian kernel the deltaBIBS feasible map is the
-unconstrained one, and plain EB ignores the target, so a deltaBIBS search
-after an unconstrained one on the same data replays every factorization.
-The harness runs the searches on one data in turn; concurrent ones stay
-safe all the same: entries are read-only and never replaced by different
-values, since every writer of a key computes bit-identical ones.  The
-public ``eb_cost``/``gcv_cost`` neither read nor fill the memo.
+moves rows).  Only the EB search reads or fills the data's memo of spectra
+(:attr:`~stable_sysid.solver.RegressionData.spectra`), so an ``eta`` that an
+EB search on the same data factored costs no second ``eigh``: Hb's search
+replays Ha's (plain EB ignores the target, and on a Gaussian the deltaBIBS
+map is the unconstrained one).  GCV factors its rare fallback spectra afresh
+(one of 40 mc-ab searches needed one); the public costs never use the memo.
 
 Every search runs its restarts with scipy's OpenBLAS on one thread, under
 the package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_threads`),
@@ -77,12 +72,11 @@ runs the others meanwhile, and merges the runs in start order.  Both
 processes build the objective alike (:class:`_Objective`) from the same
 data, its pair terms included, and each restart is independent and seeded,
 so the result, the restart record and the factorization count are those of
-the one-process search bit for bit; the spectra the worker factored join the
-data's memo.  Where the worker is lost, the process runs those restarts
-itself, with the same result.  EB searches stay in one process: numpy's
-two-thread ``eigh`` ran three times slower beside one busy thread (150 calls
-at N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold
-and one-restart searches stay too.
+the one-process search bit for bit.  Where the worker is lost, the process
+runs those restarts itself, with the same result.  EB searches stay in one
+process: numpy's two-thread ``eigh`` ran three times slower beside one busy
+thread (150 calls at N = 199: 0.9 s alone, 3.0 s), and Hb's search replays
+Ha's memo.  k-fold and one-restart searches stay too.
 """
 
 from __future__ import annotations
@@ -188,15 +182,14 @@ class SelectionConfig:
 class SelectionResult:
     """The selected point, its cost, and what the search spent.
 
-    ``evaluations`` counts cost evaluations; ``factorizations`` counts the
-    Cholesky factors, the tridiagonal reductions and the spectra the search
-    computed rather than read from the data's memo (see module notes): one
-    per GCV evaluation, a Cholesky factor for plain GCV and a reduction for
-    cap-aware GCV, plus a spectrum where either fails.  ``restarts`` holds
-    one ``(evaluations, best_cost, stop_reason)`` per restart, in start
-    order, with ``stop_reason`` ``"tolerance"`` or ``"maxfev"``; their
-    evaluations sum to ``evaluations``.  Both are bookkeeping, so results
-    that differ only in them compare equal.
+    ``evaluations`` counts cost evaluations; ``factorizations`` counts what
+    the search factored: a Cholesky factor (plain GCV) or a tridiagonal
+    reduction (cap-aware GCV) per GCV evaluation, a spectrum per GCV
+    fallback, and one per EB spectrum the data's memo lacked.
+    ``restarts`` holds one ``(evaluations, best_cost, stop_reason)`` per
+    restart, in start order, with ``stop_reason`` ``"tolerance"`` or
+    ``"maxfev"``; their evaluations sum to ``evaluations``.  Both are
+    bookkeeping, so results that differ only in them compare equal.
     """
 
     beta: float
@@ -483,7 +476,7 @@ def select_hyperparameters(
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
     # scipy's OpenBLAS on one thread for every cost evaluation (see _lapack)
     with _scipy_threads(1):
-        runs, factorizations, _ = _restarts(config, data, structure, starts, budget)
+        runs, factorizations = _restarts(config, data, structure, starts, budget)
     best_x, best_val = None, math.inf
     restarts = []
     for x, value, spent, stop in runs:
@@ -521,31 +514,26 @@ def _decode(x, iota, param: FeasibleParameterization):
 class _Objective:
     """The cost of one search at its coordinates, ``_BAD_COST`` where the
     cost fails or is not finite; the main process and the worker build it
-    alike.
-
-    ``factorizations`` counts as :class:`SelectionResult` does;
-    ``spectra`` holds, by the bytes of ``eta``, the spectra this objective
-    factored because the data's memo lacked them.
-    """
+    alike.  ``factorizations`` counts as :class:`SelectionResult` does."""
 
     def __init__(self, config: SelectionConfig, data: RegressionData, structure: KernelStructure):
         self.config, self.data, self.structure = config, data, structure
         self.param = feasible_parameterization(structure, config.target)
         self.charge_cap = config.target.constrained and config.cap_aware_cost
         self.factorizations = 0
-        self.spectra = {}
+
+    def factor(self, eta):
+        # every spectrum of the search, counted here
+        self.factorizations += 1
+        return _spectrum(self.structure, eta, self.data)
 
     def spectrum(self, eta):
-        # eta's bytes, not its values: 0.0 and -0.0 never share an entry
-        eta_bytes = np.asarray(eta, dtype=float).tobytes()
-        key = (self.structure, eta_bytes)
+        # EB's, memoized by eta's bytes: 0.0 and -0.0 never share an entry
+        key = (self.structure, np.asarray(eta, dtype=float).tobytes())
         entry = self.data.spectra.get(key)
         if entry is None:
-            lam, yt = _spectrum(self.structure, eta, self.data)
-            lam.flags.writeable = False
-            yt.flags.writeable = False
-            entry = self.data.spectra[key] = self.spectra[eta_bytes] = (lam, yt)
-            self.factorizations += 1
+            lam, yt = entry = self.data.spectra[key] = self.factor(eta)
+            lam.flags.writeable = yt.flags.writeable = False
         return entry
 
     def cost(self, beta, eta) -> float:
@@ -562,10 +550,10 @@ class _Objective:
         K = _gram(structure, eta, data)
         self.factorizations += 1
         if not self.charge_cap:
-            return _gcv(K, beta, data, lambda: self.spectrum(eta))
+            return _gcv(K, beta, data, lambda: self.factor(eta))
         smoother = _effective_alpha(K, data.targets, m, config.chi, beta)
         if smoother is None:
-            lam, yt = self.spectrum(eta)
+            lam, yt = self.factor(eta)
             alpha = max(beta, _alpha_bar(lam, yt ** 2, m, config.chi))
             return _gcv_from_spectrum(lam, yt, alpha, data.size)
         _, residual_sq, trace = smoother
@@ -576,16 +564,13 @@ class _Objective:
             value = self.cost(*_decode(x, self.config.iota, self.param))
         except (NumericError, OverflowError, FloatingPointError):
             return _BAD_COST
-        if not math.isfinite(value):
-            return _BAD_COST
-        return value
+        return value if math.isfinite(value) else _BAD_COST
 
 
 def _run_restarts(config, data, structure, starts, budget):
     """Nelder-Mead from each of ``starts`` in turn: the ``(x, cost,
     evaluations, stop_reason)`` of each, and the objective's
-    ``factorizations`` and ``spectra``.  The worker runs this function for
-    its restarts."""
+    ``factorizations``.  The worker runs this function for its restarts."""
     objective = _Objective(config, data, structure)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         runs = [
@@ -593,7 +578,7 @@ def _run_restarts(config, data, structure, starts, budget):
                          adaptive=len(x0) > 4)
             for x0 in starts
         ]
-    return runs, objective.factorizations, objective.spectra
+    return runs, objective.factorizations
 
 
 def _restarts(config, data, structure, starts, budget):
@@ -624,9 +609,4 @@ def _restarts(config, data, structure, starts, budget):
         remote = _run_restarts(config, data, structure, starts[1::2], budget)
     runs = [None] * len(starts)
     runs[0::2], runs[1::2] = local[0], remote[0]
-    # pickle keeps the worker's entries read-only
-    for eta_bytes, entry in remote[2].items():
-        data.spectra.setdefault((structure, eta_bytes), entry)
-    # a spectrum both processes factored is one factorization in one process
-    factorizations = local[1] + remote[1] - len(local[2].keys() & remote[2].keys())
-    return runs, factorizations, {**remote[2], **local[2]}
+    return runs, local[1] + remote[1]

@@ -80,13 +80,12 @@ class RegressionData:
     only: data that is never put through a Gram matrix (one-step prediction
     windows, say) never pays for an N x N array.
 
-    ``spectra`` is the hyperparameter search's memo of Gram spectra on this
-    data, keyed by the structure and the bytes of ``eta``: each entry is the
-    read-only pair ``(lam, Q'y)`` of one factorization.  It starts empty, is
-    filled only by :func:`~stable_sysid.selection.select_hyperparameters`
-    (by EB, and by GCV only where its Cholesky factor or, cap-aware, its one
-    tridiagonal reduction per evaluation fails), and lives as long as the
-    data, so searches on the same data share their factorizations.
+    ``spectra`` is the EB search's memo of Gram spectra on this data, keyed
+    by the structure and the bytes of ``eta``: each entry is the read-only
+    pair ``(lam, Q'y)`` of one factorization.  It starts empty, only the EB
+    search of :func:`~stable_sysid.selection.select_hyperparameters` reads
+    or fills it, and it lives as long as the data, so EB searches on the
+    same data share their factorizations.
     """
 
     regressors: np.ndarray

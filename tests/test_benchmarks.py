@@ -656,7 +656,7 @@ class TestSharedDataset:
 
 
 class TestSharedTrainingData:
-    """The methods of a run share one RegressionData, and with it the
+    """The methods of a run share one RegressionData, and with it the EB
     search's memo of spectra: H's unconstrained and deltaBIBS searches are
     the same search, so the second factors nothing.  Sharing changes no
     row."""

@@ -108,6 +108,11 @@ class TestFit:
             },
         )
 
+    def test_missing_data_exits_2(self, workdir, capsys):
+        cfg = write_config(workdir / "fit.json", {"kernel": {"structure": "gaussian"}, "target": {"kind": "diss"}})
+        assert run(["fit", "--config", cfg]) == EXIT_INPUT
+        assert "missing required key 'data' in fit config" in capsys.readouterr().err
+
     def test_gaussian_iss_is_infeasible(self, workdir, capsys):
         train, _ = generate_b(workdir)
         cfg = self._fit_config(workdir, train, {"kind": "iss"})
@@ -346,6 +351,16 @@ class TestBenchmark:
         run(["benchmark", "--config", cfg])
         assert ((workdir / "results.csv").read_bytes(), (workdir / "summary.csv").read_bytes()) == first
 
+    def test_failed_cell_is_printed(self, workdir, capsys, monkeypatch):
+        failure = benchmarks.FailureRow(run=0, system="B", method="Ba", error="no finite cost")
+        monkeypatch.setattr(benchmarks, "run_monte_carlo",
+                            lambda config: benchmarks.MonteCarloResult(rows=(), failures=(failure,)))
+        cfg = write_config(workdir / "bench.json", {"system": "B", "methods": ["Ba"], "runs": 1, "out": str(workdir)})
+        assert run(["benchmark", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(0 rows, 1 failures)" in out
+        assert out.endswith("failure: run 0 B/Ba: no finite cost\n")
+
     def test_unknown_method_rejected(self, workdir):
         cfg = write_config(
             workdir / "bench.json",
@@ -449,6 +464,28 @@ class TestCheckViability:
         out = capsys.readouterr().out
         assert "not member" in out
         assert "witness" in out and "theta_contractive" in out
+
+    def test_falsifier_reports_no_witness(self, workdir, capsys):
+        # tau = 1 with sigma = 0: the identity map is an iss member
+        cfg = write_config(
+            workdir / "check.json",
+            {
+                "kernel": {"structure": "linear_affine", "eta": [1.0, 0.0], "input_dim": 5},
+                "target": {"kind": "iss"},
+                "falsify": {"samples": 500, "radius": 5.0, "seed": 0},
+            },
+        )
+        assert run(["check-viability", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == "target iss: member\nfalsifier: no witness found\n"
+
+    def test_unconstrained_target_exits_2(self, workdir, capsys):
+        cfg = write_config(
+            workdir / "check.json",
+            {"kernel": {"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5}, "target": {"kind": "none"}},
+        )
+        assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs a constrained stability target" in captured.err
 
     def test_unsupported_combination_message(self, workdir, capsys):
         cfg = write_config(
@@ -776,6 +813,28 @@ class TestModelFile:
         loaded = load_model(workdir / "model.json")
         assert (loaded.model_order, loaded.kernel.input_dim) == (2, 5)
         assert type(loaded.model_order) is int and type(loaded.kernel.input_dim) is int
+
+
+class TestOptions:
+    """``--seed`` only where a command reads a seed, ``--out`` wherever it
+    writes a file."""
+
+    @pytest.mark.parametrize("command,option", [("predict", "--seed"), ("simulate", "--seed"),
+                                                ("check-viability", "--seed"), ("check-viability", "--out")])
+    def test_unread_option_exits_2(self, workdir, capsys, command, option):
+        cfg = write_config(workdir / "cfg.json", {})
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", cfg, option, "7"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 7" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command,option", [*((c, "--seed") for c in ("generate", "fit", "benchmark")),
+                                                *((c, "--out") for c in ("generate", "fit", "predict", "simulate",
+                                                                         "benchmark"))])
+    def test_read_option_parses(self, command, option):
+        args = cli._build_parser().parse_args([command, "--config", "cfg.json", option, "7"])
+        assert str(getattr(args, option[2:])) == "7"
 
 
 class TestConfigErrors:

@@ -279,6 +279,12 @@ class TestMetrics:
         assert q_pre == pytest.approx(np.mean(np.abs(y[2:] - p[2:])), abs=1e-14)
         assert q_sim == pytest.approx(np.mean(np.abs(y[2:] - s[2:])), abs=1e-14)
 
+    @pytest.mark.parametrize("lengths,message", [((10, 10, 9), "three equal-length"),
+                                                 ((2, 2, 2), "longer than the model order")])
+    def test_rejects_bad_lengths(self, lengths, message):
+        with pytest.raises(InputError, match=message):
+            metrics(*(np.zeros(n) for n in lengths), 2)
+
 
 class TestInvariants:
     def test_seed_convention_on_both_sequences(self):

@@ -18,6 +18,7 @@ from stable_sysid import (
     InputError,
     LinearAffine,
     OptimizerConfig,
+    RegressionData,
     SelectionConfig,
     StabilityTarget,
     build_regression_data,
@@ -279,6 +280,8 @@ class TestConfigValues:
             (lambda: SelectionConfig(iota=math.inf), "iota must be a number"),
             (lambda: SelectionConfig(chi="0.5"), "chi must be a number"),
             (lambda: SelectionConfig(chi=math.nan), "chi must be a number"),
+            (lambda: SelectionConfig(method="ml"), "unknown selection method 'ml'"),
+            (lambda: SelectionConfig(iota=0.0), "iota must be > 0"),
         ],
     )
     def test_rejects_bad_values(self, make, message):
@@ -463,8 +466,10 @@ class TestCholeskyGcv:
         data = smooth_data(45, seed=1)
         spectral = select_hyperparameters(config, data, Gaussian())
         assert spectral.cost == pytest.approx(cholesky.cost, rel=1e-8)
-        # every evaluation tried a factor, and every fallback was memoized
-        assert spectral.factorizations == spectral.evaluations + len(data.spectra)
+        # every evaluation tried a factor and then factored the spectrum,
+        # which GCV never memoizes
+        assert spectral.factorizations == 2 * spectral.evaluations
+        assert data.spectra == {}
 
 
 class TestTridiagonalGcv:
@@ -523,8 +528,9 @@ class TestTridiagonalGcv:
 
 
 class TestSpectrumMemo:
-    """The search memoizes its spectra on the data: a factorization is done
-    once per (structure, eta) and data, and sharing changes no result."""
+    """The EB search memoizes its spectra on the data: a factorization is
+    done once per (structure, eta) and data, and sharing changes no result.
+    No other search reads or fills the memo."""
 
     def configs(self):
         # plain EB on a Gaussian: the deltaBIBS map is the unconstrained one
@@ -603,6 +609,24 @@ class TestSpectrumMemo:
         assert len(eigh_calls) == searched + 1
         assert cholesky_calls == [data.size]
         assert len(data.spectra) == entries
+
+    def test_eb_after_gcv_fallbacks_is_the_fresh_search(self):
+        # plain GCV on a LinearAffine kernel and exactly linear targets
+        # drives beta down until Cholesky fails, and factors the spectrum
+        def linear_data():
+            Z = np.random.default_rng(0).normal(size=(40, 5))
+            return RegressionData(Z, Z @ np.array([0.3, -0.2, 0.1, 0.5, 0.05]), 2)
+
+        gcv = SelectionConfig(method="gcv", optimizer=tiny_optimizer(restarts=3, max_evals=120), seed=2)
+        eb = replace(gcv, method="eb")
+        data = linear_data()
+        fallbacks = select_hyperparameters(gcv, data, LinearAffine())
+        assert fallbacks.factorizations > fallbacks.evaluations and data.spectra == {}
+        after = select_hyperparameters(eb, data, LinearAffine())
+        fresh = select_hyperparameters(eb, linear_data(), LinearAffine())
+        assert hex_result(after) == hex_result(fresh)
+        assert (after.evaluations, after.factorizations, after.restarts) == \
+            (fresh.evaluations, fresh.factorizations, fresh.restarts)
 
     def test_kfold_search_factors_nothing(self):
         config = SelectionConfig(method="kfold", optimizer=tiny_optimizer(max_evals=40), seed=1)
