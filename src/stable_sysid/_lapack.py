@@ -37,8 +37,8 @@ for the re-baseline of ROADMAP Direction 1 (Direction 16).  The count is
 process-wide, so the context also holds one process-wide lock, which every
 other scipy caller of the package takes at the caller's count: a final
 Cholesky never runs pinned because another thread is searching.  A GCV
-search also uses its helper process (:mod:`stable_sysid._worker`) only
-under this lock, so one search at a time talks to it; the helper runs
+search also uses its helper processes (:mod:`stable_sysid._worker`) only
+under this lock, so one search at a time talks to them; each helper runs
 scipy's pool on one thread for its whole life.
 """
 

@@ -1,34 +1,36 @@
-"""One helper process that runs calls beside the main process; the
-hyperparameter search sends it every second restart of a GCV search (see
+"""Helper processes that run calls beside the main process; a GCV search
+sends them its restarts (the rule that deals the restarts is in
 :mod:`stable_sysid.selection`).
 
 A search spends its time in scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri``,
 which hold the GIL, and runs them with scipy's OpenBLAS on one thread
 (:mod:`stable_sysid._lapack`), so on a machine with two CPUs one of them is
-idle during every search, and only a second process can use it.  The worker
-is started on first use with ``subprocess.Popen([sys.executable, "-c",
-...])`` and lives until the interpreter exits.  ``multiprocessing`` is not
-used: its spawn start method re-imports ``__main__``, so a script without a
-main guard fails with ``BrokenProcessPool``, and one call through a
-one-process ``ProcessPoolExecutor`` raised the caller's peak RSS by 1.27 MB,
-against 0.38 MB through this worker (Python 3.11, 2 vCPUs).
+idle during every search, and only other processes can use it.  Helper
+``j`` (0, 1, ...) is started on first use with
+``subprocess.Popen([sys.executable, "-c", ...])`` and lives until the
+interpreter exits.  ``multiprocessing`` is not used: its spawn start
+method re-imports ``__main__``, so a script without a main guard fails with
+``BrokenProcessPool``, and one call through a one-process
+``ProcessPoolExecutor`` raised the caller's peak RSS by 1.27 MB, against
+0.38 MB through a helper (Python 3.11, 2 vCPUs).
 
-The worker reads the caller's ``sys.path`` first, so it imports the same
+A helper reads the caller's ``sys.path`` first, so it imports the same
 ``stable_sysid``.  After that, both pipes carry messages: an 8-byte length,
 then a pickle.  A request is ``(function, args)``, the function pickled by
 reference; the reply is ``(True, result)``, or ``(False, None)`` where the
-request could not be read or the call raised.  The worker runs with scipy's
+request could not be read or the call raised.  A helper runs with scipy's
 OpenBLAS on one thread and numpy's pool as the caller's environment sets
 it.  It runs in a session of its own, so a Ctrl-C at the terminal reaches
 the caller only, and it exits at the end of its input, so a caller killed
-outright leaves no worker behind.  A caller
-that exits normally closes that input and reaps the worker at exit.
+outright leaves no helper behind.  A caller that exits normally closes
+every helper's input and reaps them at exit.
 
-The caller uses the worker only under ``_lapack._LOCK``, one request at a
-time.  Where the worker dies, or cannot be reached, the caller kills and
-reaps it and starts no other: :func:`submit` returns False from then on,
-and :func:`collect` raises :class:`WorkerLost`, so the caller runs the call
-itself.  A forked child never writes to its parent's worker.
+The caller uses the helpers only under ``_lapack._LOCK``, at most one
+request per helper at a time.  Where any helper dies, or cannot be
+reached, the caller kills and reaps all of them and starts no other:
+:func:`submit` returns False from then on, and :func:`collect` raises
+:class:`WorkerLost`, so the caller runs the calls itself.  A forked child
+never writes to its parent's helpers.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ _BOOTSTRAP = (
     "_serve(sys.stdin.buffer, replies)\n"
 )
 
-_proc = None  # the running worker, or None
-_owner = None  # the pid of the process that started it
-_lost = False  # a worker died: start no other
+_helpers = {}  # the running helpers by index
+_owner = None  # the pid of the process that started them
+_lost = False  # a helper died: start no other
 
 
 class WorkerLost(Exception):
-    """The worker gave no result for the last request."""
+    """A helper gave no result for its last request."""
 
 
 def _write(stream, payload: bytes) -> None:
@@ -81,44 +83,45 @@ def _read(stream) -> bytes:
     return payload
 
 
-def _cpus() -> int:
-    # where the platform cannot tell the CPUs this process may run on, one
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def submit(function, *args) -> bool:
-    """Send ``function(*args)`` to the worker, starting it on first use;
-    False, with nothing sent, where the caller must run the call itself:
-    fewer than two CPUs in the affinity set, a lost worker, a forked child
-    of the worker's owner, or arguments that do not pickle."""
-    global _proc, _owner
-    if not _ENABLED or _lost or _cpus() < 2:
+def submit(function, *args, helper: int = 0) -> bool:
+    """Send ``function(*args)`` to helper number ``helper``, starting it on
+    first use; False, with nothing sent, where the caller must run the call
+    itself: a lost helper, a forked child of the helpers' owner, or
+    arguments that do not pickle."""
+    global _owner
+    if not _ENABLED or _lost:
         return False
-    if _proc is not None and _owner != os.getpid():
+    if _helpers and _owner != os.getpid():
         return False
     try:
         request = pickle.dumps((function, args), protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, TypeError, AttributeError):
         return False
     try:
-        if _proc is None:
-            _proc = subprocess.Popen([sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, start_new_session=True)
+        proc = _helpers.get(helper)
+        if proc is None:
+            proc = _helpers[helper] = subprocess.Popen(
+                [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                start_new_session=True)
             _owner = os.getpid()
-            _proc.stdin.write(pickle.dumps(sys.path))
-        _write(_proc.stdin, request)
+            proc.stdin.write(pickle.dumps(sys.path))
+        _write(proc.stdin, request)
     except OSError:
         _lose()
         return False
     return True
 
 
-def collect():
-    """The result of the request :func:`submit` sent; :class:`WorkerLost`
-    where the call raised in the worker or the worker died.  An interrupt
-    while waiting stops the worker, so no reply is left in the pipe."""
+def collect(helper: int = 0):
+    """The result of the request :func:`submit` sent to helper number
+    ``helper``; :class:`WorkerLost` where the call raised in the helper or
+    the helpers were lost.  An interrupt while waiting stops every helper,
+    so no reply is left in a pipe."""
+    proc = _helpers.get(helper)
+    if proc is None:  # lost with another helper
+        raise WorkerLost
     try:
-        ok, result = pickle.loads(_read(_proc.stdout))
+        ok, result = pickle.loads(_read(proc.stdout))
     except (EOFError, OSError, pickle.UnpicklingError):
         _lose()
         raise WorkerLost from None
@@ -137,31 +140,34 @@ def _lose() -> None:
 
 
 def _close(kill: bool = False) -> None:
-    """Stop and reap the worker this process started: end its input, so it
-    exits, or kill it; a forked child leaves its parent's worker alone."""
-    global _proc
-    proc, _proc = _proc, None
-    if proc is None or _owner != os.getpid():
+    """Stop and reap every helper this process started: end their input, so
+    they exit, or kill them; a forked child leaves its parent's helpers
+    alone."""
+    global _helpers
+    helpers, _helpers = list(_helpers.values()), {}
+    if _owner != os.getpid():
         return
-    if kill:
-        proc.kill()
-    try:
-        proc.stdin.close()
-    except OSError:
-        pass
-    try:
-        proc.wait(timeout=_EXIT_WAIT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
-    proc.stdout.close()
+    for proc in helpers:
+        if kill:
+            proc.kill()
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+    for proc in helpers:
+        try:
+            proc.wait(timeout=_EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 atexit.register(_close)
 
 
 def _serve(requests, replies) -> None:
-    """The worker's loop: answer each request read from ``requests`` on
+    """A helper's loop: answer each request read from ``requests`` on
     ``replies`` until the requests end."""
     with _scipy_threads(1):
         while True:

@@ -498,11 +498,13 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     the lock: data generation, numpy's spectra and the predictions, so
     ``n_jobs=2`` is about as fast as ``n_jobs=1``: with two runs, medians of
     4.39 s against 4.34 s on the perfbench mc-ab cells and 10.51 s against
-    10.50 s on mc-h (six alternating pairs, 2 vCPUs).  A GCV search with
-    more than one restart (A and B's methods) runs every second restart in
-    one helper process, on a second CPU where the affinity set has one,
-    whatever ``n_jobs``; EB searches (H's methods) run in this process.  The
-    rows are the same either way, bit for bit.
+    10.50 s on mc-h (six alternating pairs, 2 vCPUs).  Where the affinity
+    set has two CPUs or more, a GCV search with more than one restart (A
+    and B's methods) deals its restarts over this process and helper
+    processes, whatever ``n_jobs``, by the rule of
+    :mod:`stable_sysid.selection` (on two CPUs, three restarts run in three
+    processes); EB searches (H's methods) run in this process.  The rows
+    are the same either way, bit for bit.
     """
     _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:

@@ -64,24 +64,30 @@ the package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_thread
 so the searches of different threads, such as the harness's groups, do not
 overlap.  Threads could not speed a search up: scipy's ``dpotrf``,
 ``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran them at
-0.64-0.92 times the serial speed (N = 199, 2 vCPUs).  A second process can.
-Where the process may run on at least two CPUs, a GCV search (plain or
-cap-aware) with more than one restart sends every second restart (the
-second, the fourth, ...) to one helper process (:mod:`stable_sysid._worker`),
-runs the others meanwhile, and merges the runs in start order.  Both
-processes build the objective alike (:class:`_Objective`) from the same
-data, its pair terms included, and each restart is independent and seeded,
-so the result, the restart record and the factorization count are those of
-the one-process search bit for bit.  Where the worker is lost, the process
-runs those restarts itself, with the same result.  EB searches stay in one
-process: numpy's two-thread ``eigh`` ran three times slower beside one busy
-thread (150 calls at N = 199: 0.9 s alone, 3.0 s), and Hb's search replays
-Ha's memo.  k-fold and one-restart searches stay too.
+0.64-0.92 times the serial speed (N = 199, 2 vCPUs).  Other processes can.
+A GCV search (plain or cap-aware) of R restarts, on an affinity set of C
+CPUs, runs in ``P = 1`` process where ``C < 2``, else in
+``P = min(R, ceil(R / max(1, R // C)))`` (:func:`_processes`): the fewest
+in which none runs more than ``max(1, R // C)`` restarts.  Restart k runs
+in process ``k mod P``; process 0 is this one, and process j >= 1 is helper
+j - 1 (:mod:`stable_sysid._worker`), which runs its restarts meanwhile.  On
+two CPUs, 3 restarts run in three processes, one each, 2, 6 and 8 in two,
+and 5 in three (2, 2 and 1).  The runs merge in start order and the
+factorization counts add up.  Every process builds the objective alike
+(:class:`_Objective`) from the same data, its pair terms included, and
+each restart is independent and seeded, so the result, the restart record
+and the factorization count are those of the one-process search bit for
+bit.  Where a helper is lost, the search runs again in this process, with
+the same result.  EB searches stay in one process: numpy's two-thread
+``eigh`` ran three times slower beside one busy thread (150 calls at
+N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold
+and one-restart searches stay too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -513,7 +519,7 @@ def _decode(x, iota, param: FeasibleParameterization):
 
 class _Objective:
     """The cost of one search at its coordinates, ``_BAD_COST`` where the
-    cost fails or is not finite; the main process and the worker build it
+    cost fails or is not finite; the main process and the helpers build it
     alike.  ``factorizations`` counts as :class:`SelectionResult` does."""
 
     def __init__(self, config: SelectionConfig, data: RegressionData, structure: KernelStructure):
@@ -570,7 +576,7 @@ class _Objective:
 def _run_restarts(config, data, structure, starts, budget):
     """Nelder-Mead from each of ``starts`` in turn: the ``(x, cost,
     evaluations, stop_reason)`` of each, and the objective's
-    ``factorizations``.  The worker runs this function for its restarts."""
+    ``factorizations``.  A helper runs this function for its restarts."""
     objective = _Objective(config, data, structure)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         runs = [
@@ -581,32 +587,52 @@ def _run_restarts(config, data, structure, starts, budget):
     return runs, objective.factorizations
 
 
+def _cpus() -> int:
+    # where the platform cannot tell the CPUs this process may run on, one
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _processes(restarts: int, cpus: int) -> int:
+    """The number of processes that a GCV search of ``restarts`` restarts
+    runs in on ``cpus`` CPUs: one where ``cpus < 2``, else the fewest in
+    which none runs more than ``max(1, restarts // cpus)`` restarts."""
+    if cpus < 2:
+        return 1
+    share = max(1, restarts // cpus)
+    return min(restarts, -(-restarts // share))
+
+
 def _restarts(config, data, structure, starts, budget):
     """:func:`_run_restarts` over every start, in start order; a GCV search
-    with more than one start runs every second one (``starts[1::2]``) in
-    the worker meanwhile, where it can (see module notes)."""
-    if config.method != "gcv" or len(starts) < 2:
+    runs restart k in process ``k mod P`` (see module notes), process 0
+    being this one and process j the helper ``j - 1``."""
+    count = _processes(len(starts), _cpus()) if config.method == "gcv" else 1
+    if count < 2:
         return _run_restarts(config, data, structure, starts, budget)
     from . import _worker
 
-    # the worker reads the parent's pair terms, so its Grams have their bits
+    # the helpers read the parent's pair terms, so their Grams have their bits
     data.terms.sq, data.terms.inner
-    if not _worker.submit(_run_restarts, config, data, structure, starts[1::2], budget):
+    sent = [_worker.submit(_run_restarts, config, data, structure, starts[j::count], budget, helper=j - 1)
+            for j in range(1, count)]
+    if not any(sent):
         return _run_restarts(config, data, structure, starts, budget)
     try:
-        local = _run_restarts(config, data, structure, starts[0::2], budget)
+        local = _run_restarts(config, data, structure, starts[0::count], budget)
     except Exception:
         local = None
     finally:
-        try:
-            remote = _worker.collect()
-        except _worker.WorkerLost:
-            remote = None
-    if local is None:
-        # in one process, in start order: the error a one-process search raises
+        remote = []
+        for helper, ok in enumerate(sent):
+            try:
+                remote.append(_worker.collect(helper) if ok else None)
+            except _worker.WorkerLost:
+                remote.append(None)
+    parts = [local, *remote]
+    if any(part is None for part in parts):
+        # in one process, in start order: the runs, or the first error, of a one-process search
         return _run_restarts(config, data, structure, starts, budget)
-    if remote is None:
-        remote = _run_restarts(config, data, structure, starts[1::2], budget)
     runs = [None] * len(starts)
-    runs[0::2], runs[1::2] = local[0], remote[0]
-    return runs, local[1] + remote[1]
+    for j, (part, _) in enumerate(parts):
+        runs[j::count] = part
+    return runs, sum(factorizations for _, factorizations in parts)

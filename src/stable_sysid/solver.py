@@ -85,7 +85,8 @@ class RegressionData:
     pair ``(lam, Q'y)`` of one factorization.  It starts empty, only the EB
     search of :func:`~stable_sysid.selection.select_hyperparameters` reads
     or fills it, and it lives as long as the data, so EB searches on the
-    same data share their factorizations.
+    same data share their factorizations.  A pickle of the data holds its
+    pair terms but not the memo: an unpickled data starts with an empty one.
     """
 
     regressors: np.ndarray
@@ -117,6 +118,9 @@ class RegressionData:
     @cached_property
     def spectra(self) -> dict:
         return {}
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items() if key != "spectra"}
 
 
 @dataclass(frozen=True)

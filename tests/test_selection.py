@@ -628,6 +628,25 @@ class TestSpectrumMemo:
         assert (after.evaluations, after.factorizations, after.restarts) == \
             (fresh.evaluations, fresh.factorizations, fresh.restarts)
 
+    def test_pickle_leaves_the_memo_behind(self):
+        # a helper process gets the data and its pair terms, not the memo
+        import pickle
+
+        eb, _ = self.configs()
+        data = smooth_data(45, seed=1)
+        data.terms.sq, data.terms.inner
+        before = pickle.dumps(data)
+        searched = select_hyperparameters(eb, data, Gaussian())
+        assert data.spectra and len(pickle.dumps(data)) == len(before)
+        unpickled = pickle.loads(pickle.dumps(data))
+        assert unpickled.spectra == {}
+        assert np.array_equal(unpickled.terms.__dict__["sq"], data.terms.sq)
+        again = select_hyperparameters(eb, unpickled, Gaussian())
+        fresh = select_hyperparameters(eb, smooth_data(45, seed=1), Gaussian())
+        assert hex_result(again) == hex_result(fresh) == hex_result(searched)
+        assert (again.evaluations, again.factorizations, again.restarts) == \
+            (fresh.evaluations, fresh.factorizations, fresh.restarts)
+
     def test_kfold_search_factors_nothing(self):
         config = SelectionConfig(method="kfold", optimizer=tiny_optimizer(max_evals=40), seed=1)
         data = smooth_data(30)
@@ -768,6 +787,14 @@ class TestRestartRecord:
             _, _, sel = fit_method(data, method)
             assert [stop for _, _, stop in sel.restarts] == ["maxfev"] * 3, method.name
             assert sel.evaluations == 360
+
+
+@pytest.mark.parametrize("restarts,cpus,processes", [
+    (3, 2, 3), (2, 2, 2), (5, 2, 3), (6, 2, 2), (8, 2, 2), (3, 1, 1), (1, 4, 1), (7, 4, 7)])
+def test_process_count_of_a_gcv_search(restarts, cpus, processes):
+    from stable_sysid.selection import _processes
+
+    assert _processes(restarts, cpus) == processes
 
 
 class TestBudgetFloor:

@@ -1,11 +1,13 @@
-"""A GCV search with more than one restart runs every second restart in one
-helper process and merges the runs in start order, so its result, restart
-record and factorization count are those of the one-process search bit for
-bit, and, as only the EB search reads or fills the data's memo of spectra,
-neither process leaves an entry in it; EB, k-fold and one-restart searches,
-and any search on one CPU, never start the worker, and a worker that is
-lost, forked away from or closed leaves no process and no difference
-behind."""
+"""A GCV search with more than one restart deals its restarts over this
+process and helper processes by the rule of :mod:`stable_sysid.selection`
+and merges the runs in start order, so its result, restart record and
+factorization count are those of the one-process search bit for bit, and,
+as only the EB search reads or fills the data's memo of spectra, no process
+leaves an entry in it; EB, k-fold and one-restart searches, and any search
+on one CPU, start no helper, and helpers that are lost, forked away from or
+closed leave no process and no difference behind.  The affinity set is
+faked to two CPUs wherever a search could otherwise start more than two
+helpers."""
 
 import io
 import os
@@ -29,7 +31,7 @@ from stable_sysid import _worker
 from stable_sysid.benchmarks import MonteCarloConfig, SyntheticSystemSpec, run_monte_carlo, standard_methods
 from stable_sysid.selection import select_hyperparameters
 
-pytestmark = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs two CPUs")
+pytestmark = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the helpers need two CPUs")
 
 
 def linear_data(n=40, seed=0):
@@ -56,13 +58,19 @@ def bits(result):
 
 
 @pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
 def served(monkeypatch):
-    """The results the worker returned during the test."""
+    """The ``(helper, result)`` of each reply a helper returned during the
+    test."""
     replies, real = [], _worker.collect
 
-    def collect():
-        replies.append(real())
-        return replies[-1]
+    def collect(helper=0):
+        replies.append((helper, real(helper)))
+        return replies[-1][1]
 
     monkeypatch.setattr(_worker, "collect", collect)
     return replies
@@ -80,25 +88,33 @@ CASES = [
     (structure, target, restarts)
     for structure, target in [(Gaussian(), StabilityTarget.unconstrained()), (Gaussian(), StabilityTarget.diss()),
                               (LinearAffine(), StabilityTarget.unconstrained())]
-    for restarts in (3, 8)
+    for restarts in (2, 3, 4, 5, 8)
 ]
+# on two CPUs, the processes of a search of each restart count
+PROCESSES = {2: 2, 3: 3, 4: 2, 5: 3, 8: 2}
 
 
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("structure,target,restarts", CASES,
                          ids=[f"{type(s).__name__}-{t.label()}-{r}" for s, t, r in CASES])
-def test_two_processes_give_the_one_process_search(monkeypatch, served, structure, target, restarts):
+def test_helpers_give_the_one_process_search(monkeypatch, served, structure, target, restarts):
     data_of = linear_data if isinstance(structure, LinearAffine) else smooth_data
     config = SelectionConfig(method="gcv", target=target, seed=2,
                              optimizer=OptimizerConfig(restarts=restarts, max_evals=40 * restarts))
     data = data_of()
-    two = select_hyperparameters(config, data, structure)
-    assert len(served) == 1 and len(served[0][0]) == restarts // 2
+    dealt = select_hyperparameters(config, data, structure)
     alone = data_of()
     one = one_process(monkeypatch, lambda: select_hyperparameters(config, alone, structure))
-    assert bits(two) == bits(one)
+    assert bits(dealt) == bits(one)
+    # helper j - 1 ran restarts j, j + P, ... of the one-process search
+    count = PROCESSES[restarts]
+    assert [helper for helper, _ in served] == list(range(count - 1))
+    for helper, (runs, _) in served:
+        assert [(spent, float(value), stop) for _, value, spent, stop in runs] == \
+            list(one.restarts[helper + 1::count])
     assert data.spectra == {} and alone.spectra == {}
     if isinstance(structure, LinearAffine):
-        assert two.factorizations > two.evaluations  # the fallback ran
+        assert dealt.factorizations > dealt.evaluations  # the fallback ran
 
 
 def test_thread_pool_rows_equal_one_process_rows(monkeypatch):
@@ -113,7 +129,7 @@ def test_thread_pool_rows_equal_one_process_rows(monkeypatch):
         return [(r.run, r.system, r.method, r.q_pre.hex(), r.q_sim.hex(), r.feasible) for r in result.rows]
 
     pooled = run_monte_carlo(config(2))
-    assert _worker._proc is not None
+    assert _worker._helpers
     serial = one_process(monkeypatch, lambda: run_monte_carlo(config(1)))
     assert len(serial.rows) == 8 and not pooled.failures
     assert content(pooled) == content(serial)
@@ -125,40 +141,52 @@ def test_other_searches_never_start_the_worker(monkeypatch, method, restarts, cp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     config = SelectionConfig(method=method, optimizer=OptimizerConfig(restarts=restarts, max_evals=12 * restarts))
     select_hyperparameters(config, smooth_data(), Gaussian())
-    assert _worker._proc is None
+    assert not _worker._helpers
 
 
-def test_a_worker_killed_before_the_search_is_replaced_by_the_process(monkeypatch):
+def two_helpers():
+    """Helpers 0 and 1, each having answered one request."""
+    for helper in (0, 1):
+        assert _worker.submit(abs, -1, helper=helper) and _worker.collect(helper) == 1
+    return [_worker._helpers[0], _worker._helpers[1]]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_a_second_helper_killed_before_the_search_is_replaced_by_the_process(monkeypatch):
     monkeypatch.setattr(_worker, "_lost", False)
     one = one_process(monkeypatch, lambda: select_hyperparameters(GCV, linear_data(), LinearAffine()))
-    assert _worker.submit(abs, -1) and _worker.collect() == 1
-    proc = _worker._proc
-    proc.kill()
-    proc.wait()
+    procs = two_helpers()
+    procs[1].kill()
+    procs[1].wait()
     assert bits(select_hyperparameters(GCV, linear_data(), LinearAffine())) == bits(one)
-    assert _worker._lost and _worker._proc is None
-    # no other worker is started
+    assert _worker._lost and not _worker._helpers
+    assert all(proc.poll() is not None for proc in procs)
+    # no other helper is started
     select_hyperparameters(GCV, linear_data(), LinearAffine())
-    assert _worker._proc is None
+    assert not _worker._helpers
 
 
-def test_a_worker_killed_inside_the_search_is_replaced_by_the_process(monkeypatch):
+@pytest.mark.usefixtures("two_cpus")
+def test_a_second_helper_killed_inside_the_search_is_replaced_by_the_process(monkeypatch):
     monkeypatch.setattr(_worker, "_lost", False)
     one = one_process(monkeypatch, lambda: select_hyperparameters(GCV, linear_data(), LinearAffine()))
+    procs = two_helpers()
     real = _worker.submit
 
-    def submit_then_kill(*args):
-        sent = real(*args)
-        _worker._proc.kill()
+    def submit_then_kill(*args, helper):
+        sent = real(*args, helper=helper)
+        if helper == 1:
+            procs[1].kill()
         return sent
 
     monkeypatch.setattr(_worker, "submit", submit_then_kill)
     assert bits(select_hyperparameters(GCV, linear_data(), LinearAffine())) == bits(one)
-    assert _worker._lost and _worker._proc is None
+    assert _worker._lost and not _worker._helpers
+    assert all(proc.poll() is not None for proc in procs)
 
 
 def test_a_restart_that_raises_here_raises_as_in_one_process(monkeypatch):
-    # the patch reaches this process only: the worker's restart succeeds,
+    # the patch reaches this process only: the helpers' restarts succeed,
     # the search runs again in one process and raises the first error
     from stable_sysid import selection
 
@@ -196,26 +224,90 @@ def test_arguments_that_do_not_pickle_are_not_sent():
     assert _worker.submit(abs, -2) and _worker.collect() == 2
 
 
-def test_an_interrupt_while_waiting_stops_the_worker(monkeypatch):
-    # no reply may be left in the pipe for the next request to read
+def test_an_interrupt_while_waiting_stops_every_helper(monkeypatch):
+    # no reply may be left in a pipe for the next request to read
     monkeypatch.setattr(_worker, "_lost", False)
-    assert _worker.submit(abs, -1)
-    proc = _worker._proc
+    procs = two_helpers()
+    assert _worker.submit(abs, -1, helper=0) and _worker.submit(abs, -1, helper=1)
 
     def interrupted(stream):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(_worker, "_read", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        _worker.collect()
-    assert proc.poll() is not None and _worker._proc is None and not _worker._lost
+        _worker.collect(0)
+    assert all(proc.poll() is not None for proc in procs)
+    assert not _worker._helpers and not _worker._lost
 
 
-def test_a_closed_worker_has_exited():
-    assert _worker.submit(abs, -1) and _worker.collect() == 1
-    proc = _worker._proc
+def test_close_reaps_every_helper():
+    procs = two_helpers()
     _worker._close()
-    assert proc.poll() is not None and _worker._proc is None
+    assert all(proc.poll() is not None for proc in procs) and not _worker._helpers
+
+
+def test_a_truncated_stream_ends_the_requests():
+    stream = io.BytesIO()
+    _worker._write(stream, b"a whole payload")
+    for cut in (3, len(stream.getvalue()) - 1):
+        with pytest.raises(EOFError):
+            _worker._read(io.BytesIO(stream.getvalue()[:cut]))
+
+
+
+
+class SlowToExit:
+    """A helper that outlives the first wait for its exit."""
+
+    def __init__(self):
+        self.stdin, self.stdout = io.BytesIO(), io.BytesIO()
+        self.calls = []
+
+    def kill(self):
+        self.calls.append("kill")
+
+    def wait(self, timeout=None):
+        self.calls.append(("wait", timeout))
+        if len(self.calls) == 1:
+            raise subprocess.TimeoutExpired("helper", timeout)
+
+
+def test_helpers_of_another_process_are_left_alone(monkeypatch):
+    # as in a forked child: no request is sent, and closing stops nothing
+    proc = SlowToExit()
+    monkeypatch.setattr(_worker, "_helpers", {0: proc})
+    monkeypatch.setattr(_worker, "_owner", -1)
+    assert not _worker.submit(abs, -1)
+    assert not _worker.submit(abs, -1, helper=1)
+    _worker._close(kill=True)
+    assert proc.calls == [] and not proc.stdin.closed and not _worker._helpers
+
+
+def test_a_helper_that_does_not_exit_is_killed(monkeypatch):
+    proc = SlowToExit()
+    monkeypatch.setattr(_worker, "_helpers", {0: proc})
+    monkeypatch.setattr(_worker, "_owner", os.getpid())
+    _worker._close()
+    assert proc.calls == [("wait", _worker._EXIT_WAIT_S), "kill", ("wait", None)]
+    assert proc.stdin.closed and proc.stdout.closed and not _worker._helpers
+
+
+class ClosedReplies:
+    def write(self, data):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+
+def test_the_serving_loop_ends_where_a_reply_cannot_be_written():
+    requests = io.BytesIO()
+    for value in (-1, -2):
+        _worker._write(requests, pickle.dumps((abs, (value,))))
+    requests.seek(0)
+    _worker._serve(requests, ClosedReplies())
+    # the second request was never read
+    assert requests.tell() == _worker._LENGTH.size + len(pickle.dumps((abs, (-1,))))
 
 
 def test_a_forked_child_leaves_the_parents_worker_alone():
@@ -254,7 +346,7 @@ from stable_sysid.selection import select_hyperparameters
 Z = np.random.default_rng(0).normal(size=(30, 5))
 select_hyperparameters(SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=2, max_evals=20)),
                        RegressionData(Z, Z[:, 0], 2), Gaussian())
-print(_worker._proc.pid, flush=True)
+print(_worker._helpers[0].pid, flush=True)
 time.sleep(600)
 """
     src = str(Path(stable_sysid.__file__).resolve().parents[1])

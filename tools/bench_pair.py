@@ -17,19 +17,20 @@ interpreter, which counts the ``numpy.linalg.eigh`` calls and LAPACK's
 package looks it up (``solver.dsytrd``, ``solver.dpotrf``,
 ``selection.dtrtri``), and fails if a routine the workload calls was never
 counted.  That round keeps every search in the probe's process, since a
-wrapper cannot count the calls of the search's worker process; on mc-ab
+wrapper cannot count the calls of the search's helper processes; on mc-ab
 the probe then times the thread-pool check round (a wall time, not a
-metric) with the worker as a run uses it, and records whether a search
-started one (``search_worker``; always false for a checkout without the
-worker).  The machine facts
+metric) with the helpers as a run uses them, and records how many helpers
+the probe's searches started (``search_workers``: read from ``_proc`` on a
+checkout whose searches have one helper, 0 on a checkout without
+helpers).  The machine facts
 are those of the parent's first run record, plus ``PYTHONDONTWRITEBYTECODE``
 as this script's runs inherit it: where it is set, every run compiles the
 package source afresh, which ``setup_s`` includes.  They also hold the live
 thread counts of numpy's and scipy's OpenBLAS pools, as this script's
 interpreter reads them through each library's getter (None where it exports
 none): ``OPENBLAS_NUM_THREADS`` is None where it is unset, while each pool
-runs one thread per CPU, and per checkout whether its searches used a
-worker in any probe.
+runs one thread per CPU, and per checkout the most helpers its searches
+started in any probe.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def probe(root: Path, workload: str) -> dict:
 
     try:
         from stable_sysid import _worker
-    except ImportError:  # a checkout whose searches have no worker
+    except ImportError:  # a checkout whose searches have no helper
         _worker = None
 
     # each name is wrapped where the package looks it up at call time
@@ -117,8 +118,18 @@ def probe(root: Path, workload: str) -> dict:
         "round_s": round_.wall_s,
         "threadpool_round_s": None if pooled is None else pooled.wall_s,
         "threadpool_rows_equal": None if pooled is None else bench.outcome(pooled) == bench.outcome(round_),
-        "search_worker": _worker is not None and _worker._proc is not None,
+        "search_workers": search_workers(_worker),
     }
+
+
+def search_workers(worker) -> int:
+    """The helpers that the searches of this interpreter started and that
+    still run."""
+    if worker is None:
+        return 0
+    if hasattr(worker, "_proc"):  # a checkout with one helper
+        return int(worker._proc is not None)
+    return len(worker._helpers)
 
 
 def run_benchmark(root: Path, workload: str, side: str) -> dict:
@@ -187,8 +198,8 @@ def main(argv=None) -> int:
             for name in summary["parent"]["median"]
         }
         report["workloads"][workload] = summary
-    report["machine"]["search_worker"] = {
-        side: any(summary[side]["search_worker"] for summary in report["workloads"].values()) for side in sides
+    report["machine"]["search_workers"] = {
+        side: max(summary[side]["search_workers"] for summary in report["workloads"].values()) for side in sides
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
