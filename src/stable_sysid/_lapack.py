@@ -19,10 +19,20 @@ keeps its bits.  No stand-in ``scipy.linalg`` is registered.
 Where either file is missing (a scipy built another way), the modules come
 from ``scipy.linalg`` itself: the same objects, at the old start-up cost.
 
-numpy and scipy each load their own OpenBLAS, with its own thread pool, and
-alternating between the two pools is slow: on mc-ab, after the scipy-only
-GCV searches, numpy's final ``eigh`` pair took 0.124 s a round where 0.008 s
-is normal (2 vCPUs).  At the search's size a second thread does not pay
+numpy and scipy each load their own OpenBLAS, with its own thread pool.
+After one multi-threaded call, that library's worker thread spins for about
+135 ms of CPU: 135.5 ms inside a 300 ms sleep after one 199 x 199 numpy
+``eigh``, and 135.0 ms after one two-thread scipy ``dpotrf`` (2 vCPUs).  A
+call into the other pool meanwhile shares a CPU with the spin, which
+explains Ha's final ``_ridge`` taking 70-101 ms in 4 of 8 timed mc-h
+rounds, against 0.6-3.8 ms otherwise; on mc-ab, after the scipy-only GCV
+searches, numpy's final ``eigh`` pair took 0.124 s a round where 0.008 s is
+normal.  ``scipy_openblas_set_num_threads*(1)`` does not stop the spin
+(136.5 ms); OpenBLAS's ``blas_thread_shutdown_`` does (0.7-2.5 ms), but the
+package must not call it, as it can drop a job that another thread has
+queued.  Parking numpy's pool that way kept all 70 benchmark rows
+bit-identical, yet gave only 2.63 against 2.50 mc-ab cells/s (median of 6
+alternating 15 s pairs, 4 of 6 won).  At the search's size a second thread does not pay
 either: one ``dpotrf`` of a 199 x 199 Gram took 0.21 ms on one thread and
 0.46 ms on two.  So :func:`_scipy_threads` runs scipy's pool on one thread
 for the length of each search, through the run-time setter that scipy's

@@ -25,12 +25,12 @@ the caller only, and it exits at the end of its input, so a caller killed
 outright leaves no helper behind.  A caller that exits normally closes
 every helper's input and reaps them at exit.
 
-The caller uses the helpers only under ``_lapack._LOCK``, at most one
-request per helper at a time.  Where any helper dies, or cannot be
-reached, the caller kills and reaps all of them and starts no other:
-:func:`submit` returns False from then on, and :func:`collect` raises
-:class:`WorkerLost`, so the caller runs the calls itself.  A forked child
-never writes to its parent's helpers.
+The caller reaches the helpers only through :func:`spread`, under
+``_lapack._LOCK``; a call sends at most one request per helper and reads
+every reply before it returns.  Where any helper dies, or cannot be
+reached, the caller kills and reaps all of them and starts no other, so
+:func:`spread` returns None from then on and the caller runs the calls
+itself.  A forked child never writes to its parent's helpers.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ _owner = None  # the pid of the process that started them
 _lost = False  # a helper died: start no other
 
 
-class WorkerLost(Exception):
-    """A helper gave no result for its last request."""
-
-
 def _write(stream, payload: bytes) -> None:
     stream.write(_LENGTH.pack(len(payload)))
     stream.write(payload)
@@ -83,54 +79,49 @@ def _read(stream) -> bytes:
     return payload
 
 
-def submit(function, *args, helper: int = 0) -> bool:
-    """Send ``function(*args)`` to helper number ``helper``, starting it on
-    first use; False, with nothing sent, where the caller must run the call
-    itself: a lost helper, a forked child of the helpers' owner, or
-    arguments that do not pickle."""
+def spread(function, calls):
+    """``[function(*args) for args in calls]``, with ``calls[1:]`` run on
+    helpers 0, 1, ... (each started on first use) while ``calls[0]`` runs
+    here.  None, with every helper idle again, where the caller must run
+    every call itself: the helpers are disabled or lost, this is a forked
+    child of their owner, a call does not pickle or cannot be sent, a call
+    raised here or in a helper, or a helper was lost before it replied.  An
+    interrupt stops every helper, so no reply is left in a pipe."""
     global _owner
-    if not _ENABLED or _lost:
-        return False
-    if _helpers and _owner != os.getpid():
-        return False
+    if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
+        return None
     try:
-        request = pickle.dumps((function, args), protocol=pickle.HIGHEST_PROTOCOL)
+        requests = [pickle.dumps((function, args), protocol=pickle.HIGHEST_PROTOCOL) for args in calls[1:]]
     except (pickle.PicklingError, TypeError, AttributeError):
-        return False
+        return None
     try:
-        proc = _helpers.get(helper)
-        if proc is None:
-            proc = _helpers[helper] = subprocess.Popen(
-                [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                start_new_session=True)
-            _owner = os.getpid()
-            proc.stdin.write(pickle.dumps(sys.path))
-        _write(proc.stdin, request)
+        for helper in range(len(calls) - 1):
+            proc = _helpers.get(helper)
+            if proc is None:
+                proc = _helpers[helper] = subprocess.Popen(
+                    [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    start_new_session=True)
+                _owner = os.getpid()
+                proc.stdin.write(pickle.dumps(sys.path))
+            _write(proc.stdin, requests.pop(0))  # not held while the calls run
     except OSError:
         _lose()
-        return False
-    return True
-
-
-def collect(helper: int = 0):
-    """The result of the request :func:`submit` sent to helper number
-    ``helper``; :class:`WorkerLost` where the call raised in the helper or
-    the helpers were lost.  An interrupt while waiting stops every helper,
-    so no reply is left in a pipe."""
-    proc = _helpers.get(helper)
-    if proc is None:  # lost with another helper
-        raise WorkerLost
+        return None
     try:
-        ok, result = pickle.loads(_read(proc.stdout))
+        try:
+            results = [function(*calls[0])]
+        except Exception:
+            results = None  # the replies are read all the same
+        replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls) - 1)]
     except (EOFError, OSError, pickle.UnpicklingError):
         _lose()
-        raise WorkerLost from None
+        return None
     except BaseException:
         _close(kill=True)
         raise
-    if not ok:
-        raise WorkerLost
-    return result
+    if results is None or not all(ok for ok, _ in replies):
+        return None
+    return results + [result for _, result in replies]
 
 
 def _lose() -> None:

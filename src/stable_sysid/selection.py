@@ -69,19 +69,20 @@ A GCV search (plain or cap-aware) of R restarts, on an affinity set of C
 CPUs, runs in ``P = 1`` process where ``C < 2``, else in
 ``P = min(R, ceil(R / max(1, R // C)))`` (:func:`_processes`): the fewest
 in which none runs more than ``max(1, R // C)`` restarts.  Restart k runs
-in process ``k mod P``; process 0 is this one, and process j >= 1 is helper
-j - 1 (:mod:`stable_sysid._worker`), which runs its restarts meanwhile.  On
-two CPUs, 3 restarts run in three processes, one each, 2, 6 and 8 in two,
-and 5 in three (2, 2 and 1).  The runs merge in start order and the
-factorization counts add up.  Every process builds the objective alike
-(:class:`_Objective`) from the same data, its pair terms included, and
-each restart is independent and seeded, so the result, the restart record
-and the factorization count are those of the one-process search bit for
-bit.  Where a helper is lost, the search runs again in this process, with
-the same result.  EB searches stay in one process: numpy's two-thread
-``eigh`` ran three times slower beside one busy thread (150 calls at
-N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold
-and one-restart searches stay too.
+in process ``k mod P``; process 0 is this one, and the others are helper
+processes (:func:`stable_sysid._worker.spread`), which run their restarts
+meanwhile.  On two CPUs, 3 restarts run in three processes, one each, 2, 6
+and 8 in two, and 5 in three (2, 2 and 1).  The runs merge in start order
+and the factorization counts add up.  Every process builds the objective
+alike (:class:`_Objective`) from the same data, its pair terms included,
+and each restart is independent and seeded, so the result, the restart
+record and the factorization count are those of the one-process search bit
+for bit.  Where ``spread`` gives no results (a part raised, or a helper
+could not run its part), the whole search runs once in this process, with
+the same result or the first error.  EB searches stay in one process:
+numpy's two-thread ``eigh`` ran three times slower beside one busy thread
+(150 calls at N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's
+memo.  k-fold and one-restart searches stay too.
 """
 
 from __future__ import annotations
@@ -604,32 +605,17 @@ def _processes(restarts: int, cpus: int) -> int:
 
 def _restarts(config, data, structure, starts, budget):
     """:func:`_run_restarts` over every start, in start order; a GCV search
-    runs restart k in process ``k mod P`` (see module notes), process 0
-    being this one and process j the helper ``j - 1``."""
+    runs restart k in process ``k mod P`` (see module notes)."""
     count = _processes(len(starts), _cpus()) if config.method == "gcv" else 1
-    if count < 2:
-        return _run_restarts(config, data, structure, starts, budget)
-    from . import _worker
+    parts = None
+    if count > 1:
+        from . import _worker
 
-    # the helpers read the parent's pair terms, so their Grams have their bits
-    data.terms.sq, data.terms.inner
-    sent = [_worker.submit(_run_restarts, config, data, structure, starts[j::count], budget, helper=j - 1)
-            for j in range(1, count)]
-    if not any(sent):
-        return _run_restarts(config, data, structure, starts, budget)
-    try:
-        local = _run_restarts(config, data, structure, starts[0::count], budget)
-    except Exception:
-        local = None
-    finally:
-        remote = []
-        for helper, ok in enumerate(sent):
-            try:
-                remote.append(_worker.collect(helper) if ok else None)
-            except _worker.WorkerLost:
-                remote.append(None)
-    parts = [local, *remote]
-    if any(part is None for part in parts):
+        # the helpers read the parent's pair terms, so their Grams have their bits
+        data.terms.sq, data.terms.inner
+        parts = _worker.spread(_run_restarts, [(config, data, structure, starts[j::count], budget)
+                                               for j in range(count)])
+    if parts is None:
         # in one process, in start order: the runs, or the first error, of a one-process search
         return _run_restarts(config, data, structure, starts, budget)
     runs = [None] * len(starts)

@@ -284,24 +284,17 @@ def numeric_falsifier(
             arrays = (A, B)
             vals = metric_pairs(kernel, A, B)
             size2 = np.einsum("ij,ij->i", A - B, A - B)
-        kind = "delta" if is_delta else "theta"
-        tol = 1e-9 * np.maximum(1.0, size2)
-        contract = (size2 >= nu) & (vals > size2 + tol)
-        if contract.any():
-            i = int(np.argmax(contract))
-            return ViabilityWitness(
-                points=tuple(X[i].copy() for X in arrays),
-                violated_condition=f"{kind}_contractive",
-                margin=float(vals[i] - size2[i]),
-            )
+        # (condition, where it fails, the bound its margin is taken from), in check order
+        checks = [("contractive", (size2 >= nu) & (vals > size2 + 1e-9 * np.maximum(1.0, size2)), size2)]
         if math.isfinite(s):
-            bounded = (size2 < nu) & (vals > s + 1e-9 * max(1.0, s))
-            if bounded.any():
-                i = int(np.argmax(bounded))
+            checks.append(("bounded", (size2 < nu) & (vals > s + 1e-9 * max(1.0, s)), np.full_like(vals, s)))
+        for condition, violated, bound in checks:
+            if violated.any():
+                i = int(np.argmax(violated))
                 return ViabilityWitness(
                     points=tuple(X[i].copy() for X in arrays),
-                    violated_condition=f"{kind}_bounded",
-                    margin=float(vals[i] - s),
+                    violated_condition=f"{'delta' if is_delta else 'theta'}_{condition}",
+                    margin=float(vals[i] - bound[i]),
                 )
     return None
 

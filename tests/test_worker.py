@@ -66,13 +66,15 @@ def two_cpus(monkeypatch):
 def served(monkeypatch):
     """The ``(helper, result)`` of each reply a helper returned during the
     test."""
-    replies, real = [], _worker.collect
+    replies, real = [], _worker._read
 
-    def collect(helper=0):
-        replies.append((helper, real(helper)))
-        return replies[-1][1]
+    def read(stream):
+        payload = real(stream)
+        helper = next(j for j, proc in _worker._helpers.items() if proc.stdout is stream)
+        replies.append((helper, pickle.loads(payload)[1]))
+        return payload
 
-    monkeypatch.setattr(_worker, "collect", collect)
+    monkeypatch.setattr(_worker, "_read", read)
     return replies
 
 
@@ -146,8 +148,7 @@ def test_other_searches_never_start_the_worker(monkeypatch, method, restarts, cp
 
 def two_helpers():
     """Helpers 0 and 1, each having answered one request."""
-    for helper in (0, 1):
-        assert _worker.submit(abs, -1, helper=helper) and _worker.collect(helper) == 1
+    assert _worker.spread(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
     return [_worker._helpers[0], _worker._helpers[1]]
 
 
@@ -167,19 +168,41 @@ def test_a_second_helper_killed_before_the_search_is_replaced_by_the_process(mon
 
 
 @pytest.mark.usefixtures("two_cpus")
+def test_a_failed_second_send_runs_the_search_here_once(monkeypatch):
+    # the request already sent to helper 0 is dropped with it, and part 0
+    # does not run here before the whole search does
+    from stable_sysid import selection
+
+    monkeypatch.setattr(_worker, "_lost", False)
+    real, ran = selection._nelder_mead, []
+
+    def nelder_mead(objective, x0, **options):
+        ran.append(x0.tobytes())
+        return real(objective, x0, **options)
+
+    monkeypatch.setattr(selection, "_nelder_mead", nelder_mead)
+    one = one_process(monkeypatch, lambda: select_hyperparameters(GCV, linear_data(), LinearAffine()))
+    alone, ran[:] = list(ran), []
+    procs = two_helpers()
+    procs[1].kill()
+    procs[1].wait()
+    assert bits(select_hyperparameters(GCV, linear_data(), LinearAffine())) == bits(one)
+    assert ran == alone  # the start's inversion, then the restarts
+
+
+@pytest.mark.usefixtures("two_cpus")
 def test_a_second_helper_killed_inside_the_search_is_replaced_by_the_process(monkeypatch):
     monkeypatch.setattr(_worker, "_lost", False)
     one = one_process(monkeypatch, lambda: select_hyperparameters(GCV, linear_data(), LinearAffine()))
     procs = two_helpers()
-    real = _worker.submit
+    real = _worker._write
 
-    def submit_then_kill(*args, helper):
-        sent = real(*args, helper=helper)
-        if helper == 1:
+    def write_then_kill(stream, payload):
+        real(stream, payload)
+        if stream is procs[1].stdin:
             procs[1].kill()
-        return sent
 
-    monkeypatch.setattr(_worker, "submit", submit_then_kill)
+    monkeypatch.setattr(_worker, "_write", write_then_kill)
     assert bits(select_hyperparameters(GCV, linear_data(), LinearAffine())) == bits(one)
     assert _worker._lost and not _worker._helpers
     assert all(proc.poll() is not None for proc in procs)
@@ -196,7 +219,7 @@ def test_a_restart_that_raises_here_raises_as_in_one_process(monkeypatch):
     monkeypatch.setattr(selection, "_gcv", gcv)
     with pytest.raises(RuntimeError, match="stopped inside the search"):
         select_hyperparameters(GCV, smooth_data(), Gaussian())
-    assert _worker.submit(abs, -5) and _worker.collect() == 5
+    assert _worker.spread(abs, [(-5,), (-6,)]) == [5, 6]
 
 
 def test_the_serving_loop_answers_until_its_requests_end():
@@ -213,29 +236,47 @@ def test_the_serving_loop_answers_until_its_requests_end():
 
 
 def test_a_call_that_raises_in_the_worker_keeps_the_worker():
-    assert _worker.submit(int, "x")
-    with pytest.raises(_worker.WorkerLost):
-        _worker.collect()
-    assert _worker.submit(abs, -3) and _worker.collect() == 3
+    # here or in a helper: no results, and every reply is read
+    procs = two_helpers()
+    assert _worker.spread(int, [("1",), ("x",), ("2",)]) is None
+    assert _worker.spread(int, [("x",), ("1",), ("2",)]) is None
+    assert _worker.spread(abs, [(-3,), (-4,), (-5,)]) == [3, 4, 5]
+    assert [_worker._helpers[0], _worker._helpers[1]] == procs
 
 
 def test_arguments_that_do_not_pickle_are_not_sent():
-    assert not _worker.submit(abs, lambda: None)
-    assert _worker.submit(abs, -2) and _worker.collect() == 2
+    # not even the calls before them
+    two_helpers()
+    assert _worker.spread(abs, [(-2,), (-2,), (lambda: None,)]) is None
+    assert _worker.spread(abs, [(-2,), (-3,), (-4,)]) == [2, 3, 4]
 
 
 def test_an_interrupt_while_waiting_stops_every_helper(monkeypatch):
     # no reply may be left in a pipe for the next request to read
     monkeypatch.setattr(_worker, "_lost", False)
     procs = two_helpers()
-    assert _worker.submit(abs, -1, helper=0) and _worker.submit(abs, -1, helper=1)
 
     def interrupted(stream):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(_worker, "_read", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        _worker.collect(0)
+        _worker.spread(abs, [(-1,), (-1,), (-1,)])
+    assert all(proc.poll() is not None for proc in procs)
+    assert not _worker._helpers and not _worker._lost
+
+
+class Interrupting:
+    def __abs__(self):
+        raise KeyboardInterrupt
+
+
+def test_an_interrupt_here_stops_every_helper(monkeypatch):
+    # the helpers are not waited for
+    monkeypatch.setattr(_worker, "_lost", False)
+    procs = two_helpers()
+    with pytest.raises(KeyboardInterrupt):
+        _worker.spread(abs, [(Interrupting(),), (-1,), (-1,)])
     assert all(proc.poll() is not None for proc in procs)
     assert not _worker._helpers and not _worker._lost
 
@@ -252,8 +293,6 @@ def test_a_truncated_stream_ends_the_requests():
     for cut in (3, len(stream.getvalue()) - 1):
         with pytest.raises(EOFError):
             _worker._read(io.BytesIO(stream.getvalue()[:cut]))
-
-
 
 
 class SlowToExit:
@@ -277,8 +316,9 @@ def test_helpers_of_another_process_are_left_alone(monkeypatch):
     proc = SlowToExit()
     monkeypatch.setattr(_worker, "_helpers", {0: proc})
     monkeypatch.setattr(_worker, "_owner", -1)
-    assert not _worker.submit(abs, -1)
-    assert not _worker.submit(abs, -1, helper=1)
+    assert _worker.spread(abs, [(-1,), (-1,)]) is None
+    assert _worker.spread(abs, [(-1,), (-1,), (-1,)]) is None
+    assert proc.stdin.getvalue() == b""
     _worker._close(kill=True)
     assert proc.calls == [] and not proc.stdin.closed and not _worker._helpers
 
@@ -311,12 +351,12 @@ def test_the_serving_loop_ends_where_a_reply_cannot_be_written():
 
 
 def test_a_forked_child_leaves_the_parents_worker_alone():
-    assert _worker.submit(abs, -1) and _worker.collect() == 1
+    assert _worker.spread(abs, [(-1,), (-1,)]) == [1, 1]
     pid = os.fork()
     if pid == 0:
         code = 2
         try:
-            code = 1 if _worker.submit(abs, -1) else 0
+            code = 0 if _worker.spread(abs, [(-1,), (-1,)]) is None else 1
             _worker._close()  # the owner's worker is not the child's to stop
         finally:
             os._exit(code)
@@ -324,7 +364,7 @@ def test_a_forked_child_leaves_the_parents_worker_alone():
     while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
-    assert _worker.submit(abs, -4) and _worker.collect() == 4
+    assert _worker.spread(abs, [(-4,), (-5,)]) == [4, 5]
 
 
 def exited(pid: int) -> bool:

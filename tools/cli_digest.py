@@ -1,10 +1,12 @@
 """Digest of the CLI's deterministic outputs over a fixed command list.
 
-Run from the repository root, with no flags:
+Run with no flags:
 
-    PYTHONPATH=src python tools/cli_digest.py
+    python tools/cli_digest.py
 
-Every command runs in-process, in one temporary working directory and with
+The script imports ``stable_sysid`` from its own checkout's ``src``, put
+first on ``sys.path``, and exits 1 if the package resolves anywhere else,
+so a digest never reads an installed copy.  Every command runs in-process, in one temporary working directory and with
 relative paths only, so no output depends on where the script ran.  For each
 command the script prints one ``sha256  name`` line for its standard output,
 its standard error, its exit code and each file it wrote.  Two checkouts that
@@ -39,10 +41,17 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
-from stable_sysid import cli
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+import stable_sysid  # noqa: E402
+
+if Path(stable_sysid.__file__).resolve().parent != SRC / "stable_sysid":
+    raise SystemExit(f"error: stable_sysid was imported from {stable_sysid.__file__}, not {SRC}")
+from stable_sysid import cli  # noqa: E402
 
 SEARCH = {"restarts": 1, "max_evals": 30}
 KFOLD_SEARCH = {**SEARCH, "method": "kfold"}

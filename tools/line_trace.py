@@ -2,7 +2,11 @@
 
 Run from the repository root, with any pytest arguments:
 
-    PYTHONPATH=src python tools/line_trace.py [pytest args]
+    python tools/line_trace.py [pytest args]
+
+The script puts its own checkout's ``src`` first on ``sys.path`` and exits
+2 if ``stable_sysid`` resolves anywhere else, so a trace never reads an
+installed copy.
 
 The script runs pytest in-process, with ``-p no:cacheprovider``, under
 ``sys.settrace`` and ``threading.settrace``, and records every line that
@@ -26,6 +30,7 @@ import sys
 import threading
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Nonlocal, ast.Global)
 
 
@@ -60,11 +65,13 @@ def statements(source: str) -> list:
 def main(argv: list) -> int:
     import pytest
 
+    sys.path.insert(0, str(SRC))
     spec = importlib.util.find_spec("stable_sysid")
-    if spec is None or not spec.submodule_search_locations:
-        print("stable_sysid is not importable; run with PYTHONPATH=src", file=sys.stderr)
+    package = SRC / "stable_sysid"
+    if spec is None or not spec.submodule_search_locations or \
+            Path(spec.submodule_search_locations[0]).resolve() != package:
+        print(f"stable_sysid does not resolve to {package}", file=sys.stderr)
         return 2
-    package = Path(spec.submodule_search_locations[0]).resolve()
     modules = sorted(package.glob("*.py"))
     ran = {path: set() for path in modules}
     by_name = {}  # each code object's file name, resolved once
