@@ -32,24 +32,48 @@ normal.  ``scipy_openblas_set_num_threads*(1)`` does not stop the spin
 package must not call it, as it can drop a job that another thread has
 queued.  Parking numpy's pool that way kept all 70 benchmark rows
 bit-identical, yet gave only 2.63 against 2.50 mc-ab cells/s (median of 6
-alternating 15 s pairs, 4 of 6 won).  At the search's size a second thread does not pay
-either: one ``dpotrf`` of a 199 x 199 Gram took 0.21 ms on one thread and
-0.46 ms on two.  So :func:`_scipy_threads` runs scipy's pool on one thread
+alternating 15 s pairs, 4 of 6 won): scipy's pool, which spun about as
+much (a prototype read 66 and 78 ticks over 4 rounds), kept spinning.  At
+the search's size a second thread does not pay either: one ``dpotrf`` of a
+199 x 199 Gram took 0.21 ms on one thread and 0.46 ms on two.  So :func:`_scipy_threads` runs scipy's pool on one thread
 for the length of each search, through the run-time setter that scipy's
 OpenBLAS exports, found with ``ctypes`` as ``threadpoolctl`` does
 (https://github.com/joblib/threadpoolctl); on another BLAS the setter is
 absent and nothing is pinned.  Only scipy's pool and only the search are
 pinned, which moved none of the mc-ab/mc-h rows of seeds 0-9: numpy's
-thread count sets the bits of every ``eigh`` and so of the H rows (ROADMAP
+thread count sets the bits of ``eigh`` at most sizes from about N = 146
+up (the benchmark's N = 198 among them) and so of the H rows (ROADMAP
 D17), and ``dpotrf``'s bits depend on the thread count from N = 128 up, so
-a final solve on one thread moved Ha's row on 7 of 10 seeds.  Pinning both pools, fits included, waits
-for the re-baseline of ROADMAP Direction 1 (Direction 16).  The count is
-process-wide, so the context also holds one process-wide lock, which every
-other scipy caller of the package takes at the caller's count: a final
-Cholesky never runs pinned because another thread is searching.  A GCV
-search also uses its helper processes (:mod:`stable_sysid._worker`) only
-under this lock, so one search at a time talks to them; each helper runs
-scipy's pool on one thread for its whole life.
+a final solve on one thread moved Ha's row on 7 of 10 seeds.  Pinning both pools,
+fits included, waits for the re-baseline of ROADMAP Direction 1 (Direction
+16).  The count is process-wide, so the context also holds one
+process-wide lock, which every other scipy caller of the package takes at
+the caller's count: a final Cholesky never runs pinned because another
+thread is searching.
+
+The package talks to its helper processes (:mod:`stable_sysid._worker`)
+only under this lock, so one caller at a time does.  Each request carries
+the caller's two pool counts as they are when it is sent, read through
+each library's getter (:func:`_pool_counts`; numpy's OpenBLAS exports the
+names with the suffix ``64_``, found through ``numpy.linalg._umath_linalg``'s
+handle), and the helper runs the call at them: a search's restarts with
+scipy on one thread and numpy at the caller's count, so a spectrum a
+restart falls back to has the caller's bits, and a fit's final solve at
+both of the caller's counts, so it has the bits it would have here.
+
+The caller's pools keep OpenBLAS's default spin: the library reads its
+idle-spin limit, ``OPENBLAS_THREAD_TIMEOUT`` (2**n cycles, 4 <= n <= 30;
+https://github.com/OpenMathLib/OpenBLAS), when it loads, and numpy has
+loaded it before this package is imported.  The helpers start with
+``OPENBLAS_THREAD_TIMEOUT=4``, so their workers sleep right after each job;
+their pinned restarts never wake a pool, so that costs them nothing.  So
+:func:`stable_sysid.benchmarks.fit_method` runs the final solve, the one
+multi-threaded call between two searches, on helper 0 where one runs, and
+no spinning worker of the caller's takes a CPU from the next search's three
+processes: over one warm mc-ab round the caller's non-main threads used
+0.25-0.39 CPU-s before and 0.00 after (eight probe rounds each at seeds 0
+and 3, ``tools/bench_pair.py``).  Where no helper runs (EB searches start none),
+the final solve stays here, at the same counts.
 """
 
 from __future__ import annotations
@@ -62,6 +86,8 @@ from contextlib import contextmanager
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from types import ModuleType
+
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "dnrm2",
@@ -130,14 +156,15 @@ dsymv = _fblas.dsymv
 dsyr2 = _fblas.dsyr2
 
 
-def _thread_setters(module: ModuleType):
+def _thread_setters(module: ModuleType, suffix: str = ""):
     """``(set, get)`` of the OpenBLAS that ``module`` links, or ``(None, None)``
-    where it exports no scipy-OpenBLAS thread setter."""
+    where it exports no scipy-OpenBLAS thread setter with names ending in
+    ``suffix``."""
     # dlopen of a loaded extension returns its handle, and dlsym on that
     # handle also searches the libraries it links
     library = ctypes.CDLL(module.__file__)
-    set_threads = getattr(library, "scipy_openblas_set_num_threads", None)
-    get_threads = getattr(library, "scipy_openblas_get_num_threads", None)
+    set_threads = getattr(library, "scipy_openblas_set_num_threads" + suffix, None)
+    get_threads = getattr(library, "scipy_openblas_get_num_threads" + suffix, None)
     if set_threads is None or get_threads is None:
         return None, None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -146,7 +173,24 @@ def _thread_setters(module: ModuleType):
 
 
 _set_threads, _get_threads = _thread_setters(_flapack)
+# numpy's 64-bit-integer OpenBLAS exports the names with the suffix "64_"
+_set_numpy_threads, _get_numpy_threads = _thread_setters(_umath_linalg, "64_")
 _LOCK = threading.RLock()
+
+
+def _pool_counts() -> tuple:
+    """``(numpy's, scipy's)`` OpenBLAS thread counts now, each None where
+    that library exports no getter."""
+    return tuple(None if get is None else get() for get in (_get_numpy_threads, _get_threads))
+
+
+def _set_pool_counts(counts: tuple) -> None:
+    """Set numpy's and scipy's OpenBLAS pools to ``counts`` (as
+    :func:`_pool_counts` reads them), leaving a pool alone where its count
+    is None."""
+    for set_threads, count in zip((_set_numpy_threads, _set_threads), counts):
+        if count is not None:
+            set_threads(count)
 
 
 @contextmanager

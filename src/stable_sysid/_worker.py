@@ -1,6 +1,7 @@
 """Helper processes that run calls beside the main process; a GCV search
 sends them its restarts (the rule that deals the restarts is in
-:mod:`stable_sysid.selection`).
+:mod:`stable_sysid.selection`), and a fit sends helper 0 its final solve
+where one runs (:func:`stable_sysid.benchmarks.fit_method`).
 
 A search spends its time in scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri``,
 which hold the GIL, and runs them with scipy's OpenBLAS on one thread
@@ -16,21 +17,27 @@ method re-imports ``__main__``, so a script without a main guard fails with
 
 A helper reads the caller's ``sys.path`` first, so it imports the same
 ``stable_sysid``.  After that, both pipes carry messages: an 8-byte length,
-then a pickle.  A request is ``(function, args)``, the function pickled by
-reference; the reply is ``(True, result)``, or ``(False, None)`` where the
-request could not be read or the call raised.  A helper runs with scipy's
-OpenBLAS on one thread and numpy's pool as the caller's environment sets
-it.  It runs in a session of its own, so a Ctrl-C at the terminal reaches
-the caller only, and it exits at the end of its input, so a caller killed
+then a pickle.  A request is ``(function, args, counts)``, the function
+pickled by reference and ``counts`` the caller's numpy and scipy OpenBLAS
+thread counts when it was sent; the reply is ``(True, result)``, or
+``(False, None)`` where the request could not be read or the call raised.
+A helper runs each call with its pools at the request's counts, so the
+call has the bits it would have in the caller: a search's restarts with
+scipy on one thread, a final solve at the caller's counts.  It starts with
+``OPENBLAS_THREAD_TIMEOUT=4``, so its pools' workers sleep right after
+each job instead of spinning for about 135 ms (see :mod:`stable_sysid._lapack`).
+It runs in a session of its own, so a Ctrl-C at the terminal reaches the
+caller only, and it exits at the end of its input, so a caller killed
 outright leaves no helper behind.  A caller that exits normally closes
 every helper's input and reaps them at exit.
 
-The caller reaches the helpers only through :func:`spread`, under
-``_lapack._LOCK``; a call sends at most one request per helper and reads
-every reply before it returns.  Where any helper dies, or cannot be
-reached, the caller kills and reaps all of them and starts no other, so
-:func:`spread` returns None from then on and the caller runs the calls
-itself.  A forked child never writes to its parent's helpers.
+The caller reaches the helpers only through :func:`spread` and
+:func:`call`, under ``_lapack._LOCK``; a call sends at most one request per
+helper and reads every reply before it returns.  Only :func:`spread` starts
+a helper.  Where any helper dies, or cannot be reached, the caller kills
+and reaps all of them and starts no other, so both return None from then on
+and the caller runs the calls itself.  A forked child never writes to its
+parent's helpers.
 """
 
 from __future__ import annotations
@@ -42,11 +49,14 @@ import struct
 import subprocess
 import sys
 
-from ._lapack import _scipy_threads
+from ._lapack import _LOCK, _pool_counts, _set_pool_counts
 
 # False keeps every call in the calling process (a seam for tests)
 _ENABLED = True
 _EXIT_WAIT_S = 10.0
+# OpenBLAS's idle-spin limit of 2**4 cycles, its least: a helper's pool
+# sleeps right after each job instead of spinning for about 135 ms
+_THREAD_TIMEOUT = "4"
 _LENGTH = struct.Struct("<Q")
 _BOOTSTRAP = (
     "import pickle, sys\n"
@@ -87,20 +97,42 @@ def spread(function, calls):
     child of their owner, a call does not pickle or cannot be sent, a call
     raised here or in a helper, or a helper was lost before it replied.  An
     interrupt stops every helper, so no reply is left in a pipe."""
+    return _exchange(function, calls[1:], lambda: function(*calls[0]))
+
+
+def call(function, args):
+    """``function(*args)`` run on helper 0, under ``_lapack._LOCK``, at this
+    process's OpenBLAS pool counts.  None where :func:`spread` would give
+    None, where no helper runs yet (this starts none: a cold start costs
+    0.4-0.6 s), and where either library's pool count cannot be read, so
+    the call could not keep its bits."""
+    with _LOCK:
+        if 0 not in _helpers or None in _pool_counts():
+            return None
+        results = _exchange(function, [args], lambda: None)
+    return None if results is None else results[1]
+
+
+def _exchange(function, calls, here):
+    """``[here()] + [function(*args) for args in calls]``, with ``calls[j]``
+    run on helper j (started on first use) while ``here()`` runs in this
+    process; None as :func:`spread` says."""
     global _owner
     if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
         return None
     try:
-        requests = [pickle.dumps((function, args), protocol=pickle.HIGHEST_PROTOCOL) for args in calls[1:]]
+        # each request carries the pool counts it is to run at
+        requests = [pickle.dumps((function, args, _pool_counts()), protocol=pickle.HIGHEST_PROTOCOL)
+                    for args in calls]
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
     try:
-        for helper in range(len(calls) - 1):
+        for helper in range(len(calls)):
             proc = _helpers.get(helper)
             if proc is None:
                 proc = _helpers[helper] = subprocess.Popen(
                     [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    start_new_session=True)
+                    start_new_session=True, env={**os.environ, "OPENBLAS_THREAD_TIMEOUT": _THREAD_TIMEOUT})
                 _owner = os.getpid()
                 proc.stdin.write(pickle.dumps(sys.path))
             _write(proc.stdin, requests.pop(0))  # not held while the calls run
@@ -109,10 +141,10 @@ def spread(function, calls):
         return None
     try:
         try:
-            results = [function(*calls[0])]
+            results = [here()]
         except Exception:
             results = None  # the replies are read all the same
-        replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls) - 1)]
+        replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls))]
     except (EOFError, OSError, pickle.UnpicklingError):
         _lose()
         return None
@@ -159,19 +191,20 @@ atexit.register(_close)
 
 def _serve(requests, replies) -> None:
     """A helper's loop: answer each request read from ``requests`` on
-    ``replies`` until the requests end."""
-    with _scipy_threads(1):
-        while True:
-            try:
-                payload = _read(requests)
-            except EOFError:
-                return
-            try:
-                function, args = pickle.loads(payload)
-                reply = pickle.dumps((True, function(*args)), protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                reply = pickle.dumps((False, None))
-            try:
-                _write(replies, reply)
-            except OSError:
-                return
+    ``replies``, at the pool counts the request carries, until the requests
+    end."""
+    while True:
+        try:
+            payload = _read(requests)
+        except EOFError:
+            return
+        try:
+            function, args, counts = pickle.loads(payload)
+            _set_pool_counts(counts)
+            reply = pickle.dumps((True, function(*args)), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            reply = pickle.dumps((False, None))
+        try:
+            _write(replies, reply)
+        except OSError:
+            return

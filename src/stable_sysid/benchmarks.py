@@ -433,6 +433,18 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     The EB search memoizes its spectra on ``data``, so EB methods fitted on
     one shared data (as :func:`run_monte_carlo` does within a run) factor
     each Gram their searches share once; the results are those of fresh data.
+
+    Where a search helper runs (a GCV search started it), the final solve,
+    :func:`~stable_sysid.solver.solve_constrained`, runs on helper 0 at this
+    process's OpenBLAS thread counts (:func:`stable_sysid._worker.call`),
+    else here at the same counts, so the fit has the same bits either way.
+    It must not run on one thread: the thread count sets the bits of its
+    ``eigh`` and ``dpotrf`` from about N = 128 up, and moves H rows by up to
+    8.2% (ROADMAP D17).  A multi-threaded call here would leave this
+    process's OpenBLAS workers spinning for about 135 ms on the CPUs of the
+    next search's helpers; the helpers' workers sleep right after each job
+    (see :mod:`stable_sysid._lapack`).  EB searches start no helper, so an
+    EB-only run solves here.
     """
     selection = method.selection
     sel = select_hyperparameters(selection, data, method.structure)
@@ -446,7 +458,9 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
         chi=selection.chi,
         constrained=selection.target.constrained,
     )
-    report = solve_constrained(problem)
+    from . import _worker
+
+    report = _worker.call(solve_constrained, (problem,)) or solve_constrained(problem)
     model = PredictorModel.from_fit(data, kernel, report, selection.target)
     return model, report, sel
 
@@ -493,9 +507,9 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     drawn again, with the same bits; none outlives the call.  Rows come in
     cell order whatever ``n_jobs``.  The searches of different groups do not
     overlap: each holds the package's scipy lock, which a group's final
-    Cholesky also takes (see :mod:`stable_sysid.selection`), and their
-    LAPACK calls hold the GIL anyway.  Threads overlap only the work outside
-    the lock: data generation, numpy's spectra and the predictions, so
+    solve also takes, on helper 0 or here (see :func:`fit_method`), and
+    their LAPACK calls hold the GIL anyway.  Threads overlap only the work
+    outside the lock: data generation, EB's spectra and the predictions, so
     ``n_jobs=2`` is about as fast as ``n_jobs=1``: with two runs, medians of
     4.39 s against 4.34 s on the perfbench mc-ab cells and 10.51 s against
     10.50 s on mc-h (six alternating pairs, 2 vCPUs).  Where the affinity
@@ -503,8 +517,9 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     and B's methods) deals its restarts over this process and helper
     processes, whatever ``n_jobs``, by the rule of
     :mod:`stable_sysid.selection` (on two CPUs, three restarts run in three
-    processes); EB searches (H's methods) run in this process.  The rows
-    are the same either way, bit for bit.
+    processes), and each fit's final solve then runs on helper 0; EB
+    searches (H's methods) run in this process and start no helper.  The
+    rows are the same either way, bit for bit.
     """
     _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:

@@ -75,9 +75,13 @@ meanwhile.  On two CPUs, 3 restarts run in three processes, one each, 2, 6
 and 8 in two, and 5 in three (2, 2 and 1).  The runs merge in start order
 and the factorization counts add up.  Every process builds the objective
 alike (:class:`_Objective`) from the same data, its pair terms included,
-and each restart is independent and seeded, so the result, the restart
-record and the factorization count are those of the one-process search bit
-for bit.  Where ``spread`` gives no results (a part raised, or a helper
+and each helper runs its part at the OpenBLAS thread counts this process
+has when the search sends it: scipy's one thread, and numpy's count, which
+sets the bits of a fallback spectrum from about N = 146 up.  Each restart is independent and
+seeded, so the result, the restart record and the factorization count are
+those of the one-process search bit for bit.  The helpers then stay up, and
+the fit's final solve runs on helper 0 (see
+:func:`stable_sysid.benchmarks.fit_method`).  Where ``spread`` gives no results (a part raised, or a helper
 could not run its part), the whole search runs once in this process, with
 the same result or the first error.  EB searches stay in one process:
 numpy's two-thread ``eigh`` ran three times slower beside one busy thread

@@ -267,9 +267,16 @@ def _shifted_cholesky(K: np.ndarray, beta: float):
     and each library runs its own OpenBLAS thread pool.  The phase rule
     (see :mod:`stable_sysid._lapack`): inside a search, scipy's pool runs on
     one thread; every other call keeps the caller's count, since
-    ``dpotrf``'s bits depend on it from N = 128 up; numpy's pool is never
-    pinned.  scipy's ``eigh`` in place of numpy's moved mc-h Hb ``q_sim`` by
-    5.4%, and a pinned numpy pool moves the H rows too (ROADMAP D17)."""
+    ``dpotrf``'s bits depend on it from N = 128 up, also where a fit's final
+    solve runs on a search helper, which takes the caller's counts with the
+    request; numpy's pool is never pinned, as a pinned numpy pool moves the
+    H rows (ROADMAP D17).  scipy's ``eigh`` would not move a bit:
+    ``_flapack.dsyevd(K, compute_v=1, lower=1)`` returned numpy ``eigh``'s
+    eigenvalues and eigenvectors bit for bit at two threads on 20 of 20 H
+    Grams.  An earlier swap that moved mc-h Hb ``q_sim`` by 5.4% moved it
+    through the Fortran-ordered ``Q`` in ``Q.T @ y``: with ``Q`` made
+    C-contiguous, and EB searches at the caller's count, all 70 benchmark
+    rows kept their bits."""
     A = np.array(K, dtype=float)
     A.flat[::A.shape[0] + 1] += beta
     # the transpose of a symmetric C-ordered array is its Fortran-ordered self

@@ -5,9 +5,10 @@ factorization count are those of the one-process search bit for bit, and,
 as only the EB search reads or fills the data's memo of spectra, no process
 leaves an entry in it; EB, k-fold and one-restart searches, and any search
 on one CPU, start no helper, and helpers that are lost, forked away from or
-closed leave no process and no difference behind.  The affinity set is
-faked to two CPUs wherever a search could otherwise start more than two
-helpers."""
+closed leave no process and no difference behind.  A fit's final solve runs
+on helper 0 where one runs, at this process's OpenBLAS pool counts, with
+the bits of the solve in this process.  The affinity set is faked to two
+CPUs wherever a search could otherwise start more than two helpers."""
 
 import io
 import os
@@ -27,8 +28,12 @@ import stable_sysid
 from stable_sysid import (
     Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget,
 )
-from stable_sysid import _worker
-from stable_sysid.benchmarks import MonteCarloConfig, SyntheticSystemSpec, run_monte_carlo, standard_methods
+from stable_sysid import _lapack, _worker
+from stable_sysid.benchmarks import (
+    MethodSpec, MonteCarloConfig, SyntheticSystemSpec, fit_method, generate_dataset, run_monte_carlo,
+    standard_methods,
+)
+from stable_sysid.solver import FitReport, build_regression_data
 from stable_sysid.selection import select_hyperparameters
 
 pytestmark = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the helpers need two CPUs")
@@ -139,11 +144,85 @@ def test_thread_pool_rows_equal_one_process_rows(monkeypatch):
 
 @pytest.mark.parametrize("method,restarts,cpus", [("eb", 3, 2), ("kfold", 3, 2), ("gcv", 1, 2), ("gcv", 3, 1)])
 def test_other_searches_never_start_the_worker(monkeypatch, method, restarts, cpus):
+    # nor does their fit's final solve
     _worker._close()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     config = SelectionConfig(method=method, optimizer=OptimizerConfig(restarts=restarts, max_evals=12 * restarts))
-    select_hyperparameters(config, smooth_data(), Gaussian())
+    fit_method(smooth_data(), MethodSpec(method, Gaussian(), config))
     assert not _worker._helpers
+
+
+@pytest.fixture
+def numpy_one_thread():
+    """numpy's OpenBLAS pool on one thread for the test, and set back to
+    its count before the test afterwards."""
+    if _lapack._set_numpy_threads is None:
+        pytest.skip("numpy's BLAS exports no scipy-OpenBLAS thread setter")
+    before = _lapack._get_numpy_threads()
+    _lapack._set_numpy_threads(1)
+    yield
+    _lapack._set_numpy_threads(before)
+
+
+@pytest.mark.usefixtures("two_cpus", "numpy_one_thread")
+def test_a_helpers_fallback_spectrum_has_the_callers_bits(monkeypatch, served):
+    # at N = 220 numpy's thread count sets the bits of the third restart's
+    # fallback spectra: its helper factors at the caller's count, not at its
+    # own default
+    dealt = select_hyperparameters(GCV, linear_data(n=220), LinearAffine())
+    one = one_process(monkeypatch, lambda: select_hyperparameters(GCV, linear_data(n=220), LinearAffine()))
+    assert bits(dealt) == bits(one)
+    # a helper's restarts fell back to the spectrum
+    assert any(factorizations > sum(spent for _, _, spent, _ in runs) for _, (runs, factorizations) in served)
+
+
+def a_data():
+    """System A's training data at the benchmark's N = 198 rows, where the
+    thread count sets the bits of ``eigh`` and ``dpotrf``."""
+    train, _ = generate_dataset(SyntheticSystemSpec("A", seed=3, n_valid=40))
+    return build_regression_data(train.u, train.y, 2)
+
+
+def fit_bits(fit):
+    model, report, sel = fit
+    return (report.coefficients.tobytes(), report.beta.hex(), report.alpha_bar.hex(),
+            report.effective_alpha.hex(), report.constraint_active, report.mu.hex(),
+            model.coefficients.tobytes(), bits(sel))
+
+
+# Aa's final solve is the plain Cholesky ridge, Ab's the constrained eigh
+A_METHODS = standard_methods("A", SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=3, max_evals=60)))
+EB = MethodSpec("eb", Gaussian(), SelectionConfig(method="eb", optimizer=OptimizerConfig(restarts=3, max_evals=36)))
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("numpy_one", [False, True], ids=["default", "numpy-one-thread"])
+@pytest.mark.parametrize("method", A_METHODS, ids=[method.name for method in A_METHODS])
+def test_a_final_solve_on_helper_0_has_the_in_process_bits(request, monkeypatch, served, method, numpy_one):
+    if numpy_one:
+        request.getfixturevalue("numpy_one_thread")
+    fit = fit_method(a_data(), method)
+    helper, report = served[-1]
+    assert helper == 0 and isinstance(report, FitReport)
+    alone = one_process(monkeypatch, lambda: fit_method(a_data(), method))
+    assert fit_bits(fit) == fit_bits(alone)
+
+
+@pytest.mark.parametrize("lose", [False, True], ids=["disabled", "lost"])
+def test_without_a_helper_the_final_solve_runs_here(monkeypatch, served, lose):
+    # an EB search runs here, so only the final solve could reach helper 0
+    monkeypatch.setattr(_worker, "_lost", False)
+    alone = one_process(monkeypatch, lambda: fit_method(smooth_data(), EB))
+    procs = two_helpers()
+    served.clear()
+    if lose:
+        procs[0].kill()
+        procs[0].wait()
+    else:
+        monkeypatch.setattr(_worker, "_ENABLED", False)
+    assert fit_bits(fit_method(smooth_data(), EB)) == fit_bits(alone)
+    assert served == [] and _worker._lost == lose
+    assert bool(_worker._helpers) != lose
 
 
 def two_helpers():
@@ -222,9 +301,14 @@ def test_a_restart_that_raises_here_raises_as_in_one_process(monkeypatch):
     assert _worker.spread(abs, [(-5,), (-6,)]) == [5, 6]
 
 
+def framed(function, args):
+    """A request as the caller sends it, at this process's pool counts."""
+    return pickle.dumps((function, args, _lapack._pool_counts()))
+
+
 def test_the_serving_loop_answers_until_its_requests_end():
     requests, replies = io.BytesIO(), io.BytesIO()
-    for payload in (pickle.dumps((abs, (-5,))), pickle.dumps((int, ("x",))), b"not a pickle"):
+    for payload in (framed(abs, (-5,)), framed(int, ("x",)), pickle.dumps((abs, (-5,))), b"not a pickle"):
         _worker._write(requests, payload)
     requests.seek(0)
     _worker._serve(requests, replies)
@@ -232,7 +316,27 @@ def test_the_serving_loop_answers_until_its_requests_end():
     answers = []
     while replies.tell() < len(replies.getvalue()):
         answers.append(pickle.loads(_worker._read(replies)))
-    assert answers == [(True, 5), (False, None), (False, None)]
+    # a request without pool counts is not run
+    assert answers == [(True, 5), (False, None), (False, None), (False, None)]
+
+
+@pytest.mark.parametrize("numpy_count,scipy_count", [(None, None), (None, 1), (1, None)],
+                         ids=["default", "scipy-pinned", "numpy-one-thread"])
+def test_a_call_runs_at_the_callers_pool_counts_with_a_short_spin(numpy_count, scipy_count):
+    if None in _lapack._pool_counts():
+        pytest.skip("a BLAS exports no scipy-OpenBLAS thread setter")
+    two_helpers()
+    before = _lapack._get_numpy_threads()
+    if numpy_count is not None:
+        _lapack._set_numpy_threads(numpy_count)
+    try:
+        with _lapack._scipy_threads(scipy_count):
+            counts = _lapack._pool_counts()
+            assert _worker.call(_lapack._pool_counts, ()) == counts
+    finally:
+        _lapack._set_numpy_threads(before)
+    assert counts == (numpy_count or before, scipy_count or _lapack._get_threads())
+    assert _worker.call(os.getenv, ("OPENBLAS_THREAD_TIMEOUT",)) == "4"
 
 
 def test_a_call_that_raises_in_the_worker_keeps_the_worker():
@@ -343,11 +447,11 @@ class ClosedReplies:
 def test_the_serving_loop_ends_where_a_reply_cannot_be_written():
     requests = io.BytesIO()
     for value in (-1, -2):
-        _worker._write(requests, pickle.dumps((abs, (value,))))
+        _worker._write(requests, framed(abs, (value,)))
     requests.seek(0)
     _worker._serve(requests, ClosedReplies())
     # the second request was never read
-    assert requests.tell() == _worker._LENGTH.size + len(pickle.dumps((abs, (-1,))))
+    assert requests.tell() == _worker._LENGTH.size + len(framed(abs, (-1,)))
 
 
 def test_a_forked_child_leaves_the_parents_worker_alone():
