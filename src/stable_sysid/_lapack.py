@@ -19,61 +19,44 @@ keeps its bits.  No stand-in ``scipy.linalg`` is registered.
 Where either file is missing (a scipy built another way), the modules come
 from ``scipy.linalg`` itself: the same objects, at the old start-up cost.
 
-numpy and scipy each load their own OpenBLAS, with its own thread pool.
-After one multi-threaded call, that library's worker thread spins for about
-135 ms of CPU: 135.5 ms inside a 300 ms sleep after one 199 x 199 numpy
-``eigh``, and 135.0 ms after one two-thread scipy ``dpotrf`` (2 vCPUs).  A
-call into the other pool meanwhile shares a CPU with the spin, which
-explains Ha's final ``_ridge`` taking 70-101 ms in 4 of 8 timed mc-h
-rounds, against 0.6-3.8 ms otherwise; on mc-ab, after the scipy-only GCV
-searches, numpy's final ``eigh`` pair took 0.124 s a round where 0.008 s is
-normal.  ``scipy_openblas_set_num_threads*(1)`` does not stop the spin
-(136.5 ms); OpenBLAS's ``blas_thread_shutdown_`` does (0.7-2.5 ms), but the
-package must not call it, as it can drop a job that another thread has
-queued.  Parking numpy's pool that way kept all 70 benchmark rows
-bit-identical, yet gave only 2.63 against 2.50 mc-ab cells/s (median of 6
-alternating 15 s pairs, 4 of 6 won): scipy's pool, which spun about as
-much (a prototype read 66 and 78 ticks over 4 rounds), kept spinning.  At
-the search's size a second thread does not pay either: one ``dpotrf`` of a
-199 x 199 Gram took 0.21 ms on one thread and 0.46 ms on two.  So :func:`_scipy_threads` runs scipy's pool on one thread
-for the length of each search, through the run-time setter that scipy's
+Every LAPACK and BLAS routine of the package, its one eigendecomposition
+(``dsyevd``) among them, runs on scipy's OpenBLAS and its thread pool;
+numpy's own OpenBLAS serves only the package's matrix products, and its
+thread count sets no bit of a result.  After one multi-threaded call, an
+OpenBLAS worker thread spins for about 135 ms of CPU, and the run-time
+setter does not stop it; at the search's size a second thread does not pay
+either (one ``dpotrf`` of a 199 x 199 Gram: 0.21 ms on one thread, 0.46 ms
+on two).  So :func:`_scipy_threads` can run scipy's pool on one thread for
+the length of a search (the rule of which searches is in
+:mod:`stable_sysid.selection`), through the run-time setter that scipy's
 OpenBLAS exports, found with ``ctypes`` as ``threadpoolctl`` does
 (https://github.com/joblib/threadpoolctl); on another BLAS the setter is
-absent and nothing is pinned.  Only scipy's pool and only the search are
-pinned, which moved none of the mc-ab/mc-h rows of seeds 0-9: numpy's
-thread count sets the bits of ``eigh`` at most sizes from about N = 146
-up (the benchmark's N = 198 among them) and so of the H rows (ROADMAP
-D17), and ``dpotrf``'s bits depend on the thread count from N = 128 up, so
-a final solve on one thread moved Ha's row on 7 of 10 seeds.  Pinning both pools,
-fits included, waits for the re-baseline of ROADMAP Direction 1 (Direction
-16).  The count is process-wide, so the context also holds one
-process-wide lock, which every other scipy caller of the package takes at
-the caller's count: a final Cholesky never runs pinned because another
-thread is searching.
+absent and nothing is pinned.  The thread count sets the bits of
+``dpotrf`` from N = 128 up and of ``dsyevd`` from about N = 146 up, so an
+EB search, whose spectra set the H rows (ROADMAP D17), and every call
+outside a search keep the caller's count; pinning those waits for the
+re-baseline of ROADMAP Direction 1 (Direction 16).  The count is
+process-wide, so the context also holds one process-wide lock, which every
+other scipy caller of the package takes at the caller's count: a final
+solve never runs pinned because another thread is searching.
 
 The package talks to its helper processes (:mod:`stable_sysid._worker`)
 only under this lock, so one caller at a time does.  Each request carries
-the caller's two pool counts as they are when it is sent, read through
-each library's getter (:func:`_pool_counts`; numpy's OpenBLAS exports the
-names with the suffix ``64_``, found through ``numpy.linalg._umath_linalg``'s
-handle), and the helper runs the call at them: a search's restarts with
-scipy on one thread and numpy at the caller's count, so a spectrum a
-restart falls back to has the caller's bits, and a fit's final solve at
-both of the caller's counts, so it has the bits it would have here.
+scipy's thread count as it is when it is sent, and the helper runs the call
+at it: a GCV search's restarts on one thread, and a fit's final solve at
+the caller's count, so each has the bits it would have here.
 
-The caller's pools keep OpenBLAS's default spin: the library reads its
+The caller's pool keeps OpenBLAS's default spin: the library reads its
 idle-spin limit, ``OPENBLAS_THREAD_TIMEOUT`` (2**n cycles, 4 <= n <= 30;
-https://github.com/OpenMathLib/OpenBLAS), when it loads, and numpy has
-loaded it before this package is imported.  The helpers start with
-``OPENBLAS_THREAD_TIMEOUT=4``, so their workers sleep right after each job;
-their pinned restarts never wake a pool, so that costs them nothing.  So
+https://github.com/OpenMathLib/OpenBLAS), from its caller's environment when
+it loads.  The helpers start with ``OPENBLAS_THREAD_TIMEOUT=4``, so their
+workers sleep right after each job; their pinned restarts never wake a
+pool, so that costs them nothing.  So
 :func:`stable_sysid.benchmarks.fit_method` runs the final solve, the one
 multi-threaded call between two searches, on helper 0 where one runs, and
-no spinning worker of the caller's takes a CPU from the next search's three
-processes: over one warm mc-ab round the caller's non-main threads used
-0.25-0.39 CPU-s before and 0.00 after (eight probe rounds each at seeds 0
-and 3, ``tools/bench_pair.py``).  Where no helper runs (EB searches start none),
-the final solve stays here, at the same counts.
+no spinning worker of the caller's takes a CPU from the next search's
+processes.  Where no helper runs (EB searches start none), the final solve
+stays here, at the same count.
 """
 
 from __future__ import annotations
@@ -87,14 +70,13 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from types import ModuleType
 
-from numpy.linalg import _umath_linalg
-
 __all__ = [
     "dnrm2",
     "dpotrf",
     "dpotrs",
     "dptsv",
     "dpttrs",
+    "dsyevd",
     "dsymv",
     "dsyr2",
     "dsytrd",
@@ -148,6 +130,7 @@ dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
 dptsv = _flapack.dptsv
 dpttrs = _flapack.dpttrs
+dsyevd = _flapack.dsyevd
 dsytrd = _flapack.dsytrd
 dsytrd_lwork = _flapack.dsytrd_lwork
 dtrtri = _flapack.dtrtri
@@ -156,15 +139,14 @@ dsymv = _fblas.dsymv
 dsyr2 = _fblas.dsyr2
 
 
-def _thread_setters(module: ModuleType, suffix: str = ""):
+def _thread_setters(module: ModuleType):
     """``(set, get)`` of the OpenBLAS that ``module`` links, or ``(None, None)``
-    where it exports no scipy-OpenBLAS thread setter with names ending in
-    ``suffix``."""
+    where it exports no scipy-OpenBLAS thread setter."""
     # dlopen of a loaded extension returns its handle, and dlsym on that
     # handle also searches the libraries it links
     library = ctypes.CDLL(module.__file__)
-    set_threads = getattr(library, "scipy_openblas_set_num_threads" + suffix, None)
-    get_threads = getattr(library, "scipy_openblas_get_num_threads" + suffix, None)
+    set_threads = getattr(library, "scipy_openblas_set_num_threads", None)
+    get_threads = getattr(library, "scipy_openblas_get_num_threads", None)
     if set_threads is None or get_threads is None:
         return None, None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -173,24 +155,7 @@ def _thread_setters(module: ModuleType, suffix: str = ""):
 
 
 _set_threads, _get_threads = _thread_setters(_flapack)
-# numpy's 64-bit-integer OpenBLAS exports the names with the suffix "64_"
-_set_numpy_threads, _get_numpy_threads = _thread_setters(_umath_linalg, "64_")
 _LOCK = threading.RLock()
-
-
-def _pool_counts() -> tuple:
-    """``(numpy's, scipy's)`` OpenBLAS thread counts now, each None where
-    that library exports no getter."""
-    return tuple(None if get is None else get() for get in (_get_numpy_threads, _get_threads))
-
-
-def _set_pool_counts(counts: tuple) -> None:
-    """Set numpy's and scipy's OpenBLAS pools to ``counts`` (as
-    :func:`_pool_counts` reads them), leaving a pool alone where its count
-    is None."""
-    for set_threads, count in zip((_set_numpy_threads, _set_threads), counts):
-        if count is not None:
-            set_threads(count)
 
 
 @contextmanager

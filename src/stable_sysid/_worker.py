@@ -17,15 +17,15 @@ method re-imports ``__main__``, so a script without a main guard fails with
 
 A helper reads the caller's ``sys.path`` first, so it imports the same
 ``stable_sysid``.  After that, both pipes carry messages: an 8-byte length,
-then a pickle.  A request is ``(function, args, counts)``, the function
-pickled by reference and ``counts`` the caller's numpy and scipy OpenBLAS
-thread counts when it was sent; the reply is ``(True, result)``, or
-``(False, None)`` where the request could not be read or the call raised.
-A helper runs each call with its pools at the request's counts, so the
-call has the bits it would have in the caller: a search's restarts with
-scipy on one thread, a final solve at the caller's counts.  It starts with
-``OPENBLAS_THREAD_TIMEOUT=4``, so its pools' workers sleep right after
-each job instead of spinning for about 135 ms (see :mod:`stable_sysid._lapack`).
+then a pickle.  A request is ``(function, args, count)``, the function
+pickled by reference and ``count`` the caller's scipy OpenBLAS thread count
+when it was sent; the reply is ``(True, result)``, or ``(False, None)``
+where the request could not be read or the call raised.  A helper runs each
+call with its pool at the request's count, so the call has the bits it
+would have in the caller: a search's restarts on one thread, a final solve
+at the caller's count.  It starts with ``OPENBLAS_THREAD_TIMEOUT=4``, so its
+pool's workers sleep right after each job instead of spinning for about
+135 ms (see :mod:`stable_sysid._lapack`).
 It runs in a session of its own, so a Ctrl-C at the terminal reaches the
 caller only, and it exits at the end of its input, so a caller killed
 outright leaves no helper behind.  A caller that exits normally closes
@@ -49,7 +49,7 @@ import struct
 import subprocess
 import sys
 
-from ._lapack import _LOCK, _pool_counts, _set_pool_counts
+from ._lapack import _LOCK, _get_threads, _scipy_threads
 
 # False keeps every call in the calling process (a seam for tests)
 _ENABLED = True
@@ -102,12 +102,11 @@ def spread(function, calls):
 
 def call(function, args):
     """``function(*args)`` run on helper 0, under ``_lapack._LOCK``, at this
-    process's OpenBLAS pool counts.  None where :func:`spread` would give
-    None, where no helper runs yet (this starts none: a cold start costs
-    0.4-0.6 s), and where either library's pool count cannot be read, so
-    the call could not keep its bits."""
+    process's scipy OpenBLAS thread count.  None where :func:`spread` would
+    give None, and where no helper runs yet (this starts none: a cold start
+    costs 0.4-0.6 s)."""
     with _LOCK:
-        if 0 not in _helpers or None in _pool_counts():
+        if 0 not in _helpers:
             return None
         results = _exchange(function, [args], lambda: None)
     return None if results is None else results[1]
@@ -121,9 +120,9 @@ def _exchange(function, calls, here):
     if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
         return None
     try:
-        # each request carries the pool counts it is to run at
-        requests = [pickle.dumps((function, args, _pool_counts()), protocol=pickle.HIGHEST_PROTOCOL)
-                    for args in calls]
+        # each request carries the thread count it is to run at
+        count = None if _get_threads is None else _get_threads()
+        requests = [pickle.dumps((function, args, count), protocol=pickle.HIGHEST_PROTOCOL) for args in calls]
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
     try:
@@ -191,17 +190,17 @@ atexit.register(_close)
 
 def _serve(requests, replies) -> None:
     """A helper's loop: answer each request read from ``requests`` on
-    ``replies``, at the pool counts the request carries, until the requests
-    end."""
+    ``replies``, at the thread count the request carries, until the
+    requests end."""
     while True:
         try:
             payload = _read(requests)
         except EOFError:
             return
         try:
-            function, args, counts = pickle.loads(payload)
-            _set_pool_counts(counts)
-            reply = pickle.dumps((True, function(*args)), protocol=pickle.HIGHEST_PROTOCOL)
+            function, args, count = pickle.loads(payload)
+            with _scipy_threads(count):
+                reply = pickle.dumps((True, function(*args)), protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             reply = pickle.dumps((False, None))
         try:

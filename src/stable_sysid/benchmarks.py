@@ -436,13 +436,13 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
 
     Where a search helper runs (a GCV search started it), the final solve,
     :func:`~stable_sysid.solver.solve_constrained`, runs on helper 0 at this
-    process's OpenBLAS thread counts (:func:`stable_sysid._worker.call`),
-    else here at the same counts, so the fit has the same bits either way.
+    process's scipy OpenBLAS thread count (:func:`stable_sysid._worker.call`),
+    else here at the same count, so the fit has the same bits either way.
     It must not run on one thread: the thread count sets the bits of its
-    ``eigh`` and ``dpotrf`` from about N = 128 up, and moves H rows by up to
-    8.2% (ROADMAP D17).  A multi-threaded call here would leave this
-    process's OpenBLAS workers spinning for about 135 ms on the CPUs of the
-    next search's helpers; the helpers' workers sleep right after each job
+    ``dsyevd`` and ``dpotrf`` from about N = 128 up, and moves H rows by up
+    to 8.2% (ROADMAP D17).  A multi-threaded call here would leave this
+    process's OpenBLAS worker spinning for about 135 ms on a CPU of the next
+    search's helpers; the helpers' workers sleep right after each job
     (see :mod:`stable_sysid._lapack`).  EB searches start no helper, so an
     EB-only run solves here.
     """
@@ -506,14 +506,12 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     Gram once.  With more than 8 groups in flight a pair can be evicted and
     drawn again, with the same bits; none outlives the call.  Rows come in
     cell order whatever ``n_jobs``.  The searches of different groups do not
-    overlap: each holds the package's scipy lock, which a group's final
-    solve also takes, on helper 0 or here (see :func:`fit_method`), and
-    their LAPACK calls hold the GIL anyway.  Threads overlap only the work
-    outside the lock: data generation, EB's spectra and the predictions, so
-    ``n_jobs=2`` is about as fast as ``n_jobs=1``: with two runs, medians of
-    4.39 s against 4.34 s on the perfbench mc-ab cells and 10.51 s against
-    10.50 s on mc-h (six alternating pairs, 2 vCPUs).  Where the affinity
-    set has two CPUs or more, a GCV search with more than one restart (A
+    overlap: each holds the package's scipy lock for its whole length, EB's
+    included, and a group's final solve also takes it, on helper 0 or here
+    (see :func:`fit_method`); their LAPACK calls hold the GIL anyway.
+    Threads overlap only the work outside the lock: data generation and the
+    predictions, so ``n_jobs=2`` is about as fast as ``n_jobs=1`` (ROADMAP
+    D5).  Where the affinity set has two CPUs or more, a GCV search with more than one restart (A
     and B's methods) deals its restarts over this process and helper
     processes, whatever ``n_jobs``, by the rule of
     :mod:`stable_sysid.selection` (on two CPUs, three restarts run in three

@@ -54,16 +54,22 @@ for every beta below the root, as on the spectrum.  EB keeps the spectrum
 until the regularizer has a floor double precision can see (a Cholesky EB
 moves rows).  Only the EB search reads or fills the data's memo of spectra
 (:attr:`~stable_sysid.solver.RegressionData.spectra`), so an ``eta`` that an
-EB search on the same data factored costs no second ``eigh``: Hb's search
-replays Ha's (plain EB ignores the target, and on a Gaussian the deltaBIBS
-map is the unconstrained one).  GCV factors its rare fallback spectra afresh
-(one of 40 mc-ab searches needed one); the public costs never use the memo.
+EB search on the same data factored costs no second eigendecomposition:
+Hb's search replays Ha's (plain EB ignores the target, and on a Gaussian
+the deltaBIBS map is the unconstrained one).  GCV factors its rare
+fallback spectra afresh (one of 40 mc-ab searches needed one); the public
+costs never use the memo.
 
-Every search runs its restarts with scipy's OpenBLAS on one thread, under
-the package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_threads`),
-so the searches of different threads, such as the harness's groups, do not
-overlap.  Threads could not speed a search up: scipy's ``dpotrf``,
-``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran them at
+Every search holds the package's process-wide scipy lock
+(:func:`stable_sysid._lapack._scipy_threads`) for its whole length, so the
+searches of different threads, such as the harness's groups, do not
+overlap.  GCV and k-fold searches run scipy's OpenBLAS on one thread, so a
+k-fold search's constrained folds (about 158 rows at the benchmark's
+N = 198) take their spectra on one thread, as its plain folds take their
+Cholesky factors.  An EB search keeps the caller's count: the count sets
+the bits of a spectrum from about N = 146 up, and EB's spectra set the H
+rows (ROADMAP D17).  Threads could not speed a search up: scipy's
+``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran them at
 0.64-0.92 times the serial speed (N = 199, 2 vCPUs).  Other processes can.
 A GCV search (plain or cap-aware) of R restarts, on an affinity set of C
 CPUs, runs in ``P = 1`` process where ``C < 2``, else in
@@ -75,18 +81,18 @@ meanwhile.  On two CPUs, 3 restarts run in three processes, one each, 2, 6
 and 8 in two, and 5 in three (2, 2 and 1).  The runs merge in start order
 and the factorization counts add up.  Every process builds the objective
 alike (:class:`_Objective`) from the same data, its pair terms included,
-and each helper runs its part at the OpenBLAS thread counts this process
-has when the search sends it: scipy's one thread, and numpy's count, which
-sets the bits of a fallback spectrum from about N = 146 up.  Each restart is independent and
+and each helper runs its part at the count this process has when the
+search sends it: scipy's one thread.  Each restart is independent and
 seeded, so the result, the restart record and the factorization count are
 those of the one-process search bit for bit.  The helpers then stay up, and
 the fit's final solve runs on helper 0 (see
 :func:`stable_sysid.benchmarks.fit_method`).  Where ``spread`` gives no results (a part raised, or a helper
 could not run its part), the whole search runs once in this process, with
 the same result or the first error.  EB searches stay in one process:
-numpy's two-thread ``eigh`` ran three times slower beside one busy thread
-(150 calls at N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's
-memo.  k-fold and one-restart searches stay too.
+their spectra run at the caller's count, and a two-thread ``dsyevd`` ran
+three times slower beside one busy thread (150 calls at N = 199: 0.9 s
+alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold and one-restart
+searches stay too.
 """
 
 from __future__ import annotations
@@ -485,8 +491,8 @@ def select_hyperparameters(
         starts.append(smart + rng.uniform(-3.0, 3.0, size=dim))
 
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
-    # scipy's OpenBLAS on one thread for every cost evaluation (see _lapack)
-    with _scipy_threads(1):
+    # the search's thread rule (see module notes)
+    with _scipy_threads(None if config.method == "eb" else 1):
         runs, factorizations = _restarts(config, data, structure, starts, budget)
     best_x, best_val = None, math.inf
     restarts = []

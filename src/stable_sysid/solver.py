@@ -16,18 +16,19 @@ The constrained solve, ``gamma_fn`` and ``find_alpha_bar`` evaluate every
 alpha-dependent quantity through one symmetric eigendecomposition of K per
 problem, :func:`_eig_psd`, which also gives every spectral path ``Q'y``,
 and every spectral root is :func:`_alpha_bar`; eigenvalues within
-``-1e-10 |K|`` of zero are clamped to zero, anything lower raises
-:class:`NumericError`.  The plain ridge solve and the search's
-plain GCV factor ``K + beta I`` by Cholesky.  The cap-aware GCV takes its
-root and the smoother's residual and trace from one tridiagonal reduction
-of K.  Each falls back to the spectrum where LAPACK rejects it; EB follows
-after ROADMAP Direction 2.
+``-1e-10 |K|`` of zero are clamped to zero; anything lower, and a spectrum
+that is not finite, raises :class:`NumericError`.  The plain ridge solve
+and the search's plain GCV factor ``K + beta I`` by Cholesky.  The
+cap-aware GCV takes its root and the smoother's residual and trace from one
+tridiagonal reduction of K.  Each falls back to the spectrum where LAPACK
+rejects it; EB follows after ROADMAP Direction 2.
 
-The LAPACK and BLAS routines (``dpotrf``, ``dsytrd``, ``dptsv`` and the
-rest) are scipy's compiled ones, bound by :mod:`stable_sysid._lapack` from
-scipy's ``_flapack``/``_fblas`` extension files without importing the
-``scipy.linalg`` package, whose ``__init__`` cost every process about 0.3 s
-and 16 MB of start-up; ``scipy.linalg.lapack`` holds the same objects.
+The LAPACK and BLAS routines (``dsyevd``, ``dpotrf``, ``dsytrd``, ``dptsv``
+and the rest) are scipy's compiled ones, bound by
+:mod:`stable_sysid._lapack` from scipy's ``_flapack``/``_fblas`` extension
+files without importing the ``scipy.linalg`` package, whose ``__init__``
+cost every process about 0.3 s and 16 MB of start-up;
+``scipy.linalg.lapack`` holds the same objects.
 
 Gram matrices over a :class:`RegressionData` are assembled, exactly
 symmetric, from its ``terms`` (:class:`~stable_sysid.kernels.PairTerms`),
@@ -47,7 +48,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._lapack import _scipy_threads, dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsymv, dsyr2, dsytrd, dsytrd_lwork
+from ._lapack import (
+    _scipy_threads, dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsyevd, dsymv, dsyr2, dsytrd, dsytrd_lwork,
+)
 from .config import (
     _config_array, _config_chi, _config_fields, _config_instance, _config_int, _config_nonnegative, _config_real,
 )
@@ -241,42 +244,39 @@ def _eig_psd(K: np.ndarray, y: np.ndarray):
     with roundoff clamping, and ``y`` rotated into its eigenbasis.
 
     This is the package's only spectral factorization and the only place
-    that rotates into an eigenbasis.  ``K`` must be exactly symmetric.
-    Eigenvalues in ``[-1e-10 |K|, 0)`` are set to zero; anything below that
-    raises :class:`NumericError` with the offending value.
+    that rotates into an eigenbasis: scipy's ``dsyevd`` on the lower
+    triangle, at scipy's thread count of the moment (one inside a pinned
+    search; see :mod:`stable_sysid._lapack`).  ``K`` must be exactly symmetric.  A
+    spectrum that is not finite (an overflowed Gram) raises
+    :class:`NumericError`.  Eigenvalues in ``[-1e-10 |K|, 0)`` are set to
+    zero; anything below that raises :class:`NumericError` with the
+    offending value.
     """
-    try:
-        lam, Q = np.linalg.eigh(K)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    scale = max(float(np.max(np.abs(lam))), 1e-300)
+    # the transpose of a symmetric C-ordered array is its Fortran-ordered self
+    with _scipy_threads():
+        lam, Q, info = dsyevd(K.T, compute_v=1, lower=1)
+    if info != 0:
+        raise NumericError(f"eigendecomposition failed: LAPACK dsyevd info {info}")
+    scale = float(np.max(np.abs(lam)))
+    if not math.isfinite(scale):
+        raise NumericError("the Gram is not finite")
+    scale = max(scale, 1e-300)
     if lam[0] < -PSD_RTOL * scale:
         raise NumericError(
             f"matrix is not positive semidefinite within tolerance: "
             f"min eigenvalue {lam[0]:.3e} vs spectral norm {scale:.3e}"
         )
     lam = np.maximum(lam, 0.0)
+    # Q'y in C order: a Fortran-ordered Q rounds the product differently
+    Q = np.ascontiguousarray(Q)
     return lam, Q, Q.T @ y
 
 
 def _shifted_cholesky(K: np.ndarray, beta: float):
     """``A = K + beta I`` (``K`` exactly symmetric) and its lower Cholesky
-    factor, or None for the factor where LAPACK rejects it.  The package's
-    only Cholesky is scipy's ``dpotrf`` (bound by :mod:`stable_sysid._lapack`
-    without the ``scipy.linalg`` package) as :func:`_eig_psd` is numpy's,
-    and each library runs its own OpenBLAS thread pool.  The phase rule
-    (see :mod:`stable_sysid._lapack`): inside a search, scipy's pool runs on
-    one thread; every other call keeps the caller's count, since
-    ``dpotrf``'s bits depend on it from N = 128 up, also where a fit's final
-    solve runs on a search helper, which takes the caller's counts with the
-    request; numpy's pool is never pinned, as a pinned numpy pool moves the
-    H rows (ROADMAP D17).  scipy's ``eigh`` would not move a bit:
-    ``_flapack.dsyevd(K, compute_v=1, lower=1)`` returned numpy ``eigh``'s
-    eigenvalues and eigenvectors bit for bit at two threads on 20 of 20 H
-    Grams.  An earlier swap that moved mc-h Hb ``q_sim`` by 5.4% moved it
-    through the Fortran-ordered ``Q`` in ``Q.T @ y``: with ``Q`` made
-    C-contiguous, and EB searches at the caller's count, all 70 benchmark
-    rows kept their bits."""
+    factor, or None for the factor where LAPACK rejects it.  This is the
+    package's only Cholesky, scipy's ``dpotrf``, at scipy's thread count of
+    the moment (one inside a pinned search; see :mod:`stable_sysid._lapack`)."""
     A = np.array(K, dtype=float)
     A.flat[::A.shape[0] + 1] += beta
     # the transpose of a symmetric C-ordered array is its Fortran-ordered self

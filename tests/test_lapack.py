@@ -1,12 +1,14 @@
 """The package's LAPACK/BLAS routines are scipy's own compiled ones, whether
 they were bound by path or, where scipy's extension files are elsewhere,
-through ``scipy.linalg``; a search runs them on one thread and gives the
-caller's thread count back."""
+through ``scipy.linalg``; a GCV or k-fold search runs them on one thread,
+an EB search at the caller's count, and each gives the caller's thread
+count back."""
 
 import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -17,14 +19,17 @@ import scipy.linalg.lapack
 from numpy.linalg import _umath_linalg
 
 import stable_sysid
-from stable_sysid import Gaussian, OptimizerConfig, RegressionData, SelectionConfig, _lapack, _worker, selection
+from stable_sysid import (
+    Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget, _lapack, _worker,
+    selection, solver,
+)
 from stable_sysid.selection import select_hyperparameters
 
 BLAS = ("dnrm2", "dsymv", "dsyr2")
-LAPACK = ("dpotrf", "dpotrs", "dptsv", "dpttrs", "dsytrd", "dsytrd_lwork", "dtrtri")
+LAPACK = ("dpotrf", "dpotrs", "dptsv", "dpttrs", "dsyevd", "dsytrd", "dsytrd_lwork", "dtrtri")
 
 
-def test_the_ten_routines_are_bound():
+def test_the_eleven_routines_are_bound():
     assert sorted(_lapack.__all__) == sorted(BLAS + LAPACK)
 
 
@@ -145,6 +150,39 @@ def test_without_the_setter_a_search_runs_unpinned(monkeypatch, scipy_threads):
     monkeypatch.setattr(_lapack, "_set_threads", None)
     assert gcv_search() == pinned
     assert counts and set(counts) == {scipy_threads}
+
+
+def search_data(linear):
+    """Fixed data; targets exactly linear in the regressors drive a plain
+    GCV search on a LinearAffine kernel to the spectrum."""
+    rng = np.random.default_rng(0)
+    Z = rng.normal(size=(40, 5))
+    return RegressionData(Z, Z @ np.array([0.3, -0.2, 0.1, 0.5, 0.05]) if linear else np.tanh(Z[:, 0]), 2)
+
+
+SPECTRAL_SEARCHES = {
+    "eb": (SelectionConfig(method="eb"), Gaussian(), False),
+    "gcv": (SelectionConfig(method="gcv"), LinearAffine(), True),
+    # the constrained folds' spectra
+    "kfold": (SelectionConfig(method="kfold", target=StabilityTarget.diss()), Gaussian(), False),
+}
+
+
+@pytest.mark.parametrize("method,pinned", [("eb", False), ("gcv", True), ("kfold", True)])
+def test_a_search_takes_its_spectra_at_its_thread_rule(monkeypatch, scipy_threads, method, pinned):
+    config, structure, linear = SPECTRAL_SEARCHES[method]
+    config = replace(config, seed=4, optimizer=OptimizerConfig(restarts=3, max_evals=90))
+    counts, real = [], solver.dsyevd
+    monkeypatch.setattr(_worker, "_ENABLED", False)
+
+    def dsyevd(*args, **kwargs):
+        counts.append(_lapack._get_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dsyevd", dsyevd)
+    select_hyperparameters(config, search_data(linear), structure)
+    assert counts and set(counts) == {1 if pinned else scipy_threads}
+    assert _lapack._get_threads() == scipy_threads
 
 
 def test_another_blas_has_no_setter():

@@ -32,7 +32,7 @@ from stable_sysid import solver
 from stable_sysid.benchmarks import MethodSpec, SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
 from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
-from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _kfold, _nelder_mead
+from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _gcv_score, _kfold, _nelder_mead
 from stable_sysid.viability import feasible_parameterization
 
 from oracles import random_spectrum_problem, root_conditioning
@@ -480,7 +480,7 @@ class TestTridiagonalGcv:
     def scores(lam, Q, K, y, m, chi, beta):
         """The tridiagonal score, the spectral one, and the spectral
         ``max(beta, alpha_bar)``."""
-        from stable_sysid.selection import _gcv_from_spectrum, _gcv_score
+        from stable_sysid.selection import _gcv_from_spectrum
         from stable_sysid.solver import _alpha_bar, _effective_alpha
 
         yt = Q.T @ y
@@ -858,3 +858,11 @@ class TestPackageGrams:
                     solve_constrained(FitProblem(data, kernel, beta=1.0, constrained=constrained))
             with pytest.raises(NumericError, match="the Gram is not finite"):
                 _kfold(1.0, kernel.eta, data, LinearAffine(), None)
+            # the spectral path: its eigenvalues are not finite
+            for cost in (eb_cost, gcv_cost):
+                with pytest.raises(NumericError, match="the Gram is not finite"):
+                    cost(1.0, kernel.eta, data, LinearAffine())
+
+    def test_a_score_that_is_not_finite_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="GCV score is inf"):
+            _gcv_score(3, math.inf, 1.0)

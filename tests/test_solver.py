@@ -12,12 +12,14 @@ from stable_sysid import (
     Gaussian,
     InputError,
     KernelInstance,
+    NumericError,
     build_regression_data,
     find_alpha_bar,
     gamma_fn,
     gram_matrix,
     solve_constrained,
 )
+from stable_sysid import solver
 from stable_sysid.solver import _alpha_bar, _effective_alpha, _norm_constrained, _ridge
 
 from oracles import (
@@ -146,7 +148,27 @@ class TestGammaFn:
             assert g2 <= g1 + 1e-12
 
 
+class TestEigPsd:
+    def test_a_failed_eigendecomposition_raises_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "dsyevd", lambda a, **options: (np.ones(2), np.eye(2), 1))
+        with pytest.raises(NumericError, match="eigendecomposition failed: LAPACK dsyevd info 1"):
+            gamma_fn(np.eye(2), np.ones(2), 1, 0.5, 0.0)
+
+    def test_the_eigenvectors_are_c_ordered_and_k_is_kept(self):
+        K = random_psd(np.random.default_rng(2), 12)
+        before = K.copy()
+        lam, Q, yt = solver._eig_psd(K, np.ones(12))
+        assert Q.flags.c_contiguous and np.array_equal(K, before)
+        assert np.allclose(Q @ (lam[:, None] * Q.T), K, atol=1e-12 * np.max(lam))
+
+
 class TestFindAlphaBar:
+    def test_a_squared_projection_that_overflows_raises_numeric_error(self):
+        # the spectrum is finite, but (Q'y)^2 is not: the gap never turns negative
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="failed to bracket the constraint-gap root"):
+            find_alpha_bar(np.eye(2), np.array([1e200, 0.0]), 1, 0.5)
+
     def test_closed_form_scalar_root(self):
         # 2 * 4 / (1 + a)^2 = 0.99  =>  a = 2 sqrt(2 / 0.99) - 1
         alpha = find_alpha_bar(np.array([[1.0]]), np.array([2.0]), 2, 0.99)

@@ -6,10 +6,13 @@ as only the EB search reads or fills the data's memo of spectra, no process
 leaves an entry in it; EB, k-fold and one-restart searches, and any search
 on one CPU, start no helper, and helpers that are lost, forked away from or
 closed leave no process and no difference behind.  A fit's final solve runs
-on helper 0 where one runs, at this process's OpenBLAS pool counts, with
-the bits of the solve in this process.  The affinity set is faked to two
-CPUs wherever a search could otherwise start more than two helpers."""
+on helper 0 where one runs, at this process's scipy OpenBLAS thread count,
+with the bits of the solve in this process.  numpy's OpenBLAS thread count
+sets no bit, and harness threads that run EB and GCV searches at once give
+the serial rows.  The affinity set is faked to two CPUs wherever a search
+could otherwise start more than two helpers."""
 
+import ctypes
 import io
 import os
 import pickle
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import stable_sysid
 from stable_sysid import (
@@ -152,23 +156,11 @@ def test_other_searches_never_start_the_worker(monkeypatch, method, restarts, cp
     assert not _worker._helpers
 
 
-@pytest.fixture
-def numpy_one_thread():
-    """numpy's OpenBLAS pool on one thread for the test, and set back to
-    its count before the test afterwards."""
-    if _lapack._set_numpy_threads is None:
-        pytest.skip("numpy's BLAS exports no scipy-OpenBLAS thread setter")
-    before = _lapack._get_numpy_threads()
-    _lapack._set_numpy_threads(1)
-    yield
-    _lapack._set_numpy_threads(before)
-
-
-@pytest.mark.usefixtures("two_cpus", "numpy_one_thread")
+@pytest.mark.usefixtures("two_cpus")
 def test_a_helpers_fallback_spectrum_has_the_callers_bits(monkeypatch, served):
-    # at N = 220 numpy's thread count sets the bits of the third restart's
-    # fallback spectra: its helper factors at the caller's count, not at its
-    # own default
+    # at N = 220 scipy's thread count sets the bits of the third restart's
+    # fallback spectra: its helper factors at the caller's pinned count, not
+    # at its own default
     dealt = select_hyperparameters(GCV, linear_data(n=220), LinearAffine())
     one = one_process(monkeypatch, lambda: select_hyperparameters(GCV, linear_data(n=220), LinearAffine()))
     assert bits(dealt) == bits(one)
@@ -178,7 +170,7 @@ def test_a_helpers_fallback_spectrum_has_the_callers_bits(monkeypatch, served):
 
 def a_data():
     """System A's training data at the benchmark's N = 198 rows, where the
-    thread count sets the bits of ``eigh`` and ``dpotrf``."""
+    thread count sets the bits of ``dsyevd`` and ``dpotrf``."""
     train, _ = generate_dataset(SyntheticSystemSpec("A", seed=3, n_valid=40))
     return build_regression_data(train.u, train.y, 2)
 
@@ -190,22 +182,67 @@ def fit_bits(fit):
             model.coefficients.tobytes(), bits(sel))
 
 
-# Aa's final solve is the plain Cholesky ridge, Ab's the constrained eigh
+# Aa's final solve is the plain Cholesky ridge, Ab's the constrained spectrum
 A_METHODS = standard_methods("A", SelectionConfig(method="gcv", optimizer=OptimizerConfig(restarts=3, max_evals=60)))
 EB = MethodSpec("eb", Gaussian(), SelectionConfig(method="eb", optimizer=OptimizerConfig(restarts=3, max_evals=36)))
 
 
 @pytest.mark.usefixtures("two_cpus")
-@pytest.mark.parametrize("numpy_one", [False, True], ids=["default", "numpy-one-thread"])
 @pytest.mark.parametrize("method", A_METHODS, ids=[method.name for method in A_METHODS])
-def test_a_final_solve_on_helper_0_has_the_in_process_bits(request, monkeypatch, served, method, numpy_one):
-    if numpy_one:
-        request.getfixturevalue("numpy_one_thread")
+def test_a_final_solve_on_helper_0_has_the_in_process_bits(monkeypatch, served, method):
     fit = fit_method(a_data(), method)
     helper, report = served[-1]
     assert helper == 0 and isinstance(report, FitReport)
     alone = one_process(monkeypatch, lambda: fit_method(a_data(), method))
     assert fit_bits(fit) == fit_bits(alone)
+
+
+@pytest.mark.parametrize("method", [A_METHODS[1], EB], ids=["Ab", "eb"])
+def test_numpys_thread_count_sets_no_bit(monkeypatch, method):
+    # at N = 198, where a thread count sets the bits of a spectrum; the fits
+    # run here, where numpy's count is set
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    # numpy's 64-bit-integer OpenBLAS exports the names with the suffix "64_"
+    set_threads = getattr(library, "scipy_openblas_set_num_threads64_", None)
+    get_threads = getattr(library, "scipy_openblas_get_num_threads64_", None)
+    if set_threads is None or get_threads is None:
+        pytest.skip("numpy's BLAS exports no scipy-OpenBLAS thread setter")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    default = one_process(monkeypatch, lambda: fit_method(a_data(), method))
+    before = get_threads()
+    set_threads(1)
+    try:
+        one = one_process(monkeypatch, lambda: fit_method(a_data(), method))
+    finally:
+        set_threads(before)
+    assert fit_bits(one) == fit_bits(default)
+
+
+def test_eb_and_gcv_groups_on_two_threads_give_the_serial_rows():
+    # an EB search runs at the caller's scipy count while another thread's
+    # GCV search would pin it to one; at N = 198 either count sets bits
+    # Hb's final solve takes a spectrum outside its search
+    budget = OptimizerConfig(restarts=3, max_evals=36)
+    methods = tuple(replace(method, selection=replace(method.selection, optimizer=budget))
+                    for method in (standard_methods("H")[1], standard_methods("B")[0]))
+
+    def rows(n_jobs):
+        config = MonteCarloConfig(
+            runs=2, systems=(SyntheticSystemSpec("H", seed=3, n_train=200, n_valid=40),
+                             SyntheticSystemSpec("B", seed=3, n_train=200, n_valid=40)),
+            methods=methods, n_jobs=n_jobs)
+        result = run_monte_carlo(config)
+        assert not result.failures
+        return [(r.run, r.system, r.method, r.q_pre.hex(), r.q_sim.hex(), r.feasible) for r in result.rows]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = rows(2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(pooled) == 8 and pooled == rows(1)
 
 
 @pytest.mark.parametrize("lose", [False, True], ids=["disabled", "lost"])
@@ -277,6 +314,9 @@ def test_a_second_helper_killed_inside_the_search_is_replaced_by_the_process(mon
     real = _worker._write
 
     def write_then_kill(stream, payload):
+        if stream is procs[1].stdin:
+            # stopped, the helper cannot reply before the kill lands
+            procs[1].send_signal(signal.SIGSTOP)
         real(stream, payload)
         if stream is procs[1].stdin:
             procs[1].kill()
@@ -302,8 +342,8 @@ def test_a_restart_that_raises_here_raises_as_in_one_process(monkeypatch):
 
 
 def framed(function, args):
-    """A request as the caller sends it, at this process's pool counts."""
-    return pickle.dumps((function, args, _lapack._pool_counts()))
+    """A request as the caller sends it, at this process's thread count."""
+    return pickle.dumps((function, args, _lapack._get_threads()))
 
 
 def test_the_serving_loop_answers_until_its_requests_end():
@@ -316,26 +356,20 @@ def test_the_serving_loop_answers_until_its_requests_end():
     answers = []
     while replies.tell() < len(replies.getvalue()):
         answers.append(pickle.loads(_worker._read(replies)))
-    # a request without pool counts is not run
+    # a request without a thread count is not run
     assert answers == [(True, 5), (False, None), (False, None), (False, None)]
 
 
-@pytest.mark.parametrize("numpy_count,scipy_count", [(None, None), (None, 1), (1, None)],
-                         ids=["default", "scipy-pinned", "numpy-one-thread"])
-def test_a_call_runs_at_the_callers_pool_counts_with_a_short_spin(numpy_count, scipy_count):
-    if None in _lapack._pool_counts():
-        pytest.skip("a BLAS exports no scipy-OpenBLAS thread setter")
+@pytest.mark.parametrize("count", [None, 1], ids=["default", "scipy-pinned"])
+def test_a_call_runs_at_the_callers_thread_count_with_a_short_spin(count):
+    if _lapack._get_threads is None:
+        pytest.skip("scipy's BLAS exports no scipy-OpenBLAS thread setter")
     two_helpers()
-    before = _lapack._get_numpy_threads()
-    if numpy_count is not None:
-        _lapack._set_numpy_threads(numpy_count)
-    try:
-        with _lapack._scipy_threads(scipy_count):
-            counts = _lapack._pool_counts()
-            assert _worker.call(_lapack._pool_counts, ()) == counts
-    finally:
-        _lapack._set_numpy_threads(before)
-    assert counts == (numpy_count or before, scipy_count or _lapack._get_threads())
+    # the ctypes getter does not pickle; eval does, by reference
+    helper_count = (eval, ("__import__('stable_sysid')._lapack._get_threads()",))
+    default = _lapack._get_threads()
+    with _lapack._scipy_threads(count):
+        assert _worker.call(*helper_count) == (count or default)
     assert _worker.call(os.getenv, ("OPENBLAS_THREAD_TIMEOUT",)) == "4"
 
 

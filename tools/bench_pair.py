@@ -18,10 +18,11 @@ read from ``os.times()`` around it, and ``cpu_s_per_cell``, that time over
 the cells the run attempted; both cover the whole run, start-up, setup
 probes and the thread-pool check round included, not only the timed rounds.
 Once per checkout and workload it also runs a probe round in a fresh
-interpreter, which counts the ``numpy.linalg.eigh`` calls and LAPACK's
-``dsytrd`` (tridiagonal reduction), ``dpotrf`` (Cholesky) and ``dtrtri``
-(triangular inverse) calls of one round, wrapping each name where the
-package looks it up (``solver.dsytrd``, ``solver.dpotrf``,
+interpreter, which counts the symmetric eigendecompositions (``eigh``) and
+LAPACK's ``dsytrd`` (tridiagonal reduction), ``dpotrf`` (Cholesky) and
+``dtrtri`` (triangular inverse) calls of one round, wrapping each name where
+the package looks it up (``solver.dsyevd`` where the checkout binds it, else
+``numpy.linalg.eigh``; ``solver.dsytrd``, ``solver.dpotrf``,
 ``selection.dtrtri``), and fails if a routine the workload calls was never
 counted.  That round keeps every search in the probe's process, since a
 wrapper cannot count the calls of the search's helper processes.  The
@@ -39,8 +40,10 @@ as this script's runs inherit it: where it is set, every run compiles the
 package source afresh, which ``setup_s`` includes.  They also hold the live
 thread counts of numpy's and scipy's OpenBLAS pools, as this script's
 interpreter reads them through each library's getter (None where it exports
-none): ``OPENBLAS_NUM_THREADS`` is None where it is unset, while each pool
-runs one thread per CPU, and per checkout the most helpers its searches
+none; numpy's is a machine fact only, as a checkout that runs its
+eigendecomposition on scipy's ``dsyevd`` calls no numpy LAPACK routine):
+``OPENBLAS_NUM_THREADS`` is None where it is unset, while each pool runs one
+thread per CPU, and per checkout the most helpers its searches
 started in any probe.
 """
 
@@ -112,8 +115,11 @@ def probe(root: Path, workload: str, seed: int) -> dict:
     except ImportError:  # a checkout whose searches have no helper
         _worker = None
 
-    # each name is wrapped where the package looks it up at call time
-    sites = {"eigh": np.linalg, "dsytrd": solver, "dpotrf": solver, "dtrtri": selection}
+    # each name is wrapped where the package looks it up at call time: the
+    # eigendecomposition is solver.dsyevd where the checkout binds it
+    eigh = (solver, "dsyevd") if hasattr(solver, "dsyevd") else (np.linalg, "eigh")
+    sites = {"eigh": eigh, "dsytrd": (solver, "dsytrd"), "dpotrf": (solver, "dpotrf"),
+             "dtrtri": (selection, "dtrtri")}
     calls = dict.fromkeys(sites, 0)
 
     def counting(name, real):
@@ -123,16 +129,16 @@ def probe(root: Path, workload: str, seed: int) -> dict:
         return call
 
     configs = bench.workload_configs(workload, seed)
-    real = {name: getattr(owner, name) for name, owner in sites.items()}
-    for name, owner in sites.items():
-        setattr(owner, name, counting(name, real[name]))
+    real = {name: getattr(owner, attribute) for name, (owner, attribute) in sites.items()}
+    for name, (owner, attribute) in sites.items():
+        setattr(owner, attribute, counting(name, real[name]))
     if _worker is not None:
         _worker._ENABLED = False
     try:
         round_ = bench.run_round(configs)
     finally:
-        for name, owner in sites.items():
-            setattr(owner, name, real[name])
+        for name, (owner, attribute) in sites.items():
+            setattr(owner, attribute, real[name])
         if _worker is not None:
             _worker._ENABLED = True
     uncounted = [name for name in CALLED[workload] if calls[name] == 0]
