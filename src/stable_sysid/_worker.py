@@ -123,7 +123,7 @@ def _exchange(function, calls, here):
         # each request carries the thread count it is to run at
         count = None if _get_threads is None else _get_threads()
         requests = [pickle.dumps((function, args, count), protocol=pickle.HIGHEST_PROTOCOL) for args in calls]
-    except (pickle.PicklingError, TypeError, AttributeError):
+    except Exception:  # a ctypes pointer raises ValueError, a lambda PicklingError
         return None
     try:
         for helper in range(len(calls)):

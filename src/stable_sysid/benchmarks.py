@@ -30,9 +30,9 @@ embarrassingly parallel; aggregation is a deterministic reduction.  The
 harness's unit of work is the (run, system) group: one thread runs every
 method of a group in turn, the group's dataset pair is drawn once and shared
 read-only by those methods, so they are scored on the same data, and so is
-one :class:`~stable_sysid.solver.RegressionData` per model order, with the
-EB search's memo of Gram spectra.  EB searches with identical inputs, such
-as H's unconstrained and deltaBIBS methods, therefore factor each Gram once.
+one :class:`~stable_sysid.solver.RegressionData` per model order: EB
+searches with identical inputs, such as H's unconstrained and deltaBIBS
+methods, factor each Gram once (the memo of :mod:`stable_sysid.selection`).
 """
 
 from __future__ import annotations
@@ -430,9 +430,9 @@ class MonteCarloResult:
 def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     """Select hyperparameters, solve the fit, and build the predictor model.
 
-    The EB search memoizes its spectra on ``data``, so EB methods fitted on
-    one shared data (as :func:`run_monte_carlo` does within a run) factor
-    each Gram their searches share once; the results are those of fresh data.
+    EB methods fitted on one shared data (as :func:`run_monte_carlo` does
+    within a run) share the EB search's memo of spectra (see
+    :mod:`stable_sysid.selection`); the results are those of fresh data.
 
     Where a search helper runs (a GCV search started it), the final solve,
     :func:`~stable_sysid.solver.solve_constrained`, runs on helper 0 at this
@@ -503,8 +503,9 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     methods of a (run, system) group in turn, ``n_jobs`` groups at once, on
     one dataset pair and one training ``RegressionData`` shared read-only:
     EB searches with identical inputs, such as Ha's and Hb's, factor each
-    Gram once.  With more than 8 groups in flight a pair can be evicted and
-    drawn again, with the same bits; none outlives the call.  Rows come in
+    Gram once (see :func:`fit_method`).  With more than 8 groups in flight a
+    pair can be evicted and drawn again, with the same bits; none outlives
+    the call.  Rows come in
     cell order whatever ``n_jobs``.  The searches of different groups do not
     overlap: each holds the package's scipy lock for its whole length, EB's
     included, and a group's final solve also takes it, on helper 0 or here

@@ -52,13 +52,17 @@ with no Cholesky factor; where that path fails, the root and the score both
 come from the spectrum.  Where the cap binds, the score has the same bits
 for every beta below the root, as on the spectrum.  EB keeps the spectrum
 until the regularizer has a floor double precision can see (a Cholesky EB
-moves rows).  Only the EB search reads or fills the data's memo of spectra
-(:attr:`~stable_sysid.solver.RegressionData.spectra`), so an ``eta`` that an
-EB search on the same data factored costs no second eigendecomposition:
-Hb's search replays Ha's (plain EB ignores the target, and on a Gaussian
-the deltaBIBS map is the unconstrained one).  GCV factors its rare
-fallback spectra afresh (one of 40 mc-ab searches needed one); the public
-costs never use the memo.
+moves rows).  The EB search keeps one memo of spectra per data,
+``_SPECTRA``, weakly keyed by the data (which hashes by identity); an entry
+is the read-only ``(lam, Q'y)`` of one factorization, keyed by the
+structure and the bytes of ``eta``.  Only EB searches read or fill it, in
+this process and under the lock each holds for its whole length; it is not
+part of the data, so no pickle carries it.  An ``eta`` that an EB search
+on the same data factored costs no second eigendecomposition: Hb's search
+replays Ha's (plain EB ignores the target, and on a Gaussian the deltaBIBS
+map is the unconstrained one).  GCV factors its rare fallback spectra
+afresh (one of 40 mc-ab searches needed one); the public costs never use
+the memo.
 
 Every search holds the package's process-wide scipy lock
 (:func:`stable_sysid._lapack._scipy_threads`) for its whole length, so the
@@ -99,6 +103,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +145,8 @@ _KFOLD_K = 5  # folds of the kfold cost
 # Nelder-Mead stopping tolerances of the search, in the transformed coordinates
 SEARCH_XATOL = 1e-3
 SEARCH_FATOL = 1e-8
+# the EB search's memo of spectra, one per data (see module notes)
+_SPECTRA = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ class SelectionResult:
     ``evaluations`` counts cost evaluations; ``factorizations`` counts what
     the search factored: a Cholesky factor (plain GCV) or a tridiagonal
     reduction (cap-aware GCV) per GCV evaluation, a spectrum per GCV
-    fallback, and one per EB spectrum the data's memo lacked.
+    fallback, and one per EB spectrum the memo lacked (see module notes).
     ``restarts`` holds one ``(evaluations, best_cost, stop_reason)`` per
     restart, in start order, with ``stop_reason`` ``"tolerance"`` or
     ``"maxfev"``; their evaluations sum to ``evaluations``.  Both are
@@ -537,6 +544,7 @@ class _Objective:
         self.config, self.data, self.structure = config, data, structure
         self.param = feasible_parameterization(structure, config.target)
         self.charge_cap = config.target.constrained and config.cap_aware_cost
+        self.spectra = _SPECTRA.setdefault(data, {}) if config.method == "eb" else None
         self.factorizations = 0
 
     def factor(self, eta):
@@ -547,9 +555,9 @@ class _Objective:
     def spectrum(self, eta):
         # EB's, memoized by eta's bytes: 0.0 and -0.0 never share an entry
         key = (self.structure, np.asarray(eta, dtype=float).tobytes())
-        entry = self.data.spectra.get(key)
+        entry = self.spectra.get(key)
         if entry is None:
-            lam, yt = entry = self.data.spectra[key] = self.factor(eta)
+            lam, yt = entry = self.spectra[key] = self.factor(eta)
             lam.flags.writeable = yt.flags.writeable = False
         return entry
 

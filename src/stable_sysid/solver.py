@@ -75,7 +75,7 @@ NEWTON_STEPS = 50
 # data containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionData:
     """Regressor matrix (one row per time step), targets, and model order.
 
@@ -83,13 +83,8 @@ class RegressionData:
     only: data that is never put through a Gram matrix (one-step prediction
     windows, say) never pays for an N x N array.
 
-    ``spectra`` is the EB search's memo of Gram spectra on this data, keyed
-    by the structure and the bytes of ``eta``: each entry is the read-only
-    pair ``(lam, Q'y)`` of one factorization.  It starts empty, only the EB
-    search of :func:`~stable_sysid.selection.select_hyperparameters` reads
-    or fills it, and it lives as long as the data, so EB searches on the
-    same data share their factorizations.  A pickle of the data holds its
-    pair terms but not the memo: an unpickled data starts with an empty one.
+    A data compares and hashes by identity, so the EB search can keep its
+    memo of spectra per data (see :mod:`stable_sysid.selection`).
     """
 
     regressors: np.ndarray
@@ -117,13 +112,6 @@ class RegressionData:
     @cached_property
     def terms(self) -> PairTerms:
         return PairTerms(self.regressors, self.regressors)
-
-    @cached_property
-    def spectra(self) -> dict:
-        return {}
-
-    def __getstate__(self):
-        return {key: value for key, value in self.__dict__.items() if key != "spectra"}
 
 
 @dataclass(frozen=True)

@@ -79,3 +79,19 @@ def reduction_calls(monkeypatch, in_process):
 
     monkeypatch.setattr(solver, "dsytrd", counting)
     return calls
+
+
+@pytest.fixture
+def without_memo(monkeypatch):
+    """A function that leaves every later EB search of the test without its
+    memo of spectra: each data's memo misses every lookup, so the search
+    factors on every evaluation."""
+
+    class Forgetful(dict):
+        def setdefault(self, key, default=None):
+            return Forgetful()
+
+        def __setitem__(self, key, value):
+            pass
+
+    return lambda: monkeypatch.setattr(selection, "_SPECTRA", Forgetful())

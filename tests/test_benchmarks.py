@@ -697,15 +697,13 @@ class TestSharedTrainingData:
         assert dbibs.factorizations == 0 and dbibs.evaluations == unconstrained.evaluations
         assert unconstrained.factorizations + diss.factorizations == len(set(keys))
 
-    def test_rows_equal_separate_fits(self, monkeypatch):
+    def test_rows_equal_separate_fits(self, without_memo):
         # each method fitted on its own freshly built data, with a search
         # that factors on every evaluation, gives the harness's rows bit
         # for bit
-        from stable_sysid import solver
-
         config = self.config(runs=2)
         shared = run_monte_carlo(config)
-        monkeypatch.setattr(solver.RegressionData, "spectra", property(lambda self: {}))
+        without_memo()
         separate = []
         for run in range(config.runs):
             train, valid = generate_dataset(config.systems[0], salt=(run,))

@@ -21,8 +21,9 @@ from numpy.linalg import _umath_linalg
 import stable_sysid
 from stable_sysid import (
     Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget, _lapack, _worker,
-    selection, solver,
+    benchmarks, selection, solver,
 )
+from stable_sysid.benchmarks import MonteCarloConfig, SyntheticSystemSpec, run_monte_carlo, standard_methods
 from stable_sysid.selection import select_hyperparameters
 
 BLAS = ("dnrm2", "dsymv", "dsyr2")
@@ -183,6 +184,55 @@ def test_a_search_takes_its_spectra_at_its_thread_rule(monkeypatch, scipy_thread
     select_hyperparameters(config, search_data(linear), structure)
     assert counts and set(counts) == {1 if pinned else scipy_threads}
     assert _lapack._get_threads() == scipy_threads
+
+
+def test_no_eb_spectrum_runs_at_another_threads_pinned_count(monkeypatch, scipy_threads):
+    # two harness groups, each a GCV cell then an EB cell: the first group
+    # to reach its EB search enters it only once the other group's GCV
+    # search has pinned scipy to one thread, and that search holds still
+    # until an EB spectrum is taken or a second has passed; the search lock
+    # keeps every EB spectrum out of the pinned stretch
+    budget = OptimizerConfig(restarts=2, max_evals=24)
+    methods = tuple(replace(method, selection=replace(method.selection, optimizer=budget))
+                    for method in (standard_methods("B")[0], standard_methods("H")[1]))
+    config = MonteCarloConfig(
+        runs=1, systems=(SyntheticSystemSpec("H", seed=3, n_train=40, n_valid=30),
+                         SyntheticSystemSpec("B", seed=3, n_train=40, n_valid=30)),
+        methods=methods, n_jobs=2)
+    pinned, seen, scored, counts, local = threading.Event(), threading.Event(), [], [], threading.local()
+    real_gcv, real_select, real_dsyevd = selection._gcv, benchmarks.select_hyperparameters, solver.dsyevd
+    monkeypatch.setattr(_worker, "_ENABLED", False)
+
+    def gcv(*args):
+        if threading.get_ident() not in scored:
+            scored.append(threading.get_ident())
+            if len(scored) == 2:
+                pinned.set()
+                seen.wait(timeout=1.0)
+        return real_gcv(*args)
+
+    def select(config, data, structure):
+        if config.method != "eb":
+            return real_select(config, data, structure)
+        pinned.wait(timeout=10.0)
+        local.eb = True
+        try:
+            return real_select(config, data, structure)
+        finally:
+            local.eb = False
+
+    def dsyevd(*args, **kwargs):
+        if getattr(local, "eb", False):
+            counts.append(_lapack._get_threads())
+            seen.set()
+        return real_dsyevd(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "_gcv", gcv)
+    monkeypatch.setattr(benchmarks, "select_hyperparameters", select)
+    monkeypatch.setattr(solver, "dsyevd", dsyevd)
+    result = run_monte_carlo(config)
+    assert len(result.rows) == 4 and not result.failures
+    assert pinned.is_set() and counts and set(counts) == {scipy_threads}
 
 
 def test_another_blas_has_no_setter():

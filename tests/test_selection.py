@@ -32,7 +32,7 @@ from stable_sysid import solver
 from stable_sysid.benchmarks import MethodSpec, SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
 from stable_sysid.errors import NumericError
 from stable_sysid.kernels import KernelInstance, gram_matrix
-from stable_sysid.selection import _BAD_COST, SEARCH_FATOL, SEARCH_XATOL, _gcv_score, _kfold, _nelder_mead
+from stable_sysid.selection import _BAD_COST, _SPECTRA, SEARCH_FATOL, SEARCH_XATOL, _gcv_score, _kfold, _nelder_mead
 from stable_sysid.viability import feasible_parameterization
 
 from oracles import random_spectrum_problem, root_conditioning
@@ -53,6 +53,11 @@ def smooth_data(n=40, seed=0, m=2):
 
 def tiny_optimizer(restarts=2, max_evals=160):
     return OptimizerConfig(restarts=restarts, max_evals=max_evals)
+
+
+def memo(data):
+    """The EB search's memo of spectra on ``data``; empty where no EB search made one."""
+    return _SPECTRA.get(data, {})
 
 
 class TestEbCost:
@@ -398,7 +403,7 @@ class TestCholeskyGcv:
         config = SelectionConfig(method="gcv", optimizer=tiny_optimizer(), seed=3)
         data = smooth_data(45, seed=1)
         result = select_hyperparameters(config, data, Gaussian())
-        assert eigh_calls == [] and data.spectra == {}
+        assert eigh_calls == [] and data not in _SPECTRA
         assert result.factorizations == result.evaluations == len(cholesky_calls)
 
     CAP_AWARE = SelectionConfig(
@@ -418,7 +423,7 @@ class TestCholeskyGcv:
         # no Cholesky factor and no triangular inverse
         data = smooth_data(45, seed=1)
         result = select_hyperparameters(self.CAP_AWARE, data, Gaussian())
-        assert eigh_calls == [] and data.spectra == {}
+        assert eigh_calls == [] and data not in _SPECTRA
         assert cholesky_calls == [] and inverse_calls == []
         assert len(reduction_calls) == result.factorizations == result.evaluations
         # the all-spectral search: every reduction, root and factor fails
@@ -469,7 +474,7 @@ class TestCholeskyGcv:
         # every evaluation tried a factor and then factored the spectrum,
         # which GCV never memoizes
         assert spectral.factorizations == 2 * spectral.evaluations
-        assert data.spectra == {}
+        assert data not in _SPECTRA
 
 
 class TestTridiagonalGcv:
@@ -528,7 +533,7 @@ class TestTridiagonalGcv:
 
 
 class TestSpectrumMemo:
-    """The EB search memoizes its spectra on the data: a factorization is
+    """The EB search memoizes its spectra per data: a factorization is
     done once per (structure, eta) and data, and sharing changes no result.
     No other search reads or fills the memo."""
 
@@ -550,17 +555,15 @@ class TestSpectrumMemo:
         assert (first.evaluations, second.evaluations) == (alone_first.evaluations, alone_second.evaluations)
 
     @pytest.mark.parametrize("method,target", [("eb", "none"), ("eb", "dbibs")])
-    def test_memo_changes_no_result(self, monkeypatch, method, target):
-        # the reference search factors on every evaluation: each access to
-        # the memo sees an empty dict
-        from stable_sysid import solver
-
+    def test_memo_changes_no_result(self, without_memo, method, target):
+        # the reference search factors on every evaluation: every lookup in
+        # the memo misses
         config = SelectionConfig(
             method=method, target=StabilityTarget.from_config({"kind": target}),
             optimizer=tiny_optimizer(), seed=5,
         )
         memoized = select_hyperparameters(config, smooth_data(45, seed=2), Gaussian())
-        monkeypatch.setattr(solver.RegressionData, "spectra", property(lambda self: {}))
+        without_memo()
         reference = select_hyperparameters(config, smooth_data(45, seed=2), Gaussian())
         assert hex_result(memoized) == hex_result(reference)
         assert memoized.evaluations == reference.evaluations == reference.factorizations
@@ -572,7 +575,8 @@ class TestSpectrumMemo:
         data = smooth_data(30)
         select_hyperparameters(self.configs()[1], data, Gaussian())
         fresh = smooth_data(30)
-        for (structure, eta_bytes), (lam, yt) in data.spectra.items():
+        assert memo(data)
+        for (structure, eta_bytes), (lam, yt) in memo(data).items():
             eta = tuple(np.frombuffer(eta_bytes))
             expected_lam, expected_yt = _spectrum(structure, eta, fresh)
             assert np.array_equal(lam, expected_lam) and np.array_equal(yt, expected_yt)
@@ -581,7 +585,7 @@ class TestSpectrumMemo:
         unconstrained, dbibs = self.configs()
         data = smooth_data(45, seed=1)
         first = select_hyperparameters(unconstrained, data, Gaussian())
-        assert 0 < first.factorizations == len(eigh_calls) == len(data.spectra)
+        assert 0 < first.factorizations == len(eigh_calls) == len(memo(data))
         assert first.factorizations <= first.evaluations
         second = select_hyperparameters(dbibs, data, Gaussian())
         assert second.factorizations == 0
@@ -591,8 +595,8 @@ class TestSpectrumMemo:
     def test_memo_arrays_are_read_only(self):
         data = smooth_data(30)
         select_hyperparameters(self.configs()[0], data, Gaussian())
-        assert data.spectra
-        for lam, yt in data.spectra.values():
+        assert memo(data)
+        for lam, yt in memo(data).values():
             for values in (lam, yt):
                 with pytest.raises(ValueError):
                     values[0] = 1.0
@@ -602,13 +606,13 @@ class TestSpectrumMemo:
         # eb_cost by one eigh, gcv_cost by one Cholesky factor
         data = smooth_data(30)
         result = select_hyperparameters(self.configs()[0], data, Gaussian())
-        entries, searched = len(data.spectra), len(eigh_calls)
+        entries, searched = len(memo(data)), len(eigh_calls)
         assert cholesky_calls == []
         for fn in (eb_cost, gcv_cost):
             fn(result.beta, result.eta, data, Gaussian())
         assert len(eigh_calls) == searched + 1
         assert cholesky_calls == [data.size]
-        assert len(data.spectra) == entries
+        assert len(memo(data)) == entries
 
     def test_eb_after_gcv_fallbacks_is_the_fresh_search(self):
         # plain GCV on a LinearAffine kernel and exactly linear targets
@@ -621,7 +625,7 @@ class TestSpectrumMemo:
         eb = replace(gcv, method="eb")
         data = linear_data()
         fallbacks = select_hyperparameters(gcv, data, LinearAffine())
-        assert fallbacks.factorizations > fallbacks.evaluations and data.spectra == {}
+        assert fallbacks.factorizations > fallbacks.evaluations and data not in _SPECTRA
         after = select_hyperparameters(eb, data, LinearAffine())
         fresh = select_hyperparameters(eb, linear_data(), LinearAffine())
         assert hex_result(after) == hex_result(fresh)
@@ -637,9 +641,9 @@ class TestSpectrumMemo:
         data.terms.sq, data.terms.inner
         before = pickle.dumps(data)
         searched = select_hyperparameters(eb, data, Gaussian())
-        assert data.spectra and len(pickle.dumps(data)) == len(before)
+        assert memo(data) and len(pickle.dumps(data)) == len(before)
         unpickled = pickle.loads(pickle.dumps(data))
-        assert unpickled.spectra == {}
+        assert unpickled not in _SPECTRA
         assert np.array_equal(unpickled.terms.__dict__["sq"], data.terms.sq)
         again = select_hyperparameters(eb, unpickled, Gaussian())
         fresh = select_hyperparameters(eb, smooth_data(45, seed=1), Gaussian())
@@ -647,11 +651,28 @@ class TestSpectrumMemo:
         assert (again.evaluations, again.factorizations, again.restarts) == \
             (fresh.evaluations, fresh.factorizations, fresh.restarts)
 
+    def test_each_data_keeps_its_own_memo(self):
+        # a data compares and hashes by identity, so data built from equal
+        # arrays share no memo, and the memo leaves a data's pickle as it was
+        import pickle
+
+        eb, _ = self.configs()
+        data, twin = smooth_data(30), smooth_data(30)
+        assert data == data and data != twin and hash(data) == object.__hash__(data)
+        data.terms.sq, data.terms.inner
+        before = pickle.dumps(data)
+        searched = select_hyperparameters(eb, data, Gaussian())
+        assert pickle.dumps(data) == before
+        assert memo(data) and twin not in _SPECTRA
+        again = select_hyperparameters(eb, twin, Gaussian())
+        assert again.factorizations == searched.factorizations == len(memo(twin)) == len(memo(data))
+        assert memo(twin) is not memo(data)
+
     def test_kfold_search_factors_nothing(self):
         config = SelectionConfig(method="kfold", optimizer=tiny_optimizer(max_evals=40), seed=1)
         data = smooth_data(30)
         assert select_hyperparameters(config, data, Gaussian()).factorizations == 0
-        assert data.spectra == {}
+        assert data not in _SPECTRA
 
     def test_factorizations_default_and_not_compared(self):
         from stable_sysid.selection import SelectionResult

@@ -1,10 +1,10 @@
 """A GCV search with more than one restart deals its restarts over this
 process and helper processes by the rule of :mod:`stable_sysid.selection`
 and merges the runs in start order, so its result, restart record and
-factorization count are those of the one-process search bit for bit, and,
-as only the EB search reads or fills the data's memo of spectra, no process
-leaves an entry in it; EB, k-fold and one-restart searches, and any search
-on one CPU, start no helper, and helpers that are lost, forked away from or
+factorization count are those of the one-process search bit for bit, and it
+leaves no entry in the EB search's memo of spectra (see that module's
+notes); EB, k-fold and one-restart searches, and any search on one CPU,
+start no helper, and helpers that are lost, forked away from or
 closed leave no process and no difference behind.  A fit's final solve runs
 on helper 0 where one runs, at this process's scipy OpenBLAS thread count,
 with the bits of the solve in this process.  numpy's OpenBLAS thread count
@@ -32,7 +32,7 @@ import stable_sysid
 from stable_sysid import (
     Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget,
 )
-from stable_sysid import _lapack, _worker
+from stable_sysid import _lapack, _worker, selection
 from stable_sysid.benchmarks import (
     MethodSpec, MonteCarloConfig, SyntheticSystemSpec, fit_method, generate_dataset, run_monte_carlo,
     standard_methods,
@@ -123,7 +123,7 @@ def test_helpers_give_the_one_process_search(monkeypatch, served, structure, tar
     for helper, (runs, _) in served:
         assert [(spent, float(value), stop) for _, value, spent, stop in runs] == \
             list(one.restarts[helper + 1::count])
-    assert data.spectra == {} and alone.spectra == {}
+    assert data not in selection._SPECTRA and alone not in selection._SPECTRA
     if isinstance(structure, LinearAffine):
         assert dealt.factorizations > dealt.evaluations  # the fallback ran
 
@@ -287,8 +287,6 @@ def test_a_second_helper_killed_before_the_search_is_replaced_by_the_process(mon
 def test_a_failed_second_send_runs_the_search_here_once(monkeypatch):
     # the request already sent to helper 0 is dropped with it, and part 0
     # does not run here before the whole search does
-    from stable_sysid import selection
-
     monkeypatch.setattr(_worker, "_lost", False)
     real, ran = selection._nelder_mead, []
 
@@ -330,8 +328,6 @@ def test_a_second_helper_killed_inside_the_search_is_replaced_by_the_process(mon
 def test_a_restart_that_raises_here_raises_as_in_one_process(monkeypatch):
     # the patch reaches this process only: the helpers' restarts succeed,
     # the search runs again in one process and raises the first error
-    from stable_sysid import selection
-
     def gcv(*args):
         raise RuntimeError("stopped inside the search")
 
@@ -387,6 +383,22 @@ def test_arguments_that_do_not_pickle_are_not_sent():
     two_helpers()
     assert _worker.spread(abs, [(-2,), (-2,), (lambda: None,)]) is None
     assert _worker.spread(abs, [(-2,), (-3,), (-4,)]) == [2, 3, 4]
+
+
+def test_a_spread_that_does_not_pickle_starts_no_helper(monkeypatch):
+    # pickling a ctypes pointer raises ValueError, not PicklingError
+    monkeypatch.setattr(_worker, "_lost", False)
+    _worker._close()
+    pointer = ctypes.pointer(ctypes.c_int(1))
+    assert _worker.spread(id, [(pointer,), (pointer,)]) is None
+    assert not _worker._helpers
+
+
+def test_a_call_that_does_not_pickle_is_not_sent_to_helper_0():
+    procs = two_helpers()
+    assert _worker.call(id, (ctypes.pointer(ctypes.c_int(1)),)) is None
+    assert _worker.call(abs, (-7,)) == 7
+    assert [_worker._helpers[0], _worker._helpers[1]] == procs
 
 
 def test_an_interrupt_while_waiting_stops_every_helper(monkeypatch):

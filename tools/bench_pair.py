@@ -18,30 +18,27 @@ read from ``os.times()`` around it, and ``cpu_s_per_cell``, that time over
 the cells the run attempted; both cover the whole run, start-up, setup
 probes and the thread-pool check round included, not only the timed rounds.
 Once per checkout and workload it also runs a probe round in a fresh
-interpreter, which counts the symmetric eigendecompositions (``eigh``) and
-LAPACK's ``dsytrd`` (tridiagonal reduction), ``dpotrf`` (Cholesky) and
-``dtrtri`` (triangular inverse) calls of one round, wrapping each name where
-the package looks it up (``solver.dsyevd`` where the checkout binds it, else
-``numpy.linalg.eigh``; ``solver.dsytrd``, ``solver.dpotrf``,
-``selection.dtrtri``), and fails if a routine the workload calls was never
-counted.  That round keeps every search in the probe's process, since a
-wrapper cannot count the calls of the search's helper processes.  The
-probe then runs two rounds with the helpers as a run uses them (mc-h's
+interpreter, which counts the symmetric eigendecompositions (``eigh``, the
+``dsyevd`` calls) and LAPACK's ``dsytrd`` (tridiagonal reduction),
+``dpotrf`` (Cholesky) and ``dtrtri`` (triangular inverse) calls of one
+round, wrapping each name where the package looks it up (``solver.dsyevd``,
+``solver.dsytrd``, ``solver.dpotrf``, ``selection.dtrtri``), and fails if a
+routine the workload calls was never counted.  That round keeps every
+search in the probe's process, since a wrapper cannot count the calls of
+the search's helper processes.  The probe then runs two rounds with the helpers as a run uses them (mc-h's
 searches start none) and records the CPU time that the probe interpreter's
 threads other than the main one (the OpenBLAS pools' workers) used over the
 second (``thread_cpu_s``, read from ``/proc/self/task``; None where that
 directory is missing); on mc-ab it then times the thread-pool check round
 (a wall time, not a metric).  It records how many helpers the probe's
-searches started (``search_workers``: read from ``_proc`` on a
-checkout whose searches have one helper, 0 on a checkout without
-helpers).  The machine facts
-are those of the parent's first run record, plus ``PYTHONDONTWRITEBYTECODE``
+searches started (``search_workers``).  The machine facts are those of
+the parent's first run record, plus ``PYTHONDONTWRITEBYTECODE``
 as this script's runs inherit it: where it is set, every run compiles the
 package source afresh, which ``setup_s`` includes.  They also hold the live
 thread counts of numpy's and scipy's OpenBLAS pools, as this script's
 interpreter reads them through each library's getter (None where it exports
-none; numpy's is a machine fact only, as a checkout that runs its
-eigendecomposition on scipy's ``dsyevd`` calls no numpy LAPACK routine):
+none; numpy's is a machine fact only, as the package calls no numpy LAPACK
+routine):
 ``OPENBLAS_NUM_THREADS`` is None where it is unset, while each pool runs one
 thread per CPU, and per checkout the most helpers its searches
 started in any probe.
@@ -106,19 +103,11 @@ def probe(root: Path, workload: str, seed: int) -> dict:
     """One round with ``eigh``, ``dsytrd``, ``dpotrf`` and ``dtrtri`` counted,
     two rounds with the helpers on, then the timed thread-pool round."""
     sys.path[:0] = [str(root / "src"), str(root)]
-    import numpy as np
-    from stable_sysid import selection, solver
+    from stable_sysid import _worker, selection, solver
     from perfbench import bench
 
-    try:
-        from stable_sysid import _worker
-    except ImportError:  # a checkout whose searches have no helper
-        _worker = None
-
-    # each name is wrapped where the package looks it up at call time: the
-    # eigendecomposition is solver.dsyevd where the checkout binds it
-    eigh = (solver, "dsyevd") if hasattr(solver, "dsyevd") else (np.linalg, "eigh")
-    sites = {"eigh": eigh, "dsytrd": (solver, "dsytrd"), "dpotrf": (solver, "dpotrf"),
+    # each name is wrapped where the package looks it up at call time
+    sites = {"eigh": (solver, "dsyevd"), "dsytrd": (solver, "dsytrd"), "dpotrf": (solver, "dpotrf"),
              "dtrtri": (selection, "dtrtri")}
     calls = dict.fromkeys(sites, 0)
 
@@ -132,15 +121,13 @@ def probe(root: Path, workload: str, seed: int) -> dict:
     real = {name: getattr(owner, attribute) for name, (owner, attribute) in sites.items()}
     for name, (owner, attribute) in sites.items():
         setattr(owner, attribute, counting(name, real[name]))
-    if _worker is not None:
-        _worker._ENABLED = False
+    _worker._ENABLED = False
     try:
         round_ = bench.run_round(configs)
     finally:
         for name, (owner, attribute) in sites.items():
             setattr(owner, attribute, real[name])
-        if _worker is not None:
-            _worker._ENABLED = True
+        _worker._ENABLED = True
     uncounted = [name for name in CALLED[workload] if calls[name] == 0]
     if uncounted:
         raise RuntimeError(f"{workload} calls {uncounted}, but the probe counted none: "
@@ -160,18 +147,9 @@ def probe(root: Path, workload: str, seed: int) -> dict:
         "thread_cpu_s": None if before is None else after - before,
         "threadpool_round_s": None if pooled is None else pooled.wall_s,
         "threadpool_rows_equal": None if pooled is None else bench.outcome(pooled) == bench.outcome(round_),
-        "search_workers": search_workers(_worker),
+        # the helpers that the searches of this interpreter started and that still run
+        "search_workers": len(_worker._helpers),
     }
-
-
-def search_workers(worker) -> int:
-    """The helpers that the searches of this interpreter started and that
-    still run."""
-    if worker is None:
-        return 0
-    if hasattr(worker, "_proc"):  # a checkout with one helper
-        return int(worker._proc is not None)
-    return len(worker._helpers)
 
 
 def children_cpu_s() -> float:
