@@ -27,36 +27,23 @@ OpenBLAS worker thread spins for about 135 ms of CPU, and the run-time
 setter does not stop it; at the search's size a second thread does not pay
 either (one ``dpotrf`` of a 199 x 199 Gram: 0.21 ms on one thread, 0.46 ms
 on two).  So :func:`_scipy_threads` can run scipy's pool on one thread for
-the length of a search (the rule of which searches is in
+the length of a fit's search or final solve (the fit's thread rule is in
 :mod:`stable_sysid.selection`), through the run-time setter that scipy's
 OpenBLAS exports, found with ``ctypes`` as ``threadpoolctl`` does
 (https://github.com/joblib/threadpoolctl); on another BLAS the setter is
 absent and nothing is pinned.  The thread count sets the bits of
 ``dpotrf`` from N = 128 up and of ``dsyevd`` from about N = 146 up, so an
-EB search, whose spectra set the H rows (ROADMAP D17), and every call
-outside a search keep the caller's count; pinning those waits for the
-re-baseline of ROADMAP Direction 1 (Direction 16).  The count is
-process-wide, so the context also holds one process-wide lock, which every
-other scipy caller of the package takes at the caller's count: a final
-solve never runs pinned because another thread is searching.
+EB fit, whose spectra set the H rows (ROADMAP D17), and every call outside
+a fit keep the caller's count; pinning those waits for the re-baseline of
+ROADMAP Direction 1 (Direction 16).  The count is process-wide, so the
+context also holds one process-wide lock, which every other scipy caller of
+the package takes at the caller's count: no call runs pinned because
+another thread is fitting.
 
 The package talks to its helper processes (:mod:`stable_sysid._worker`)
 only under this lock, so one caller at a time does.  Each request carries
 scipy's thread count as it is when it is sent, and the helper runs the call
-at it: a GCV search's restarts on one thread, and a fit's final solve at
-the caller's count, so each has the bits it would have here.
-
-The caller's pool keeps OpenBLAS's default spin: the library reads its
-idle-spin limit, ``OPENBLAS_THREAD_TIMEOUT`` (2**n cycles, 4 <= n <= 30;
-https://github.com/OpenMathLib/OpenBLAS), from its caller's environment when
-it loads.  The helpers start with ``OPENBLAS_THREAD_TIMEOUT=4``, so their
-workers sleep right after each job; their pinned restarts never wake a
-pool, so that costs them nothing.  So
-:func:`stable_sysid.benchmarks.fit_method` runs the final solve, the one
-multi-threaded call between two searches, on helper 0 where one runs, and
-no spinning worker of the caller's takes a CPU from the next search's
-processes.  Where no helper runs (EB searches start none), the final solve
-stays here, at the same count.
+at it, so a GCV search's restarts there have the bits they would have here.
 """
 
 from __future__ import annotations

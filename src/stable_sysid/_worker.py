@@ -1,7 +1,6 @@
 """Helper processes that run calls beside the main process; a GCV search
 sends them its restarts (the rule that deals the restarts is in
-:mod:`stable_sysid.selection`), and a fit sends helper 0 its final solve
-where one runs (:func:`stable_sysid.benchmarks.fit_method`).
+:mod:`stable_sysid.selection`).
 
 A search spends its time in scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri``,
 which hold the GIL, and runs them with scipy's OpenBLAS on one thread
@@ -22,22 +21,18 @@ pickled by reference and ``count`` the caller's scipy OpenBLAS thread count
 when it was sent; the reply is ``(True, result)``, or ``(False, None)``
 where the request could not be read or the call raised.  A helper runs each
 call with its pool at the request's count, so the call has the bits it
-would have in the caller: a search's restarts on one thread, a final solve
-at the caller's count.  It starts with ``OPENBLAS_THREAD_TIMEOUT=4``, so its
-pool's workers sleep right after each job instead of spinning for about
-135 ms (see :mod:`stable_sysid._lapack`).
-It runs in a session of its own, so a Ctrl-C at the terminal reaches the
-caller only, and it exits at the end of its input, so a caller killed
-outright leaves no helper behind.  A caller that exits normally closes
-every helper's input and reaps them at exit.
+would have in the caller: a GCV search's restarts on one thread.  It runs in
+a session of its own, so a Ctrl-C at the terminal reaches the caller only,
+and it exits at the end of its input, so a caller killed outright leaves no
+helper behind.  A caller that exits normally closes every helper's input
+and reaps them at exit.
 
-The caller reaches the helpers only through :func:`spread` and
-:func:`call`, under ``_lapack._LOCK``; a call sends at most one request per
-helper and reads every reply before it returns.  Only :func:`spread` starts
-a helper.  Where any helper dies, or cannot be reached, the caller kills
-and reaps all of them and starts no other, so both return None from then on
-and the caller runs the calls itself.  A forked child never writes to its
-parent's helpers.
+The caller reaches the helpers only through :func:`spread`, under
+``_lapack._LOCK``; a call sends at most one request per helper and reads
+every reply before it returns.  Where any helper dies, or cannot be reached,
+the caller kills and reaps all of them and starts no other, so
+:func:`spread` returns None from then on and the caller runs the calls
+itself.  A forked child never writes to its parent's helpers.
 """
 
 from __future__ import annotations
@@ -49,14 +44,11 @@ import struct
 import subprocess
 import sys
 
-from ._lapack import _LOCK, _get_threads, _scipy_threads
+from ._lapack import _get_threads, _scipy_threads
 
 # False keeps every call in the calling process (a seam for tests)
 _ENABLED = True
 _EXIT_WAIT_S = 10.0
-# OpenBLAS's idle-spin limit of 2**4 cycles, its least: a helper's pool
-# sleeps right after each job instead of spinning for about 135 ms
-_THREAD_TIMEOUT = "4"
 _LENGTH = struct.Struct("<Q")
 _BOOTSTRAP = (
     "import pickle, sys\n"
@@ -97,41 +89,22 @@ def spread(function, calls):
     child of their owner, a call does not pickle or cannot be sent, a call
     raised here or in a helper, or a helper was lost before it replied.  An
     interrupt stops every helper, so no reply is left in a pipe."""
-    return _exchange(function, calls[1:], lambda: function(*calls[0]))
-
-
-def call(function, args):
-    """``function(*args)`` run on helper 0, under ``_lapack._LOCK``, at this
-    process's scipy OpenBLAS thread count.  None where :func:`spread` would
-    give None, and where no helper runs yet (this starts none: a cold start
-    costs 0.4-0.6 s)."""
-    with _LOCK:
-        if 0 not in _helpers:
-            return None
-        results = _exchange(function, [args], lambda: None)
-    return None if results is None else results[1]
-
-
-def _exchange(function, calls, here):
-    """``[here()] + [function(*args) for args in calls]``, with ``calls[j]``
-    run on helper j (started on first use) while ``here()`` runs in this
-    process; None as :func:`spread` says."""
     global _owner
     if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
         return None
     try:
         # each request carries the thread count it is to run at
         count = None if _get_threads is None else _get_threads()
-        requests = [pickle.dumps((function, args, count), protocol=pickle.HIGHEST_PROTOCOL) for args in calls]
+        requests = [pickle.dumps((function, args, count), protocol=pickle.HIGHEST_PROTOCOL) for args in calls[1:]]
     except Exception:  # a ctypes pointer raises ValueError, a lambda PicklingError
         return None
     try:
-        for helper in range(len(calls)):
+        for helper in range(len(calls) - 1):
             proc = _helpers.get(helper)
             if proc is None:
                 proc = _helpers[helper] = subprocess.Popen(
                     [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    start_new_session=True, env={**os.environ, "OPENBLAS_THREAD_TIMEOUT": _THREAD_TIMEOUT})
+                    start_new_session=True)
                 _owner = os.getpid()
                 proc.stdin.write(pickle.dumps(sys.path))
             _write(proc.stdin, requests.pop(0))  # not held while the calls run
@@ -140,10 +113,10 @@ def _exchange(function, calls, here):
         return None
     try:
         try:
-            results = [here()]
+            results = [function(*calls[0])]
         except Exception:
             results = None  # the replies are read all the same
-        replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls))]
+        replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls) - 1)]
     except (EOFError, OSError, pickle.UnpicklingError):
         _lose()
         return None

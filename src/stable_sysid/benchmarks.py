@@ -50,7 +50,7 @@ from .config import _config_array, _config_fields, _config_instance, _config_int
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
 from .predictor import PredictorModel, run_model
-from .selection import OptimizerConfig, SelectionConfig, select_hyperparameters
+from .selection import OptimizerConfig, SelectionConfig, _fit_threads, select_hyperparameters
 from .solver import FitProblem, RegressionData, build_regression_data, solve_constrained
 from .viability import StabilityTarget, feasible_parameterization
 
@@ -434,17 +434,11 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     within a run) share the EB search's memo of spectra (see
     :mod:`stable_sysid.selection`); the results are those of fresh data.
 
-    Where a search helper runs (a GCV search started it), the final solve,
-    :func:`~stable_sysid.solver.solve_constrained`, runs on helper 0 at this
-    process's scipy OpenBLAS thread count (:func:`stable_sysid._worker.call`),
-    else here at the same count, so the fit has the same bits either way.
-    It must not run on one thread: the thread count sets the bits of its
-    ``dsyevd`` and ``dpotrf`` from about N = 128 up, and moves H rows by up
-    to 8.2% (ROADMAP D17).  A multi-threaded call here would leave this
-    process's OpenBLAS worker spinning for about 135 ms on a CPU of the next
-    search's helpers; the helpers' workers sleep right after each job
-    (see :mod:`stable_sysid._lapack`).  EB searches start no helper, so an
-    EB-only run solves here.
+    The final solve, :func:`~stable_sysid.solver.solve_constrained`, runs
+    here under its search's thread rule (see :mod:`stable_sysid.selection`).
+    An EB fit's solve must not run on one thread: the thread count sets the
+    bits of its ``dsyevd`` and ``dpotrf`` from about N = 128 up, and moves
+    H rows by up to 8.2% (ROADMAP D17).
     """
     selection = method.selection
     sel = select_hyperparameters(selection, data, method.structure)
@@ -458,9 +452,8 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
         chi=selection.chi,
         constrained=selection.target.constrained,
     )
-    from . import _worker
-
-    report = _worker.call(solve_constrained, (problem,)) or solve_constrained(problem)
+    with _fit_threads(selection.method):
+        report = solve_constrained(problem)
     model = PredictorModel.from_fit(data, kernel, report, selection.target)
     return model, report, sel
 
@@ -508,17 +501,16 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     the call.  Rows come in
     cell order whatever ``n_jobs``.  The searches of different groups do not
     overlap: each holds the package's scipy lock for its whole length, EB's
-    included, and a group's final solve also takes it, on helper 0 or here
-    (see :func:`fit_method`); their LAPACK calls hold the GIL anyway.
+    included, and so does a group's final solve (see :func:`fit_method`);
+    their LAPACK calls hold the GIL anyway.
     Threads overlap only the work outside the lock: data generation and the
     predictions, so ``n_jobs=2`` is about as fast as ``n_jobs=1`` (ROADMAP
     D5).  Where the affinity set has two CPUs or more, a GCV search with more than one restart (A
     and B's methods) deals its restarts over this process and helper
     processes, whatever ``n_jobs``, by the rule of
     :mod:`stable_sysid.selection` (on two CPUs, three restarts run in three
-    processes), and each fit's final solve then runs on helper 0; EB
-    searches (H's methods) run in this process and start no helper.  The
-    rows are the same either way, bit for bit.
+    processes); EB searches (H's methods) run in this process and start no
+    helper.  The rows are the same either way, bit for bit.
     """
     _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:

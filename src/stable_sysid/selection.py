@@ -64,17 +64,22 @@ map is the unconstrained one).  GCV factors its rare fallback spectra
 afresh (one of 40 mc-ab searches needed one); the public costs never use
 the memo.
 
-Every search holds the package's process-wide scipy lock
-(:func:`stable_sysid._lapack._scipy_threads`) for its whole length, so the
-searches of different threads, such as the harness's groups, do not
-overlap.  GCV and k-fold searches run scipy's OpenBLAS on one thread, so a
-k-fold search's constrained folds (about 158 rows at the benchmark's
-N = 198) take their spectra on one thread, as its plain folds take their
-Cholesky factors.  An EB search keeps the caller's count: the count sets
-the bits of a spectrum from about N = 146 up, and EB's spectra set the H
-rows (ROADMAP D17).  Threads could not speed a search up: scipy's
-``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and two threads ran them at
-0.64-0.92 times the serial speed (N = 199, 2 vCPUs).  Other processes can.
+The fit's thread rule (:func:`_fit_threads`): a fit's search, and then its
+final solve (:func:`stable_sysid.benchmarks.fit_method`), each hold the
+package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_threads`)
+for its whole length, so no two of them, such as the searches of the
+harness's groups, overlap.  A GCV or k-fold fit runs scipy's OpenBLAS on one
+thread, so a k-fold search's constrained folds (about 158 rows at the
+benchmark's N = 198) take their spectra on one thread, as its plain folds
+take their Cholesky factors, and the fit has the same bits on any core
+count.  An EB fit keeps the caller's count: the count sets the bits of a
+spectrum from about N = 146 up, and EB's spectra set the H rows (ROADMAP
+D17).  At N = 199 one thread is as fast as two (one ``dsyevd``: 3.73 ms
+against 3.83 ms), and a call on one thread wakes no OpenBLAS worker to spin
+after it (see :mod:`stable_sysid._lapack`).  Threads could not speed a
+search up: scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and
+two threads ran them at 0.64-0.92 times the serial speed (N = 199,
+2 vCPUs).  Other processes can.
 A GCV search (plain or cap-aware) of R restarts, on an affinity set of C
 CPUs, runs in ``P = 1`` process where ``C < 2``, else in
 ``P = min(R, ceil(R / max(1, R // C)))`` (:func:`_processes`): the fewest
@@ -88,11 +93,10 @@ alike (:class:`_Objective`) from the same data, its pair terms included,
 and each helper runs its part at the count this process has when the
 search sends it: scipy's one thread.  Each restart is independent and
 seeded, so the result, the restart record and the factorization count are
-those of the one-process search bit for bit.  The helpers then stay up, and
-the fit's final solve runs on helper 0 (see
-:func:`stable_sysid.benchmarks.fit_method`).  Where ``spread`` gives no results (a part raised, or a helper
-could not run its part), the whole search runs once in this process, with
-the same result or the first error.  EB searches stay in one process:
+those of the one-process search bit for bit.  The helpers then stay up for
+the next search.  Where ``spread`` gives no results (a part raised, or a
+helper could not run its part), the whole search runs once in this process,
+with the same result or the first error.  EB searches stay in one process:
 their spectra run at the caller's count, and a two-thread ``dsyevd`` ran
 three times slower beside one busy thread (150 calls at N = 199: 0.9 s
 alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold and one-restart
@@ -498,8 +502,7 @@ def select_hyperparameters(
         starts.append(smart + rng.uniform(-3.0, 3.0, size=dim))
 
     budget = max(config.optimizer.max_evals // config.optimizer.restarts, 2 * dim + 2)
-    # the search's thread rule (see module notes)
-    with _scipy_threads(None if config.method == "eb" else 1):
+    with _fit_threads(config.method):
         runs, factorizations = _restarts(config, data, structure, starts, budget)
     best_x, best_val = None, math.inf
     restarts = []
@@ -528,6 +531,13 @@ def select_hyperparameters(
         factorizations=factorizations,
         restarts=tuple(restarts),
     )
+
+
+def _fit_threads(method: str):
+    """The fit's thread rule (see module notes) for the cost ``method``:
+    :func:`~stable_sysid._lapack._scipy_threads` on one thread for GCV and
+    k-fold, at the caller's count for EB."""
+    return _scipy_threads(None if method == "eb" else 1)
 
 
 def _decode(x, iota, param: FeasibleParameterization):

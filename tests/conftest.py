@@ -13,9 +13,8 @@ settings.load_profile("tier1")
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Every search of the test runs all its restarts in this process, and
-    every fit its final solve, where the test's patches reach them: none
-    reaches a helper process."""
+    """Every search of the test runs all its restarts in this process, where
+    the test's patches reach them: none reaches a helper process."""
     monkeypatch.setattr(_worker, "_ENABLED", False)
 
 

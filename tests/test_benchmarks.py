@@ -735,10 +735,10 @@ class TestSharedTrainingData:
 
 @pytest.mark.usefixtures("in_process")
 class TestSearchLock:
-    """A search runs scipy's OpenBLAS on one thread and holds the package's
-    scipy lock, which every other scipy caller of the package takes, so a
-    group's final Cholesky never runs inside another group's search: at
-    N >= 128 its bits depend on the thread count."""
+    """A search holds the package's scipy lock under the fit's thread rule
+    (see :mod:`stable_sysid.selection`), and every other scipy caller of the
+    package takes it, so a group's final Cholesky never runs inside another
+    group's search: at N >= 128 its bits depend on the thread count."""
 
     def config(self, runs=2, n_jobs=1):
         spec = SyntheticSystemSpec("B", seed=4, n_train=130, n_valid=30)

@@ -5,11 +5,13 @@ factorization count are those of the one-process search bit for bit, and it
 leaves no entry in the EB search's memo of spectra (see that module's
 notes); EB, k-fold and one-restart searches, and any search on one CPU,
 start no helper, and helpers that are lost, forked away from or
-closed leave no process and no difference behind.  A fit's final solve runs
-on helper 0 where one runs, at this process's scipy OpenBLAS thread count,
-with the bits of the solve in this process.  numpy's OpenBLAS thread count
-sets no bit, and harness threads that run EB and GCV searches at once give
-the serial rows.  The affinity set is faked to two CPUs wherever a search
+closed leave no process and no difference behind.  A helper runs its part at
+the scipy OpenBLAS thread count its request carries.  A fit's final solve
+runs in this process under its search's thread rule (see the notes of
+:mod:`stable_sysid.selection`), so no fit sends it to a helper and the core
+count sets no bit of a GCV fit.  numpy's OpenBLAS thread count sets no bit,
+and harness threads that run EB and GCV searches at once give the serial
+rows.  The affinity set is faked to two CPUs wherever a search
 could otherwise start more than two helpers."""
 
 import ctypes
@@ -32,7 +34,7 @@ import stable_sysid
 from stable_sysid import (
     Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget,
 )
-from stable_sysid import _lapack, _worker, selection
+from stable_sysid import _lapack, _worker, benchmarks, selection
 from stable_sysid.benchmarks import (
     MethodSpec, MonteCarloConfig, SyntheticSystemSpec, fit_method, generate_dataset, run_monte_carlo,
     standard_methods,
@@ -189,12 +191,58 @@ EB = MethodSpec("eb", Gaussian(), SelectionConfig(method="eb", optimizer=Optimiz
 
 @pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("method", A_METHODS, ids=[method.name for method in A_METHODS])
-def test_a_final_solve_on_helper_0_has_the_in_process_bits(monkeypatch, served, method):
+def test_no_reply_a_helper_serves_during_a_gcv_fit_is_a_fit_report(monkeypatch, served, method):
     fit = fit_method(a_data(), method)
-    helper, report = served[-1]
-    assert helper == 0 and isinstance(report, FitReport)
+    assert served and not any(isinstance(result, FitReport) for _, result in served)
     alone = one_process(monkeypatch, lambda: fit_method(a_data(), method))
     assert fit_bits(fit) == fit_bits(alone)
+
+
+@pytest.mark.parametrize("method", ["gcv", "kfold", "eb"])
+def test_a_final_solve_runs_at_its_searchs_thread_count(monkeypatch, method):
+    if _lapack._get_threads is None:
+        pytest.skip("scipy's BLAS exports no scipy-OpenBLAS thread setter")
+    real, counts = benchmarks.solve_constrained, []
+
+    def solve(problem):
+        counts.append(_lapack._get_threads())
+        return real(problem)
+
+    monkeypatch.setattr(benchmarks, "solve_constrained", solve)
+    default = _lapack._get_threads()
+    config = SelectionConfig(method=method, optimizer=OptimizerConfig(restarts=2, max_evals=24))
+    fit_method(smooth_data(), MethodSpec(method, Gaussian(), config))
+    assert counts == [default if method == "eb" else 1] and _lapack._get_threads() == default
+
+
+def test_the_core_count_sets_no_bit_of_a_gcv_fit():
+    # Aa and Ab on A at the default N = 198, where a thread count sets the
+    # bits of ``dpotrf`` and ``dsyevd``, each in a fresh process whose
+    # OpenBLAS pools start at the given count
+    if _lapack._get_threads is None:
+        pytest.skip("scipy's BLAS exports no scipy-OpenBLAS thread setter")
+    code = """
+from stable_sysid import _lapack
+from stable_sysid.benchmarks import SyntheticSystemSpec, fit_method, generate_dataset, standard_methods
+from stable_sysid.solver import build_regression_data
+print(_lapack._get_threads())
+train, _ = generate_dataset(SyntheticSystemSpec("A", seed=0, n_valid=40))
+data = build_regression_data(train.u, train.y, 2)
+for method in standard_methods("A"):
+    _, report, _ = fit_method(data, method)
+    print(data.size, method.name, report.coefficients.tobytes().hex(), report.beta.hex())
+"""
+    src = str(Path(stable_sysid.__file__).resolve().parents[1])
+    fits = {}
+    for count in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": count,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        threads, *fits[count] = done.stdout.splitlines()
+        assert threads == count
+    assert [line.split()[:2] for line in fits["1"]] == [["198", "Aa"], ["198", "Ab"]]
+    assert fits["1"] == fits["2"]
 
 
 @pytest.mark.parametrize("method", [A_METHODS[1], EB], ids=["Ab", "eb"])
@@ -245,21 +293,15 @@ def test_eb_and_gcv_groups_on_two_threads_give_the_serial_rows():
     assert len(pooled) == 8 and pooled == rows(1)
 
 
-@pytest.mark.parametrize("lose", [False, True], ids=["disabled", "lost"])
-def test_without_a_helper_the_final_solve_runs_here(monkeypatch, served, lose):
-    # an EB search runs here, so only the final solve could reach helper 0
+def test_an_eb_fit_sends_nothing_to_a_helper(monkeypatch, served):
+    # with helpers up, neither its search nor its final solve reaches them
     monkeypatch.setattr(_worker, "_lost", False)
     alone = one_process(monkeypatch, lambda: fit_method(smooth_data(), EB))
     procs = two_helpers()
     served.clear()
-    if lose:
-        procs[0].kill()
-        procs[0].wait()
-    else:
-        monkeypatch.setattr(_worker, "_ENABLED", False)
     assert fit_bits(fit_method(smooth_data(), EB)) == fit_bits(alone)
-    assert served == [] and _worker._lost == lose
-    assert bool(_worker._helpers) != lose
+    assert served == [] and [_worker._helpers[0], _worker._helpers[1]] == procs
+    assert all(proc.poll() is None for proc in procs)
 
 
 def two_helpers():
@@ -357,16 +399,15 @@ def test_the_serving_loop_answers_until_its_requests_end():
 
 
 @pytest.mark.parametrize("count", [None, 1], ids=["default", "scipy-pinned"])
-def test_a_call_runs_at_the_callers_thread_count_with_a_short_spin(count):
+def test_a_helper_runs_its_part_at_the_callers_thread_count(count):
     if _lapack._get_threads is None:
         pytest.skip("scipy's BLAS exports no scipy-OpenBLAS thread setter")
     two_helpers()
     # the ctypes getter does not pickle; eval does, by reference
-    helper_count = (eval, ("__import__('stable_sysid')._lapack._get_threads()",))
+    helper_count = ("__import__('stable_sysid')._lapack._get_threads()",)
     default = _lapack._get_threads()
     with _lapack._scipy_threads(count):
-        assert _worker.call(*helper_count) == (count or default)
-    assert _worker.call(os.getenv, ("OPENBLAS_THREAD_TIMEOUT",)) == "4"
+        assert _worker.spread(eval, [helper_count] * 3) == [count or default] * 3
 
 
 def test_a_call_that_raises_in_the_worker_keeps_the_worker():
@@ -392,13 +433,6 @@ def test_a_spread_that_does_not_pickle_starts_no_helper(monkeypatch):
     pointer = ctypes.pointer(ctypes.c_int(1))
     assert _worker.spread(id, [(pointer,), (pointer,)]) is None
     assert not _worker._helpers
-
-
-def test_a_call_that_does_not_pickle_is_not_sent_to_helper_0():
-    procs = two_helpers()
-    assert _worker.call(id, (ctypes.pointer(ctypes.c_int(1)),)) is None
-    assert _worker.call(abs, (-7,)) == 7
-    assert [_worker._helpers[0], _worker._helpers[1]] == procs
 
 
 def test_an_interrupt_while_waiting_stops_every_helper(monkeypatch):

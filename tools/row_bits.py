@@ -15,7 +15,10 @@ directory with bytecode writing off, so neither checkout gains a file.
 A cell is one (workload, seed, run, system, method).  The script compares
 ``float.hex`` of each row's ``q_pre`` and ``q_sim``, its ``feasible`` flag,
 and the error of each failed cell.  It prints one line per cell that
-differs and exits 1 on any difference; it exits 0 when every cell is equal.
+differs, then a summary line with the largest relative difference
+``|change - parent| / max(|parent|, |change|)`` of a ``q_pre`` or ``q_sim``
+among the differing cells (0 where none differs), and exits 1 on any
+difference; it exits 0 when every cell is equal.
 """
 
 from __future__ import annotations
@@ -67,6 +70,19 @@ def differences(parent: dict, change: dict) -> list:
     return lines
 
 
+def largest_relative(parent: dict, change: dict) -> float:
+    """The largest relative difference of a ``q_pre`` or ``q_sim`` that both
+    rounds have, 0.0 where none differs."""
+    largest = 0.0
+    for cell in parent.keys() & change.keys():
+        for name in ("q_pre", "q_sim"):
+            if name in parent[cell] and name in change[cell]:
+                old, new = float.fromhex(parent[cell][name]), float.fromhex(change[cell][name])
+                if old != new:
+                    largest = max(largest, abs(new - old) / max(abs(old), abs(new)))
+    return largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -74,6 +90,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = (args.parent.resolve(), args.change.resolve())
     differing = checked = 0
+    largest = 0.0
     with tempfile.TemporaryDirectory() as workdir:
         for workload in WORKLOADS:
             for seed in SEEDS:
@@ -82,9 +99,11 @@ def main(argv=None) -> int:
                 for line in lines:
                     print(f"{workload} seed {seed} {line}")
                 differing += len(lines)
+                largest = max(largest, largest_relative(parent, change))
                 checked += len(parent.keys() | change.keys())
                 print(f"{workload} seed {seed}: {len(parent)} cells, {len(lines)} differences", flush=True)
-    print(f"{checked} cells checked, {differing} differences")
+    print(f"{checked} cells checked, {differing} differences, "
+          f"largest relative q_pre/q_sim difference {largest:.3g}")
     return 1 if differing else 0
 
 
