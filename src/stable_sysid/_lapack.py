@@ -26,24 +26,17 @@ thread count sets no bit of a result.  After one multi-threaded call, an
 OpenBLAS worker thread spins for about 135 ms of CPU, and the run-time
 setter does not stop it; at the search's size a second thread does not pay
 either (one ``dpotrf`` of a 199 x 199 Gram: 0.21 ms on one thread, 0.46 ms
-on two).  So :func:`_scipy_threads` can run scipy's pool on one thread for
-the length of a fit's search or final solve (the fit's thread rule is in
-:mod:`stable_sysid.selection`), through the run-time setter that scipy's
-OpenBLAS exports, found with ``ctypes`` as ``threadpoolctl`` does
+on two).  So :func:`_scipy_threads` can run scipy's pool on one thread,
+through the run-time setter that scipy's OpenBLAS exports, found with
+``ctypes`` as ``threadpoolctl`` does
 (https://github.com/joblib/threadpoolctl); on another BLAS the setter is
 absent and nothing is pinned.  The thread count sets the bits of
-``dpotrf`` from N = 128 up and of ``dsyevd`` from about N = 146 up, so an
-EB fit, whose spectra set the H rows (ROADMAP D17), and every call outside
-a fit keep the caller's count; pinning those waits for the re-baseline of
-ROADMAP Direction 1 (Direction 16).  The count is process-wide, so the
-context also holds one process-wide lock, which every other scipy caller of
-the package takes at the caller's count: no call runs pinned because
-another thread is fitting.
-
-The package talks to its helper processes (:mod:`stable_sysid._worker`)
-only under this lock, so one caller at a time does.  Each request carries
-scipy's thread count as it is when it is sent, and the helper runs the call
-at it, so a GCV search's restarts there have the bits they would have here.
+``dpotrf`` from N = 128 up and of ``dsyevd`` from about N = 146 up; which
+calls run on one thread is the fit's thread rule, in the notes of
+:mod:`stable_sysid.selection`.  The count is process-wide, so the context
+also holds one process-wide lock, which every other scipy caller of the
+package takes at the caller's count: no call runs pinned because another
+thread is fitting.
 """
 
 from __future__ import annotations

@@ -16,23 +16,24 @@ method re-imports ``__main__``, so a script without a main guard fails with
 
 A helper reads the caller's ``sys.path`` first, so it imports the same
 ``stable_sysid``.  After that, both pipes carry messages: an 8-byte length,
-then a pickle.  A request is ``(function, args, count)``, the function
-pickled by reference and ``count`` the caller's scipy OpenBLAS thread count
-when it was sent; the reply is ``(True, result)``, or ``(False, None)``
-where the request could not be read or the call raised.  A helper runs each
-call with its pool at the request's count, so the call has the bits it
-would have in the caller: a GCV search's restarts on one thread.  It runs in
-a session of its own, so a Ctrl-C at the terminal reaches the caller only,
+then a pickle.  A request is ``(function, args)``, the function pickled by
+reference; the reply is ``(True, result)``, or ``(False, None)`` where the
+request could not be read or the call raised.  A helper runs every call
+with scipy's OpenBLAS on one thread, for its whole life.  It runs in a
+session of its own, so a Ctrl-C at the terminal reaches the caller only,
 and it exits at the end of its input, so a caller killed outright leaves no
 helper behind.  A caller that exits normally closes every helper's input
 and reaps them at exit.
 
-The caller reaches the helpers only through :func:`spread`, under
-``_lapack._LOCK``; a call sends at most one request per helper and reads
-every reply before it returns.  Where any helper dies, or cannot be reached,
-the caller kills and reaps all of them and starts no other, so
-:func:`spread` returns None from then on and the caller runs the calls
-itself.  A forked child never writes to its parent's helpers.
+The caller reaches the helpers only through :func:`spread`, which holds
+``_lapack._scipy_threads(1)`` from its first send to its last reply: its
+own call runs on one thread too, so every part of a spread runs as in one
+process on one thread, and no two threads share the pipes.  A call sends
+at most one request per helper and reads every reply before it returns.
+Where any helper dies, or cannot be reached, the caller kills and reaps all
+of them and starts no other, so :func:`spread` returns None from then on
+and the caller runs the calls itself.  A forked child never writes to its
+parent's helpers.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import struct
 import subprocess
 import sys
 
-from ._lapack import _get_threads, _scipy_threads
+from ._lapack import _scipy_threads
 
 # False keeps every call in the calling process (a seam for tests)
 _ENABLED = True
@@ -84,45 +85,45 @@ def _read(stream) -> bytes:
 def spread(function, calls):
     """``[function(*args) for args in calls]``, with ``calls[1:]`` run on
     helpers 0, 1, ... (each started on first use) while ``calls[0]`` runs
-    here.  None, with every helper idle again, where the caller must run
-    every call itself: the helpers are disabled or lost, this is a forked
-    child of their owner, a call does not pickle or cannot be sent, a call
-    raised here or in a helper, or a helper was lost before it replied.  An
-    interrupt stops every helper, so no reply is left in a pipe."""
+    here, every part on one thread.  None, with every helper idle again,
+    where the caller must run every call itself: the helpers are disabled or
+    lost, this is a forked child of their owner, a call does not pickle or
+    cannot be sent, a call raised here or in a helper, or a helper was lost
+    before it replied.  An interrupt stops every helper, so no reply is left
+    in a pipe."""
     global _owner
-    if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
-        return None
-    try:
-        # each request carries the thread count it is to run at
-        count = None if _get_threads is None else _get_threads()
-        requests = [pickle.dumps((function, args, count), protocol=pickle.HIGHEST_PROTOCOL) for args in calls[1:]]
-    except Exception:  # a ctypes pointer raises ValueError, a lambda PicklingError
-        return None
-    try:
-        for helper in range(len(calls) - 1):
-            proc = _helpers.get(helper)
-            if proc is None:
-                proc = _helpers[helper] = subprocess.Popen(
-                    [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    start_new_session=True)
-                _owner = os.getpid()
-                proc.stdin.write(pickle.dumps(sys.path))
-            _write(proc.stdin, requests.pop(0))  # not held while the calls run
-    except OSError:
-        _lose()
-        return None
-    try:
+    with _scipy_threads(1):
+        if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
+            return None
         try:
-            results = [function(*calls[0])]
-        except Exception:
-            results = None  # the replies are read all the same
-        replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls) - 1)]
-    except (EOFError, OSError, pickle.UnpicklingError):
-        _lose()
-        return None
-    except BaseException:
-        _close(kill=True)
-        raise
+            requests = [pickle.dumps((function, args), protocol=pickle.HIGHEST_PROTOCOL) for args in calls[1:]]
+        except Exception:  # a ctypes pointer raises ValueError, a lambda PicklingError
+            return None
+        try:
+            for helper in range(len(calls) - 1):
+                proc = _helpers.get(helper)
+                if proc is None:
+                    proc = _helpers[helper] = subprocess.Popen(
+                        [sys.executable, "-c", _BOOTSTRAP], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                        start_new_session=True)
+                    _owner = os.getpid()
+                    proc.stdin.write(pickle.dumps(sys.path))
+                _write(proc.stdin, requests.pop(0))  # not held while the calls run
+        except OSError:
+            _lose()
+            return None
+        try:
+            try:
+                results = [function(*calls[0])]
+            except Exception:
+                results = None  # the replies are read all the same
+            replies = [pickle.loads(_read(_helpers[helper].stdout)) for helper in range(len(calls) - 1)]
+        except (EOFError, OSError, pickle.UnpicklingError):
+            _lose()
+            return None
+        except BaseException:
+            _close(kill=True)
+            raise
     if results is None or not all(ok for ok, _ in replies):
         return None
     return results + [result for _, result in replies]
@@ -163,20 +164,20 @@ atexit.register(_close)
 
 def _serve(requests, replies) -> None:
     """A helper's loop: answer each request read from ``requests`` on
-    ``replies``, at the thread count the request carries, until the
-    requests end."""
-    while True:
-        try:
-            payload = _read(requests)
-        except EOFError:
-            return
-        try:
-            function, args, count = pickle.loads(payload)
-            with _scipy_threads(count):
+    ``replies``, with scipy's OpenBLAS on one thread, until the requests
+    end."""
+    with _scipy_threads(1):
+        while True:
+            try:
+                payload = _read(requests)
+            except EOFError:
+                return
+            try:
+                function, args = pickle.loads(payload)
                 reply = pickle.dumps((True, function(*args)), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            reply = pickle.dumps((False, None))
-        try:
-            _write(replies, reply)
-        except OSError:
-            return
+            except Exception:
+                reply = pickle.dumps((False, None))
+            try:
+                _write(replies, reply)
+            except OSError:
+                return

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import _config_array, _config_fields, _config_instance, _config_int, _config_real
+from .config import _config_array, _config_fields, _config_flag, _config_instance, _config_int, _config_real
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import FeatureGaussian, Gaussian, KernelInstance, KernelStructure
 from .predictor import PredictorModel, run_model
@@ -82,6 +82,7 @@ DEFAULT_NOISE_STD = {"A": 0.05, "B": 0.02, "H": 0.0}
 DEFAULT_N_TRAIN = {"A": 200, "B": 200, "H": 201}
 DEFAULT_N_VALID = {"A": 200, "B": 200, "H": 1001}
 FULL_SCALE_N_VALID = {"A": 200, "B": 200, "H": 5001}
+FULL_SCALE_OPTIMIZER = OptimizerConfig(restarts=6, max_evals=900)
 HH_SAMPLE_PERIOD = 0.1
 HH_SAMPLE_OFFSET = 49.9
 DEFAULT_HH_DT = 1e-3
@@ -435,10 +436,8 @@ def fit_method(data: RegressionData, method: MethodSpec) -> tuple:
     :mod:`stable_sysid.selection`); the results are those of fresh data.
 
     The final solve, :func:`~stable_sysid.solver.solve_constrained`, runs
-    here under its search's thread rule (see :mod:`stable_sysid.selection`).
-    An EB fit's solve must not run on one thread: the thread count sets the
-    bits of its ``dsyevd`` and ``dpotrf`` from about N = 128 up, and moves
-    H rows by up to 8.2% (ROADMAP D17).
+    here under its search's thread rule (see the notes of
+    :mod:`stable_sysid.selection`).
     """
     selection = method.selection
     sel = select_hyperparameters(selection, data, method.structure)
@@ -498,19 +497,10 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     EB searches with identical inputs, such as Ha's and Hb's, factor each
     Gram once (see :func:`fit_method`).  With more than 8 groups in flight a
     pair can be evicted and drawn again, with the same bits; none outlives
-    the call.  Rows come in
-    cell order whatever ``n_jobs``.  The searches of different groups do not
-    overlap: each holds the package's scipy lock for its whole length, EB's
-    included, and so does a group's final solve (see :func:`fit_method`);
-    their LAPACK calls hold the GIL anyway.
-    Threads overlap only the work outside the lock: data generation and the
-    predictions, so ``n_jobs=2`` is about as fast as ``n_jobs=1`` (ROADMAP
-    D5).  Where the affinity set has two CPUs or more, a GCV search with more than one restart (A
-    and B's methods) deals its restarts over this process and helper
-    processes, whatever ``n_jobs``, by the rule of
-    :mod:`stable_sysid.selection` (on two CPUs, three restarts run in three
-    processes); EB searches (H's methods) run in this process and start no
-    helper.  The rows are the same either way, bit for bit.
+    the call.  Rows come in cell order whatever ``n_jobs``.  How the
+    groups' searches and final solves share the package's scipy lock, and
+    how a GCV search deals its restarts over helper processes, is in the
+    notes of :mod:`stable_sysid.selection`.
     """
     _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:
@@ -568,7 +558,7 @@ def summarize(rows) -> list:
     return out
 
 
-def benchmark_selection_config(full_scale: bool = False, method: str = "gcv") -> SelectionConfig:
+def benchmark_selection_config(method: str = "gcv") -> SelectionConfig:
     """Selection settings used by the benchmark harness.
 
     For A and B the default is GCV charged at the effective regularizer: it
@@ -577,17 +567,13 @@ def benchmark_selection_config(full_scale: bool = False, method: str = "gcv") ->
     over-regularized corners.  For H the method set overrides this with the
     plain marginal-likelihood cost (see :func:`standard_methods`).  Desk
     scale trades optimizer budget for runtime; full scale restores a wider
-    search.
+    search (:data:`FULL_SCALE_OPTIMIZER`).
     """
-    if full_scale:
-        optimizer = OptimizerConfig(restarts=6, max_evals=900)
-    else:
-        optimizer = OptimizerConfig(restarts=3, max_evals=360)
     return SelectionConfig(
         method=method,
         iota=1e-10,
         cap_aware_cost=method != "eb",
-        optimizer=optimizer,
+        optimizer=OptimizerConfig(restarts=3, max_evals=360),
         seed=0,
     )
 
@@ -682,6 +668,7 @@ def write_results_csv(rows, path, record_timing: bool = False) -> None:
     """Dump result rows; timings are zeroed unless ``record_timing`` so that
     re-runs with identical seeds produce byte-identical files."""
     rows = [_config_instance(row, ResultRow, "result row") for row in rows]
+    _config_flag(record_timing, "record_timing")
     _write_csv(path, RESULTS_HEADER, (
         [row.run, row.system, row.method, _fmt(row.q_pre), _fmt(row.q_sim),
          str(bool(row.feasible)).lower(), _fmt(row.fit_seconds if record_timing else 0.0)]

@@ -251,10 +251,9 @@ def cmd_benchmark(args) -> int:
     full = bool(args.full_scale)
     spec = _system_spec(cfg, args, "benchmark config", full_scale=full)
     runs = cfg.get("runs", 501 if full else 20) if args.runs is None else args.runs
-    full_optimizer = benchmarks.benchmark_selection_config(full_scale=True).optimizer
 
     def configured(method):
-        selection = replace(method.selection, optimizer=full_optimizer) if full else method.selection
+        selection = replace(method.selection, optimizer=benchmarks.FULL_SCALE_OPTIMIZER) if full else method.selection
         return replace(method, selection=_parse_selection_block(cfg.get("selection", {}), selection))
 
     available = {m.name: configured(m) for m in benchmarks.standard_methods(spec.variant)}

@@ -90,10 +90,10 @@ meanwhile.  On two CPUs, 3 restarts run in three processes, one each, 2, 6
 and 8 in two, and 5 in three (2, 2 and 1).  The runs merge in start order
 and the factorization counts add up.  Every process builds the objective
 alike (:class:`_Objective`) from the same data, its pair terms included,
-and each helper runs its part at the count this process has when the
-search sends it: scipy's one thread.  Each restart is independent and
-seeded, so the result, the restart record and the factorization count are
-those of the one-process search bit for bit.  The helpers then stay up for
+and runs its part with scipy's OpenBLAS on one thread (a helper does so for
+its whole life).  Each restart is independent and seeded, so the result,
+the restart record and the factorization count are those of the
+one-process search bit for bit.  The helpers then stay up for
 the next search.  Where ``spread`` gives no results (a part raised, or a
 helper could not run its part), the whole search runs once in this process,
 with the same result or the first error.  EB searches stay in one process:

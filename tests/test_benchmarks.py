@@ -836,6 +836,14 @@ class TestCsvRoundTrips:
         with pytest.raises(InputError):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("content,message", [(b"t,u,y\n1,0.5\n", "malformed row"), (b"t,u,y\n", "has no rows")],
+                             ids=["short-row", "header-only"])
+    def test_short_rows_and_header_only_datasets_rejected(self, tmp_path, content, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match=message):
+            read_dataset_csv(path)
+
     def test_header_only_results_read_as_empty(self, tmp_path):
         path = tmp_path / "results.csv"
         write_results_csv([], path)

@@ -394,7 +394,7 @@ class TestBenchmark:
         selections = self._selections(workdir, monkeypatch, {"system": "A"}, "--full-scale")
         for sel in selections.values():
             assert (sel.method, sel.cap_aware_cost) == ("gcv", True)
-            assert sel.optimizer == benchmarks.benchmark_selection_config(full_scale=True).optimizer
+            assert sel.optimizer == benchmarks.FULL_SCALE_OPTIMIZER
 
     def test_override_keeps_ab_preset(self, workdir, monkeypatch):
         for system in ("A", "B"):

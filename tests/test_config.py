@@ -50,9 +50,13 @@ from stable_sysid.kernels import (
     SumKernel,
     gaussian_delta_boundary,
     gram_matrix,
+    kernel_from_config,
     metric_pairs,
+    structure_from_config,
 )
-from stable_sysid.predictor import PredictorModel, metrics, one_step_predict, run_model, save_model, simulate
+from stable_sysid.predictor import (
+    PredictorModel, metrics, model_from_dict, one_step_predict, run_model, save_model, simulate,
+)
 from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_cost, gcv_cost, select_hyperparameters
 from stable_sysid.solver import (
     FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn, solve_constrained,
@@ -226,6 +230,33 @@ ARGUMENTS = {
     "write_dataset_csv-dataset-string": lambda: write_dataset_csv("ds", os.devnull),
     "write_results_csv-rows-strings": lambda: write_results_csv(["row"], os.devnull),
     "standard_methods-selection-string": lambda: standard_methods("B", selection="x"),
+    # a flag is read by the flag rule: "no" is not false
+    "write_results_csv-record_timing-string": lambda: write_results_csv([], os.devnull, record_timing="no"),
+    # values and shapes that the types themselves rule out
+    "SyntheticSystemSpec-noise_std-negative": lambda: SyntheticSystemSpec("B", noise_std=-1),
+    "Dataset-lengths-unequal": lambda: Dataset(np.ones(3), np.ones(4)),
+    "simulate_system_a-u-too-short": lambda: simulate_system_a(np.ones(3), 0.0, 0.0, 10),
+    "MonteCarloConfig-systems-empty": lambda: replace(MC, systems=()),
+    "standard_methods-variant-unknown": lambda: standard_methods("Q"),
+    "SumKernel-children-empty": lambda: SumKernel(()),
+    "gram_matrix-points-empty": lambda: gram_matrix(KERNEL, np.zeros((0, 5))),
+    "structure_from_config-string": lambda: structure_from_config("gaussian"),
+    "kernel_from_config-eta-missing": lambda: kernel_from_config({"structure": "gaussian", "input_dim": 5}),
+    "PredictorModel-kernel-input_dim": lambda: replace(MODEL, kernel=KernelInstance(Gaussian(), GAUSS_ETA, 7)),
+    "PredictorModel-centers-columns": lambda: replace(MODEL, centers=ROWS[:, :3]),
+    "PredictorModel-coefficients-count": lambda: replace(MODEL, coefficients=np.full(3, 0.01)),
+    "simulate-u-no-longer-than-m": lambda: simulate(MODEL, U[:2], Y[:2]),
+    "model_from_dict-coefficients-missing": lambda: model_from_dict(
+        {"model_order": 2, "kernel": {}, "stability_target": {}, "centers": []}),
+    "RegressionData-regressors-columns": lambda: RegressionData(ROWS[:, :3], ROWS[:, 0], 2),
+    "RegressionData-targets-count": lambda: RegressionData(ROWS, ROWS[:3, 0], 2),
+    "FitProblem-kernel-input_dim": lambda: FitProblem(DATA, KernelInstance(Gaussian(), GAUSS_ETA, 7), 1.0),
+    "gamma_fn-K-not-square": lambda: gamma_fn(np.ones((3, 2)), np.ones(3), 2, 0.5, 0.1),
+    "gamma_fn-y-length": lambda: gamma_fn(np.eye(3), np.ones(2), 2, 0.5, 0.1),
+    "StabilityTarget-kind-unknown": lambda: StabilityTarget("stable"),
+    "StabilityTarget.from_config-string": lambda: StabilityTarget.from_config("iss"),
+    "StabilityTarget.from_config-rho-missing": lambda: StabilityTarget.from_config({"kind": "dviable"}),
+    "numeric_falsifier-radius-negative": lambda: numeric_falsifier(KERNEL, StabilityTarget.diss(), radius=-1),
 }
 # the argument each object row names in its message
 OBJECT_ARGUMENTS = {

@@ -5,8 +5,9 @@ factorization count are those of the one-process search bit for bit, and it
 leaves no entry in the EB search's memo of spectra (see that module's
 notes); EB, k-fold and one-restart searches, and any search on one CPU,
 start no helper, and helpers that are lost, forked away from or
-closed leave no process and no difference behind.  A helper runs its part at
-the scipy OpenBLAS thread count its request carries.  A fit's final solve
+closed leave no process and no difference behind.  A spread runs every part,
+its own and each helper's, with scipy's OpenBLAS on one thread under the
+package's lock.  A fit's final solve
 runs in this process under its search's thread rule (see the notes of
 :mod:`stable_sysid.selection`), so no fit sends it to a helper and the core
 count sets no bit of a GCV fit.  numpy's OpenBLAS thread count sets no bit,
@@ -380,13 +381,13 @@ def test_a_restart_that_raises_here_raises_as_in_one_process(monkeypatch):
 
 
 def framed(function, args):
-    """A request as the caller sends it, at this process's thread count."""
-    return pickle.dumps((function, args, _lapack._get_threads()))
+    """A request as the caller sends it."""
+    return pickle.dumps((function, args))
 
 
 def test_the_serving_loop_answers_until_its_requests_end():
     requests, replies = io.BytesIO(), io.BytesIO()
-    for payload in (framed(abs, (-5,)), framed(int, ("x",)), pickle.dumps((abs, (-5,))), b"not a pickle"):
+    for payload in (framed(abs, (-5,)), framed(int, ("x",)), pickle.dumps((abs, (-5,), 1)), b"not a pickle"):
         _worker._write(requests, payload)
     requests.seek(0)
     _worker._serve(requests, replies)
@@ -394,20 +395,24 @@ def test_the_serving_loop_answers_until_its_requests_end():
     answers = []
     while replies.tell() < len(replies.getvalue()):
         answers.append(pickle.loads(_worker._read(replies)))
-    # a request without a thread count is not run
+    # a request of three fields is not run
     assert answers == [(True, 5), (False, None), (False, None), (False, None)]
 
 
-@pytest.mark.parametrize("count", [None, 1], ids=["default", "scipy-pinned"])
-def test_a_helper_runs_its_part_at_the_callers_thread_count(count):
+def test_every_part_of_a_spread_runs_on_one_thread_under_the_lock():
+    # whatever the caller holds; the caller's count is back afterwards
     if _lapack._get_threads is None:
         pytest.skip("scipy's BLAS exports no scipy-OpenBLAS thread setter")
     two_helpers()
     # the ctypes getter does not pickle; eval does, by reference
-    helper_count = ("__import__('stable_sysid')._lapack._get_threads()",)
+    state = ("(__import__('stable_sysid')._lapack._get_threads(), "
+             "__import__('stable_sysid')._lapack._LOCK._is_owned())",)
     default = _lapack._get_threads()
-    with _lapack._scipy_threads(count):
-        assert _worker.spread(eval, [helper_count] * 3) == [count or default] * 3
+    assert _worker.spread(eval, [state] * 3) == [(1, True)] * 3
+    assert _lapack._get_threads() == default
+    with _lapack._scipy_threads(1):
+        assert _worker.spread(eval, [state] * 3) == [(1, True)] * 3
+    assert _lapack._get_threads() == default
 
 
 def test_a_call_that_raises_in_the_worker_keeps_the_worker():

@@ -25,7 +25,12 @@ round, wrapping each name where the package looks it up (``solver.dsyevd``,
 ``solver.dsytrd``, ``solver.dpotrf``, ``selection.dtrtri``), and fails if a
 routine the workload calls was never counted.  That round keeps every
 search in the probe's process, since a wrapper cannot count the calls of
-the search's helper processes.  The probe then runs two rounds with the helpers as a run uses them (mc-h's
+the search's helper processes.  It also records each fit (``fits``), by
+wrapping ``benchmarks.fit_method`` where ``_run_cell`` looks it up: the
+cell's method, the selected ``beta`` and cost, ``mu``, and ``mu - chi``
+for a constrained fit (None otherwise); ``change_over_parent``'s
+``fits_equal`` is whether every recorded value has the same bits in the
+two checkouts.  The probe then runs two rounds with the helpers as a run uses them (mc-h's
 searches start none) and records the CPU time that the probe interpreter's
 threads other than the main one (the OpenBLAS pools' workers) used over the
 second (``thread_cpu_s``, read from ``/proc/self/task``; None where that
@@ -103,7 +108,7 @@ def probe(root: Path, workload: str, seed: int) -> dict:
     """One round with ``eigh``, ``dsytrd``, ``dpotrf`` and ``dtrtri`` counted,
     two rounds with the helpers on, then the timed thread-pool round."""
     sys.path[:0] = [str(root / "src"), str(root)]
-    from stable_sysid import _worker, selection, solver
+    from stable_sysid import _worker, benchmarks, selection, solver
     from perfbench import bench
 
     # each name is wrapped where the package looks it up at call time
@@ -117,16 +122,28 @@ def probe(root: Path, workload: str, seed: int) -> dict:
             return real(*args, **kwargs)
         return call
 
+    fits, fit_method = [], benchmarks.fit_method
+
+    def recording(data, method):
+        fit = fit_method(data, method)
+        _, report, sel = fit
+        target, chi = method.selection.target, method.selection.chi
+        fits.append({"method": method.name, "beta": sel.beta, "cost": sel.cost, "mu": report.mu,
+                     "mu_minus_chi": report.mu - chi if target.constrained else None})
+        return fit
+
     configs = bench.workload_configs(workload, seed)
     real = {name: getattr(owner, attribute) for name, (owner, attribute) in sites.items()}
     for name, (owner, attribute) in sites.items():
         setattr(owner, attribute, counting(name, real[name]))
+    benchmarks.fit_method = recording
     _worker._ENABLED = False
     try:
         round_ = bench.run_round(configs)
     finally:
         for name, (owner, attribute) in sites.items():
             setattr(owner, attribute, real[name])
+        benchmarks.fit_method = fit_method
         _worker._ENABLED = True
     uncounted = [name for name in CALLED[workload] if calls[name] == 0]
     if uncounted:
@@ -143,6 +160,7 @@ def probe(root: Path, workload: str, seed: int) -> dict:
     pooled = bench.jobs_counterpart(workload, configs)
     return {
         **counted,
+        "fits": fits,
         "round_s": round_.wall_s,
         "thread_cpu_s": None if before is None else after - before,
         "threadpool_round_s": None if pooled is None else pooled.wall_s,
@@ -191,6 +209,13 @@ def run_probe(root: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def same_bits(fits: list, others: list) -> bool:
+    """Whether two probes recorded the same fits, every float bit for bit."""
+    def bits(fit):
+        return {key: value.hex() if isinstance(value, float) else value for key, value in fit.items()}
+    return [bits(fit) for fit in fits] == [bits(fit) for fit in others]
+
+
 def side_summary(runs: list, probed: dict) -> dict:
     names = runs[0]["metrics"]
     return {
@@ -234,6 +259,7 @@ def main(argv=None) -> int:
         }
         summary["change_over_parent"]["cpu_s_per_cell"] = (
             summary["change"]["cpu_s_per_cell_median"] / summary["parent"]["cpu_s_per_cell_median"])
+        summary["change_over_parent"]["fits_equal"] = same_bits(summary["parent"]["fits"], summary["change"]["fits"])
         report["workloads"][workload] = summary
     report["machine"]["search_workers"] = {
         side: max(summary[side]["search_workers"] for summary in report["workloads"].values()) for side in sides
