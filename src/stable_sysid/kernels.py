@@ -332,21 +332,27 @@ class KernelStructure:
     ``validate_eta`` (every entry a real ``>= 0``, returned as floats) and
     the ``exp(u)`` unconstrained map derive (the composite structures take
     these from ``_Composite``'s layout), and implements one evaluation
-    path, ``from_terms``; the generic ``diag_values`` and the module's row-pair
-    functions evaluate it on row-paired terms.  It is also the one
-    place that knows its stability rules.  A structure implements the rules
-    it supports; the base defaults raise :class:`UnsupportedTargetError`
-    naming the structure, except where a default is given:
+    path, ``from_terms(eta, terms)``: the matrix ``k_eta(terms.A[i],
+    terms.B[j])``, or the vector ``k_eta(terms.A[i], terms.B[i])`` for row
+    terms, as a fresh array that the caller may modify; the cached terms
+    themselves are never returned or written.  The generic ``diag_values``
+    and the module's row-pair functions evaluate it on row-paired terms.
+    It is also the one place that knows its stability rules.
+
+    The set of structures is closed, as :func:`structure_to_config`
+    enforces: the classes of ``_STRUCTURES``, each of which implements
+    ``from_terms`` and the rules marked "no default" below.  The other base
+    rules raise :class:`UnsupportedTargetError` naming the structure,
+    except where a default value is given:
 
     * ``theta_member(eta, rho)``, ``delta_member(eta, rho)``: closed-form
       membership of a validated float ``eta`` in the growth / incremental
-      viability set at a checked ``rho`` ("no growth / incremental
-      viability rule").
+      viability set at a checked ``rho`` ("no default").
     * ``theta_claim(eta)``, ``delta_claim(eta)``: the ``(nu, s)`` the proofs
       exhibit for an accepted ``eta``, which the falsifier checks ("no
       claimed growth / incremental condition parameters").
     * ``unconstrained_parameterization()`` (default: ``exp(u)`` per entry),
-      ``theta_parameterization(rho)`` ("no growth parameterization"),
+      ``theta_parameterization(rho)`` ("no default"),
       ``delta_parameterization(rho)`` ("no incremental viability rule is
       available") and, for the stationary right factor of a product,
       ``peak_le_one_parameterization()`` ("no unit-peak parameterization").
@@ -375,16 +381,6 @@ class KernelStructure:
                 raise InputError(f"hyperparameter {name} must be >= 0, got {value!r}")
         return parsed
 
-    def from_terms(self, eta: tuple, terms: PairTerms) -> np.ndarray:
-        """Matrix with entries k_eta(terms.A[i], terms.B[j]), or the vector
-        k_eta(terms.A[i], terms.B[i]) for row terms: the one place the
-        structure's value is written.
-
-        The result is a fresh array that the caller may modify; the
-        cached terms themselves are never returned or written.
-        """
-        raise NotImplementedError
-
     def diag_values(self, eta: tuple, A: np.ndarray) -> np.ndarray:
         """k_eta(A[i], A[i]) for each row i."""
         return self.from_terms(eta, _RowTerms(A, A))
@@ -398,12 +394,6 @@ class KernelStructure:
         """Hook for structures that constrain the ambient dimension."""
 
     # stability rules ---------------------------------------------------------
-    def theta_member(self, eta: tuple, rho: float) -> bool:
-        raise UnsupportedTargetError(f"no growth viability rule for structure {self.name!r}")
-
-    def delta_member(self, eta: tuple, rho: float) -> bool:
-        raise UnsupportedTargetError(f"no incremental viability rule for structure {self.name!r}")
-
     def theta_claim(self, eta: tuple) -> tuple:
         raise UnsupportedTargetError(f"no claimed growth condition parameters for {self.name!r}")
 
@@ -413,9 +403,6 @@ class KernelStructure:
     def unconstrained_parameterization(self) -> FeasibleParameterization:
         n = self.arity
         return FeasibleParameterization(n, lambda u: tuple(_pos(u[i]) for i in range(n)))
-
-    def theta_parameterization(self, rho: float) -> FeasibleParameterization:
-        raise UnsupportedTargetError(f"no growth parameterization for structure {self.name!r}")
 
     def delta_parameterization(self, rho: float) -> FeasibleParameterization:
         raise UnsupportedTargetError(f"no incremental viability rule is available for {self.name!r}")

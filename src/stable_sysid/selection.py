@@ -361,8 +361,6 @@ def _invert_parameterization(param: FeasibleParameterization, eta_star: tuple) -
 
     def mismatch(u):
         eta = np.asarray(param.to_eta(u), dtype=float)
-        if eta.shape != target.shape:
-            return _BAD_COST
         return float(np.sum((np.log(eta + 1e-12) - np.log(target + 1e-12)) ** 2))
 
     x, _, _, _ = _nelder_mead(
@@ -547,8 +545,9 @@ def _decode(x, iota, param: FeasibleParameterization):
 
 class _Objective:
     """The cost of one search at its coordinates, ``_BAD_COST`` where the
-    cost fails or is not finite; the main process and the helpers build it
-    alike.  ``factorizations`` counts as :class:`SelectionResult` does."""
+    feasible map fails there, or the cost fails or is not finite; the main
+    process and the helpers build it alike.  ``factorizations`` counts as
+    :class:`SelectionResult` does."""
 
     def __init__(self, config: SelectionConfig, data: RegressionData, structure: KernelStructure):
         self.config, self.data, self.structure = config, data, structure
@@ -596,7 +595,15 @@ class _Objective:
 
     def __call__(self, x) -> float:
         try:
-            value = self.cost(*_decode(x, self.config.iota, self.param))
+            beta, eta = _decode(x, self.config.iota, self.param)
+            # past its edge (ROADMAP D7) a map can divide by an underflowed 0,
+            # or its image can leave the structure's domain: an entry that
+            # overflowed, or a weight that underflowed to 0
+            eta = self.structure.validate_eta(eta)
+        except (InputError, ZeroDivisionError):
+            return _BAD_COST
+        try:
+            value = self.cost(beta, eta)
         except (NumericError, OverflowError, FloatingPointError):
             return _BAD_COST
         return value if math.isfinite(value) else _BAD_COST

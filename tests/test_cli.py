@@ -18,6 +18,7 @@ from stable_sysid.cli import (
     EXIT_OK,
     main,
 )
+from stable_sysid import errors
 from stable_sysid.errors import InputError, NumericError
 from stable_sysid.kernels import Gaussian
 from stable_sysid.predictor import load_model
@@ -167,6 +168,20 @@ class TestFit:
         assert report["feasible"] is True
         assert (workdir / "model.json").exists()
 
+    def test_report_carries_the_search_trace(self, workdir):
+        train, _ = generate_b(workdir)
+        cfg = self._fit_config(workdir, train, {"kind": "diss"})
+        assert run(["fit", "--config", cfg]) == EXIT_OK
+        first = (workdir / "fit_report.json").read_bytes()
+        report = json.loads(first)
+        assert len(report["restarts"]) == 2 and report["factorizations"] > 0
+        assert sum(spent for spent, _, _ in report["restarts"]) == report["evaluations"]
+        assert min(cost for _, cost, _ in report["restarts"]) == report["cost"]
+        assert {stop for _, _, stop in report["restarts"]} <= {"tolerance", "maxfev"}
+        # no timing: a re-run writes the same bytes
+        assert run(["fit", "--config", cfg]) == EXIT_OK
+        assert (workdir / "fit_report.json").read_bytes() == first
+
     def test_model_file_round_trips(self, workdir):
         from stable_sysid import load_model
 
@@ -206,6 +221,7 @@ class TestFit:
         model, report, sel = benchmarks.fit_method(data, method)
         written = json.loads((workdir / "fit_report.json").read_text())
         assert (written["beta"], tuple(written["eta"]), written["mu"]) == (sel.beta, sel.eta, report.mu)
+        assert (written["factorizations"], written["restarts"]) == (sel.factorizations, [list(r) for r in sel.restarts])
         assert np.array_equal(load_model(workdir / "model.json").coefficients, model.coefficients)
 
 
@@ -920,3 +936,34 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("input error: methods must") and f"got {named}" in err
         assert not out.exists()
+
+
+# the exit code and stderr prefix of each error class of the package; a new
+# class fails test_every_error_class_has_an_exit_code until it is listed here
+EXITS = {
+    errors.InputError: (EXIT_INPUT, "input error: "),
+    errors.UnsupportedTargetError: (EXIT_INPUT, "input error: "),
+    errors.InfeasibleTargetError: (EXIT_INFEASIBLE, "infeasible stability target: "),
+    errors.NumericError: (EXIT_NUMERIC, "numeric failure: "),
+    errors.DivergenceError: (EXIT_DIVERGED, "divergence: "),
+}
+
+
+def _error_classes(cls=errors.StableSysidError):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("stable_sysid."):
+            yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_every_error_class_has_an_exit_code(cls, workdir, capsys, monkeypatch):
+    assert cls in EXITS, f"{cls.__name__} has no exit code"
+    code, prefix = EXITS[cls]
+
+    def failing(args):
+        raise cls("boom", 3) if issubclass(cls, errors.DivergenceError) else cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_generate", failing)
+    assert run(["generate", "--config", workdir / "gen.json"]) == code
+    assert capsys.readouterr().err == f"{prefix}boom\n"

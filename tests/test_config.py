@@ -43,16 +43,20 @@ from stable_sysid.benchmarks import (
 )
 from stable_sysid.errors import InputError
 from stable_sysid.kernels import (
+    FeatureGaussian,
     Gaussian,
     KernelInstance,
     LinearAffine,
+    Polynomial,
     ProductWithStationary,
     SumKernel,
     gaussian_delta_boundary,
     gram_matrix,
     kernel_from_config,
+    lag_weight_sum,
     metric_pairs,
     structure_from_config,
+    structure_to_config,
 )
 from stable_sysid.predictor import (
     PredictorModel, metrics, model_from_dict, one_step_predict, run_model, save_model, simulate,
@@ -61,7 +65,9 @@ from stable_sysid.selection import OptimizerConfig, SelectionConfig, _kfold, eb_
 from stable_sysid.solver import (
     FitProblem, RegressionData, build_regression_data, find_alpha_bar, gamma_fn, solve_constrained,
 )
-from stable_sysid.viability import StabilityTarget, feasible_parameterization, membership, numeric_falsifier
+from stable_sysid.viability import (
+    StabilityTarget, ViabilityWitness, feasible_parameterization, membership, numeric_falsifier,
+)
 
 GAUSS_ETA = (0.5, 1.0, 0.1)
 DATA = build_regression_data(np.sin(np.arange(30.0)), np.cos(np.arange(30.0)), 2)
@@ -71,6 +77,10 @@ SPEC = SyntheticSystemSpec("B", n_train=20, n_valid=20)
 METHOD = MethodSpec("Bb", Gaussian(), SelectionConfig(target=StabilityTarget.diss()))
 MC = MonteCarloConfig(runs=1, systems=(SPEC,), methods=(METHOD,))
 PROBLEM = FitProblem(DATA, KERNEL, beta=1e-3)
+
+
+class OutsideStructures(Gaussian):
+    """A structure outside the closed set that ``structure_to_config`` serializes."""
 
 # (what, kind, build from one value): every count, real and flag field of
 # the config classes, and every public beta
@@ -257,6 +267,14 @@ ARGUMENTS = {
     "StabilityTarget.from_config-string": lambda: StabilityTarget.from_config("iss"),
     "StabilityTarget.from_config-rho-missing": lambda: StabilityTarget.from_config({"kind": "dviable"}),
     "numeric_falsifier-radius-negative": lambda: numeric_falsifier(KERNEL, StabilityTarget.diss(), radius=-1),
+    # rules that no structure's own method reaches: a peak, or a claim, the structure does not have
+    "LinearAffine.stationary_peak-not-stationary": lambda: LinearAffine().stationary_peak((1.0, 0.0)),
+    "Polynomial.theta_claim-no-claim": lambda: Polynomial().theta_claim(()),
+    "FeatureGaussian.delta_claim-no-claim": lambda: FeatureGaussian().delta_claim(GAUSS_ETA),
+    "lag_weight_sum-xi-negative": lambda: lag_weight_sum(-1.0, 1, 2),
+    "structure_to_config-outside-the-set": lambda: structure_to_config(OutsideStructures()),
+    "ViabilityWitness-margin-zero": lambda: ViabilityWitness((P[0],), "theta_contractive", 0.0),
+    "SelectionConfig-iota-beyond-the-float-range": lambda: SelectionConfig(iota=10**400),
 }
 # the argument each object row names in its message
 OBJECT_ARGUMENTS = {

@@ -330,6 +330,19 @@ class TestFalsifier:
         gap = witness.points[0] - (witness.points[1] if kind == "delta" else 0.0)
         assert float(gap @ gap) < claim[0]
 
+    def test_a_batch_with_no_pair_inside_the_ball_is_skipped(self, monkeypatch):
+        # one sample is one perturbation pair, and at seed 148 its second
+        # point lies outside the ball, so no pair is checked, even for a
+        # kernel that is not a member
+        from stable_sysid import viability
+
+        def unreached(*args):
+            raise AssertionError("a pair outside the ball was checked")
+
+        monkeypatch.setattr(viability, "metric_pairs", unreached)
+        k = KernelInstance(Gaussian(), (3.0, 1.0, 0.0), 5)
+        assert numeric_falsifier(k, StabilityTarget.diss(), sample_count=1, seed=148) is None
+
     def test_integral_and_numpy_arguments_accepted(self):
         k = KernelInstance(Gaussian(), (2.0, 1.0, 0.0), 5)
         w1 = numeric_falsifier(k, StabilityTarget.diss(), sample_count=5000.0, radius=np.float32(50), seed=np.int64(9))

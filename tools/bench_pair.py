@@ -27,10 +27,14 @@ routine the workload calls was never counted.  That round keeps every
 search in the probe's process, since a wrapper cannot count the calls of
 the search's helper processes.  It also records each fit (``fits``), by
 wrapping ``benchmarks.fit_method`` where ``_run_cell`` looks it up: the
-cell's method, the selected ``beta`` and cost, ``mu``, and ``mu - chi``
-for a constrained fit (None otherwise); ``change_over_parent``'s
-``fits_equal`` is whether every recorded value has the same bits in the
-two checkouts.  The probe then runs two rounds with the helpers as a run uses them (mc-h's
+cell's method, the selected ``beta`` and cost, ``mu``, ``mu - chi`` for a
+constrained fit (None otherwise), the search's restart spread (its largest
+restart cost less its smallest) and each restart's stop reason
+(``tolerance`` or ``maxfev``).  ``change_over_parent``'s ``fits_equal`` is
+whether every recorded value has the same bits in the two checkouts, and
+its ``order_violations`` gives each side's count of fits whose search, over
+a subset of its system's ``<system>a`` search domain on the same data,
+selected a lower cost than that ``a`` fit (ROADMAP Direction 21).  The probe then runs two rounds with the helpers as a run uses them (mc-h's
 searches start none) and records the CPU time that the probe interpreter's
 threads other than the main one (the OpenBLAS pools' workers) used over the
 second (``thread_cpu_s``, read from ``/proc/self/task``; None where that
@@ -128,8 +132,11 @@ def probe(root: Path, workload: str, seed: int) -> dict:
         fit = fit_method(data, method)
         _, report, sel = fit
         target, chi = method.selection.target, method.selection.chi
+        restart_costs = [cost for _, cost, _ in sel.restarts]
         fits.append({"method": method.name, "beta": sel.beta, "cost": sel.cost, "mu": report.mu,
-                     "mu_minus_chi": report.mu - chi if target.constrained else None})
+                     "mu_minus_chi": report.mu - chi if target.constrained else None,
+                     "restart_spread": max(restart_costs) - min(restart_costs),
+                     "stops": [stop for _, _, stop in sel.restarts]})
         return fit
 
     configs = bench.workload_configs(workload, seed)
@@ -216,6 +223,20 @@ def same_bits(fits: list, others: list) -> bool:
     return [bits(fit) for fit in fits] == [bits(fit) for fit in others]
 
 
+def order_violations(fits: list) -> int:
+    """The fits that selected a lower cost than the ``<system>a`` fit before
+    them, whose search domain holds theirs (each round fits a system's
+    methods in turn, ``a`` first)."""
+    baseline, count = {}, 0
+    for fit in fits:
+        system, letter = fit["method"][:-1], fit["method"][-1]
+        if letter == "a":
+            baseline[system] = fit["cost"]
+        elif fit["cost"] < baseline[system]:
+            count += 1
+    return count
+
+
 def side_summary(runs: list, probed: dict) -> dict:
     names = runs[0]["metrics"]
     return {
@@ -260,6 +281,8 @@ def main(argv=None) -> int:
         summary["change_over_parent"]["cpu_s_per_cell"] = (
             summary["change"]["cpu_s_per_cell_median"] / summary["parent"]["cpu_s_per_cell_median"])
         summary["change_over_parent"]["fits_equal"] = same_bits(summary["parent"]["fits"], summary["change"]["fits"])
+        summary["change_over_parent"]["order_violations"] = {
+            side: order_violations(summary[side]["fits"]) for side in sides}
         report["workloads"][workload] = summary
     report["machine"]["search_workers"] = {
         side: max(summary[side]["search_workers"] for summary in report["workloads"].values()) for side in sides
