@@ -339,10 +339,11 @@ class KernelStructure:
     and the module's row-pair functions evaluate it on row-paired terms.
     It is also the one place that knows its stability rules.
 
-    The set of structures is closed, as :func:`structure_to_config`
-    enforces: the classes of ``_STRUCTURES``, each of which implements
-    ``from_terms`` and the rules marked "no default" below.  The other base
-    rules raise :class:`UnsupportedTargetError` naming the structure,
+    The structures are the classes of ``_STRUCTURES``; only serialization
+    (:func:`structure_to_config`) rejects a class outside them.  Each
+    implements ``from_terms`` and the rules marked "no default" below, and
+    a subclass must define them too: the base class has none.  The other
+    base rules raise :class:`UnsupportedTargetError` naming the structure,
     except where a default value is given:
 
     * ``theta_member(eta, rho)``, ``delta_member(eta, rho)``: closed-form

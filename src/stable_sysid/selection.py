@@ -595,16 +595,12 @@ class _Objective:
 
     def __call__(self, x) -> float:
         try:
-            beta, eta = _decode(x, self.config.iota, self.param)
+            value = self.cost(*_decode(x, self.config.iota, self.param))
+        except (NumericError, OverflowError, FloatingPointError, InputError, ZeroDivisionError):
             # past its edge (ROADMAP D7) a map can divide by an underflowed 0,
-            # or its image can leave the structure's domain: an entry that
-            # overflowed, or a weight that underflowed to 0
-            eta = self.structure.validate_eta(eta)
-        except (InputError, ZeroDivisionError):
-            return _BAD_COST
-        try:
-            value = self.cost(beta, eta)
-        except (NumericError, OverflowError, FloatingPointError):
+            # or its image can leave the structure's domain, which the cost's
+            # validation of eta rejects: an entry that overflowed, or a weight
+            # that underflowed to 0
             return _BAD_COST
         return value if math.isfinite(value) else _BAD_COST
 

@@ -926,6 +926,14 @@ class TestMapEdges:
         objective = _Objective(SelectionConfig(method=method), smooth_data(30), structure)
         assert objective(np.array([0.0, -800.0] + [0.0] * 7)) == _BAD_COST
 
+    @pytest.mark.parametrize("method", ["gcv", "eb", "kfold"])
+    def test_matern32_diss_map_overflow(self, method):
+        # the finite-rho map squares gamma = exp(400): the float power overflows
+        config = SelectionConfig(method=method, target=StabilityTarget.diss())
+        objective = _Objective(config, benchmark_data("B", 0), Matern32())
+        assert objective(np.array([0.0, 400.0, 0.0, 0.0])) == _BAD_COST
+        assert objective(np.zeros(4)) < _BAD_COST
+
 
 class TestNestedOrder:
     """A search may not select a higher cost than a search of the same cost,
