@@ -34,9 +34,9 @@ absent and nothing is pinned.  The thread count sets the bits of
 ``dpotrf`` from N = 128 up and of ``dsyevd`` from about N = 146 up; which
 calls run on one thread is the fit's thread rule, in the notes of
 :mod:`stable_sysid.selection`.  The count is process-wide, so the context
-also holds one process-wide lock, which every other scipy caller of the
-package takes at the caller's count: no call runs pinned because another
-thread is fitting.
+also holds one process-wide lock, ``_LOCK``, which every other scipy caller
+of the package holds by name at the caller's count: no call runs pinned
+because another thread is fitting.
 """
 
 from __future__ import annotations
@@ -139,12 +139,11 @@ _LOCK = threading.RLock()
 
 
 @contextmanager
-def _scipy_threads(count: int | None = None):
-    """Hold the package's scipy lock, with scipy's OpenBLAS on ``count``
-    threads (None keeps the caller's), and restore the caller's count on
-    exit, also when the body raises."""
+def _scipy_threads(count: int):
+    """Hold the package's scipy lock with scipy's OpenBLAS on ``count``
+    threads; the caller's count is back on exit, also where the body raises."""
     with _LOCK:
-        before = None if count is None or _set_threads is None else _get_threads()
+        before = None if _set_threads is None else _get_threads()
         if before is not None:
             _set_threads(count)
         try:

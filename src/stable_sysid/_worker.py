@@ -1,6 +1,5 @@
-"""Helper processes that run calls beside the main process; a GCV search
-sends them its restarts (the rule that deals the restarts is in
-:mod:`stable_sysid.selection`).
+"""Helper processes that run calls beside the main process: the restarts of
+a pinned search, dealt by the thread rule of :mod:`stable_sysid.selection`.
 
 A search spends its time in scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri``,
 which hold the GIL, and runs them with scipy's OpenBLAS on one thread

@@ -231,11 +231,11 @@ def hh_beta(V) -> np.ndarray:
 
 
 def _sized(make, n: int, what: str) -> np.ndarray:
-    """``make(n)`` for an array of ``n`` values; a count numpy refuses before
-    allocating, such as ``10**20``, raises :class:`InputError`."""
+    """``make(n)`` for an array of ``n`` values; a count numpy refuses, such
+    as ``10**20``, or cannot allocate raises :class:`InputError`."""
     try:
         return make(n)
-    except ValueError as exc:  # "Maximum allowed dimension exceeded" and kin
+    except (ValueError, MemoryError) as exc:  # "Maximum allowed dimension exceeded" and kin
         raise InputError(f"too many {what} for an array: {exc}") from exc
 
 
@@ -499,8 +499,8 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
     pair can be evicted and drawn again, with the same bits; none outlives
     the call.  Rows come in cell order whatever ``n_jobs``.  How the
     groups' searches and final solves share the package's scipy lock, and
-    how a GCV search deals its restarts over helper processes, is in the
-    notes of :mod:`stable_sysid.selection`.
+    how a search deals its restarts over helper processes, is the thread
+    rule in the notes of :mod:`stable_sysid.selection`.
     """
     _config_instance(config, MonteCarloConfig, "config")
     for method in config.methods:

@@ -66,41 +66,40 @@ the memo.
 
 The fit's thread rule (:func:`_fit_threads`): a fit's search, and then its
 final solve (:func:`stable_sysid.benchmarks.fit_method`), each hold the
-package's process-wide scipy lock (:func:`stable_sysid._lapack._scipy_threads`)
-for its whole length, so no two of them, such as the searches of the
-harness's groups, overlap.  A GCV or k-fold fit runs scipy's OpenBLAS on one
-thread, so a k-fold search's constrained folds (about 158 rows at the
-benchmark's N = 198) take their spectra on one thread, as its plain folds
-take their Cholesky factors, and the fit has the same bits on any core
-count.  An EB fit keeps the caller's count: the count sets the bits of a
-spectrum from about N = 146 up, and EB's spectra set the H rows (ROADMAP
-D17).  At N = 199 one thread is as fast as two (one ``dsyevd``: 3.73 ms
-against 3.83 ms), and a call on one thread wakes no OpenBLAS worker to spin
-after it (see :mod:`stable_sysid._lapack`).  Threads could not speed a
-search up: scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and
-two threads ran them at 0.64-0.92 times the serial speed (N = 199,
-2 vCPUs).  Other processes can.
-A GCV search (plain or cap-aware) of R restarts, on an affinity set of C
-CPUs, runs in ``P = 1`` process where ``C < 2``, else in
-``P = min(R, ceil(R / max(1, R // C)))`` (:func:`_processes`): the fewest
-in which none runs more than ``max(1, R // C)`` restarts.  Restart k runs
-in process ``k mod P``; process 0 is this one, and the others are helper
-processes (:func:`stable_sysid._worker.spread`), which run their restarts
-meanwhile.  On two CPUs, 3 restarts run in three processes, one each, 2, 6
-and 8 in two, and 5 in three (2, 2 and 1).  The runs merge in start order
-and the factorization counts add up.  Every process builds the objective
-alike (:class:`_Objective`) from the same data, its pair terms included,
-and runs its part with scipy's OpenBLAS on one thread (a helper does so for
-its whole life).  Each restart is independent and seeded, so the result,
-the restart record and the factorization count are those of the
-one-process search bit for bit.  The helpers then stay up for
-the next search.  Where ``spread`` gives no results (a part raised, or a
-helper could not run its part), the whole search runs once in this process,
-with the same result or the first error.  EB searches stay in one process:
-their spectra run at the caller's count, and a two-thread ``dsyevd`` ran
-three times slower beside one busy thread (150 calls at N = 199: 0.9 s
-alone, 3.0 s), and Hb's search replays Ha's memo.  k-fold and one-restart
-searches stay too.
+package's process-wide scipy lock (``stable_sysid._lapack._LOCK``) for its
+whole length, so no two of them, such as the searches of the harness's
+groups, overlap.  Every fit but EB's is pinned (:func:`_pinned`): it runs
+scipy's OpenBLAS on one thread (:func:`stable_sysid._lapack._scipy_threads`),
+so a k-fold search's constrained folds (about 158 rows at the benchmark's
+N = 198) take their spectra on one thread, as its plain folds take their
+Cholesky factors, and the fit has the same bits on any core count.  An EB
+fit keeps the caller's count: the count sets the bits of a spectrum from
+about N = 146 up, and EB's spectra set the H rows (ROADMAP D17).  At
+N = 199 one thread is as fast as two (one ``dsyevd``: 3.73 ms against
+3.83 ms), and a call on one thread wakes no OpenBLAS worker to spin after
+it (see :mod:`stable_sysid._lapack`).  Threads could not speed a search
+up: scipy's ``dpotrf``, ``dsytrd`` and ``dtrtri`` hold the GIL, and two
+threads ran them at 0.64-0.92 times the serial speed (N = 199, 2 vCPUs).
+Other processes can.  A pinned search (GCV or k-fold, plain or cap-aware)
+of R restarts, on an affinity set of C CPUs, runs in ``P = 1`` process
+where ``C < 2``, else in ``P = min(R, ceil(R / max(1, R // C)))``
+(:func:`_processes`): the fewest in which none runs more than
+``max(1, R // C)`` restarts.  Restart k runs in process ``k mod P``: 0 is
+this one, the others are helpers (:func:`stable_sysid._worker.spread`).  On
+two CPUs, 3 restarts run in three processes, one each (a cap-aware k-fold
+search on B's deltaISS set, 3 x 60 evaluations: 1.13 s, against 2.12 s in
+one), 2, 6 and 8 in two, and 5 in three (2, 2 and 1).  The runs
+merge in start order and the factorization counts add up.  Every process
+builds the objective alike (:class:`_Objective`) from the same data, its
+pair terms included, and each restart is independent and seeded, so the
+result, the restart record and the factorization count are those of the
+one-process search bit for bit.  The helpers then stay up for the next
+search.  Where ``spread`` gives no results (a part raised, or a helper
+could not run its part), the whole search runs once in this process, with
+the same result or the first error.  One-restart and EB searches stay in
+one process: EB's spectra run at the caller's count, a two-thread
+``dsyevd`` ran three times slower beside one busy thread (150 calls at
+N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's memo.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import _scipy_threads, dpotrs, dtrtri
+from ._lapack import _LOCK, _scipy_threads, dpotrs, dtrtri
 from .config import _config_chi, _config_eta, _config_fields, _config_instance
 from .errors import InputError, NumericError, StableSysidError
 from .kernels import KernelStructure
@@ -299,7 +298,7 @@ def gcv_cost(beta: float, eta: tuple, data: RegressionData, structure: KernelStr
     _check_beta(beta)
     _config_instance(data, RegressionData, "data")
     _check_structure(structure, data)
-    with _scipy_threads():
+    with _LOCK:
         return _gcv(_gram(structure, eta, data), beta, data, lambda: _spectrum(structure, eta, data))
 
 
@@ -531,11 +530,14 @@ def select_hyperparameters(
     )
 
 
+def _pinned(method: str) -> bool:
+    """Whether a fit of the cost ``method`` is pinned: every cost but EB."""
+    return method != "eb"
+
+
 def _fit_threads(method: str):
-    """The fit's thread rule (see module notes) for the cost ``method``:
-    :func:`~stable_sysid._lapack._scipy_threads` on one thread for GCV and
-    k-fold, at the caller's count for EB."""
-    return _scipy_threads(None if method == "eb" else 1)
+    """The fit's thread rule: the scipy lock, on one thread where :func:`_pinned`."""
+    return _scipy_threads(1) if _pinned(method) else _LOCK
 
 
 def _decode(x, iota, param: FeasibleParameterization):
@@ -625,7 +627,7 @@ def _cpus() -> int:
 
 
 def _processes(restarts: int, cpus: int) -> int:
-    """The number of processes that a GCV search of ``restarts`` restarts
+    """The number of processes that a pinned search of ``restarts`` restarts
     runs in on ``cpus`` CPUs: one where ``cpus < 2``, else the fewest in
     which none runs more than ``max(1, restarts // cpus)`` restarts."""
     if cpus < 2:
@@ -635,9 +637,9 @@ def _processes(restarts: int, cpus: int) -> int:
 
 
 def _restarts(config, data, structure, starts, budget):
-    """:func:`_run_restarts` over every start, in start order; a GCV search
-    runs restart k in process ``k mod P`` (see module notes)."""
-    count = _processes(len(starts), _cpus()) if config.method == "gcv" else 1
+    """:func:`_run_restarts` over every start, in start order; a pinned
+    search runs restart k in process ``k mod P`` (see module notes)."""
+    count = _processes(len(starts), _cpus()) if _pinned(config.method) else 1
     parts = None
     if count > 1:
         from . import _worker

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import (
-    _scipy_threads, dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsyevd, dsymv, dsyr2, dsytrd, dsytrd_lwork,
+    _LOCK, dnrm2, dpotrf, dpotrs, dptsv, dpttrs, dsyevd, dsymv, dsyr2, dsytrd, dsytrd_lwork,
 )
 from .config import (
     _config_array, _config_chi, _config_fields, _config_instance, _config_int, _config_nonnegative, _config_real,
@@ -241,7 +241,7 @@ def _eig_psd(K: np.ndarray, y: np.ndarray):
     offending value.
     """
     # the transpose of a symmetric C-ordered array is its Fortran-ordered self
-    with _scipy_threads():
+    with _LOCK:
         lam, Q, info = dsyevd(K.T, compute_v=1, lower=1)
     if info != 0:
         raise NumericError(f"eigendecomposition failed: LAPACK dsyevd info {info}")
@@ -294,7 +294,7 @@ def _ridge(K, y, beta) -> np.ndarray:
     """Solve ``(K + beta I) c = y`` for an exactly symmetric PSD ``K`` and
     beta > 0.  One step of iterative refinement keeps the relative residual
     near machine precision even when beta is tiny relative to the spectrum."""
-    with _scipy_threads():
+    with _LOCK:
         A, L = _shifted_cholesky(K, beta)
         if L is None:
             lam, Q, yt = _eig_psd(K, y)

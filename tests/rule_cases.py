@@ -23,8 +23,6 @@ from stable_sysid import (
     SumKernel,
 )
 
-INPUT_DIM = 5
-
 STRUCTURES = [
     LinearAffine(),
     Polynomial(degree=2),

@@ -286,6 +286,14 @@ class TestGenerateDataset:
         with pytest.raises(InputError):
             SyntheticSystemSpec("C", seed=0)
 
+    def test_a_count_that_cannot_be_allocated_is_an_input_error(self):
+        # numpy's own error where an allocation fails is a MemoryError
+        def unallocatable(n):
+            raise MemoryError(f"Unable to allocate {8 * n / 2**30:.1f} GiB")
+
+        with pytest.raises(InputError, match=r"^too many samples for an array: Unable to allocate 74\.5 GiB$"):
+            benchmarks._sized(unallocatable, 10**10, "samples")
+
 
 # one count of each library type: (field, a valid value, the object built from it)
 LIBRARY_COUNTS = [

@@ -658,6 +658,29 @@ class TestCounts:
         assert captured.out == "" and "too many samples for an array" in captured.err
         assert list(workdir.iterdir()) == [workdir / "gen.json"]
 
+    def test_generate_rejects_a_draw_that_cannot_be_allocated(self, workdir, capsys, monkeypatch):
+        # the generator fails the large draw as numpy does past a memory
+        # limit, so no array is requested that cannot be allocated
+        real = np.random.default_rng
+
+        class Unallocatable:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, size=None):
+                if size is not None and size > 10**6:
+                    raise MemoryError(f"Unable to allocate {8 * size / 2**30:.1f} GiB")
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Unallocatable)
+        payload = {"system": "A", "n_train": 10**10, "n_valid": 20, "out": str(workdir)}
+        cfg = write_config(workdir / "gen.json", payload)
+        assert run(["generate", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: too many samples for an array: Unable to allocate 74.5 GiB\n"
+        assert list(workdir.iterdir()) == [workdir / "gen.json"]
+
     def test_generate_rejects_negative_seed(self, workdir, capsys):
         cfg = write_config(workdir / "gen.json", {"system": "B", "seed": -1, "out": str(workdir)})
         assert run(["generate", "--config", cfg]) == EXIT_INPUT

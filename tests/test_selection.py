@@ -42,10 +42,6 @@ from stable_sysid.viability import feasible_parameterization
 from oracles import random_spectrum_problem, root_conditioning
 
 
-class ZeroKernelLike:
-    pass
-
-
 def smooth_data(n=40, seed=0, m=2):
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n)
@@ -867,6 +863,7 @@ class TestPackageGrams:
         _, report, _ = fit_method(smooth_data(40), MethodSpec("x", Gaussian(), replace(selection, target=target)))
         assert np.all(np.isfinite(report.coefficients))
 
+    @pytest.mark.usefixtures("in_process")
     @pytest.mark.parametrize("cap_aware_cost", [False, True])
     def test_kfold_search(self, unchecked, cap_aware_cost):
         config = SelectionConfig(method="kfold", target=StabilityTarget.diss(), cap_aware_cost=cap_aware_cost,

@@ -1,10 +1,10 @@
-"""A GCV search with more than one restart deals its restarts over this
-process and helper processes by the rule of :mod:`stable_sysid.selection`
+"""A GCV or k-fold search with more than one restart deals its restarts over
+this process and helper processes by the rule of :mod:`stable_sysid.selection`
 and merges the runs in start order, so its result, restart record and
 factorization count are those of the one-process search bit for bit, and it
 leaves no entry in the EB search's memo of spectra (see that module's
-notes); EB, k-fold and one-restart searches, and any search on one CPU,
-start no helper, and helpers that are lost, forked away from or
+notes); EB and one-restart searches, and any search on one CPU, start no
+helper, and helpers that are lost, forked away from or
 closed leave no process and no difference behind.  A spread runs every part,
 its own and each helper's, with scipy's OpenBLAS on one thread under the
 package's lock.  A fit's final solve
@@ -99,21 +99,27 @@ def one_process(monkeypatch, search):
 
 
 CASES = [
-    (structure, target, restarts)
+    ("gcv", structure, target, restarts)
     for structure, target in [(Gaussian(), StabilityTarget.unconstrained()), (Gaussian(), StabilityTarget.diss()),
                               (LinearAffine(), StabilityTarget.unconstrained())]
     for restarts in (2, 3, 4, 5, 8)
+] + [
+    # k-fold at fewer restart counts, to bound the time
+    ("kfold", Gaussian(), target, restarts)
+    for target in (StabilityTarget.unconstrained(), StabilityTarget.diss())
+    for restarts in (2, 3, 5)
 ]
 # on two CPUs, the processes of a search of each restart count
 PROCESSES = {2: 2, 3: 3, 4: 2, 5: 3, 8: 2}
 
 
 @pytest.mark.usefixtures("two_cpus")
-@pytest.mark.parametrize("structure,target,restarts", CASES,
-                         ids=[f"{type(s).__name__}-{t.label()}-{r}" for s, t, r in CASES])
-def test_helpers_give_the_one_process_search(monkeypatch, served, structure, target, restarts):
+@pytest.mark.parametrize("method,structure,target,restarts", CASES,
+                         ids=[f"{'kfold-' if m == 'kfold' else ''}{type(s).__name__}-{t.label()}-{r}"
+                              for m, s, t, r in CASES])
+def test_helpers_give_the_one_process_search(monkeypatch, served, method, structure, target, restarts):
     data_of = linear_data if isinstance(structure, LinearAffine) else smooth_data
-    config = SelectionConfig(method="gcv", target=target, seed=2,
+    config = SelectionConfig(method=method, target=target, seed=2,
                              optimizer=OptimizerConfig(restarts=restarts, max_evals=40 * restarts))
     data = data_of()
     dealt = select_hyperparameters(config, data, structure)
@@ -149,7 +155,7 @@ def test_thread_pool_rows_equal_one_process_rows(monkeypatch):
     assert content(pooled) == content(serial)
 
 
-@pytest.mark.parametrize("method,restarts,cpus", [("eb", 3, 2), ("kfold", 3, 2), ("gcv", 1, 2), ("gcv", 3, 1)])
+@pytest.mark.parametrize("method,restarts,cpus", [("eb", 3, 2), ("gcv", 1, 2), ("gcv", 3, 1)])
 def test_other_searches_never_start_the_worker(monkeypatch, method, restarts, cpus):
     # nor does their fit's final solve
     _worker._close()
@@ -157,6 +163,17 @@ def test_other_searches_never_start_the_worker(monkeypatch, method, restarts, cp
     config = SelectionConfig(method=method, optimizer=OptimizerConfig(restarts=restarts, max_evals=12 * restarts))
     fit_method(smooth_data(), MethodSpec(method, Gaussian(), config))
     assert not _worker._helpers
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_a_kfold_fit_starts_the_worker(monkeypatch, served):
+    # pinned like GCV: its 3 restarts run in three processes, and its final
+    # solve in this one
+    monkeypatch.setattr(_worker, "_lost", False)
+    _worker._close()
+    config = SelectionConfig(method="kfold", optimizer=OptimizerConfig(restarts=3, max_evals=36))
+    fit_method(smooth_data(), MethodSpec("kfold", Gaussian(), config))
+    assert sorted(_worker._helpers) == [0, 1] and [helper for helper, _ in served] == [0, 1]
 
 
 @pytest.mark.usefixtures("two_cpus")

@@ -16,7 +16,8 @@ The list covers ``generate`` on A, B and H, plus an H validation set of
 1,200 samples whose 120,000 solver steps span many integration blocks;
 ``fit`` on all eight kernel structures and the iss, bibs, diss, dbibs,
 viable and dviable targets at a small search budget, plus a k-fold ``fit``
-at the same budget; ``predict`` and
+at the same budget and one at 2 restarts, which on two or more CPUs runs
+its second restart on a helper process; ``predict`` and
 ``simulate``, the H model on both H validation sets; ``check-viability``
 with the falsifier, including narx_fading and a sum with a narx_fading
 child, both with witnesses, and a Gaussian member just inside its finite-rho
@@ -55,6 +56,7 @@ from stable_sysid import cli  # noqa: E402
 
 SEARCH = {"restarts": 1, "max_evals": 30}
 KFOLD_SEARCH = {**SEARCH, "method": "kfold"}
+KFOLD_RESTARTS_SEARCH = {"restarts": 2, "max_evals": 60, "method": "kfold"}
 NARX = {"structure": "narx_fading", "model_order": 2, "window": 1}
 
 GENERATE = [
@@ -188,6 +190,8 @@ def commands():
         data = f"data/{system}_train.csv"
         yield name, ["fit"], {"data": data, "kernel": kernel, "target": target, "selection": SEARCH, "out": f"out/{name}"}
     yield "fit-gaussian-diss-kfold", ["fit"], {**FIT_B, "selection": KFOLD_SEARCH, "out": "out/fit-gaussian-diss-kfold"}
+    yield "fit-gaussian-diss-kfold-2-restarts", ["fit"], {**FIT_B, "selection": KFOLD_RESTARTS_SEARCH,
+                                                          "out": "out/fit-gaussian-diss-kfold-2-restarts"}
     for want, fit, directory, system in RUNS:
         name = f"{want}-{fit}" if directory == "data" else f"{want}-{fit}-{directory}"
         yield name, [want], {"model": f"out/{fit}/model.json", "data": f"{directory}/{system}_valid.csv", "out": f"out/{name}"}
