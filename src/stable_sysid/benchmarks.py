@@ -235,7 +235,7 @@ def _sized(make, n: int, what: str) -> np.ndarray:
     as ``10**20``, or cannot allocate raises :class:`InputError`."""
     try:
         return make(n)
-    except (ValueError, MemoryError) as exc:  # "Maximum allowed dimension exceeded" and kin
+    except (ValueError, MemoryError) as exc:  # "Maximum allowed dimension exceeded", a failed allocation
         raise InputError(f"too many {what} for an array: {exc}") from exc
 
 
