@@ -26,7 +26,7 @@ thread count sets no bit of a result.  After one multi-threaded call, an
 OpenBLAS worker thread spins for about 135 ms of CPU, and the run-time
 setter does not stop it; at the search's size a second thread does not pay
 either (one ``dpotrf`` of a 199 x 199 Gram: 0.21 ms on one thread, 0.46 ms
-on two).  So :func:`_scipy_threads` can run scipy's pool on one thread,
+on two).  So :func:`_scipy_threads` runs scipy's pool on one thread,
 through the run-time setter that scipy's OpenBLAS exports, found with
 ``ctypes`` as ``threadpoolctl`` does
 (https://github.com/joblib/threadpoolctl); on another BLAS the setter is
@@ -139,13 +139,13 @@ _LOCK = threading.RLock()
 
 
 @contextmanager
-def _scipy_threads(count: int):
-    """Hold the package's scipy lock with scipy's OpenBLAS on ``count``
-    threads; the caller's count is back on exit, also where the body raises."""
+def _scipy_threads():
+    """Hold the package's scipy lock with scipy's OpenBLAS on one thread;
+    the caller's count is back on exit, also where the body raises."""
     with _LOCK:
         before = None if _set_threads is None else _get_threads()
         if before is not None:
-            _set_threads(count)
+            _set_threads(1)
         try:
             yield
         finally:

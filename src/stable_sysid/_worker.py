@@ -25,7 +25,7 @@ helper behind.  A caller that exits normally closes every helper's input
 and reaps them at exit.
 
 The caller reaches the helpers only through :func:`spread`, which holds
-``_lapack._scipy_threads(1)`` from its first send to its last reply: its
+``_lapack._scipy_threads()`` from its first send to its last reply: its
 own call runs on one thread too, so every part of a spread runs as in one
 process on one thread, and no two threads share the pipes.  A call sends
 at most one request per helper and reads every reply before it returns.
@@ -91,7 +91,7 @@ def spread(function, calls):
     before it replied.  An interrupt stops every helper, so no reply is left
     in a pipe."""
     global _owner
-    with _scipy_threads(1):
+    with _scipy_threads():
         if not _ENABLED or _lost or (_helpers and _owner != os.getpid()):
             return None
         try:
@@ -165,7 +165,7 @@ def _serve(requests, replies) -> None:
     """A helper's loop: answer each request read from ``requests`` on
     ``replies``, with scipy's OpenBLAS on one thread, until the requests
     end."""
-    with _scipy_threads(1):
+    with _scipy_threads():
         while True:
             try:
                 payload = _read(requests)

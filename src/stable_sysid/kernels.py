@@ -1072,6 +1072,7 @@ def structure_from_config(cfg: dict) -> KernelStructure:
 def kernel_to_config(kernel: KernelInstance) -> dict:
     """Serialize a kernel to its block: the structure's config plus ``eta``
     and ``input_dim``."""
+    _config_instance(kernel, KernelInstance, "kernel")
     return {**structure_to_config(kernel.structure), "eta": list(kernel.eta), "input_dim": kernel.input_dim}
 
 

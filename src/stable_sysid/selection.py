@@ -90,16 +90,18 @@ two CPUs, 3 restarts run in three processes, one each (a cap-aware k-fold
 search on B's deltaISS set, 3 x 60 evaluations: 1.13 s, against 2.12 s in
 one), 2, 6 and 8 in two, and 5 in three (2, 2 and 1).  The runs
 merge in start order and the factorization counts add up.  Every process
-builds the objective alike (:class:`_Objective`) from the same data, its
-pair terms included, and each restart is independent and seeded, so the
-result, the restart record and the factorization count are those of the
-one-process search bit for bit.  The helpers then stay up for the next
-search.  Where ``spread`` gives no results (a part raised, or a helper
-could not run its part), the whole search runs once in this process, with
-the same result or the first error.  One-restart and EB searches stay in
-one process: EB's spectra run at the caller's count, a two-thread
-``dsyevd`` ran three times slower beside one busy thread (150 calls at
-N = 199: 0.9 s alone, 3.0 s), and Hb's search replays Ha's memo.
+builds the objective alike (:class:`_Objective`) from the same data, a
+helper building any pair term its structure reads that the data does not
+hold yet, with the same bits (a Gaussian search builds no inner products);
+each restart is independent and seeded, so the result, the restart record
+and the factorization count are those of the one-process search bit for
+bit.  The helpers then stay up for the next search.  Where ``spread``
+gives no results (a part raised, or a helper could not run its part), the
+whole search runs once in this process, with the same result or the first
+error.  One-restart and EB searches stay in one process: EB's spectra run
+at the caller's count, a two-thread ``dsyevd`` ran three times slower
+beside one busy thread (150 calls at N = 199: 0.9 s alone, 3.0 s), and
+Hb's search replays Ha's memo.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ import numpy as np
 
 from ._lapack import _LOCK, _scipy_threads, dpotrs, dtrtri
 from .config import _config_chi, _config_eta, _config_fields, _config_instance
-from .errors import InputError, NumericError, StableSysidError
+from .errors import InputError, NumericError
 from .kernels import KernelStructure
 from .solver import (
     RegressionData,
@@ -469,10 +471,11 @@ def select_hyperparameters(
 ) -> SelectionResult:
     """Minimize the configured cost over the target's feasibility set.
 
-    The result's ``eta`` always passes the target's membership test; an
-    infeasible or unsupported (structure, target) pair, and a ``kfold``
-    search on fewer regression rows than its five folds, raise before any
-    evaluation.
+    The result's ``feasible`` records the target's membership test at the
+    selected ``eta``, which a feasible map can fail past its edges (ROADMAP
+    D7); an infeasible or unsupported (structure, target) pair, and a
+    ``kfold`` search on fewer regression rows than its five folds, raise
+    before any evaluation.
     """
     _config_instance(config, SelectionConfig, "config")
     _config_instance(data, RegressionData, "data")
@@ -508,23 +511,20 @@ def select_hyperparameters(
         if value < best_val:
             best_val, best_x = value, x
 
-    if best_x is None or not math.isfinite(best_val) or best_val >= _BAD_COST:
+    # the budget floor lets each restart score its dim + 1 first vertices, all finite
+    if best_val >= _BAD_COST:
         raise NumericError(
             "hyperparameter search found no finite cost; the kernel/data combination "
             "is numerically degenerate"
         )
 
     beta, eta = _decode(best_x, config.iota, param)
-    try:
-        feasible = membership(structure, eta, config.target)
-    except StableSysidError:
-        feasible = False
     return SelectionResult(
         beta=beta,
         eta=eta,
         cost=float(best_val),
         evaluations=sum(spent for spent, _, _ in restarts),
-        feasible=bool(feasible),
+        feasible=bool(membership(structure, eta, config.target)),
         factorizations=factorizations,
         restarts=tuple(restarts),
     )
@@ -537,7 +537,7 @@ def _pinned(method: str) -> bool:
 
 def _fit_threads(method: str):
     """The fit's thread rule: the scipy lock, on one thread where :func:`_pinned`."""
-    return _scipy_threads(1) if _pinned(method) else _LOCK
+    return _scipy_threads() if _pinned(method) else _LOCK
 
 
 def _decode(x, iota, param: FeasibleParameterization):
@@ -598,7 +598,7 @@ class _Objective:
     def __call__(self, x) -> float:
         try:
             value = self.cost(*_decode(x, self.config.iota, self.param))
-        except (NumericError, OverflowError, FloatingPointError, InputError, ZeroDivisionError):
+        except (NumericError, OverflowError, InputError, ZeroDivisionError):
             # past its edge (ROADMAP D7) a map can divide by an underflowed 0,
             # or its image can leave the structure's domain, which the cost's
             # validation of eta rejects: an entry that overflowed, or a weight
@@ -644,8 +644,6 @@ def _restarts(config, data, structure, starts, budget):
     if count > 1:
         from . import _worker
 
-        # the helpers read the parent's pair terms, so their Grams have their bits
-        data.terms.sq, data.terms.inner
         parts = _worker.spread(_run_restarts, [(config, data, structure, starts[j::count], budget)
                                                for j in range(count)])
     if parts is None:

@@ -53,6 +53,7 @@ from stable_sysid.kernels import (
     gaussian_delta_boundary,
     gram_matrix,
     kernel_from_config,
+    kernel_to_config,
     lag_weight_sum,
     metric_pairs,
     structure_from_config,
@@ -237,6 +238,7 @@ ARGUMENTS = {
     "generate_dataset-spec-string": lambda: generate_dataset("s"),
     "gram_matrix-kernel-string": lambda: gram_matrix("k", P),
     "metric_pairs-kernel-string": lambda: metric_pairs("k", P, P),
+    "kernel_to_config-kernel-string": lambda: kernel_to_config("k"),
     "write_dataset_csv-dataset-string": lambda: write_dataset_csv("ds", os.devnull),
     "write_results_csv-rows-strings": lambda: write_results_csv(["row"], os.devnull),
     "standard_methods-selection-string": lambda: standard_methods("B", selection="x"),
@@ -289,6 +291,7 @@ OBJECT_ARGUMENTS = {
     "generate_dataset-spec-string": "spec",
     "gram_matrix-kernel-string": "kernel",
     "metric_pairs-kernel-string": "kernel",
+    "kernel_to_config-kernel-string": "kernel",
     "write_dataset_csv-dataset-string": "dataset",
     "write_results_csv-rows-strings": "result row",
     "standard_methods-selection-string": "selection",

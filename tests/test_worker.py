@@ -33,7 +33,7 @@ from numpy.linalg import _umath_linalg
 
 import stable_sysid
 from stable_sysid import (
-    Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget,
+    FeatureGaussian, Gaussian, LinearAffine, OptimizerConfig, RegressionData, SelectionConfig, StabilityTarget,
 )
 from stable_sysid import _lapack, _worker, benchmarks, selection
 from stable_sysid.benchmarks import (
@@ -104,6 +104,9 @@ CASES = [
                               (LinearAffine(), StabilityTarget.unconstrained())]
     for restarts in (2, 3, 4, 5, 8)
 ] + [
+    # A's structure and target, whose Grams read both the inner products and the squared distances
+    ("gcv", FeatureGaussian(), StabilityTarget.iss(), 3),
+] + [
     # k-fold at fewer restart counts, to bound the time
     ("kfold", Gaussian(), target, restarts)
     for target in (StabilityTarget.unconstrained(), StabilityTarget.diss())
@@ -133,6 +136,9 @@ def test_helpers_give_the_one_process_search(monkeypatch, served, method, struct
         assert [(spent, float(value), stop) for _, value, spent, stop in runs] == \
             list(one.restarts[helper + 1::count])
     assert data not in selection._SPECTRA and alone not in selection._SPECTRA
+    if isinstance(structure, Gaussian):
+        # the search built no inner products, which a Gaussian Gram never reads
+        assert "inner" not in data.terms.__dict__
     if isinstance(structure, LinearAffine):
         assert dealt.factorizations > dealt.evaluations  # the fallback ran
 
@@ -427,7 +433,7 @@ def test_every_part_of_a_spread_runs_on_one_thread_under_the_lock():
     default = _lapack._get_threads()
     assert _worker.spread(eval, [state] * 3) == [(1, True)] * 3
     assert _lapack._get_threads() == default
-    with _lapack._scipy_threads(1):
+    with _lapack._scipy_threads():
         assert _worker.spread(eval, [state] * 3) == [(1, True)] * 3
     assert _lapack._get_threads() == default
 

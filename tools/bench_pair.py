@@ -11,12 +11,15 @@ PARENT and CHANGE are two checkout directories (the parent one made with
 ``perfbench/run.py --trace 0`` at the seed (0 by default) in the two
 checkouts in alternating order, ten times each by default (the pairs a gain
 claim needs), and keeps every run's end-to-end metrics, gate verdict and
-failed cells, and the quality medians.  Each run also records ``cpu_s``, the
-user + system CPU time of the whole ``run.py`` process and of every process
-it reaped (its setup probes and search helpers, which it reaps at exit),
-read from ``os.times()`` around it, and ``cpu_s_per_cell``, that time over
-the cells the run attempted; both cover the whole run, start-up, setup
-probes and the thread-pool check round included, not only the timed rounds.
+failed cells, and the quality medians.  Beside its metrics, each run keeps
+``setup_s_samples``, the start-up probe times whose median is its
+``setup_s``, read from the run's ``perfbench/out`` record.  Each run also
+records ``cpu_s``, the user + system CPU time of the whole ``run.py``
+process and of every process it reaped (its setup probes and search
+helpers, which it reaps at exit), read from ``os.times()`` around it, and
+``cpu_s_per_cell``, that time over the cells the run attempted; both cover
+the whole run, start-up, setup probes and the thread-pool check round
+included, not only the timed rounds.
 Once per checkout and workload it also runs a probe round in a fresh
 interpreter, which counts the symmetric eigendecompositions (``eigh``, the
 ``dsyevd`` calls) and LAPACK's ``dsytrd`` (tridiagonal reduction),
@@ -203,6 +206,7 @@ def run_benchmark(root: Path, workload: str, seed: int, side: str) -> dict:
         "cpu_s": cpu_s,
         "cpu_s_per_cell": cpu_s / result["attempted"],
         "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+        "setup_s_samples": record["setup_s_samples"],
         "quality": record["quality"],
         "environment": record["environment"],
     }
@@ -240,7 +244,8 @@ def order_violations(fits: list) -> int:
 def side_summary(runs: list, probed: dict) -> dict:
     names = runs[0]["metrics"]
     return {
-        "runs": [{k: run[k] for k in ("correct", "attempted", "failed", "cpu_s", "cpu_s_per_cell", "metrics")}
+        "runs": [{k: run[k] for k in ("correct", "attempted", "failed", "cpu_s", "cpu_s_per_cell", "metrics",
+                                      "setup_s_samples")}
                  for run in runs],
         "median": {name: statistics.median(run["metrics"][name] for run in runs) for name in names},
         "cpu_s_per_cell_median": statistics.median(run["cpu_s_per_cell"] for run in runs),
