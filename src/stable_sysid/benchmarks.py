@@ -41,7 +41,6 @@ import csv
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -515,6 +514,8 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloResult:
         if config.n_jobs == 1:
             outcomes = [run_group(group) for group in groups]
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
                 outcomes = list(pool.map(run_group, groups))
     finally:

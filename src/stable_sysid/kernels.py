@@ -361,6 +361,14 @@ class KernelStructure:
       ``factor_suggest_eta(stats)`` (default ``suggest_eta``): the search
       start from the data statistics of :mod:`stable_sysid.selection`.
 
+    The stationary structures (gaussian, matern32, narx_fading) derive from
+    ``_Stationary``, which states the rules they share once: both
+    memberships, both claims and both parameterizations, over the zero-lag
+    value ``stationary_peak(eta)``.  Such a subclass supplies that peak, its
+    exact rho = 0 incremental rule ``_exact_zero(eta)`` and its finite-rho
+    maps ``_theta_map(rho)`` and ``_delta_map(rho)``; gaussian also states
+    its own exact incremental membership and claim at every rho.
+
     The public functions of :mod:`stable_sysid.viability` validate their
     inputs and dispatch to these rules.
     """
@@ -510,43 +518,57 @@ class Polynomial(KernelStructure):
     delta_parameterization = theta_parameterization
 
 
-def _peak_claim(structure, eta) -> tuple:
-    """``nu = s`` = the zero-lag value, which a stationary ``k(a, a)`` equals."""
-    peak = structure.stationary_peak(eta)
-    return peak, peak
-
-
-def _stationary_delta_claim(structure, eta) -> tuple:
-    """``nu = 0`` on the exact rho = 0 set, else four times the zero-lag value."""
-    peak = structure.stationary_peak(eta)
-    nu = 0.0 if structure.delta_member(eta, 0.0) else 4.0 * peak
-    return nu, 4.0 * peak
-
-
-class _StationaryProfile(KernelStructure):
-    """Shared base of ``tau profile(gamma, |a - b|) + sigma`` kernels with a
-    unit profile at zero lag (gaussian, matern32): ``eta = (tau, gamma,
-    sigma)``, zero-lag value ``tau + sigma``, and the growth rule
-    ``tau + sigma <= rho``."""
+class _Stationary(KernelStructure):
+    """The rules every stationary structure shares, over its zero-lag value
+    ``peak``, which ``k(a, a)`` equals (what a subclass supplies is in
+    :class:`KernelStructure`): no growth set at rho = 0, the growth set
+    ``peak <= rho`` with ``nu = s = peak``, and the incremental set
+    "``_exact_zero(eta)`` or ``4 peak <= rho``", which every ``eta`` meets
+    at rho = inf, with ``s = 4 peak`` and ``nu = 0`` on the exact set, else
+    ``4 peak``."""
 
     is_stationary = True
-    eta_names = ("tau", "gamma", "sigma")
-
-    def stationary_peak(self, eta):
-        tau, _, sigma = eta
-        return tau + sigma
 
     def theta_member(self, eta, rho):
-        tau, _, sigma = eta
-        return tau + sigma <= rho
+        return self.stationary_peak(eta) <= rho
 
-    theta_claim = _peak_claim
+    def theta_claim(self, eta):
+        peak = self.stationary_peak(eta)
+        return peak, peak
 
     def theta_parameterization(self, rho):
         if rho == 0.0:
             raise InfeasibleTargetError(_NO_STATIONARY_ISS)
         if rho == INF:
             return self.unconstrained_parameterization()
+        return self._theta_map(rho)
+
+    def delta_member(self, eta, rho):
+        return self._exact_zero(eta) or 4.0 * self.stationary_peak(eta) <= rho
+
+    def delta_claim(self, eta):
+        peak = self.stationary_peak(eta)
+        return (0.0 if self._exact_zero(eta) else 4.0 * peak), 4.0 * peak
+
+    def delta_parameterization(self, rho):
+        if rho == INF:
+            return self.unconstrained_parameterization()
+        return self._delta_map(rho)
+
+
+class _StationaryProfile(_Stationary):
+    """Shared base of ``tau profile(gamma, |a - b|) + sigma`` kernels with a
+    unit profile at zero lag (gaussian, matern32): ``eta = (tau, gamma,
+    sigma)``, zero-lag value ``tau + sigma``, and growth maps that share
+    ``tau + sigma`` out below rho."""
+
+    eta_names = ("tau", "gamma", "sigma")
+
+    def stationary_peak(self, eta):
+        tau, _, sigma = eta
+        return tau + sigma
+
+    def _theta_map(self, rho):
         return _mass_parameterization(rho)
 
     def peak_le_one_parameterization(self):
@@ -580,9 +602,7 @@ class Gaussian(_StationaryProfile):
         tau, gamma, _ = eta
         return gaussian_delta_boundary(tau, gamma), 4.0 * self.stationary_peak(eta)
 
-    def delta_parameterization(self, rho):
-        if rho == INF:
-            return self.unconstrained_parameterization()
+    def _delta_map(self, rho):
         if rho == 0.0:
             def to_eta(u):
                 gamma = _pos(u[0])
@@ -609,21 +629,11 @@ class Matern32(_StationaryProfile):
     def from_terms(self, eta, terms):
         return self._profile(*eta, terms.dist)
 
-    def delta_member(self, eta, rho):
-        tau, gamma, sigma = eta
-        if rho == INF:
-            return True
-        exact_zero = 3.0 * tau * gamma ** 2 <= 1.0
-        if rho == 0.0:
-            return exact_zero
-        return exact_zero or 4.0 * (tau + sigma) <= rho
+    def _exact_zero(self, eta):
+        tau, gamma, _ = eta
+        return 3.0 * tau * gamma * gamma <= 1.0
 
-    delta_claim = _stationary_delta_claim
-
-    def delta_parameterization(self, rho):
-        if rho == INF:
-            return self.unconstrained_parameterization()
-
+    def _delta_map(self, rho):
         def to_eta(u):
             gamma = _pos(u[0])
             return (_unit(u[1]) / (3.0 * gamma ** 2), gamma, _pos(u[2]))
@@ -632,7 +642,7 @@ class Matern32(_StationaryProfile):
 
 
 @dataclass(frozen=True)
-class NarxFading(KernelStructure):
+class NarxFading(_Stationary):
     """Fading-memory kernel on lag windows of the regressor difference.
 
     ``model_order`` is the number of past outputs in the regressor and
@@ -642,7 +652,6 @@ class NarxFading(KernelStructure):
     model_order: int
     window: int
     name = "narx_fading"
-    is_stationary = True
     eta_names = ("tau", "gamma", "xi")
 
     def __post_init__(self):
@@ -675,36 +684,18 @@ class NarxFading(KernelStructure):
         return tau * lag_weight_sum(xi, self.window, self.model_order)
 
     def theta_member(self, eta, rho):
-        if rho == 0.0:
-            return eta[0] == 0.0
-        if rho == INF:
-            return True
+        if 0.0 < rho < INF:
+            raise UnsupportedTargetError(_NARX_GROWTH_RHO)
+        return super().theta_member(eta, rho)
+
+    def _theta_map(self, rho):
         raise UnsupportedTargetError(_NARX_GROWTH_RHO)
 
-    def delta_member(self, eta, rho):
+    def _exact_zero(self, eta):
         tau, gamma, xi = eta
-        pi = lag_weight_sum(xi, self.window, self.model_order)
-        if rho == INF:
-            return True
-        exact_zero = 2.0 * gamma * tau * pi <= 1.0
-        if rho == 0.0:
-            return exact_zero
-        return exact_zero or 4.0 * tau * pi <= rho
+        return 2.0 * gamma * tau * lag_weight_sum(xi, self.window, self.model_order) <= 1.0
 
-    theta_claim = _peak_claim
-    delta_claim = _stationary_delta_claim
-
-    def theta_parameterization(self, rho):
-        if rho == 0.0:
-            raise InfeasibleTargetError(_NO_STATIONARY_ISS)
-        if rho == INF:
-            return self.unconstrained_parameterization()
-        raise UnsupportedTargetError(_NARX_GROWTH_RHO)
-
-    def delta_parameterization(self, rho):
-        if rho == INF:
-            return self.unconstrained_parameterization()
-
+    def _delta_map(self, rho):
         def to_eta(u):
             gamma, xi = _pos(u[0]), _pos(u[1])
             pi = lag_weight_sum(xi, self.window, self.model_order)

@@ -212,6 +212,11 @@ def membership(structure: KernelStructure, eta: tuple, target: StabilityTarget) 
 # numeric falsifier
 # ---------------------------------------------------------------------------
 
+# two sampled points lie at most 2 radius apart, so up to this radius every
+# squared size and separation the falsifier forms stays finite
+_MAX_RADIUS = 0.5 * math.sqrt(np.finfo(float).max)
+
+
 def numeric_falsifier(
     kernel: KernelInstance,
     target: StabilityTarget,
@@ -228,8 +233,8 @@ def numeric_falsifier(
     when it rejects them, the check uses nu = rho, so that any witness
     found is a genuine disproof of membership.  Returning ``None`` is
     evidence, not proof.  ``sample_count`` must be an integer >= 1, ``seed``
-    one >= 0 and ``radius`` a finite number > 0; anything else raises
-    :class:`InputError`.
+    one >= 0 and ``radius`` a number > 0 and at most ``sqrt(float max) /
+    2``; anything else raises :class:`InputError`.
     """
     _config_instance(kernel, KernelInstance, "kernel")
     _config_instance(target, StabilityTarget, "target")
@@ -238,8 +243,8 @@ def numeric_falsifier(
     sample_count = _config_int(sample_count, "sample_count", 1)
     radius = _config_real(radius, "radius")
     seed = _config_int(seed, "seed", 0)
-    if radius <= 0:
-        raise InputError(f"radius must be > 0, got {radius}")
+    if not 0 < radius <= _MAX_RADIUS:
+        raise InputError(f"radius must be > 0 and at most {_MAX_RADIUS:.4g}, got {radius}")
 
     structure, eta, dim = kernel.structure, kernel.eta, kernel.input_dim
     is_delta = target.kind == "delta_viable"

@@ -553,6 +553,27 @@ class TestCheckViability:
         captured = capsys.readouterr()
         assert captured.out == "" and "radius must be a number" in captured.err
 
+    def test_radius_whose_square_overflows_exits_2(self, workdir, capsys):
+        # above sqrt(float max) / 2 a squared separation can overflow
+        cfg = write_config(
+            workdir / "check.json",
+            {"kernel": {"structure": "gaussian", "eta": [0.5, 1.0, 0.0], "input_dim": 5},
+             "target": {"kind": "diss"}, "falsify": {"radius": 1e300}},
+        )
+        assert run(["check-viability", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "radius must be > 0 and at most 6.704e+153" in captured.err
+
+    def test_matern_huge_gamma_is_no_diss_member(self, workdir, capsys):
+        # 3 tau gamma^2 overflows to inf, which is no exception
+        cfg = write_config(
+            workdir / "check.json",
+            {"kernel": {"structure": "matern32", "eta": [1, 1e200, 0], "input_dim": 5},
+             "target": {"kind": "diss"}},
+        )
+        assert run(["check-viability", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == "target diss: not member\n"
+
     def test_integral_float_input_dim_accepted(self, workdir, capsys):
         cfg = write_config(
             workdir / "check.json",

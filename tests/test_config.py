@@ -269,6 +269,8 @@ ARGUMENTS = {
     "StabilityTarget.from_config-string": lambda: StabilityTarget.from_config("iss"),
     "StabilityTarget.from_config-rho-missing": lambda: StabilityTarget.from_config({"kind": "dviable"}),
     "numeric_falsifier-radius-negative": lambda: numeric_falsifier(KERNEL, StabilityTarget.diss(), radius=-1),
+    # a radius whose square can overflow leaves "no witness found" meaningless
+    "numeric_falsifier-radius-overflows": lambda: numeric_falsifier(KERNEL, StabilityTarget.diss(), radius=1e300),
     # rules that no structure's own method reaches: a peak, or a claim, the structure does not have
     "LinearAffine.stationary_peak-not-stationary": lambda: LinearAffine().stationary_peak((1.0, 0.0)),
     "Polynomial.theta_claim-no-claim": lambda: Polynomial().theta_claim(()),

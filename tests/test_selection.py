@@ -788,7 +788,8 @@ class TestNelderMead:
     def test_package_imports_no_scipy_optimize(self):
         # nor the scipy.linalg package, whose __init__ imports numpy.f2py:
         # the package binds scipy's LAPACK/BLAS modules by path; nor the
-        # search's worker, which a GCV search imports on first use
+        # search's worker, which a GCV search imports on first use; nor the
+        # thread pool (and its logging), which only n_jobs > 1 imports
         import subprocess
         import sys
 
@@ -796,7 +797,7 @@ class TestNelderMead:
 
         src = str(Path(stable_sysid.__file__).resolve().parents[1])
         unwanted = ["scipy.optimize", "scipy.linalg", "numpy.f2py", "stable_sysid._worker", "subprocess",
-                    "multiprocessing"]
+                    "multiprocessing", "concurrent.futures", "logging"]
         for module in ("stable_sysid", "stable_sysid.cli"):
             code = f"import sys, {module}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

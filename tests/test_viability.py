@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from rule_cases import PAIRS, pair_id
 from stable_sysid import (
     FeatureGaussian,
     Gaussian,
@@ -18,6 +19,7 @@ from stable_sysid import (
     Polynomial,
     ProductWithStationary,
     StabilityTarget,
+    StableSysidError,
     SumKernel,
     UnsupportedTargetError,
     feasible_parameterization,
@@ -470,3 +472,47 @@ class TestSoundnessAgainstFalsifier:
             kernel = KernelInstance(structure, eta, dim)
             witness = numeric_falsifier(kernel, target, sample_count=20000, radius=50.0, seed=7)
             assert witness is None, (eta, witness)
+
+
+# eta entries from zero through subnormals to the top of the float range
+EXTREME_ENTRIES = (0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e154, 1e200, 1e307, 1.7e308)
+HUGE_MATERN = (1.0, 1e200, 0.0)
+
+
+class TestExtremeHyperparameters:
+    """Valid eta entries near the float range decide membership and run the
+    falsifier: the rules compute in floats, so an overflow rounds to inf and
+    never escapes as an exception."""
+
+    def test_matern_huge_gamma_membership(self):
+        # 3 tau gamma^2 rounds to inf: outside the exact set, and 4 tau > 0.7
+        assert membership(Matern32(), HUGE_MATERN, StabilityTarget.diss()) is False
+        assert membership(Matern32(), HUGE_MATERN, dviable(0.7)) is False
+        assert membership(Matern32(), HUGE_MATERN, StabilityTarget.dbibs()) is True
+
+    def test_falsifier_on_matern_huge_gamma(self):
+        k = KernelInstance(Matern32(), HUGE_MATERN, 5)
+        witness = numeric_falsifier(k, StabilityTarget.diss(), sample_count=2000, seed=0)
+        assert witness is not None and witness.violated_condition == "delta_contractive"
+
+    def test_falsifier_on_sum_with_huge_matern_gamma(self):
+        eta = (0.5, 0.5, 0.4, 1.0, 0.0) + HUGE_MATERN
+        k = KernelInstance(SumKernel((Gaussian(), Matern32())), eta, 5)
+        assert numeric_falsifier(k, StabilityTarget.dbibs(), sample_count=2000, seed=0) is None
+
+    @pytest.mark.parametrize("structure,target", PAIRS, ids=[pair_id(s, t) for s, t in PAIRS])
+    def test_only_package_errors_escape(self, structure, target):
+        rng = np.random.default_rng(zlib.crc32(pair_id(structure, target).encode()))
+        for _ in range(60):
+            eta = tuple(rng.choice(EXTREME_ENTRIES, size=structure.arity))
+            # the kernel values themselves may overflow; that is no error
+            with np.errstate(all="ignore"):
+                try:
+                    membership(structure, eta, target)
+                except StableSysidError:
+                    pass
+                try:
+                    kernel = KernelInstance(structure, eta, 5)
+                    numeric_falsifier(kernel, target, sample_count=200, seed=1)
+                except StableSysidError:
+                    pass

@@ -20,14 +20,16 @@ at the same budget and one at 2 restarts, which on two or more CPUs runs
 its second restart on a helper process; ``predict`` and
 ``simulate``, the H model on both H validation sets; ``check-viability``
 with the falsifier, including narx_fading and a sum with a narx_fading
-child, both with witnesses, and a Gaussian member just inside its finite-rho
+child, both with witnesses, a Gaussian member just inside its finite-rho
 incremental boundary (``2 tau gamma - 1`` about 5e-9), whose witness is the
 roundoff of the falsifier's ``k(a,a) + k(b,b) - 2 k(a,b)`` at ``tau`` about
-1.5e7; a one-run ``benchmark`` on A, B and H; and bad inputs that exit 2:
+1.5e7, and a matern32 kernel with ``gamma`` 1e200, whose ``3 tau gamma^2``
+overflows; a one-run ``benchmark`` on A, B and H; and bad inputs that exit 2:
 a string ``chi``, a ``true`` eta entry, an integer ``cap_aware_cost``, a
 string ``record_timing``, the removed ``hh_dt`` (H solver step) and
-``kfold_k`` (fold count) keys, and a config root, a selection block and a
-falsify block that are not JSON objects.  Last come bad input files, each a
+``kfold_k`` (fold count) keys, a config root, a selection block and a
+falsify block that are not JSON objects, and a falsifier radius of 1e300,
+whose square overflows.  Last come bad input files, each a
 copy of an earlier output with one value broken: a ``model.json`` center
 entry written as a JSON string (``simulate``), a ``model.json`` whose last
 center is one entry short (``predict``), a training CSV with a ``nan``
@@ -118,6 +120,7 @@ CHECKS = [
         {"kind": "diss"},
     ),
     ("check-feature_gaussian-bibs", {"structure": "feature_gaussian", "eta": [0.5, 0.7, 0.2]}, {"kind": "bibs"}),
+    ("check-viability-matern32-huge-gamma", {"structure": "matern32", "eta": [1, 1e200, 0]}, {"kind": "diss"}),
 ]
 
 BENCHMARKS = [
@@ -139,6 +142,7 @@ BAD_INPUTS = [
     ("bad-fit-config-root", "fit", [FIT_B]),
     ("bad-fit-selection-block", "fit", {**FIT_B, "selection": [SEARCH]}),
     ("bad-check-falsify-block", "check-viability", {**CHECK, "falsify": [FALSIFY]}),
+    ("check-viability-falsify-radius-overflow", "check-viability", {**CHECK, "falsify": {**FALSIFY, "radius": 1e300}}),
 ]
 
 
